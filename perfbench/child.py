@@ -3,10 +3,11 @@
     python3 perfbench/child.py OUTDIR TRACE cli ARG...      conelab CLI run
     python3 perfbench/child.py OUTDIR TRACE evolve SEED     library run
 
-The step imports conelab from the checkout's `src/`, notes the moment the
-import finished, optionally installs the span recorder (TRACE = 1), does its
-work and writes OUTDIR/meta.json (and OUTDIR/spans.json when traced).  The
-exit status is the CLI's, or for the library run 0 when every check passed.
+The step imports conelab from the checkout's `src/`, notes the CPU time the
+process has used up to then (its set-up cost), optionally installs the span
+recorder (TRACE = 1), does its work and writes OUTDIR/meta.json (and
+OUTDIR/spans.json when traced).  The exit status is the CLI's, or for the
+library run 0 when every check passed.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def main(argv) -> int:
     import conelab  # noqa: F401
     if kind == "cli":
         import conelab.cli
-    ready = time.monotonic()
+    setup_cpu = time.process_time()
     import_s = time.perf_counter() - t0
 
     tracer = None
@@ -104,7 +105,7 @@ def main(argv) -> int:
 
         tracer = Tracer()
         tracer.install()
-    meta = {"ready": ready, "import_s": import_s, "rc": None}
+    meta = {"setup_cpu": setup_cpu, "import_s": import_s, "rc": None}
     start = time.perf_counter()
     try:
         if kind == "cli":

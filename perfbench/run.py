@@ -9,8 +9,9 @@ steps one after another, each in a fresh interpreter, because a user pays
 interpreter start and `import conelab` on every CLI run.  A run makes
 round(S / SECONDS_PER_ITERATION) iterations (at least one) and reports medians.
 
---trace 0 prints the end-to-end metrics: wall time, CPU time, set-up time,
-peak RSS and the share of operations that passed their correctness gate.
+--trace 0 prints the end-to-end metrics: CPU time, set-up CPU time, peak
+RSS and the share of operations that passed their correctness gate; the
+line before it gives wall-time quartiles too.
 --trace 1 alternates untraced and traced iterations and prints the per-layer
 metrics taken from spans around calls into each conelab module, with the
 tracing overhead (traced minus untraced wall time).
@@ -52,20 +53,21 @@ import tracer  # noqa: E402
 
 PINNED = json.loads((HERE / "pinned.json").read_text())
 
+# Wall time is not among them: on a shared VM the hypervisor steals up to a
+# third of the CPU time in some minutes, which moved ten-run wall-time
+# medians by more than any allowed bound while CPU time stayed steady.
+# Wall times are still printed on the detail line and in the traced run.
 END_TO_END = (
-    ("wall_s", "s"),
     ("cpu_s", "s"),
     ("setup_s", "s"),
     ("peak_rss_mb", "MB"),
     ("passed_frac", "ratio"),
 )
 
-# Seconds of --seconds that buy one iteration.  The count is fixed by
-# --seconds, not by the clock, so both sides of a comparison measure the same
-# work.  At the seed commit on 2 cores an iteration takes about 7.5 s
-# (identity, chains) and 8.5 s (evolve); chains gets more iterations than
-# its time because its four short processes spread the most.
-SECONDS_PER_ITERATION = {"identity": 7.5, "chains": 6.4, "evolve": 8.5}
+# Seconds of --seconds that buy one iteration: about the wall time of one
+# iteration at the seed commit on 2 cores.  The count is fixed by --seconds,
+# not by the clock, so both sides of a comparison measure the same work.
+SECONDS_PER_ITERATION = {"identity": 7.5, "chains": 7.5, "evolve": 8.5}
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +228,6 @@ def run_step(step: Step, workdir: Path, rng: random.Random, trace: bool,
         meta = json.loads((workdir / "meta.json").read_text())
     except (OSError, json.JSONDecodeError):
         meta = {}
-    setup = meta["ready"] - t0 if "ready" in meta else t1 - t0
     if step.kind == "cli":
         failed, changed, problem = _judge_cli(step, workdir, rc)
     else:
@@ -239,8 +240,9 @@ def run_step(step: Step, workdir: Path, rng: random.Random, trace: bool,
     if trace and (workdir / "spans.json").is_file():
         spans = json.loads((workdir / "spans.json").read_text())
         summary = tracer.summarize(spans)
-    return StepResult(wall=t1 - t0, cpu=usage.ru_utime + usage.ru_stime,
-                      rss_kb=usage.ru_maxrss, setup=setup,
+    cpu = usage.ru_utime + usage.ru_stime
+    return StepResult(wall=t1 - t0, cpu=cpu,
+                      rss_kb=usage.ru_maxrss, setup=meta.get("setup_cpu", cpu),
                       import_s=meta.get("import_s", 0.0), attempted=step.ops,
                       failed=failed, hash_changed=changed, summary=summary,
                       problem=problem)
@@ -335,7 +337,7 @@ def end_to_end(iters) -> tuple:
     }
     attempted = sum(s.attempted for it in iters for s in it.steps)
     failed = sum(s.failed for it in iters for s in it.steps)
-    metrics = {k: statistics.median(v) for k, v in series.items()}
+    metrics = {k: statistics.median(v) for k, v in series.items() if k != "wall_s"}
     metrics["passed_frac"] = (attempted - failed) / attempted
     return metrics, {k: _quartiles(v) for k, v in series.items()}
 
