@@ -235,9 +235,16 @@ def run_verify_carleman(cfg: RunConfig, refine: bool):
         recs.append(CheckRecord(name=f"split-seam-cancellation{suffix}",
                                 passed=canc.passed, value=canc.value,
                                 tolerance=canc.tolerance, details=canc.details))
-        return recs, min(cs), max(ks)
+        return recs, (min(cs) if cs else None), (max(ks) if ks else None)
 
+    uncalibrated = "no battery field calibrated both C and K"
     records, cmin, kmax = chain_records(nodes, m)
+    if cmin is None or kmax is None:
+        records.append(CheckRecord(
+            name="battery-constants", passed=False, value=math.nan, tolerance=0.0,
+            details={"c_min": cmin, "k_max": kmax, "k_bound": V.E2_OVER_4,
+                     "error": uncalibrated}))
+        return records, {}
     records.append(CheckRecord(
         name="battery-constants", passed=cmin >= 1.0 and kmax <= V.E2_OVER_4,
         value=cmin / kmax, tolerance=0.0,
@@ -246,11 +253,15 @@ def run_verify_carleman(cfg: RunConfig, refine: bool):
         scale = 2**level
         _, cmin2, kmax2 = chain_records(scale * nodes, scale * (m - 1) + 1,
                                         suffix=f"@refined-{level}")
-        drift = max(abs(cmin2 - cmin) / cmin, abs(kmax2 - kmax) / kmax)
+        details = {"c_min": [cmin, cmin2], "k_max": [kmax, kmax2]}
+        if cmin2 is None or kmax2 is None:
+            drift = math.nan
+            details["error"] = uncalibrated
+        else:
+            drift = max(abs(cmin2 - cmin) / cmin, abs(kmax2 - kmax) / kmax)
         records.append(CheckRecord(
             name=f"battery-constants-stability[{level}]", passed=drift <= 0.10,
-            value=drift, tolerance=0.10,
-            details={"c_min": [cmin, cmin2], "k_max": [kmax, kmax2]}))
+            value=drift, tolerance=0.10, details=details))
     return records, {}
 
 

@@ -288,7 +288,8 @@ class ScalarField:
     def fd_derivs2(self):
         g = self.grid
         ps, py = self.d_s(), self.d_y()
-        pss, pyy, psy = self.d_ss(), self.d_yy(), self.d_sy()
+        pss, pyy = self.d_ss(), self.d_yy()
+        psy = stencils.d1(ps, g.dy, axis=1, order=g.order)
         phi_u = (ps - py) / g.U
         phi_v = (ps + py) / g.V
         phi_uu = (pss - 2 * psy + pyy - (ps - py)) / g.U**2

@@ -28,6 +28,7 @@ subtracted); `divergence_residual` is that comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -54,6 +55,15 @@ __all__ = [
 DEFAULT_NODES = 128
 
 
+@functools.lru_cache(maxsize=None)
+def _gl_reference(m: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], solved once per m."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gl_nodes(lo: float, hi: float, m: int):
     """Gauss-Legendre nodes and weights mapped to [lo, hi]."""
     if m < 2:
@@ -62,7 +72,7 @@ def gl_nodes(lo: float, hi: float, m: int):
         raise InvalidInput("quadrature window must be finite")
     if hi < lo:
         raise InvalidInput(f"empty quadrature window [{lo}, {hi}]")
-    x, w = np.polynomial.legendre.leggauss(m)
+    x, w = _gl_reference(m)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + half * x, half * w
 

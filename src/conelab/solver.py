@@ -25,7 +25,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import BPoly, RectBivariateSpline
 
 from .currents import PowerU
 from .errors import (
@@ -80,7 +79,9 @@ class EvolutionResult:
     energy_drift: float
     meta: dict = dc_field(default_factory=dict)
 
-    def spline(self) -> RectBivariateSpline:
+    def spline(self):
+        from scipy.interpolate import RectBivariateSpline
+
         kx = min(5, len(self.times) - 1)
         ky = min(5, len(self.r) - 1)
         return RectBivariateSpline(self.times, self.r, self.slices, kx=kx, ky=ky)
@@ -322,6 +323,8 @@ def counterexample_build(n: int = 3, a: float = 6.0) -> CounterexampleBundle:
     ell = int(round(q_plus))
     if abs(ell * (ell + n - 2) - a) > 1e-12:
         ell = -1  # no integer mode carries this a; the bundle is still valid
+
+    from scipy.interpolate import BPoly
 
     # quintic Hermite bridge for w = log beta on [1, 2]
     lb2 = math.log(2.0)

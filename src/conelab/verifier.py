@@ -38,6 +38,7 @@ from .errors import (
     GammaSignIndefinite,
     InsufficientSequence,
     InvalidInput,
+    InvalidPotential,
     MostlyMasked,
     RangeMismatch,
 )
@@ -842,6 +843,8 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
             raise InvalidInput("potential must be None, a Potential, a callable, "
                                "or 'induced'")
         b_req = float(np.max(np.abs(vvals) / env))
+        if not math.isfinite(b_req):
+            raise InvalidPotential(f"potential bound is not finite (B = {b_req})")
     if b_req > b_adm:
         return PipelineReport(
             verdict=(f"potential-bound violation: requires B = {b_req:.3g} "

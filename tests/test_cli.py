@@ -213,3 +213,35 @@ def test_refine_adds_stability_records(tmp_path):
     names = [r["name"] for r in _load_report(out)["records"]]
     assert "pipeline-verdict-stability[1]" in names
     assert "pipeline-verdict-stability[2]" in names
+
+
+@pytest.mark.parametrize("refine, failing", [
+    (0, "battery-constants"),
+    (1, "battery-constants-stability[1]"),
+])
+def test_verify_carleman_without_calibration_fails_a_record(
+        tmp_path, monkeypatch, refine, failing):
+    from dataclasses import replace
+
+    from conelab import verifier
+
+    real = verifier.carleman_split_check
+    base_nodes = 32
+
+    def uncalibrated(fld, params, branch, nodes):
+        rep = real(fld, params, branch, nodes=nodes)
+        # refine=0: drop the constants everywhere; refine=1: only when refined
+        if refine == 0 or nodes > base_nodes:
+            rep = replace(rep, c_cal=None, k_cal=None)
+        return rep
+
+    monkeypatch.setattr(verifier, "carleman_split_check", uncalibrated)
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "schema": 1, "grid": 24, "nodes": base_nodes,
+    })
+    out = tmp_path / "report.json"
+    assert main(["verify-carleman", "--config", cfg, "--refine", str(refine),
+                 "--out", str(out)]) == 1
+    records = {r["name"]: r for r in _load_report(out)["records"]}
+    assert records[failing]["passed"] is False
+    assert "calibrated" in records[failing]["details"]["error"]

@@ -180,6 +180,18 @@ def test_fd_box_convergence():
     assert min(rates) > 3.3
 
 
+def test_fd_derivs2_bitwise_equal_to_composed_d_sy():
+    fld = ScalarField.from_function(mkgrid(40), lambda u, v: np.sin(u) * np.cos(v / 3))
+    g = fld.grid
+    ps, py, pss, pyy, psy = fld.d_s(), fld.d_y(), fld.d_ss(), fld.d_yy(), fld.d_sy()
+    want = (fld.values, (ps - py) / g.U, (ps + py) / g.V,
+            (pss - 2 * psy + pyy - (ps - py)) / g.U**2,
+            (pss - pyy) / (g.U * g.V),
+            (pss + 2 * psy + pyy - (ps + py)) / g.V**2)
+    for got, ref in zip(fld.fd_derivs2(), want, strict=True):
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_derivs_auto_prefers_closed_form():
     g = mkgrid(24)
     fld = ScalarField.from_analytic(g, from_expr("u**2 * v"))

@@ -101,6 +101,30 @@ def test_empty_windows_integrate_to_zero():
     assert hyperboloid_integral(smooth, 1.0, t_window=(1.0, -1.0), n=3) == 0.0
 
 
+@pytest.mark.parametrize("m", [2, 5, 48, 128, 160])
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 1.0), (-2.3, 0.7),
+                                    (math.log(0.1), math.log(10.0)), (3.0, 3.0)])
+def test_gl_nodes_bitwise_equal_to_leggauss_mapping(m, lo, hi):
+    x, w = np.polynomial.legendre.leggauss(m)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    want_t, want_w = mid + half * x, half * w
+    for _ in range(2):  # the first call may fill the node cache, the second reads it
+        t, wt = gl_nodes(lo, hi, m)
+        assert t.tobytes() == want_t.tobytes()
+        assert wt.tobytes() == want_w.tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 2.0)])
+def test_gl_nodes_returns_fresh_writable_arrays(lo, hi):
+    t, w = gl_nodes(lo, hi, 16)
+    want_t, want_w = t.copy(), w.copy()
+    t[:] = np.nan
+    w *= 2.0
+    t2, w2 = gl_nodes(lo, hi, 16)
+    assert t2.tobytes() == want_t.tobytes()
+    assert w2.tobytes() == want_w.tobytes()
+
+
 def test_quadrature_input_guards():
     with pytest.raises(InvalidInput):
         gl_nodes(0.0, 1.0, 1)

@@ -2,6 +2,10 @@
 static solution with a bounded compactly supported potential."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -100,6 +104,32 @@ def test_field_on_matches_exact_solution():
     resid = box(fld).values
     ii, jj = grid.interior(2)
     assert np.max(np.abs(resid[ii, jj])) < 0.05
+
+
+def test_scipy_interpolate_is_imported_on_first_use():
+    import conelab
+
+    script = textwrap.dedent("""
+        import sys
+        import conelab, conelab.cli
+        assert "scipy.interpolate" not in sys.modules, "imported with conelab"
+        from conelab.fields import GridSpec
+        from conelab.geometry import AdmissibleRegion
+        from conelab.solver import counterexample_build, solve, spherical_wave_data
+        res = solve(spherical_wave_data(), T=0.5, R=4.0, dr=0.02, n=3)
+        grid = GridSpec.from_region(AdmissibleRegion(0.25, 1.0, 0.7, 1.4), 8, 8, 3)
+        fld = res.field_on(grid)
+        assert fld.values.shape == (8, 8)
+        bun = counterexample_build(n=3, a=6.0)
+        assert abs(float(bun.beta(1.5))) > 0.0
+        assert "scipy.interpolate" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(conelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_field_on_guards():

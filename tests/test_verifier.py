@@ -11,6 +11,7 @@ from conelab.errors import (
     GammaSignIndefinite,
     InsufficientSequence,
     InvalidInput,
+    InvalidPotential,
     MostlyMasked,
 )
 from conelab.fields import GridSpec, ScalarField, from_expr
@@ -286,6 +287,14 @@ def test_pipeline_counterexample_needs_unbounded_potential():
     rep = uniqueness_pipeline(fld, beta=2.0, p=1.0, potential=vfun)
     assert rep.verdict.startswith("potential-bound violation")
     assert rep.b_required > rep.b_admissible
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pipeline_non_finite_potential_is_rejected(bad):
+    fld = mkfield(static_multipole(1, 3), m=48, ell=1)
+    with pytest.raises(InvalidPotential):
+        uniqueness_pipeline(fld, beta=2.0, p=1.0,
+                            potential=lambda u, v: np.full(np.shape(u), bad))
 
 
 def test_pipeline_wave_beta_claim_obstructed():
