@@ -59,15 +59,64 @@ DEFAULT_REGION = dict(rho=0.1, omega=10.0, sigma=0.1, tau=10.0)
 # configuration
 # ---------------------------------------------------------------------------
 
+# Top-level config keys each subcommand reads (besides "schema" and
+# "command"); "preset" is accepted everywhere but only PRESETS may name one.
+# Any other key is rejected, so a misspelling never falls back to a default.
+CONFIG_KEYS = {
+    "verify-identity": ("n", "levels", "region"),
+    "verify-carleman": ("n", "nodes", "grid", "weight", "region"),
+    "verify-nl": ("n", "a", "nodes", "grid", "combos", "region"),
+    "limits": ("n", "nodes", "count", "delta", "alpha", "beta"),
+    "counterexample": ("n", "a"),
+    "solve": ("n", "profile", "T", "R", "dr", "ell", "width", "power",
+              "nonlinearity", "sample", "grid", "region"),
+    "pipeline": ("n", "beta", "p", "nodes", "case", "grid", "ell", "a",
+                 "expr", "region"),
+}
+PRESETS = {"verify-identity": ("battery",)}
+
+
+def _is_int(x) -> bool:
+    return not isinstance(x, bool) and (
+        isinstance(x, int) or (isinstance(x, float) and x.is_integer()))
+
+
+def _is_finite(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 @dataclass
 class RunConfig:
-    """Validated run configuration (file contents merged over defaults)."""
+    """One JSON config object, the keys it may hold, and typed getters.
+
+    Every getter raises InvalidInput (exit 2) on a value of the wrong type;
+    reading a key outside `keys` is a programming error (KeyError).
+    """
 
     command: str
     params: dict = dc_field(default_factory=dict)
+    keys: Optional[tuple] = None
+    where: str = "config"
+
+    def __post_init__(self):
+        if self.keys is None:
+            self.keys = CONFIG_KEYS[self.command] + ("preset",)
+        unknown = sorted(set(self.params) - set(self.keys))
+        if unknown:
+            raise InvalidInput(
+                f"unknown key {unknown[0]!r} in {self.where} for {self.command} "
+                f"(accepted: {', '.join(sorted(self.keys))})")
 
     @classmethod
-    def load(cls, command: str, path: Optional[str]) -> "RunConfig":
+    def load(cls, command: str, path: Optional[str],
+             preset: Optional[str] = None) -> "RunConfig":
+        if command not in COMMANDS:
+            raise InvalidInput(f"unknown command {command!r}")
         params = {}
         if path is not None:
             try:
@@ -84,20 +133,60 @@ class RunConfig:
                 raise InvalidInput(
                     f"config is for {conf_cmd!r} but the {command!r} subcommand was invoked")
             params = raw
-        if command not in COMMANDS:
-            raise InvalidInput(f"unknown command {command!r}")
+        if preset is not None:
+            params["preset"] = preset
+        chosen = params.get("preset")
+        if chosen is not None and chosen not in PRESETS.get(command, ()):
+            offered = ", ".join(PRESETS.get(command, ())) or "none"
+            raise InvalidInput(f"{command} has no preset {chosen!r} (presets: {offered})")
         return cls(command=command, params=params)
 
-    def region(self) -> AdmissibleRegion:
-        vals = dict(DEFAULT_REGION)
-        vals.update(self.params.get("region", {}))
-        try:
-            return AdmissibleRegion(**vals)
-        except TypeError as exc:
-            raise InvalidInput(f"bad region spec: {exc}") from exc
+    def check(self, label: str, val, ok, what: str):
+        """`val` if ok(val), else InvalidInput naming `label` and `what`."""
+        if not ok(val):
+            raise InvalidInput(f"{self.where}.{label} must be {what}, got {val!r}")
+        return val
 
-    def get(self, key, default=None):
-        return self.params.get(key, default)
+    def _get(self, key: str, default, ok, what: str):
+        if key not in self.keys:
+            raise KeyError(f"{self.command} reads {key!r}, which {self.where} does not accept")
+        val = self.params.get(key, default)
+        if val is None and default is None:
+            return None
+        return self.check(key, val, ok, what)
+
+    def get_int(self, key: str, default=None) -> Optional[int]:
+        val = self._get(key, default, _is_int, "an integer")
+        return None if val is None else int(val)
+
+    def get_number(self, key: str, default=None):
+        """A finite int or float, returned as given."""
+        return self._get(key, default, _is_finite, "a finite number")
+
+    def get_float(self, key: str, default=None) -> Optional[float]:
+        val = self.get_number(key, default)
+        return None if val is None else float(val)
+
+    def get_str(self, key: str, default=None) -> Optional[str]:
+        return self._get(key, default, lambda x: isinstance(x, str), "a string")
+
+    def get_bool(self, key: str, default=None) -> Optional[bool]:
+        return self._get(key, default, lambda x: isinstance(x, bool), "true or false")
+
+    def get_list(self, key: str, default=None) -> Optional[list]:
+        val = self._get(key, default, lambda x: isinstance(x, (list, tuple)), "a list")
+        return None if val is None else list(val)
+
+    def section(self, key: str, keys: tuple, default=None) -> Optional["RunConfig"]:
+        """The nested object under `key`, checked against its own `keys`."""
+        val = self._get(key, default, lambda x: isinstance(x, dict), "an object")
+        if val is None:
+            return None
+        return RunConfig(self.command, dict(val), keys=keys, where=f"{self.where}.{key}")
+
+    def region(self) -> AdmissibleRegion:
+        sec = self.section("region", tuple(DEFAULT_REGION), default={})
+        return AdmissibleRegion(**{k: sec.get_number(k, v) for k, v in DEFAULT_REGION.items()})
 
 
 def _json_safe(obj):
@@ -157,9 +246,10 @@ def _battery_u_choices():
 
 def run_verify_identity(cfg: RunConfig, refine: bool):
     reg = cfg.region()
-    n = int(cfg.get("n", 3))
-    levels = tuple(cfg.get("levels", (64, 128, 256)))
-    if cfg.get("preset") == "battery":
+    n = cfg.get_int("n", 3)
+    levels = tuple(int(cfg.check(f"levels[{i}]", m, _is_int, "an integer"))
+                   for i, m in enumerate(cfg.get_list("levels", (64, 128, 256))))
+    if cfg.get_str("preset") == "battery":
         levels = (128, 256, 512)
     params = SplitWeightParams(a=1.0, b=0.1, p=0.5)
 
@@ -200,13 +290,15 @@ def run_verify_identity(cfg: RunConfig, refine: bool):
 
 
 def run_verify_carleman(cfg: RunConfig, refine: bool):
-    n = int(cfg.get("n", 3))
-    nodes = int(cfg.get("nodes", 160))
-    params = SplitWeightParams(**cfg.get("weight", dict(a=1.0, b=0.1, p=0.5)))
+    n = cfg.get_int("n", 3)
+    nodes = cfg.get_int("nodes", 160)
+    weight = cfg.section("weight", ("a", "b", "p"), default={})
+    params = SplitWeightParams(a=weight.get_float("a", 1.0), b=weight.get_float("b", 0.1),
+                               p=weight.get_float("p", 0.5))
     base = cfg.region()
     reg_lo = AdmissibleRegion(rho=base.rho, omega=1.0, sigma=base.sigma, tau=base.tau)
     reg_hi = AdmissibleRegion(rho=1.0, omega=base.omega, sigma=base.sigma, tau=base.tau)
-    m = int(cfg.get("grid", 96))
+    m = cfg.get_int("grid", 96)
 
     def chain_records(nodes_, m_, suffix=""):
         recs = []
@@ -268,7 +360,12 @@ def run_verify_carleman(cfg: RunConfig, refine: bool):
 def _nl_combos(cfg: RunConfig):
     default = [[1, 1, "constant"], [1, 2, "power"], [-1, 3, "constant"]]
     out = []
-    for sgn, p, kind in cfg.get("combos", default):
+    for i, row in enumerate(cfg.get_list("combos", default)):
+        cfg.check(f"combos[{i}]", row, lambda x: isinstance(x, list) and len(x) == 3,
+                  "a [sign, p, kind] row")
+        sgn, p = (cfg.check(f"combos[{i}][{j}]", row[j], _is_int, "an integer")
+                  for j in (0, 1))
+        kind = row[2]
         if kind == "constant":
             pot = Potential.constant(1.0)
         elif kind == "power":
@@ -280,10 +377,10 @@ def _nl_combos(cfg: RunConfig):
 
 
 def run_verify_nl(cfg: RunConfig, refine: bool):
-    n = int(cfg.get("n", 3))
-    a = float(cfg.get("a", 0.1))
-    nodes = int(cfg.get("nodes", 160))
-    m = int(cfg.get("grid", 96))
+    n = cfg.get_int("n", 3)
+    a = cfg.get_float("a", 0.1)
+    nodes = cfg.get_int("nodes", 160)
+    m = cfg.get_int("grid", 96)
     reg = cfg.region()
     grid = GridSpec(region=reg, n_s=m, n_y=m, n=n)
     fld = materialize(exact_spherical_wave(width=1.0, power=8), grid)
@@ -303,12 +400,12 @@ def run_verify_nl(cfg: RunConfig, refine: bool):
 
 
 def run_limits(cfg: RunConfig, refine: bool):
-    n = int(cfg.get("n", 3))
-    nodes = int(cfg.get("nodes", 192))
-    count = int(cfg.get("count", 6))
-    delta = float(cfg.get("delta", 1.0))
-    alpha = float(cfg.get("alpha", 0.25))
-    beta = float(cfg.get("beta", 0.25))
+    n = cfg.get_int("n", 3)
+    nodes = cfg.get_int("nodes", 192)
+    count = cfg.get_int("count", 6)
+    delta = cfg.get_float("delta", 1.0)
+    alpha = cfg.get_float("alpha", 0.25)
+    beta = cfg.get_float("beta", 0.25)
     records = []
     series = {}
     for kind in ("cone_tau", "cone_sigma", "hyperboloid_rho", "hyperboloid_omega"):
@@ -324,8 +421,8 @@ def run_limits(cfg: RunConfig, refine: bool):
 
 
 def run_counterexample(cfg: RunConfig, refine: bool):
-    n = int(cfg.get("n", 3))
-    a = float(cfg.get("a", 6.0))
+    n = cfg.get_int("n", 3)
+    a = cfg.get_float("a", 6.0)
     bundle = counterexample_build(n=n, a=a)
     r = np.linspace(0.05, 40.0, 4000)
     res = bundle.residual(r)
@@ -358,42 +455,43 @@ def run_counterexample(cfg: RunConfig, refine: bool):
     return records, {"series": series}
 
 
-def _potential_from_config(spec) -> Optional[Potential]:
+def _potential_from_config(spec: Optional[RunConfig]) -> Optional[Potential]:
     if spec is None:
         return None
-    kind = spec.get("kind")
+    kind = spec.get_str("kind")
     if kind == "constant":
-        return Potential.constant(float(spec.get("c", 1.0)))
+        return Potential.constant(spec.get_float("c", 1.0))
     if kind == "power":
-        return Potential.power_of_f(float(spec.get("c", 0.25)),
-                                    amplitude=float(spec.get("amplitude", 1.0)))
+        return Potential.power_of_f(spec.get_float("c", 0.25),
+                                    amplitude=spec.get_float("amplitude", 1.0))
     if kind == "saturating":
-        return Potential.saturating(float(spec.get("B", 1.0)),
-                                    float(spec.get("beta", 2.0)),
-                                    float(spec.get("p", 1.0)))
+        return Potential.saturating(spec.get_float("B", 1.0),
+                                    spec.get_float("beta", 2.0),
+                                    spec.get_float("p", 1.0))
     raise InvalidInput(f"unknown potential kind {kind!r}")
 
 
 def run_solve(cfg: RunConfig, refine: bool):
-    n = int(cfg.get("n", 3))
-    profile = cfg.get("profile", "spherical-wave")
-    T = float(cfg.get("T", 1.0))
-    R = float(cfg.get("R", 6.0))
-    dr = float(cfg.get("dr", 0.02))
-    ell = int(cfg.get("ell", 0))
+    n = cfg.get_int("n", 3)
+    profile = cfg.get_str("profile", "spherical-wave")
+    T = cfg.get_float("T", 1.0)
+    R = cfg.get_float("R", 6.0)
+    dr = cfg.get_float("dr", 0.02)
+    ell = cfg.get_int("ell", 0)
     U = None
-    nl = cfg.get("nonlinearity")
+    nl = cfg.section("nonlinearity", ("potential", "sign", "p"))
     if nl is not None:
-        pot = _potential_from_config(nl.get("potential",
-                                            {"kind": "constant", "c": 1.0}))
-        U = PowerU(sign=int(nl.get("sign", 1)), p=float(nl.get("p", 1)), V=pot)
+        pot = _potential_from_config(nl.section(
+            "potential", ("kind", "c", "amplitude", "B", "beta", "p"),
+            default={"kind": "constant", "c": 1.0}))
+        U = PowerU(sign=nl.get_int("sign", 1), p=nl.get_float("p", 1), V=pot)
     if profile == "spherical-wave":
-        base = spherical_wave_data(width=float(cfg.get("width", 1.0)),
-                                   power=int(cfg.get("power", 6)))
+        base = spherical_wave_data(width=cfg.get_float("width", 1.0),
+                                   power=cfg.get_int("power", 6))
         data = CauchyData(profile=base.profile, velocity=base.velocity,
                           ell=ell, label="spherical-wave")
     elif profile == "gaussian":
-        w = float(cfg.get("width", 0.5))
+        w = cfg.get_float("width", 0.5)
         data = CauchyData(profile=lambda r: np.exp(-(r / w) ** 2),
                           velocity=lambda r: np.zeros_like(r), ell=ell,
                           label="gaussian")
@@ -411,9 +509,9 @@ def run_solve(cfg: RunConfig, refine: bool):
             name="solve-energy-drift", passed=result.energy_drift < 0.01,
             value=result.energy_drift, tolerance=0.01, details={}))
     payload = {"evolution": result}
-    if cfg.get("sample", True):
+    if cfg.get_bool("sample", True):
         reg = cfg.region()
-        m = int(cfg.get("grid", 96))
+        m = cfg.get_int("grid", 96)
         try:
             grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
             payload["field"] = result.field_on(grid)
@@ -428,11 +526,11 @@ def run_solve(cfg: RunConfig, refine: bool):
 
 
 def _pipeline_field(cfg: RunConfig, n: int):
-    case = cfg.get("case", "zero")
+    case = cfg.get_str("case", "zero")
     reg = cfg.region()
-    m = int(cfg.get("grid", 64))
+    m = cfg.get_int("grid", 64)
     potential = None
-    ell = int(cfg.get("ell", 0))
+    ell = cfg.get_int("ell", 0)
     if case == "zero":
         grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
         fld = ScalarField.zeros(grid)
@@ -441,7 +539,7 @@ def _pipeline_field(cfg: RunConfig, n: int):
         grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
         fld = materialize(static_multipole(ell, n), grid)
     elif case == "counterexample":
-        bundle = counterexample_build(n=n, a=float(cfg.get("a", 6.0)))
+        bundle = counterexample_build(n=n, a=cfg.get_float("a", 6.0))
         grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=bundle.ell)
         fld = ScalarField.from_function(
             grid, lambda u, v: bundle.beta(v - u), name="counterexample")
@@ -451,17 +549,17 @@ def _pipeline_field(cfg: RunConfig, n: int):
         fld = materialize(exact_spherical_wave(width=1.0, power=8), grid)
     elif case == "expr":
         grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
-        fld = materialize(from_expr(cfg.get("expr", "0*u"), label="expr"), grid)
+        fld = materialize(from_expr(cfg.get_str("expr", "0*u"), label="expr"), grid)
     else:
         raise InvalidInput(f"unknown pipeline case {case!r}")
     return fld, potential
 
 
 def run_pipeline(cfg: RunConfig, refine: bool):
-    n = int(cfg.get("n", 3))
-    beta = float(cfg.get("beta", 2.0))
-    p = float(cfg.get("p", 1.0))
-    nodes = int(cfg.get("nodes", 96))
+    n = cfg.get_int("n", 3)
+    beta = cfg.get_float("beta", 2.0)
+    p = cfg.get_float("p", 1.0)
+    nodes = cfg.get_int("nodes", 96)
     fld, potential = _pipeline_field(cfg, n)
     rep = V.uniqueness_pipeline(fld, beta=beta, p=p, potential=potential,
                                 nodes=nodes)
@@ -566,9 +664,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        cfg = RunConfig.load(args.command, args.config)
-        if args.preset:
-            cfg.params["preset"] = args.preset
+        cfg = RunConfig.load(args.command, args.config, preset=args.preset)
         records, payload = RUNNERS[args.command](cfg, args.refine)
         report = build_report(args.command, records, args.seed)
         emit(report, payload, args.out, args.format)

@@ -41,10 +41,6 @@ class RangeMismatch(ConelabError):
     """Split branch used on a grid whose f-range belongs to the other branch."""
 
 
-class DegenerateWeight(ConelabError):
-    """b = 0 makes the split bulk coefficient identically zero."""
-
-
 class InvalidPotential(ConelabError):
     """Potential fails a structural requirement (sign, finiteness)."""
 

@@ -40,7 +40,6 @@ __all__ = [
     "from_expr",
     "diff_u",
     "diff_v",
-    "second_derivs",
     "box",
     "scaling",
     "scaling_star",
@@ -192,6 +191,15 @@ class AnalyticField:
                 np.asarray(self.dvv(u, v), float))
 
 
+def _read_only(a: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
+    """Read-only view of `a`, copied first if it shares memory with an input."""
+    if any(np.may_share_memory(a, x) for x in inputs):
+        a = a.copy()
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def _broadcasting(fn):
     def wrapped(u, v):
         out = fn(u, v)
@@ -210,16 +218,21 @@ def from_expr(expr, variables: str = "uv", label: Optional[str] = None) -> Analy
     numpy, so operators on the resulting field are exact up to rounding.
     """
     import sympy as sp
+    from tokenize import TokenError
 
-    if variables == "uv":
-        U_, V_ = sp.symbols("u v", real=True)
-        e = sp.sympify(expr, locals={"u": U_, "v": V_})
-    elif variables == "tr":
-        T_, R_ = sp.symbols("t r", real=True)
-        U_, V_ = sp.symbols("u v", real=True)
-        e = sp.sympify(expr, locals={"t": T_, "r": R_}).subs({T_: U_ + V_, R_: V_ - U_})
-    else:
-        raise InvalidInput("variables must be 'uv' or 'tr'")
+    U_, V_ = sp.symbols("u v", real=True)
+    try:
+        if variables == "uv":
+            e = sp.sympify(expr, locals={"u": U_, "v": V_})
+        elif variables == "tr":
+            T_, R_ = sp.symbols("t r", real=True)
+            e = sp.sympify(expr, locals={"t": T_, "r": R_}).subs({T_: U_ + V_, R_: V_ - U_})
+        else:
+            raise InvalidInput("variables must be 'uv' or 'tr'")
+    except (sp.SympifyError, SyntaxError, TokenError, TypeError) as exc:
+        raise InvalidInput(f"cannot parse expression {expr!r}") from exc
+    if e.has(sp.zoo, sp.nan):
+        raise InvalidInput(f"expression {expr!r} is undefined")
 
     slots = {
         "value": e,
@@ -302,15 +315,34 @@ class ScalarField:
         use = self.closed_form is not None and self.closed_form.has_first \
             if analytic is None else analytic
         if use:
-            return self.closed_form.derivs1(self.grid.U, self.grid.V)
+            cached = self.__dict__.get("_cf_derivs2")
+            if cached is not None:
+                return cached[:3]
+            return self._closed_form_on_grid("_cf_derivs1", self.closed_form.derivs1)
         return self.fd_derivs1()
 
     def derivs2(self, analytic: Optional[bool] = None):
         use = self.closed_form is not None and self.closed_form.has_second \
             if analytic is None else analytic
         if use:
-            return self.closed_form.derivs2(self.grid.U, self.grid.V)
+            out = self._closed_form_on_grid("_cf_derivs2", self.closed_form.derivs2)
+            self.__dict__.pop("_cf_derivs1", None)  # now served from `out`
+            return out
         return self.fd_derivs2()
+
+    def _closed_form_on_grid(self, key: str, evaluate: Callable) -> tuple:
+        """Closed-form arrays on this field's grid, evaluated once per field.
+
+        The arrays are read-only, and a slot that hands back its input (the
+        value of `from_expr("u")` is `grid.U` itself) is copied first, so the
+        memo never freezes or aliases the grid's own coordinates.
+        """
+        cached = self.__dict__.get(key)
+        if cached is None:
+            g = self.grid
+            cached = tuple(_read_only(a, g.U, g.V) for a in evaluate(g.U, g.V))
+            self.__dict__[key] = cached
+        return cached
 
     @cached_property
     def _spline(self):
@@ -435,11 +467,6 @@ def diff_v(fld: ScalarField, analytic: Optional[bool] = None) -> ScalarField:
         src = fld.closed_form
         cf = AnalyticField(value=src.dv, du=src.duv, dv=src.dvv, label=f"d_v {src.label}")
     return ScalarField(grid=fld.grid, values=phi_v, closed_form=cf, name=f"d_v {fld.name}")
-
-
-def second_derivs(fld: ScalarField, analytic: Optional[bool] = None):
-    """Convenience: (phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv) arrays."""
-    return fld.derivs2(analytic=analytic)
 
 
 def box_arrays(grid: GridSpec, phi, phi_u, phi_v, phi_uv):

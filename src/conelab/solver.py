@@ -80,6 +80,7 @@ class EvolutionResult:
     meta: dict = dc_field(default_factory=dict)
 
     def spline(self):
+        """A new quintic spline over (times, r); `field_on` builds it once per result."""
         from scipy.interpolate import RectBivariateSpline
 
         kx = min(5, len(self.times) - 1)
@@ -95,7 +96,9 @@ class EvolutionResult:
                 or np.max(R) > self.r[-1] + 1e-12
                 or np.min(R) < self.r[0] - 1e-12):
             raise RegionOutOfGrid("grid extends beyond the sampled evolution")
-        sp = self.spline()
+        sp = self.__dict__.get("_interpolant")
+        if sp is None:  # one spline per result, shared by every grid it feeds
+            sp = self.__dict__["_interpolant"] = self.spline()
         vals = sp.ev(np.ravel(T), np.ravel(R)).reshape(T.shape)
         return ScalarField(grid=grid, values=vals, name=self.meta.get("label", "evolved"))
 
@@ -335,9 +338,6 @@ def counterexample_build(n: int = 3, a: float = 6.0) -> CounterexampleBundle:
     )
     bp1 = bp.derivative()
     bp2 = bp1.derivative()
-
-    def _w(r):
-        return bp(r)
 
     def beta(r):
         r = np.asarray(r, float)

@@ -37,7 +37,6 @@ __all__ = [
     "PowerLog",
     "SplitLow",
     "SplitHigh",
-    "CustomWeight",
     "eval_weight",
     "gh",
     "envelope_check",
@@ -227,32 +226,6 @@ class SplitHigh(Reparametrization):
     def H(self, f):
         f = _asf(f)
         return -0.5 * self.b * self.p**2 * f ** (-self.p - 1)
-
-
-class CustomWeight(Reparametrization):
-    """User-supplied F with explicit derivatives; d3F is optional (enables H)."""
-
-    name = "custom"
-
-    def __init__(self, F, dF, d2F=None, d3F=None):
-        self._F, self._dF, self._d2F, self._d3F = F, dF, d2F, d3F
-
-    def F(self, f):
-        return np.asarray(self._F(_asf(f)), dtype=float)
-
-    def dF(self, f):
-        return np.asarray(self._dF(_asf(f)), dtype=float)
-
-    def d2F(self, f):
-        if self._d2F is None:
-            raise MissingDerivative("custom weight lacks a second derivative")
-        return np.asarray(self._d2F(_asf(f)), dtype=float)
-
-    def dG(self, f):
-        if self._d3F is None:
-            raise MissingDerivative("custom weight lacks a third derivative (G')")
-        f = _asf(f)
-        return -(2.0 * self.d2F(f) + f * np.asarray(self._d3F(f), dtype=float))
 
 
 def eval_weight(rep: Reparametrization, f):

@@ -6,11 +6,17 @@ spawning subprocesses.
 """
 
 import csv
+import importlib.util
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
-from conelab.cli import main
+from conelab.cli import COMMANDS, CONFIG_KEYS, RunConfig, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write_config(path, payload):
@@ -245,3 +251,98 @@ def test_verify_carleman_without_calibration_fails_a_record(
     records = {r["name"]: r for r in _load_report(out)["records"]}
     assert records[failing]["passed"] is False
     assert "calibrated" in records[failing]["details"]["error"]
+
+
+# ---------------------------------------------------------------------------
+# config schema: typed values, unknown keys, presets
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, payload, named", [
+    ("pipeline", {"grid": "abc"}, "config.grid"),
+    ("limits", {"gird": 8}, "'gird'"),
+    ("verify-carleman", {"weight": {"a": 1.0, "b": 0.1, "p": 0.5, "q": 1.0}}, "'q'"),
+    ("solve", {"nonlinearity": 5}, "config.nonlinearity"),
+    ("verify-nl", {"combos": [[1, 3]]}, "config.combos[0]"),
+])
+def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, payload, named):
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, **payload})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "verify-identity"])
+def test_battery_preset_is_rejected_outside_verify_identity(capsys, command):
+    assert main([command, "--preset", "battery"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no preset 'battery'" in err
+
+
+def _readme_configs():
+    """(command, config) for every `cat > NAME.json <<'EOF'` block in the README."""
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"cat > (\S+\.json) <<'EOF'\n(.*?)\nEOF", text, re.S)
+    assert blocks, "the README has no config examples"
+    out = []
+    for name, body in blocks:
+        command = re.search(rf"conelab (\S+) --config {re.escape(name)}", text).group(1)
+        out.append((command, json.loads(body)))
+    return out
+
+
+def _perfbench_configs():
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # its dataclasses look their module up
+    spec.loader.exec_module(run)
+    return [(step.args[0], cfg) for steps in run.WORKLOADS.values() for step in steps
+            if step.kind == "cli" for cfg in step.configs if cfg is not None]
+
+
+def test_shipped_configs_still_load(tmp_path):
+    shipped = _readme_configs() + _perfbench_configs()
+    assert {c for c, _ in shipped} >= {"verify-identity", "solve", "pipeline"}
+    for i, (command, payload) in enumerate(shipped):
+        path = _write_config(tmp_path / f"cfg{i}.json", payload)
+        cfg = RunConfig.load(command, path)
+        assert set(cfg.params) <= set(CONFIG_KEYS[command])
+
+
+# One small config per runner branch, together holding every accepted key, so a
+# runner that reads a key outside its schema fails here (KeyError, exit 3).
+EVERY_KEY = [
+    ("verify-identity", {"n": 3, "levels": [16, 32], "preset": None,
+                         "region": {"rho": 0.1, "omega": 10.0, "sigma": 0.1, "tau": 10.0}}),
+    ("verify-carleman", {"n": 3, "nodes": 32, "grid": 24,
+                         "weight": {"a": 1.0, "b": 0.1, "p": 0.5},
+                         "region": {"rho": 0.1, "omega": 10.0, "sigma": 0.1, "tau": 10.0}}),
+    ("verify-nl", {"n": 3, "a": 0.1, "nodes": 32, "grid": 24, "combos": [[1, 1, "constant"]],
+                   "region": {"rho": 0.1, "omega": 10.0, "sigma": 0.1, "tau": 10.0}}),
+    ("limits", {"n": 3, "nodes": 48, "count": 4, "delta": 1.0, "alpha": 0.25, "beta": 0.25}),
+    ("counterexample", {"n": 3, "a": 6.0}),
+    ("solve", {"n": 3, "profile": "gaussian", "T": 0.5, "R": 6.0, "dr": 0.05, "ell": 0,
+               "width": 0.5, "power": 6, "sample": True, "grid": 16,
+               "nonlinearity": {"sign": 1, "p": 1,
+                                "potential": {"kind": "power", "c": 0.25, "amplitude": 1.0,
+                                              "B": 1.0, "beta": 2.0, "p": 1.0}},
+               "region": {"rho": 0.25, "omega": 1.0, "sigma": 0.6, "tau": 1.6666667}}),
+    ("pipeline", {"n": 3, "beta": 2.0, "p": 1.0, "nodes": 32, "case": "expr", "grid": 16,
+                  "ell": 0, "a": 6.0, "expr": "0*u",
+                  "region": {"rho": 0.1, "omega": 10.0, "sigma": 0.1, "tau": 10.0}}),
+    ("pipeline", {"case": "counterexample", "a": 6.0, "grid": 16, "nodes": 32}),
+]
+
+
+@pytest.mark.parametrize("command, payload", EVERY_KEY,
+                         ids=[f"{c}-{i}" for i, (c, _) in enumerate(EVERY_KEY)])
+def test_every_accepted_key_is_read_through_the_schema(tmp_path, command, payload):
+    payload = {k: v for k, v in payload.items() if v is not None}
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, **payload})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r.json")]) in (0, 1)
+
+
+def test_every_accepted_key_appears_in_a_branch_config():
+    for command, keys in CONFIG_KEYS.items():
+        seen = set().union(*(p for c, p in EVERY_KEY if c == command))
+        assert set(keys) <= seen, command

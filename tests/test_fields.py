@@ -343,8 +343,105 @@ def test_field_to_csv_round_trip(tmp_path):
     assert math.isclose(f, -u * v, rel_tol=1e-15)
 
 
+@pytest.mark.parametrize("expr", ["u**(", "u +* v", "1/0*u", "0/0 + v"])
+def test_from_expr_rejects_unparsable_or_undefined_expressions(expr):
+    with pytest.raises(InvalidInput):
+        from_expr(expr)
+
+
 def test_missing_derivative_guard():
     af = AnalyticField(value=lambda u, v: u + v, label="bare")
     assert not af.has_first
     with pytest.raises(MissingDerivative):
         af.derivs1(-1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form derivative memo
+# ---------------------------------------------------------------------------
+
+def _bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("first", ["derivs1", "derivs2"])
+def test_closed_form_memo_is_bitwise_direct_evaluation(first):
+    g = mkgrid(24, ell=1)
+    af = static_multipole(1, 3)
+    want1 = af.derivs1(g.U, g.V)
+    want2 = af.derivs2(g.U, g.V)
+    fld = ScalarField.from_analytic(g, af)
+    for name in (first, "derivs1" if first == "derivs2" else "derivs2") * 2:
+        _bitwise_equal(getattr(fld, name)(), want1 if name == "derivs1" else want2)
+
+
+def test_closed_form_memo_evaluates_once_and_is_read_only(monkeypatch):
+    g = mkgrid(16)
+    fld = ScalarField.from_analytic(g, from_expr("u**2 * v"))
+    calls = []
+    real1, real2 = AnalyticField.derivs1, AnalyticField.derivs2
+    monkeypatch.setattr(AnalyticField, "derivs1",
+                        lambda self, u, v: calls.append(1) or real1(self, u, v))
+    monkeypatch.setattr(AnalyticField, "derivs2",
+                        lambda self, u, v: calls.append(2) or real2(self, u, v))
+    first = fld.derivs1()
+    assert fld.derivs1() is first
+    both = fld.derivs2()
+    assert fld.derivs2() is both
+    assert all(a is b for a, b in zip(fld.derivs1(), both[:3]))
+    assert calls == [1, 2]
+    for arr in both:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def test_closed_form_memo_never_freezes_the_grid():
+    # the value slot of "u" returns its input array: the memo must copy it
+    g = mkgrid(16)
+    fld = ScalarField.from_analytic(g, from_expr("u"))
+    phi, phi_u, phi_v = fld.derivs1()
+    phi2 = fld.derivs2()[0]
+    for arr in (phi, phi2):
+        assert not np.shares_memory(arr, g.U) and not np.shares_memory(arr, g.V)
+        assert arr.tobytes() == g.U.tobytes()
+    assert g.U.flags.writeable and g.V.flags.writeable
+
+
+def test_field_without_closed_form_takes_the_fd_route():
+    g = mkgrid(32)
+    fld = ScalarField.from_function(g, lambda u, v: u * v**2)
+    _bitwise_equal(fld.derivs1(), fld.fd_derivs1())
+    _bitwise_equal(fld.derivs2(), fld.fd_derivs2())
+    assert fld.derivs2() is not fld.derivs2()
+    assert fld.derivs1()[1].flags.writeable
+
+
+def test_closed_form_memo_under_concurrent_first_use():
+    # the memo takes no lock: threads racing on first use may evaluate twice,
+    # but each must still get arrays equal to a direct evaluation
+    import sys
+    import threading
+
+    g = mkgrid(64)
+    af = from_expr("sin(u)*cos(v/3)")
+    want = af.derivs2(g.U, g.V)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            fld = ScalarField.from_analytic(g, af)
+            got = []
+            workers = [threading.Thread(target=lambda k=k: got.append(
+                fld.derivs1() if k % 2 else fld.derivs2())) for k in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers) and len(got) == 8
+            for out in got:
+                _bitwise_equal(out, want[:len(out)])
+    finally:
+        sys.setswitchinterval(interval)

@@ -132,6 +132,25 @@ def test_scipy_interpolate_is_imported_on_first_use():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_field_on_builds_one_spline_per_result(monkeypatch):
+    from conelab.solver import EvolutionResult
+
+    res = solve(spherical_wave_data(), T=0.5, R=4.0, dr=0.02, n=3)
+    want = res.spline()
+    assert res.spline() is not want  # spline() itself still builds anew
+    built = []
+    real = EvolutionResult.spline
+    monkeypatch.setattr(EvolutionResult, "spline",
+                        lambda self: built.append(self) or real(self))
+    reg = AdmissibleRegion(0.25, 1.0, 0.7, 1.4)
+    for m in (8, 12, 16):
+        grid = GridSpec.from_region(reg, m, m, 3)
+        fld = res.field_on(grid)
+        ref = want.ev(np.ravel(grid.T), np.ravel(grid.R)).reshape(grid.T.shape)
+        assert fld.values.tobytes() == ref.tobytes()
+    assert built == [res]
+
+
 def test_field_on_guards():
     data = spherical_wave_data()
     res = solve(data, T=0.5, R=4.0, dr=0.02, n=3)
