@@ -75,6 +75,13 @@ CONFIG_KEYS = {
 }
 PRESETS = {"verify-identity": ("battery",)}
 
+# Desk-scale bounds (inclusive) on the size keys: a grid side (also each
+# verify-identity level), a Gauss-Legendre node count, the length of a limit
+# sequence and the radial step of solve.  A value outside exits 2 before
+# anything is allocated.
+SIZE_RANGES = {"grid": (8, 1024), "nodes": (2, 2048), "count": (4, 32),
+               "dr": (1e-4, 1.0)}
+
 
 def _is_int(x) -> bool:
     return not isinstance(x, bool) and (
@@ -88,6 +95,14 @@ def _is_finite(x) -> bool:
         return math.isfinite(x)
     except OverflowError:  # an int too large for a float
         return False
+
+
+def _ranged(key: str, ok, what: str):
+    """`ok` and `what` narrowed to SIZE_RANGES[key] when `key` is a size key."""
+    if key not in SIZE_RANGES:
+        return ok, what
+    lo, hi = SIZE_RANGES[key]
+    return (lambda x: ok(x) and lo <= x <= hi), f"{what} in [{lo}, {hi}]"
 
 
 @dataclass
@@ -153,7 +168,7 @@ class RunConfig:
         val = self.params.get(key, default)
         if val is None and default is None:
             return None
-        return self.check(key, val, ok, what)
+        return self.check(key, val, *_ranged(key, ok, what))
 
     def get_int(self, key: str, default=None) -> Optional[int]:
         val = self._get(key, default, _is_int, "an integer")
@@ -247,7 +262,7 @@ def _battery_u_choices():
 def run_verify_identity(cfg: RunConfig, refine: bool):
     reg = cfg.region()
     n = cfg.get_int("n", 3)
-    levels = tuple(int(cfg.check(f"levels[{i}]", m, _is_int, "an integer"))
+    levels = tuple(int(cfg.check(f"levels[{i}]", m, *_ranged("grid", _is_int, "an integer")))
                    for i, m in enumerate(cfg.get_list("levels", (64, 128, 256))))
     if cfg.get_str("preset") == "battery":
         levels = (128, 256, 512)
@@ -270,14 +285,14 @@ def run_verify_identity(cfg: RunConfig, refine: bool):
                     grid = GridSpec(region=reg, n_s=levels[-1], n_y=levels[-1],
                                     n=n, ell=ell)
                     fld = materialize(src, grid)
-                    ana = V.identity_residual(fld, rep, U,
-                                              derivative_mode="analytic")
+                    # one analytic identity evaluation feeds both records
+                    pw = V.pointwise_inequality(fld, rep, U,
+                                                derivative_mode="analytic")
+                    ana = pw.identity
                     recs.append(CheckRecord(
                         name=f"identity-analytic[{tag}]",
                         passed=ana.rel_residual < 1e-9,
                         value=ana.rel_residual, tolerance=1e-9, details={}))
-                    pw = V.pointwise_inequality(fld, rep, U,
-                                                derivative_mode="analytic")
                     recs.append(CheckRecord(
                         name=f"pointwise-margin[{tag}]", passed=pw.passed,
                         value=pw.margin_min,
@@ -465,9 +480,11 @@ def _potential_from_config(spec: Optional[RunConfig]) -> Optional[Potential]:
         return Potential.power_of_f(spec.get_float("c", 0.25),
                                     amplitude=spec.get_float("amplitude", 1.0))
     if kind == "saturating":
+        floor = spec.check("floor", spec.get_float("floor", 0.0), lambda x: x > 0,
+                           "positive for solve (V is infinite at f = 0)")
         return Potential.saturating(spec.get_float("B", 1.0),
                                     spec.get_float("beta", 2.0),
-                                    spec.get_float("p", 1.0))
+                                    spec.get_float("p", 1.0), floor=floor)
     raise InvalidInput(f"unknown potential kind {kind!r}")
 
 
@@ -482,7 +499,7 @@ def run_solve(cfg: RunConfig, refine: bool):
     nl = cfg.section("nonlinearity", ("potential", "sign", "p"))
     if nl is not None:
         pot = _potential_from_config(nl.section(
-            "potential", ("kind", "c", "amplitude", "B", "beta", "p"),
+            "potential", ("kind", "c", "amplitude", "B", "beta", "p", "floor"),
             default={"kind": "constant", "c": 1.0}))
         U = PowerU(sign=nl.get_int("sign", 1), p=nl.get_float("p", 1), V=pot)
     if profile == "spherical-wave":

@@ -18,8 +18,8 @@ intermediate algebra of the current.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field as dc_field, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,9 +29,7 @@ from .currents import (
     PowerU,
     ZeroU,
     bulk_b,
-    contract,
     current_general,
-    divergence_analytic,
     divergence_fd,
 )
 from .errors import (
@@ -105,7 +103,9 @@ class CheckRecord:
 # ---------------------------------------------------------------------------
 
 def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
-    """LHS and RHS arrays of the divergence identity on the field's grid."""
+    """LHS and RHS arrays of the divergence identity on the field's grid, the
+    residual's scale, and the terms both sides are built from: f, F', G, H,
+    psi = e^{-F} phi, L = e^{-F}(box phi + Udot), B and div P."""
     g = fld.grid
     f = g.F
     F = rep.F(f)
@@ -126,27 +126,25 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
     psi_v = E * (phi_v + g.U * dF * phi)
     sstar = 0.5 * (g.U * psi_u + g.V * psi_v) + (g.n - 1) / 4.0 * psi
 
-    lhs = E * (boxphi + U.udot(g.U, g.V, phi)) * sstar
+    L = E * (boxphi + U.udot(g.U, g.V, phi))
+    lhs = L * sstar
 
     cur = current_general(fld, rep, U)
     if mode == "fd":
-        asm = cur.assembler
-        P_u, P_v = asm.components(g.U, g.V, phi, phi_u, phi_v)
-        pu = ScalarField(grid=g, values=P_u, name="P_u")
-        pv = ScalarField(grid=g, values=P_v, name="P_v")
-        _, dPu_u, dPu_v = pu.fd_derivs1()
-        _, dPv_u, dPv_v = pv.fd_derivs1()
-        div = -0.5 * (dPv_u + dPu_v) - (g.n - 1) / (2.0 * g.R) * (P_u - P_v)
+        P_u, P_v = cur.assembler.components(g.U, g.V, phi, phi_u, phi_v)
+        div = divergence_fd(CurrentField(grid=g, P_u=P_u, P_v=P_v,
+                                         assembler=cur.assembler)).values
     else:
         div = cur.assembler.divergence(g.U, g.V, phi, phi_u, phi_v,
                                        phi_uu, phi_uv, phi_vv)
 
     Bv = bulk_b(fld, rep, U, cross_check=False).values
-    rhs = 2.0 * dF * sstar**2 + (f * dF * G + H) * psi**2 + Bv + div
-    scale = max(float(np.max(np.abs(lhs))),
-                float(np.max(np.abs(2.0 * dF * sstar**2))),
+    square = 2.0 * dF * sstar**2
+    rhs = square + (f * dF * G + H) * psi**2 + Bv + div
+    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(square))),
                 float(np.max(np.abs(div))), 1e-300)
-    return lhs, rhs, scale
+    terms = {"f": f, "dF": dF, "G": G, "H": H, "psi": psi, "L": L, "B": Bv, "div": div}
+    return lhs, rhs, scale, terms
 
 
 @dataclass(frozen=True)
@@ -155,6 +153,9 @@ class IdentityReport:
     rel_residual: float
     mode: str
     interior_depth: int
+    # the identity's term arrays (see _identity_arrays), which
+    # pointwise_inequality builds its margin from
+    terms: Optional[dict] = dc_field(default=None, compare=False, repr=False)
 
 
 def identity_residual(fld: ScalarField, rep: Reparametrization,
@@ -173,12 +174,12 @@ def identity_residual(fld: ScalarField, rep: Reparametrization,
     if derivative_mode not in ("analytic", "fd"):
         raise InvalidInput(f"unknown derivative mode {derivative_mode!r}")
     U = U or ZeroU()
-    lhs, rhs, scale = _identity_arrays(fld, rep, U, derivative_mode)
+    lhs, rhs, scale, terms = _identity_arrays(fld, rep, U, derivative_mode)
     depth = 2 if derivative_mode == "fd" else 0
     sl = fld.grid.interior(depth) if depth else (slice(None), slice(None))
     res = float(np.max(np.abs((lhs - rhs)[sl])))
     return IdentityReport(residual=res, rel_residual=res / scale,
-                          mode=derivative_mode, interior_depth=depth)
+                          mode=derivative_mode, interior_depth=depth, terms=terms)
 
 
 def identity_convergence(source, rep: Reparametrization, U: Optional[PowerU],
@@ -224,6 +225,7 @@ class PointwiseReport:
     identity_residual: float
     passed: bool
     mode: str
+    identity: IdentityReport  # the identity evaluation the margin was built from
 
 
 def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
@@ -234,52 +236,24 @@ def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
 
         (f |F'| G - H) psi^2 <= (1/8)|F'|^{-1} |L psi|^2 + B + div P,
 
-    checked nodewise.  The margin may dip below zero only by the identity
-    discretization error; `slack` times that residual is tolerated.
+    checked nodewise on the arrays of one identity evaluation.  The margin may
+    dip below zero only by the identity discretization error; `slack` times
+    that residual is tolerated.  A non-finite margin or tolerance fails.
     """
-    U = U or ZeroU()
-    g = fld.grid
     idrep = identity_residual(fld, rep, U, derivative_mode=derivative_mode)
-    mode = idrep.mode
-
-    f = g.F
-    F = rep.F(f)
-    dF = rep.dF(f)
-    G = rep.G(f)
-    H = rep.H(f)
-    if np.any(dF >= 0):
+    t = idrep.terms
+    if np.any(t["dF"] >= 0):
         raise InvalidInput("pointwise bound needs an inward weight (F' < 0)")
-    E = np.exp(-F)
-
-    if mode == "fd":
-        phi, phi_u, phi_v = fld.fd_derivs1()
-        _, _, _, phi_uu, phi_uv, phi_vv = fld.fd_derivs2()
-    else:
-        phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv = fld.derivs2()
-    boxphi = box_arrays(g, phi, phi_u, phi_v, phi_uv)
-    psi = E * phi
-    L = E * (boxphi + U.udot(g.U, g.V, phi))
-
-    cur = current_general(fld, rep, U)
-    if mode == "fd":
-        P_u, P_v = cur.assembler.components(g.U, g.V, phi, phi_u, phi_v)
-        pu = ScalarField(grid=g, values=P_u, name="P_u")
-        pv = ScalarField(grid=g, values=P_v, name="P_v")
-        _, dPu_u, dPu_v = pu.fd_derivs1()
-        _, dPv_u, dPv_v = pv.fd_derivs1()
-        div = -0.5 * (dPv_u + dPu_v) - (g.n - 1) / (2.0 * g.R) * (P_u - P_v)
-    else:
-        div = cur.assembler.divergence(g.U, g.V, phi, phi_u, phi_v,
-                                       phi_uu, phi_uv, phi_vv)
-    Bv = bulk_b(fld, rep, U, cross_check=False).values
-
-    margin = (0.125 / np.abs(dF) * L**2 + Bv + div
-              - (f * np.abs(dF) * G - H) * psi**2)
-    sl = g.interior(idrep.interior_depth) if idrep.interior_depth else (slice(None),) * 2
+    abs_dF = np.abs(t["dF"])
+    margin = (0.125 / abs_dF * t["L"]**2 + t["B"] + t["div"]
+              - (t["f"] * abs_dF * t["G"] - t["H"]) * t["psi"]**2)
+    sl = fld.grid.interior(idrep.interior_depth) if idrep.interior_depth else (slice(None),) * 2
     mmin = float(np.min(margin[sl]))
     tol = slack * idrep.residual
+    passed = math.isfinite(mmin) and math.isfinite(tol) and mmin >= -tol
     return PointwiseReport(margin_min=mmin, identity_residual=idrep.residual,
-                           passed=mmin >= -tol, mode=mode)
+                           passed=passed, mode=idrep.mode,
+                           identity=replace(idrep, terms=None))
 
 
 # ---------------------------------------------------------------------------

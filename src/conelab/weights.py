@@ -108,10 +108,6 @@ class Reparametrization:
         f = _asf(f)
         return 0.5 * (self.G(f) + f * self.dG(f))
 
-    def inward_on(self, f) -> bool:
-        """True when F' < 0 at every sample (gradient of F points inward)."""
-        return bool(np.all(self.dF(_asf(f)) < 0))
-
 
 @dataclass(frozen=True)
 class PowerLog(Reparametrization):
@@ -379,6 +375,8 @@ class Potential:
             raise InvalidPotential(f"amplitude bound B must be positive, got {B}")
         if not (0 < p < beta):
             raise InvalidPotential(f"need 0 < p < beta, got p={p}, beta={beta}")
+        if not (np.isfinite(floor) and floor >= 0):
+            raise InvalidPotential(f"floor must be finite and >= 0, got {floor}")
         eps = B * p * min(beta - p, p)
 
         def _f(u, v):

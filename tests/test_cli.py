@@ -346,3 +346,72 @@ def test_every_accepted_key_appears_in_a_branch_config():
     for command, keys in CONFIG_KEYS.items():
         seen = set().union(*(p for c, p in EVERY_KEY if c == command))
         assert set(keys) <= seen, command
+
+
+# ---------------------------------------------------------------------------
+# size bounds and the saturating potential's floor
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, payload, named", [
+    ("limits", {"nodes": 10**400}, "config.nodes"),
+    ("limits", {"count": 1000}, "config.count"),
+    ("pipeline", {"grid": 10**6}, "config.grid"),
+    ("verify-carleman", {"grid": 4}, "config.grid"),
+    ("verify-identity", {"levels": [16, 4096]}, "config.levels[1]"),
+    ("solve", {"dr": 0}, "config.dr"),
+    ("solve", {"dr": 1e-9}, "config.dr"),
+])
+def test_size_keys_out_of_range_exit_2_naming_the_key(tmp_path, capsys, command, payload, named):
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, **payload})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "in [" in err
+
+
+SATURATING = {"schema": 1, "T": 0.5, "R": 6.0, "dr": 0.05, "grid": 16,
+              "nonlinearity": {"potential": {"kind": "saturating"}}}
+
+
+def test_solve_with_saturating_potential_needs_a_floor(tmp_path, capsys):
+    for floor in (None, 0, -0.1):
+        pot = {"kind": "saturating"} if floor is None else {"kind": "saturating", "floor": floor}
+        cfg = _write_config(tmp_path / "cfg.json",
+                            {**SATURATING, "nonlinearity": {"potential": pot}})
+        assert main(["solve", "--config", cfg]) == 2
+        assert "config.nonlinearity.potential.floor" in capsys.readouterr().err
+    cfg = _write_config(tmp_path / "cfg.json", {
+        **SATURATING, "nonlinearity": {"potential": {"kind": "saturating", "floor": 0.1}}})
+    out = tmp_path / "report.json"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    records = {r["name"]: r for r in _load_report(out)["records"]}
+    assert records["solve-completed"]["value"] == 0.5
+
+
+def test_verify_identity_records_match_the_library(tmp_path):
+    from conelab.cli import _battery_u_choices
+    from conelab.fields import GridSpec, materialize
+    from conelab.geometry import AdmissibleRegion
+    from conelab.verifier import (battery_fields, battery_weights, identity_residual,
+                                  pointwise_inequality)
+
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "levels": [16, 32]})
+    out = tmp_path / "report.json"
+    main(["verify-identity", "--config", cfg, "--out", str(out)])
+    records = {r["name"]: r for r in _load_report(out)["records"]}
+    region = AdmissibleRegion(rho=0.1, omega=10.0, sigma=0.1, tau=10.0)
+    seen = 0
+    for fname, src, ell in battery_fields():
+        fld = materialize(src, GridSpec(region=region, n_s=32, n_y=32, n=3, ell=ell))
+        for wname, rep in battery_weights():
+            for uname, U in _battery_u_choices():
+                tag = f"{fname}/{wname}/{uname}"
+                ana = identity_residual(fld, rep, U, derivative_mode="analytic")
+                pw = pointwise_inequality(fld, rep, U, derivative_mode="analytic")
+                rec = records[f"identity-analytic[{tag}]"]
+                assert (rec["value"], rec["passed"]) == (ana.rel_residual, ana.rel_residual < 1e-9)
+                rec = records[f"pointwise-margin[{tag}]"]
+                assert (rec["value"], rec["passed"]) == (pw.margin_min, pw.passed)
+                assert rec["tolerance"] == 2.0 * pw.identity_residual
+                assert rec["details"] == {"identity_residual": pw.identity_residual}
+                seen += 1
+    assert seen == 30

@@ -2,6 +2,7 @@
 chains, boundary-limit experiments, falsifiability, and the verdict pipeline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from conelab.errors import (
     InvalidPotential,
     MostlyMasked,
 )
-from conelab.fields import GridSpec, ScalarField, from_expr
+from conelab.fields import GridSpec, ScalarField, from_expr, materialize
 from conelab.geometry import AdmissibleRegion
 from conelab.solver import exact_spherical_wave, static_multipole
 from conelab.verifier import (
@@ -101,6 +102,107 @@ def test_pointwise_rejects_outward_weight():
     fld = mkfield(region=AdmissibleRegion(1e-4, 0.5, 0.1, 10.0), m=48)
     with pytest.raises(NotInwardDirected):
         pointwise_inequality(fld, SplitHigh(PARAMS))
+
+
+# Bit patterns (float.hex) of margin_min, the pointwise identity_residual and
+# identity_residual(...).rel_residual on 48x48 grids of REGION, recorded from
+# the implementation in which pointwise_inequality rebuilt the identity's
+# arrays itself.  Reusing them must not move a bit.
+POINTWISE_PINS = [
+    ("analytic", "oscillatory", "power-log", "free", "0x1.12afdf4958c00p-16", "0x1.a400000000000p-43", "0x1.e58539fb242b7p-52"),
+    ("analytic", "oscillatory", "power-log", "power-u", "0x1.fae1d61fa6000p-13", "0x1.c000000000000p-43", "0x1.4e31c1fb816aep-52"),
+    ("analytic", "oscillatory", "split-low", "free", "0x1.03013364a1000p-16", "0x1.4600000000000p-41", "0x1.08964a2498438p-51"),
+    ("analytic", "oscillatory", "split-low", "power-u", "0x1.821b1c1647400p-13", "0x1.0000000000000p-40", "0x1.203d6560bacc7p-51"),
+    ("analytic", "spherical-wave", "power-log", "free", "0x0.0p+0", "0x1.6800000000000p-54", "0x1.2645ef4f7ca1bp-49"),
+    ("analytic", "spherical-wave", "power-log", "power-u", "0x0.0p+0", "0x1.8600000000000p-54", "0x1.19cefea1ecbebp-49"),
+    ("analytic", "spherical-wave", "split-low", "free", "0x0.0p+0", "0x1.5800000000000p-53", "0x1.9a1ae75658db1p-49"),
+    ("analytic", "spherical-wave", "split-low", "power-u", "0x0.0p+0", "0x1.3d00000000000p-53", "0x1.4536cd192530fp-49"),
+    ("analytic", "multipole", "power-log", "free", "0x1.661883a0cf952p-12", "0x1.3c328f70daa3bp-50", "0x1.fa860018d2d6ep-49"),
+    ("analytic", "multipole", "power-log", "power-u", "0x1.bfd0838ad0daep-8", "0x1.1a00000000000p-50", "0x1.7873924be940ap-49"),
+    ("analytic", "multipole", "split-low", "free", "0x1.f369dc420e48fp-10", "0x1.c6598478833f0p-50", "0x1.1aab6fdb5d780p-48"),
+    ("analytic", "multipole", "split-low", "power-u", "0x1.6b1038f57db52p-7", "0x1.f000000000000p-50", "0x1.e9b1bcf971743p-49"),
+    ("fd", "oscillatory", "power-log", "free", "-0x1.5f206eca57f20p-10", "0x1.1e3a8ad6bb663p+1", "0x1.68638d027bbc0p-9"),
+    ("fd", "oscillatory", "power-log", "power-u", "-0x1.9aee6261d2900p-9", "0x1.4ee4911c2ecc0p+0", "0x1.a82bc91a930c6p-10"),
+    ("fd", "oscillatory", "split-low", "free", "-0x1.8491a90fc2fa0p-8", "0x1.1fddac4ec52c6p+2", "0x1.25dbfd9fe3d6dp-9"),
+    ("fd", "oscillatory", "split-low", "power-u", "-0x1.f6172c5448128p-7", "0x1.8cd8143faee30p+1", "0x1.87b1984c05a1ep-10"),
+    ("fd", "spherical-wave", "power-log", "free", "-0x1.85b30acf61422p-20", "0x1.ae74af438f699p-17", "0x1.54955fdc0d876p-12"),
+    ("fd", "spherical-wave", "power-log", "power-u", "-0x1.86f101eeaf950p-20", "0x1.a8b7e2977f374p-17", "0x1.2a005a1698422p-12"),
+    ("fd", "spherical-wave", "split-low", "free", "-0x1.00abcae0f1d82p-19", "0x1.465c1d414b329p-16", "0x1.76a15e4da03e4p-12"),
+    ("fd", "spherical-wave", "split-low", "power-u", "-0x1.01aefb374ac8ep-19", "0x1.41a730cb9fe16p-16", "0x1.3f2e5dafdb851p-12"),
+    ("fd", "multipole", "power-log", "free", "0x1.e9276809cbbb1p-11", "0x1.78016a109a703p-19", "0x1.299cec456d239p-17"),
+    ("fd", "multipole", "power-log", "power-u", "0x1.9d5c040299bb2p-7", "0x1.9ccb12aab6000p-19", "0x1.24614a86c17dbp-17"),
+    ("fd", "multipole", "split-low", "free", "0x1.dd0397a8b132bp-9", "0x1.5b22f44119efap-18", "0x1.b7450605507fbp-17"),
+    ("fd", "multipole", "split-low", "power-u", "0x1.4f2114297c19cp-6", "0x1.57b9f26eb8000p-18", "0x1.6b1c4f757351ep-17"),
+]
+U_CHOICES = {"free": None, "power-u": PowerU(sign=1, p=1, V=Potential.constant(1.0))}
+
+
+@pytest.mark.parametrize("mode, fname, wname, uname, margin, residual, rel", POINTWISE_PINS,
+                         ids=["/".join(row[:4]) for row in POINTWISE_PINS])
+def test_pointwise_and_identity_are_bitwise_pinned(mode, fname, wname, uname,
+                                                   margin, residual, rel):
+    src, ell = {name: (s, e) for name, s, e in battery_fields()}[fname]
+    fld = materialize(src, GridSpec(region=REGION, n_s=48, n_y=48, n=3, ell=ell))
+    rep, U = dict(battery_weights())[wname], U_CHOICES[uname]
+    pw = pointwise_inequality(fld, rep, U, derivative_mode=mode)
+    idr = identity_residual(fld, rep, U, derivative_mode=mode)
+    assert (pw.margin_min.hex(), pw.identity_residual.hex()) == (margin, residual)
+    assert idr.rel_residual.hex() == rel
+    assert pw.passed and pw.mode == mode
+    # the report carries the identity evaluation it used, without its arrays
+    assert pw.identity == idr and pw.identity.terms is None
+    assert idr.terms is not None and "terms" not in repr(idr)
+
+
+def test_pointwise_evaluates_the_identity_once(monkeypatch):
+    import conelab.verifier as verifier
+    from conelab.currents import CurrentAssembler
+
+    calls = {"divergence": 0, "identity_residual": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(CurrentAssembler, "divergence",
+                        counted("divergence", CurrentAssembler.divergence))
+    monkeypatch.setattr(verifier, "identity_residual",
+                        counted("identity_residual", verifier.identity_residual))
+    out = pointwise_inequality(mkfield(m=32), PowerLog(1.0), derivative_mode="analytic")
+    assert out.mode == "analytic" and out.passed
+    assert calls == {"divergence": 1, "identity_residual": 1}
+
+
+def test_pointwise_never_passes_on_a_non_finite_residual(monkeypatch):
+    import conelab.verifier as verifier
+
+    real = verifier.identity_residual
+    for bad in (math.inf, math.nan):
+        monkeypatch.setattr(verifier, "identity_residual",
+                            lambda *a, _bad=bad, **k: replace(real(*a, **k), residual=_bad))
+        out = pointwise_inequality(mkfield(m=32), PowerLog(1.0))
+        assert math.isfinite(out.margin_min)
+        assert out.passed is False
+
+
+def test_pointwise_never_passes_on_a_non_finite_margin(monkeypatch):
+    import conelab.verifier as verifier
+
+    real = verifier.identity_residual
+
+    def with_bulk(bad):
+        def patched(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            return replace(rep, terms={**rep.terms, "B": np.full_like(rep.terms["B"], bad)})
+        return patched
+
+    for bad in (math.inf, -math.inf, math.nan):
+        monkeypatch.setattr(verifier, "identity_residual", with_bulk(bad))
+        out = pointwise_inequality(mkfield(m=32), PowerLog(1.0))
+        assert not math.isfinite(out.margin_min)
+        assert out.passed is False
 
 
 # ---------------------------------------------------------------------------

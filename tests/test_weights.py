@@ -198,3 +198,11 @@ def test_invalid_potential():
         Potential.saturating(-1.0, 3.0, 1.0)
     with pytest.raises(InvalidPotential):
         Potential.saturating(1.0, 1.0, 2.0)  # needs 0 < p < beta
+
+
+def test_saturating_floor_must_be_finite_and_nonnegative():
+    for floor in (-0.1, math.nan, math.inf):
+        with pytest.raises(InvalidPotential):
+            Potential.saturating(1.0, 3.0, 1.0, floor=floor)
+    pot = Potential.saturating(1.0, 3.0, 1.0, floor=0.1)
+    assert np.isfinite(pot.value(np.array([0.0]), np.array([1.0]))).all()
