@@ -17,9 +17,11 @@ import csv
 import hashlib
 import json
 import math
+import reprlib
 import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -76,11 +78,19 @@ CONFIG_KEYS = {
 PRESETS = {"verify-identity": ("battery",)}
 
 # Desk-scale bounds (inclusive) on the size keys: a grid side (also each
-# verify-identity level), a Gauss-Legendre node count, the length of a limit
-# sequence and the radial step of solve.  A value outside exits 2 before
+# verify-identity level and each --refine level), a Gauss-Legendre node count
+# (also at each --refine level), the length of a limit sequence, and the
+# radial step, final time and outer radius of solve.  LEVEL_COUNT bounds the
+# length of the verify-identity level list.  A value outside exits 2 before
 # anything is allocated.
 SIZE_RANGES = {"grid": (8, 1024), "nodes": (2, 2048), "count": (4, 32),
-               "dr": (1e-4, 1.0)}
+               "dr": (1e-4, 1.0), "T": (1e-3, 20.0), "R": (1.0, 100.0)}
+LEVEL_COUNT = (2, 8)
+
+# Rejected values are echoed at most this long: a 400-digit integer or a long
+# string would otherwise fill the message.
+_short = reprlib.Repr()
+_short.maxstring = _short.maxother = 40
 
 
 def _is_int(x) -> bool:
@@ -95,6 +105,20 @@ def _is_finite(x) -> bool:
         return math.isfinite(x)
     except OverflowError:  # an int too large for a float
         return False
+
+
+def _check_refined(refine: int, key: str, size) -> None:
+    """InvalidInput naming --refine if `size(level)` leaves SIZE_RANGES[key].
+
+    Each level doubles the size, so the scan stops within a dozen levels.
+    """
+    lo, hi = SIZE_RANGES[key]
+    for level in range(1, refine + 1):
+        val = size(level)
+        if not lo <= val <= hi:
+            raise InvalidInput(
+                f"--refine {_short.repr(refine)} takes {key} to {_short.repr(val)} "
+                f"at level {level}, outside [{lo}, {hi}]")
 
 
 def _ranged(key: str, ok, what: str):
@@ -124,7 +148,7 @@ class RunConfig:
         unknown = sorted(set(self.params) - set(self.keys))
         if unknown:
             raise InvalidInput(
-                f"unknown key {unknown[0]!r} in {self.where} for {self.command} "
+                f"unknown key {_short.repr(unknown[0])} in {self.where} for {self.command} "
                 f"(accepted: {', '.join(sorted(self.keys))})")
 
     @classmethod
@@ -136,30 +160,33 @@ class RunConfig:
         if path is not None:
             try:
                 raw = json.loads(Path(path).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # ValueError: also an over-long integer
                 raise InvalidInput(f"cannot read config {path}: {exc}") from exc
             if not isinstance(raw, dict):
                 raise InvalidInput("config must be a JSON object")
             schema = raw.pop("schema", None)
             if schema != 1:
-                raise InvalidInput(f"unsupported config schema {schema!r} (need 1)")
+                raise InvalidInput(f"unsupported config schema {_short.repr(schema)} (need 1)")
             conf_cmd = raw.pop("command", None)
             if conf_cmd is not None and conf_cmd != command:
                 raise InvalidInput(
-                    f"config is for {conf_cmd!r} but the {command!r} subcommand was invoked")
+                    f"config is for {_short.repr(conf_cmd)} but the {command!r} "
+                    "subcommand was invoked")
             params = raw
         if preset is not None:
             params["preset"] = preset
         chosen = params.get("preset")
         if chosen is not None and chosen not in PRESETS.get(command, ()):
             offered = ", ".join(PRESETS.get(command, ())) or "none"
-            raise InvalidInput(f"{command} has no preset {chosen!r} (presets: {offered})")
+            raise InvalidInput(
+                f"{command} has no preset {_short.repr(chosen)} (presets: {offered})")
         return cls(command=command, params=params)
 
     def check(self, label: str, val, ok, what: str):
         """`val` if ok(val), else InvalidInput naming `label` and `what`."""
         if not ok(val):
-            raise InvalidInput(f"{self.where}.{label} must be {what}, got {val!r}")
+            raise InvalidInput(
+                f"{self.where}.{label} must be {what}, got {_short.repr(val)}")
         return val
 
     def _get(self, key: str, default, ok, what: str):
@@ -259,52 +286,61 @@ def _battery_u_choices():
             ("power-u", PowerU(sign=1, p=1, V=Potential.constant(1.0)))]
 
 
-def run_verify_identity(cfg: RunConfig, refine: bool):
+def run_verify_identity(cfg: RunConfig, refine: int):
     reg = cfg.region()
     n = cfg.get_int("n", 3)
+    lo, hi = LEVEL_COUNT
+    raw = cfg.check("levels", cfg.get_list("levels", (64, 128, 256)),
+                    lambda x: lo <= len(x) <= hi, f"a list of {lo} to {hi} levels")
     levels = tuple(int(cfg.check(f"levels[{i}]", m, *_ranged("grid", _is_int, "an integer")))
-                   for i, m in enumerate(cfg.get_list("levels", (64, 128, 256))))
+                   for i, m in enumerate(raw))
     if cfg.get_str("preset") == "battery":
         levels = (128, 256, 512)
     params = SplitWeightParams(a=1.0, b=0.1, p=0.5)
+    checks = [(f"{wname}/{uname}", rep, U)
+              for wname, rep in V.battery_weights(params)
+              for uname, U in _battery_u_choices()]
+    fields = V.battery_fields()
+    grids = {(m, ell): GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
+             for m in levels for _, _, ell in fields}
 
-    jobs = []
-    for fname, src, ell in V.battery_fields():
-        for wname, rep in V.battery_weights(params):
-            for uname, U in _battery_u_choices():
-                tag = f"{fname}/{wname}/{uname}"
+    def job(fname, src, ell):
+        # one field per level serves all six checks, so its closed-form
+        # derivatives are evaluated once per level
+        sampled = {m: materialize(src, grids[m, ell]) for m in levels}
 
-                def job(src=src, rep=rep, U=U, ell=ell, tag=tag):
-                    recs = []
-                    conv = V.identity_convergence(src, rep, U, reg, n=n,
-                                                  ell=ell, levels=levels)
-                    recs.append(CheckRecord(
-                        name=f"identity-order[{tag}]", passed=conv.passed,
-                        value=conv.value, tolerance=conv.tolerance,
-                        details=conv.details))
-                    grid = GridSpec(region=reg, n_s=levels[-1], n_y=levels[-1],
-                                    n=n, ell=ell)
-                    fld = materialize(src, grid)
-                    # one analytic identity evaluation feeds both records
-                    pw = V.pointwise_inequality(fld, rep, U,
-                                                derivative_mode="analytic")
-                    ana = pw.identity
-                    recs.append(CheckRecord(
-                        name=f"identity-analytic[{tag}]",
-                        passed=ana.rel_residual < 1e-9,
-                        value=ana.rel_residual, tolerance=1e-9, details={}))
-                    recs.append(CheckRecord(
-                        name=f"pointwise-margin[{tag}]", passed=pw.passed,
-                        value=pw.margin_min,
-                        tolerance=2.0 * pw.identity_residual,
-                        details={"identity_residual": pw.identity_residual}))
-                    return recs
+        def sampled_on(grid):  # identity_convergence makes its own grid per level
+            return sampled[grid.n_s]
 
-                jobs.append((tag, job))
-    return _fan_out(jobs), {}
+        recs = []
+        for check, rep, U in checks:
+            tag = f"{fname}/{check}"
+            conv = V.identity_convergence(sampled_on, rep, U, reg,
+                                          n=n, ell=ell, levels=levels)
+            recs.append(CheckRecord(
+                name=f"identity-order[{tag}]", passed=conv.passed,
+                value=conv.value, tolerance=conv.tolerance,
+                details=conv.details))
+            # one analytic identity evaluation feeds both records
+            pw = V.pointwise_inequality(sampled[levels[-1]], rep, U,
+                                        derivative_mode="analytic")
+            ana = pw.identity
+            recs.append(CheckRecord(
+                name=f"identity-analytic[{tag}]",
+                passed=ana.rel_residual < 1e-9,
+                value=ana.rel_residual, tolerance=1e-9, details={}))
+            recs.append(CheckRecord(
+                name=f"pointwise-margin[{tag}]", passed=pw.passed,
+                value=pw.margin_min,
+                tolerance=2.0 * pw.identity_residual,
+                details={"identity_residual": pw.identity_residual}))
+        return recs
+
+    return _fan_out((fname, partial(job, fname, src, ell))
+                    for fname, src, ell in fields), {}
 
 
-def run_verify_carleman(cfg: RunConfig, refine: bool):
+def run_verify_carleman(cfg: RunConfig, refine: int):
     n = cfg.get_int("n", 3)
     nodes = cfg.get_int("nodes", 160)
     weight = cfg.section("weight", ("a", "b", "p"), default={})
@@ -314,6 +350,8 @@ def run_verify_carleman(cfg: RunConfig, refine: bool):
     reg_lo = AdmissibleRegion(rho=base.rho, omega=1.0, sigma=base.sigma, tau=base.tau)
     reg_hi = AdmissibleRegion(rho=1.0, omega=base.omega, sigma=base.sigma, tau=base.tau)
     m = cfg.get_int("grid", 96)
+    _check_refined(refine, "nodes", lambda level: 2**level * nodes)
+    _check_refined(refine, "grid", lambda level: 2**level * (m - 1) + 1)
 
     def chain_records(nodes_, m_, suffix=""):
         recs = []
@@ -356,7 +394,7 @@ def run_verify_carleman(cfg: RunConfig, refine: bool):
         name="battery-constants", passed=cmin >= 1.0 and kmax <= V.E2_OVER_4,
         value=cmin / kmax, tolerance=0.0,
         details={"c_min": cmin, "k_max": kmax, "k_bound": V.E2_OVER_4}))
-    for level in range(1, int(refine) + 1):
+    for level in range(1, refine + 1):
         scale = 2**level
         _, cmin2, kmax2 = chain_records(scale * nodes, scale * (m - 1) + 1,
                                         suffix=f"@refined-{level}")
@@ -386,12 +424,12 @@ def _nl_combos(cfg: RunConfig):
         elif kind == "power":
             pot = Potential.power_of_f(0.25, amplitude=1.0)
         else:
-            raise InvalidInput(f"unknown potential kind {kind!r}")
+            raise InvalidInput(f"unknown potential kind {_short.repr(kind)}")
         out.append((int(sgn), int(p), pot, kind))
     return out
 
 
-def run_verify_nl(cfg: RunConfig, refine: bool):
+def run_verify_nl(cfg: RunConfig, refine: int):
     n = cfg.get_int("n", 3)
     a = cfg.get_float("a", 0.1)
     nodes = cfg.get_int("nodes", 160)
@@ -414,7 +452,7 @@ def run_verify_nl(cfg: RunConfig, refine: bool):
     return records, {}
 
 
-def run_limits(cfg: RunConfig, refine: bool):
+def run_limits(cfg: RunConfig, refine: int):
     n = cfg.get_int("n", 3)
     nodes = cfg.get_int("nodes", 192)
     count = cfg.get_int("count", 6)
@@ -435,7 +473,7 @@ def run_limits(cfg: RunConfig, refine: bool):
     return records, {"series": series}
 
 
-def run_counterexample(cfg: RunConfig, refine: bool):
+def run_counterexample(cfg: RunConfig, refine: int):
     n = cfg.get_int("n", 3)
     a = cfg.get_float("a", 6.0)
     bundle = counterexample_build(n=n, a=a)
@@ -485,10 +523,10 @@ def _potential_from_config(spec: Optional[RunConfig]) -> Optional[Potential]:
         return Potential.saturating(spec.get_float("B", 1.0),
                                     spec.get_float("beta", 2.0),
                                     spec.get_float("p", 1.0), floor=floor)
-    raise InvalidInput(f"unknown potential kind {kind!r}")
+    raise InvalidInput(f"unknown potential kind {_short.repr(kind)}")
 
 
-def run_solve(cfg: RunConfig, refine: bool):
+def run_solve(cfg: RunConfig, refine: int):
     n = cfg.get_int("n", 3)
     profile = cfg.get_str("profile", "spherical-wave")
     T = cfg.get_float("T", 1.0)
@@ -513,7 +551,7 @@ def run_solve(cfg: RunConfig, refine: bool):
                           velocity=lambda r: np.zeros_like(r), ell=ell,
                           label="gaussian")
     else:
-        raise InvalidInput(f"unknown profile {profile!r}")
+        raise InvalidInput(f"unknown profile {_short.repr(profile)}")
     result = solve(data, T=T, R=R, dr=dr, n=n, U=U)
     records = [
         CheckRecord(name="solve-completed", passed=True,
@@ -568,15 +606,16 @@ def _pipeline_field(cfg: RunConfig, n: int):
         grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
         fld = materialize(from_expr(cfg.get_str("expr", "0*u"), label="expr"), grid)
     else:
-        raise InvalidInput(f"unknown pipeline case {case!r}")
+        raise InvalidInput(f"unknown pipeline case {_short.repr(case)}")
     return fld, potential
 
 
-def run_pipeline(cfg: RunConfig, refine: bool):
+def run_pipeline(cfg: RunConfig, refine: int):
     n = cfg.get_int("n", 3)
     beta = cfg.get_float("beta", 2.0)
     p = cfg.get_float("p", 1.0)
     nodes = cfg.get_int("nodes", 96)
+    _check_refined(refine, "nodes", lambda level: 2**level * nodes)
     fld, potential = _pipeline_field(cfg, n)
     rep = V.uniqueness_pipeline(fld, beta=beta, p=p, potential=potential,
                                 nodes=nodes)
@@ -588,7 +627,7 @@ def run_pipeline(cfg: RunConfig, refine: bool):
                             "classification": t.classification}
                            for t in rep.terms]})]
     series = {f"term-{t.name}": list(zip(t.levels, t.values)) for t in rep.terms}
-    for level in range(1, int(refine) + 1):
+    for level in range(1, refine + 1):
         rep2 = V.uniqueness_pipeline(fld, beta=beta, p=p, potential=potential,
                                      nodes=2**level * nodes)
         stable = rep2.verdict.split(":")[0] == rep.verdict.split(":")[0]
@@ -681,6 +720,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        if args.refine < 0:
+            raise InvalidInput(f"--refine must be >= 0, got {_short.repr(args.refine)}")
         cfg = RunConfig.load(args.command, args.config, preset=args.preset)
         records, payload = RUNNERS[args.command](cfg, args.refine)
         report = build_report(args.command, records, args.seed)

@@ -242,7 +242,7 @@ def from_expr(expr, variables: str = "uv", label: Optional[str] = None) -> Analy
         "duv": sp.diff(sp.diff(e, U_), V_),
         "dvv": sp.diff(e, V_, 2),
     }
-    fns = {k: _broadcasting(sp.lambdify((U_, V_), v, "numpy")) for k, v in slots.items()}
+    fns = {k: _broadcasting(sp.lambdify((U_, V_), v, [np])) for k, v in slots.items()}
     return AnalyticField(label=label or str(expr), **fns)
 
 

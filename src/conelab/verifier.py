@@ -242,8 +242,6 @@ def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
     """
     idrep = identity_residual(fld, rep, U, derivative_mode=derivative_mode)
     t = idrep.terms
-    if np.any(t["dF"] >= 0):
-        raise InvalidInput("pointwise bound needs an inward weight (F' < 0)")
     abs_dF = np.abs(t["dF"])
     margin = (0.125 / abs_dF * t["L"]**2 + t["B"] + t["div"]
               - (t["f"] * abs_dF * t["G"] - t["H"]) * t["psi"]**2)

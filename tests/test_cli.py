@@ -12,6 +12,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conelab.cli import COMMANDS, CONFIG_KEYS, RunConfig, main
@@ -415,3 +416,139 @@ def test_verify_identity_records_match_the_library(tmp_path):
                 assert rec["details"] == {"identity_residual": pw.identity_residual}
                 seen += 1
     assert seen == 30
+
+
+# stability_hash of `verify-identity` at levels [16, 32] (seed unset), recorded
+# when each of the thirty (field, weight, nonlinearity) checks ran as its own
+# job and sampled its field again; one job per field must not move it.
+LEVELS_16_32_HASH = "9dd68bdcde9854e0228a99b85698dbe6897b32ed880f32cf7aef64581e38e3c3"
+
+
+def test_verify_identity_differentiates_each_field_once_per_level(tmp_path, monkeypatch):
+    import threading
+
+    from conelab.fields import AnalyticField
+
+    calls = {"derivs1": [], "derivs2": []}
+    lock = threading.Lock()
+
+    def spy(slot):
+        real = getattr(AnalyticField, slot)
+
+        def counted(self, u, v):
+            with lock:
+                calls[slot].append((self.label, np.shape(u)))
+            return real(self, u, v)
+        monkeypatch.setattr(AnalyticField, slot, counted)
+
+    spy("derivs1")
+    spy("derivs2")
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "levels": [16, 32]})
+    out = tmp_path / "report.json"
+    # the five jobs share their grids, whose arrays are built on first use;
+    # switch threads often so that a race there gets its chance to move the hash
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        main(["verify-identity", "--config", cfg, "--out", str(out)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert _load_report(out)["stability_hash"] == LEVELS_16_32_HASH
+    labels = {"unit", "oscillatory", "separable-power", "spherical-wave", "multipole(ell=1)"}
+    # one second-order bundle per field, on the top level only
+    assert sorted(calls["derivs2"]) == sorted((name, (32, 32)) for name in labels)
+    # at most one first-order bundle per field and level
+    assert len(calls["derivs1"]) == len(set(calls["derivs1"]))
+    assert {name for name, _ in calls["derivs1"]} <= labels
+
+
+# ---------------------------------------------------------------------------
+# --refine, T, R and the level count are bounded before any work
+# ---------------------------------------------------------------------------
+
+def _forbid_work(monkeypatch):
+    """Make every routine that samples a field or runs a check raise."""
+    from conelab import cli, verifier
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the configuration was checked")
+
+    for mod, name in ((cli, "materialize"), (cli, "_pipeline_field"), (cli, "solve"),
+                      (verifier, "carleman_split_check"), (verifier, "uniqueness_pipeline"),
+                      (verifier, "boundary_limit_experiment"),
+                      (verifier, "identity_convergence"), (verifier, "battery_fields")):
+        monkeypatch.setattr(mod, name, refuse)
+
+
+@pytest.mark.parametrize("command, payload, refine", [
+    ("verify-carleman", {}, "-1"),
+    ("limits", {}, "-3"),
+    ("verify-carleman", {}, "40"),
+    ("verify-carleman", {"grid": 600}, "1"),
+    ("verify-carleman", {"nodes": 1024}, "2"),
+    ("pipeline", {"case": "multipole"}, "40"),
+    ("pipeline", {"nodes": 2000}, "1"),
+    ("pipeline", {}, "9" * 400),
+], ids=["carleman-negative", "limits-negative", "carleman-40", "carleman-grid",
+        "carleman-nodes", "pipeline-40", "pipeline-nodes", "pipeline-400-digits"])
+def test_refine_out_of_range_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                     command, payload, refine):
+    _forbid_work(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, **payload})
+    assert main([command, "--config", cfg, "--refine", refine]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --refine") and len(err) < 200
+
+
+def test_refine_at_the_bound_still_runs(tmp_path):
+    # nodes 512 doubled twice is 2048, the top of its range
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "case": "zero", "grid": 16,
+                                                "nodes": 512})
+    out = tmp_path / "report.json"
+    assert main(["pipeline", "--config", cfg, "--refine", "2", "--out", str(out)]) == 0
+    names = [r["name"] for r in _load_report(out)["records"]]
+    assert "pipeline-verdict-stability[2]" in names
+
+
+@pytest.mark.parametrize("command, payload, named", [
+    ("solve", {"T": 1000.0}, "config.T"),
+    ("solve", {"T": 0}, "config.T"),
+    ("solve", {"R": 1e6}, "config.R"),
+    ("solve", {"R": 0.01, "dr": 0.02, "T": 0.001}, "config.R"),
+    ("verify-identity", {"levels": [16]}, "config.levels"),
+    ("verify-identity", {"levels": [16] * 9}, "config.levels"),
+])
+def test_time_radius_and_level_count_out_of_range_exit_2(tmp_path, capsys, monkeypatch,
+                                                         command, payload, named):
+    _forbid_work(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, **payload})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} must be")
+
+
+# ---------------------------------------------------------------------------
+# rejected values are echoed briefly
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, text, named", [
+    ("limits", '{"schema": 1, "nodes": %s}' % ("9" * 400), "config.nodes"),
+    ("pipeline", '{"schema": 1, "case": "%s"}' % ("x" * 400), "pipeline case"),
+    ("limits", '{"schema": 1, "%s": 1}' % ("k" * 400), "unknown key"),
+    ("limits", '{"schema": "%s"}' % ("s" * 400), "config schema"),
+], ids=["nodes", "case", "key", "schema"])
+def test_rejected_values_are_echoed_briefly(tmp_path, capsys, command, text, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and len(err) < 200
+
+
+def test_integer_too_long_to_parse_exits_2(tmp_path, capsys):
+    # json refuses integers past Python's 4300-digit conversion limit
+    path = tmp_path / "cfg.json"
+    path.write_text('{"schema": 1, "nodes": %s}' % ("9" * 5000))
+    assert main(["limits", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config")
