@@ -76,6 +76,8 @@ CONFIG_KEYS = {
                  "expr", "region"),
 }
 PRESETS = {"verify-identity": ("battery",)}
+# The subcommands that re-run at doubled resolution; the others reject --refine.
+REFINABLE = ("verify-carleman", "pipeline")
 
 # Desk-scale bounds (inclusive) on the size keys: a grid side (also each
 # verify-identity level and each --refine level), a Gauss-Legendre node count
@@ -86,6 +88,9 @@ PRESETS = {"verify-identity": ("battery",)}
 SIZE_RANGES = {"grid": (8, 1024), "nodes": (2, 2048), "count": (4, 32),
                "dr": (1e-4, 1.0), "T": (1e-3, 20.0), "R": (1.0, 100.0)}
 LEVEL_COUNT = (2, 8)
+# solve stores every time slice of R/dr cells, so the two keys are bounded
+# together as well: R 100 with dr 1e-4 would need several GB.
+SOLVE_CELLS = 10_000
 
 # Rejected values are echoed at most this long: a 400-digit integer or a long
 # string would otherwise fill the message.
@@ -249,14 +254,14 @@ def _record_dict(rec: CheckRecord) -> dict:
     return _json_safe(asdict(rec))
 
 
-def build_report(command: str, records, seed: Optional[int]) -> dict:
+def build_report(command: str, records) -> dict:
     records = sorted(records, key=lambda r: r.name)
     body = {
         "schema": 1,
         "package": "conelab",
         "version": __version__,
         "command": command,
-        "seed": seed,
+        "seed": None,  # nothing is random; kept so that stability hashes stay put
         "passed": all(r.passed for r in records),
         "records": [_record_dict(r) for r in records],
     }
@@ -531,7 +536,8 @@ def run_solve(cfg: RunConfig, refine: int):
     profile = cfg.get_str("profile", "spherical-wave")
     T = cfg.get_float("T", 1.0)
     R = cfg.get_float("R", 6.0)
-    dr = cfg.get_float("dr", 0.02)
+    dr = cfg.check("dr", cfg.get_float("dr", 0.02), lambda x: R / x <= SOLVE_CELLS,
+                   f"at least R/{SOLVE_CELLS} = {R / SOLVE_CELLS:g}")
     ell = cfg.get_int("ell", 0)
     U = None
     nl = cfg.section("nonlinearity", ("potential", "sign", "p"))
@@ -709,22 +715,25 @@ def make_parser() -> argparse.ArgumentParser:
                         choices=("json", "csv-bundle"))
         sp.add_argument("--preset", default=None, choices=("battery",),
                         help="use the full acceptance-scale configuration")
-        sp.add_argument("--refine", type=int, nargs="?", const=1, default=0,
+        sp.add_argument("--refine", type=int, nargs="?", const=1, default=None,
                         metavar="LEVELS",
                         help="re-run at doubled resolution LEVELS times "
                              "(default once) and check stability")
-        sp.add_argument("--seed", type=int, default=None)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
     args = make_parser().parse_args(argv)
+    refine = args.refine or 0
     try:
-        if args.refine < 0:
-            raise InvalidInput(f"--refine must be >= 0, got {_short.repr(args.refine)}")
+        if args.refine is not None and args.command not in REFINABLE:
+            raise InvalidInput(f"--refine is not supported by {args.command} "
+                               f"(only by {' and '.join(REFINABLE)})")
+        if refine < 0:
+            raise InvalidInput(f"--refine must be >= 0, got {_short.repr(refine)}")
         cfg = RunConfig.load(args.command, args.config, preset=args.preset)
-        records, payload = RUNNERS[args.command](cfg, args.refine)
-        report = build_report(args.command, records, args.seed)
+        records, payload = RUNNERS[args.command](cfg, refine)
+        report = build_report(args.command, records)
         emit(report, payload, args.out, args.format)
         return 0 if report["passed"] else 1
     except ConelabError as exc:

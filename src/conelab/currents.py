@@ -24,7 +24,6 @@ divergence theorem adjudicates -- see the verifier's sign-adjudication check.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
@@ -39,15 +38,14 @@ from .errors import (
     NotInwardDirected,
     RangeMismatch,
 )
-from .fields import GridSpec, ScalarField
+from .fields import AnalyticField, GridSpec, ScalarField, _columns_to_csv
 from .weights import (
     Potential,
     PowerLog,
     Reparametrization,
-    SplitHigh,
-    SplitLow,
     SplitWeightParams,
     gamma_v,
+    split_weight,
 )
 
 __all__ = [
@@ -60,6 +58,8 @@ __all__ = [
     "current_split",
     "current_nl",
     "bulk_b",
+    "flux",
+    "flux_fn",
     "contract",
     "divergence_fd",
     "boundary_expansion_f",
@@ -183,26 +183,27 @@ class CurrentAssembler:
     def lam(self) -> float:
         return float(self.ell * (self.ell + self.n - 2))
 
-    def _weight_data(self, f):
+    def _bracket(self, u, v, phi, phi_u, phi_v):
+        """W = e^{-2F} and the bracket (A_u, A_v) = P / W, with the terms the
+        divergence differentiates: (f, r, F', G, c, z, S phi, (grad phi)^2, U(phi))."""
+        f = -u * v
+        r = v - u
         dF = self.rep.dF(f)
         W = np.exp(-2.0 * self.rep.F(f))
         G = self.rep.G(f)
         c = (self.n - 1) / 4.0 - f * dF
         z = (f * dF - (self.n - 1) / 4.0) * dF - 0.5 * G
-        return W, dF, G, c, z
-
-    def components(self, u, v, phi, phi_u, phi_v):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        f = -u * v
-        r = v - u
-        W, dF, G, c, z = self._weight_data(f)
         Sphi = 0.5 * (u * phi_u + v * phi_v)
         Mg = -phi_u * phi_v + self.lam * phi**2 / r**2
         Uval = self.U.value(u, v, phi)
-        P_u = W * (Sphi * phi_u + (v / 2.0) * Mg - v * Uval + c * phi * phi_u - v * z * phi**2)
-        P_v = W * (Sphi * phi_v + (u / 2.0) * Mg - u * Uval + c * phi * phi_v - u * z * phi**2)
-        return P_u, P_v
+        A_u = Sphi * phi_u + (v / 2.0) * Mg - v * Uval + c * phi * phi_u - v * z * phi**2
+        A_v = Sphi * phi_v + (u / 2.0) * Mg - u * Uval + c * phi * phi_v - u * z * phi**2
+        return W, A_u, A_v, (f, r, dF, G, c, z, Sphi, Mg, Uval)
+
+    def components(self, u, v, phi, phi_u, phi_v):
+        W, A_u, A_v, _ = self._bracket(np.asarray(u, float), np.asarray(v, float),
+                                       phi, phi_u, phi_v)
+        return W * A_u, W * A_v
 
     def divergence(self, u, v, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv):
         """Covariant divergence of the current by direct differentiation.
@@ -213,22 +214,15 @@ class CurrentAssembler:
         """
         u = np.asarray(u, float)
         v = np.asarray(v, float)
-        f = -u * v
-        r = v - u
         lam = self.lam
-        W, dF, G, c, z = self._weight_data(f)
+        W, A_u, A_v, (f, r, dF, G, c, z, Sphi, Mg, Uval) = self._bracket(
+            u, v, phi, phi_u, phi_v)
         d2F = self.rep.d2F(f)
         dG = self.rep.dG(f)
         # z = f (F')^2 - ((n-1)/4) F' - G/2
         z_f = dF**2 + 2.0 * f * dF * d2F - ((self.n - 1) / 4.0) * d2F - 0.5 * dG
 
-        Sphi = 0.5 * (u * phi_u + v * phi_v)
-        Mg = -phi_u * phi_v + lam * phi**2 / r**2
-        Uval = self.U.value(u, v, phi)
         udot = self.U.udot(u, v, phi)
-
-        A_u = Sphi * phi_u + (v / 2.0) * Mg - v * Uval + c * phi * phi_u - v * z * phi**2
-        A_v = Sphi * phi_v + (u / 2.0) * Mg - u * Uval + c * phi * phi_v - u * z * phi**2
         P_u = W * A_u
         P_v = W * A_v
 
@@ -312,17 +306,12 @@ def current_general(fld: ScalarField, rep: Reparametrization,
 def current_split(fld: ScalarField, params: SplitWeightParams, branch: str) -> CurrentField:
     """Split-estimate current P^- (branch 'low', f <= 1) or P^+ ('high', f >= 1)."""
     g = fld.grid
+    rep = split_weight(params, branch)
     tol = 1e-12
-    if branch == "low":
-        if g.region.omega > 1.0 + tol:
-            raise RangeMismatch(f"low branch needs f <= 1, grid reaches f = {g.region.omega}")
-        rep = SplitLow(params)
-    elif branch == "high":
-        if g.region.rho < 1.0 - tol:
-            raise RangeMismatch(f"high branch needs f >= 1, grid reaches f = {g.region.rho}")
-        rep = SplitHigh(params)
-    else:
-        raise InvalidInput(f"branch must be 'low' or 'high', got {branch!r}")
+    if branch == "low" and g.region.omega > 1.0 + tol:
+        raise RangeMismatch(f"low branch needs f <= 1, grid reaches f = {g.region.omega}")
+    if branch == "high" and g.region.rho < 1.0 - tol:
+        raise RangeMismatch(f"high branch needs f >= 1, grid reaches f = {g.region.rho}")
     cur = _assemble(fld, rep, ZeroU())
     cur.meta["branch"] = branch
     return cur
@@ -373,35 +362,36 @@ def bulk_b(fld: ScalarField, rep: Reparametrization, U: Optional[NonlinearityU] 
     return out
 
 
-def contract(cur: CurrentField, direction: str) -> ScalarField:
-    """Contractions used on the foliation boundaries.
+def flux(u, v, P_u, P_v, direction: str):
+    """Contractions of a current used on the foliation boundaries.
 
     direction 'f': P . grad f = (u P_u + v P_v)/2  (hyperboloid flux density)
     direction 'h': u^2 P . grad h = (u P_u - v P_v)/2  (cone flux density)
     """
-    g = cur.grid
     if direction == "f":
-        vals = 0.5 * (g.U * cur.P_u + g.V * cur.P_v)
-    elif direction == "h":
-        vals = 0.5 * (g.U * cur.P_u - g.V * cur.P_v)
-    else:
-        raise InvalidInput(f"direction must be 'f' or 'h', got {direction!r}")
+        return 0.5 * (u * P_u + v * P_v)
+    if direction == "h":
+        return 0.5 * (u * P_u - v * P_v)
+    raise InvalidInput(f"direction must be 'f' or 'h', got {direction!r}")
 
+
+def flux_fn(cur: CurrentField, direction: str) -> Callable:
+    """Point evaluator (u, v) -> `flux` of the current's components at (u, v)."""
+    comp = cur.eval_components
+
+    def fn(u, v):
+        return flux(u, v, *comp(u, v), direction)
+
+    return fn
+
+
+def contract(cur: CurrentField, direction: str) -> ScalarField:
+    """`flux` on the current's grid, point-evaluable off it when the current is."""
+    g = cur.grid
+    vals = flux(g.U, g.V, cur.P_u, cur.P_v, direction)
     cf = None
     if cur.eval_components is not None:
-        comp = cur.eval_components
-
-        def _value(uu, vv, _c=comp, _d=direction):
-            uu = np.asarray(uu, float)
-            vv = np.asarray(vv, float)
-            pu, pv = _c(uu, vv)
-            if _d == "f":
-                return 0.5 * (uu * pu + vv * pv)
-            return 0.5 * (uu * pu - vv * pv)
-
-        from .fields import AnalyticField
-
-        cf = AnalyticField(value=_value, label=f"P.grad_{direction}")
+        cf = AnalyticField(value=flux_fn(cur, direction), label=f"P.grad_{direction}")
     return ScalarField(grid=g, values=vals, closed_form=cf,
                        name=f"P.grad_{direction}[{cur.meta.get('field', '?')}]")
 
@@ -570,10 +560,4 @@ def boundary_bound_check(fld: ScalarField, spec, K: Optional[float] = None) -> B
 def current_to_csv(cur: CurrentField, path) -> None:
     """Write the current as rows u, v, P_u, P_v."""
     g = cur.grid
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["u", "v", "P_u", "P_v"])
-        for i in range(g.n_s):
-            for j in range(g.n_y):
-                w.writerow([repr(float(g.U[i, j])), repr(float(g.V[i, j])),
-                            repr(float(cur.P_u[i, j])), repr(float(cur.P_v[i, j]))])
+    _columns_to_csv(path, ("u", "v", "P_u", "P_v"), (g.U, g.V, cur.P_u, cur.P_v))

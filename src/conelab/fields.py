@@ -14,7 +14,6 @@ Chain rule used throughout (u < 0 < v):
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -41,6 +40,7 @@ __all__ = [
     "diff_u",
     "diff_v",
     "box",
+    "wave_op",
     "scaling",
     "scaling_star",
     "conjugate",
@@ -290,9 +290,6 @@ class ScalarField:
     def d_yy(self):
         return stencils.d2(self.values, self.grid.dy, axis=1, order=self.grid.order)
 
-    def d_sy(self):
-        return stencils.d1(self.d_s(), self.grid.dy, axis=1, order=self.grid.order)
-
     def fd_derivs1(self):
         g = self.grid
         ps, py = self.d_s(), self.d_y()
@@ -469,23 +466,25 @@ def diff_v(fld: ScalarField, analytic: Optional[bool] = None) -> ScalarField:
     return ScalarField(grid=fld.grid, values=phi_v, closed_form=cf, name=f"d_v {fld.name}")
 
 
-def box_arrays(grid: GridSpec, phi, phi_u, phi_v, phi_uv):
-    """Reduced wave operator from prepared derivative arrays."""
-    pref = (grid.n - 1) / (2.0 * grid.R)
-    out = -phi_uv + pref * (phi_v - phi_u)
-    if grid.lam != 0.0:
-        out = out - grid.lam * phi / grid.R**2
+def wave_op(n: int, lam: float, r, phi, phi_u, phi_v, phi_uv):
+    """Reduced wave operator from derivative arrays at points with radius r:
+
+        -d_u d_v phi + ((n-1)/(2r)) (d_v phi - d_u phi) - lambda_ell r^{-2} phi,
+
+    with r = v - u (`grid.R` on a grid).
+    """
+    out = -phi_uv + (n - 1) / (2.0 * r) * (phi_v - phi_u)
+    if lam != 0.0:
+        out = out - lam * phi / r**2
     return out
 
 
 def box(fld: ScalarField, analytic: Optional[bool] = None) -> ScalarField:
-    """Wave operator on the mode profile:
-
-        -d_u d_v phi + ((n-1)/(2r)) (d_v phi - d_u phi) - lambda_ell r^{-2} phi.
-    """
+    """Wave operator (`wave_op`) on the mode profile."""
+    g = fld.grid
     phi, phi_u, phi_v, _, phi_uv, _ = fld.derivs2(analytic=analytic)
-    vals = box_arrays(fld.grid, phi, phi_u, phi_v, phi_uv)
-    return ScalarField(grid=fld.grid, values=vals, name=f"box {fld.name}")
+    vals = wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv)
+    return ScalarField(grid=g, values=vals, name=f"box {fld.name}")
 
 
 def scaling(fld: ScalarField, analytic: Optional[bool] = None) -> ScalarField:
@@ -711,14 +710,16 @@ def decay_functionals(fld: ScalarField, beta: float, V: Optional[Potential] = No
     )
 
 
+def _columns_to_csv(path, header, columns) -> None:
+    """Write equally shaped arrays as CSV columns, one row per node in C
+    order, each number as its `repr` (what `csv.writer` writes for them)."""
+    cols = [map(repr, np.ravel(c).tolist()) for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*cols))
+
+
 def field_to_csv(fld: ScalarField, path) -> None:
     """Write the field as rows u, v, f, h, value."""
     g = fld.grid
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["u", "v", "f", "h", "value"])
-        for i in range(g.n_s):
-            for j in range(g.n_y):
-                w.writerow([repr(float(g.U[i, j])), repr(float(g.V[i, j])),
-                            repr(float(g.F[i, j])), repr(float(g.H[i, j])),
-                            repr(float(fld.values[i, j]))])
+    _columns_to_csv(path, ("u", "v", "f", "h", "value"), (g.U, g.V, g.F, g.H, fld.values))

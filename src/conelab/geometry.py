@@ -92,12 +92,6 @@ class AdmissibleRegion:
                 f"rho={self.rho}, omega={self.omega}, sigma={self.sigma}, tau={self.tau}"
             )
 
-    def contains(self, f, h, tol: float = 0.0) -> bool:
-        return bool(
-            np.all((f > self.rho - tol) & (f < self.omega + tol))
-            and np.all((h > self.sigma - tol) & (h < self.tau + tol))
-        )
-
 
 def null_from_rect(t, r):
     """(t, r) -> (u, v) with u = (t-r)/2, v = (t+r)/2."""

@@ -258,6 +258,8 @@ def divergence_residual(cur, region: Optional[AdmissibleRegion] = None, *,
     elif not g.covers(region):
         raise RegionMismatch("requested region is not covered by the current's grid")
 
+    from .currents import divergence_fd, flux_fn
+
     if route == "auto":
         route = "analytic" if cur.eval_divergence is not None else "fd"
     if route == "analytic":
@@ -265,26 +267,14 @@ def divergence_residual(cur, region: Optional[AdmissibleRegion] = None, *,
             raise InvalidInput("no analytic divergence available for this current")
         div_fn = cur.eval_divergence
     elif route == "fd":
-        from .currents import divergence_fd
-
         div_fn = divergence_fd(cur).evaluator().value
     else:
         raise InvalidInput(f"route must be 'auto', 'analytic' or 'fd', got {route!r}")
 
-    comp = cur.eval_components
-    if comp is None:
+    if cur.eval_components is None:
         raise InvalidInput("current has no point evaluator")
-
-    def cf(u, v):
-        pu, pv = comp(u, v)
-        return 0.5 * (u * pu + v * pv)
-
-    def ch(u, v):
-        pu, pv = comp(u, v)
-        return 0.5 * (u * pu - v * pv)
-
     bulk = bulk_integral(div_fn, region, n=g.n, nodes=nodes)
-    bnd = boundary_sum(cf, ch, region, n=g.n, nodes=nodes)
+    bnd = boundary_sum(flux_fn(cur, "f"), flux_fn(cur, "h"), region, n=g.n, nodes=nodes)
     resid = bulk - bnd.total
     scale = max(abs(bulk), sum(abs(x) for x in
                                (bnd.f_omega, bnd.f_rho, bnd.h_tau, bnd.h_sigma)),

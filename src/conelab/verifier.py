@@ -30,7 +30,10 @@ from .currents import (
     ZeroU,
     bulk_b,
     current_general,
+    current_nl,
+    current_split,
     divergence_fd,
+    flux_fn,
 )
 from .errors import (
     GammaSignIndefinite,
@@ -44,9 +47,10 @@ from .fields import (
     AnalyticField,
     GridSpec,
     ScalarField,
-    box_arrays,
+    box,
     from_expr,
     materialize,
+    wave_op,
 )
 from .geometry import AdmissibleRegion
 from .weights import (
@@ -114,13 +118,10 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
     H = rep.H(f)
     E = np.exp(-F)
 
-    if mode == "fd":
-        phi, phi_u, phi_v = fld.fd_derivs1()
-        _, _, _, phi_uu, phi_uv, phi_vv = fld.fd_derivs2()
-    else:
-        phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv = fld.derivs2()
+    phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv = (
+        fld.fd_derivs2() if mode == "fd" else fld.derivs2())
 
-    boxphi = box_arrays(g, phi, phi_u, phi_v, phi_uv)
+    boxphi = wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv)
     psi = E * phi
     psi_u = E * (phi_u + g.V * dF * phi)
     psi_v = E * (phi_v + g.U * dF * phi)
@@ -270,14 +271,6 @@ class SplitChainReport:
     passed: bool
 
 
-def _split_weight(params: SplitWeightParams, branch: str) -> Reparametrization:
-    if branch == "low":
-        return SplitLow(params)
-    if branch == "high":
-        return SplitHigh(params)
-    raise InvalidInput(f"branch must be 'low' or 'high', got {branch!r}")
-
-
 def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: str,
                          *, nodes: int = qd.DEFAULT_NODES,
                          rel_tol: float = 1e-7) -> SplitChainReport:
@@ -291,12 +284,8 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
     <= e^2/4 (None where the reference integral vanishes).
     """
     g = fld.grid
-    rep = _split_weight(params, branch)
-    if branch == "low" and g.region.omega > 1.0 + 1e-12:
-        raise RangeMismatch("low-branch chain needs the region inside f <= 1")
-    if branch == "high" and g.region.rho < 1.0 - 1e-12:
-        raise RangeMismatch("high-branch chain needs the region inside f >= 1")
-
+    cur = current_split(fld, params, branch)
+    rep = cur.assembler.rep
     ev = fld.evaluator()
     a, b, p = params.a, params.b, params.p
     sgn = 1.0 if branch == "low" else -1.0  # f^{+-(p-1+-...)} exponent signs
@@ -312,10 +301,8 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
         return W * (f * adF * G - H) * ev.value(u, v) ** 2
 
     def box_pt(u, v):
-        ph, pu, pv, puu, puv, pvv = ev.derivs2(u, v)
-        r = v - u
-        return (-puv + (g.n - 1) / (2.0 * r) * (pv - pu)
-                - g.lam * ph / r**2)
+        ph, pu, pv, _, puv, _ = ev.derivs2(u, v)
+        return wave_op(g.n, g.lam, v - u, ph, pu, pv, puv)
 
     def rhs_fn(u, v):
         f = -u * v
@@ -336,19 +323,7 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
     rhs_bulk = qd.bulk_integral(rhs_fn, reg, n=g.n, nodes=nodes)
     iw = qd.bulk_integral(ref_weight_fn, reg, n=g.n, nodes=nodes)
     ibox = qd.bulk_integral(ref_box_fn, reg, n=g.n, nodes=nodes)
-
-    cur = current_general(fld, rep)
-    comp = cur.eval_components
-
-    def cf(u, v):
-        pu, pv = comp(u, v)
-        return 0.5 * (u * pu + v * pv)
-
-    def ch(u, v):
-        pu, pv = comp(u, v)
-        return 0.5 * (u * pu - v * pv)
-
-    bnd = qd.boundary_sum(cf, ch, reg, n=g.n, nodes=nodes)
+    bnd = qd.boundary_sum(flux_fn(cur, "f"), flux_fn(cur, "h"), reg, n=g.n, nodes=nodes)
     margin = rhs_bulk + bnd.total - A
     scale = max(abs(A), abs(rhs_bulk), 1e-300)
     tiny = 1e-14
@@ -362,6 +337,12 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
     return SplitChainReport(branch=branch, lhs_bulk=A, rhs_bulk=rhs_bulk,
                             boundary=bnd, margin=margin,
                             c_cal=c_cal, k_cal=k_cal, passed=passed)
+
+
+def _unit_flux(cur: CurrentField, direction: str):
+    """`flux_fn` divided by f^{1/2}: the flux through the unit normal."""
+    fn = flux_fn(cur, direction)
+    return lambda u, v: fn(u, v) / np.sqrt(-u * v)
 
 
 def split_cancellation(fld_low: ScalarField, fld_high: ScalarField,
@@ -383,13 +364,7 @@ def split_cancellation(fld_low: ScalarField, fld_high: ScalarField,
     hw = (g_lo.region.sigma, g_lo.region.tau)
 
     def flux(fld, branch):
-        cur = current_general(fld, _split_weight(params, branch))
-        comp = cur.eval_components
-
-        def cf(u, v):
-            pu, pv = comp(u, v)
-            return 0.5 * (u * pu + v * pv) / np.sqrt(-u * v)
-
+        cf = _unit_flux(current_split(fld, params, branch), "f")
         return qd.hyperboloid_integral(cf, 1.0, hw, n=fld.grid.n, nodes=nodes)
 
     lo = flux(fld_low, "low")
@@ -449,10 +424,8 @@ def carleman_nl_check(fld: ScalarField, a: float, U: PowerU, *,
 
     def rhs_fn(u, v):
         f = -u * v
-        r = v - u
-        ph, pu, pv, puu, puv, pvv = ev.derivs2(u, v)
-        boxv = -puv + (g.n - 1) / (2.0 * r) * (pv - pu) - g.lam * ph / r**2
-        L = boxv + U.udot(u, v, ph)
+        ph, pu, pv, _, puv, _ = ev.derivs2(u, v)
+        L = wave_op(g.n, g.lam, v - u, ph, pu, pv, puv) + U.udot(u, v, ph)
         return (1.0 / (8.0 * a)) * f ** (2 * a) * f * L**2
 
     reg = g.region
@@ -460,17 +433,7 @@ def carleman_nl_check(fld: ScalarField, a: float, U: PowerU, *,
     rhs = qd.bulk_integral(rhs_fn, reg, n=g.n, nodes=nodes)
 
     cur = current_general(fld, rep, U)
-    comp = cur.eval_components
-
-    def cf(u, v):
-        pu_, pv_ = comp(u, v)
-        return 0.5 * (u * pu_ + v * pv_)
-
-    def ch(u, v):
-        pu_, pv_ = comp(u, v)
-        return 0.5 * (u * pu_ - v * pv_)
-
-    bnd = qd.boundary_sum(cf, ch, reg, n=g.n, nodes=nodes)
+    bnd = qd.boundary_sum(flux_fn(cur, "f"), flux_fn(cur, "h"), reg, n=g.n, nodes=nodes)
     margin = rhs + bnd.total - lhs
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return NlChainReport(lhs_bulk=lhs, rhs_bulk=rhs, boundary=bnd, margin=margin,
@@ -599,7 +562,7 @@ def induced_potential(fld: ScalarField, p: float, sign: int = 1, *,
     if sign not in (-1, 1):
         raise InvalidInput("sign must be +1 or -1")
     g = fld.grid
-    bx = _box_of(fld)
+    bx = box(fld).values
     phi = fld.values
     amax = float(np.max(np.abs(phi)))
     if amax == 0.0:
@@ -613,16 +576,6 @@ def induced_potential(fld: ScalarField, p: float, sign: int = 1, *,
     vals[mask] = -bx[mask] / denom
     out = ScalarField(grid=g, values=vals, name=f"induced-V[{fld.name}]")
     return out, mask
-
-
-def _box_of(fld: ScalarField) -> np.ndarray:
-    g = fld.grid
-    if fld.closed_form is not None and fld.closed_form.has_second:
-        phi, phi_u, phi_v, _, phi_uv, _ = fld.derivs2()
-    else:
-        phi, phi_u, phi_v = fld.fd_derivs1()
-        _, _, _, _, phi_uv, _ = fld.fd_derivs2()
-    return box_arrays(g, phi, phi_u, phi_v, phi_uv)
 
 
 def decay_envelope(f: np.ndarray, beta: float, p: float) -> np.ndarray:
@@ -851,20 +804,8 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
     if nonlinear:
         if not isinstance(potential, Potential):
             raise InvalidInput("nonlinear tracking needs an explicit Potential")
-        U = PowerU(sign=sign, p=p, V=potential)
-        from .currents import current_nl
-
-        cur = current_nl(fld, a, U)
-        comp = cur.eval_components
-
-        def cf(u, v):
-            pu, pv = comp(u, v)
-            return 0.5 * (u * pu + v * pv) / np.sqrt(-u * v)
-
-        def ch(u, v):
-            pu, pv = comp(u, v)
-            return 0.5 * (u * pu - v * pv) / np.sqrt(-u * v)
-
+        cur = current_nl(fld, a, PowerU(sign=sign, p=p, V=potential))
+        cf, ch = _unit_flux(cur, "f"), _unit_flux(cur, "h")
         ev = fld.evaluator()
 
         def zfn(u, v):
@@ -890,20 +831,8 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
     else:
         cur_lo = current_general(fld, SplitLow(params))
         cur_hi = current_general(fld, SplitHigh(params))
-
-        def make(curr, direction):
-            comp = curr.eval_components
-
-            def fn(u, v):
-                pu, pv = comp(u, v)
-                if direction == "f":
-                    return 0.5 * (u * pu + v * pv) / np.sqrt(-u * v)
-                return 0.5 * (u * pu - v * pv) / np.sqrt(-u * v)
-
-            return fn
-
-        cf_lo, ch_lo = make(cur_lo, "f"), make(cur_lo, "h")
-        cf_hi, ch_hi = make(cur_hi, "f"), make(cur_hi, "h")
+        cf_lo, ch_lo = _unit_flux(cur_lo, "f"), _unit_flux(cur_lo, "h")
+        cf_hi, ch_hi = _unit_flux(cur_hi, "f"), _unit_flux(cur_hi, "h")
 
         specs = [
             ("I1", omega_seq, True,

@@ -37,6 +37,7 @@ __all__ = [
     "PowerLog",
     "SplitLow",
     "SplitHigh",
+    "split_weight",
     "eval_weight",
     "gh",
     "envelope_check",
@@ -224,6 +225,15 @@ class SplitHigh(Reparametrization):
         return -0.5 * self.b * self.p**2 * f ** (-self.p - 1)
 
 
+def split_weight(params: SplitWeightParams, branch: str) -> Reparametrization:
+    """The split weight of one branch: F_- for 'low' (f <= 1), F_+ for 'high' (f >= 1)."""
+    if branch == "low":
+        return SplitLow(params)
+    if branch == "high":
+        return SplitHigh(params)
+    raise InvalidInput(f"branch must be 'low' or 'high', got {branch!r}")
+
+
 def eval_weight(rep: Reparametrization, f):
     """(F, F', F'') at f; raises DomainError for f <= 0."""
     f = _asf(f)
@@ -245,22 +255,18 @@ def envelope_check(params: SplitWeightParams, f, branch: str):
     """
     f = _asf(f)
     a, b = params.a, params.b
+    rep = split_weight(params, branch)
     if branch == "low":
         if np.any(f > 1.0):
             raise DomainError("low-branch envelope holds for f <= 1")
-        rep = SplitLow(params)
         ratio = np.exp(-rep.F(f)) / f ** (a - b)
-        dF = rep.dF(f)
         lo, hi = -a / f, -(a - b) / f
-    elif branch == "high":
+    else:
         if np.any(f < 1.0):
             raise DomainError("high-branch envelope holds for f >= 1")
-        rep = SplitHigh(params)
         ratio = np.exp(-rep.F(f)) / f ** (a + b)
-        dF = rep.dF(f)
         lo, hi = -(a + b) / f, -a / f
-    else:
-        raise InvalidInput(f"branch must be 'low' or 'high', got {branch!r}")
+    dF = rep.dF(f)
     return {
         "ratio": ratio,
         "ratio_ok": bool(np.all((ratio > 1.0) & (ratio <= math.e + 1e-15))),
@@ -286,14 +292,8 @@ def bulk_coefficient(params: SplitWeightParams, f, branch: str) -> BulkCoefficie
     """
     f = _asf(f)
     a, b, p = params.a, params.b, params.p
-    if branch == "low":
-        rep = SplitLow(params)
-        bound = b * b * p * f ** (p - 1)
-    elif branch == "high":
-        rep = SplitHigh(params)
-        bound = b * b * p * f ** (-p - 1)
-    else:
-        raise InvalidInput(f"branch must be 'low' or 'high', got {branch!r}")
+    rep = split_weight(params, branch)
+    bound = b * b * p * f ** (p - 1 if branch == "low" else -p - 1)
     dF = rep.dF(f)
     if np.any(dF >= 0):
         raise NotInwardDirected("split weight has F' >= 0 at a sample")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conelab.cli import COMMANDS, CONFIG_KEYS, RunConfig, main
+from conelab.cli import COMMANDS, CONFIG_KEYS, REFINABLE, SOLVE_CELLS, RunConfig, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -135,6 +135,23 @@ def test_stability_hash_is_deterministic(tmp_path):
     assert main(["counterexample", "--out", str(out2)]) == 0
     rep1, rep2 = _load_report(out1), _load_report(out2)
     assert rep1["stability_hash"] == rep2["stability_hash"]
+
+
+# stability_hash of each run at its defaults, recorded before the wave
+# operator, the flux contractions and the split-weight dispatch each got one
+# kernel; sharing those kernels must not move a record.
+DEFAULT_HASHES = {
+    ("verify-carleman",): "67baa12825f89a465b6dd405d124f5ea1c76deb99b8c9b74b38cd79af4e79eff",
+    ("verify-nl",): "33f9fcd135c14a3cffac8424844eb4bd63a2e8e28994317980d2a29a825168c6",
+    ("pipeline", "--refine"): "b07a1187cfc78f23871c31d351a544605263353c6539859f8515dc9992a7eb1f",
+}
+
+
+@pytest.mark.parametrize("argv", DEFAULT_HASHES, ids=" ".join)
+def test_default_runs_keep_their_pinned_hash(tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert _load_report(out)["stability_hash"] == DEFAULT_HASHES[argv]
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +517,15 @@ def test_refine_out_of_range_exits_2_before_any_work(tmp_path, capsys, monkeypat
     assert err.startswith("error: --refine") and len(err) < 200
 
 
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c not in REFINABLE])
+def test_refine_is_rejected_where_nothing_refines(tmp_path, capsys, monkeypatch, command):
+    _forbid_work(monkeypatch)
+    assert main([command, "--refine", "3", "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --refine") and command in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_refine_at_the_bound_still_runs(tmp_path):
     # nodes 512 doubled twice is 2048, the top of its range
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "case": "zero", "grid": 16,
@@ -510,6 +536,13 @@ def test_refine_at_the_bound_still_runs(tmp_path):
     assert "pipeline-verdict-stability[2]" in names
 
 
+def test_solve_cell_cap_admits_every_shipped_config():
+    solves = [p for c, p in _readme_configs() + _perfbench_configs() if c == "solve"]
+    assert solves
+    for payload in solves:
+        assert payload.get("R", 6.0) / payload.get("dr", 0.02) <= SOLVE_CELLS
+
+
 @pytest.mark.parametrize("command, payload, named", [
     ("solve", {"T": 1000.0}, "config.T"),
     ("solve", {"T": 0}, "config.T"),
@@ -517,6 +550,8 @@ def test_refine_at_the_bound_still_runs(tmp_path):
     ("solve", {"R": 0.01, "dr": 0.02, "T": 0.001}, "config.R"),
     ("verify-identity", {"levels": [16]}, "config.levels"),
     ("verify-identity", {"levels": [16] * 9}, "config.levels"),
+    ("solve", {"R": 100.0, "dr": 1e-4, "T": 0.001}, "config.dr"),
+    ("solve", {"R": 6.0, "dr": 5e-4}, "config.dr"),
 ])
 def test_time_radius_and_level_count_out_of_range_exit_2(tmp_path, capsys, monkeypatch,
                                                          command, payload, named):

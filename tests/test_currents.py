@@ -20,6 +20,8 @@ from conelab.currents import (
     current_to_csv,
     divergence_analytic,
     divergence_fd,
+    flux,
+    flux_fn,
 )
 from conelab.errors import (
     InvalidInput,
@@ -155,6 +157,22 @@ def test_boundary_expansion_h_matches_and_is_mode_free():
     f2 = contract(current_general(fld2, rep), "f").values
     assert np.allclose(h0, h2, atol=1e-14)
     assert np.max(np.abs(f0 - f2)) > 1e-3
+
+
+@pytest.mark.parametrize("direction", ["f", "h"])
+def test_flux_fn_at_grid_points_is_contract(direction):
+    fld = mkfield("sin(u)*cos(v/3)", REG_LO, ell=1)
+    cur = current_split(fld, PARAMS, "low")
+    g = cur.grid
+    got = flux_fn(cur, direction)(g.U, g.V)
+    assert got.tobytes() == contract(cur, direction).values.tobytes()
+
+
+def test_flux_rejects_an_unknown_direction():
+    with pytest.raises(InvalidInput):
+        flux(-1.0, 1.0, 0.0, 0.0, "g")
+    with pytest.raises(InvalidInput):
+        contract(current_general(mkfield(m=16), PowerLog(1.0)), "g")
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +316,18 @@ def test_current_to_csv(tmp_path):
     assert len(rows) == 1 + 8 * 8
     floats = [float(x) for x in rows[1]]
     assert all(math.isfinite(x) for x in floats)
+
+
+def test_current_to_csv_matches_a_csv_writer_loop(tmp_path):
+    fld = mkfield(m=10)
+    cur = current_general(fld, PowerLog(1.0))
+    g = cur.grid
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["u", "v", "P_u", "P_v"])
+        for i in range(g.n_s):
+            for j in range(g.n_y):
+                w.writerow([repr(float(x[i, j])) for x in (g.U, g.V, cur.P_u, cur.P_v)])
+    current_to_csv(cur, tmp_path / "current.csv")
+    assert (tmp_path / "current.csv").read_bytes() == ref.read_bytes()

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conelab import stencils
 from conelab.errors import (
     InvalidInput,
     MissingDerivative,
@@ -27,6 +28,7 @@ from conelab.fields import (
     materialize,
     scaling,
     scaling_star,
+    wave_op,
 )
 from conelab.geometry import AdmissibleRegion, metric_data
 from conelab.solver import exact_spherical_wave, static_multipole
@@ -183,13 +185,26 @@ def test_fd_box_convergence():
 def test_fd_derivs2_bitwise_equal_to_composed_d_sy():
     fld = ScalarField.from_function(mkgrid(40), lambda u, v: np.sin(u) * np.cos(v / 3))
     g = fld.grid
-    ps, py, pss, pyy, psy = fld.d_s(), fld.d_y(), fld.d_ss(), fld.d_yy(), fld.d_sy()
+    ps, py, pss, pyy = fld.d_s(), fld.d_y(), fld.d_ss(), fld.d_yy()
+    psy = stencils.d1(ps, g.dy, axis=1, order=g.order)
     want = (fld.values, (ps - py) / g.U, (ps + py) / g.V,
             (pss - 2 * psy + pyy - (ps - py)) / g.U**2,
             (pss - pyy) / (g.U * g.V),
             (pss + 2 * psy + pyy - (ps + py)) / g.V**2)
     for got, ref in zip(fld.fd_derivs2(), want, strict=True):
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+def test_wave_op_at_grid_points_is_box(ell):
+    g = mkgrid(40, ell=ell)
+    src = from_expr("sin(u)*cos(v/3) + u*v**2")
+    analytic = ScalarField.from_analytic(g, src)
+    sampled = ScalarField(grid=g, values=analytic.values.copy())
+    for fld, derivs in ((analytic, src.derivs2(g.U, g.V)), (sampled, sampled.fd_derivs2())):
+        phi, phi_u, phi_v, _, phi_uv, _ = derivs
+        got = wave_op(g.n, g.lam, g.V - g.U, phi, phi_u, phi_v, phi_uv)
+        assert got.tobytes() == box(fld).values.tobytes()
 
 
 def test_derivs_auto_prefers_closed_form():
@@ -341,6 +356,20 @@ def test_field_to_csv_round_trip(tmp_path):
     u, v, f, h, val = (float(x) for x in rows[1])
     assert math.isclose(val, u + 2 * v, rel_tol=1e-15)
     assert math.isclose(f, -u * v, rel_tol=1e-15)
+
+
+def test_field_to_csv_matches_a_csv_writer_loop(tmp_path):
+    g = GridSpec.from_region(REGION, 12, 9, 3)
+    fld = ScalarField.from_analytic(g, from_expr("sin(u)*exp(v) - 0*u"))
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["u", "v", "f", "h", "value"])
+        for i in range(g.n_s):
+            for j in range(g.n_y):
+                w.writerow([repr(float(x[i, j])) for x in (g.U, g.V, g.F, g.H, fld.values)])
+    field_to_csv(fld, tmp_path / "field.csv")
+    assert (tmp_path / "field.csv").read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("expr", ["u**(", "u +* v", "1/0*u", "0/0 + v"])

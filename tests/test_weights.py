@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conelab.errors import (
     DomainError,
+    InvalidInput,
     InvalidPotential,
     InvalidWeightParams,
     NotInwardDirected,
@@ -25,6 +26,7 @@ from conelab.weights import (
     eval_weight,
     gamma_v,
     gh,
+    split_weight,
 )
 
 PARAMS = SplitWeightParams(a=1.0, b=0.1, p=0.5)
@@ -142,6 +144,17 @@ def test_weight_domain_error():
         eval_weight(SplitLow(PARAMS), -1.0)
     with pytest.raises(DomainError):
         eval_weight(PowerLog(1.0), 0.0)
+
+
+def test_split_weight_dispatches_on_the_branch():
+    assert split_weight(PARAMS, "low") == SplitLow(PARAMS)
+    assert split_weight(PARAMS, "high") == SplitHigh(PARAMS)
+    f = np.array([1.0])
+    for call in (lambda: split_weight(PARAMS, "middle"),
+                 lambda: envelope_check(PARAMS, f, "middle"),
+                 lambda: bulk_coefficient(PARAMS, f, "middle")):
+        with pytest.raises(InvalidInput, match="branch must be 'low' or 'high'"):
+            call()
 
 
 def test_degenerate_b_zero_flagged():
