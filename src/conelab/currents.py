@@ -57,6 +57,7 @@ __all__ = [
     "current_general",
     "current_split",
     "current_nl",
+    "bulk_term",
     "bulk_b",
     "flux",
     "flux_fn",
@@ -266,11 +267,10 @@ class CurrentField:
     meta: dict = dc_field(default_factory=dict)
 
 
-def _assemble(fld: ScalarField, rep: Reparametrization, U: NonlinearityU,
-              check_inward: bool = True) -> CurrentField:
+def _assemble(fld: ScalarField, rep: Reparametrization, U: NonlinearityU) -> CurrentField:
     g = fld.grid
     _check_mode(U, g.ell)
-    if check_inward and np.any(rep.dF(g.F) >= 0):
+    if np.any(rep.dF(g.F) >= 0):
         raise NotInwardDirected(f"{rep.name}: F' >= 0 somewhere on the grid")
     asm = CurrentAssembler(rep=rep, U=U, n=g.n, ell=g.ell)
     phi, phi_u, phi_v = fld.derivs1()
@@ -324,33 +324,28 @@ def current_nl(fld: ScalarField, a: float, U: PowerU) -> CurrentField:
     return _assemble(fld, PowerLog(a), U)
 
 
-def bulk_b(fld: ScalarField, rep: Reparametrization, U: Optional[NonlinearityU] = None,
-           cross_check: bool = True) -> ScalarField:
-    """Bulk source term B_U^F of the divergence identity.
+def bulk_term(rep: Reparametrization, U: NonlinearityU, n: int, f, u, v, phi,
+              cross_check: bool = True):
+    """Bulk source term B_U^F of the divergence identity at the points (u, v):
 
         B = e^{-2F} [ ((n-1)/4 - f F') Udot(phi) phi
                       - grad f . grad_Q U - 2 ((n+1)/4 - f F') U(phi) ].
 
-    For the power weight and a power nonlinearity this must coincide with
-    -sign/(p+1) f^{2a} V Gamma_V |phi|^{p+1}; the closed-form cross-check is
-    asserted to 1e-10 relative unless disabled.
+    f is passed explicitly (the grid's own f on a grid, -u v at quadrature
+    nodes).  For the power weight and a power nonlinearity this must coincide
+    with -sign/(p+1) f^{2a} V Gamma_V |phi|^{p+1}; the closed-form
+    cross-check is asserted to 1e-10 relative unless disabled.
     """
-    U = U or ZeroU()
-    g = fld.grid
-    _check_mode(U, g.ell)
-    f = g.F
     dF = rep.dF(f)
     W = np.exp(-2.0 * rep.F(f))
-    phi = fld.values
-    c = (g.n - 1) / 4.0 - f * dF
-    vals = W * (c * U.udot(g.U, g.V, phi) * phi
-                - U.scaling_q(g.U, g.V, phi)
-                - 2.0 * ((g.n + 1) / 4.0 - f * dF) * U.value(g.U, g.V, phi))
-    out = ScalarField(grid=g, values=vals, name=f"B[{fld.name}]")
+    c = (n - 1) / 4.0 - f * dF
+    vals = W * (c * U.udot(u, v, phi) * phi
+                - U.scaling_q(u, v, phi)
+                - 2.0 * ((n + 1) / 4.0 - f * dF) * U.value(u, v, phi))
 
     if cross_check and isinstance(rep, PowerLog) and isinstance(U, PowerU):
-        gam = gamma_v(U.V, rep.a, U.p, g.U, g.V, g.n)
-        Vv = np.asarray(U.V.value(g.U, g.V), float)
+        gam = gamma_v(U.V, rep.a, U.p, u, v, n)
+        Vv = np.asarray(U.V.value(u, v), float)
         closed = -(U.sign / (U.p + 1.0)) * f ** (2 * rep.a) * Vv * gam \
             * np.abs(phi) ** (U.p + 1.0)
         scale = np.max(np.abs(closed)) or 1.0
@@ -359,7 +354,17 @@ def bulk_b(fld: ScalarField, rep: Reparametrization, U: Optional[NonlinearityU] 
             raise ConelabError(
                 f"bulk term disagrees with its closed form (rel {worst:.3e})"
             )
-    return out
+    return vals
+
+
+def bulk_b(fld: ScalarField, rep: Reparametrization, U: Optional[NonlinearityU] = None,
+           cross_check: bool = True) -> ScalarField:
+    """`bulk_term` on the field's grid."""
+    U = U or ZeroU()
+    g = fld.grid
+    _check_mode(U, g.ell)
+    vals = bulk_term(rep, U, g.n, g.F, g.U, g.V, fld.values, cross_check)
+    return ScalarField(grid=g, values=vals, name=f"B[{fld.name}]")
 
 
 def flux(u, v, P_u, P_v, direction: str):

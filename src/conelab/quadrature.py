@@ -107,8 +107,7 @@ def _window_args(level, window, explicit, which):
 
 
 def hyperboloid_integral(fn: Callable, omega: float, window=None, *, n: int,
-                         nodes: int = DEFAULT_NODES, mode_factor: float = 1.0,
-                         t_window=None) -> float:
+                         nodes: int = DEFAULT_NODES, t_window=None) -> float:
     """Integral of fn(u, v) over the f = omega level set.
 
     The cut is given either as a hyperbolic window (sigma, tau) or directly
@@ -125,12 +124,11 @@ def hyperboloid_integral(fn: Callable, omega: float, window=None, *, n: int,
     u = 0.5 * (t - r)
     v = 0.5 * (t + r)
     vals = np.asarray(fn(u, v), float)
-    return mode_factor * 2.0 * math.sqrt(omega) * float(np.sum(w * vals * r ** (n - 2)))
+    return 2.0 * math.sqrt(omega) * float(np.sum(w * vals * r ** (n - 2)))
 
 
 def inverted_hyperboloid_integral(fn: Callable, omega: float, window=None, *, n: int,
-                                  nodes: int = DEFAULT_NODES, mode_factor: float = 1.0,
-                                  tbar_window=None) -> float:
+                                  nodes: int = DEFAULT_NODES, tbar_window=None) -> float:
     """Same f = omega integral computed on the inverted chart fbar = 1/omega.
 
     The point map u = -1/vbar, v = -1/ubar preserves h, so the hyperbolic
@@ -150,12 +148,11 @@ def inverted_hyperboloid_integral(fn: Callable, omega: float, window=None, *, n:
     u = -1.0 / vb
     v = -1.0 / ub
     vals = np.asarray(fn(u, v), float)
-    return mode_factor * 2.0 * omega ** (n - 0.5) * float(np.sum(w * vals * rb ** (n - 2)))
+    return 2.0 * omega ** (n - 0.5) * float(np.sum(w * vals * rb ** (n - 2)))
 
 
 def cone_integral(fn: Callable, tau: float, window=None, *, n: int,
-                  nodes: int = DEFAULT_NODES, mode_factor: float = 1.0,
-                  r_window=None) -> float:
+                  nodes: int = DEFAULT_NODES, r_window=None) -> float:
     """Integral of fn(u, v) over the h = tau level set, cut by rho <= f <= omega."""
     if tau <= 0:
         raise InvalidInput(f"need tau > 0, got {tau}")
@@ -168,12 +165,16 @@ def cone_integral(fn: Callable, tau: float, window=None, *, n: int,
     v = 0.5 * (t + r)
     f = -u * v
     vals = np.asarray(fn(u, v), float)
-    return mode_factor * 2.0 * float(np.sum(w * np.sqrt(f) * vals * r ** (n - 2)))
+    return 2.0 * float(np.sum(w * np.sqrt(f) * vals * r ** (n - 2)))
 
 
 def bulk_integral(fn: Callable, region: AdmissibleRegion, *, n: int,
-                  nodes: int = DEFAULT_NODES, mode_factor: float = 1.0) -> float:
-    """Integral of fn(u, v) over the region with the spacetime volume measure."""
+                  nodes: int = DEFAULT_NODES):
+    """Integral of fn(u, v) over the region with the spacetime volume measure.
+
+    An integrand returning a tuple of k arrays gets a tuple of k integrals,
+    all taken on one node mesh.
+    """
     s, ws = gl_nodes(math.log(region.rho), math.log(region.omega), nodes)
     y, wy = gl_nodes(math.log(region.sigma), math.log(region.tau), nodes)
     S, Y = np.meshgrid(s, y, indexing="ij")
@@ -181,9 +182,13 @@ def bulk_integral(fn: Callable, region: AdmissibleRegion, *, n: int,
     H = np.exp(Y)
     u = -np.sqrt(F / H)
     v = np.sqrt(F * H)
-    r = v - u
-    vals = np.asarray(fn(u, v), float)
-    return mode_factor * float(ws @ (vals * r ** (n - 1) * F) @ wy)
+    rn = (v - u) ** (n - 1)
+    out = fn(u, v)
+
+    def integral(vals):
+        return float(ws @ (np.asarray(vals, float) * rn * F) @ wy)
+
+    return tuple(map(integral, out)) if isinstance(out, tuple) else integral(out)
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,7 @@ class BoundarySum:
 
 def boundary_sum(contract_f_fn: Callable, contract_h_fn: Callable,
                  region: AdmissibleRegion, *, n: int,
-                 nodes: int = DEFAULT_NODES, mode_factor: float = 1.0) -> BoundarySum:
+                 nodes: int = DEFAULT_NODES) -> BoundarySum:
     """Unit-normal flux integrals of a current over the region's faces.
 
     Takes the scalar contractions P.grad f and u^2 P.grad h as point
@@ -225,14 +230,10 @@ def boundary_sum(contract_f_fn: Callable, contract_h_fn: Callable,
     hw = (region.sigma, region.tau)
     fw = (region.rho, region.omega)
     return BoundarySum(
-        f_omega=hyperboloid_integral(wf, region.omega, hw, n=n, nodes=nodes,
-                                     mode_factor=mode_factor),
-        f_rho=hyperboloid_integral(wf, region.rho, hw, n=n, nodes=nodes,
-                                   mode_factor=mode_factor),
-        h_tau=cone_integral(wh, region.tau, fw, n=n, nodes=nodes,
-                            mode_factor=mode_factor),
-        h_sigma=cone_integral(wh, region.sigma, fw, n=n, nodes=nodes,
-                              mode_factor=mode_factor),
+        f_omega=hyperboloid_integral(wf, region.omega, hw, n=n, nodes=nodes),
+        f_rho=hyperboloid_integral(wf, region.rho, hw, n=n, nodes=nodes),
+        h_tau=cone_integral(wh, region.tau, fw, n=n, nodes=nodes),
+        h_sigma=cone_integral(wh, region.sigma, fw, n=n, nodes=nodes),
     )
 
 

@@ -29,6 +29,7 @@ from .currents import (
     PowerU,
     ZeroU,
     bulk_b,
+    bulk_term,
     current_general,
     current_nl,
     current_split,
@@ -290,39 +291,20 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
     a, b, p = params.a, params.b, params.p
     sgn = 1.0 if branch == "low" else -1.0  # f^{+-(p-1+-...)} exponent signs
 
-    def wdata(f):
-        F = rep.F(f)
-        dF = rep.dF(f)
-        return np.exp(-2.0 * F), np.abs(dF), rep.G(f), rep.H(f)
-
-    def lhs_fn(u, v):
+    def integrand(u, v):
         f = -u * v
-        W, adF, G, H = wdata(f)
-        return W * (f * adF * G - H) * ev.value(u, v) ** 2
-
-    def box_pt(u, v):
         ph, pu, pv, _, puv, _ = ev.derivs2(u, v)
-        return wave_op(g.n, g.lam, v - u, ph, pu, pv, puv)
-
-    def rhs_fn(u, v):
-        f = -u * v
-        W, adF, _, _ = wdata(f)
-        return 0.125 * W / adF * box_pt(u, v) ** 2
-
-    def ref_weight_fn(u, v):
-        f = -u * v
-        return (f ** (2 * (a - sgn * b)) * f ** (sgn * p - 1)
-                * ev.value(u, v) ** 2)
-
-    def ref_box_fn(u, v):
-        f = -u * v
-        return f ** (2 * (a - sgn * b)) * f * box_pt(u, v) ** 2
+        boxphi = wave_op(g.n, g.lam, v - u, ph, pu, pv, puv)
+        W = np.exp(-2.0 * rep.F(f))
+        adF = np.abs(rep.dF(f))
+        ref = f ** (2 * (a - sgn * b))
+        return (W * (f * adF * rep.G(f) - rep.H(f)) * ph ** 2,
+                0.125 * W / adF * boxphi ** 2,
+                ref * f ** (sgn * p - 1) * ph ** 2,
+                ref * f * boxphi ** 2)
 
     reg = g.region
-    A = qd.bulk_integral(lhs_fn, reg, n=g.n, nodes=nodes)
-    rhs_bulk = qd.bulk_integral(rhs_fn, reg, n=g.n, nodes=nodes)
-    iw = qd.bulk_integral(ref_weight_fn, reg, n=g.n, nodes=nodes)
-    ibox = qd.bulk_integral(ref_box_fn, reg, n=g.n, nodes=nodes)
+    A, rhs_bulk, iw, ibox = qd.bulk_integral(integrand, reg, n=g.n, nodes=nodes)
     bnd = qd.boundary_sum(flux_fn(cur, "f"), flux_fn(cur, "h"), reg, n=g.n, nodes=nodes)
     margin = rhs_bulk + bnd.total - A
     scale = max(abs(A), abs(rhs_bulk), 1e-300)
@@ -399,10 +381,11 @@ def carleman_nl_check(fld: ScalarField, a: float, U: PowerU, *,
         sign/(p+1) int f^{2a} V Gamma_V |phi|^{p+1}
           <= 1/(8a) int f^{2a} f |box phi + Udot|^2 + boundary flux total.
 
-    The left side is the bulk integral of -B (asserted against its closed
-    form inside bulk_b); Gamma_V's range over the region is reported, and
-    `require_definite_gamma` raises when it changes sign (the monotonicity
-    reading of the estimate is then unavailable).
+    The left side is the bulk integral of -B, evaluated at the quadrature
+    nodes and asserted there against its closed form; Gamma_V's range over
+    the region is reported, and `require_definite_gamma` raises when it
+    changes sign (the monotonicity reading of the estimate is then
+    unavailable).
     """
     if a <= 0:
         raise InvalidInput(f"need a > 0, got {a}")
@@ -416,23 +399,17 @@ def carleman_nl_check(fld: ScalarField, a: float, U: PowerU, *,
         raise GammaSignIndefinite(
             f"Gamma_V ranges over [{gmin:.3g}, {gmax:.3g}] on this region")
 
-    B_fld = bulk_b(fld, rep, U, cross_check=True)
-    bev = B_fld.evaluator()
+    cur = current_general(fld, rep, U)
 
-    def lhs_fn(u, v):
-        return -np.asarray(bev.value(u, v), float)
-
-    def rhs_fn(u, v):
+    def integrand(u, v):
         f = -u * v
         ph, pu, pv, _, puv, _ = ev.derivs2(u, v)
+        B = bulk_term(rep, U, g.n, f, u, v, ph, cross_check=True)
         L = wave_op(g.n, g.lam, v - u, ph, pu, pv, puv) + U.udot(u, v, ph)
-        return (1.0 / (8.0 * a)) * f ** (2 * a) * f * L**2
+        return -B, (1.0 / (8.0 * a)) * f ** (2 * a) * f * L**2
 
     reg = g.region
-    lhs = qd.bulk_integral(lhs_fn, reg, n=g.n, nodes=nodes)
-    rhs = qd.bulk_integral(rhs_fn, reg, n=g.n, nodes=nodes)
-
-    cur = current_general(fld, rep, U)
+    lhs, rhs = qd.bulk_integral(integrand, reg, n=g.n, nodes=nodes)
     bnd = qd.boundary_sum(flux_fn(cur, "f"), flux_fn(cur, "h"), reg, n=g.n, nodes=nodes)
     margin = rhs + bnd.total - lhs
     scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -692,10 +669,12 @@ class PipelineReport:
     details: dict = dc_field(default_factory=dict)
 
 
-def _classify_sequence(levels, values, grows_with_level: bool,
+def _classify_sequence(name: str, levels, values, grows_with_level: bool,
                        flat_tol: float = 0.05, zero_floor: float = 1e-13):
     """Slope-classify |values| along levels (oriented so growth means trouble)."""
     vals = np.abs(np.asarray(values, float))
+    if not np.all(np.isfinite(vals)):
+        raise InvalidInput(f"flux term {name} is not finite along its limit")
     scale = float(np.max(vals))
     if scale < zero_floor:
         return None, "zero"
@@ -852,7 +831,7 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
     terms = []
     for name, seq, grows, evalfn in specs:
         vals = [evalfn(L) for L in seq]
-        slope, cls = _classify_sequence(seq, vals, grows)
+        slope, cls = _classify_sequence(name, seq, vals, grows)
         terms.append(PipelineTerm(name=name, levels=tuple(seq),
                                   values=tuple(vals), slope=slope,
                                   classification=cls))

@@ -38,8 +38,6 @@ __all__ = [
     "SplitLow",
     "SplitHigh",
     "split_weight",
-    "eval_weight",
-    "gh",
     "envelope_check",
     "bulk_coefficient",
     "BulkCoefficient",
@@ -232,18 +230,6 @@ def split_weight(params: SplitWeightParams, branch: str) -> Reparametrization:
     if branch == "high":
         return SplitHigh(params)
     raise InvalidInput(f"branch must be 'low' or 'high', got {branch!r}")
-
-
-def eval_weight(rep: Reparametrization, f):
-    """(F, F', F'') at f; raises DomainError for f <= 0."""
-    f = _asf(f)
-    return rep.F(f), rep.dF(f), rep.d2F(f)
-
-
-def gh(rep: Reparametrization, f):
-    """(G, H) at f, from closed forms where the kind provides them."""
-    f = _asf(f)
-    return rep.G(f), rep.H(f)
 
 
 def envelope_check(params: SplitWeightParams, f, branch: str):

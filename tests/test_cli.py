@@ -1,14 +1,16 @@
 """End-to-end checks of the command-line interface.
 
 Everything goes through ``conelab.cli.main(argv)`` called as a plain
-function, so exit codes and emitted files are asserted directly without
-spawning subprocesses.
+function, so exit codes and emitted files are asserted directly.  Only the
+check of which modules a run imports spawns a fresh interpreter.
 """
 
 import csv
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,6 +73,20 @@ def test_report_prints_to_stdout_without_out(tmp_path, capsys):
     assert rep["command"] == "pipeline"
 
 
+def test_verify_nl_loads_no_scipy_interpolate(tmp_path):
+    script = (
+        "import sys\n"
+        "from conelab.cli import main\n"
+        f"assert main(['verify-nl', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "assert 'scipy.interpolate' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # exit code 1: a check that genuinely fails
 # ---------------------------------------------------------------------------
@@ -124,6 +140,18 @@ def test_csv_bundle_requires_out(tmp_path):
     assert main(["counterexample", "--format", "csv-bundle"]) == 2
 
 
+def test_pipeline_with_a_non_finite_flux_term_exits_2(tmp_path, capsys):
+    # sqrt(10.5 - v) is NaN on the outer surfaces the flux terms are followed to
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "schema": 1, "case": "expr", "expr": "sqrt(10.5 - v)",
+    })
+    out = tmp_path / "report.json"
+    with np.errstate(invalid="ignore"):
+        assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 2
+    assert "flux term I1 is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -139,10 +167,12 @@ def test_stability_hash_is_deterministic(tmp_path):
 
 # stability_hash of each run at its defaults, recorded before the wave
 # operator, the flux contractions and the split-weight dispatch each got one
-# kernel; sharing those kernels must not move a record.
+# kernel; sharing those kernels must not move a record.  verify-nl's was
+# recorded again when its left side began to integrate B at the quadrature
+# nodes instead of a spline of B sampled on the grid.
 DEFAULT_HASHES = {
     ("verify-carleman",): "67baa12825f89a465b6dd405d124f5ea1c76deb99b8c9b74b38cd79af4e79eff",
-    ("verify-nl",): "33f9fcd135c14a3cffac8424844eb4bd63a2e8e28994317980d2a29a825168c6",
+    ("verify-nl",): "839865680295795e3a16e5b907f006cef1f99655d6540af39a2982b5a599584e",
     ("pipeline", "--refine"): "b07a1187cfc78f23871c31d351a544605263353c6539859f8515dc9992a7eb1f",
 }
 

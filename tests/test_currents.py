@@ -13,6 +13,7 @@ from conelab.currents import (
     boundary_expansion_f,
     boundary_expansion_h,
     bulk_b,
+    bulk_term,
     contract,
     current_general,
     current_nl,
@@ -24,6 +25,7 @@ from conelab.currents import (
     flux_fn,
 )
 from conelab.errors import (
+    ConelabError,
     InvalidInput,
     ModeNotSupported,
     NotInwardDirected,
@@ -232,6 +234,38 @@ def test_bulk_b_matches_closed_form():
     closed = -(1.0 / (p + 1.0)) * g.F ** (2 * a) * gam * np.abs(fld.values) ** (p + 1.0)
     assert np.allclose(B.values, closed, rtol=1e-12)
     assert np.allclose(gam, 0.5 - a)  # n = 3, p = 2, V constant
+
+
+@pytest.mark.parametrize("rep, U", [
+    (SplitLow(PARAMS), ZeroU()),
+    (PowerLog(0.1), PowerU(1, 1.0, Potential.constant(1.0))),
+    (PowerLog(0.1), PowerU(-1, 2.0, Potential.power_of_f(0.25))),
+], ids=["zero", "p1", "power_of_f"])
+def test_bulk_term_at_grid_points_is_bulk_b(rep, U):
+    fld = mkfield("(-u*v)**(4/5) * exp(-(v-1)**2 / 8)")
+    g = fld.grid
+    pt = bulk_term(rep, U, g.n, g.F, g.U, g.V, fld.values)
+    assert pt.tobytes() == bulk_b(fld, rep, U).values.tobytes()
+
+
+def test_bulk_term_cross_checks_at_quadrature_nodes():
+    # f = -u v at arbitrary points: the closed form holds there too, and a
+    # B that disagrees with it is caught wherever the check is on
+    u = -np.linspace(0.5, 2.0, 7)
+    v = np.linspace(0.3, 3.0, 7)
+    phi = np.cos(u) * np.exp(-v)
+    rep, U = PowerLog(0.1), PowerU(1, 2.0, Potential.power_of_f(0.25))
+    B = bulk_term(rep, U, 3, -u * v, u, v, phi)
+    assert np.all(np.isfinite(B)) and np.max(np.abs(B)) > 0.0
+
+    class Drifted(PowerU):
+        def scaling_q(self, u, v, phi):
+            return 1.01 * super().scaling_q(u, v, phi)
+
+    wrong = Drifted(1, 2.0, U.V)
+    with pytest.raises(ConelabError, match="closed form"):
+        bulk_term(rep, wrong, 3, -u * v, u, v, phi)
+    bulk_term(rep, wrong, 3, -u * v, u, v, phi, cross_check=False)
 
 
 def test_bulk_b_zero_nonlinearity_is_zero():

@@ -70,11 +70,19 @@ def test_bulk_closed_form_unit_integrand():
     assert abs(got - expect) < 1e-12 * expect
 
 
-def test_mode_factor_scales_linearly():
-    area = 4.0 * math.pi
-    a = bulk_integral(smooth, REGION, n=3, nodes=64)
-    b = bulk_integral(smooth, REGION, n=3, nodes=64, mode_factor=area)
-    assert math.isclose(b, area * a, rel_tol=1e-15)
+def test_bulk_tuple_integrand_is_one_mesh_of_single_integrals():
+    meshes = []
+
+    def both(u, v):
+        meshes.append(u.shape)
+        return smooth(u, v), u * v, np.ones_like(u)
+
+    got = bulk_integral(both, REGION, n=3, nodes=48)
+    want = tuple(bulk_integral(fn, REGION, n=3, nodes=48)
+                 for fn in (smooth, lambda u, v: u * v, lambda u, v: np.ones_like(u)))
+    assert meshes == [(48, 48)]
+    assert all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,32 @@ def test_split_cancellation_region_guard():
         split_cancellation(lo, hi, PARAMS)
 
 
+def _count_derivs2(monkeypatch):
+    from conelab.fields import AnalyticField
+
+    shapes = []
+    real = AnalyticField.derivs2
+
+    def spy(self, u, v):
+        shapes.append(np.shape(u))
+        return real(self, u, v)
+
+    monkeypatch.setattr(AnalyticField, "derivs2", spy)
+    return shapes
+
+
+def test_chains_evaluate_the_field_once_per_bulk_mesh(monkeypatch):
+    shapes = _count_derivs2(monkeypatch)
+    fld = mkfield("sin(u) * exp(-(v-1)**2 / 8)", REG_LO, m=32)
+    assert carleman_split_check(fld, PARAMS, "low", nodes=40).passed
+    assert shapes == [(40, 40)]
+    shapes.clear()
+    fld = mkfield("(-u*v)**(4/5) * exp(-(v-1)**2 / 8)", m=32)
+    U = PowerU(1, 2.0, Potential.power_of_f(0.25))
+    assert carleman_nl_check(fld, 0.1, U, nodes=40).passed
+    assert shapes == [(40, 40)]
+
+
 # ---------------------------------------------------------------------------
 # nonlinear integral chain
 # ---------------------------------------------------------------------------
@@ -413,6 +439,16 @@ def test_pipeline_term_count_and_invalid_input():
         uniqueness_pipeline(fld, beta=0.5, p=1.0)  # needs p < beta
     with pytest.raises(InsufficientSequence):
         uniqueness_pipeline(fld, beta=2.0, p=1.0, count=3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_classify_sequence_rejects_a_non_finite_term(bad):
+    from conelab.verifier import _classify_sequence
+
+    levels = [1.0, 2.0, 4.0, 8.0, 16.0]
+    assert _classify_sequence("I1", levels, [1.0] * 5, True)[1] == "bounded"
+    with pytest.raises(InvalidInput, match="I1"):
+        _classify_sequence("I1", levels, [1.0, 1.0, bad, 1.0, 1.0], True)
 
 
 def test_pipeline_nonlinear_terms():

@@ -23,9 +23,7 @@ from conelab.weights import (
     bulk_coefficient,
     classify_potential,
     envelope_check,
-    eval_weight,
     gamma_v,
-    gh,
     split_weight,
 )
 
@@ -50,10 +48,10 @@ def test_frozen_values_at_f_one():
     assert abs(hi.F(1.0) + 0.2) < 1e-15
     assert abs(lo.dF(1.0) + 1.0) < 1e-15         # -(a-b) - b = -a
     assert abs(hi.dF(1.0) + 1.0) < 1e-15
-    G_lo, H_lo = gh(lo, 1.0)
+    G_lo, H_lo = lo.G(1.0), lo.H(1.0)
     assert abs(G_lo - 0.05) < 1e-15              # b p
     assert abs(H_lo - 0.0125) < 1e-15            # + b p^2 / 2
-    G_hi, H_hi = gh(hi, 1.0)
+    G_hi, H_hi = hi.G(1.0), hi.H(1.0)
     assert abs(G_hi - 0.05) < 1e-15
     assert abs(H_hi + 0.0125) < 1e-15            # sign flips on the high branch
 
@@ -61,7 +59,7 @@ def test_frozen_values_at_f_one():
 def test_frozen_derivative_and_g():
     lo = SplitLow(PARAMS)
     assert abs(lo.dF(0.01) + 91.0) < 1e-10       # -0.9/f - b f^{p-1}
-    G, _ = gh(lo, 0.25)
+    G = lo.G(0.25)
     assert abs(G - 0.1) < 1e-15                  # b p f^{p-1} = 0.05*2
 
 
@@ -97,7 +95,7 @@ def test_low_branch_inequalities(t, f):
     a, b, p = t
     params = SplitWeightParams(a=a, b=b, p=p)
     rep = SplitLow(params)
-    F, dF, _ = eval_weight(rep, f)
+    F, dF = rep.F(f), rep.dF(f)
     # inward gradient and the power-law envelope f^{a-b} < e^{-F} <= e f^{a-b}
     assert dF < 0
     ratio = math.exp(-F) / f ** (a - b)
@@ -113,7 +111,7 @@ def test_high_branch_inequalities(t, f):
     a, b, p = t
     params = SplitWeightParams(a=a, b=b, p=p)
     rep = SplitHigh(params)
-    F, dF, _ = eval_weight(rep, f)
+    F, dF = rep.F(f), rep.dF(f)
     assert dF < 0
     ratio = math.exp(-F) / f ** (a + b)
     assert 1.0 - 1e-12 <= ratio <= math.e + 1e-12
@@ -126,7 +124,7 @@ def test_high_branch_inequalities(t, f):
 def test_g_consistency_power_log(f):
     # G = -(F' + f F'') vanishes for the pure power weight, H likewise
     rep = PowerLog(1.5)
-    G, H = gh(rep, f)
+    G, H = rep.G(f), rep.H(f)
     assert abs(G) < 1e-12 and abs(H) < 1e-12
 
 
@@ -134,16 +132,16 @@ def test_g_consistency_power_log(f):
 @settings(max_examples=40)
 def test_g_closed_form_matches_definition_low(f):
     rep = SplitLow(PARAMS)
-    _, dF, d2F = eval_weight(rep, f)
-    G, _ = gh(rep, f)
+    dF, d2F = rep.dF(f), rep.d2F(f)
+    G = rep.G(f)
     assert abs(G - (-(dF + f * d2F))) <= 1e-12 * max(1.0, abs(G))
 
 
 def test_weight_domain_error():
     with pytest.raises(DomainError):
-        eval_weight(SplitLow(PARAMS), -1.0)
+        SplitLow(PARAMS).F(-1.0)
     with pytest.raises(DomainError):
-        eval_weight(PowerLog(1.0), 0.0)
+        PowerLog(1.0).F(0.0)
 
 
 def test_split_weight_dispatches_on_the_branch():
