@@ -299,6 +299,7 @@ def run_verify_identity(cfg: RunConfig, refine: int):
                     lambda x: lo <= len(x) <= hi, f"a list of {lo} to {hi} levels")
     levels = tuple(int(cfg.check(f"levels[{i}]", m, *_ranged("grid", _is_int, "an integer")))
                    for i, m in enumerate(raw))
+    cfg.check("levels", levels, lambda x: len(set(x)) == len(x), "distinct grid sizes")
     if cfg.get_str("preset") == "battery":
         levels = (128, 256, 512)
     params = SplitWeightParams(a=1.0, b=0.1, p=0.5)

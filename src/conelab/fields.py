@@ -211,12 +211,12 @@ def _broadcasting(fn):
     return wrapped
 
 
-def from_expr(expr, variables: str = "uv", label: Optional[str] = None) -> AnalyticField:
-    """Build an AnalyticField from a sympy expression (or string) in (u, v) or (t, r).
+_SLOTS = ("value", "du", "dv", "duu", "duv", "dvv")
 
-    All six derivative slots are generated symbolically and lambdified with
-    numpy, so operators on the resulting field are exact up to rounding.
-    """
+
+def _symbolic_slots(expr, variables: str = "uv"):
+    """The (u, v) symbols and the `_SLOTS` of a sympy expression (or string)
+    in (u, v) or (t, r), differentiated symbolically, in that order."""
     import sympy as sp
     from tokenize import TokenError
 
@@ -234,16 +234,28 @@ def from_expr(expr, variables: str = "uv", label: Optional[str] = None) -> Analy
     if e.has(sp.zoo, sp.nan):
         raise InvalidInput(f"expression {expr!r} is undefined")
 
-    slots = {
-        "value": e,
-        "du": sp.diff(e, U_),
-        "dv": sp.diff(e, V_),
-        "duu": sp.diff(e, U_, 2),
-        "duv": sp.diff(sp.diff(e, U_), V_),
-        "dvv": sp.diff(e, V_, 2),
-    }
-    fns = {k: _broadcasting(sp.lambdify((U_, V_), v, [np])) for k, v in slots.items()}
-    return AnalyticField(label=label or str(expr), **fns)
+    return (U_, V_), (e, sp.diff(e, U_), sp.diff(e, V_), sp.diff(e, U_, 2),
+                      sp.diff(sp.diff(e, U_), V_), sp.diff(e, V_, 2))
+
+
+def from_expr(expr, variables: str = "uv", label: Optional[str] = None) -> AnalyticField:
+    """Build an AnalyticField from a sympy expression (or string) in (u, v) or (t, r).
+
+    All six derivative slots are generated symbolically and lambdified with
+    numpy, so operators on the resulting field are exact up to rounding.  A
+    (u, v) string the package builds itself takes the slots `lambdify` wrote
+    for it from the committed `_forms` table, without importing sympy.
+    """
+    from ._forms import FORMS
+
+    fns = FORMS.get(expr) if variables == "uv" and isinstance(expr, str) else None
+    if fns is None:
+        import sympy as sp
+
+        args, slots = _symbolic_slots(expr, variables)
+        fns = [sp.lambdify(args, e, [np]) for e in slots]
+    return AnalyticField(label=label or str(expr),
+                         **{k: _broadcasting(fn) for k, fn in zip(_SLOTS, fns)})
 
 
 @dataclass
@@ -307,11 +319,21 @@ class ScalarField:
         phi_vv = (pss + 2 * psy + pyy - (ps + py)) / g.V**2
         return self.values, phi_u, phi_v, phi_uu, phi_uv, phi_vv
 
+    def uses_closed_form(self, analytic: Optional[bool] = None, order: int = 2) -> bool:
+        """Whether derivatives up to `order` (1 or 2) come from the closed form.
+
+        `analytic` None takes the closed form when it has those slots, False
+        never does, and True demands it: MissingDerivative without one.
+        """
+        cf = self.closed_form
+        have = cf is not None and (cf.has_second if order == 2 else cf.has_first)
+        if analytic and not have:
+            raise MissingDerivative(f"{self.name}: no closed-form derivatives of order {order}")
+        return have if analytic is None else analytic
+
     def derivs1(self, analytic: Optional[bool] = None):
-        """(phi, phi_u, phi_v) on the grid; analytic when backed, else FD."""
-        use = self.closed_form is not None and self.closed_form.has_first \
-            if analytic is None else analytic
-        if use:
+        """(phi, phi_u, phi_v) on the grid; closed form per `uses_closed_form`, else FD."""
+        if self.uses_closed_form(analytic, order=1):
             cached = self.__dict__.get("_cf_derivs2")
             if cached is not None:
                 return cached[:3]
@@ -319,9 +341,7 @@ class ScalarField:
         return self.fd_derivs1()
 
     def derivs2(self, analytic: Optional[bool] = None):
-        use = self.closed_form is not None and self.closed_form.has_second \
-            if analytic is None else analytic
-        if use:
+        if self.uses_closed_form(analytic, order=2):
             out = self._closed_form_on_grid("_cf_derivs2", self.closed_form.derivs2)
             self.__dict__.pop("_cf_derivs1", None)  # now served from `out`
             return out
@@ -489,9 +509,7 @@ def box(fld: ScalarField, analytic: Optional[bool] = None) -> ScalarField:
 
 def scaling(fld: ScalarField, analytic: Optional[bool] = None) -> ScalarField:
     """S phi = grad f . grad phi = (u d_u + v d_v) phi / 2 = d phi / d s."""
-    use = fld.closed_form is not None and fld.closed_form.has_first \
-        if analytic is None else analytic
-    if use:
+    if fld.uses_closed_form(analytic, order=1):
         _, phi_u, phi_v = fld.closed_form.derivs1(fld.grid.U, fld.grid.V)
         vals = 0.5 * (fld.grid.U * phi_u + fld.grid.V * phi_v)
     else:

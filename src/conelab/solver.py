@@ -250,10 +250,13 @@ def exact_spherical_wave(width: float = 1.0, power: int = 6) -> AnalyticField:
     g(x) = (1 - (x/width)^2)^power on |x| < width.  Exact solution of the
     free wave equation; its Cauchy data at t = 0 are (0, -2 g'(r)/r).
     """
+    return from_expr(_spherical_wave_expr(width, power), label="spherical-wave")
+
+
+def _spherical_wave_expr(width: float, power: int) -> str:
     w = float(width)
     g = f"Piecewise(((1 - (X/{w})**2)**{power}, X**2 < {w}**2), (0, True))"
-    expr = f"({g.replace('X', '(2*u)')} - {g.replace('X', '(2*v)')}) / (v - u)"
-    return from_expr(expr, label="spherical-wave")
+    return f"({g.replace('X', '(2*u)')} - {g.replace('X', '(2*v)')}) / (v - u)"
 
 
 def spherical_wave_data(width: float = 1.0, power: int = 6) -> CauchyData:
@@ -279,7 +282,11 @@ def static_multipole(ell: int, n: int) -> AnalyticField:
     """Static decaying multipole profile r^{-(n-2+ell)} (free-wave solution)."""
     if ell < 1 or n < 3:
         raise InvalidInput("decaying static multipole needs ell >= 1 and n >= 3")
-    return from_expr(f"(v - u)**(-{n - 2 + ell})", label=f"multipole(ell={ell})")
+    return from_expr(_multipole_expr(n - 2 + ell), label=f"multipole(ell={ell})")
+
+
+def _multipole_expr(k: int) -> str:
+    return f"(v - u)**(-{k})"
 
 
 # ---------------------------------------------------------------------------

@@ -119,8 +119,7 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
     H = rep.H(f)
     E = np.exp(-F)
 
-    phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv = (
-        fld.fd_derivs2() if mode == "fd" else fld.derivs2())
+    phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv = fld.derivs2(analytic=(mode == "analytic"))
 
     boxphi = wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv)
     psi = E * phi
@@ -165,30 +164,30 @@ def identity_residual(fld: ScalarField, rep: Reparametrization,
                       derivative_mode: str = "auto") -> IdentityReport:
     """Max-norm residual of the divergence identity on the interior nodes.
 
-    derivative_mode 'analytic' uses closed-form or spline derivatives
-    everywhere (machine-level for closed forms); 'fd' uses centered stencils
-    for both the field and the current divergence, so the residual shrinks at
-    the stencil order under refinement; 'auto' picks analytic when available.
+    derivative_mode 'analytic' uses closed-form derivatives everywhere
+    (machine-level) and raises MissingDerivative for a field without them;
+    'fd' uses centered stencils for both the field and the current
+    divergence, so the residual shrinks at the stencil order under
+    refinement; 'auto' picks analytic when available.
     """
-    if derivative_mode == "auto":
-        derivative_mode = "analytic" if (fld.closed_form is not None
-                                         and fld.closed_form.has_second) else "fd"
-    if derivative_mode not in ("analytic", "fd"):
+    wants = {"auto": None, "analytic": True, "fd": False}
+    if derivative_mode not in wants:
         raise InvalidInput(f"unknown derivative mode {derivative_mode!r}")
+    mode = "analytic" if fld.uses_closed_form(wants[derivative_mode]) else "fd"
     U = U or ZeroU()
-    lhs, rhs, scale, terms = _identity_arrays(fld, rep, U, derivative_mode)
-    depth = 2 if derivative_mode == "fd" else 0
+    lhs, rhs, scale, terms = _identity_arrays(fld, rep, U, mode)
+    depth = 2 if mode == "fd" else 0
     sl = fld.grid.interior(depth) if depth else (slice(None), slice(None))
     res = float(np.max(np.abs((lhs - rhs)[sl])))
     return IdentityReport(residual=res, rel_residual=res / scale,
-                          mode=derivative_mode, interior_depth=depth, terms=terms)
+                          mode=mode, interior_depth=depth, terms=terms)
 
 
 def identity_convergence(source, rep: Reparametrization, U: Optional[PowerU],
                          region: AdmissibleRegion, *, n: int, ell: int = 0,
                          levels: Sequence[int] = (128, 256, 512),
                          order: int = 4, floor: float = 1e-12) -> CheckRecord:
-    """Fit the FD-mode residual order across grid levels.
+    """Fit the FD-mode residual order across distinct grid levels, in any order.
 
     Passes when the fitted order lies in [1.5, 4.5] or every residual sits at
     the rounding floor (fields annihilated by the identity to machine
@@ -196,6 +195,8 @@ def identity_convergence(source, rep: Reparametrization, U: Optional[PowerU],
     """
     if len(levels) < 2:
         raise InsufficientSequence("need at least two grid levels")
+    if len(set(levels)) != len(levels):
+        raise InsufficientSequence(f"grid levels must be distinct, got {list(levels)}")
     rels = []
     for m in levels:
         grid = GridSpec(region=region, n_s=m, n_y=m, n=n, ell=ell, order=order)
@@ -605,14 +606,16 @@ def manufactured_field(which: int) -> AnalyticField:
     with an admissible potential: their induced potentials decay too slowly
     toward null infinity.
     """
-    if which == 1:
-        return from_expr("((1-u)*(1+v))**(-3/2)", label="pretender-1")
-    if which == 2:
-        return from_expr("((1-u)*(1+v))**(-3/2) * (2 + sin(log(-u*v)))/3",
-                         label="pretender-2")
-    if which == 3:
-        return from_expr("((1-u)*(1+v))**(-8/5)", label="pretender-3")
-    raise InvalidInput(f"manufactured field index must be 1, 2 or 3, got {which}")
+    if which not in _PRETENDER_EXPRS:
+        raise InvalidInput(f"manufactured field index must be 1, 2 or 3, got {which}")
+    return from_expr(_PRETENDER_EXPRS[which], label=f"pretender-{which}")
+
+
+_PRETENDER_EXPRS = {
+    1: "((1-u)*(1+v))**(-3/2)",
+    2: "((1-u)*(1+v))**(-3/2) * (2 + sin(log(-u*v)))/3",
+    3: "((1-u)*(1+v))**(-8/5)",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +627,17 @@ def battery_fields() -> list:
     from .solver import exact_spherical_wave, static_multipole
 
     return [
-        ("unit", from_expr("1 + 0*u", label="unit"), 0),
-        ("oscillatory", from_expr("sin(u)*cos(v/3)", label="oscillatory"), 0),
-        ("separable-power", from_expr("(-u*v)**(4/5) * (-v/u)**(3/10)",
-                                      label="separable-power"), 0),
+        *((name, from_expr(expr, label=name), 0) for name, expr in _BATTERY_EXPRS.items()),
         ("spherical-wave", exact_spherical_wave(width=1.0, power=8), 0),
         ("multipole", static_multipole(1, 3), 1),
     ]
+
+
+_BATTERY_EXPRS = {
+    "unit": "1 + 0*u",
+    "oscillatory": "sin(u)*cos(v/3)",
+    "separable-power": "(-u*v)**(4/5) * (-v/u)**(3/10)",
+}
 
 
 def battery_weights(params: Optional[SplitWeightParams] = None) -> list:

@@ -87,6 +87,29 @@ def test_verify_nl_loads_no_scipy_interpolate(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_runs_on_the_fixed_fields_load_no_sympy(tmp_path):
+    # their closed forms come from the committed table in conelab._forms
+    levels = _write_config(tmp_path / "levels.json", {"schema": 1, "levels": [16, 32]})
+    multipole = _write_config(tmp_path / "pipeline.json",
+                              _readme_config_files()["pipeline.json"][1])
+    # (argv, accepted exit codes): order fits on 16 and 32 nodes fail some records
+    runs = [(["verify-carleman"], [0]), (["verify-nl"], [0]),
+            (["pipeline", "--config", multipole], [0]),
+            (["verify-identity", "--config", levels], [0, 1])]
+    script = (
+        "import sys\n"
+        "from conelab.cli import main\n"
+        f"for argv, codes in {runs!r}:\n"
+        f"    assert main([*argv, '--out', {str(tmp_path / 'r.json')!r}]) in codes, argv\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # exit code 1: a check that genuinely fails
 # ---------------------------------------------------------------------------
@@ -169,18 +192,25 @@ def test_stability_hash_is_deterministic(tmp_path):
 # operator, the flux contractions and the split-weight dispatch each got one
 # kernel; sharing those kernels must not move a record.  verify-nl's was
 # recorded again when its left side began to integrate B at the quadrature
-# nodes instead of a spline of B sampled on the grid.
+# nodes instead of a spline of B sampled on the grid.  The README's multipole
+# pipeline (an argument naming a README config file runs on that config) was
+# pinned before the fixed fields' closed forms were committed as code, so
+# that a static multipole is among the pinned runs.
 DEFAULT_HASHES = {
     ("verify-carleman",): "67baa12825f89a465b6dd405d124f5ea1c76deb99b8c9b74b38cd79af4e79eff",
     ("verify-nl",): "839865680295795e3a16e5b907f006cef1f99655d6540af39a2982b5a599584e",
     ("pipeline", "--refine"): "b07a1187cfc78f23871c31d351a544605263353c6539859f8515dc9992a7eb1f",
+    ("pipeline", "--refine", "--config", "pipeline.json"):
+        "f90d6e59467c145d8ef1da28374fa2b9eb486fa4856a5e84ac2744166e48b89f",
 }
 
 
 @pytest.mark.parametrize("argv", DEFAULT_HASHES, ids=" ".join)
 def test_default_runs_keep_their_pinned_hash(tmp_path, argv):
+    readme = _readme_config_files()
+    args = [_write_config(tmp_path / a, readme[a][1]) if a in readme else a for a in argv]
     out = tmp_path / "report.json"
-    assert main([*argv, "--out", str(out)]) == 0
+    assert main([*args, "--out", str(out)]) == 0
     assert _load_report(out)["stability_hash"] == DEFAULT_HASHES[argv]
 
 
@@ -327,16 +357,20 @@ def test_battery_preset_is_rejected_outside_verify_identity(capsys, command):
     assert err.startswith("error:") and "no preset 'battery'" in err
 
 
-def _readme_configs():
-    """(command, config) for every `cat > NAME.json <<'EOF'` block in the README."""
+def _readme_config_files():
+    """{NAME.json: (command, config)} for every `cat > NAME.json <<'EOF'` block
+    in the README."""
     text = (ROOT / "README.md").read_text()
     blocks = re.findall(r"cat > (\S+\.json) <<'EOF'\n(.*?)\nEOF", text, re.S)
     assert blocks, "the README has no config examples"
-    out = []
-    for name, body in blocks:
-        command = re.search(rf"conelab (\S+) --config {re.escape(name)}", text).group(1)
-        out.append((command, json.loads(body)))
-    return out
+    return {name: (re.search(rf"conelab (\S+) --config {re.escape(name)}", text).group(1),
+                   json.loads(body))
+            for name, body in blocks}
+
+
+def _readme_configs():
+    """(command, config) for every config block in the README."""
+    return list(_readme_config_files().values())
 
 
 def _perfbench_configs():
@@ -582,6 +616,7 @@ def test_solve_cell_cap_admits_every_shipped_config():
     ("verify-identity", {"levels": [16] * 9}, "config.levels"),
     ("solve", {"R": 100.0, "dr": 1e-4, "T": 0.001}, "config.dr"),
     ("solve", {"R": 6.0, "dr": 5e-4}, "config.dr"),
+    ("verify-identity", {"levels": [64, 64]}, "config.levels"),
 ])
 def test_time_radius_and_level_count_out_of_range_exit_2(tmp_path, capsys, monkeypatch,
                                                          command, payload, named):

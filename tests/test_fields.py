@@ -439,6 +439,20 @@ def test_closed_form_memo_never_freezes_the_grid():
     assert g.U.flags.writeable and g.V.flags.writeable
 
 
+def test_analytic_derivatives_without_a_closed_form_raise():
+    g = mkgrid(32)
+    bare = ScalarField.from_function(g, lambda u, v: np.sin(u) * np.cos(v / 3))
+    first_only = ScalarField.from_analytic(g, AnalyticField(
+        value=lambda u, v: u * v, du=lambda u, v: v, dv=lambda u, v: u))
+    for call in (lambda: bare.derivs1(analytic=True), lambda: bare.derivs2(analytic=True),
+                 lambda: box(bare, analytic=True), lambda: scaling(bare, analytic=True),
+                 lambda: first_only.derivs2(analytic=True)):
+        with pytest.raises(MissingDerivative):
+            call()
+    assert first_only.derivs1(analytic=True)[1].tobytes() == g.V.tobytes()
+    _bitwise_equal(first_only.derivs2(), first_only.fd_derivs2())
+
+
 def test_field_without_closed_form_takes_the_fd_route():
     g = mkgrid(32)
     fld = ScalarField.from_function(g, lambda u, v: u * v**2)

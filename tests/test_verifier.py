@@ -13,6 +13,7 @@ from conelab.errors import (
     InsufficientSequence,
     InvalidInput,
     InvalidPotential,
+    MissingDerivative,
     MostlyMasked,
 )
 from conelab.fields import GridSpec, ScalarField, from_expr, materialize
@@ -70,6 +71,27 @@ def test_identity_fd_route_converges():
                                REGION, n=3, levels=(64, 128, 256))
     assert rec.passed
     assert rec.details["at_floor"] or 1.5 <= rec.value <= 4.5
+
+
+def test_identity_order_needs_distinct_levels():
+    src = from_expr("sin(u)*cos(v/3)")
+    with pytest.raises(InsufficientSequence, match="distinct"):
+        identity_convergence(src, PowerLog(1.0), None, REGION, n=3, levels=(64, 64))
+    rec = identity_convergence(src, PowerLog(1.0), None, REGION, n=3, levels=(128, 64))
+    assert rec.passed and 1.5 <= rec.value <= 4.5
+
+
+def test_analytic_mode_demands_a_closed_form():
+    # the identity holds algebraically for any derivative arrays, so FD
+    # arrays under an "analytic" label would pass at rounding level
+    g = GridSpec.from_region(REGION, 64, 64, 3)
+    fld = ScalarField.from_function(g, lambda u, v: np.sin(u) * np.cos(v / 3))
+    for check in (identity_residual, pointwise_inequality):
+        with pytest.raises(MissingDerivative):
+            check(fld, PowerLog(1.0), derivative_mode="analytic")
+        out = check(fld, PowerLog(1.0), derivative_mode="auto")
+        assert out.mode == "fd"
+    assert identity_residual(fld, PowerLog(1.0)).interior_depth == 2
 
 
 def test_identity_battery_all_combinations():
