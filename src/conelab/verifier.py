@@ -102,6 +102,12 @@ class CheckRecord:
     tolerance: float
     details: dict = dc_field(default_factory=dict)
 
+    def __post_init__(self):
+        # every comparison with NaN is false, so a check written as "fail
+        # when value exceeds tolerance" would pass it; this one guard fails it
+        if math.isnan(self.value) or math.isnan(self.tolerance):
+            object.__setattr__(self, "passed", False)
+
 
 # ---------------------------------------------------------------------------
 # identity closure
@@ -191,7 +197,7 @@ def identity_convergence(source, rep: Reparametrization, U: Optional[PowerU],
 
     Passes when the fitted order lies in [1.5, 4.5] or every residual sits at
     the rounding floor (fields annihilated by the identity to machine
-    precision have no order to fit).
+    precision have no order to fit; the value is then the largest residual).
     """
     if len(levels) < 2:
         raise InsufficientSequence("need at least two grid levels")
@@ -206,8 +212,8 @@ def identity_convergence(source, rep: Reparametrization, U: Optional[PowerU],
     rels_arr = np.asarray(rels)
     hs = np.array([1.0 / (m - 1) for m in levels])
     if np.all(rels_arr < floor):
-        return CheckRecord(name="identity-order", passed=True, value=float("nan"),
-                           tolerance=floor,
+        return CheckRecord(name="identity-order", passed=True,
+                           value=float(np.max(rels_arr)), tolerance=floor,
                            details={"residuals": rels, "levels": list(levels),
                                     "at_floor": True})
     fit = float(np.polyfit(np.log(hs), np.log(np.maximum(rels_arr, 1e-300)), 1)[0])

@@ -1,11 +1,13 @@
 """Mode evolution: convergence, conservation, causality, and the glued
 static solution with a bounded compactly supported potential."""
 
+import hashlib
 import math
 import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from conelab.errors import (
 from conelab.fields import GridSpec, ScalarField, box
 from conelab.geometry import AdmissibleRegion
 from conelab.solver import (
+    PAD,
     CauchyData,
+    EvolutionResult,
     counterexample_build,
     exact_spherical_wave,
     solve,
@@ -139,16 +143,100 @@ def test_field_on_builds_one_spline_per_result(monkeypatch):
     want = res.spline()
     assert res.spline() is not want  # spline() itself still builds anew
     built = []
+    made = []
     real = EvolutionResult.spline
-    monkeypatch.setattr(EvolutionResult, "spline",
-                        lambda self: built.append(self) or real(self))
+
+    def spy(self, window=None):
+        built.append(self)
+        made.append(real(self, window))
+        return made[-1]
+
+    monkeypatch.setattr(EvolutionResult, "spline", spy)
     reg = AdmissibleRegion(0.25, 1.0, 0.7, 1.4)
     for m in (8, 12, 16):
         grid = GridSpec.from_region(reg, m, m, 3)
         fld = res.field_on(grid)
-        ref = want.ev(np.ravel(grid.T), np.ravel(grid.R)).reshape(grid.T.shape)
+        ref = made[0].ev(np.ravel(grid.T), np.ravel(grid.R)).reshape(grid.T.shape)
         assert fld.values.tobytes() == ref.tobytes()
     assert built == [res]
+
+
+# the `solve` step of the benchmark's `evolve` workload
+SOLVE_256 = dict(T=1.0, R=6.0, dr=0.002, n=3)
+SOLVE_256_REGION = AdmissibleRegion(0.25, 1.0, 0.6, 1.6666667)
+
+
+@pytest.fixture(scope="module")
+def wave_256():
+    return solve(spherical_wave_data(width=1.0, power=6), **SOLVE_256)
+
+
+@pytest.mark.parametrize("m", [48, 256])
+def test_windowed_fit_matches_full_strip(wave_256, m):
+    res = replace(wave_256)  # a fresh resampling cache
+    grid = GridSpec.from_region(SOLVE_256_REGION, m, m, 3)
+    full = res.spline().ev(np.ravel(grid.T), np.ravel(grid.R)).reshape(grid.T.shape)
+    gap = np.max(np.abs(res.field_on(grid).values - full))
+    assert gap <= 1e-20 * np.max(np.abs(res.slices))
+
+
+def test_field_on_does_not_depend_on_call_order(wave_256):
+    grids = [GridSpec.from_region(SOLVE_256_REGION, 48, 48, 3),
+             GridSpec.from_region(AdmissibleRegion(0.2, 0.5, 0.3, 1.0), 40, 40, 3)]
+    first, second = replace(wave_256), replace(wave_256)
+    a = [first.field_on(g).values.tobytes() for g in grids]
+    b = [second.field_on(g).values.tobytes() for g in reversed(grids)][::-1]
+    assert a == b
+
+
+def test_fitted_block_spans_the_grid_plus_pad(wave_256, monkeypatch):
+    import scipy.interpolate
+
+    blocks = []
+    real = scipy.interpolate.RectBivariateSpline
+    monkeypatch.setattr(scipy.interpolate, "RectBivariateSpline",
+                        lambda x, y, z, **kw: blocks.append(np.shape(z)) or real(x, y, z, **kw))
+    res = replace(wave_256)
+    grid = GridSpec.from_region(SOLVE_256_REGION, 96, 96, 3)
+    res.field_on(grid)
+    # samples in the grid's span, counting the one bracketing it on each side
+    span_t = np.count_nonzero((res.times > grid.T.min()) & (res.times < grid.T.max())) + 2
+    span_r = np.count_nonzero((res.r > grid.R.min()) & (res.r < grid.R.max())) + 2
+    [(nt, nr)] = blocks
+    assert nt <= span_t + 2 * PAD and nr <= span_r + 2 * PAD
+    assert nt * nr < res.slices.size / 4
+
+
+def test_window_clips_at_the_edges_of_the_strip(monkeypatch):
+    res = solve(spherical_wave_data(width=1.0, power=6), T=1.0, R=6.0, dr=0.01, n=3)
+    # reaches t = 0.8 (fewer than PAD steps below T) and r = 0.063 (near
+    # the origin), but stays more than PAD samples away from t = -T and R
+    grid = GridSpec.from_region(AdmissibleRegion(1e-3, 0.09, 1.0, 9.0), 32, 32, 3)
+    windows = []
+    real = EvolutionResult.spline
+    monkeypatch.setattr(EvolutionResult, "spline",
+                        lambda self, window=None: windows.append(window) or real(self, window))
+    fld = res.field_on(grid)
+    i0 = np.flatnonzero(res.times <= grid.T.min())[-1] - PAD
+    j1 = np.flatnonzero(res.r >= grid.R.max())[0] + 1 + PAD
+    assert i0 > 0 and j1 < len(res.r)
+    assert windows == [(i0, len(res.times), 0, j1)]
+    full = real(res).ev(np.ravel(grid.T), np.ravel(grid.R)).reshape(grid.T.shape)
+    assert np.max(np.abs(fld.values - full)) <= 1e-20 * np.max(np.abs(res.slices))
+
+
+@pytest.mark.parametrize("dr, slices_sha256, drift_hex", [
+    (0.002, "5fea6d2589fdc931d98035214478f3abb59abf1a8879716997d7e8450e4eafe2",
+     "0x1.fe014a30e12c2p-17"),
+    (0.001, "92b3feb574611a9daf26f15bf44b8c5cb1689577a73efd47fa41df50a18cc372",
+     "0x1.fe0e6b91288c1p-19"),
+])
+def test_leapfrog_output_is_pinned_bitwise(dr, slices_sha256, drift_hex):
+    # the benchmark's evolutions, pinned bit for bit: reordering any of the
+    # stepper's floating-point operations moves them
+    res = solve(spherical_wave_data(width=1.0, power=6), T=1.0, R=6.0, dr=dr, n=3)
+    assert hashlib.sha256(res.slices.tobytes()).hexdigest() == slices_sha256
+    assert res.energy_drift.hex() == drift_hex
 
 
 def test_field_on_guards():

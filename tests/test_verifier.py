@@ -21,6 +21,7 @@ from conelab.geometry import AdmissibleRegion
 from conelab.solver import exact_spherical_wave, static_multipole
 from conelab.verifier import (
     E2_OVER_4,
+    CheckRecord,
     battery_fields,
     battery_weights,
     boundary_limit_experiment,
@@ -79,6 +80,19 @@ def test_identity_order_needs_distinct_levels():
         identity_convergence(src, PowerLog(1.0), None, REGION, n=3, levels=(64, 64))
     rec = identity_convergence(src, PowerLog(1.0), None, REGION, n=3, levels=(128, 64))
     assert rec.passed and 1.5 <= rec.value <= 4.5
+
+
+def test_nan_value_or_tolerance_fails_its_record():
+    for value, tol in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)):
+        assert not CheckRecord(name="x", passed=True, value=value, tolerance=tol).passed
+    ok = CheckRecord(name="x", passed=True, value=0.5, tolerance=1.0)
+    assert ok.passed
+    assert not replace(ok, value=math.nan).passed
+    # a field the identity annihilates exactly has no order to fit; its
+    # record reports the largest residual, so the guard leaves it passing
+    rec = identity_convergence(ScalarField.zeros, PowerLog(1.0), None, REGION,
+                               n=3, levels=(16, 32))
+    assert rec.details["at_floor"] and rec.passed and rec.value == 0.0
 
 
 def test_analytic_mode_demands_a_closed_form():
