@@ -51,8 +51,7 @@ from .weights import (
     PotentialReport,
     PowerLog,
     Reparametrization,
-    SplitHigh,
-    SplitLow,
+    SplitWeight,
     SplitWeightParams,
     bulk_coefficient,
     classify_potential,
@@ -83,7 +82,6 @@ from .currents import (
     current_nl,
     current_split,
     current_to_csv,
-    divergence_analytic,
     divergence_fd,
 )
 from .quadrature import (

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import reprlib
 import sys
 import time
@@ -271,10 +272,12 @@ def build_report(command: str, records) -> dict:
     return body
 
 
-def _fan_out(jobs, max_workers: int = 4):
-    """Run (name, callable) jobs on a thread pool; exceptions propagate."""
+def _fan_out(jobs):
+    """Run (name, callable) jobs on a pool of one thread per CPU this process
+    may use; exceptions propagate."""
     out = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as ex:
+    workers = len(os.sched_getaffinity(0))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
         futs = {ex.submit(fn): name for name, fn in jobs}
         for fut in concurrent.futures.as_completed(futs):
             res = fut.result()

@@ -25,7 +25,8 @@ divergence theorem adjudicates -- see the verifier's sign-adjudication check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,14 +39,14 @@ from .errors import (
     NotInwardDirected,
     RangeMismatch,
 )
-from .fields import AnalyticField, GridSpec, ScalarField, _columns_to_csv
+from .fields import GridSpec, ScalarField, _columns_to_csv
 from .weights import (
     Potential,
     PowerLog,
     Reparametrization,
+    SplitWeight,
     SplitWeightParams,
     gamma_v,
-    split_weight,
 )
 
 __all__ = [
@@ -254,17 +255,45 @@ class CurrentAssembler:
         return -0.5 * (dP_v_du + dP_u_dv) - ((self.n - 1) / (2.0 * r)) * (P_u - P_v)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurrentField:
-    """Current components on a grid, optionally point-evaluable off-grid."""
+    """The current of a field: its assembler applied to the field's derivatives.
 
-    grid: GridSpec
-    P_u: np.ndarray
-    P_v: np.ndarray
+    `P_u`/`P_v` are sampled on the field's grid on first read; `components_at`
+    and `divergence_at` evaluate anywhere through the field's point evaluator.
+    """
+
+    field: ScalarField
     assembler: CurrentAssembler
-    eval_components: Optional[Callable] = None  # (u, v) -> (P_u, P_v)
-    eval_divergence: Optional[Callable] = None  # (u, v) -> div P
-    meta: dict = dc_field(default_factory=dict)
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.field.grid
+
+    @cached_property
+    def _on_grid(self):
+        g = self.grid
+        return self.assembler.components(g.U, g.V, *self.field.derivs1())
+
+    @property
+    def P_u(self) -> np.ndarray:
+        return self._on_grid[0]
+
+    @property
+    def P_v(self) -> np.ndarray:
+        return self._on_grid[1]
+
+    def components_at(self, u, v):
+        return self.assembler.components(u, v, *self.field.evaluator().derivs1(u, v))
+
+    @property
+    def has_divergence(self) -> bool:
+        """The analytic divergence needs log-V partials for a varying potential."""
+        U = self.assembler.U
+        return U.is_zero or (U.V.du_log is not None and U.V.dv_log is not None)
+
+    def divergence_at(self, u, v):
+        return self.assembler.divergence(u, v, *self.field.evaluator().derivs2(u, v))
 
 
 def _assemble(fld: ScalarField, rep: Reparametrization, U: NonlinearityU) -> CurrentField:
@@ -272,29 +301,7 @@ def _assemble(fld: ScalarField, rep: Reparametrization, U: NonlinearityU) -> Cur
     _check_mode(U, g.ell)
     if np.any(rep.dF(g.F) >= 0):
         raise NotInwardDirected(f"{rep.name}: F' >= 0 somewhere on the grid")
-    asm = CurrentAssembler(rep=rep, U=U, n=g.n, ell=g.ell)
-    phi, phi_u, phi_v = fld.derivs1()
-    P_u, P_v = asm.components(g.U, g.V, phi, phi_u, phi_v)
-
-    ev = fld.evaluator()
-
-    def eval_components(uu, vv, _ev=ev, _asm=asm):
-        ph, pu, pv = _ev.derivs1(uu, vv)
-        return _asm.components(uu, vv, ph, pu, pv)
-
-    def eval_divergence(uu, vv, _ev=ev, _asm=asm):
-        return _asm.divergence(uu, vv, *_ev.derivs2(uu, vv))
-
-    # the analytic divergence needs log-V partials for a varying potential
-    if not U.is_zero and (U.V.du_log is None or U.V.dv_log is None):
-        eval_divergence = None
-
-    return CurrentField(
-        grid=g, P_u=P_u, P_v=P_v, assembler=asm,
-        eval_components=eval_components, eval_divergence=eval_divergence,
-        meta={"weight": rep.name, "nonlinearity": getattr(U, "label", "zero"),
-              "field": fld.name},
-    )
+    return CurrentField(field=fld, assembler=CurrentAssembler(rep=rep, U=U, n=g.n, ell=g.ell))
 
 
 def current_general(fld: ScalarField, rep: Reparametrization,
@@ -306,15 +313,13 @@ def current_general(fld: ScalarField, rep: Reparametrization,
 def current_split(fld: ScalarField, params: SplitWeightParams, branch: str) -> CurrentField:
     """Split-estimate current P^- (branch 'low', f <= 1) or P^+ ('high', f >= 1)."""
     g = fld.grid
-    rep = split_weight(params, branch)
+    rep = SplitWeight(params, branch)
     tol = 1e-12
     if branch == "low" and g.region.omega > 1.0 + tol:
         raise RangeMismatch(f"low branch needs f <= 1, grid reaches f = {g.region.omega}")
     if branch == "high" and g.region.rho < 1.0 - tol:
         raise RangeMismatch(f"high branch needs f >= 1, grid reaches f = {g.region.rho}")
-    cur = _assemble(fld, rep, ZeroU())
-    cur.meta["branch"] = branch
-    return cur
+    return _assemble(fld, rep, ZeroU())
 
 
 def current_nl(fld: ScalarField, a: float, U: PowerU) -> CurrentField:
@@ -382,41 +387,25 @@ def flux(u, v, P_u, P_v, direction: str):
 
 def flux_fn(cur: CurrentField, direction: str) -> Callable:
     """Point evaluator (u, v) -> `flux` of the current's components at (u, v)."""
-    comp = cur.eval_components
 
     def fn(u, v):
-        return flux(u, v, *comp(u, v), direction)
+        return flux(u, v, *cur.components_at(u, v), direction)
 
     return fn
 
 
-def contract(cur: CurrentField, direction: str) -> ScalarField:
-    """`flux` on the current's grid, point-evaluable off it when the current is."""
+def contract(cur: CurrentField, direction: str) -> np.ndarray:
+    """`flux` on the current's grid."""
     g = cur.grid
-    vals = flux(g.U, g.V, cur.P_u, cur.P_v, direction)
-    cf = None
-    if cur.eval_components is not None:
-        cf = AnalyticField(value=flux_fn(cur, direction), label=f"P.grad_{direction}")
-    return ScalarField(grid=g, values=vals, closed_form=cf,
-                       name=f"P.grad_{direction}[{cur.meta.get('field', '?')}]")
+    return flux(g.U, g.V, cur.P_u, cur.P_v, direction)
 
 
-def divergence_fd(cur: CurrentField) -> ScalarField:
-    """Divergence by finite differences of the sampled components."""
-    g = cur.grid
-    pu = ScalarField(grid=g, values=cur.P_u, name="P_u")
-    pv = ScalarField(grid=g, values=cur.P_v, name="P_v")
-    _, dPu_u, dPu_v = pu.fd_derivs1()
-    _, dPv_u, dPv_v = pv.fd_derivs1()
-    vals = -0.5 * (dPv_u + dPu_v) - ((g.n - 1) / (2.0 * g.R)) * (cur.P_u - cur.P_v)
-    return ScalarField(grid=g, values=vals, name="div P (fd)")
-
-
-def divergence_analytic(cur: CurrentField, fld: ScalarField) -> ScalarField:
-    """Divergence via the assembler's closed-form differentiation."""
-    g = cur.grid
-    vals = cur.assembler.divergence(g.U, g.V, *fld.derivs2())
-    return ScalarField(grid=g, values=vals, name="div P (analytic)")
+def divergence_fd(grid: GridSpec, P_u: np.ndarray, P_v: np.ndarray) -> ScalarField:
+    """Divergence by finite differences of components sampled on `grid`."""
+    _, dPu_u, dPu_v = ScalarField(grid=grid, values=P_u, name="P_u").fd_derivs1()
+    _, dPv_u, dPv_v = ScalarField(grid=grid, values=P_v, name="P_v").fd_derivs1()
+    vals = -0.5 * (dPv_u + dPu_v) - ((grid.n - 1) / (2.0 * grid.R)) * (P_u - P_v)
+    return ScalarField(grid=grid, values=vals, name="div P (fd)")
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +504,8 @@ def boundary_bound_check(fld: ScalarField, spec, K: Optional[float] = None) -> B
         params, branch = spec
         cur = current_split(fld, params, branch)
         na2 = (g.n + params.a) ** 2
-        cf = contract(cur, "f").values
-        ch = contract(cur, "h").values
+        cf = contract(cur, "f")
+        ch = contract(cur, "h")
         if branch == "low":
             wt = f ** (2 * (params.a - params.b))
             lhs_f = -cf
@@ -539,8 +528,8 @@ def boundary_bound_check(fld: ScalarField, spec, K: Optional[float] = None) -> B
             raise InvalidInput("nonlinear bound check needs (a, PowerU)")
         cur = current_nl(fld, a, U)
         na2 = (g.n + a) ** 2
-        cf = contract(cur, "f").values
-        ch = contract(cur, "h").values
+        cf = contract(cur, "f")
+        ch = contract(cur, "h")
         wt = f ** (2 * a)
         Vv = np.asarray(U.V.value(g.U, g.V), float)
         Z = (U.sign / (U.p + 1.0)) * wt * f * Vv * np.abs(phi) ** (U.p + 1.0)

@@ -262,18 +262,16 @@ def divergence_residual(cur, region: Optional[AdmissibleRegion] = None, *,
     from .currents import divergence_fd, flux_fn
 
     if route == "auto":
-        route = "analytic" if cur.eval_divergence is not None else "fd"
+        route = "analytic" if cur.has_divergence else "fd"
     if route == "analytic":
-        if cur.eval_divergence is None:
+        if not cur.has_divergence:
             raise InvalidInput("no analytic divergence available for this current")
-        div_fn = cur.eval_divergence
+        div_fn = cur.divergence_at
     elif route == "fd":
-        div_fn = divergence_fd(cur).evaluator().value
+        div_fn = divergence_fd(g, cur.P_u, cur.P_v).evaluator().value
     else:
         raise InvalidInput(f"route must be 'auto', 'analytic' or 'fd', got {route!r}")
 
-    if cur.eval_components is None:
-        raise InvalidInput("current has no point evaluator")
     bulk = bulk_integral(div_fn, region, n=g.n, nodes=nodes)
     bnd = boundary_sum(flux_fn(cur, "f"), flux_fn(cur, "h"), region, n=g.n, nodes=nodes)
     resid = bulk - bnd.total

@@ -58,8 +58,7 @@ from .weights import (
     Potential,
     PowerLog,
     Reparametrization,
-    SplitHigh,
-    SplitLow,
+    SplitWeight,
     SplitWeightParams,
     gamma_v,
 )
@@ -104,8 +103,9 @@ class CheckRecord:
 
     def __post_init__(self):
         # every comparison with NaN is false, so a check written as "fail
-        # when value exceeds tolerance" would pass it; this one guard fails it
-        if math.isnan(self.value) or math.isnan(self.tolerance):
+        # when value exceeds tolerance" would pass it, and an infinite
+        # tolerance admits every value; this one guard fails both
+        if not (math.isfinite(self.value) and math.isfinite(self.tolerance)):
             object.__setattr__(self, "passed", False)
 
 
@@ -136,14 +136,11 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
     L = E * (boxphi + U.udot(g.U, g.V, phi))
     lhs = L * sstar
 
-    cur = current_general(fld, rep, U)
+    asm = current_general(fld, rep, U).assembler
     if mode == "fd":
-        P_u, P_v = cur.assembler.components(g.U, g.V, phi, phi_u, phi_v)
-        div = divergence_fd(CurrentField(grid=g, P_u=P_u, P_v=P_v,
-                                         assembler=cur.assembler)).values
+        div = divergence_fd(g, *asm.components(g.U, g.V, phi, phi_u, phi_v)).values
     else:
-        div = cur.assembler.divergence(g.U, g.V, phi, phi_u, phi_v,
-                                       phi_uu, phi_uv, phi_vv)
+        div = asm.divergence(g.U, g.V, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv)
 
     Bv = bulk_b(fld, rep, U, cross_check=False).values
     square = 2.0 * dF * sstar**2
@@ -295,8 +292,7 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
     cur = current_split(fld, params, branch)
     rep = cur.assembler.rep
     ev = fld.evaluator()
-    a, b, p = params.a, params.b, params.p
-    sgn = 1.0 if branch == "low" else -1.0  # f^{+-(p-1+-...)} exponent signs
+    a, b, p, s = params.a, params.b, params.p, rep.s
 
     def integrand(u, v):
         f = -u * v
@@ -304,10 +300,10 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
         boxphi = wave_op(g.n, g.lam, v - u, ph, pu, pv, puv)
         W = np.exp(-2.0 * rep.F(f))
         adF = np.abs(rep.dF(f))
-        ref = f ** (2 * (a - sgn * b))
+        ref = f ** (2 * (a - s * b))
         return (W * (f * adF * rep.G(f) - rep.H(f)) * ph ** 2,
                 0.125 * W / adF * boxphi ** 2,
-                ref * f ** (sgn * p - 1) * ph ** 2,
+                ref * f ** (s * p - 1) * ph ** 2,
                 ref * f * boxphi ** 2)
 
     reg = g.region
@@ -651,8 +647,8 @@ def battery_weights(params: Optional[SplitWeightParams] = None) -> list:
     params = params or SplitWeightParams(a=1.0, b=0.1, p=0.5)
     return [
         ("power-log", PowerLog(1.0)),
-        ("split-low", SplitLow(params)),
-        ("split-high", SplitHigh(params)),
+        ("split-low", SplitWeight(params, "low")),
+        ("split-high", SplitWeight(params, "high")),
     ]
 
 
@@ -821,8 +817,8 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
              lambda L: qd.hyperboloid_integral(zfn, L, hw, n=n, nodes=nodes)),
         ]
     else:
-        cur_lo = current_general(fld, SplitLow(params))
-        cur_hi = current_general(fld, SplitHigh(params))
+        cur_lo = current_general(fld, SplitWeight(params, "low"))
+        cur_hi = current_general(fld, SplitWeight(params, "high"))
         cf_lo, ch_lo = _unit_flux(cur_lo, "f"), _unit_flux(cur_lo, "h")
         cf_hi, ch_hi = _unit_flux(cur_hi, "f"), _unit_flux(cur_hi, "h")
 

@@ -5,10 +5,11 @@ conjugate the wave operator.  The derived coefficients are
 
     G = -(f F')'        and        H = (f G)' / 2,
 
-and the split pair used by the low/high estimates is
+and the split pair used by the low/high estimates is one formula,
 
-    F_- = -(a - b) log f - (b/p) f^{ p}     (f <= 1),
-    F_+ = -(a + b) log f - (b/p) f^{-p}     (f >= 1),
+    F_s = -(a - s b) log f - (b/p) f^{s p},
+
+with s = +1 for F_- (f <= 1) and s = -1 for F_+ (f >= 1),
 
 with a > 0, 0 < p < 2a and 0 <= b < min(2a - p, 4p)/4.  Both branches share
 F, F' and G at f = 1, which is what makes the matched estimate glue.
@@ -35,9 +36,7 @@ __all__ = [
     "SplitWeightParams",
     "Reparametrization",
     "PowerLog",
-    "SplitLow",
-    "SplitHigh",
-    "split_weight",
+    "SplitWeight",
     "envelope_check",
     "bulk_coefficient",
     "BulkCoefficient",
@@ -136,100 +135,51 @@ class PowerLog(Reparametrization):
 
 
 @dataclass(frozen=True)
-class SplitLow(Reparametrization):
-    """Low branch F_- = -(a-b) log f - (b/p) f^p, intended for f <= 1."""
+class SplitWeight(Reparametrization):
+    """Split weight of one branch, with s = +1 for 'low' (f <= 1) and -1 for
+    'high' (f >= 1):  F = -(a - s b) log f - (b/p) f^{s p}."""
 
     params: SplitWeightParams
-    name = "split_low"
+    branch: str
+
+    def __post_init__(self):
+        if self.branch not in ("low", "high"):
+            raise InvalidInput(f"branch must be 'low' or 'high', got {self.branch!r}")
 
     @property
-    def a(self):
-        return self.params.a
+    def name(self):
+        return f"split_{self.branch}"
 
     @property
-    def b(self):
-        return self.params.b
+    def s(self):
+        return 1 if self.branch == "low" else -1
 
-    @property
-    def p(self):
-        return self.params.p
+    def _args(self, f):
+        return _asf(f), self.params.a, self.params.b, self.params.p, self.s
 
     def F(self, f):
-        f = _asf(f)
-        return -(self.a - self.b) * np.log(f) - (self.b / self.p) * f**self.p
+        f, a, b, p, s = self._args(f)
+        return -(a - s * b) * np.log(f) - (b / p) * f ** (s * p)
 
     def dF(self, f):
-        f = _asf(f)
-        return -(self.a - self.b) / f - self.b * f ** (self.p - 1)
+        f, a, b, p, s = self._args(f)
+        return -(a - s * b) / f - s * b * f ** (s * p - 1)
 
     def d2F(self, f):
-        f = _asf(f)
-        return (self.a - self.b) / f**2 - self.b * (self.p - 1) * f ** (self.p - 2)
+        f, a, b, p, s = self._args(f)
+        return (a - s * b) / f**2 - b * (p - s) * f ** (s * p - 2)
 
     def G(self, f):
-        f = _asf(f)
-        return self.b * self.p * f ** (self.p - 1)
+        f, a, b, p, s = self._args(f)
+        return b * p * f ** (s * p - 1)
 
     def dG(self, f):
-        f = _asf(f)
-        return self.b * self.p * (self.p - 1) * f ** (self.p - 2)
+        f, a, b, p, s = self._args(f)
+        return s * b * p * (p - s) * f ** (s * p - 2)
 
     def H(self, f):
-        f = _asf(f)
-        return 0.5 * self.b * self.p**2 * f ** (self.p - 1)
-
-
-@dataclass(frozen=True)
-class SplitHigh(Reparametrization):
-    """High branch F_+ = -(a+b) log f - (b/p) f^{-p}, intended for f >= 1."""
-
-    params: SplitWeightParams
-    name = "split_high"
-
-    @property
-    def a(self):
-        return self.params.a
-
-    @property
-    def b(self):
-        return self.params.b
-
-    @property
-    def p(self):
-        return self.params.p
-
-    def F(self, f):
-        f = _asf(f)
-        return -(self.a + self.b) * np.log(f) - (self.b / self.p) * f ** (-self.p)
-
-    def dF(self, f):
-        f = _asf(f)
-        return -(self.a + self.b) / f + self.b * f ** (-self.p - 1)
-
-    def d2F(self, f):
-        f = _asf(f)
-        return (self.a + self.b) / f**2 - self.b * (self.p + 1) * f ** (-self.p - 2)
-
-    def G(self, f):
-        f = _asf(f)
-        return self.b * self.p * f ** (-self.p - 1)
-
-    def dG(self, f):
-        f = _asf(f)
-        return -self.b * self.p * (self.p + 1) * f ** (-self.p - 2)
-
-    def H(self, f):
-        f = _asf(f)
-        return -0.5 * self.b * self.p**2 * f ** (-self.p - 1)
-
-
-def split_weight(params: SplitWeightParams, branch: str) -> Reparametrization:
-    """The split weight of one branch: F_- for 'low' (f <= 1), F_+ for 'high' (f >= 1)."""
-    if branch == "low":
-        return SplitLow(params)
-    if branch == "high":
-        return SplitHigh(params)
-    raise InvalidInput(f"branch must be 'low' or 'high', got {branch!r}")
+        f, a, b, p, s = self._args(f)
+        return s * 0.5 * b * p**2 * f ** (s * p - 1)
 
 
 def envelope_check(params: SplitWeightParams, f, branch: str):
@@ -241,7 +191,7 @@ def envelope_check(params: SplitWeightParams, f, branch: str):
     """
     f = _asf(f)
     a, b = params.a, params.b
-    rep = split_weight(params, branch)
+    rep = SplitWeight(params, branch)
     if branch == "low":
         if np.any(f > 1.0):
             raise DomainError("low-branch envelope holds for f <= 1")
@@ -277,9 +227,9 @@ def bulk_coefficient(params: SplitWeightParams, f, branch: str) -> BulkCoefficie
     degenerate instead of raising.
     """
     f = _asf(f)
-    a, b, p = params.a, params.b, params.p
-    rep = split_weight(params, branch)
-    bound = b * b * p * f ** (p - 1 if branch == "low" else -p - 1)
+    b, p = params.b, params.p
+    rep = SplitWeight(params, branch)
+    bound = b * b * p * f ** (rep.s * p - 1)
     dF = rep.dF(f)
     if np.any(dF >= 0):
         raise NotInwardDirected("split weight has F' >= 0 at a sample")

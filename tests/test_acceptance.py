@@ -49,7 +49,7 @@ from conelab.verifier import (
     split_cancellation,
     uniqueness_pipeline,
 )
-from conelab.weights import Potential, PowerLog, SplitHigh, SplitLow, SplitWeightParams
+from conelab.weights import Potential, PowerLog, SplitWeight, SplitWeightParams
 
 from _oracles import bulk_simpson, fixed_f_surface_integral, fixed_h_surface_integral
 
@@ -67,8 +67,8 @@ def _line(idx, label, ok, detail):
 
 def acceptance_weights():
     return [("power-log", PowerLog(1.0)),
-            ("split-low", SplitLow(PARAMS)),
-            ("split-high", SplitHigh(PARAMS))]
+            ("split-low", SplitWeight(PARAMS, "low")),
+            ("split-high", SplitWeight(PARAMS, "high"))]
 
 
 def acceptance_fields(rep):
@@ -146,8 +146,8 @@ def test_criterion_02_pointwise_margins():
 def test_criterion_03_split_chain():
     failures = []
     c_vals, k_vals = [], []
-    for branch, region, wrep in (("low", REG_LO, SplitLow(PARAMS)),
-                                 ("high", REG_HI, SplitHigh(PARAMS))):
+    for branch, region, wrep in (("low", REG_LO, SplitWeight(PARAMS, "low")),
+                                 ("high", REG_HI, SplitWeight(PARAMS, "high"))):
         grid = GridSpec.from_region(region, 96, 96, 3)
         for fname, src in acceptance_fields(wrep):
             fld = materialize(src, grid)

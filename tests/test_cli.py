@@ -543,6 +543,29 @@ def test_verify_identity_differentiates_each_field_once_per_level(tmp_path, monk
     assert {name for name, _ in calls["derivs1"]} <= labels
 
 
+def test_verify_identity_pool_follows_the_cpu_affinity(tmp_path, monkeypatch):
+    # records are name-sorted before hashing, so a pool of one worker gives
+    # the same report as a pool of one worker per CPU
+    import threading
+
+    from conelab import verifier
+
+    threads = set()
+    real = verifier.identity_convergence
+
+    def spy(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(verifier, "identity_convergence", spy)
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "levels": [16, 32]})
+    out = tmp_path / "report.json"
+    main(["verify-identity", "--config", cfg, "--out", str(out)])
+    assert _load_report(out)["stability_hash"] == LEVELS_16_32_HASH
+    assert len(threads) == 1 and threading.get_ident() not in threads
+
+
 # ---------------------------------------------------------------------------
 # --refine, T, R and the level count are bounded before any work
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from conelab.currents import (
     current_nl,
     current_split,
     current_to_csv,
-    divergence_analytic,
     divergence_fd,
     flux,
     flux_fn,
@@ -36,8 +35,7 @@ from conelab.geometry import AdmissibleRegion
 from conelab.weights import (
     Potential,
     PowerLog,
-    SplitHigh,
-    SplitLow,
+    SplitWeight,
     SplitWeightParams,
     gamma_v,
 )
@@ -62,15 +60,14 @@ def test_constant_profile_flux_frozen_at_seam():
     # P.grad f = W z f with z(1) = 1.475 and W(1) = e^{0.4}
     fld = mkfield("1 + 0*u", REG_LO)
     cur = current_split(fld, PARAMS, "low")
-    cf = contract(cur, "f")
     h = np.linspace(0.5, 2.0, 7)
     useam, vseam = -1.0 / np.sqrt(h), np.sqrt(h)
-    vals = cf.closed_form.value(useam, vseam)
+    vals = flux_fn(cur, "f")(useam, vseam)
     assert np.allclose(vals, 1.475 * math.exp(0.4), rtol=1e-14)
     assert np.allclose(vals, 2.2004414290208736, rtol=1e-14)
     # and the h-contraction of a constant profile vanishes identically
     ch = contract(cur, "h")
-    assert np.max(np.abs(ch.values)) < 1e-14
+    assert np.max(np.abs(ch)) < 1e-14
 
 
 def test_general_current_quadratic_homogeneity():
@@ -106,10 +103,49 @@ def test_split_currents_match_across_seam():
     hi = current_split(mkfield(expr, REG_HI), PARAMS, "high")
     h = np.geomspace(0.2, 5.0, 11)
     useam, vseam = -1.0 / np.sqrt(h), np.sqrt(h)
-    pu_lo, pv_lo = lo.eval_components(useam, vseam)
-    pu_hi, pv_hi = hi.eval_components(useam, vseam)
+    pu_lo, pv_lo = lo.components_at(useam, vseam)
+    pu_hi, pv_hi = hi.components_at(useam, vseam)
     assert np.allclose(pu_lo, pu_hi, rtol=1e-13, atol=1e-14)
     assert np.allclose(pv_lo, pv_hi, rtol=1e-13, atol=1e-14)
+
+
+def test_building_a_current_samples_nothing_on_the_grid(monkeypatch):
+    from conelab.currents import CurrentAssembler
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a current was sampled while it was built")
+
+    monkeypatch.setattr(ScalarField, "derivs1", refuse)
+    monkeypatch.setattr(CurrentAssembler, "components", refuse)
+    U = PowerU(1, 2.0, Potential.constant(1.0))
+    current_general(mkfield(), PowerLog(1.0))
+    current_split(mkfield(region=REG_LO), PARAMS, "low")
+    current_nl(mkfield("(-u*v)**(4/5)"), 0.6, U)
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["closed-form", "sampled"])
+def test_grid_components_are_sampled_once_on_first_read(monkeypatch, sampled):
+    from conelab.currents import CurrentAssembler
+
+    fld = mkfield(m=24)
+    if sampled:  # no closed form: the grid derivatives come from FD stencils
+        fld = ScalarField(grid=fld.grid, values=fld.values)
+    cur = current_general(fld, PowerLog(0.8))
+    g = fld.grid
+    want = cur.assembler.components(g.U, g.V, *fld.derivs1())
+    calls = []
+    real = CurrentAssembler.components
+
+    def spy(self, *args):
+        calls.append(np.shape(args[0]))
+        return real(self, *args)
+
+    monkeypatch.setattr(CurrentAssembler, "components", spy)
+    P_u, P_v = cur.P_u, cur.P_v
+    assert P_u.tobytes() == want[0].tobytes()
+    assert P_v.tobytes() == want[1].tobytes()
+    assert cur.P_u is P_u and cur.P_v is P_v
+    assert calls == [g.U.shape]
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +155,9 @@ def test_split_currents_match_across_seam():
 def test_boundary_expansion_f_matches_assembled_current():
     for ell in (0, 2):
         fld = mkfield("sin(u)*cos(v/3)", REG_LO, ell=ell)
-        rep = SplitLow(PARAMS)
+        rep = SplitWeight(PARAMS, "low")
         cur = current_general(fld, rep)
-        direct = contract(cur, "f").values
+        direct = contract(cur, "f")
         expanded = boundary_expansion_f(fld, rep, variant="consistent")
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(direct - expanded)) < 1e-12 * scale
@@ -130,7 +166,7 @@ def test_boundary_expansion_f_matches_assembled_current():
 def test_boundary_expansion_variants_differ_by_g_term():
     # the two recorded sign conventions differ by exactly G f W phi^2
     fld = mkfield("sin(u)*cos(v/3)", REG_LO)
-    rep = SplitLow(PARAMS)
+    rep = SplitWeight(PARAMS, "low")
     cons = boundary_expansion_f(fld, rep, variant="consistent")
     proof = boundary_expansion_f(fld, rep, variant="proof_expansion")
     g = fld.grid
@@ -142,21 +178,21 @@ def test_boundary_expansion_variants_differ_by_g_term():
 
 
 def test_boundary_expansion_h_matches_and_is_mode_free():
-    rep = SplitLow(PARAMS)
+    rep = SplitWeight(PARAMS, "low")
     fld0 = mkfield("sin(u)*cos(v/3)", REG_LO, ell=0)
     fld2 = mkfield("sin(u)*cos(v/3)", REG_LO, ell=2)
     for fld in (fld0, fld2):
         cur = current_general(fld, rep)
-        direct = contract(cur, "h").values
+        direct = contract(cur, "h")
         expanded = boundary_expansion_h(fld, rep)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(direct - expanded)) < 1e-12 * scale
     # the angular energy cancels from the h-contraction: same values on
     # both modes even though the f-contraction differs
-    h0 = contract(current_general(fld0, rep), "h").values
-    h2 = contract(current_general(fld2, rep), "h").values
-    f0 = contract(current_general(fld0, rep), "f").values
-    f2 = contract(current_general(fld2, rep), "f").values
+    h0 = contract(current_general(fld0, rep), "h")
+    h2 = contract(current_general(fld2, rep), "h")
+    f0 = contract(current_general(fld0, rep), "f")
+    f2 = contract(current_general(fld2, rep), "f")
     assert np.allclose(h0, h2, atol=1e-14)
     assert np.max(np.abs(f0 - f2)) > 1e-3
 
@@ -167,7 +203,7 @@ def test_flux_fn_at_grid_points_is_contract(direction):
     cur = current_split(fld, PARAMS, "low")
     g = cur.grid
     got = flux_fn(cur, direction)(g.U, g.V)
-    assert got.tobytes() == contract(cur, direction).values.tobytes()
+    assert got.tobytes() == contract(cur, direction).tobytes()
 
 
 def test_flux_rejects_an_unknown_direction():
@@ -187,8 +223,8 @@ def test_divergence_analytic_vs_fd():
     for m in (96, 192):
         fld = mkfield("sin(u) * exp(-v/4)", m=m)
         cur = current_general(fld, PowerLog(0.8))
-        da = divergence_analytic(cur, fld).values
-        df = divergence_fd(cur).values
+        da = cur.divergence_at(fld.grid.U, fld.grid.V)
+        df = divergence_fd(fld.grid, cur.P_u, cur.P_v).values
         ii, jj = fld.grid.interior(2)
         scale = np.max(np.abs(da))
         errs.append(np.max(np.abs((da - df)[ii, jj])) / scale)
@@ -200,8 +236,8 @@ def test_divergence_analytic_vs_fd_nonlinear():
     fld = mkfield("(-u*v)**(3/5) * exp(-v/6)", m=128)
     U = PowerU(-1, 2.0, Potential.power_of_f(-0.5))
     cur = current_nl(fld, 0.4, U)
-    da = divergence_analytic(cur, fld).values
-    df = divergence_fd(cur).values
+    da = cur.divergence_at(fld.grid.U, fld.grid.V)
+    df = divergence_fd(fld.grid, cur.P_u, cur.P_v).values
     ii, jj = fld.grid.interior(2)
     scale = np.max(np.abs(da))
     assert np.max(np.abs((da - df)[ii, jj])) < 1e-5 * scale
@@ -213,9 +249,9 @@ def test_point_divergence_unavailable_without_log_partials():
     fld = mkfield("(-u*v)**(3/5)")
     sat = Potential.saturating(1.0, 3.0, 1.0)
     cur = current_nl(fld, 0.4, PowerU(1, 1.0, sat))
-    assert cur.eval_divergence is None
+    assert not cur.has_divergence
     ok = current_nl(fld, 0.4, PowerU(1, 1.0, Potential.power_of_f(-0.5)))
-    assert ok.eval_divergence is not None
+    assert ok.has_divergence
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +273,7 @@ def test_bulk_b_matches_closed_form():
 
 
 @pytest.mark.parametrize("rep, U", [
-    (SplitLow(PARAMS), ZeroU()),
+    (SplitWeight(PARAMS, "low"), ZeroU()),
     (PowerLog(0.1), PowerU(1, 1.0, Potential.constant(1.0))),
     (PowerLog(0.1), PowerU(-1, 2.0, Potential.power_of_f(0.25))),
 ], ids=["zero", "p1", "power_of_f"])
@@ -319,7 +355,7 @@ def test_not_inward_directed_guard():
     # the high-branch weight turns outward below f = 1
     fld = mkfield(region=AdmissibleRegion(1e-6, 0.5, 0.1, 10.0), m=32)
     with pytest.raises(NotInwardDirected):
-        current_general(fld, SplitHigh(PARAMS))
+        current_general(fld, SplitWeight(PARAMS, "high"))
 
 
 def test_mode_restriction_for_nonlinear_powers():

@@ -134,10 +134,10 @@ def test_pointwise_margin_dominated_by_residual():
 def test_pointwise_rejects_outward_weight():
     # the high-branch weight turns outward below f = 1
     from conelab.errors import NotInwardDirected
-    from conelab.weights import SplitHigh
+    from conelab.weights import SplitWeight
     fld = mkfield(region=AdmissibleRegion(1e-4, 0.5, 0.1, 10.0), m=48)
     with pytest.raises(NotInwardDirected):
-        pointwise_inequality(fld, SplitHigh(PARAMS))
+        pointwise_inequality(fld, SplitWeight(PARAMS, "high"))
 
 
 # Bit patterns (float.hex) of margin_min, the pointwise identity_residual and
@@ -281,6 +281,15 @@ def test_split_cancellation_region_guard():
         split_cancellation(lo, hi, PARAMS)
 
 
+@pytest.mark.parametrize("field", ["value", "tolerance"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_infinite_value_or_tolerance_fails_its_record(field, bad):
+    # an infinite tolerance admits every value, and an infinite value is
+    # written to the report as the string "inf"; neither may pass
+    ok = CheckRecord(name="x", passed=True, value=0.5, tolerance=1.0)
+    assert not replace(ok, **{field: bad}).passed
+
+
 def _count_derivs2(monkeypatch):
     from conelab.fields import AnalyticField
 
@@ -305,6 +314,24 @@ def test_chains_evaluate_the_field_once_per_bulk_mesh(monkeypatch):
     U = PowerU(1, 2.0, Potential.power_of_f(0.25))
     assert carleman_nl_check(fld, 0.1, U, nodes=40).passed
     assert shapes == [(40, 40)]
+
+
+def test_split_chain_evaluates_its_current_only_at_the_nodes(monkeypatch):
+    # the chain reads the current through its point evaluator; nothing
+    # samples the components on the field's grid
+    from conelab.currents import CurrentAssembler
+
+    shapes = []
+    real = CurrentAssembler.components
+
+    def spy(self, u, v, *rest):
+        shapes.append(np.shape(u))
+        return real(self, u, v, *rest)
+
+    monkeypatch.setattr(CurrentAssembler, "components", spy)
+    fld = mkfield("sin(u) * exp(-(v-1)**2 / 8)", REG_LO, m=32)
+    assert carleman_split_check(fld, PARAMS, "low", nodes=40).passed
+    assert shapes and fld.grid.U.shape not in shapes
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,12 @@ from conelab.errors import (
 from conelab.weights import (
     Potential,
     PowerLog,
-    SplitHigh,
-    SplitLow,
+    SplitWeight,
     SplitWeightParams,
     bulk_coefficient,
     classify_potential,
     envelope_check,
     gamma_v,
-    split_weight,
 )
 
 PARAMS = SplitWeightParams(a=1.0, b=0.1, p=0.5)
@@ -42,8 +40,8 @@ def test_split_params_validity():
 
 
 def test_frozen_values_at_f_one():
-    lo = SplitLow(PARAMS)
-    hi = SplitHigh(PARAMS)
+    lo = SplitWeight(PARAMS, "low")
+    hi = SplitWeight(PARAMS, "high")
     assert abs(lo.F(1.0) + 0.2) < 1e-15          # -(b/p) = -0.2
     assert abs(hi.F(1.0) + 0.2) < 1e-15
     assert abs(lo.dF(1.0) + 1.0) < 1e-15         # -(a-b) - b = -a
@@ -57,7 +55,7 @@ def test_frozen_values_at_f_one():
 
 
 def test_frozen_derivative_and_g():
-    lo = SplitLow(PARAMS)
+    lo = SplitWeight(PARAMS, "low")
     assert abs(lo.dF(0.01) + 91.0) < 1e-10       # -0.9/f - b f^{p-1}
     G = lo.G(0.25)
     assert abs(G - 0.1) < 1e-15                  # b p f^{p-1} = 0.05*2
@@ -94,7 +92,7 @@ triples = st.tuples(
 def test_low_branch_inequalities(t, f):
     a, b, p = t
     params = SplitWeightParams(a=a, b=b, p=p)
-    rep = SplitLow(params)
+    rep = SplitWeight(params, "low")
     F, dF = rep.F(f), rep.dF(f)
     # inward gradient and the power-law envelope f^{a-b} < e^{-F} <= e f^{a-b}
     assert dF < 0
@@ -110,7 +108,7 @@ def test_low_branch_inequalities(t, f):
 def test_high_branch_inequalities(t, f):
     a, b, p = t
     params = SplitWeightParams(a=a, b=b, p=p)
-    rep = SplitHigh(params)
+    rep = SplitWeight(params, "high")
     F, dF = rep.F(f), rep.dF(f)
     assert dF < 0
     ratio = math.exp(-F) / f ** (a + b)
@@ -131,7 +129,7 @@ def test_g_consistency_power_log(f):
 @given(f=st.floats(min_value=1e-2, max_value=1.0))
 @settings(max_examples=40)
 def test_g_closed_form_matches_definition_low(f):
-    rep = SplitLow(PARAMS)
+    rep = SplitWeight(PARAMS, "low")
     dF, d2F = rep.dF(f), rep.d2F(f)
     G = rep.G(f)
     assert abs(G - (-(dF + f * d2F))) <= 1e-12 * max(1.0, abs(G))
@@ -139,20 +137,54 @@ def test_g_closed_form_matches_definition_low(f):
 
 def test_weight_domain_error():
     with pytest.raises(DomainError):
-        SplitLow(PARAMS).F(-1.0)
+        SplitWeight(PARAMS, "low").F(-1.0)
     with pytest.raises(DomainError):
         PowerLog(1.0).F(0.0)
 
 
 def test_split_weight_dispatches_on_the_branch():
-    assert split_weight(PARAMS, "low") == SplitLow(PARAMS)
-    assert split_weight(PARAMS, "high") == SplitHigh(PARAMS)
+    lo, hi = SplitWeight(PARAMS, "low"), SplitWeight(PARAMS, "high")
+    assert (lo.s, lo.name) == (1, "split_low")
+    assert (hi.s, hi.name) == (-1, "split_high")
     f = np.array([1.0])
-    for call in (lambda: split_weight(PARAMS, "middle"),
+    for call in (lambda: SplitWeight(PARAMS, "middle"),
                  lambda: envelope_check(PARAMS, f, "middle"),
                  lambda: bulk_coefficient(PARAMS, f, "middle")):
         with pytest.raises(InvalidInput, match="branch must be 'low' or 'high'"):
             call()
+
+
+# the two branches written out separately, as F_- and F_+ with their
+# derivatives and G = -(f F')', H = (f G)'/2
+_PER_BRANCH = {
+    "low": {
+        "F": lambda a, b, p, f: -(a - b) * np.log(f) - (b / p) * f**p,
+        "dF": lambda a, b, p, f: -(a - b) / f - b * f ** (p - 1),
+        "d2F": lambda a, b, p, f: (a - b) / f**2 - b * (p - 1) * f ** (p - 2),
+        "G": lambda a, b, p, f: b * p * f ** (p - 1),
+        "dG": lambda a, b, p, f: b * p * (p - 1) * f ** (p - 2),
+        "H": lambda a, b, p, f: 0.5 * b * p**2 * f ** (p - 1),
+    },
+    "high": {
+        "F": lambda a, b, p, f: -(a + b) * np.log(f) - (b / p) * f ** (-p),
+        "dF": lambda a, b, p, f: -(a + b) / f + b * f ** (-p - 1),
+        "d2F": lambda a, b, p, f: (a + b) / f**2 - b * (p + 1) * f ** (-p - 2),
+        "G": lambda a, b, p, f: b * p * f ** (-p - 1),
+        "dG": lambda a, b, p, f: -b * p * (p + 1) * f ** (-p - 2),
+        "H": lambda a, b, p, f: -0.5 * b * p**2 * f ** (-p - 1),
+    },
+}
+
+
+@pytest.mark.parametrize("branch", ["low", "high"])
+@pytest.mark.parametrize("method", ["F", "dF", "d2F", "G", "dG", "H"])
+def test_split_weight_is_bitwise_the_per_branch_formula(branch, method):
+    f = np.geomspace(1e-3, 1e3, 301)
+    for params in (PARAMS, SplitWeightParams(a=2.3, b=0.17, p=0.9),
+                   SplitWeightParams(a=0.7, b=0.0, p=0.35)):
+        got = getattr(SplitWeight(params, branch), method)(f)
+        want = _PER_BRANCH[branch][method](params.a, params.b, params.p, f)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_degenerate_b_zero_flagged():
