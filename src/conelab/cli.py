@@ -77,6 +77,7 @@ CONFIG_KEYS = {
                  "expr", "region"),
 }
 PRESETS = {"verify-identity": ("battery",)}
+BATTERY_LEVELS = (128, 256, 512)  # the verify-identity levels of --preset battery
 # The subcommands that re-run at doubled resolution; the others reject --refine.
 REFINABLE = ("verify-carleman", "pipeline")
 
@@ -297,14 +298,17 @@ def _battery_u_choices():
 def run_verify_identity(cfg: RunConfig, refine: int):
     reg = cfg.region()
     n = cfg.get_int("n", 3)
+    battery = cfg.get_str("preset") == "battery"
+    if battery and "levels" in cfg.params:
+        raise InvalidInput(f"{cfg.where}.levels cannot be set with preset battery, "
+                           f"which runs levels {list(BATTERY_LEVELS)}")
     lo, hi = LEVEL_COUNT
-    raw = cfg.check("levels", cfg.get_list("levels", (64, 128, 256)),
+    default = BATTERY_LEVELS if battery else (64, 128, 256)
+    raw = cfg.check("levels", cfg.get_list("levels", default),
                     lambda x: lo <= len(x) <= hi, f"a list of {lo} to {hi} levels")
     levels = tuple(int(cfg.check(f"levels[{i}]", m, *_ranged("grid", _is_int, "an integer")))
                    for i, m in enumerate(raw))
     cfg.check("levels", levels, lambda x: len(set(x)) == len(x), "distinct grid sizes")
-    if cfg.get_str("preset") == "battery":
-        levels = (128, 256, 512)
     params = SplitWeightParams(a=1.0, b=0.1, p=0.5)
     checks = [(f"{wname}/{uname}", rep, U)
               for wname, rep in V.battery_weights(params)
@@ -316,22 +320,17 @@ def run_verify_identity(cfg: RunConfig, refine: int):
     def job(fname, src, ell):
         # one field per level serves all six checks, so its closed-form
         # derivatives are evaluated once per level
-        sampled = {m: materialize(src, grids[m, ell]) for m in levels}
-
-        def sampled_on(grid):  # identity_convergence makes its own grid per level
-            return sampled[grid.n_s]
-
+        sampled = [materialize(src, grids[m, ell]) for m in levels]
         recs = []
         for check, rep, U in checks:
             tag = f"{fname}/{check}"
-            conv = V.identity_convergence(sampled_on, rep, U, reg,
-                                          n=n, ell=ell, levels=levels)
+            conv = V.identity_convergence(sampled, rep, U)
             recs.append(CheckRecord(
                 name=f"identity-order[{tag}]", passed=conv.passed,
                 value=conv.value, tolerance=conv.tolerance,
                 details=conv.details))
             # one analytic identity evaluation feeds both records
-            pw = V.pointwise_inequality(sampled[levels[-1]], rep, U,
+            pw = V.pointwise_inequality(sampled[-1], rep, U,
                                         derivative_mode="analytic")
             ana = pw.identity
             recs.append(CheckRecord(
@@ -341,7 +340,7 @@ def run_verify_identity(cfg: RunConfig, refine: int):
             recs.append(CheckRecord(
                 name=f"pointwise-margin[{tag}]", passed=pw.passed,
                 value=pw.margin_min,
-                tolerance=2.0 * pw.identity_residual,
+                tolerance=V.POINTWISE_SLACK * pw.identity_residual,
                 details={"identity_residual": pw.identity_residual}))
         return recs
 
@@ -475,7 +474,7 @@ def run_limits(cfg: RunConfig, refine: int):
                                           beta=beta, count=count, nodes=nodes)
         records.append(CheckRecord(
             name=f"limit-slope[{kind}]", passed=rec.passed, value=rec.slope,
-            tolerance=0.10,
+            tolerance=V.SLOPE_REL_TOL,
             details={"target": rec.target, "rel_err": rec.rel_err,
                      "levels": list(rec.levels), "values": list(rec.values)}))
         series[kind] = list(zip(rec.levels, rec.values))

@@ -106,7 +106,7 @@ class ZeroU(NonlinearityU):
     p = None
 
     def value(self, u, v, phi):
-        return np.zeros_like(np.asarray(phi, float))
+        return 0.0  # broadcasts against every array it meets
 
     udot = value
     scaling_q = value
@@ -355,7 +355,7 @@ def bulk_term(rep: Reparametrization, U: NonlinearityU, n: int, f, u, v, phi,
             * np.abs(phi) ** (U.p + 1.0)
         scale = np.max(np.abs(closed)) or 1.0
         worst = np.max(np.abs(vals - closed)) / scale
-        if worst > 1e-10:
+        if not worst <= 1e-10:  # a NaN anywhere fails too
             raise ConelabError(
                 f"bulk term disagrees with its closed form (rel {worst:.3e})"
             )

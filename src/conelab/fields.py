@@ -133,9 +133,9 @@ class GridSpec:
     def lam(self) -> float:
         return float(self.ell * (self.ell + self.n - 2))
 
-    def refine(self, factor: int = 2) -> "GridSpec":
-        """Shrink the spacing by `factor`, keeping endpoints (n -> (n-1)*factor + 1)."""
-        return replace(self, n_s=(self.n_s - 1) * factor + 1, n_y=(self.n_y - 1) * factor + 1)
+    def refine(self) -> "GridSpec":
+        """Halve the spacing, keeping endpoints (n -> 2(n-1) + 1)."""
+        return replace(self, n_s=(self.n_s - 1) * 2 + 1, n_y=(self.n_y - 1) * 2 + 1)
 
     def interior(self, depth: int = 1):
         """Slice pair selecting nodes unaffected by edge stencils (depth = stacked applications)."""
@@ -189,6 +189,19 @@ class AnalyticField:
                 np.asarray(self.duu(u, v), float),
                 np.asarray(self.duv(u, v), float),
                 np.asarray(self.dvv(u, v), float))
+
+
+def _chain_rule(u, v, ps, py, pss=None, psy=None, pyy=None) -> tuple:
+    """(phi_u, phi_v) from the (s, y) derivatives at the points (u, v), and with
+    the second ones (pss, psy, pyy) also (phi_uu, phi_uv, phi_vv)."""
+    phi_u = (ps - py) / u
+    phi_v = (ps + py) / v
+    if pss is None:
+        return phi_u, phi_v
+    phi_uu = (pss - 2 * psy + pyy - (ps - py)) / u**2
+    phi_uv = (pss - pyy) / (u * v)
+    phi_vv = (pss + 2 * psy + pyy - (ps + py)) / v**2
+    return phi_u, phi_v, phi_uu, phi_uv, phi_vv
 
 
 def _read_only(a: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
@@ -304,20 +317,14 @@ class ScalarField:
 
     def fd_derivs1(self):
         g = self.grid
-        ps, py = self.d_s(), self.d_y()
-        return self.values, (ps - py) / g.U, (ps + py) / g.V
+        return (self.values, *_chain_rule(g.U, g.V, self.d_s(), self.d_y()))
 
     def fd_derivs2(self):
         g = self.grid
         ps, py = self.d_s(), self.d_y()
         pss, pyy = self.d_ss(), self.d_yy()
         psy = stencils.d1(ps, g.dy, axis=1, order=g.order)
-        phi_u = (ps - py) / g.U
-        phi_v = (ps + py) / g.V
-        phi_uu = (pss - 2 * psy + pyy - (ps - py)) / g.U**2
-        phi_uv = (pss - pyy) / (g.U * g.V)
-        phi_vv = (pss + 2 * psy + pyy - (ps + py)) / g.V**2
-        return self.values, phi_u, phi_v, phi_uu, phi_uv, phi_vv
+        return (self.values, *_chain_rule(g.U, g.V, ps, py, pss, psy, pyy))
 
     def uses_closed_form(self, analytic: Optional[bool] = None, order: int = 2) -> bool:
         """Whether derivatives up to `order` (1 or 2) come from the closed form.
@@ -368,7 +375,7 @@ class ScalarField:
         k = min(5, self.grid.n_s - 1, self.grid.n_y - 1)
         return RectBivariateSpline(self.grid.s, self.grid.y, self.values, kx=k, ky=k)
 
-    def evaluator(self) -> "FieldEval":
+    def evaluator(self) -> "AnalyticField | SplineEval":
         """Point evaluator with derivatives: closed form if present, else spline."""
         if self.closed_form is not None and self.closed_form.has_second:
             return self.closed_form
@@ -402,22 +409,12 @@ class SplineEval:
         s, y = self._sy(u, v)
         return self._ev(s, y, 0, 0)
 
-    @property
-    def has_first(self):
-        return True
-
-    @property
-    def has_second(self):
-        return True
-
     def derivs1(self, u, v):
         s, y = self._sy(u, v)
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         phi = self._ev(s, y, 0, 0)
-        ps = self._ev(s, y, 1, 0)
-        py = self._ev(s, y, 0, 1)
-        return phi, (ps - py) / u, (ps + py) / v
+        return (phi, *_chain_rule(u, v, self._ev(s, y, 1, 0), self._ev(s, y, 0, 1)))
 
     def derivs2(self, u, v):
         s, y = self._sy(u, v)
@@ -429,19 +426,15 @@ class SplineEval:
         pss = self._ev(s, y, 2, 0)
         pyy = self._ev(s, y, 0, 2)
         psy = self._ev(s, y, 1, 1)
-        phi_u = (ps - py) / u
-        phi_v = (ps + py) / v
-        phi_uu = (pss - 2 * psy + pyy - (ps - py)) / u**2
-        phi_uv = (pss - pyy) / (u * v)
-        phi_vv = (pss + 2 * psy + pyy - (ps + py)) / v**2
-        return phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv
-
-
-FieldEval = object  # AnalyticField | SplineEval; both expose value/derivs1/derivs2
+        return (phi, *_chain_rule(u, v, ps, py, pss, psy, pyy))
 
 
 def materialize(source, grid: GridSpec) -> ScalarField:
-    """Sample a field source (AnalyticField, grid->field factory, or field) on `grid`."""
+    """Sample an AnalyticField, or resample a ScalarField, on `grid`.
+
+    A ScalarField already on an equal grid is returned as it is; any other
+    source raises InvalidInput.
+    """
     if isinstance(source, AnalyticField):
         return ScalarField.from_analytic(grid, source)
     if isinstance(source, ScalarField):
@@ -455,11 +448,6 @@ def materialize(source, grid: GridSpec) -> ScalarField:
         ev = source.evaluator()
         vals = ev.value(grid.U, grid.V)
         return ScalarField(grid=grid, values=vals, name=source.name)
-    if callable(source):
-        out = source(grid)
-        if not isinstance(out, ScalarField):
-            raise InvalidInput("field factory must return a ScalarField")
-        return out
     raise InvalidInput(f"cannot materialize field source of type {type(source)!r}")
 
 
@@ -661,16 +649,15 @@ def _sups_on(fld: ScalarField, beta: float, V: Optional[Potential], p: Optional[
 
 
 def decay_functionals(fld: ScalarField, beta: float, V: Optional[Potential] = None,
-                      p: Optional[float] = None, levels: int = 5, ratio: float = 2.0,
-                      flat_tol: float = 0.05) -> DecayReport:
+                      p: Optional[float] = None, levels: int = 5) -> DecayReport:
     """Weighted suprema of the profile and their growth trend under expanding
     truncation.
 
     The weight is (1 + r + f)^{(n-1+beta)/2} (equal to the product null weight
     ((1+|u|)(1+|v|))^{(n-1+beta)/2} on the exterior region).  The trend is the
-    log-log slope of each supremum as the grid truncation expands by `ratio`
-    per level (closed-form fields) or nests inward (sampled fields); a slope
-    within `flat_tol` of zero is classified "consistent", larger growth
+    log-log slope of each supremum as the grid truncation expands by a
+    factor 2 per level (closed-form fields) or nests inward (sampled fields);
+    a slope at most 0.05 is classified "consistent", larger growth
     "violated".
     """
     if not np.isfinite(beta) or beta < 0:
@@ -682,7 +669,7 @@ def decay_functionals(fld: ScalarField, beta: float, V: Optional[Potential] = No
     lv = []
     expandable = fld.closed_form is not None and fld.closed_form.has_first
     for k in range(levels):
-        scale = ratio**k
+        scale = 2.0**k
         if expandable:
             reg = AdmissibleRegion(g.region.rho / scale, g.region.omega * scale,
                                    g.region.sigma / scale, g.region.tau * scale)
@@ -714,7 +701,7 @@ def decay_functionals(fld: ScalarField, beta: float, V: Optional[Potential] = No
         X = np.log([x for _, x in usable])
         slope = float(np.polyfit(sgn * L, X, 1)[0])
         trends[key] = slope
-        classes[key] = "consistent" if slope <= flat_tol else "violated"
+        classes[key] = "consistent" if slope <= 0.05 else "violated"
 
     return DecayReport(
         beta=beta,

@@ -109,17 +109,15 @@ def rect_from_null(u, v):
     return u + v, v - u
 
 
-def in_exterior(u, v, tol: float = 0.0):
-    """Strict membership u < -tol and v > tol (tol >= 0 widens the excluded cone)."""
-    if tol < 0:
-        raise InvalidInput("tolerance band must be >= 0")
-    return np.all(np.asarray(u) < -tol) and np.all(np.asarray(v) > tol)
+def in_exterior(u, v):
+    """Strict membership u < 0 < v."""
+    return np.all(np.asarray(u) < 0) and np.all(np.asarray(v) > 0)
 
 
-def hyperbolic(u, v, tol: float = 0.0):
+def hyperbolic(u, v):
     """(u, v) -> (f, h) = (-uv, -v/u).  Requires the point(s) in the exterior region."""
     _check_finite(u, v)
-    if not in_exterior(u, v, tol=tol):
+    if not in_exterior(u, v):
         raise OutsideExteriorRegion(f"(u, v) = ({u!r}, {v!r}) not in u < 0 < v")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)

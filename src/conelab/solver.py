@@ -57,6 +57,8 @@ _CFL_LIMIT = 0.9
 # spline on the grid by 0.4306**64 ~ 4e-24 of its size, below double
 # rounding, so the fit on the padded block gives the full-strip values.
 PAD = 64
+# Radii kept between the domain of influence, R_support + T, and the outer edge.
+OUTER_PAD = 1.0
 
 
 @dataclass(frozen=True)
@@ -156,11 +158,12 @@ def _wave_rhs(r, r2, dr, lam, n, ell):
 
 def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
           U: Optional[PowerU] = None, cfl: float = _CFL_LIMIT,
-          support_radius: Optional[float] = None, pad: float = 1.0) -> EvolutionResult:
+          support_radius: Optional[float] = None) -> EvolutionResult:
     """Evolve Cauchy data over t in [-T, T].
 
-    The outer radius must exceed the data's support radius plus T plus a pad,
-    so the zero outer value is never reached by the domain of influence.
+    The outer radius must exceed the data's support radius plus T plus
+    OUTER_PAD, so the zero outer value is never reached by the domain of
+    influence.
     """
     if T <= 0 or R <= 0 or dr <= 0:
         raise InvalidInput("T, R, dr must be positive")
@@ -183,9 +186,9 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
         amp = np.abs(phi0) + np.abs(phi1)
         nz = np.nonzero(amp > 1e-14 * max(np.max(amp), 1e-300))[0]
         support_radius = float(r[nz[-1]]) if nz.size else 0.0
-    if R < support_radius + T + pad:
+    if R < support_radius + T + OUTER_PAD:
         raise DomainTooSmall(
-            f"outer radius {R} < support {support_radius} + T {T} + pad {pad}")
+            f"outer radius {R} < support {support_radius} + T {T} + pad {OUTER_PAD}")
 
     dt = cfl * dr
     nsteps = int(math.ceil(T / dt))

@@ -46,14 +46,11 @@ from .errors import (
 )
 from .fields import (
     AnalyticField,
-    GridSpec,
     ScalarField,
     box,
     from_expr,
-    materialize,
     wave_op,
 )
-from .geometry import AdmissibleRegion
 from .weights import (
     Potential,
     PowerLog,
@@ -89,6 +86,17 @@ __all__ = [
 ]
 
 E2_OVER_4 = math.e**2 / 4.0
+# Fixed constants of the checks.  The CLI records that report a tolerance
+# read POINTWISE_SLACK and SLOPE_REL_TOL from here when they are built.
+ORDER_FLOOR = 1e-12      # identity-order: a relative residual below this is rounding
+POINTWISE_SLACK = 2.0    # pointwise margin may dip this many identity residuals below 0
+SPLIT_REL_TOL = 1e-7     # split chain: tolerated relative deficit of its margin
+LEVEL_RATIO = 2.0        # limit and pipeline surfaces grow or shrink by this per level
+SLOPE_REL_TOL = 0.10     # limit slopes: tolerated relative error against the target
+AMPLITUDE_FLOOR = 1e-3   # induced potential: nodes below this fraction of max |phi| are masked
+MAX_MASKED = 0.5         # induced potential: largest masked fraction that still means anything
+FLAT_TOL = 0.05          # pipeline: a log-log slope within this of 0 is "bounded"
+ZERO_FLOOR = 1e-13       # pipeline: a flux sequence below this is "zero"
 
 
 @dataclass(frozen=True)
@@ -186,31 +194,31 @@ def identity_residual(fld: ScalarField, rep: Reparametrization,
                           mode=mode, interior_depth=depth, terms=terms)
 
 
-def identity_convergence(source, rep: Reparametrization, U: Optional[PowerU],
-                         region: AdmissibleRegion, *, n: int, ell: int = 0,
-                         levels: Sequence[int] = (128, 256, 512),
-                         order: int = 4, floor: float = 1e-12) -> CheckRecord:
-    """Fit the FD-mode residual order across distinct grid levels, in any order.
+def identity_convergence(fields: Sequence[ScalarField], rep: Reparametrization,
+                         U: Optional[PowerU]) -> CheckRecord:
+    """Fit the FD-mode residual order across one sampled field per grid level.
 
-    Passes when the fitted order lies in [1.5, 4.5] or every residual sits at
-    the rounding floor (fields annihilated by the identity to machine
+    A field's level is its grid's `n_s`; the levels must be distinct (in any
+    order), and the grids must share region, `n`, `ell` and stencil order.
+    Passes when the fitted order lies in [1.5, 4.5] or every residual sits
+    below ORDER_FLOOR (fields annihilated by the identity to machine
     precision have no order to fit; the value is then the largest residual).
     """
+    levels = [fld.grid.n_s for fld in fields]
     if len(levels) < 2:
         raise InsufficientSequence("need at least two grid levels")
     if len(set(levels)) != len(levels):
-        raise InsufficientSequence(f"grid levels must be distinct, got {list(levels)}")
-    rels = []
-    for m in levels:
-        grid = GridSpec(region=region, n_s=m, n_y=m, n=n, ell=ell, order=order)
-        fld = materialize(source, grid)
-        rep_out = identity_residual(fld, rep, U, derivative_mode="fd")
-        rels.append(rep_out.rel_residual)
+        raise InsufficientSequence(f"grid levels must be distinct, got {levels}")
+    shared = {(g.region, g.n, g.ell, g.order) for g in (fld.grid for fld in fields)}
+    if len(shared) != 1:
+        raise InvalidInput("identity levels must share region, n, ell and stencil order")
+    rels = [identity_residual(fld, rep, U, derivative_mode="fd").rel_residual
+            for fld in fields]
     rels_arr = np.asarray(rels)
     hs = np.array([1.0 / (m - 1) for m in levels])
-    if np.all(rels_arr < floor):
+    if np.all(rels_arr < ORDER_FLOOR):
         return CheckRecord(name="identity-order", passed=True,
-                           value=float(np.max(rels_arr)), tolerance=floor,
+                           value=float(np.max(rels_arr)), tolerance=ORDER_FLOOR,
                            details={"residuals": rels, "levels": list(levels),
                                     "at_floor": True})
     fit = float(np.polyfit(np.log(hs), np.log(np.maximum(rels_arr, 1e-300)), 1)[0])
@@ -236,15 +244,14 @@ class PointwiseReport:
 
 def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
                          U: Optional[PowerU] = None, *,
-                         derivative_mode: str = "auto",
-                         slack: float = 2.0) -> PointwiseReport:
+                         derivative_mode: str = "auto") -> PointwiseReport:
     """Completed-square consequence of the identity:
 
         (f |F'| G - H) psi^2 <= (1/8)|F'|^{-1} |L psi|^2 + B + div P,
 
     checked nodewise on the arrays of one identity evaluation.  The margin may
-    dip below zero only by the identity discretization error; `slack` times
-    that residual is tolerated.  A non-finite margin or tolerance fails.
+    dip below zero only by the identity discretization error; POINTWISE_SLACK
+    times that residual is tolerated.  A non-finite margin or tolerance fails.
     """
     idrep = identity_residual(fld, rep, U, derivative_mode=derivative_mode)
     t = idrep.terms
@@ -253,7 +260,7 @@ def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
               - (t["f"] * abs_dF * t["G"] - t["H"]) * t["psi"]**2)
     sl = fld.grid.interior(idrep.interior_depth) if idrep.interior_depth else (slice(None),) * 2
     mmin = float(np.min(margin[sl]))
-    tol = slack * idrep.residual
+    tol = POINTWISE_SLACK * idrep.residual
     passed = math.isfinite(mmin) and math.isfinite(tol) and mmin >= -tol
     return PointwiseReport(margin_min=mmin, identity_residual=idrep.residual,
                            passed=passed, mode=idrep.mode,
@@ -277,8 +284,7 @@ class SplitChainReport:
 
 
 def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: str,
-                         *, nodes: int = qd.DEFAULT_NODES,
-                         rel_tol: float = 1e-7) -> SplitChainReport:
+                         *, nodes: int = qd.DEFAULT_NODES) -> SplitChainReport:
     """Exact integral chain behind the split estimate on one branch:
 
         A := int e^{-2F}(f|F'|G - H) phi^2
@@ -314,7 +320,7 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
     tiny = 1e-14
     c_cal = A / (b**2 * p * iw) if iw > tiny * max(abs(A), 1.0) else None
     k_cal = (a / 8.0) * (rhs_bulk / ibox) if ibox > tiny * max(rhs_bulk, 1.0) else None
-    passed = margin >= -rel_tol * scale
+    passed = margin >= -SPLIT_REL_TOL * scale
     if c_cal is not None:
         passed = passed and c_cal >= 1.0 - 1e-9
     if k_cal is not None:
@@ -436,9 +442,10 @@ class ExperimentRecord:
     passed: bool
 
 
-def _slope(levels, values, tail: int = 4) -> float:
-    lv = np.log(np.asarray(levels[-tail:], float))
-    va = np.asarray(values[-tail:], float)
+def _slope(levels, values) -> float:
+    """Least-squares log-log slope through the last four points."""
+    lv = np.log(np.asarray(levels[-4:], float))
+    va = np.asarray(values[-4:], float)
     if np.any(va <= 0):
         raise InsufficientSequence("nonpositive values in slope fit")
     return float(np.polyfit(lv, np.log(va), 1)[0])
@@ -446,9 +453,7 @@ def _slope(levels, values, tail: int = 4) -> float:
 
 def boundary_limit_experiment(kind: str, *, n: int, delta: float,
                               alpha: float = 0.25, beta: float = 0.0,
-                              count: int = 6, ratio: float = 2.0,
-                              nodes: int = qd.DEFAULT_NODES,
-                              rel_tol: float = 0.10) -> ExperimentRecord:
+                              count: int = 6, nodes: int = qd.DEFAULT_NODES) -> ExperimentRecord:
     """Measure the decay rate of boundary integrals along a foliation limit.
 
     kind 'cone_tau'        : int_{H^tau} |Psi|           ~ tau^{-delta/2}
@@ -460,7 +465,9 @@ def boundary_limit_experiment(kind: str, *, n: int, delta: float,
     and Psi = (1+r+f)^{-(n-1+delta)} on the outer one.  The rho and omega
     limits hold a fixed time window (the omega one on the inverted chart) --
     with cutoff-tied windows the measured rate would be off by one power.
-    The slope is a least-squares fit through the last four points.
+    Each level moves the surface by LEVEL_RATIO.  The slope is a
+    least-squares fit through the last four points; it passes within
+    SLOPE_REL_TOL of the target, relative.
     """
     if count < 4:
         raise InsufficientSequence(f"need at least 4 sequence points, got {count}")
@@ -482,7 +489,7 @@ def boundary_limit_experiment(kind: str, *, n: int, delta: float,
         f_window = (0.1, 10.0)
         target = -delta / 2.0
         for k in range(count):
-            tau = 256.0 * ratio**k
+            tau = 256.0 * LEVEL_RATIO**k
             val = qd.cone_integral(psi_r, tau, f_window, n=n, nodes=nodes)
             levels.append(tau)
             values.append(val)
@@ -490,7 +497,7 @@ def boundary_limit_experiment(kind: str, *, n: int, delta: float,
         f_window = (0.1, 10.0)
         target = delta / 2.0
         for k in range(count):
-            sigma = (1.0 / 256.0) * ratio ** (-k)
+            sigma = (1.0 / 256.0) * LEVEL_RATIO ** (-k)
             val = qd.cone_integral(psi_r, sigma, f_window, n=n, nodes=nodes)
             levels.append(sigma)
             values.append(val)
@@ -498,7 +505,7 @@ def boundary_limit_experiment(kind: str, *, n: int, delta: float,
         t_window = (-2.0, 2.0)
         target = alpha
         for k in range(count):
-            rho = 0.02 * ratio ** (-k)
+            rho = 0.02 * LEVEL_RATIO ** (-k)
             val = qd.hyperboloid_integral(
                 lambda u, v: (-u * v) ** (-0.5 + alpha) * psi_r(u, v),
                 rho, n=n, nodes=nodes, t_window=t_window)
@@ -508,7 +515,7 @@ def boundary_limit_experiment(kind: str, *, n: int, delta: float,
         tb_window = (-2.0, 2.0)
         target = beta - delta
         for k in range(count):
-            omega = 64.0 * ratio**k
+            omega = 64.0 * LEVEL_RATIO**k
             val = qd.inverted_hyperboloid_integral(
                 lambda u, v: (-u * v) ** (-0.5 + beta) * psi_rf(u, v),
                 omega, n=n, nodes=nodes, tbar_window=tb_window)
@@ -523,21 +530,19 @@ def boundary_limit_experiment(kind: str, *, n: int, delta: float,
     rel = abs(slope - target) / denom
     return ExperimentRecord(kind=kind, levels=tuple(levels), values=tuple(values),
                             slope=slope, target=target, rel_err=rel,
-                            passed=rel <= rel_tol)
+                            passed=rel <= SLOPE_REL_TOL)
 
 
 # ---------------------------------------------------------------------------
 # induced potentials and falsifiability
 # ---------------------------------------------------------------------------
 
-def induced_potential(fld: ScalarField, p: float, sign: int = 1, *,
-                      floor_frac: float = 1e-3,
-                      max_masked: float = 0.5):
+def induced_potential(fld: ScalarField, p: float, sign: int = 1):
     """Potential a field would have to carry to solve box phi + s V |phi|^{p-1} phi = 0.
 
-    V = -box phi / (s |phi|^{p-1} phi) where |phi| exceeds floor_frac times
-    its max; elsewhere masked.  Raises MostlyMasked when the field is too
-    small on most of the grid for the quotient to mean anything.
+    V = -box phi / (s |phi|^{p-1} phi) where |phi| exceeds AMPLITUDE_FLOOR
+    times its max; elsewhere masked.  Raises MostlyMasked when more than
+    MAX_MASKED of the grid is masked: the quotient then means nothing.
     """
     if sign not in (-1, 1):
         raise InvalidInput("sign must be +1 or -1")
@@ -547,9 +552,9 @@ def induced_potential(fld: ScalarField, p: float, sign: int = 1, *,
     amax = float(np.max(np.abs(phi)))
     if amax == 0.0:
         raise MostlyMasked("field is identically zero")
-    mask = np.abs(phi) > floor_frac * amax
+    mask = np.abs(phi) > AMPLITUDE_FLOOR * amax
     frac_masked = 1.0 - float(np.mean(mask))
-    if frac_masked > max_masked:
+    if frac_masked > MAX_MASKED:
         raise MostlyMasked(f"{frac_masked:.0%} of nodes below the amplitude floor")
     vals = np.zeros_like(phi)
     denom = sign * np.abs(phi[mask]) ** (p - 1.0) * phi[mask]
@@ -577,15 +582,14 @@ class ViolationRecord:
 
 
 def falsifiability_check(fld: ScalarField, *, beta: float, p: float,
-                         sign: int = 1, b_admissible: float,
-                         floor_frac: float = 1e-3) -> ViolationRecord:
+                         sign: int = 1, b_admissible: float) -> ViolationRecord:
     """Compare a field's induced potential against the admissible envelope.
 
     A node violates when |V_induced| > b_admissible * envelope(f).  A field
     that genuinely radiates at rate beta under an admissible potential
     produces an empty violation set; hand-built impostors do not.
     """
-    vind, mask = induced_potential(fld, p, sign, floor_frac=floor_frac)
+    vind, mask = induced_potential(fld, p, sign)
     g = fld.grid
     env = b_admissible * decay_envelope(g.F, beta, p)
     ratio = np.zeros_like(vind.values)
@@ -678,31 +682,28 @@ class PipelineReport:
     details: dict = dc_field(default_factory=dict)
 
 
-def _classify_sequence(name: str, levels, values, grows_with_level: bool,
-                       flat_tol: float = 0.05, zero_floor: float = 1e-13):
+def _classify_sequence(name: str, levels, values, grows_with_level: bool):
     """Slope-classify |values| along levels (oriented so growth means trouble)."""
     vals = np.abs(np.asarray(values, float))
     if not np.all(np.isfinite(vals)):
         raise InvalidInput(f"flux term {name} is not finite along its limit")
     scale = float(np.max(vals))
-    if scale < zero_floor:
+    if scale < ZERO_FLOOR:
         return None, "zero"
     lv = np.log(np.asarray(levels, float))
     safe = np.log(np.maximum(vals, 1e-300))
     slope = float(np.polyfit(lv[-4:], safe[-4:], 1)[0])
     oriented = slope if grows_with_level else -slope
-    if oriented > flat_tol:
+    if oriented > FLAT_TOL:
         return slope, "growing"
-    if oriented < -flat_tol:
+    if oriented < -FLAT_TOL:
         return slope, "vanishing"
     return slope, "bounded"
 
 
 def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
                         potential=None, sign: int = 1,
-                        count: int = 6, ratio: float = 2.0,
-                        nodes: int = qd.DEFAULT_NODES,
-                        constants: tuple = (1.0, E2_OVER_4),
+                        count: int = 6, nodes: int = qd.DEFAULT_NODES,
                         nonlinear: bool = False) -> PipelineReport:
     """Decision procedure for exterior uniqueness at decay rate beta.
 
@@ -710,9 +711,9 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
     b = min(beta - p, 8p)/16.  Order of business:
 
       1. zero bulk: a numerically zero field is reported as such;
-      2. potential admissibility: the claimed (or induced) potential must fit
-         under B_adm * envelope with B_adm = sqrt(C a / (2 K p)) from the
-         calibrated chain constants -- the absorption budget of the estimate;
+      2. potential admissibility: the claimed potential must fit under
+         B_adm * envelope with B_adm = sqrt(C a / (2 K p)) at the chain
+         constants C = 1 and K = e^2/4 -- the absorption budget of the estimate;
       3. boundary-term tracking: each flux term is followed along its
          foliation limit; the first non-vanishing one is named;
       4. all terms vanishing: the estimates force phi = 0 on the exterior.
@@ -730,8 +731,7 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
     a = (beta + p) / 4.0
     b = min(beta - p, 8.0 * p) / 16.0
     params = SplitWeightParams(a=a, b=b, p=min(p, 2 * a * 0.99))
-    c_cal, k_cal = constants
-    b_adm = math.sqrt(c_cal * a / (2.0 * k_cal * p))
+    b_adm = math.sqrt(a / (2.0 * E2_OVER_4 * p))  # C = 1
 
     base = g.region
     amax = float(np.max(np.abs(fld.values)))
@@ -750,11 +750,8 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
             vvals = np.asarray(potential.value(g.U, g.V), float)
         elif callable(potential):
             vvals = np.asarray(potential(g.U, g.V), float)
-        elif potential == "induced":
-            vvals = induced_potential(fld, p, sign)[0].values
         else:
-            raise InvalidInput("potential must be None, a Potential, a callable, "
-                               "or 'induced'")
+            raise InvalidInput("potential must be None, a Potential or a callable")
         b_req = float(np.max(np.abs(vvals) / env))
         if not math.isfinite(b_req):
             raise InvalidPotential(f"potential bound is not finite (B = {b_req})")
@@ -776,10 +773,10 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
                 "fewer than 4 surfaces fit inside the field's domain")
         return out
 
-    omega_seq = [base.omega * ratio**k for k in range(count)]
-    rho_seq = [base.rho * ratio ** (-k) for k in range(count)]
-    tau_seq = [base.tau * ratio**k for k in range(count)]
-    sigma_seq = [base.sigma * ratio ** (-k) for k in range(count)]
+    omega_seq = [base.omega * LEVEL_RATIO**k for k in range(count)]
+    rho_seq = [base.rho * LEVEL_RATIO ** (-k) for k in range(count)]
+    tau_seq = [base.tau * LEVEL_RATIO**k for k in range(count)]
+    sigma_seq = [base.sigma * LEVEL_RATIO ** (-k) for k in range(count)]
     if not unbounded:
         omega_seq = clip_levels(omega_seq, hi=base.omega)
         rho_seq = clip_levels(rho_seq, lo=base.rho)

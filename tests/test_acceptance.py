@@ -99,9 +99,10 @@ def test_criterion_01_identity_battery():
     orders = []
     for wname, rep in acceptance_weights():
         for fname, src in acceptance_fields(rep):
+            levels = [materialize(src, GridSpec.from_region(REGION, m, m, 3))
+                      for m in LEVELS]
             for uname, U in (("linear", None), ("power", U_POWER)):
-                rec = identity_convergence(src, rep, U, REGION, n=3,
-                                           levels=LEVELS)
+                rec = identity_convergence(levels, rep, U)
                 finest = rec.details["residuals"][-1]
                 worst_res = max(worst_res, finest)
                 if not rec.details["at_floor"]:
@@ -128,7 +129,7 @@ def test_criterion_02_pointwise_margins():
         for fname, src in acceptance_fields(rep):
             fld = materialize(src, grid)
             for uname, U in (("linear", None), ("power", U_POWER)):
-                out = pointwise_inequality(fld, rep, U, slack=2.0)
+                out = pointwise_inequality(fld, rep, U)
                 worst = min(worst, out.margin_min)
                 if not out.passed:
                     failures.append((wname, fname, uname, out.margin_min,

@@ -675,3 +675,55 @@ def test_integer_too_long_to_parse_exits_2(tmp_path, capsys):
     assert main(["limits", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read config")
+
+
+# ---------------------------------------------------------------------------
+# --preset battery fixes the verify-identity levels
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, payload", [
+    (["--preset", "battery"], {"levels": [16, 32]}),
+    ([], {"preset": "battery", "levels": [16, 32]}),
+], ids=["flag", "config"])
+def test_battery_preset_refuses_config_levels(tmp_path, capsys, monkeypatch, argv, payload):
+    # the preset runs 128, 256 and 512; a config's own levels would be dropped unread
+    _forbid_work(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, **payload})
+    assert main(["verify-identity", "--config", cfg, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.levels") and "battery" in err
+
+
+# ---------------------------------------------------------------------------
+# a record's tolerance is the constant its check ran at
+# ---------------------------------------------------------------------------
+
+def test_tolerance_records_follow_the_verifier_constants(tmp_path, monkeypatch):
+    from conelab import verifier
+
+    # every margin at levels [16, 32] is >= 0, so only a negative slack (which
+    # demands a positive margin) splits the thirty records into passes and fails
+    monkeypatch.setattr(verifier, "POINTWISE_SLACK", -1e8)
+    cfg = _write_config(tmp_path / "vi.json", {"schema": 1, "levels": [16, 32]})
+    out = tmp_path / "vi-report.json"
+    main(["verify-identity", "--config", cfg, "--out", str(out)])
+    margins = [r for r in _load_report(out)["records"]
+               if r["name"].startswith("pointwise-margin")]
+    assert len(margins) == 30
+    for r in margins:
+        assert r["tolerance"] == -1e8 * r["details"]["identity_residual"]
+        assert r["passed"] == (r["value"] >= -r["tolerance"]), r["name"]
+    assert {r["passed"] for r in margins} == {True, False}
+
+    # at count 4 and 32 nodes the relative slope errors are 0.13, 0.13, 0.063
+    # and 0.007, so 0.05 fails the rho slope that the default 0.10 passes
+    monkeypatch.setattr(verifier, "SLOPE_REL_TOL", 0.05)
+    cfg = _write_config(tmp_path / "li.json", {"schema": 1, "count": 4, "nodes": 32})
+    out = tmp_path / "li-report.json"
+    main(["limits", "--config", cfg, "--out", str(out)])
+    slopes = _load_report(out)["records"]
+    assert len(slopes) == 4
+    for r in slopes:
+        assert r["tolerance"] == 0.05
+        assert r["passed"] == (r["details"]["rel_err"] <= 0.05), r["name"]
+    assert {r["passed"] for r in slopes} == {True, False}

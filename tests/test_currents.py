@@ -310,6 +310,58 @@ def test_bulk_b_zero_nonlinearity_is_zero():
     assert np.max(np.abs(B.values)) == 0.0
 
 
+def test_bulk_term_cross_check_fails_on_nan(monkeypatch):
+    # max and compare both let a NaN through: the check must fail, not pass
+    u = -np.linspace(0.5, 2.0, 7)
+    v = np.linspace(0.3, 3.0, 7)
+    phi = np.cos(u) * np.exp(-v)
+    rep, U = PowerLog(0.1), PowerU(1, 2.0, Potential.power_of_f(0.25))
+    bad = phi.copy()
+    bad[3] = np.nan
+    with pytest.raises(ConelabError, match="closed form"):
+        bulk_term(rep, U, 3, -u * v, u, v, bad)
+
+    from conelab import currents
+
+    def nan_at_one_node(*args):
+        out = np.array(gamma_v(*args), dtype=float)
+        out.flat[2] = np.nan
+        return out
+
+    monkeypatch.setattr(currents, "gamma_v", nan_at_one_node)
+    with pytest.raises(ConelabError, match="closed form"):
+        bulk_term(rep, U, 3, -u * v, u, v, phi)
+
+
+class _ZeroArraysU(ZeroU):
+    """ZeroU as it was: a fresh array of zeros from every method."""
+
+    def value(self, u, v, phi):
+        return np.zeros_like(np.asarray(phi, float))
+
+    udot = value
+    scaling_q = value
+    du_ext = value
+    dv_ext = value
+
+
+@pytest.mark.parametrize("mode", ["fd", "analytic"])
+def test_zero_u_scalar_zeros_give_the_bits_of_zero_arrays(mode):
+    from conelab.verifier import _identity_arrays
+
+    fld = mkfield("(-u*v)**(4/5) * exp(-(v-1)**2 / 8)")
+    for rep in (PowerLog(1.0), SplitWeight(PARAMS, "low")):
+        got = bulk_b(fld, rep, ZeroU()).values
+        assert got.tobytes() == bulk_b(fld, rep, _ZeroArraysU()).values.tobytes()
+        lhs, rhs, scale, terms = _identity_arrays(fld, rep, ZeroU(), mode)
+        lhs0, rhs0, scale0, terms0 = _identity_arrays(fld, rep, _ZeroArraysU(), mode)
+        assert lhs.tobytes() == lhs0.tobytes() and rhs.tobytes() == rhs0.tobytes()
+        assert scale == scale0
+        assert terms.keys() == terms0.keys()
+        for key in terms:
+            assert terms[key].tobytes() == terms0[key].tobytes(), key
+
+
 # ---------------------------------------------------------------------------
 # boundary bounds
 # ---------------------------------------------------------------------------

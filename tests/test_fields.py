@@ -195,6 +195,27 @@ def test_fd_derivs2_bitwise_equal_to_composed_d_sy():
         assert got.tobytes() == ref.tobytes()
 
 
+def test_spline_derivs_bitwise_equal_to_composed_d_sy():
+    fld = ScalarField.from_function(mkgrid(40), lambda u, v: np.sin(u) * np.cos(v / 3))
+    f, h = np.meshgrid([0.2, 1.0, 7.5], [0.15, 2.0, 9.0])
+    u, v = -np.sqrt(f / h), np.sqrt(f * h)
+    s, y = np.log(-u * v), np.log(-v / u)
+
+    def d(dx, dy):
+        return fld._spline.ev(np.ravel(s), np.ravel(y), dx=dx, dy=dy).reshape(s.shape)
+
+    ps, py, pss, pyy, psy = d(1, 0), d(0, 1), d(2, 0), d(0, 2), d(1, 1)
+    want = (d(0, 0), (ps - py) / u, (ps + py) / v,
+            (pss - 2 * psy + pyy - (ps - py)) / u**2,
+            (pss - pyy) / (u * v),
+            (pss + 2 * psy + pyy - (ps + py)) / v**2)
+    ev = fld.evaluator()
+    for got, ref in zip(ev.derivs2(u, v), want, strict=True):
+        assert got.tobytes() == ref.tobytes()
+    for got, ref in zip(ev.derivs1(u, v), want[:3], strict=True):
+        assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("ell", [0, 1])
 def test_wave_op_at_grid_points_is_box(ell):
     g = mkgrid(40, ell=ell)
@@ -218,7 +239,7 @@ def test_derivs_auto_prefers_closed_form():
 def test_materialize_accepts_analytic_field_and_factory():
     g = mkgrid(16)
     a = materialize(from_expr("u + v"), g)
-    b = materialize(lambda grid: ScalarField.from_function(grid, lambda u, v: u + v), g)
+    b = materialize(ScalarField.from_function(g, lambda u, v: u + v), g)
     assert np.allclose(a.values, b.values)
     assert a.closed_form is not None and a.closed_form.has_second
     assert materialize(a, g) is a                    # same grid: passthrough
@@ -227,6 +248,8 @@ def test_materialize_accepts_analytic_field_and_factory():
     assert np.allclose(d.values, d.grid.U + d.grid.V, atol=1e-12)
     with pytest.raises(InvalidInput):
         materialize("u + v", g)
+    with pytest.raises(InvalidInput):                # a grid -> field factory is no source
+        materialize(lambda grid: ScalarField.from_function(grid, lambda u, v: u + v), g)
 
 
 # ---------------------------------------------------------------------------

@@ -68,18 +68,29 @@ def test_identity_closes_with_nonlinearity():
 
 
 def test_identity_fd_route_converges():
-    rec = identity_convergence(from_expr("sin(u)*cos(v/3)"), PowerLog(1.0), None,
-                               REGION, n=3, levels=(64, 128, 256))
+    rec = identity_convergence([mkfield(m=m) for m in (64, 128, 256)], PowerLog(1.0), None)
     assert rec.passed
     assert rec.details["at_floor"] or 1.5 <= rec.value <= 4.5
 
 
 def test_identity_order_needs_distinct_levels():
-    src = from_expr("sin(u)*cos(v/3)")
     with pytest.raises(InsufficientSequence, match="distinct"):
-        identity_convergence(src, PowerLog(1.0), None, REGION, n=3, levels=(64, 64))
-    rec = identity_convergence(src, PowerLog(1.0), None, REGION, n=3, levels=(128, 64))
+        identity_convergence([mkfield(m=64), mkfield(m=64)], PowerLog(1.0), None)
+    rec = identity_convergence([mkfield(m=128), mkfield(m=64)], PowerLog(1.0), None)
     assert rec.passed and 1.5 <= rec.value <= 4.5
+    assert rec.details["levels"] == [128, 64]
+    with pytest.raises(InsufficientSequence, match="two"):
+        identity_convergence([mkfield(m=64)], PowerLog(1.0), None)
+
+
+@pytest.mark.parametrize("other", [
+    dict(region=REG_LO), dict(n=4), dict(ell=1), dict(order=2),
+], ids=["region", "n", "ell", "order"])
+def test_identity_order_levels_must_share_all_but_their_size(other):
+    g = GridSpec(**{"region": REGION, "n_s": 64, "n_y": 64, "n": 3, **other})
+    odd = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)"))
+    with pytest.raises(InvalidInput, match="share"):
+        identity_convergence([mkfield(m=32), odd], PowerLog(1.0), None)
 
 
 def test_nan_value_or_tolerance_fails_its_record():
@@ -90,8 +101,8 @@ def test_nan_value_or_tolerance_fails_its_record():
     assert not replace(ok, value=math.nan).passed
     # a field the identity annihilates exactly has no order to fit; its
     # record reports the largest residual, so the guard leaves it passing
-    rec = identity_convergence(ScalarField.zeros, PowerLog(1.0), None, REGION,
-                               n=3, levels=(16, 32))
+    zeros = [ScalarField.zeros(GridSpec.from_region(REGION, m, m, 3)) for m in (16, 32)]
+    rec = identity_convergence(zeros, PowerLog(1.0), None)
     assert rec.details["at_floor"] and rec.passed and rec.value == 0.0
 
 
