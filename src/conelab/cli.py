@@ -275,9 +275,11 @@ def build_report(command: str, records) -> dict:
 
 def _fan_out(jobs):
     """Run (name, callable) jobs on a pool of one thread per CPU this process
-    may use; exceptions propagate."""
+    may use (per CPU of the machine on platforms without an affinity call);
+    exceptions propagate."""
     out = []
-    workers = len(os.sched_getaffinity(0))
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
         futs = {ex.submit(fn): name for name, fn in jobs}
         for fut in concurrent.futures.as_completed(futs):

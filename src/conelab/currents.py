@@ -299,7 +299,7 @@ class CurrentField:
 def _assemble(fld: ScalarField, rep: Reparametrization, U: NonlinearityU) -> CurrentField:
     g = fld.grid
     _check_mode(U, g.ell)
-    if np.any(rep.dF(g.F) >= 0):
+    if np.any(rep.dF(g.F_col) >= 0):
         raise NotInwardDirected(f"{rep.name}: F' >= 0 somewhere on the grid")
     return CurrentField(field=fld, assembler=CurrentAssembler(rep=rep, U=U, n=g.n, ell=g.ell))
 
@@ -336,10 +336,10 @@ def bulk_term(rep: Reparametrization, U: NonlinearityU, n: int, f, u, v, phi,
         B = e^{-2F} [ ((n-1)/4 - f F') Udot(phi) phi
                       - grad f . grad_Q U - 2 ((n+1)/4 - f F') U(phi) ].
 
-    f is passed explicitly (the grid's own f on a grid, -u v at quadrature
-    nodes).  For the power weight and a power nonlinearity this must coincide
-    with -sign/(p+1) f^{2a} V Gamma_V |phi|^{p+1}; the closed-form
-    cross-check is asserted to 1e-10 relative unless disabled.
+    f is passed explicitly (the grid's f column `F_col` on a grid, -u v at
+    quadrature nodes).  For the power weight and a power nonlinearity this
+    must coincide with -sign/(p+1) f^{2a} V Gamma_V |phi|^{p+1}; the
+    closed-form cross-check is asserted to 1e-10 relative unless disabled.
     """
     dF = rep.dF(f)
     W = np.exp(-2.0 * rep.F(f))
@@ -368,7 +368,7 @@ def bulk_b(fld: ScalarField, rep: Reparametrization, U: Optional[NonlinearityU] 
     U = U or ZeroU()
     g = fld.grid
     _check_mode(U, g.ell)
-    vals = bulk_term(rep, U, g.n, g.F, g.U, g.V, fld.values, cross_check)
+    vals = bulk_term(rep, U, g.n, g.F_col, g.U, g.V, fld.values, cross_check)
     return ScalarField(grid=g, values=vals, name=f"B[{fld.name}]")
 
 
@@ -425,7 +425,7 @@ def boundary_expansion_f(fld: ScalarField, rep: Reparametrization,
     if variant not in ("consistent", "proof_expansion"):
         raise InvalidInput(f"unknown variant {variant!r}")
     g = fld.grid
-    f = g.F
+    f = g.F_col
     dF = rep.dF(f)
     G = rep.G(f)
     W = np.exp(-2.0 * rep.F(f))
@@ -444,7 +444,7 @@ def boundary_expansion_f(fld: ScalarField, rep: Reparametrization,
 def boundary_expansion_h(fld: ScalarField, rep: Reparametrization) -> np.ndarray:
     """Expanded formula for u^2 P . grad h (U = 0): no angular, no zero-order term."""
     g = fld.grid
-    f = g.F
+    f = g.F_col
     dF = rep.dF(f)
     W = np.exp(-2.0 * rep.F(f))
     c = (g.n - 1) / 4.0 - f * dF
@@ -497,7 +497,7 @@ def boundary_bound_check(fld: ScalarField, spec, K: Optional[float] = None) -> B
     phi, phi_u, phi_v = fld.derivs1()
     up = g.U * phi_u
     vp = g.V * phi_v
-    f = g.F
+    f = g.F_col
     ang = g.lam * phi**2 / g.R**2  # |slashed-grad phi|^2 for the stored mode
 
     if isinstance(spec, tuple) and isinstance(spec[0], SplitWeightParams):

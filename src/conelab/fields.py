@@ -109,6 +109,13 @@ class GridSpec:
     def F(self) -> np.ndarray:
         return np.exp(self.S)
 
+    @property
+    def F_col(self) -> np.ndarray:
+        """The (n_s, 1) column of `F`.  f is constant along each row, so a
+        weight profile evaluated here broadcasts to the same bits as on `F`
+        at n_s points instead of n_s * n_y."""
+        return self.F[:, :1]
+
     @cached_property
     def H(self) -> np.ndarray:
         return np.exp(self.Y)
@@ -271,9 +278,12 @@ def from_expr(expr, variables: str = "uv", label: Optional[str] = None) -> Analy
                          **{k: _broadcasting(fn) for k, fn in zip(_SLOTS, fns)})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalarField:
-    """Mode profile sampled on a grid, optionally backed by a closed form."""
+    """Mode profile sampled on a grid, optionally backed by a closed form.
+
+    Frozen, because its derivative arrays are kept once read: a changed
+    field is a new field."""
 
     grid: GridSpec
     values: np.ndarray
@@ -281,7 +291,7 @@ class ScalarField:
     name: str = "field"
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.shape != (self.grid.n_s, self.grid.n_y):
             raise InvalidInput(
                 f"values shape {self.values.shape} != grid {(self.grid.n_s, self.grid.n_y)}"
@@ -341,31 +351,37 @@ class ScalarField:
     def derivs1(self, analytic: Optional[bool] = None):
         """(phi, phi_u, phi_v) on the grid; closed form per `uses_closed_form`, else FD."""
         if self.uses_closed_form(analytic, order=1):
-            cached = self.__dict__.get("_cf_derivs2")
-            if cached is not None:
-                return cached[:3]
-            return self._closed_form_on_grid("_cf_derivs1", self.closed_form.derivs1)
-        return self.fd_derivs1()
+            cf, g = self.closed_form, self.grid
+            return self._derivs_on_grid("closed_form", 1, lambda: cf.derivs1(g.U, g.V))
+        return self._derivs_on_grid("fd", 1, self.fd_derivs1)
 
     def derivs2(self, analytic: Optional[bool] = None):
         if self.uses_closed_form(analytic, order=2):
-            out = self._closed_form_on_grid("_cf_derivs2", self.closed_form.derivs2)
-            self.__dict__.pop("_cf_derivs1", None)  # now served from `out`
-            return out
-        return self.fd_derivs2()
+            cf, g = self.closed_form, self.grid
+            return self._derivs_on_grid("closed_form", 2, lambda: cf.derivs2(g.U, g.V))
+        return self._derivs_on_grid("fd", 2, self.fd_derivs2)
 
-    def _closed_form_on_grid(self, key: str, evaluate: Callable) -> tuple:
-        """Closed-form arrays on this field's grid, evaluated once per field.
+    def _derivs_on_grid(self, route: str, order: int, evaluate: Callable) -> tuple:
+        """Derivative arrays up to `order` by `route` on this field's grid,
+        evaluated once per field and route; order 1 is served from the order-2
+        arrays once those exist.
 
-        The arrays are read-only, and a slot that hands back its input (the
-        value of `from_expr("u")` is `grid.U` itself) is copied first, so the
-        memo never freezes or aliases the grid's own coordinates.
+        The arrays are read-only, and one that shares memory with the grid's
+        coordinates (the value of `from_expr("u")` is `grid.U` itself) is
+        copied first, so the memo never freezes or aliases them.  There is no
+        lock: threads racing on first use may each evaluate, to equal arrays.
         """
-        cached = self.__dict__.get(key)
+        memo = self.__dict__.setdefault("_derivs", {})
+        both = memo.get((route, 2))
+        if both is not None:
+            return both if order == 2 else both[:3]
+        cached = memo.get((route, order))
         if cached is None:
             g = self.grid
-            cached = tuple(_read_only(a, g.U, g.V) for a in evaluate(g.U, g.V))
-            self.__dict__[key] = cached
+            cached = tuple(_read_only(a, g.U, g.V) for a in evaluate())
+            memo[route, order] = cached
+            if order == 2:
+                memo.pop((route, 1), None)  # now served from `cached`
         return cached
 
     @cached_property
@@ -508,16 +524,15 @@ def scaling(fld: ScalarField, analytic: Optional[bool] = None) -> ScalarField:
 def scaling_star(fld: ScalarField, analytic: Optional[bool] = None) -> ScalarField:
     """S* phi = S phi + ((n-1)/4) phi."""
     s = scaling(fld, analytic=analytic)
-    s.values = s.values + ((fld.grid.n - 1) / 4.0) * fld.values
-    s.name = f"S* {fld.name}"
-    return s
+    return ScalarField(grid=fld.grid, values=s.values + ((fld.grid.n - 1) / 4.0) * fld.values,
+                       name=f"S* {fld.name}")
 
 
 def conjugate(fld: ScalarField, rep: Reparametrization, sign: int = -1) -> ScalarField:
     """Multiply by e^{sign * F(f)} (default: psi = e^{-F} phi)."""
     if sign not in (-1, 1):
         raise InvalidInput("sign must be +1 or -1")
-    Fv = rep.F(fld.grid.F)
+    Fv = rep.F(fld.grid.F_col)
     if np.max(np.abs(Fv)) > _OVERFLOW_LIMIT:
         raise WeightOverflow("F exceeds the exp overflow threshold on this grid")
     vals = np.exp(sign * Fv) * fld.values
@@ -587,9 +602,10 @@ def conjugated_wave_residual(psi: ScalarField, rep: Reparametrization, U=None,
     g = psi.grid
     phi = conjugate(psi, rep, sign=+1)
     boxphi = box(phi, analytic=analytic).values
-    Fv = rep.F(g.F)
-    dF = rep.dF(g.F)
-    G = rep.G(g.F)
+    f = g.F_col
+    Fv = rep.F(f)
+    dF = rep.dF(f)
+    G = rep.G(f)
     emF = np.exp(-Fv)
     if U is not None:
         udot = U.udot(g.U, g.V, phi.values)
@@ -598,7 +614,7 @@ def conjugated_wave_residual(psi: ScalarField, rep: Reparametrization, U=None,
     direct = emF * (boxphi + udot)
     expanded = (box(psi, analytic=analytic).values
                 + 2.0 * dF * scaling_star(psi, analytic=analytic).values
-                + (g.F * dF**2 - G) * psi.values
+                + (f * dF**2 - G) * psi.values
                 + emF * udot)
     return ScalarField(grid=g, values=direct - expanded, name=f"conj-residual {psi.name}")
 

@@ -45,12 +45,13 @@ def _apply(values, spacing, axis, order, table, onesided_left, onesided_right, p
     out = np.empty_like(w)
     n = w.shape[0]
 
-    weights = table[hw]
-    acc = np.zeros_like(w[hw : n - hw])
-    for k, c in enumerate(weights):
+    # centred taps summed in place, 0.0 + c0 w0 + c1 w1 + ... in tap order
+    mid = out[hw : n - hw]
+    mid[...] = 0.0
+    tap = np.empty_like(mid)
+    for k, c in enumerate(table[hw]):
         if c != 0.0:
-            acc = acc + c * w[k : n - 2 * hw + k]
-    out[hw : n - hw] = acc
+            mid += np.multiply(w[k : n - 2 * hw + k], c, out=tap)
 
     # shrink the centered stencil toward the edges, one-sided at the ends
     for j in range(1, hw):

@@ -124,9 +124,10 @@ class CheckRecord:
 def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
     """LHS and RHS arrays of the divergence identity on the field's grid, the
     residual's scale, and the terms both sides are built from: f, F', G, H,
-    psi = e^{-F} phi, L = e^{-F}(box phi + Udot), B and div P."""
+    psi = e^{-F} phi, L = e^{-F}(box phi + Udot), B and div P.  The weight
+    profiles are evaluated on the grid's f column and broadcast."""
     g = fld.grid
-    f = g.F
+    f = g.F_col
     F = rep.F(f)
     dF = rep.dF(f)
     G = rep.G(f)
@@ -155,6 +156,7 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
     rhs = square + (f * dF * G + H) * psi**2 + Bv + div
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(square))),
                 float(np.max(np.abs(div))), 1e-300)
+    f, dF, G, H = np.broadcast_arrays(f, dF, G, H, psi)[:4]
     terms = {"f": f, "dF": dF, "G": G, "H": H, "psi": psi, "L": L, "B": Bv, "div": div}
     return lhs, rhs, scale, terms
 

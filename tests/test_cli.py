@@ -566,6 +566,43 @@ def test_verify_identity_pool_follows_the_cpu_affinity(tmp_path, monkeypatch):
     assert len(threads) == 1 and threading.get_ident() not in threads
 
 
+def test_verify_identity_pool_without_cpu_affinity(tmp_path, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: the pool falls back to
+    # os.cpu_count() instead of exiting 3.  At levels [16, 32] the FD orders
+    # of the oscillatory and separable-power fields fall outside [1.5, 4.5],
+    # so the run exits 1 with or without the affinity call.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "levels": [16, 32]})
+    out = tmp_path / "report.json"
+    assert main(["verify-identity", "--config", cfg, "--out", str(out)]) == 1
+    assert _load_report(out)["stability_hash"] == LEVELS_16_32_HASH
+
+
+def test_verify_identity_runs_fd_stencils_once_per_field_and_level(tmp_path, monkeypatch):
+    # one sampled field per level serves all six (weight x nonlinearity)
+    # checks, and its FD derivatives are kept: five fields x two levels
+    import threading
+
+    from conelab.fields import ScalarField
+
+    calls = []
+    lock = threading.Lock()
+    real = ScalarField.fd_derivs2
+
+    def counted(self):
+        with lock:
+            calls.append((self.name, self.grid.n_s))
+        return real(self)
+
+    monkeypatch.setattr(ScalarField, "fd_derivs2", counted)
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "levels": [16, 32]})
+    out = tmp_path / "report.json"
+    main(["verify-identity", "--config", cfg, "--out", str(out)])
+    assert _load_report(out)["stability_hash"] == LEVELS_16_32_HASH
+    labels = {"unit", "oscillatory", "separable-power", "spherical-wave", "multipole(ell=1)"}
+    assert sorted(calls) == sorted((name, m) for name in labels for m in (16, 32))
+
+
 # ---------------------------------------------------------------------------
 # --refine, T, R and the level count are bounded before any work
 # ---------------------------------------------------------------------------

@@ -481,8 +481,70 @@ def test_field_without_closed_form_takes_the_fd_route():
     fld = ScalarField.from_function(g, lambda u, v: u * v**2)
     _bitwise_equal(fld.derivs1(), fld.fd_derivs1())
     _bitwise_equal(fld.derivs2(), fld.fd_derivs2())
-    assert fld.derivs2() is not fld.derivs2()
-    assert fld.derivs1()[1].flags.writeable
+    assert fld.derivs2() is fld.derivs2()
+    assert not any(a.flags.writeable for a in fld.derivs1())
+
+
+def test_fd_memo_evaluates_once_and_is_read_only(monkeypatch):
+    g = mkgrid(16)
+    fld = ScalarField.from_function(g, lambda u, v: u**2 * v)
+    want1, want2 = fld.fd_derivs1(), fld.fd_derivs2()
+    calls = []
+    real1, real2 = ScalarField.fd_derivs1, ScalarField.fd_derivs2
+    monkeypatch.setattr(ScalarField, "fd_derivs1",
+                        lambda self: calls.append(1) or real1(self))
+    monkeypatch.setattr(ScalarField, "fd_derivs2",
+                        lambda self: calls.append(2) or real2(self))
+    first = fld.derivs1()
+    assert fld.derivs1() is first
+    both = fld.derivs2()
+    assert fld.derivs2() is both
+    assert all(a is b for a, b in zip(fld.derivs1(), both[:3]))
+    assert calls == [1, 2]
+    _bitwise_equal(first, want1)
+    _bitwise_equal(both, want2)
+    for arr in both:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    # the memo holds a read-only view of the values: the field's own stay writeable
+    assert fld.values.flags.writeable
+
+
+def test_fd_memo_never_freezes_the_grid():
+    # values sampled from "u" are grid.U itself: the memo must copy them
+    g = mkgrid(16)
+    fld = ScalarField.from_function(g, lambda u, v: u)
+    assert fld.values is g.U
+    phi = fld.derivs1()[0]
+    phi2 = fld.derivs2()[0]
+    for arr in (phi, phi2):
+        assert not np.shares_memory(arr, g.U) and not np.shares_memory(arr, g.V)
+        assert arr.tobytes() == g.U.tobytes()
+    assert g.U.flags.writeable and g.V.flags.writeable
+
+
+def test_a_field_with_kept_derivatives_cannot_be_reassigned():
+    # derivatives are kept once read, so new values make a new field
+    import dataclasses
+
+    g = mkgrid(16)
+    fld = ScalarField.from_function(g, lambda u, v: u * v)
+    kept = fld.derivs2()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fld.values = 2.0 * fld.values
+    assert fld.derivs2() is kept
+
+
+def test_closed_form_and_fd_memos_are_kept_apart():
+    g = mkgrid(24)
+    fld = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)"))
+    analytic = fld.derivs2()
+    fd = fld.derivs2(analytic=False)
+    _bitwise_equal(analytic, fld.closed_form.derivs2(g.U, g.V))
+    _bitwise_equal(fd, fld.fd_derivs2())
+    assert fld.derivs2(analytic=True) is analytic and fld.derivs2(analytic=False) is fd
+    _bitwise_equal(fld.derivs1(analytic=False), fld.fd_derivs1())
 
 
 def test_closed_form_memo_under_concurrent_first_use():
@@ -493,21 +555,25 @@ def test_closed_form_memo_under_concurrent_first_use():
 
     g = mkgrid(64)
     af = from_expr("sin(u)*cos(v/3)")
-    want = af.derivs2(g.U, g.V)
+    # the same memo serves a field without a closed form (the FD route)
+    vals = af.value(g.U, g.V)
+    cases = ((lambda: ScalarField.from_analytic(g, af), af.derivs2(g.U, g.V)),
+             (lambda: ScalarField(grid=g, values=vals), ScalarField(g, vals).fd_derivs2()))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            fld = ScalarField.from_analytic(g, af)
-            got = []
-            workers = [threading.Thread(target=lambda k=k: got.append(
-                fld.derivs1() if k % 2 else fld.derivs2())) for k in range(8)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60)
-            assert not any(w.is_alive() for w in workers) and len(got) == 8
-            for out in got:
-                _bitwise_equal(out, want[:len(out)])
+        for make, want in cases:
+            for _ in range(5):
+                fld = make()
+                got = []
+                workers = [threading.Thread(target=lambda k=k: got.append(
+                    fld.derivs1() if k % 2 else fld.derivs2())) for k in range(8)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60)
+                assert not any(w.is_alive() for w in workers) and len(got) == 8
+                for out in got:
+                    _bitwise_equal(out, want[:len(out)])
     finally:
         sys.setswitchinterval(interval)

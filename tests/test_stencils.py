@@ -71,3 +71,46 @@ def test_too_few_nodes():
 def test_bad_order():
     with pytest.raises(InvalidInput):
         d1(np.ones(32), 0.1, order=3, axis=0)
+
+
+def _out_of_place(values, spacing, axis, order, table, left, right, power):
+    """The stencil loop as first written: a fresh accumulator from zeros and
+    a new array for every centred tap."""
+    hw = order // 2
+    w = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    out = np.empty_like(w)
+    n = w.shape[0]
+    acc = np.zeros_like(w[hw : n - hw])
+    for k, c in enumerate(table[hw]):
+        if c != 0.0:
+            acc = acc + c * w[k : n - 2 * hw + k]
+    out[hw : n - hw] = acc
+    for j in range(1, hw):
+        sub = table[j]
+        out[j] = sum(c * w[j - len(sub) // 2 + k] for k, c in enumerate(sub) if c != 0.0)
+        out[n - 1 - j] = sum(
+            c * w[n - 1 - j - len(sub) // 2 + k] for k, c in enumerate(sub) if c != 0.0
+        )
+    out[0] = sum(c * w[k] for k, c in enumerate(left))
+    out[-1] = sum(c * w[n - len(right) + k] for k, c in enumerate(right))
+    out /= spacing**power
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+def test_in_place_stencils_are_bitwise_the_out_of_place_loop(order, axis):
+    from conelab import stencils
+
+    rng = np.random.default_rng(order * 10 + axis)
+    smooth = rng.standard_normal((37, 29)) * np.exp(rng.uniform(-20, 20, (37, 29)))
+    # signed zeros and the smallest subnormals: taps that round to -0.0 must
+    # still sum from +0.0 as before
+    tiny = rng.choice([-5e-324, -0.0, 0.0, 5e-324], size=(37, 29))
+    side1 = np.array([-1.5, 2.0, -0.5])
+    side2 = np.array([2.0, -5.0, 4.0, -1.0])
+    for vals in (smooth, tiny):
+        want1 = _out_of_place(vals, 0.037, axis, order, stencils._D1, side1, -side1[::-1], 1)
+        want2 = _out_of_place(vals, 0.037, axis, order, stencils._D2, side2, side2[::-1], 2)
+        assert d1(vals, 0.037, axis=axis, order=order).tobytes() == want1.tobytes()
+        assert d2(vals, 0.037, axis=axis, order=order).tobytes() == want2.tobytes()

@@ -87,6 +87,24 @@ triples = st.tuples(
 ).filter(lambda t: t[1] < 0.25 * min(2 * t[0] - t[2], 4 * t[2]))
 
 
+@given(t=triples, branch=st.sampled_from(["low", "high"]),
+       a=st.floats(min_value=0.05, max_value=4.0), m=st.sampled_from([8, 17, 64, 129]),
+       rho=st.floats(min_value=1e-3, max_value=1.0), span=st.floats(min_value=1.5, max_value=1e3))
+@settings(max_examples=30, deadline=None)
+def test_profiles_on_the_grid_column_broadcast_to_the_full_grid(t, branch, a, m, rho, span):
+    # f is constant along each grid row, so the column of F holds every value
+    # of f on the grid: each profile there, broadcast, is the full-grid one
+    from conelab.fields import GridSpec
+    from conelab.geometry import AdmissibleRegion
+
+    g = GridSpec(AdmissibleRegion(rho, rho * span, 0.1, 10.0), m, m + 3, n=3)
+    for rep in (SplitWeight(SplitWeightParams(*t), branch), PowerLog(a)):
+        for prof in (rep.F, rep.dF, rep.d2F, rep.G, rep.dG, rep.H):
+            col = prof(g.F_col)
+            assert col.shape == (m, 1)
+            assert np.broadcast_to(col, g.F.shape).tobytes() == prof(g.F).tobytes()
+
+
 @given(t=triples, f=fgrid)
 @settings(max_examples=60)
 def test_low_branch_inequalities(t, f):
