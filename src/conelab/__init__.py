@@ -26,26 +26,12 @@ from .errors import (
     ModeNotSupported,
     MostlyMasked,
     NotInwardDirected,
-    OutsideExteriorRegion,
     RangeMismatch,
     RegionMismatch,
     RegionOutOfGrid,
     UnstableStep,
-    WeightOverflow,
 )
-from .geometry import (
-    AdmissibleRegion,
-    Dimension,
-    SpacetimePoint,
-    hyperbolic,
-    in_exterior,
-    invert,
-    metric_data,
-    null_from_rect,
-    point_from_fh,
-    rect_from_null,
-    sphere_area,
-)
+from .geometry import AdmissibleRegion, Dimension
 from .weights import (
     Potential,
     PotentialReport,
@@ -55,6 +41,7 @@ from .weights import (
     SplitWeightParams,
     bulk_coefficient,
     classify_potential,
+    decay_envelope,
     envelope_check,
     gamma_v,
 )
@@ -63,13 +50,10 @@ from .fields import (
     GridSpec,
     ScalarField,
     box,
-    conjugate,
     decay_functionals,
     field_to_csv,
     from_expr,
     materialize,
-    scaling,
-    scaling_star,
 )
 from .currents import (
     CurrentField,

@@ -18,8 +18,9 @@ against the algebraic right-hand side.
 The zero-order coefficient carries a sign subtlety: contracted with grad f it
 contributes -(c f F' + G f / 2) phi^2 e^{-2F} (c = (n-1)/4 - f F').  A
 variant with the opposite sign on the G f/2 term circulates in expanded
-boundary formulas; both are implemented (`boundary_expansion_f`) and the
-divergence theorem adjudicates -- see the verifier's sign-adjudication check.
+boundary formulas.  The oracle `boundary_expansion_f` in tests/_oracles.py
+writes out both, and tests/test_currents.py checks that only this sign
+matches the assembled current.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ __all__ = [
     "flux_fn",
     "contract",
     "divergence_fd",
-    "boundary_expansion_f",
-    "boundary_expansion_h",
     "boundary_bound_check",
     "BoundaryBoundReport",
     "current_to_csv",
@@ -406,52 +405,6 @@ def divergence_fd(grid: GridSpec, P_u: np.ndarray, P_v: np.ndarray) -> ScalarFie
     _, dPv_u, dPv_v = ScalarField(grid=grid, values=P_v, name="P_v").fd_derivs1()
     vals = -0.5 * (dPv_u + dPu_v) - ((grid.n - 1) / (2.0 * grid.R)) * (P_u - P_v)
     return ScalarField(grid=grid, values=vals, name="div P (fd)")
-
-
-# ---------------------------------------------------------------------------
-# expanded boundary formulas (dual route + sign adjudication)
-# ---------------------------------------------------------------------------
-
-def boundary_expansion_f(fld: ScalarField, rep: Reparametrization,
-                         variant: str = "consistent") -> np.ndarray:
-    """Expanded formula for P . grad f (U = 0).
-
-    variant 'consistent'      : zero-order term -(c f F' + G f / 2) phi^2,
-    variant 'proof_expansion' : zero-order term -(c f F' - G f / 2) phi^2.
-
-    Only the first matches the assembled current; the second is kept to
-    document the adjudicated sign discrepancy.
-    """
-    if variant not in ("consistent", "proof_expansion"):
-        raise InvalidInput(f"unknown variant {variant!r}")
-    g = fld.grid
-    f = g.F_col
-    dF = rep.dF(f)
-    G = rep.G(f)
-    W = np.exp(-2.0 * rep.F(f))
-    c = (g.n - 1) / 4.0 - f * dF
-    phi, phi_u, phi_v = fld.derivs1()
-    up = g.U * phi_u
-    vp = g.V * phi_v
-    ang = g.lam * phi**2 / g.R**2
-    sgn = 1.0 if variant == "consistent" else -1.0
-    return W * (0.25 * (up**2 + vp**2)
-                - 0.5 * f * ang
-                + 0.5 * c * phi * (up + vp)
-                - (c * f * dF + sgn * 0.5 * G * f) * phi**2)
-
-
-def boundary_expansion_h(fld: ScalarField, rep: Reparametrization) -> np.ndarray:
-    """Expanded formula for u^2 P . grad h (U = 0): no angular, no zero-order term."""
-    g = fld.grid
-    f = g.F_col
-    dF = rep.dF(f)
-    W = np.exp(-2.0 * rep.F(f))
-    c = (g.n - 1) / 4.0 - f * dF
-    phi, phi_u, phi_v = fld.derivs1()
-    up = g.U * phi_u
-    vp = g.V * phi_v
-    return W * (0.25 * (up**2 - vp**2) + 0.5 * c * phi * (up - vp))
 
 
 # ---------------------------------------------------------------------------

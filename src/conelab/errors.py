@@ -9,10 +9,6 @@ class InvalidInput(ConelabError):
     """Malformed argument (non-finite number, bad dimension, bad config value)."""
 
 
-class OutsideExteriorRegion(ConelabError):
-    """Point does not satisfy u < 0 < v (up to the tolerance band)."""
-
-
 class InvalidCutoffs(ConelabError):
     """Region cutoffs do not satisfy 0 < rho < omega and 0 < sigma < tau."""
 
@@ -27,10 +23,6 @@ class InvalidWeightParams(ConelabError):
 
 class DomainError(ConelabError):
     """Weight evaluated outside its domain (f <= 0)."""
-
-
-class WeightOverflow(ConelabError):
-    """exp(+-F) would overflow at a grid extreme."""
 
 
 class MissingDerivative(ConelabError):

@@ -15,44 +15,29 @@ Chain rule used throughout (u < 0 < v):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import stencils
-from .errors import (
-    InvalidInput,
-    MissingDerivative,
-    ModeNotSupported,
-    RegionOutOfGrid,
-    WeightOverflow,
-)
+from .errors import InvalidInput, MissingDerivative, RegionOutOfGrid
 from .geometry import AdmissibleRegion, Dimension
-from .weights import Potential, Reparametrization
+from .weights import Potential
 
 __all__ = [
     "GridSpec",
     "AnalyticField",
     "ScalarField",
     "from_expr",
-    "diff_u",
-    "diff_v",
     "box",
     "wave_op",
-    "scaling",
-    "scaling_star",
-    "conjugate",
-    "conjugate_analytic",
-    "conjugated_wave_residual",
     "decay_functionals",
     "DecayReport",
     "field_to_csv",
     "materialize",
 ]
-
-_OVERFLOW_LIMIT = 700.0  # |F| beyond this overflows exp in float64
 
 
 @dataclass(eq=False)
@@ -140,10 +125,6 @@ class GridSpec:
     def lam(self) -> float:
         return float(self.ell * (self.ell + self.n - 2))
 
-    def refine(self) -> "GridSpec":
-        """Halve the spacing, keeping endpoints (n -> 2(n-1) + 1)."""
-        return replace(self, n_s=(self.n_s - 1) * 2 + 1, n_y=(self.n_y - 1) * 2 + 1)
-
     def interior(self, depth: int = 1):
         """Slice pair selecting nodes unaffected by edge stencils (depth = stacked applications)."""
         m = stencils.interior_margin(self.order, depth)
@@ -151,7 +132,9 @@ class GridSpec:
             raise InvalidInput("grid too small for the requested interior margin")
         return (slice(m, self.n_s - m), slice(m, self.n_y - m))
 
-    def covers(self, region: AdmissibleRegion, tol: float = 1e-12) -> bool:
+    def covers(self, region: AdmissibleRegion) -> bool:
+        """Whether this grid's region contains `region`, to 1e-12 relative."""
+        tol = 1e-12
         return (
             self.region.rho <= region.rho * (1 + tol)
             and self.region.omega >= region.omega * (1 - tol)
@@ -162,34 +145,22 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class AnalyticField:
-    """Closed-form profile with derivatives in (u, v); higher slots optional."""
+    """Closed-form profile with its first and second derivatives in (u, v)."""
 
     value: Callable
-    du: Optional[Callable] = None
-    dv: Optional[Callable] = None
-    duu: Optional[Callable] = None
-    duv: Optional[Callable] = None
-    dvv: Optional[Callable] = None
+    du: Callable
+    dv: Callable
+    duu: Callable
+    duv: Callable
+    dvv: Callable
     label: str = "analytic"
 
-    @property
-    def has_first(self) -> bool:
-        return self.du is not None and self.dv is not None
-
-    @property
-    def has_second(self) -> bool:
-        return self.has_first and all(g is not None for g in (self.duu, self.duv, self.dvv))
-
     def derivs1(self, u, v):
-        if not self.has_first:
-            raise MissingDerivative(f"{self.label}: first derivatives not available")
         return (np.asarray(self.value(u, v), float),
                 np.asarray(self.du(u, v), float),
                 np.asarray(self.dv(u, v), float))
 
     def derivs2(self, u, v):
-        if not self.has_second:
-            raise MissingDerivative(f"{self.label}: second derivatives not available")
         return (np.asarray(self.value(u, v), float),
                 np.asarray(self.du(u, v), float),
                 np.asarray(self.dv(u, v), float),
@@ -234,21 +205,15 @@ def _broadcasting(fn):
 _SLOTS = ("value", "du", "dv", "duu", "duv", "dvv")
 
 
-def _symbolic_slots(expr, variables: str = "uv"):
+def _symbolic_slots(expr):
     """The (u, v) symbols and the `_SLOTS` of a sympy expression (or string)
-    in (u, v) or (t, r), differentiated symbolically, in that order."""
+    in (u, v), differentiated symbolically, in that order."""
     import sympy as sp
     from tokenize import TokenError
 
     U_, V_ = sp.symbols("u v", real=True)
     try:
-        if variables == "uv":
-            e = sp.sympify(expr, locals={"u": U_, "v": V_})
-        elif variables == "tr":
-            T_, R_ = sp.symbols("t r", real=True)
-            e = sp.sympify(expr, locals={"t": T_, "r": R_}).subs({T_: U_ + V_, R_: V_ - U_})
-        else:
-            raise InvalidInput("variables must be 'uv' or 'tr'")
+        e = sp.sympify(expr, locals={"u": U_, "v": V_})
     except (sp.SympifyError, SyntaxError, TokenError, TypeError) as exc:
         raise InvalidInput(f"cannot parse expression {expr!r}") from exc
     if e.has(sp.zoo, sp.nan):
@@ -258,21 +223,21 @@ def _symbolic_slots(expr, variables: str = "uv"):
                       sp.diff(sp.diff(e, U_), V_), sp.diff(e, V_, 2))
 
 
-def from_expr(expr, variables: str = "uv", label: Optional[str] = None) -> AnalyticField:
-    """Build an AnalyticField from a sympy expression (or string) in (u, v) or (t, r).
+def from_expr(expr, label: Optional[str] = None) -> AnalyticField:
+    """Build an AnalyticField from a sympy expression (or string) in (u, v).
 
     All six derivative slots are generated symbolically and lambdified with
     numpy, so operators on the resulting field are exact up to rounding.  A
-    (u, v) string the package builds itself takes the slots `lambdify` wrote
-    for it from the committed `_forms` table, without importing sympy.
+    string the package builds itself takes the slots `lambdify` wrote for it
+    from the committed `_forms` table, without importing sympy.
     """
     from ._forms import FORMS
 
-    fns = FORMS.get(expr) if variables == "uv" and isinstance(expr, str) else None
+    fns = FORMS.get(expr) if isinstance(expr, str) else None
     if fns is None:
         import sympy as sp
 
-        args, slots = _symbolic_slots(expr, variables)
+        args, slots = _symbolic_slots(expr)
         fns = [sp.lambdify(args, e, [np]) for e in slots]
     return AnalyticField(label=label or str(expr),
                          **{k: _broadcasting(fn) for k, fn in zip(_SLOTS, fns)})
@@ -336,27 +301,26 @@ class ScalarField:
         psy = stencils.d1(ps, g.dy, axis=1, order=g.order)
         return (self.values, *_chain_rule(g.U, g.V, ps, py, pss, psy, pyy))
 
-    def uses_closed_form(self, analytic: Optional[bool] = None, order: int = 2) -> bool:
-        """Whether derivatives up to `order` (1 or 2) come from the closed form.
+    def uses_closed_form(self, analytic: Optional[bool] = None) -> bool:
+        """Whether derivatives come from the closed form.
 
-        `analytic` None takes the closed form when it has those slots, False
-        never does, and True demands it: MissingDerivative without one.
+        `analytic` None takes the closed form when there is one, False never
+        does, and True demands it: MissingDerivative without one.
         """
-        cf = self.closed_form
-        have = cf is not None and (cf.has_second if order == 2 else cf.has_first)
+        have = self.closed_form is not None
         if analytic and not have:
-            raise MissingDerivative(f"{self.name}: no closed-form derivatives of order {order}")
+            raise MissingDerivative(f"{self.name}: no closed-form derivatives")
         return have if analytic is None else analytic
 
     def derivs1(self, analytic: Optional[bool] = None):
         """(phi, phi_u, phi_v) on the grid; closed form per `uses_closed_form`, else FD."""
-        if self.uses_closed_form(analytic, order=1):
+        if self.uses_closed_form(analytic):
             cf, g = self.closed_form, self.grid
             return self._derivs_on_grid("closed_form", 1, lambda: cf.derivs1(g.U, g.V))
         return self._derivs_on_grid("fd", 1, self.fd_derivs1)
 
     def derivs2(self, analytic: Optional[bool] = None):
-        if self.uses_closed_form(analytic, order=2):
+        if self.uses_closed_form(analytic):
             cf, g = self.closed_form, self.grid
             return self._derivs_on_grid("closed_form", 2, lambda: cf.derivs2(g.U, g.V))
         return self._derivs_on_grid("fd", 2, self.fd_derivs2)
@@ -393,7 +357,7 @@ class ScalarField:
 
     def evaluator(self) -> "AnalyticField | SplineEval":
         """Point evaluator with derivatives: closed form if present, else spline."""
-        if self.closed_form is not None and self.closed_form.has_second:
+        if self.closed_form is not None:
             return self.closed_form
         return SplineEval(self)
 
@@ -407,6 +371,8 @@ class SplineEval:
     def _sy(self, u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
+        if not (np.all(u < 0) and np.all(v > 0)):  # NaN fails too
+            raise RegionOutOfGrid("evaluation point outside the exterior region u < 0 < v")
         s = np.log(-u * v)
         y = np.log(-v / u)
         g = self.field_.grid
@@ -448,16 +414,17 @@ class SplineEval:
 def materialize(source, grid: GridSpec) -> ScalarField:
     """Sample an AnalyticField, or resample a ScalarField, on `grid`.
 
-    A ScalarField already on an equal grid is returned as it is; any other
-    source raises InvalidInput.
+    A ScalarField already on an equal grid (region, sizes, n, ell and
+    stencil order) is returned as it is; any other source raises InvalidInput.
     """
     if isinstance(source, AnalyticField):
         return ScalarField.from_analytic(grid, source)
     if isinstance(source, ScalarField):
-        same = source.grid is grid or (
-            source.grid.region == grid.region
-            and (source.grid.n_s, source.grid.n_y) == (grid.n_s, grid.n_y)
-            and (source.grid.n, source.grid.ell) == (grid.n, grid.ell)
+        g = source.grid
+        same = g is grid or (
+            g.region == grid.region
+            and (g.n_s, g.n_y, g.n, g.ell, g.order)
+            == (grid.n_s, grid.n_y, grid.n, grid.ell, grid.order)
         )
         if same:
             return source
@@ -470,25 +437,6 @@ def materialize(source, grid: GridSpec) -> ScalarField:
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
-
-def diff_u(fld: ScalarField, analytic: Optional[bool] = None) -> ScalarField:
-    """Partial derivative in u; propagates closed-form slots when present."""
-    _, phi_u, _ = fld.derivs1(analytic=analytic)
-    cf = None
-    if fld.closed_form is not None and fld.closed_form.has_second:
-        src = fld.closed_form
-        cf = AnalyticField(value=src.du, du=src.duu, dv=src.duv, label=f"d_u {src.label}")
-    return ScalarField(grid=fld.grid, values=phi_u, closed_form=cf, name=f"d_u {fld.name}")
-
-
-def diff_v(fld: ScalarField, analytic: Optional[bool] = None) -> ScalarField:
-    _, _, phi_v = fld.derivs1(analytic=analytic)
-    cf = None
-    if fld.closed_form is not None and fld.closed_form.has_second:
-        src = fld.closed_form
-        cf = AnalyticField(value=src.dv, du=src.duv, dv=src.dvv, label=f"d_v {src.label}")
-    return ScalarField(grid=fld.grid, values=phi_v, closed_form=cf, name=f"d_v {fld.name}")
-
 
 def wave_op(n: int, lam: float, r, phi, phi_u, phi_v, phi_uv):
     """Reduced wave operator from derivative arrays at points with radius r:
@@ -509,114 +457,6 @@ def box(fld: ScalarField, analytic: Optional[bool] = None) -> ScalarField:
     phi, phi_u, phi_v, _, phi_uv, _ = fld.derivs2(analytic=analytic)
     vals = wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv)
     return ScalarField(grid=g, values=vals, name=f"box {fld.name}")
-
-
-def scaling(fld: ScalarField, analytic: Optional[bool] = None) -> ScalarField:
-    """S phi = grad f . grad phi = (u d_u + v d_v) phi / 2 = d phi / d s."""
-    if fld.uses_closed_form(analytic, order=1):
-        _, phi_u, phi_v = fld.closed_form.derivs1(fld.grid.U, fld.grid.V)
-        vals = 0.5 * (fld.grid.U * phi_u + fld.grid.V * phi_v)
-    else:
-        vals = fld.d_s()
-    return ScalarField(grid=fld.grid, values=vals, name=f"S {fld.name}")
-
-
-def scaling_star(fld: ScalarField, analytic: Optional[bool] = None) -> ScalarField:
-    """S* phi = S phi + ((n-1)/4) phi."""
-    s = scaling(fld, analytic=analytic)
-    return ScalarField(grid=fld.grid, values=s.values + ((fld.grid.n - 1) / 4.0) * fld.values,
-                       name=f"S* {fld.name}")
-
-
-def conjugate(fld: ScalarField, rep: Reparametrization, sign: int = -1) -> ScalarField:
-    """Multiply by e^{sign * F(f)} (default: psi = e^{-F} phi)."""
-    if sign not in (-1, 1):
-        raise InvalidInput("sign must be +1 or -1")
-    Fv = rep.F(fld.grid.F_col)
-    if np.max(np.abs(Fv)) > _OVERFLOW_LIMIT:
-        raise WeightOverflow("F exceeds the exp overflow threshold on this grid")
-    vals = np.exp(sign * Fv) * fld.values
-    cf = None
-    if fld.closed_form is not None and fld.closed_form.has_second:
-        cf = conjugate_analytic(fld.closed_form, rep, sign)
-    return ScalarField(grid=fld.grid, values=vals, closed_form=cf,
-                       name=f"e^{'+' if sign > 0 else '-'}F {fld.name}")
-
-
-def conjugate_analytic(af: AnalyticField, rep: Reparametrization, sign: int = -1) -> AnalyticField:
-    """Closed-form e^{sign F} * af with all derivative slots filled."""
-    if not af.has_second:
-        raise MissingDerivative("conjugation needs second derivatives of the closed form")
-
-    def _common(u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        f = -u * v
-        E = np.exp(sign * rep.F(f))
-        A = sign * rep.dF(f)
-        B = sign * rep.d2F(f)
-        return u, v, E, A, B
-
-    def value(u, v):
-        u, v, E, A, B = _common(u, v)
-        return E * af.value(u, v)
-
-    def du(u, v):
-        u, v, E, A, B = _common(u, v)
-        return E * (af.du(u, v) - v * A * af.value(u, v))
-
-    def dv(u, v):
-        u, v, E, A, B = _common(u, v)
-        return E * (af.dv(u, v) - u * A * af.value(u, v))
-
-    def duu(u, v):
-        u, v, E, A, B = _common(u, v)
-        return E * (af.duu(u, v) - 2 * v * A * af.du(u, v)
-                    + (v * v * (A * A + B)) * af.value(u, v))
-
-    def duv(u, v):
-        u, v, E, A, B = _common(u, v)
-        return E * (af.duv(u, v) - u * A * af.du(u, v) - v * A * af.dv(u, v)
-                    + (u * v * (A * A + B) - A) * af.value(u, v))
-
-    def dvv(u, v):
-        u, v, E, A, B = _common(u, v)
-        return E * (af.dvv(u, v) - 2 * u * A * af.dv(u, v)
-                    + (u * u * (A * A + B)) * af.value(u, v))
-
-    tag = "+" if sign > 0 else "-"
-    return AnalyticField(value=value, du=du, dv=dv, duu=duu, duv=duv, dvv=dvv,
-                         label=f"e^{tag}F {af.label}")
-
-
-def conjugated_wave_residual(psi: ScalarField, rep: Reparametrization, U=None,
-                             analytic: Optional[bool] = None) -> ScalarField:
-    """Residual of the conjugated-operator expansion.
-
-    Compares L psi = e^{-F} box_U(e^{F} psi) computed directly against
-
-        box psi + 2 F' S* psi + (f (F')^2 - G) psi + e^{-F} Udot(phi),
-
-    which should agree to discretization error.  U may be None (linear case).
-    """
-    g = psi.grid
-    phi = conjugate(psi, rep, sign=+1)
-    boxphi = box(phi, analytic=analytic).values
-    f = g.F_col
-    Fv = rep.F(f)
-    dF = rep.dF(f)
-    G = rep.G(f)
-    emF = np.exp(-Fv)
-    if U is not None:
-        udot = U.udot(g.U, g.V, phi.values)
-    else:
-        udot = 0.0
-    direct = emF * (boxphi + udot)
-    expanded = (box(psi, analytic=analytic).values
-                + 2.0 * dF * scaling_star(psi, analytic=analytic).values
-                + (f * dF**2 - G) * psi.values
-                + emF * udot)
-    return ScalarField(grid=g, values=direct - expanded, name=f"conj-residual {psi.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +523,7 @@ def decay_functionals(fld: ScalarField, beta: float, V: Optional[Potential] = No
 
     seq: dict = {k: [] for k in base}
     lv = []
-    expandable = fld.closed_form is not None and fld.closed_form.has_first
+    expandable = fld.closed_form is not None
     for k in range(levels):
         scale = 2.0**k
         if expandable:

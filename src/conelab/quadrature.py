@@ -47,6 +47,7 @@ __all__ = [
     "cone_integral",
     "bulk_integral",
     "BoundarySum",
+    "unit_normal",
     "boundary_sum",
     "DivergenceResidual",
     "divergence_residual",
@@ -210,23 +211,23 @@ class BoundarySum:
                 "total": self.total}
 
 
+def unit_normal(contraction: Callable) -> Callable:
+    """Point function of the flux through the unit normal: a contraction
+    (P.grad f or u^2 P.grad h) divided by f^{1/2} = sqrt(-u v)."""
+    return lambda u, v: np.asarray(contraction(u, v), float) / np.sqrt(-u * v)
+
+
 def boundary_sum(contract_f_fn: Callable, contract_h_fn: Callable,
                  region: AdmissibleRegion, *, n: int,
                  nodes: int = DEFAULT_NODES) -> BoundarySum:
     """Unit-normal flux integrals of a current over the region's faces.
 
     Takes the scalar contractions P.grad f and u^2 P.grad h as point
-    functions; the unit-normal weight f^{-1/2} is applied here.  The signed
+    functions; `unit_normal` applies the weight f^{-1/2} here.  The signed
     total (outer minus inner on each foliation) equals the bulk integral of
     div P for any differentiable current.
     """
-
-    def wf(u, v):
-        return np.asarray(contract_f_fn(u, v), float) / np.sqrt(-u * v)
-
-    def wh(u, v):
-        return np.asarray(contract_h_fn(u, v), float) / np.sqrt(-u * v)
-
+    wf, wh = unit_normal(contract_f_fn), unit_normal(contract_h_fn)
     hw = (region.sigma, region.tau)
     fw = (region.rho, region.omega)
     return BoundarySum(

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import quadrature as qd
 from .currents import (
-    CurrentField,
     PowerU,
     ZeroU,
     bulk_b,
@@ -57,6 +56,7 @@ from .weights import (
     Reparametrization,
     SplitWeight,
     SplitWeightParams,
+    decay_envelope,
     gamma_v,
 )
 
@@ -332,12 +332,6 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
                             c_cal=c_cal, k_cal=k_cal, passed=passed)
 
 
-def _unit_flux(cur: CurrentField, direction: str):
-    """`flux_fn` divided by f^{1/2}: the flux through the unit normal."""
-    fn = flux_fn(cur, direction)
-    return lambda u, v: fn(u, v) / np.sqrt(-u * v)
-
-
 def split_cancellation(fld_low: ScalarField, fld_high: ScalarField,
                        params: SplitWeightParams, *,
                        nodes: int = qd.DEFAULT_NODES) -> CheckRecord:
@@ -357,7 +351,7 @@ def split_cancellation(fld_low: ScalarField, fld_high: ScalarField,
     hw = (g_lo.region.sigma, g_lo.region.tau)
 
     def flux(fld, branch):
-        cf = _unit_flux(current_split(fld, params, branch), "f")
+        cf = qd.unit_normal(flux_fn(current_split(fld, params, branch), "f"))
         return qd.hyperboloid_integral(cf, 1.0, hw, n=fld.grid.n, nodes=nodes)
 
     lo = flux(fld_low, "low")
@@ -565,14 +559,6 @@ def induced_potential(fld: ScalarField, p: float, sign: int = 1):
     return out, mask
 
 
-def decay_envelope(f: np.ndarray, beta: float, p: float) -> np.ndarray:
-    """Admissible-potential decay envelope p min(beta-p, p) min(f^{-1+p/2}, f^{-1-p/2})."""
-    if not (0 < p < beta):
-        raise InvalidInput(f"need 0 < p < beta, got p={p}, beta={beta}")
-    return (p * min(beta - p, p)
-            * np.minimum(f ** (-1 + p / 2.0), f ** (-1 - p / 2.0)))
-
-
 @dataclass(frozen=True)
 class ViolationRecord:
     count: int
@@ -765,7 +751,7 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
             terms=(), details={"envelope_constant": p * min(beta - p, p)})
 
     # --- term tracking ------------------------------------------------------
-    unbounded = fld.closed_form is not None and fld.closed_form.has_second
+    unbounded = fld.closed_form is not None
 
     def clip_levels(seq, lo=None, hi=None):
         out = [x for x in seq
@@ -792,7 +778,7 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
         if not isinstance(potential, Potential):
             raise InvalidInput("nonlinear tracking needs an explicit Potential")
         cur = current_nl(fld, a, PowerU(sign=sign, p=p, V=potential))
-        cf, ch = _unit_flux(cur, "f"), _unit_flux(cur, "h")
+        cf, ch = (qd.unit_normal(flux_fn(cur, d)) for d in "fh")
         ev = fld.evaluator()
 
         def zfn(u, v):
@@ -818,8 +804,8 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
     else:
         cur_lo = current_general(fld, SplitWeight(params, "low"))
         cur_hi = current_general(fld, SplitWeight(params, "high"))
-        cf_lo, ch_lo = _unit_flux(cur_lo, "f"), _unit_flux(cur_lo, "h")
-        cf_hi, ch_hi = _unit_flux(cur_hi, "f"), _unit_flux(cur_hi, "h")
+        cf_lo, ch_lo = (qd.unit_normal(flux_fn(cur_lo, d)) for d in "fh")
+        cf_hi, ch_hi = (qd.unit_normal(flux_fn(cur_hi, d)) for d in "fh")
 
         specs = [
             ("I1", omega_seq, True,

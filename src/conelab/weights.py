@@ -28,7 +28,6 @@ from .errors import (
     InvalidInput,
     InvalidPotential,
     InvalidWeightParams,
-    MissingDerivative,
     NotInwardDirected,
 )
 
@@ -44,6 +43,7 @@ __all__ = [
     "gamma_v",
     "classify_potential",
     "PotentialReport",
+    "decay_envelope",
 ]
 
 
@@ -80,7 +80,7 @@ def _asf(f):
 
 
 class Reparametrization:
-    """Interface: F, dF, d2F always; dG optionally (needed for H)."""
+    """Interface: F, dF, d2F, G = -(f F')' and dG; H follows from G and dG."""
 
     name = "base"
 
@@ -92,14 +92,6 @@ class Reparametrization:
 
     def d2F(self, f):
         raise NotImplementedError
-
-    def G(self, f):
-        # G = -(f F')' = -(F' + f F'')
-        f = _asf(f)
-        return -(self.dF(f) + f * self.d2F(f))
-
-    def dG(self, f):
-        raise MissingDerivative(f"{self.name}: G' not available (needs third derivative)")
 
     def H(self, f):
         # H = (f G)'/2 = (G + f G')/2
@@ -263,7 +255,7 @@ class Potential:
         return self.value((t - r) / 2.0, (t + r) / 2.0)
 
     @staticmethod
-    def constant(c: float, label: Optional[str] = None) -> "Potential":
+    def constant(c: float) -> "Potential":
         if not (np.isfinite(c)):
             raise InvalidPotential(f"constant potential must be finite, got {c}")
         return Potential(
@@ -272,40 +264,38 @@ class Potential:
             du_log=lambda u, v: np.zeros_like(np.asarray(u, float)),
             dv_log=lambda u, v: np.zeros_like(np.asarray(u, float)),
             sup_bound=abs(c),
-            label=label or f"const({c})",
+            label=f"const({c})",
             _tr=lambda t, r: np.full_like(np.asarray(t, float), c),
         )
 
     @staticmethod
-    def power_of_f(c: float, amplitude: float = 1.0, floor: float = 0.0) -> "Potential":
-        """V = amplitude * max(f, floor)^c.  (u d_u + v d_v) log f = 2, so the
-        scaling log-derivative is 2c wherever the floor is inactive."""
+    def power_of_f(c: float, amplitude: float = 1.0) -> "Potential":
+        """V = amplitude * max(f, 0)^c.  (u d_u + v d_v) log f = 2, so the
+        scaling log-derivative is 2c wherever f > 0."""
         if amplitude == 0 or not np.isfinite(amplitude) or not np.isfinite(c):
             raise InvalidPotential("power_of_f needs finite c and nonzero amplitude")
 
         def _f(u, v):
-            return np.maximum(-np.asarray(u, float) * np.asarray(v, float), floor)
+            return np.maximum(-np.asarray(u, float) * np.asarray(v, float), 0.0)
 
         def _ftr(t, r):
             t = np.asarray(t, float)
             r = np.asarray(r, float)
-            return np.maximum((r * r - t * t) / 4.0, floor)
+            return np.maximum((r * r - t * t) / 4.0, 0.0)
 
         return Potential(
             value=lambda u, v: amplitude * _f(u, v) ** c,
-            scaling_log_derivative=lambda u, v: np.where(
-                _f(u, v) > floor, 2.0 * c, 0.0
-            ),
-            du_log=lambda u, v: np.where(_f(u, v) > floor, c / np.asarray(u, float), 0.0),
-            dv_log=lambda u, v: np.where(_f(u, v) > floor, c / np.asarray(v, float), 0.0),
+            scaling_log_derivative=lambda u, v: np.where(_f(u, v) > 0.0, 2.0 * c, 0.0),
+            du_log=lambda u, v: np.where(_f(u, v) > 0.0, c / np.asarray(u, float), 0.0),
+            dv_log=lambda u, v: np.where(_f(u, v) > 0.0, c / np.asarray(v, float), 0.0),
             label=f"{amplitude}*f^{c}",
             _tr=lambda t, r: amplitude * _ftr(t, r) ** c,
         )
 
     @staticmethod
     def saturating(B: float, beta: float, p: float, floor: float = 0.0) -> "Potential":
-        """V = B p min(beta - p, p) min(f^{-1+p/2}, f^{-1-p/2}): extremal for
-        the admissible-decay bound.  `floor` caps f away from the cone so the
+        """V = `decay_envelope` with amplitude B: extremal for the
+        admissible-decay bound.  `floor` caps f away from the cone so the
         time-domain solver can cross f = 0."""
         if not (np.isfinite(B) and B > 0):
             raise InvalidPotential(f"amplitude bound B must be positive, got {B}")
@@ -313,29 +303,32 @@ class Potential:
             raise InvalidPotential(f"need 0 < p < beta, got p={p}, beta={beta}")
         if not (np.isfinite(floor) and floor >= 0):
             raise InvalidPotential(f"floor must be finite and >= 0, got {floor}")
-        eps = B * p * min(beta - p, p)
 
         def _f(u, v):
             return np.maximum(-np.asarray(u, float) * np.asarray(v, float), floor)
 
-        def _val_from_f(f):
-            return eps * np.minimum(f ** (-1 + p / 2.0), f ** (-1 - p / 2.0))
-
         def _slog(u, v):
             f = _f(u, v)
-            # log V = log eps + (-1 +- p/2) log f; scaling derivative of log f is 2
+            # log V = log const + (-1 +- p/2) log f; scaling derivative of log f is 2
             expo = np.where(f <= 1.0, -1 + p / 2.0, -1 - p / 2.0)
             return np.where(f > floor, 2.0 * expo, 0.0)
 
         return Potential(
-            value=lambda u, v: _val_from_f(_f(u, v)),
+            value=lambda u, v: decay_envelope(_f(u, v), beta, p, B),
             scaling_log_derivative=_slog,
             sup_bound=None,
             label=f"saturating(B={B},beta={beta},p={p})",
-            _tr=lambda t, r: _val_from_f(
-                np.maximum((np.asarray(r, float) ** 2 - np.asarray(t, float) ** 2) / 4.0, floor)
-            ),
+            _tr=lambda t, r: decay_envelope(
+                np.maximum((np.asarray(r, float) ** 2 - np.asarray(t, float) ** 2) / 4.0, floor),
+                beta, p, B),
         )
+
+
+def decay_envelope(f, beta: float, p: float, B: float = 1.0):
+    """Admissible-potential decay envelope B p min(beta-p, p) min(f^{-1+p/2}, f^{-1-p/2})."""
+    if not (0 < p < beta):
+        raise InvalidInput(f"need 0 < p < beta, got p={p}, beta={beta}")
+    return B * p * min(beta - p, p) * np.minimum(f ** (-1 + p / 2.0), f ** (-1 - p / 2.0))
 
 
 def gamma_v(V: Potential, a: float, p: float, u, v, n: int):
@@ -372,15 +365,12 @@ def classify_potential(
     focusing:   ... > -((n-1)/2)(1 + 4/(n-1) - p) + mu
     defocusing: ... <= ((n-1)/2)(p - 1 - 4/(n-1))
     """
-    if not (0 < p < beta):
-        raise InvalidInput(f"need 0 < p < beta, got p={p}, beta={beta}")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    f = -u * v
+    cap = decay_envelope(-u * v, beta, p, B)
     vals = np.asarray(V.value(u, v), dtype=float)
     if np.any(~np.isfinite(vals)):
         raise InvalidPotential("potential is non-finite at a sample point")
-    cap = B * p * min(beta - p, p) * np.minimum(f ** (-1 + p / 2.0), f ** (-1 - p / 2.0))
     decay_margins = cap - np.abs(vals)
     iworst = int(np.argmin(decay_margins))
     slog = np.asarray(V.scaling_log_derivative(u, v), dtype=float)

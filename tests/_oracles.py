@@ -1,15 +1,24 @@
-"""Independent quadrature routes used to cross-check the measure bookkeeping.
+"""Independent routes the tests check the package against.
 
-Everything here deliberately avoids the package's own Gauss-Legendre
+Quadrature oracles deliberately avoid the package's own Gauss-Legendre
 integrators: surfaces are integrated by embedding them into (t, r),
 finite-differencing the embedding for the induced line element, and applying
 Simpson / trapezoid rules on dense parameter grids.  Agreement with the
 package routes is then evidence about the measures themselves, not about a
 shared quadrature implementation.
+
+Algebraic oracles write out by hand what the package assembles: the
+conjugated field e^{sign F} phi with its derivative slots, the expansion of
+the conjugated wave operator, and the expanded boundary contractions of the
+current (with the sign variant of its zero-order term that the assembled
+current must not match).
 """
 
 import numpy as np
 from scipy.integrate import simpson
+
+from conelab.errors import InvalidInput
+from conelab.fields import AnalyticField, ScalarField, box
 
 
 def fixed_f_surface_integral(fn, omega, window, n, m=200_001):
@@ -61,3 +70,108 @@ def bulk_simpson(fn, region, n, m=1201):
     r = v - u
     vals = fn(u, v) * r ** (n - 1) * F
     return float(simpson(simpson(vals, x=y, axis=1), x=s))
+
+
+def conjugate_analytic(af, rep, sign=-1):
+    """Closed-form e^{sign F} * af with all derivative slots filled."""
+
+    def _common(u, v):
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        f = -u * v
+        E = np.exp(sign * rep.F(f))
+        A = sign * rep.dF(f)
+        B = sign * rep.d2F(f)
+        return u, v, E, A, B
+
+    def value(u, v):
+        u, v, E, A, B = _common(u, v)
+        return E * af.value(u, v)
+
+    def du(u, v):
+        u, v, E, A, B = _common(u, v)
+        return E * (af.du(u, v) - v * A * af.value(u, v))
+
+    def dv(u, v):
+        u, v, E, A, B = _common(u, v)
+        return E * (af.dv(u, v) - u * A * af.value(u, v))
+
+    def duu(u, v):
+        u, v, E, A, B = _common(u, v)
+        return E * (af.duu(u, v) - 2 * v * A * af.du(u, v)
+                    + (v * v * (A * A + B)) * af.value(u, v))
+
+    def duv(u, v):
+        u, v, E, A, B = _common(u, v)
+        return E * (af.duv(u, v) - u * A * af.du(u, v) - v * A * af.dv(u, v)
+                    + (u * v * (A * A + B) - A) * af.value(u, v))
+
+    def dvv(u, v):
+        u, v, E, A, B = _common(u, v)
+        return E * (af.dvv(u, v) - 2 * u * A * af.dv(u, v)
+                    + (u * u * (A * A + B)) * af.value(u, v))
+
+    tag = "+" if sign > 0 else "-"
+    return AnalyticField(value=value, du=du, dv=dv, duu=duu, duv=duv, dvv=dvv,
+                         label=f"e^{tag}F {af.label}")
+
+
+def conjugated_wave_residual(psi, rep):
+    """Residual of the conjugated-operator expansion for a closed-form psi.
+
+    Compares L psi = e^{-F} box(e^{F} psi), computed directly, against
+
+        box psi + 2 F' S* psi + (f (F')^2 - G) psi,
+
+    with S* psi = S psi + ((n-1)/4) psi; the two agree to rounding.
+    """
+    g = psi.grid
+    phi = ScalarField.from_analytic(g, conjugate_analytic(psi.closed_form, rep, sign=+1))
+    f = g.F_col
+    dF = rep.dF(f)
+    _, psi_u, psi_v = psi.derivs1()
+    sstar = 0.5 * (g.U * psi_u + g.V * psi_v) + (g.n - 1) / 4.0 * psi.values
+    direct = np.exp(-rep.F(f)) * box(phi).values
+    expanded = box(psi).values + 2.0 * dF * sstar + (f * dF**2 - rep.G(f)) * psi.values
+    return direct - expanded
+
+
+def boundary_expansion_f(fld, rep, variant="consistent"):
+    """Expanded formula for P . grad f (U = 0) on the field's grid.
+
+    variant 'consistent'      : zero-order term -(c f F' + G f / 2) phi^2,
+    variant 'proof_expansion' : zero-order term -(c f F' - G f / 2) phi^2.
+
+    Only the first matches the assembled current; the second is the sign
+    variant found in expanded boundary formulas.
+    """
+    if variant not in ("consistent", "proof_expansion"):
+        raise InvalidInput(f"unknown variant {variant!r}")
+    g = fld.grid
+    f = g.F_col
+    dF = rep.dF(f)
+    G = rep.G(f)
+    W = np.exp(-2.0 * rep.F(f))
+    c = (g.n - 1) / 4.0 - f * dF
+    phi, phi_u, phi_v = fld.derivs1()
+    up = g.U * phi_u
+    vp = g.V * phi_v
+    ang = g.lam * phi**2 / g.R**2
+    sgn = 1.0 if variant == "consistent" else -1.0
+    return W * (0.25 * (up**2 + vp**2)
+                - 0.5 * f * ang
+                + 0.5 * c * phi * (up + vp)
+                - (c * f * dF + sgn * 0.5 * G * f) * phi**2)
+
+
+def boundary_expansion_h(fld, rep):
+    """Expanded formula for u^2 P . grad h (U = 0): no angular, no zero-order term."""
+    g = fld.grid
+    f = g.F_col
+    dF = rep.dF(f)
+    W = np.exp(-2.0 * rep.F(f))
+    c = (g.n - 1) / 4.0 - f * dF
+    phi, phi_u, phi_v = fld.derivs1()
+    up = g.U * phi_u
+    vp = g.V * phi_v
+    return W * (0.25 * (up**2 - vp**2) + 0.5 * c * phi * (up - vp))

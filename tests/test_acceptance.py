@@ -19,7 +19,6 @@ from conelab.currents import PowerU
 from conelab.fields import (
     GridSpec,
     ScalarField,
-    conjugate_analytic,
     from_expr,
     materialize,
 )
@@ -51,7 +50,12 @@ from conelab.verifier import (
 )
 from conelab.weights import Potential, PowerLog, SplitWeight, SplitWeightParams
 
-from _oracles import bulk_simpson, fixed_f_surface_integral, fixed_h_surface_integral
+from _oracles import (
+    bulk_simpson,
+    conjugate_analytic,
+    fixed_f_surface_integral,
+    fixed_h_surface_integral,
+)
 
 PARAMS = SplitWeightParams(a=1.0, b=0.1, p=0.5)
 REGION = AdmissibleRegion(0.1, 10.0, 0.1, 10.0)

@@ -10,8 +10,6 @@ from conelab.currents import (
     PowerU,
     ZeroU,
     boundary_bound_check,
-    boundary_expansion_f,
-    boundary_expansion_h,
     bulk_b,
     bulk_term,
     contract,
@@ -39,6 +37,8 @@ from conelab.weights import (
     SplitWeightParams,
     gamma_v,
 )
+
+from _oracles import boundary_expansion_f, boundary_expansion_h
 
 PARAMS = SplitWeightParams(1.0, 0.1, 0.5)
 REGION = AdmissibleRegion(0.1, 10.0, 0.1, 10.0)

@@ -2,37 +2,29 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conelab import stencils
-from conelab.errors import (
-    InvalidInput,
-    MissingDerivative,
-    RegionOutOfGrid,
-    WeightOverflow,
-)
+from conelab.errors import InvalidInput, MissingDerivative, RegionOutOfGrid
 from conelab.fields import (
     AnalyticField,
     GridSpec,
     ScalarField,
     box,
-    conjugate,
-    conjugated_wave_residual,
     decay_functionals,
-    diff_u,
-    diff_v,
     field_to_csv,
     from_expr,
     materialize,
-    scaling,
-    scaling_star,
     wave_op,
 )
-from conelab.geometry import AdmissibleRegion, metric_data
+from conelab.geometry import AdmissibleRegion
 from conelab.solver import exact_spherical_wave, static_multipole
 from conelab.weights import PowerLog
+
+from _oracles import conjugate_analytic, conjugated_wave_residual
 
 REGION = AdmissibleRegion(0.1, 10.0, 0.1, 10.0)
 
@@ -60,9 +52,10 @@ def test_grid_coordinate_consistency():
 
 def test_grid_refine_and_covers():
     g = mkgrid(32)
-    g2 = g.refine()
-    # refinement keeps existing nodes: (m - 1) * 2 + 1
-    assert g2.n_s == 63 and g2.n_y == 63
+    # a refined grid of (m - 1) * 2 + 1 nodes per axis keeps the existing nodes
+    g2 = replace(g, n_s=63, n_y=63)
+    assert np.allclose(g2.s[::2], g.s, rtol=0, atol=1e-15)
+    assert np.allclose(g2.y[::2], g.y, rtol=0, atol=1e-15)
     assert g.covers(REGION)
     assert not g.covers(AdmissibleRegion(0.05, 10.0, 0.1, 10.0))
 
@@ -78,19 +71,6 @@ def test_box_of_f_matches_metric_constant():
         fld = ScalarField.from_analytic(g, from_expr("-u*v"))
         got = box(fld).values
         assert np.allclose(got, (n + 1) / 2.0, atol=1e-12)
-        md = metric_data(-1.0, 2.0, n)
-        assert math.isclose(md["box_f"], (n + 1) / 2.0)
-
-
-def test_from_expr_tr_route_matches_uv_route():
-    # same function entered in (t, r) and in (u, v) coordinates
-    a_uv = from_expr("exp(u - v) * (-u*v)")
-    a_tr = from_expr("exp(-r) * (r**2 - t**2)/4", variables="tr")
-    g = mkgrid(24)
-    for slot in ("value", "du", "dv", "duu", "duv", "dvv"):
-        x = getattr(a_uv, slot)(g.U, g.V)
-        y = getattr(a_tr, slot)(g.U, g.V)
-        assert np.allclose(x, y, rtol=1e-12, atol=1e-12)
 
 
 def test_dalembert_solution_annihilated():
@@ -125,25 +105,33 @@ def test_mode_coupling_term_sign():
 
 
 # ---------------------------------------------------------------------------
-# scaling fields
+# the scaling operator S = grad f . grad = d/ds
 # ---------------------------------------------------------------------------
+
+def scaling(fld):
+    """S phi = (u d_u + v d_v) phi / 2 from the field's first derivatives."""
+    g = fld.grid
+    _, phi_u, phi_v = fld.derivs1()
+    return 0.5 * (g.U * phi_u + g.V * phi_v)
+
 
 def test_scaling_operator_closed_forms():
     g = mkgrid(48)
     f_fld = ScalarField.from_analytic(g, from_expr("-u*v"))
     h_fld = ScalarField.from_analytic(g, from_expr("-v/u"))
     one = ScalarField.from_analytic(g, from_expr("1 + 0*u"))
-    # S f = f, S h = 0, S* 1 = (n-1)/4
-    assert np.allclose(scaling(f_fld).values, g.F, atol=1e-12)
-    assert np.allclose(scaling(h_fld).values, 0.0, atol=1e-12)
-    assert np.allclose(scaling_star(one).values, (g.n - 1) / 4.0, atol=1e-14)
+    # S f = f, S h = 0, S* 1 = S 1 + (n-1)/4 = (n-1)/4
+    assert np.allclose(scaling(f_fld), g.F, atol=1e-12)
+    assert np.allclose(scaling(h_fld), 0.0, atol=1e-12)
+    assert np.allclose(scaling(one) + (g.n - 1) / 4.0, (g.n - 1) / 4.0, atol=1e-14)
 
 
 def test_scaling_finite_difference_route():
+    # on the grid S is d/ds, which the s-stencil differentiates directly
     g = mkgrid(128)
     fld = ScalarField.from_function(g, lambda u, v: np.sin(u) * np.cos(v / 3))
-    sa = scaling(ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)"))).values
-    sf = scaling(fld, analytic=False).values
+    sa = scaling(ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)")))
+    sf = fld.d_s()
     ii, jj = g.interior(1)
     assert np.max(np.abs((sa - sf)[ii, jj])) < 5e-4
 
@@ -153,12 +141,14 @@ def test_scaling_finite_difference_route():
 # ---------------------------------------------------------------------------
 
 def fd_order(source, deriv_fn, levels=(48, 96, 192)):
+    """Errors of `deriv_fn(field, analytic)` on the FD route against the
+    closed form, and the observed orders between successive levels."""
     errs = []
     for m in levels:
         g = mkgrid(m)
         fld = ScalarField.from_function(g, source.value)
-        got = deriv_fn(fld, analytic=False).values
-        ref = deriv_fn(ScalarField.from_analytic(g, source)).values
+        got = deriv_fn(fld, False)
+        ref = deriv_fn(ScalarField.from_analytic(g, source), None)
         ii, jj = g.interior(2)
         errs.append(np.max(np.abs((got - ref)[ii, jj])))
     rates = [math.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
@@ -167,8 +157,8 @@ def fd_order(source, deriv_fn, levels=(48, 96, 192)):
 
 def test_fd_first_derivative_order():
     src = from_expr("sin(u) * cos(v/3)")
-    rates_u, errs_u = fd_order(src, diff_u)
-    rates_v, errs_v = fd_order(src, diff_v)
+    rates_u, errs_u = fd_order(src, lambda fld, analytic: fld.derivs1(analytic)[1])
+    rates_v, errs_v = fd_order(src, lambda fld, analytic: fld.derivs1(analytic)[2])
     # order-4 stencils composed through the chain rule; the coarsest
     # segment is pre-asymptotic so judge the fine one
     assert rates_u[-1] > 3.2 and errs_u[-1] < 1e-5
@@ -177,7 +167,7 @@ def test_fd_first_derivative_order():
 
 def test_fd_box_convergence():
     src = from_expr("(-u*v)**(4/5) * (-v/u)**(3/10)")
-    rates, errs = fd_order(src, box)
+    rates, errs = fd_order(src, lambda fld, analytic: box(fld, analytic).values)
     assert errs[-1] < 1e-6
     assert min(rates) > 3.3
 
@@ -241,9 +231,9 @@ def test_materialize_accepts_analytic_field_and_factory():
     a = materialize(from_expr("u + v"), g)
     b = materialize(ScalarField.from_function(g, lambda u, v: u + v), g)
     assert np.allclose(a.values, b.values)
-    assert a.closed_form is not None and a.closed_form.has_second
+    assert a.closed_form is not None
     assert materialize(a, g) is a                    # same grid: passthrough
-    d = materialize(a, g.refine())                   # resample through evaluator
+    d = materialize(a, replace(g, n_s=31, n_y=31))   # resample through evaluator
     assert d.grid.n_s == 31
     assert np.allclose(d.values, d.grid.U + d.grid.V, atol=1e-12)
     with pytest.raises(InvalidInput):
@@ -252,20 +242,35 @@ def test_materialize_accepts_analytic_field_and_factory():
         materialize(lambda grid: ScalarField.from_function(grid, lambda u, v: u + v), g)
 
 
+def test_materialize_resamples_onto_another_stencil_order():
+    # a grid that differs only in its stencil order is another grid: the
+    # field returned must carry the requested order into its stencils
+    g4 = mkgrid(16)
+    fld = ScalarField.from_function(g4, lambda u, v: np.sin(u) * np.cos(v / 3))
+    assert materialize(fld, replace(g4)) is fld       # equal grid: passthrough
+    g6 = replace(g4, order=6)
+    out = materialize(fld, g6)
+    assert out.grid is g6
+    assert np.allclose(out.values, fld.values, rtol=0, atol=1e-12)
+    assert out.d_s().tobytes() != fld.d_s().tobytes()  # order-6 stencils, not order-4
+
+
 # ---------------------------------------------------------------------------
 # conjugation
 # ---------------------------------------------------------------------------
 
 def test_conjugate_power_weight_is_f_power():
-    # with F = a log f + log(1 + a log f / 1) truncated to pure power via b=0
+    # e^{-F} of the pure power weight F = -log f is f = -u v itself
     g = mkgrid(32)
     rep = PowerLog(1.0)
-    fld = ScalarField.from_analytic(g, from_expr("1 + 0*u"))
-    psi = conjugate(fld, rep, sign=-1)
+    one = from_expr("1 + 0*u")
+    psi = ScalarField.from_analytic(g, conjugate_analytic(one, rep, sign=-1))
     assert np.allclose(psi.values, np.exp(-rep.F(g.F)), atol=1e-14)
-    back = conjugate(psi, rep, sign=+1)
-    assert np.allclose(back.values, fld.values, atol=1e-13)
-    assert psi.closed_form is not None and psi.closed_form.has_second
+    back = conjugate_analytic(psi.closed_form, rep, sign=+1)
+    assert np.allclose(back.value(g.U, g.V), 1.0, atol=1e-13)
+    want = (g.F, -g.V, -g.U, 0.0, -1.0, 0.0)
+    for got, ref in zip(psi.derivs2(), want, strict=True):
+        assert np.allclose(got, ref, atol=1e-12)
 
 
 def test_conjugated_wave_expansion_closes():
@@ -273,19 +278,8 @@ def test_conjugated_wave_expansion_closes():
     g = mkgrid(64)
     rep = PowerLog(0.7)
     psi = ScalarField.from_analytic(g, from_expr("sin(u) * exp(-v/5)"))
-    res = conjugated_wave_residual(psi, rep).values
+    res = conjugated_wave_residual(psi, rep)
     assert np.max(np.abs(res)) < 1e-11
-
-
-def test_conjugate_rejects_bad_sign_and_overflow():
-    g = mkgrid(16)
-    fld = ScalarField.from_analytic(g, from_expr("1 + 0*u"))
-    with pytest.raises(InvalidInput):
-        conjugate(fld, PowerLog(1.0), sign=2)
-    wide = GridSpec.from_region(AdmissibleRegion(1e-4, 1e4, 0.1, 10.0), 16, 16, 3)
-    big = ScalarField.from_analytic(wide, from_expr("1 + 0*u"))
-    with pytest.raises(WeightOverflow):
-        conjugate(big, PowerLog(100.0))
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +396,9 @@ def test_from_expr_rejects_unparsable_or_undefined_expressions(expr):
 
 
 def test_missing_derivative_guard():
-    af = AnalyticField(value=lambda u, v: u + v, label="bare")
-    assert not af.has_first
-    with pytest.raises(MissingDerivative):
-        af.derivs1(-1.0, 1.0)
+    # a closed form carries all six slots: without its derivatives there is none
+    with pytest.raises(TypeError):
+        AnalyticField(value=lambda u, v: u + v, label="bare")
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +458,10 @@ def test_closed_form_memo_never_freezes_the_grid():
 def test_analytic_derivatives_without_a_closed_form_raise():
     g = mkgrid(32)
     bare = ScalarField.from_function(g, lambda u, v: np.sin(u) * np.cos(v / 3))
-    first_only = ScalarField.from_analytic(g, AnalyticField(
-        value=lambda u, v: u * v, du=lambda u, v: v, dv=lambda u, v: u))
     for call in (lambda: bare.derivs1(analytic=True), lambda: bare.derivs2(analytic=True),
-                 lambda: box(bare, analytic=True), lambda: scaling(bare, analytic=True),
-                 lambda: first_only.derivs2(analytic=True)):
+                 lambda: box(bare, analytic=True)):
         with pytest.raises(MissingDerivative):
             call()
-    assert first_only.derivs1(analytic=True)[1].tobytes() == g.V.tobytes()
-    _bitwise_equal(first_only.derivs2(), first_only.fd_derivs2())
 
 
 def test_field_without_closed_form_takes_the_fd_route():

@@ -1,4 +1,11 @@
-"""Coordinate maps, the inversion, and the exterior-region bookkeeping."""
+"""Coordinate maps where the package computes them, the inverted chart, and
+the exterior-region bookkeeping.
+
+The maps (t, r) <-> (u, v) <-> (f, h) have no functions of their own: grids
+place their nodes by them, `Potential.value_tr` and the inverted quadrature
+chart apply them, and the spline evaluator inverts them.  The metric
+contractions of df and dh are checked through closed-form derivatives.
+"""
 
 import math
 
@@ -7,18 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.errors import InvalidCutoffs, InvalidInput, OutsideExteriorRegion
-from conelab.geometry import (
-    AdmissibleRegion,
-    hyperbolic,
-    in_exterior,
-    invert,
-    metric_data,
-    null_from_rect,
-    point_from_fh,
-    rect_from_null,
-    sphere_area,
-)
+from conelab.errors import InvalidCutoffs, InvalidInput, RegionOutOfGrid
+from conelab.fields import GridSpec, ScalarField, from_expr, wave_op
+from conelab.geometry import AdmissibleRegion
+from conelab.quadrature import inverted_hyperboloid_integral
+from conelab.weights import Potential
 
 coord = st.floats(min_value=-50.0, max_value=50.0,
                   allow_nan=False, allow_infinity=False)
@@ -26,86 +26,103 @@ pos = st.floats(min_value=1e-3, max_value=1e3,
                 allow_nan=False, allow_infinity=False)
 
 
+def corner(f, h):
+    """The grid whose first node sits at (f, h)."""
+    return GridSpec(AdmissibleRegion(f, 2 * f, h, 2 * h), 8, 8, n=3)
+
+
+def null_probe(t, r):
+    """(u, v) at which `Potential.value_tr` evaluates V for (t, r)."""
+    V = Potential(value=lambda u, v: (float(u), float(v)), scaling_log_derivative=None)
+    return V.value_tr(t, r)
+
+
 def test_null_from_rect_frozen():
-    u, v = null_from_rect(3.0, 5.0)
-    assert (u, v) == (-1.0, 4.0)
-    t, r = rect_from_null(-1.0, 4.0)
-    assert (t, r) == (3.0, 5.0)
+    assert null_probe(3.0, 5.0) == (-1.0, 4.0)
+    g = corner(4.0, 4.0)                     # (u, v) = (-1, 4)
+    assert math.isclose(g.T[0, 0], 3.0, rel_tol=1e-15)
+    assert math.isclose(g.R[0, 0], 5.0, rel_tol=1e-15)
 
 
 def test_hyperbolic_frozen():
-    f, h = hyperbolic(-2.0, 2.0)
-    assert f == 4.0 and h == 1.0
-    u, v = point_from_fh(1.0, 4.0)
-    assert abs(u + 0.5) < 1e-15 and abs(v - 2.0) < 1e-15
+    for (f, h), (u, v) in (((4.0, 1.0), (-2.0, 2.0)), ((1.0, 4.0), (-0.5, 2.0))):
+        g = corner(f, h)
+        assert abs(g.U[0, 0] - u) < 1e-15 and abs(g.V[0, 0] - v) < 1e-15
+        assert abs(g.F[0, 0] - f) < 1e-15 and abs(g.H[0, 0] - h) < 1e-15
 
 
 @given(t=coord, r=pos)
 def test_rect_null_roundtrip(t, r):
-    u, v = null_from_rect(t, r)
-    t2, r2 = rect_from_null(u, v)
+    u, v = null_probe(t, r)
+    t2, r2 = u + v, v - u
     assert abs(t - t2) <= 1e-12 * max(1.0, abs(t))
     assert abs(r - r2) <= 1e-12 * max(1.0, r)
 
 
 @given(f=pos, h=pos)
 def test_fh_roundtrip(f, h):
-    u, v = point_from_fh(f, h)
+    g = corner(f, h)
+    u, v = g.U[0, 0], g.V[0, 0]
     assert u < 0 < v
-    f2, h2 = hyperbolic(u, v)
-    assert abs(f - f2) <= 1e-10 * f
-    assert abs(h - h2) <= 1e-10 * h
+    assert abs(-u * v - f) <= 1e-10 * f
+    assert abs(-v / u - h) <= 1e-10 * h
 
 
 @given(f=pos, h=pos)
 @settings(max_examples=50)
 def test_inversion_swaps_f_keeps_h(f, h):
-    u, v = point_from_fh(f, h)
-    ui, vi = invert(u, v)
-    fi, hi = hyperbolic(ui, vi)
-    assert abs(fi - 1.0 / f) <= 1e-10 * max(1.0, 1.0 / f)
-    assert abs(hi - h) <= 1e-10 * h
+    # the inverted chart integrates over fbar = 1/f and maps its points back
+    # to f with their h unchanged, so the hyperbolic window transfers verbatim
+    seen = []
 
+    def record(u, v):
+        seen.append((u, v))
+        return np.zeros_like(u)
 
-def test_invert_frozen():
-    ui, vi = invert(-2.0, 2.0)
-    assert abs(ui + 0.5) < 1e-15 and abs(vi - 0.5) < 1e-15
-    # involution
-    u2, v2 = invert(ui, vi)
-    assert abs(u2 + 2.0) < 1e-15 and abs(v2 - 2.0) < 1e-15
+    inverted_hyperboloid_integral(record, f, (h, 2 * h), n=3, nodes=6)
+    u, v = seen[0]
+    assert np.all(np.abs(-u * v - f) <= 1e-9 * f)
+    hs = -v / u
+    assert np.all((hs >= h * (1 - 1e-9)) & (hs <= 2 * h * (1 + 1e-9)))
 
 
 def test_in_exterior():
-    assert in_exterior(-1.0, 2.0)
-    assert not in_exterior(1.0, 2.0)   # u > 0: inside the future cone
-    assert not in_exterior(-1.0, -0.5)
-    assert not in_exterior(0.0, 1.0)   # boundary does not count
+    # point evaluation is defined on u < 0 < v only; the cone does not count
+    g = GridSpec(AdmissibleRegion(0.5, 4.0, 0.5, 4.0), 16, 16, n=3)
+    ev = ScalarField.from_function(g, lambda u, v: u * v).evaluator()
+    assert np.isfinite(ev.value(-1.0, 2.0))
+    for u, v in ((1.0, 2.0), (-1.0, -0.5), (0.0, 1.0)):
+        with pytest.raises(RegionOutOfGrid):
+            ev.value(u, v)
+
+
+F_FORM = from_expr("-u*v")
+H_FORM = from_expr("-v/u")
+
+
+def metric(a, b, u, v):
+    """g(grad a, grad b) = -(a_u b_v + a_v b_u)/2 for the metric -4 du dv + r^2 dS^2."""
+    _, a_u, a_v = a.derivs1(u, v)
+    _, b_u, b_v = b.derivs1(u, v)
+    return float(-(a_u * b_v + a_v * b_u) / 2.0)
 
 
 def test_metric_data_frozen():
-    md = metric_data(-2.0, 2.0, n=3)
-    f, _ = hyperbolic(-2.0, 2.0)
-    assert abs(md["grad_f_sq"] - f) < 1e-14
-    assert abs(md["grad_f_dot_grad_h"]) < 1e-14
-    assert abs(md["grad_h_sq"] + 0.25) < 1e-14     # -f/u^4 = -4/16
-    assert abs(md["box_f"] - 2.0) < 1e-14          # (n+1)/2
-    assert abs(md["volume_density"] - 2.0 * 4.0**2) < 1e-13
+    u, v = -2.0, 2.0                                    # f = 4, h = 1
+    assert abs(metric(F_FORM, F_FORM, u, v) - 4.0) < 1e-14
+    assert abs(metric(F_FORM, H_FORM, u, v)) < 1e-14
+    assert abs(metric(H_FORM, H_FORM, u, v) + 0.25) < 1e-14   # -f/u^4 = -4/16
+    phi, phi_u, phi_v, _, phi_uv, _ = F_FORM.derivs2(u, v)
+    assert abs(wave_op(3, 0.0, v - u, phi, phi_u, phi_v, phi_uv) - 2.0) < 1e-14  # (n+1)/2
 
 
 @given(f=pos, h=pos)
 @settings(max_examples=50)
 def test_metric_identities(f, h):
-    u, v = point_from_fh(f, h)
-    md = metric_data(u, v, n=3)
-    assert abs(md["grad_f_sq"] - f) <= 1e-10 * f
-    assert abs(md["grad_f_dot_grad_h"]) <= 1e-12 * max(1.0, f / h)
-    assert md["grad_h_sq"] < 0  # timelike level sets of h
-
-
-def test_sphere_area_values():
-    assert abs(sphere_area(2) - 2 * math.pi) < 1e-14
-    assert abs(sphere_area(3) - 4 * math.pi) < 1e-14
-    assert abs(sphere_area(4) - 2 * math.pi**2) < 1e-13
+    u, v = -math.sqrt(f / h), math.sqrt(f * h)
+    assert abs(metric(F_FORM, F_FORM, u, v) - f) <= 1e-10 * f
+    assert abs(metric(F_FORM, H_FORM, u, v)) <= 1e-12 * max(1.0, f / h)
+    assert metric(H_FORM, H_FORM, u, v) < 0  # timelike level sets of h
 
 
 def test_region_validation():
@@ -118,12 +135,20 @@ def test_region_validation():
 
 
 def test_point_from_fh_rejects_nonpositive():
+    # f and h are positive on the exterior: a region cut elsewhere is refused
+    with pytest.raises(InvalidCutoffs):
+        AdmissibleRegion(rho=-1.0, omega=2.0, sigma=0.1, tau=10.0)
+    with pytest.raises(InvalidCutoffs):
+        AdmissibleRegion(rho=0.1, omega=2.0, sigma=0.0, tau=10.0)
     with pytest.raises(InvalidInput):
-        point_from_fh(-1.0, 2.0)
-    with pytest.raises(InvalidInput):
-        point_from_fh(1.0, 0.0)
+        AdmissibleRegion(rho=math.nan, omega=2.0, sigma=0.1, tau=10.0)
 
 
 def test_hyperbolic_rejects_exterior_violation():
-    with pytest.raises(OutsideExteriorRegion):
-        hyperbolic(1.0, 2.0)
+    # a point inside the future cone has no (f, h): every point route refuses it
+    g = GridSpec(AdmissibleRegion(0.5, 4.0, 0.5, 4.0), 16, 16, n=3)
+    ev = ScalarField.from_function(g, lambda u, v: u * v).evaluator()
+    u, v = np.array([-1.0, 1.0]), np.array([2.0, 2.0])
+    for route in (ev.value, ev.derivs1, ev.derivs2):
+        with pytest.raises(RegionOutOfGrid):
+            route(u, v)

@@ -27,7 +27,6 @@ from conelab.verifier import (
     boundary_limit_experiment,
     carleman_nl_check,
     carleman_split_check,
-    decay_envelope,
     falsifiability_check,
     identity_convergence,
     identity_residual,
@@ -37,7 +36,7 @@ from conelab.verifier import (
     split_cancellation,
     uniqueness_pipeline,
 )
-from conelab.weights import Potential, PowerLog, SplitWeightParams
+from conelab.weights import Potential, PowerLog, SplitWeightParams, decay_envelope
 
 PARAMS = SplitWeightParams(1.0, 0.1, 0.5)
 REGION = AdmissibleRegion(0.1, 10.0, 0.1, 10.0)
@@ -481,7 +480,6 @@ def test_pipeline_counterexample_needs_unbounded_potential():
 
     fld = mkfield(from_expr("1 + 0*u"), m=96, ell=bun.ell)
     fld = ScalarField.from_function(fld.grid, value, name="glued-static")
-    pot = Potential.constant(1.0, label="probe")
 
     def vfun(u, v):
         return bun.potential(v - u)
