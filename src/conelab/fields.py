@@ -15,7 +15,7 @@ Chain rule used throughout (u < 0 < v):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -30,6 +30,7 @@ __all__ = [
     "GridSpec",
     "AnalyticField",
     "ScalarField",
+    "TensorSpline",
     "from_expr",
     "box",
     "wave_op",
@@ -349,17 +350,127 @@ class ScalarField:
         return cached
 
     @cached_property
-    def _spline(self):
-        from scipy.interpolate import RectBivariateSpline
-
-        k = min(5, self.grid.n_s - 1, self.grid.n_y - 1)
-        return RectBivariateSpline(self.grid.s, self.grid.y, self.values, kx=k, ky=k)
+    def _spline(self) -> TensorSpline:
+        return TensorSpline(self.grid.s, self.grid.y, self.values)
 
     def evaluator(self) -> "AnalyticField | SplineEval":
         """Point evaluator with derivatives: closed form if present, else spline."""
         if self.closed_form is not None:
             return self.closed_form
         return SplineEval(self)
+
+
+# ---------------------------------------------------------------------------
+# interpolating tensor-product splines
+# ---------------------------------------------------------------------------
+
+def _knots(x: np.ndarray, k: int) -> np.ndarray:
+    """FITPACK's knots for the degree-k spline interpolating at the sites x
+    (regrid at s = 0): the ends repeated k + 1 times, and inside the data
+    sites for odd k, the midpoints of neighbouring sites for even k."""
+    h = (k + 1) // 2
+    n = len(x)
+    inner = x[h:n - h] if k % 2 else (x[h + 1:n - h] + x[h:n - h - 1]) * 0.5
+    return np.concatenate([np.full(k + 1, x[0]), inner, np.full(k + 1, x[-1])])
+
+
+def _bspline_basis(t: np.ndarray, k: int, x: np.ndarray, nu: int) -> tuple:
+    """Interval l of each point x (t[l] <= x < t[l+1], the last interval
+    closed) and, in row a of a (k + 1, len(x)) array, the nu-th derivative
+    there of B_{l-k+a}, a = 0 .. k: the B-splines that do not vanish.
+
+    de Boor's recursion builds the degree k - nu values; each of the last nu
+    steps raises the degree by differentiating instead.  Every denominator
+    is positive: t[l] < t[l+1] on each interval, and the ends are clamped.
+    """
+    l = np.clip(np.searchsorted(t, x, side="right") - 1, k, len(t) - k - 2)
+    tw = t[l + np.arange(1 - k, k + 1)[:, None]]  # row q: t[l + 1 - k + q]
+    h = np.zeros((k + 1, len(x)))
+    h[0] = 1.0
+    for j in range(1, k + 1):
+        right, left = tw[k:k + j], tw[k - j:k]  # t[l+1 .. l+j], t[l+1-j .. l]
+        term = h[:j] / (right - left)
+        if j > k - nu:
+            term *= j
+            h[j] = term[j - 1]
+            h[1:j] = term[:j - 1] - term[1:j]
+            h[0] = -term[0]
+        else:
+            up = (x - left) * term
+            h[:j] = (right - x) * term
+            h[j] = up[j - 1]
+            h[1:j] += up[:j - 1]
+    return l, h
+
+
+def _interpolate_axis(t: np.ndarray, k: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Coefficients c of the splines sum_j c[j] B_j through z[i] at x[i], for
+    every column of z at once.
+
+    Row i of the collocation matrix is nonzero only in the columns
+    l_i - k .. l_i, so it is held as those k + 1 entries, and the LU
+    factors without pivoting (the matrix is totally positive) stay inside
+    them: no n x n array is built.  Each row update is a scaled subtraction
+    of whole rows of z, so a column's result does not depend on the others.
+    """
+    l, h = _bspline_basis(t, k, x, 0)
+    ab = h.T
+    first = (l - k).tolist()
+    last = l.tolist()
+    n = len(x)
+    for j in range(n):
+        dj = j - first[j]
+        tail = ab[j, dj + 1:]
+        i = j + 1
+        while i < n and first[i] <= j:
+            oi = j - first[i]
+            ab[i, oi] /= ab[j, dj]
+            ab[i, oi + 1:oi + 1 + len(tail)] -= ab[i, oi] * tail
+            i += 1
+    c = np.array(z, dtype=float)
+    for i in range(n):
+        for a in range(i - first[i]):
+            c[i] -= ab[i, a] * c[first[i] + a]
+    for j in range(n - 1, -1, -1):
+        dj = j - first[j]
+        for a in range(1, last[j] - j + 1):
+            c[j] -= ab[j, dj + a] * c[j + a]
+        c[j] /= ab[j, dj]
+    return c
+
+
+class TensorSpline:
+    """Tensor-product spline interpolating z[i, j] at (x[i], y[j]), of degree
+    min(5, n - 1) along an axis of n sites.
+
+    It is the spline FITPACK's regrid fits at s = 0 (scipy's
+    RectBivariateSpline): the same knots and degree, coefficients equal up
+    to rounding.  `ev` clamps points to the data box as FITPACK's fpbisp does.
+    """
+
+    def __init__(self, x, y, z):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        self.kx, self.ky = min(5, len(x) - 1), min(5, len(y) - 1)
+        self.tx, self.ty = _knots(x, self.kx), _knots(y, self.ky)
+        c = _interpolate_axis(self.tx, self.kx, x, z)
+        self.c = np.ascontiguousarray(_interpolate_axis(self.ty, self.ky, y, c.T).T)
+
+    def ev(self, x, y, dx: int = 0, dy: int = 0) -> np.ndarray:
+        """Values (dx = dy = 0) or partial derivatives d^dx/dx d^dy/dy, of
+        order at most 2 per axis, at the points (x[m], y[m])."""
+        tx, ty, kx, ky = self.tx, self.ty, self.kx, self.ky
+        x = np.clip(np.asarray(x, dtype=float).ravel(), tx[kx], tx[-kx - 1])
+        y = np.clip(np.asarray(y, dtype=float).ravel(), ty[ky], ty[-ky - 1])
+        lx, bx = _bspline_basis(tx, kx, x, dx)
+        ly, by = _bspline_basis(ty, ky, y, dy)
+        ny = self.c.shape[1]
+        flat = self.c.ravel()
+        cols = (ly - ky) + np.arange(ky + 1)[:, None]
+        out = np.zeros(len(x))
+        for a in range(kx + 1):
+            out += bx[a] * (flat[(lx - kx + a) * ny + cols] * by).sum(axis=0)
+        return out
 
 
 @dataclass
@@ -415,19 +526,17 @@ def materialize(source, grid: GridSpec) -> ScalarField:
     """Sample an AnalyticField, or resample a ScalarField, on `grid`.
 
     A ScalarField already on an equal grid (region, sizes, n, ell and
-    stencil order) is returned as it is; any other source raises InvalidInput.
+    stencil order) is returned as it is, and one on the same nodes with
+    another stencil order keeps its values on `grid`; any other source
+    raises InvalidInput.
     """
     if isinstance(source, AnalyticField):
         return ScalarField.from_analytic(grid, source)
     if isinstance(source, ScalarField):
         g = source.grid
-        same = g is grid or (
-            g.region == grid.region
-            and (g.n_s, g.n_y, g.n, g.ell, g.order)
-            == (grid.n_s, grid.n_y, grid.n, grid.ell, grid.order)
-        )
-        if same:
-            return source
+        if g is grid or (g.region == grid.region and (g.n_s, g.n_y, g.n, g.ell)
+                         == (grid.n_s, grid.n_y, grid.n, grid.ell)):
+            return source if g.order == grid.order else replace(source, grid=grid)
         ev = source.evaluator()
         vals = ev.value(grid.U, grid.V)
         return ScalarField(grid=grid, values=vals, name=source.name)

@@ -34,7 +34,7 @@ from .errors import (
     RegionOutOfGrid,
     UnstableStep,
 )
-from .fields import AnalyticField, GridSpec, ScalarField, from_expr
+from .fields import AnalyticField, GridSpec, ScalarField, TensorSpline, from_expr
 
 __all__ = [
     "CauchyData",
@@ -89,17 +89,12 @@ class EvolutionResult:
     energy_drift: float
     meta: dict = dc_field(default_factory=dict)
 
-    def spline(self, window: Optional[tuple] = None):
+    def spline(self, window: Optional[tuple] = None) -> TensorSpline:
         """A new quintic spline over (times, r), fitted on the whole strip or,
         given index bounds window = (i0, i1, j0, j1), on
         slices[i0:i1, j0:j1] only.  `field_on` builds one per window."""
-        from scipy.interpolate import RectBivariateSpline
-
         i0, i1, j0, j1 = window or (0, len(self.times), 0, len(self.r))
-        t, r = self.times[i0:i1], self.r[j0:j1]
-        kx = min(5, len(t) - 1)
-        ky = min(5, len(r) - 1)
-        return RectBivariateSpline(t, r, self.slices[i0:i1, j0:j1], kx=kx, ky=ky)
+        return TensorSpline(self.times[i0:i1], self.r[j0:j1], self.slices[i0:i1, j0:j1])
 
     def _window(self, T: np.ndarray, R: np.ndarray) -> tuple:
         """Index bounds (i0, i1, j0, j1) of the samples bracketing the times
@@ -377,41 +372,46 @@ def counterexample_build(n: int = 3, a: float = 6.0) -> CounterexampleBundle:
     if abs(ell * (ell + n - 2) - a) > 1e-12:
         ell = -1  # no integer mode carries this a; the bundle is still valid
 
-    from scipy.interpolate import BPoly
+    # quintic Hermite bridge for w = log beta on [1, 2], in the Bernstein
+    # basis of r - 1: the value and two derivatives of log r^{q_+} at 1 fix
+    # the three coefficients at that end, those of log r^{q_-} at 2 the others
+    w1, dw1, d2w1 = 0.0, q_plus, -q_plus
+    w2, dw2, d2w2 = q_minus * math.log(2.0), q_minus / 2.0, -q_minus / 4.0
+    w = [w1, w1 + dw1 / 5.0, w1 + 2.0 * dw1 / 5.0 + d2w1 / 20.0,
+         w2 - 2.0 * dw2 / 5.0 + d2w2 / 20.0, w2 - dw2 / 5.0, w2]
+    dw = [5.0 * (y - x) for x, y in zip(w, w[1:])]
+    d2w = [4.0 * (y - x) for x, y in zip(dw, dw[1:])]
 
-    # quintic Hermite bridge for w = log beta on [1, 2]
-    lb2 = math.log(2.0)
-    bp = BPoly.from_derivatives(
-        [1.0, 2.0],
-        [[0.0, q_plus, -q_plus],
-         [q_minus * lb2, q_minus / 2.0, -q_minus / 4.0]],
-    )
-    bp1 = bp.derivative()
-    bp2 = bp1.derivative()
+    def bridge(coef, r):
+        """The polynomial with Bernstein coefficients `coef` at r, clipped to
+        [1, 2], by de Casteljau's algorithm."""
+        s = np.clip(r, 1.0, 2.0) - 1.0
+        b = coef
+        while len(b) > 1:
+            b = [(1.0 - s) * x + s * y for x, y in zip(b, b[1:])]
+        return b[0]
 
     def beta(r):
         r = np.asarray(r, float)
         return np.where(r <= 1.0, r**q_plus,
-                        np.where(r >= 2.0, r**q_minus, np.exp(bp(np.clip(r, 1.0, 2.0)))))
+                        np.where(r >= 2.0, r**q_minus, np.exp(bridge(w, r))))
 
     def dbeta(r):
         r = np.asarray(r, float)
-        mid = np.exp(bp(np.clip(r, 1.0, 2.0))) * bp1(np.clip(r, 1.0, 2.0))
+        mid = np.exp(bridge(w, r)) * bridge(dw, r)
         return np.where(r <= 1.0, q_plus * r ** (q_plus - 1),
                         np.where(r >= 2.0, q_minus * r ** (q_minus - 1), mid))
 
     def d2beta(r):
         r = np.asarray(r, float)
-        rc = np.clip(r, 1.0, 2.0)
-        mid = np.exp(bp(rc)) * (bp2(rc) + bp1(rc) ** 2)
+        mid = np.exp(bridge(w, r)) * (bridge(d2w, r) + bridge(dw, r) ** 2)
         return np.where(r <= 1.0, q_plus * (q_plus - 1) * r ** (q_plus - 2),
                         np.where(r >= 2.0, q_minus * (q_minus - 1) * r ** (q_minus - 2), mid))
 
     def potential(r):
         r = np.asarray(r, float)
-        rc = np.clip(r, 1.0, 2.0)
-        wp = bp1(rc)
-        wpp = bp2(rc)
+        wp = bridge(dw, r)
+        wpp = bridge(d2w, r)
         inside = (r > 1.0) & (r < 2.0)
         return np.where(inside, -(wpp + wp**2) - (n - 1) * wp / r + a / r**2, 0.0)
 

@@ -87,6 +87,27 @@ def test_verify_nl_loads_no_scipy_interpolate(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_benchmark_solve_export_loads_no_scipy(tmp_path):
+    cfg = next(c for command, c in _perfbench_configs() if command == "solve")
+    path = _write_config(tmp_path / "solve.json", cfg)
+    out = tmp_path / "bundle"
+    script = (
+        "import sys\n"
+        "from conelab.cli import main\n"
+        f"assert main(['solve', '--config', {path!r}, '--format', 'csv-bundle',"
+        f" '--out', {str(out)!r}]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert _load_report(out / "report.json")["stability_hash"] == (
+        "12661ff40402dff004ee81638fcc393c7fabbfe1ecbc38a8751f049a3ba2bbfc")
+
+
 def test_runs_on_the_fixed_fields_load_no_sympy(tmp_path):
     # their closed forms come from the committed table in conelab._forms
     levels = _write_config(tmp_path / "levels.json", {"schema": 1, "levels": [16, 32]})
@@ -202,7 +223,7 @@ DEFAULT_HASHES = {
     ("verify-carleman",): "67baa12825f89a465b6dd405d124f5ea1c76deb99b8c9b74b38cd79af4e79eff",
     ("verify-nl",): "839865680295795e3a16e5b907f006cef1f99655d6540af39a2982b5a599584e",
     ("limits",): "1e31f31cae97946dd0a860cee51e36e7e35ef88d9c00e741cdd6bfe0b9abc37c",
-    ("counterexample",): "a5ecffa344e95f892b5dffcc9996fdd23c7ef110a09fa3439726d33b163be5c0",
+    ("counterexample",): "34c73534eaba9ed6c91b268fbce52560297b2f40b86e6731cb27b929a3cd1595",
     ("solve",): "5846b4238c8043d5a48f3a2bd63624e7f4c5155ae150e33e286cbeb53cbb14e7",
     ("pipeline",): "dd4ceb8982892fed8095cfacb5db4e5ecbbf8eea17c86dfa2ec5069f8d27dfb6",
     ("pipeline", "--refine"): "b07a1187cfc78f23871c31d351a544605263353c6539859f8515dc9992a7eb1f",

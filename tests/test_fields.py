@@ -255,6 +255,22 @@ def test_materialize_resamples_onto_another_stencil_order():
     assert out.d_s().tobytes() != fld.d_s().tobytes()  # order-6 stencils, not order-4
 
 
+def test_materialize_onto_another_stencil_order_keeps_the_values(monkeypatch):
+    # the same nodes need no spline: the values are wrapped on the new grid
+    import conelab.fields
+
+    def no_fit(*args):
+        raise AssertionError("a spline was fitted")
+
+    monkeypatch.setattr(conelab.fields, "TensorSpline", no_fit)
+    g4 = mkgrid(96)
+    fld = ScalarField.from_function(g4, lambda u, v: np.sin(u) * np.cos(v / 3))
+    g6 = replace(g4, order=6)
+    out = materialize(fld, g6)
+    assert out.grid is g6
+    assert out.values.tobytes() == fld.values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # conjugation
 # ---------------------------------------------------------------------------

@@ -110,13 +110,13 @@ def test_field_on_matches_exact_solution():
     assert np.max(np.abs(resid[ii, jj])) < 0.05
 
 
-def test_scipy_interpolate_is_imported_on_first_use():
+def test_evolve_path_never_imports_scipy():
     import conelab
 
     script = textwrap.dedent("""
         import sys
+        import numpy as np
         import conelab, conelab.cli
-        assert "scipy.interpolate" not in sys.modules, "imported with conelab"
         from conelab.fields import GridSpec
         from conelab.geometry import AdmissibleRegion
         from conelab.solver import counterexample_build, solve, spherical_wave_data
@@ -124,9 +124,13 @@ def test_scipy_interpolate_is_imported_on_first_use():
         grid = GridSpec.from_region(AdmissibleRegion(0.25, 1.0, 0.7, 1.4), 8, 8, 3)
         fld = res.field_on(grid)
         assert fld.values.shape == (8, 8)
+        out = fld.evaluator().derivs2(grid.U[2:5, 3], grid.V[2:5, 3])
+        assert len(out) == 6 and all(np.shape(d) == (3,) for d in out)
+        assert abs(out[0] - fld.values[2:5, 3]).max() <= 1e-12 * abs(fld.values).max()
         bun = counterexample_build(n=3, a=6.0)
         assert abs(float(bun.beta(1.5))) > 0.0
-        assert "scipy.interpolate" in sys.modules
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
     """)
     src = os.path.dirname(os.path.dirname(conelab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -190,12 +194,12 @@ def test_field_on_does_not_depend_on_call_order(wave_256):
 
 
 def test_fitted_block_spans_the_grid_plus_pad(wave_256, monkeypatch):
-    import scipy.interpolate
+    import conelab.solver
 
     blocks = []
-    real = scipy.interpolate.RectBivariateSpline
-    monkeypatch.setattr(scipy.interpolate, "RectBivariateSpline",
-                        lambda x, y, z, **kw: blocks.append(np.shape(z)) or real(x, y, z, **kw))
+    real = conelab.solver.TensorSpline
+    monkeypatch.setattr(conelab.solver, "TensorSpline",
+                        lambda x, y, z: blocks.append(np.shape(z)) or real(x, y, z))
     res = replace(wave_256)
     grid = GridSpec.from_region(SOLVE_256_REGION, 96, 96, 3)
     res.field_on(grid)
@@ -319,6 +323,47 @@ def test_counterexample_exponents_exact():
     assert bun.q_minus == pytest.approx(-3.0, abs=1e-14)
     assert bun.ell == 2
     assert bun.support == (1.0, 2.0)
+
+
+# the bridge at n = 3, a = 6, as float.hex, at these radii
+BRIDGE_R = (0.5, 1.1, 1.3, 1.5, 1.7, 1.9, 3.0)
+BRIDGE_HEX = {
+    "beta": ["0x1.0000000000000p-2", "0x1.2f5c9f5e313b9p+0", "0x1.1ee0dd9af7df3p+0",
+             "0x1.32b949aab85c2p-1", "0x1.0e68c9b7ea384p-2", "0x1.2efeb68a35751p-3",
+             "0x1.2f684bda12f68p-5"],
+    "dbeta": ["0x1.0000000000000p+0", "0x1.72f9defaa2a52p+0", "-0x1.0d145c8c9c128p+1",
+              "-0x1.3528da446726cp+1", "-0x1.fc390022ae175p-1", "-0x1.2da6314958272p-2",
+              "-0x1.2f684bda12f68p-5"],
+    "d2beta": ["0x1.0000000000000p+1", "-0x1.9ba22087a2f58p+3", "-0x1.a96f46066dbfbp+3",
+               "0x1.b1ec61aa2b65ep+2", "0x1.6334754e43474p+2", "0x1.c4fc801e95e39p+0",
+               "0x1.948b0fcd6e9e1p-5"],
+    "potential": ["0x0.0p+0", "0x1.b2e55ba5a2214p+3", "0x1.24cd6a47a207dp+4",
+                  "-0x1.a33c51d79c199p+1", "-0x1.d09b2addeb213p+3", "-0x1.0679019ad06a2p+3",
+                  "0x0.0p+0"],
+}
+
+
+@pytest.mark.parametrize("name", BRIDGE_HEX)
+def test_counterexample_bridge_is_pinned_bitwise(name):
+    fn = getattr(counterexample_build(n=3, a=6.0), name)
+    assert [float(fn(r)).hex() for r in BRIDGE_R] == BRIDGE_HEX[name]
+
+
+def test_counterexample_bridge_matches_the_bernstein_oracle():
+    # scipy's BPoly builds the same quintic Hermite interpolant of log beta
+    from scipy.interpolate import BPoly
+
+    bun = counterexample_build(n=3, a=6.0)
+    qp, qm = bun.q_plus, bun.q_minus
+    w = BPoly.from_derivatives([1.0, 2.0], [[0.0, qp, -qp],
+                                            [qm * math.log(2.0), qm / 2.0, -qm / 4.0]])
+    r = np.linspace(1.0, 2.0, 2001)[1:-1]
+    w0, w1, w2 = w(r), w.derivative()(r), w.derivative(2)(r)
+    want = {"beta": np.exp(w0), "dbeta": np.exp(w0) * w1,
+            "d2beta": np.exp(w0) * (w2 + w1**2),
+            "potential": -(w2 + w1**2) - 2.0 * w1 / r + 6.0 / r**2}
+    for name, ref in want.items():
+        assert np.max(np.abs(getattr(bun, name)(r) - ref)) <= 1e-13, name
 
 
 def test_counterexample_static_residual():
