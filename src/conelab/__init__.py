@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 from .errors import (
     ConelabError,
     DomainError,
-    GammaSignIndefinite,
+    DomainTooSmall,
     GridTooCoarse,
     InsufficientSequence,
     InvalidCutoffs,
@@ -39,10 +39,8 @@ from .weights import (
     Reparametrization,
     SplitWeight,
     SplitWeightParams,
-    bulk_coefficient,
     classify_potential,
     decay_envelope,
-    envelope_check,
     gamma_v,
 )
 from .fields import (
@@ -59,9 +57,7 @@ from .currents import (
     CurrentField,
     PowerU,
     ZeroU,
-    boundary_bound_check,
     bulk_b,
-    contract,
     current_general,
     current_nl,
     current_split,

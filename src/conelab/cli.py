@@ -81,15 +81,17 @@ BATTERY_LEVELS = (128, 256, 512)  # the verify-identity levels of --preset batte
 # The subcommands that re-run at doubled resolution; the others reject --refine.
 REFINABLE = ("verify-carleman", "pipeline")
 
-# Desk-scale bounds (inclusive) on the size keys: a grid side (also each
-# verify-identity level and each --refine level), a Gauss-Legendre node count
-# (also at each --refine level), the length of a limit sequence, and the
-# radial step, final time and outer radius of solve.  LEVEL_COUNT bounds the
-# length of the verify-identity level list.  A value outside exits 2 before
-# anything is allocated.
-SIZE_RANGES = {"grid": (8, 1024), "nodes": (2, 2048), "count": (4, 32),
+# Desk-scale bounds (inclusive) on the size keys: the spatial dimension, a
+# grid side (also each verify-identity level and each --refine level), a
+# Gauss-Legendre node count (also at each --refine level), the length of a
+# limit sequence, and the radial step, final time and outer radius of solve.
+# LEVEL_COUNT bounds the length of the verify-identity level list, and
+# COMBO_POWER the power p of each verify-nl combo.  A value outside exits 2
+# before anything is allocated.
+SIZE_RANGES = {"n": (2, 10), "grid": (8, 1024), "nodes": (2, 2048), "count": (4, 32),
                "dr": (1e-4, 1.0), "T": (1e-3, 20.0), "R": (1.0, 100.0)}
 LEVEL_COUNT = (2, 8)
+COMBO_POWER = (1, 10)
 # solve stores every time slice of R/dr cells, so the two keys are bounded
 # together as well: R 100 with dr 1e-4 would need several GB.
 SOLVE_CELLS = 10_000
@@ -264,7 +266,7 @@ def build_report(command: str, records) -> dict:
         "version": __version__,
         "command": command,
         "seed": None,  # nothing is random; kept so that stability hashes stay put
-        "passed": all(r.passed for r in records),
+        "passed": bool(records) and all(r.passed for r in records),
         "records": [_record_dict(r) for r in records],
     }
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
@@ -422,12 +424,15 @@ def run_verify_carleman(cfg: RunConfig, refine: int):
 
 def _nl_combos(cfg: RunConfig):
     default = [[1, 1, "constant"], [1, 2, "power"], [-1, 3, "constant"]]
+    rows = cfg.check("combos", cfg.get_list("combos", default), bool, "a nonempty list")
+    lo, hi = COMBO_POWER
     out = []
-    for i, row in enumerate(cfg.get_list("combos", default)):
+    for i, row in enumerate(rows):
         cfg.check(f"combos[{i}]", row, lambda x: isinstance(x, list) and len(x) == 3,
                   "a [sign, p, kind] row")
-        sgn, p = (cfg.check(f"combos[{i}][{j}]", row[j], _is_int, "an integer")
-                  for j in (0, 1))
+        sgn = cfg.check(f"combos[{i}][0]", row[0], _is_int, "an integer")
+        p = cfg.check(f"combos[{i}][1]", row[1], lambda x: _is_int(x) and lo <= x <= hi,
+                      f"an integer in [{lo}, {hi}]")
         kind = row[2]
         if kind == "constant":
             pot = Potential.constant(1.0)
@@ -446,9 +451,10 @@ def run_verify_nl(cfg: RunConfig, refine: int):
     m = cfg.get_int("grid", 96)
     reg = cfg.region()
     grid = GridSpec(region=reg, n_s=m, n_y=m, n=n)
+    combos = _nl_combos(cfg)
     fld = materialize(exact_spherical_wave(width=1.0, power=8), grid)
     records = []
-    for sgn, p, pot, kind in _nl_combos(cfg):
+    for sgn, p, pot, kind in combos:
         U = PowerU(sign=sgn, p=p, V=pot)
         rep = V.carleman_nl_check(fld, a, U, nodes=nodes)
         sign_word = "focusing" if sgn > 0 else "defocusing"

@@ -1,4 +1,4 @@
-"""Weighted multiplier currents, their contractions, bulk terms and bounds.
+"""Weighted multiplier currents, their contractions and bulk terms.
 
 The current attached to a weight F and nonlinearity U is, in covariant
 components (sphere-averaged for a single mode, hats dropped),
@@ -25,7 +25,6 @@ matches the assembled current.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -63,10 +62,7 @@ __all__ = [
     "bulk_b",
     "flux",
     "flux_fn",
-    "contract",
     "divergence_fd",
-    "boundary_bound_check",
-    "BoundaryBoundReport",
     "current_to_csv",
 ]
 
@@ -393,115 +389,12 @@ def flux_fn(cur: CurrentField, direction: str) -> Callable:
     return fn
 
 
-def contract(cur: CurrentField, direction: str) -> np.ndarray:
-    """`flux` on the current's grid."""
-    g = cur.grid
-    return flux(g.U, g.V, cur.P_u, cur.P_v, direction)
-
-
 def divergence_fd(grid: GridSpec, P_u: np.ndarray, P_v: np.ndarray) -> ScalarField:
     """Divergence by finite differences of components sampled on `grid`."""
     _, dPu_u, dPu_v = ScalarField(grid=grid, values=P_u, name="P_u").fd_derivs1()
     _, dPv_u, dPv_v = ScalarField(grid=grid, values=P_v, name="P_v").fd_derivs1()
     vals = -0.5 * (dPv_u + dPu_v) - ((grid.n - 1) / (2.0 * grid.R)) * (P_u - P_v)
     return ScalarField(grid=grid, values=vals, name="div P (fd)")
-
-
-# ---------------------------------------------------------------------------
-# boundary bounds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundaryBoundReport:
-    k_f: float
-    k_h: float
-    k_f_neg: Optional[float]  # nonlinear case: the -P.grad f bound
-    margins: dict
-    passed: bool
-
-
-def _calibrate(lhs, bracket):
-    lhs = np.ravel(lhs)
-    bracket = np.ravel(bracket)
-    scale = float(np.max(bracket)) if bracket.size else 0.0
-    if scale == 0.0:
-        return 0.0 if np.all(lhs <= 0) else math.inf
-    mask = bracket > 1e-300 + 1e-15 * scale
-    if np.any(lhs[~mask] > 1e-12 * max(1.0, float(np.max(np.abs(lhs))))):
-        return math.inf
-    if not np.any(mask):
-        return 0.0
-    return float(max(0.0, np.max(lhs[mask] / bracket[mask])))
-
-
-def boundary_bound_check(fld: ScalarField, spec, K: Optional[float] = None) -> BoundaryBoundReport:
-    """Pointwise boundary-flux bounds with calibrated constants.
-
-    `spec` is either (params, branch) for the split currents or (a, PowerU)
-    for the nonlinear current.  Calibrates the smallest K making
-
-        -+ P.grad f <= K * weight * bracket   and   |u^2 P.grad h| <= K * ...
-
-    hold nodewise (weight f^{2(a-+b)} or f^{2a}; the f-bound bracket on the
-    low branch uses the angular energy, the h-bound bracket never does).
-    When K is given, margins report min(K * rhs - lhs).
-    """
-    g = fld.grid
-    phi, phi_u, phi_v = fld.derivs1()
-    up = g.U * phi_u
-    vp = g.V * phi_v
-    f = g.F_col
-    ang = g.lam * phi**2 / g.R**2  # |slashed-grad phi|^2 for the stored mode
-
-    if isinstance(spec, tuple) and isinstance(spec[0], SplitWeightParams):
-        params, branch = spec
-        cur = current_split(fld, params, branch)
-        na2 = (g.n + params.a) ** 2
-        cf = contract(cur, "f")
-        ch = contract(cur, "h")
-        if branch == "low":
-            wt = f ** (2 * (params.a - params.b))
-            lhs_f = -cf
-            br_f = wt * (f * ang + na2 * phi**2)
-        else:
-            wt = f ** (2 * (params.a + params.b))
-            lhs_f = cf
-            br_f = wt * (up**2 + vp**2 + na2 * phi**2)
-        br_h = wt * (up**2 + vp**2 + na2 * phi**2)
-        k_f = _calibrate(lhs_f, br_f)
-        k_h = _calibrate(np.abs(ch), br_h)
-        k_f_neg = None
-        margins = {}
-        if K is not None:
-            margins["f"] = float(np.min(K * br_f - lhs_f))
-            margins["h"] = float(np.min(K * br_h - np.abs(ch)))
-    else:
-        a, U = spec
-        if not isinstance(U, PowerU):
-            raise InvalidInput("nonlinear bound check needs (a, PowerU)")
-        cur = current_nl(fld, a, U)
-        na2 = (g.n + a) ** 2
-        cf = contract(cur, "f")
-        ch = contract(cur, "h")
-        wt = f ** (2 * a)
-        Vv = np.asarray(U.V.value(g.U, g.V), float)
-        Z = (U.sign / (U.p + 1.0)) * wt * f * Vv * np.abs(phi) ** (U.p + 1.0)
-        br_quad = wt * (up**2 + vp**2 + na2 * phi**2)
-        br_ang = wt * (f * ang + na2 * phi**2)
-        k_f = _calibrate(cf - Z, br_quad)
-        k_f_neg = _calibrate(-cf + Z, br_ang)
-        k_h = _calibrate(np.abs(ch), br_quad)
-        margins = {}
-        if K is not None:
-            margins["f"] = float(np.min(K * br_quad + Z - cf))
-            margins["f_neg"] = float(np.min(K * br_ang - Z + cf))
-            margins["h"] = float(np.min(K * br_quad - np.abs(ch)))
-
-    passed = all(np.isfinite(k) for k in (k_f, k_h) if k is not None) and (
-        K is None or all(m >= -1e-12 for m in margins.values())
-    )
-    return BoundaryBoundReport(k_f=k_f, k_h=k_h, k_f_neg=k_f_neg,
-                               margins=margins, passed=passed)
 
 
 def current_to_csv(cur: CurrentField, path) -> None:

@@ -53,10 +53,6 @@ class RegionMismatch(ConelabError):
     """Paired regions disagree on shared cutoffs."""
 
 
-class GammaSignIndefinite(ConelabError):
-    """+-Gamma_V changes sign on the region: nonlinear check is vacuous."""
-
-
 class InsufficientSequence(ConelabError):
     """Fewer than four usable points in a limit sequence."""
 
@@ -71,3 +67,7 @@ class UnstableStep(ConelabError):
 
 class DomainTooSmall(ConelabError):
     """Solver domain cannot cover the requested resampling grid causally."""
+
+
+__all__ = [name for name, obj in list(globals().items())
+           if isinstance(obj, type) and issubclass(obj, ConelabError)]

@@ -152,7 +152,7 @@ def _wave_rhs(r, r2, dr, lam, n, ell):
 
 
 def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
-          U: Optional[PowerU] = None, cfl: float = _CFL_LIMIT,
+          U: Optional[PowerU] = None,
           support_radius: Optional[float] = None) -> EvolutionResult:
     """Evolve Cauchy data over t in [-T, T].
 
@@ -162,10 +162,6 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     """
     if T <= 0 or R <= 0 or dr <= 0:
         raise InvalidInput("T, R, dr must be positive")
-    if cfl > _CFL_LIMIT:
-        raise UnstableStep(f"time step ratio {cfl} exceeds the stable limit {_CFL_LIMIT}")
-    if cfl <= 0:
-        raise InvalidInput("cfl must be positive")
     if U is not None and U.p != 1.0 and data.ell != 0:
         raise ModeNotSupported("power nonlinearity requires the spherically symmetric mode")
 
@@ -185,12 +181,8 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
         raise DomainTooSmall(
             f"outer radius {R} < support {support_radius} + T {T} + pad {OUTER_PAD}")
 
-    dt = cfl * dr
-    nsteps = int(math.ceil(T / dt))
-    dt = T / nsteps  # land exactly on t = +-T
-    if dt > _CFL_LIMIT * dr * (1 + 1e-12):
-        nsteps += 1
-        dt = T / nsteps
+    nsteps = int(math.ceil(T / (_CFL_LIMIT * dr)))
+    dt = T / nsteps  # land exactly on t = +-T, at most _CFL_LIMIT * dr
 
     per_dir = min(MAX_STORED_SLICES // 2, nsteps + 1)
     store_idx = np.unique(np.round(np.linspace(0, nsteps, per_dir)).astype(int))
@@ -273,7 +265,7 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     return EvolutionResult(times=times, r=r, slices=slices, n=n, ell=data.ell,
                            dr=dr, dt=dt, energy_drift=drift,
                            meta={"label": data.label, "support_radius": support_radius,
-                                 "nsteps": nsteps, "cfl": cfl,
+                                 "nsteps": nsteps, "cfl": _CFL_LIMIT,
                                  "nonlinearity": getattr(U, "label", None)})
 
 

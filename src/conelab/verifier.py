@@ -36,7 +36,6 @@ from .currents import (
     flux_fn,
 )
 from .errors import (
-    GammaSignIndefinite,
     InsufficientSequence,
     InvalidInput,
     InvalidPotential,
@@ -97,6 +96,7 @@ AMPLITUDE_FLOOR = 1e-3   # induced potential: nodes below this fraction of max |
 MAX_MASKED = 0.5         # induced potential: largest masked fraction that still means anything
 FLAT_TOL = 0.05          # pipeline: a log-log slope within this of 0 is "bounded"
 ZERO_FLOOR = 1e-13       # pipeline: a flux sequence below this is "zero"
+SURFACES = 6             # pipeline: surfaces per tracked flux term (clipped to a grid's domain)
 
 
 @dataclass(frozen=True)
@@ -123,16 +123,14 @@ class CheckRecord:
 
 def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
     """LHS and RHS arrays of the divergence identity on the field's grid, the
-    residual's scale, and the terms both sides are built from: f, F', G, H,
-    psi = e^{-F} phi, L = e^{-F}(box phi + Udot), B and div P.  The weight
-    profiles are evaluated on the grid's f column and broadcast."""
+    residual's scale, and the terms the pointwise margin reads: F' and the
+    bulk coefficient f |F'| G - H (on the grid's f column, where the weight
+    profiles are evaluated and broadcast), psi = e^{-F} phi,
+    L = e^{-F}(box phi + Udot), B and div P."""
     g = fld.grid
     f = g.F_col
-    F = rep.F(f)
     dF = rep.dF(f)
-    G = rep.G(f)
-    H = rep.H(f)
-    E = np.exp(-F)
+    E = np.exp(-rep.F(f))
 
     phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv = fld.derivs2(analytic=(mode == "analytic"))
 
@@ -153,11 +151,13 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
 
     Bv = bulk_b(fld, rep, U, cross_check=False).values
     square = 2.0 * dF * sstar**2
-    rhs = square + (f * dF * G + H) * psi**2 + Bv + div
+    # F' < 0 (current_general checks it), so f F' G + H is minus the bulk
+    # coefficient, and negating it is exact
+    bulk = rep.bulk_coefficient(f)
+    rhs = square - bulk * psi**2 + Bv + div
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(square))),
                 float(np.max(np.abs(div))), 1e-300)
-    f, dF, G, H = np.broadcast_arrays(f, dF, G, H, psi)[:4]
-    terms = {"f": f, "dF": dF, "G": G, "H": H, "psi": psi, "L": L, "B": Bv, "div": div}
+    terms = {"dF": dF, "bulk": bulk, "psi": psi, "L": L, "B": Bv, "div": div}
     return lhs, rhs, scale, terms
 
 
@@ -257,9 +257,8 @@ def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
     """
     idrep = identity_residual(fld, rep, U, derivative_mode=derivative_mode)
     t = idrep.terms
-    abs_dF = np.abs(t["dF"])
-    margin = (0.125 / abs_dF * t["L"]**2 + t["B"] + t["div"]
-              - (t["f"] * abs_dF * t["G"] - t["H"]) * t["psi"]**2)
+    margin = (0.125 / np.abs(t["dF"]) * t["L"]**2 + t["B"] + t["div"]
+              - t["bulk"] * t["psi"]**2)
     sl = fld.grid.interior(idrep.interior_depth) if idrep.interior_depth else (slice(None),) * 2
     mmin = float(np.min(margin[sl]))
     tol = POINTWISE_SLACK * idrep.residual
@@ -307,10 +306,9 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
         ph, pu, pv, _, puv, _ = ev.derivs2(u, v)
         boxphi = wave_op(g.n, g.lam, v - u, ph, pu, pv, puv)
         W = np.exp(-2.0 * rep.F(f))
-        adF = np.abs(rep.dF(f))
         ref = f ** (2 * (a - s * b))
-        return (W * (f * adF * rep.G(f) - rep.H(f)) * ph ** 2,
-                0.125 * W / adF * boxphi ** 2,
+        return (W * rep.bulk_coefficient(f) * ph ** 2,
+                0.125 * W / np.abs(rep.dF(f)) * boxphi ** 2,
                 ref * f ** (s * p - 1) * ph ** 2,
                 ref * f * boxphi ** 2)
 
@@ -379,18 +377,16 @@ class NlChainReport:
 
 
 def carleman_nl_check(fld: ScalarField, a: float, U: PowerU, *,
-                      nodes: int = qd.DEFAULT_NODES, rel_tol: float = 1e-7,
-                      require_definite_gamma: bool = False) -> NlChainReport:
+                      nodes: int = qd.DEFAULT_NODES, rel_tol: float = 1e-7) -> NlChainReport:
     """Integral chain behind the nonlinear estimate with weight f^{2a}:
 
         sign/(p+1) int f^{2a} V Gamma_V |phi|^{p+1}
           <= 1/(8a) int f^{2a} f |box phi + Udot|^2 + boundary flux total.
 
     The left side is the bulk integral of -B, evaluated at the quadrature
-    nodes and asserted there against its closed form; Gamma_V's range over
-    the region is reported, and `require_definite_gamma` raises when it
-    changes sign (the monotonicity reading of the estimate is then
-    unavailable).
+    nodes and asserted there against its closed form.  Gamma_V's range over
+    the region is reported: the monotonicity reading of the estimate needs
+    it of one sign, which `verify-nl` requires of each record.
     """
     if a <= 0:
         raise InvalidInput(f"need a > 0, got {a}")
@@ -400,9 +396,6 @@ def carleman_nl_check(fld: ScalarField, a: float, U: PowerU, *,
 
     gam = gamma_v(U.V, a, U.p, g.U, g.V, g.n)
     gmin, gmax = float(np.min(gam)), float(np.max(gam))
-    if require_definite_gamma and gmin < 0 < gmax:
-        raise GammaSignIndefinite(
-            f"Gamma_V ranges over [{gmin:.3g}, {gmax:.3g}] on this region")
 
     cur = current_general(fld, rep, U)
 
@@ -690,8 +683,7 @@ def _classify_sequence(name: str, levels, values, grows_with_level: bool):
 
 
 def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
-                        potential=None, sign: int = 1,
-                        count: int = 6, nodes: int = qd.DEFAULT_NODES,
+                        potential=None, sign: int = 1, nodes: int = qd.DEFAULT_NODES,
                         nonlinear: bool = False) -> PipelineReport:
     """Decision procedure for exterior uniqueness at decay rate beta.
 
@@ -712,8 +704,6 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
     """
     if not (0 < p < beta):
         raise InvalidInput(f"need 0 < p < beta, got p={p}, beta={beta}")
-    if count < 4:
-        raise InsufficientSequence(f"term tracking needs >= 4 surfaces, got {count}")
     g = fld.grid
     n = g.n
     a = (beta + p) / 4.0
@@ -761,10 +751,10 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
                 "fewer than 4 surfaces fit inside the field's domain")
         return out
 
-    omega_seq = [base.omega * LEVEL_RATIO**k for k in range(count)]
-    rho_seq = [base.rho * LEVEL_RATIO ** (-k) for k in range(count)]
-    tau_seq = [base.tau * LEVEL_RATIO**k for k in range(count)]
-    sigma_seq = [base.sigma * LEVEL_RATIO ** (-k) for k in range(count)]
+    omega_seq = [base.omega * LEVEL_RATIO**k for k in range(SURFACES)]
+    rho_seq = [base.rho * LEVEL_RATIO ** (-k) for k in range(SURFACES)]
+    tau_seq = [base.tau * LEVEL_RATIO**k for k in range(SURFACES)]
+    sigma_seq = [base.sigma * LEVEL_RATIO ** (-k) for k in range(SURFACES)]
     if not unbounded:
         omega_seq = clip_levels(omega_seq, hi=base.omega)
         rho_seq = clip_levels(rho_seq, lo=base.rho)

@@ -5,6 +5,7 @@ conjugate the wave operator.  The derived coefficients are
 
     G = -(f F')'        and        H = (f G)' / 2,
 
+which enter the estimates through the bulk coefficient f |F'| G - H,
 and the split pair used by the low/high estimates is one formula,
 
     F_s = -(a - s b) log f - (b/p) f^{s p},
@@ -28,7 +29,6 @@ from .errors import (
     InvalidInput,
     InvalidPotential,
     InvalidWeightParams,
-    NotInwardDirected,
 )
 
 __all__ = [
@@ -36,9 +36,6 @@ __all__ = [
     "Reparametrization",
     "PowerLog",
     "SplitWeight",
-    "envelope_check",
-    "bulk_coefficient",
-    "BulkCoefficient",
     "Potential",
     "gamma_v",
     "classify_potential",
@@ -97,6 +94,11 @@ class Reparametrization:
         # H = (f G)'/2 = (G + f G')/2
         f = _asf(f)
         return 0.5 * (self.G(f) + f * self.dG(f))
+
+    def bulk_coefficient(self, f):
+        """f |F'| G - H, the coefficient of psi^2 that the estimates bound
+        below (by b^2 p f^{+-p-1} for the split weights)."""
+        return f * np.abs(self.dF(f)) * self.G(f) - self.H(f)
 
 
 @dataclass(frozen=True)
@@ -172,61 +174,6 @@ class SplitWeight(Reparametrization):
     def H(self, f):
         f, a, b, p, s = self._args(f)
         return s * 0.5 * b * p**2 * f ** (s * p - 1)
-
-
-def envelope_check(params: SplitWeightParams, f, branch: str):
-    """Power-law envelopes of the split weight on its own branch.
-
-    Returns a dict with the ratio e^{-F}/f^{a -+ b} (must lie in (1, e]) and
-    the bracket margins for F' (low: -a/f <= F' < -(a-b)/f; high:
-    -(a+b)/f < F' <= -a/f).  All entries are elementwise arrays.
-    """
-    f = _asf(f)
-    a, b = params.a, params.b
-    rep = SplitWeight(params, branch)
-    if branch == "low":
-        if np.any(f > 1.0):
-            raise DomainError("low-branch envelope holds for f <= 1")
-        ratio = np.exp(-rep.F(f)) / f ** (a - b)
-        lo, hi = -a / f, -(a - b) / f
-    else:
-        if np.any(f < 1.0):
-            raise DomainError("high-branch envelope holds for f >= 1")
-        ratio = np.exp(-rep.F(f)) / f ** (a + b)
-        lo, hi = -(a + b) / f, -a / f
-    dF = rep.dF(f)
-    return {
-        "ratio": ratio,
-        "ratio_ok": bool(np.all((ratio > 1.0) & (ratio <= math.e + 1e-15))),
-        "dF": dF,
-        "dF_lower_margin": dF - lo,
-        "dF_upper_margin": hi - dF,
-        "dF_ok": bool(np.all(dF >= lo) and np.all(dF <= hi)),
-    }
-
-
-@dataclass(frozen=True)
-class BulkCoefficient:
-    value: np.ndarray
-    bound: np.ndarray
-    degenerate: bool
-
-
-def bulk_coefficient(params: SplitWeightParams, f, branch: str) -> BulkCoefficient:
-    """f |F'| G - H on the given branch, with the positivity bound b^2 p f^{+-p-1}.
-
-    For b = 0 both value and bound vanish identically; the result is flagged
-    degenerate instead of raising.
-    """
-    f = _asf(f)
-    b, p = params.b, params.p
-    rep = SplitWeight(params, branch)
-    bound = b * b * p * f ** (rep.s * p - 1)
-    dF = rep.dF(f)
-    if np.any(dF >= 0):
-        raise NotInwardDirected("split weight has F' >= 0 at a sample")
-    value = f * np.abs(dF) * rep.G(f) - rep.H(f)
-    return BulkCoefficient(value=value, bound=bound, degenerate=(b == 0.0))
 
 
 @dataclass(frozen=True)

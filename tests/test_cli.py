@@ -17,7 +17,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conelab.cli import COMMANDS, CONFIG_KEYS, REFINABLE, SOLVE_CELLS, RunConfig, main
+from conelab.cli import (
+    COMMANDS,
+    CONFIG_KEYS,
+    REFINABLE,
+    SIZE_RANGES,
+    SOLVE_CELLS,
+    RunConfig,
+    build_report,
+    main,
+)
+from conelab.verifier import CheckRecord
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -217,9 +227,12 @@ def test_stability_hash_is_deterministic(tmp_path):
 # pipeline (an argument naming a README config file runs on that config) was
 # pinned before the fixed fields' closed forms were committed as code, so
 # that a static multipole is among the pinned runs.  limits, counterexample,
-# solve and pipeline joined when the test-only helpers left the package, so
-# that every subcommand but verify-identity has its default run pinned.
+# solve and pipeline joined when the test-only helpers left the package, and
+# verify-identity when its identity and pointwise margin began to take the
+# bulk coefficient f|F'|G - H from the weight, so that every subcommand has
+# its default run pinned.
 DEFAULT_HASHES = {
+    ("verify-identity",): "45cdd84d6018e05dc4dc7c1865ef2dbfc0c8a22eae17110230892d0c8e3032ac",
     ("verify-carleman",): "67baa12825f89a465b6dd405d124f5ea1c76deb99b8c9b74b38cd79af4e79eff",
     ("verify-nl",): "839865680295795e3a16e5b907f006cef1f99655d6540af39a2982b5a599584e",
     ("limits",): "1e31f31cae97946dd0a860cee51e36e7e35ef88d9c00e741cdd6bfe0b9abc37c",
@@ -481,6 +494,46 @@ SATURATING = {"schema": 1, "T": 0.5, "R": 6.0, "dr": 0.05, "grid": 16,
               "nonlinearity": {"potential": {"kind": "saturating"}}}
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_400_digit_dimension_exits_2_on_every_command(tmp_path, capsys, monkeypatch, command):
+    # rejected as a size key, before any runner converts it to a float
+    _forbid_work(monkeypatch)
+    path = tmp_path / "cfg.json"
+    path.write_text('{"schema": 1, "n": %s}' % ("9" * 400))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.n must be") and len(err) < 200
+
+
+def test_dimension_range_admits_every_shipped_config():
+    lo, hi = SIZE_RANGES["n"]
+    assert lo <= 2 and 4 <= hi  # the dimensions the library tests run at
+    for _, payload in _readme_configs() + _perfbench_configs():
+        assert lo <= payload.get("n", 3) <= hi
+
+
+@pytest.mark.parametrize("combos, named", [
+    ([], "config.combos must be a nonempty list"),
+    ([[1, 1e20, "constant"]], "config.combos[0][1] must be an integer in ["),
+    ([[1, 10**400, "constant"]], "config.combos[0][1] must be an integer in ["),
+    ([[-1, 0, "constant"]], "config.combos[0][1] must be an integer in ["),
+], ids=["empty", "1e20", "400-digit", "zero"])
+def test_verify_nl_combos_are_checked_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        combos, named):
+    # an empty list would leave the report without records, and PowerU's
+    # finiteness check cannot take an integer past int64
+    _forbid_work(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "combos": combos})
+    assert main(["verify-nl", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}")
+
+
+def test_a_report_without_records_fails():
+    assert build_report("verify-nl", [])["passed"] is False
+    rec = CheckRecord(name="x", passed=True, value=0.0, tolerance=0.0)
+    assert build_report("verify-nl", [rec])["passed"] is True
+
+
 def test_solve_with_saturating_potential_needs_a_floor(tmp_path, capsys):
     for floor in (None, 0, -0.1):
         pot = {"kind": "saturating"} if floor is None else {"kind": "saturating", "floor": floor}
@@ -642,7 +695,8 @@ def _forbid_work(monkeypatch):
         raise AssertionError("work started before the configuration was checked")
 
     for mod, name in ((cli, "materialize"), (cli, "_pipeline_field"), (cli, "solve"),
-                      (verifier, "carleman_split_check"), (verifier, "uniqueness_pipeline"),
+                      (verifier, "carleman_split_check"), (verifier, "carleman_nl_check"),
+                      (verifier, "uniqueness_pipeline"),
                       (verifier, "boundary_limit_experiment"),
                       (verifier, "identity_convergence"), (verifier, "battery_fields")):
         monkeypatch.setattr(mod, name, refuse)

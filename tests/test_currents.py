@@ -1,4 +1,4 @@
-"""Flux-current assembly, contractions, divergence routes, boundary bounds."""
+"""Flux-current assembly, contractions, divergence routes, bulk terms."""
 
 import csv
 import math
@@ -9,10 +9,8 @@ import pytest
 from conelab.currents import (
     PowerU,
     ZeroU,
-    boundary_bound_check,
     bulk_b,
     bulk_term,
-    contract,
     current_general,
     current_nl,
     current_split,
@@ -51,6 +49,12 @@ def mkfield(expr="sin(u)*cos(v/3)", region=REGION, m=64, n=3, ell=0):
     return ScalarField.from_analytic(g, from_expr(expr))
 
 
+def grid_flux(cur, direction):
+    """`flux` of the current's components on its grid."""
+    g = cur.grid
+    return flux(g.U, g.V, cur.P_u, cur.P_v, direction)
+
+
 # ---------------------------------------------------------------------------
 # frozen values and structure
 # ---------------------------------------------------------------------------
@@ -66,7 +70,7 @@ def test_constant_profile_flux_frozen_at_seam():
     assert np.allclose(vals, 1.475 * math.exp(0.4), rtol=1e-14)
     assert np.allclose(vals, 2.2004414290208736, rtol=1e-14)
     # and the h-contraction of a constant profile vanishes identically
-    ch = contract(cur, "h")
+    ch = grid_flux(cur, "h")
     assert np.max(np.abs(ch)) < 1e-14
 
 
@@ -157,7 +161,7 @@ def test_boundary_expansion_f_matches_assembled_current():
         fld = mkfield("sin(u)*cos(v/3)", REG_LO, ell=ell)
         rep = SplitWeight(PARAMS, "low")
         cur = current_general(fld, rep)
-        direct = contract(cur, "f")
+        direct = grid_flux(cur, "f")
         expanded = boundary_expansion_f(fld, rep, variant="consistent")
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(direct - expanded)) < 1e-12 * scale
@@ -183,16 +187,16 @@ def test_boundary_expansion_h_matches_and_is_mode_free():
     fld2 = mkfield("sin(u)*cos(v/3)", REG_LO, ell=2)
     for fld in (fld0, fld2):
         cur = current_general(fld, rep)
-        direct = contract(cur, "h")
+        direct = grid_flux(cur, "h")
         expanded = boundary_expansion_h(fld, rep)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(direct - expanded)) < 1e-12 * scale
     # the angular energy cancels from the h-contraction: same values on
     # both modes even though the f-contraction differs
-    h0 = contract(current_general(fld0, rep), "h")
-    h2 = contract(current_general(fld2, rep), "h")
-    f0 = contract(current_general(fld0, rep), "f")
-    f2 = contract(current_general(fld2, rep), "f")
+    h0 = grid_flux(current_general(fld0, rep), "h")
+    h2 = grid_flux(current_general(fld2, rep), "h")
+    f0 = grid_flux(current_general(fld0, rep), "f")
+    f2 = grid_flux(current_general(fld2, rep), "f")
     assert np.allclose(h0, h2, atol=1e-14)
     assert np.max(np.abs(f0 - f2)) > 1e-3
 
@@ -203,14 +207,12 @@ def test_flux_fn_at_grid_points_is_contract(direction):
     cur = current_split(fld, PARAMS, "low")
     g = cur.grid
     got = flux_fn(cur, direction)(g.U, g.V)
-    assert got.tobytes() == contract(cur, direction).tobytes()
+    assert got.tobytes() == grid_flux(cur, direction).tobytes()
 
 
 def test_flux_rejects_an_unknown_direction():
     with pytest.raises(InvalidInput):
         flux(-1.0, 1.0, 0.0, 0.0, "g")
-    with pytest.raises(InvalidInput):
-        contract(current_general(mkfield(m=16), PowerLog(1.0)), "g")
 
 
 # ---------------------------------------------------------------------------
@@ -360,33 +362,6 @@ def test_zero_u_scalar_zeros_give_the_bits_of_zero_arrays(mode):
         assert terms.keys() == terms0.keys()
         for key in terms:
             assert terms[key].tobytes() == terms0[key].tobytes(), key
-
-
-# ---------------------------------------------------------------------------
-# boundary bounds
-# ---------------------------------------------------------------------------
-
-def test_boundary_bound_split_branches():
-    for region, branch in ((REG_LO, "low"), (REG_HI, "high")):
-        fld = mkfield("sin(u) * exp(-(v-1)**2 / 8)", region)
-        rep = boundary_bound_check(fld, (PARAMS, branch))
-        assert rep.passed
-        assert math.isfinite(rep.k_f) and math.isfinite(rep.k_h)
-        assert rep.k_f_neg is None
-        # the calibrated constant must certify itself with margin
-        rep2 = boundary_bound_check(fld, (PARAMS, branch), K=rep.k_f + rep.k_h + 1e-6)
-        assert rep2.passed
-        assert all(m >= -1e-12 for m in rep2.margins.values())
-
-
-def test_boundary_bound_nonlinear():
-    fld = mkfield("(-u*v)**(4/5) * exp(-(v-1)**2 / 8)")
-    U = PowerU(1, 1.0, Potential.constant(0.5))
-    rep = boundary_bound_check(fld, (0.6, U))
-    assert rep.passed
-    assert rep.k_f_neg is not None and math.isfinite(rep.k_f_neg)
-    with pytest.raises(InvalidInput):
-        boundary_bound_check(fld, (0.6, "not a nonlinearity"))
 
 
 # ---------------------------------------------------------------------------

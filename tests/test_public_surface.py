@@ -1,0 +1,52 @@
+"""The package's public surface: every declared name exists, the package
+re-exports only what its modules declare public, and every error type is
+raised somewhere and exported."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import conelab
+from conelab import errors
+
+SRC = Path(conelab.__file__).resolve().parent
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def _package_imports():
+    """(module, name) for every name conelab/__init__.py imports from a module."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_declared_name_exists(module):
+    mod = importlib.import_module(f"conelab.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing
+
+
+def test_the_package_exports_only_declared_names():
+    imports = _package_imports()
+    assert imports
+    undeclared = [(module, name) for module, name in imports
+                  if name not in importlib.import_module(f"conelab.{module}").__all__]
+    assert not undeclared
+
+
+def test_every_error_is_raised_and_exported():
+    source = "\n".join(p.read_text() for p in SRC.glob("*.py"))
+    subclasses = [obj for obj in vars(errors).values()
+                  if isinstance(obj, type) and issubclass(obj, errors.ConelabError)
+                  and obj is not errors.ConelabError]
+    assert len(subclasses) > 10
+    exported = {name for module, name in _package_imports() if module == "errors"}
+    for cls in subclasses:
+        assert re.search(rf"raise {cls.__name__}\b", source), cls.__name__
+        assert cls.__name__ in exported and getattr(conelab, cls.__name__) is cls
+    assert "ConelabError" in exported

@@ -1,4 +1,4 @@
-"""Reparametrizations: closed forms, envelopes, bulk coefficients, potentials."""
+"""Reparametrizations: closed forms, envelopes, the bulk coefficient, potentials."""
 
 import math
 
@@ -12,16 +12,13 @@ from conelab.errors import (
     InvalidInput,
     InvalidPotential,
     InvalidWeightParams,
-    NotInwardDirected,
 )
 from conelab.weights import (
     Potential,
     PowerLog,
     SplitWeight,
     SplitWeightParams,
-    bulk_coefficient,
     classify_potential,
-    envelope_check,
     gamma_v,
 )
 
@@ -62,20 +59,16 @@ def test_frozen_derivative_and_g():
 
 
 def test_bulk_coefficient_frozen():
-    lo = bulk_coefficient(PARAMS, np.array([1.0]), "low")
-    hi = bulk_coefficient(PARAMS, np.array([1.0]), "high")
-    assert abs(lo.value[0] - 0.0375) < 1e-15
-    assert abs(hi.value[0] - 0.0625) < 1e-15
-    assert lo.value[0] >= lo.bound[0] and hi.value[0] >= hi.bound[0]
-
-
-def test_envelope_frozen():
-    rep = envelope_check(PARAMS, np.array([1.0, 0.01]), "low")
-    assert abs(rep["ratio"][0] - math.exp(0.2)) < 1e-14
-    assert abs(rep["ratio"][1] - math.exp(0.02)) < 1e-14
-    assert rep["ratio_ok"] and rep["dF_ok"]
-    rep_hi = envelope_check(PARAMS, np.array([100.0]), "high")
-    assert abs(rep_hi["ratio"][0] - math.exp(0.02)) < 1e-14
+    lo = SplitWeight(PARAMS, "low").bulk_coefficient(np.array([1.0]))
+    hi = SplitWeight(PARAMS, "high").bulk_coefficient(np.array([1.0]))
+    assert abs(lo[0] - 0.0375) < 1e-15           # f|F'|G - H = 0.05 - 0.0125
+    assert abs(hi[0] - 0.0625) < 1e-15           # 0.05 + 0.0125
+    bound = PARAMS.b**2 * PARAMS.p               # b^2 p f^{+-p-1} at f = 1
+    assert lo[0] >= bound and hi[0] >= bound
+    # b = 0 leaves G = H = 0, so the coefficient vanishes identically
+    flat = SplitWeightParams(a=1.0, b=0.0, p=0.5)
+    for branch, f in (("low", 0.5), ("high", 2.0)):
+        assert SplitWeight(flat, branch).bulk_coefficient(f) == 0.0
 
 
 fgrid = st.floats(min_value=1e-3, max_value=1.0)
@@ -117,8 +110,7 @@ def test_low_branch_inequalities(t, f):
     ratio = math.exp(-F) / f ** (a - b)
     assert 1.0 - 1e-12 <= ratio <= math.e + 1e-12
     # bulk coefficient dominates b^2 p f^{p-1}
-    coef = bulk_coefficient(params, np.array([f]), "low")
-    assert coef.value[0] >= b * b * p * f ** (p - 1) - 1e-15
+    assert rep.bulk_coefficient(f) >= b * b * p * f ** (p - 1) - 1e-15
 
 
 @given(t=triples, f=fgrid_hi)
@@ -131,8 +123,7 @@ def test_high_branch_inequalities(t, f):
     assert dF < 0
     ratio = math.exp(-F) / f ** (a + b)
     assert 1.0 - 1e-12 <= ratio <= math.e + 1e-12
-    coef = bulk_coefficient(params, np.array([f]), "high")
-    assert coef.value[0] >= b * b * p * f ** (-p - 1) - 1e-15
+    assert rep.bulk_coefficient(f) >= b * b * p * f ** (-p - 1) - 1e-15
 
 
 @given(f=st.floats(min_value=1e-2, max_value=1e2))
@@ -164,12 +155,8 @@ def test_split_weight_dispatches_on_the_branch():
     lo, hi = SplitWeight(PARAMS, "low"), SplitWeight(PARAMS, "high")
     assert (lo.s, lo.name) == (1, "split_low")
     assert (hi.s, hi.name) == (-1, "split_high")
-    f = np.array([1.0])
-    for call in (lambda: SplitWeight(PARAMS, "middle"),
-                 lambda: envelope_check(PARAMS, f, "middle"),
-                 lambda: bulk_coefficient(PARAMS, f, "middle")):
-        with pytest.raises(InvalidInput, match="branch must be 'low' or 'high'"):
-            call()
+    with pytest.raises(InvalidInput, match="branch must be 'low' or 'high'"):
+        SplitWeight(PARAMS, "middle")
 
 
 # the two branches written out separately, as F_- and F_+ with their
@@ -203,20 +190,6 @@ def test_split_weight_is_bitwise_the_per_branch_formula(branch, method):
         got = getattr(SplitWeight(params, branch), method)(f)
         want = _PER_BRANCH[branch][method](params.a, params.b, params.p, f)
         assert got.tobytes() == want.tobytes()
-
-
-def test_degenerate_b_zero_flagged():
-    params = SplitWeightParams(a=1.0, b=0.0, p=0.5)
-    coef = bulk_coefficient(params, np.array([0.5]), "low")
-    assert coef.degenerate
-    assert abs(coef.value[0]) < 1e-15
-
-
-def test_bulk_coefficient_inward_guard():
-    # the high weight loses F' < 0 for very small f; the guard must fire
-    params = SplitWeightParams(a=1.0, b=0.1, p=0.5)
-    with pytest.raises(NotInwardDirected):
-        bulk_coefficient(params, np.array([1e-6]), "high")
 
 
 def test_potential_constructors_and_classification():
