@@ -21,7 +21,7 @@ import os
 import reprlib
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -84,12 +84,14 @@ REFINABLE = ("verify-carleman", "pipeline")
 # Desk-scale bounds (inclusive) on the size keys: the spatial dimension, a
 # grid side (also each verify-identity level and each --refine level), a
 # Gauss-Legendre node count (also at each --refine level), the length of a
-# limit sequence, and the radial step, final time and outer radius of solve.
+# limit sequence, the radial step, final time and outer radius of solve, the
+# mode index of solve and pipeline, and the profile power of solve.
 # LEVEL_COUNT bounds the length of the verify-identity level list, and
 # COMBO_POWER the power p of each verify-nl combo.  A value outside exits 2
 # before anything is allocated.
 SIZE_RANGES = {"n": (2, 10), "grid": (8, 1024), "nodes": (2, 2048), "count": (4, 32),
-               "dr": (1e-4, 1.0), "T": (1e-3, 20.0), "R": (1.0, 100.0)}
+               "dr": (1e-4, 1.0), "T": (1e-3, 20.0), "R": (1.0, 100.0),
+               "ell": (0, 10), "power": (1, 20)}
 LEVEL_COUNT = (2, 8)
 COMBO_POWER = (1, 10)
 # solve stores every time slice of R/dr cells, so the two keys are bounded
@@ -322,20 +324,23 @@ def run_verify_identity(cfg: RunConfig, refine: int):
              for m in levels for _, _, ell in fields}
 
     def job(fname, src, ell):
-        # one field per level serves all six checks, so its closed-form
-        # derivatives are evaluated once per level
+        # one field per level serves all six checks, so its derivatives and its
+        # half of the current are built once per level and route; the analytic
+        # checks read a fresh copy of the finest field once the FD arrays are freed
         sampled = [materialize(src, grids[m, ell]) for m in levels]
         recs = []
         for check, rep, U in checks:
-            tag = f"{fname}/{check}"
             conv = V.identity_convergence(sampled, rep, U)
             recs.append(CheckRecord(
-                name=f"identity-order[{tag}]", passed=conv.passed,
+                name=f"identity-order[{fname}/{check}]", passed=conv.passed,
                 value=conv.value, tolerance=conv.tolerance,
                 details=conv.details))
+        finest = replace(sampled.pop())
+        del sampled
+        for check, rep, U in checks:
+            tag = f"{fname}/{check}"
             # one analytic identity evaluation feeds both records
-            pw = V.pointwise_inequality(sampled[-1], rep, U,
-                                        derivative_mode="analytic")
+            pw = V.pointwise_inequality(finest, rep, U, derivative_mode="analytic")
             ana = pw.identity
             recs.append(CheckRecord(
                 name=f"identity-analytic[{tag}]",

@@ -63,6 +63,7 @@ __all__ = [
     "flux",
     "flux_fn",
     "divergence_fd",
+    "field_half",
     "current_to_csv",
 ]
 
@@ -180,40 +181,44 @@ class CurrentAssembler:
     def lam(self) -> float:
         return float(self.ell * (self.ell + self.n - 2))
 
-    def _bracket(self, u, v, phi, phi_u, phi_v):
-        """W = e^{-2F} and the bracket (A_u, A_v) = P / W, with the terms the
-        divergence differentiates: (f, r, F', G, c, z, S phi, (grad phi)^2, U(phi))."""
+    def _bracket(self, u, v, phi, phi_u, phi_v, half):
+        """W = e^{-2F} and the bracket (A_u, A_v) = P / W completed from the
+        field half (see `field_half`), with the weight terms the divergence
+        differentiates: (f, F', G, c, z, U(phi))."""
         f = -u * v
-        r = v - u
         dF = self.rep.dF(f)
         W = np.exp(-2.0 * self.rep.F(f))
         G = self.rep.G(f)
         c = (self.n - 1) / 4.0 - f * dF
         z = (f * dF - (self.n - 1) / 4.0) * dF - 0.5 * G
-        Sphi = 0.5 * (u * phi_u + v * phi_v)
-        Mg = -phi_u * phi_v + self.lam * phi**2 / r**2
         Uval = self.U.value(u, v, phi)
-        A_u = Sphi * phi_u + (v / 2.0) * Mg - v * Uval + c * phi * phi_u - v * z * phi**2
-        A_v = Sphi * phi_v + (u / 2.0) * Mg - u * Uval + c * phi * phi_v - u * z * phi**2
-        return W, A_u, A_v, (f, r, dF, G, c, z, Sphi, Mg, Uval)
+        p2, A_u, A_v = half[:3]
+        A_u = A_u - v * Uval + c * phi * phi_u - v * z * p2
+        A_v = A_v - u * Uval + c * phi * phi_v - u * z * p2
+        return W, A_u, A_v, (f, dF, G, c, z, Uval)
 
-    def components(self, u, v, phi, phi_u, phi_v):
-        W, A_u, A_v, _ = self._bracket(np.asarray(u, float), np.asarray(v, float),
-                                       phi, phi_u, phi_v)
+    def components(self, u, v, phi, phi_u, phi_v, half=None):
+        """(P_u, P_v) at the points (u, v).  `half` is `field_half` of these
+        arrays, from a caller that keeps it for several currents of one field."""
+        u, v = np.asarray(u, float), np.asarray(v, float)
+        if half is None:
+            half = field_half(u, v, self.lam, phi, phi_u, phi_v)
+        W, A_u, A_v, _ = self._bracket(u, v, phi, phi_u, phi_v, half)
         return W * A_u, W * A_v
 
-    def divergence(self, u, v, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv):
+    def divergence(self, u, v, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv, half=None):
         """Covariant divergence of the current by direct differentiation.
 
         div P = -(1/2)(d_u P_v + d_v P_u) - ((n-1)/(2r))(P_u - P_v)
         in the sphere-averaged reduction.  Needs second derivatives of phi and,
-        for a potential-bearing U, the partials of log V.
+        for a potential-bearing U, the partials of log V.  `half` is as in
+        `components`, with the second derivatives.
         """
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        lam = self.lam
-        W, A_u, A_v, (f, r, dF, G, c, z, Sphi, Mg, Uval) = self._bracket(
-            u, v, phi, phi_u, phi_v)
+        u, v = np.asarray(u, float), np.asarray(v, float)
+        if half is None:
+            half = field_half(u, v, self.lam, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv)
+        W, A_u, A_v, (f, dF, G, c, z, Uval) = self._bracket(u, v, phi, phi_u, phi_v, half)
+        p2, _, _, dA_v_du, dA_u_dv, cross = half
         d2F = self.rep.d2F(f)
         dG = self.rep.dG(f)
         # z = f (F')^2 - ((n-1)/4) F' - G/2
@@ -223,31 +228,45 @@ class CurrentAssembler:
         P_u = W * A_u
         P_v = W * A_v
 
-        dSphi_u = 0.5 * (phi_u + u * phi_uu + v * phi_uv)
-        dSphi_v = 0.5 * (u * phi_uv + phi_v + v * phi_vv)
-        dMg_u = -(phi_uu * phi_v + phi_u * phi_uv) + lam * (2.0 * phi**2 / r**3
-                                                            + 2.0 * phi * phi_u / r**2)
-        dMg_v = -(phi_uv * phi_v + phi_u * phi_vv) + lam * (-2.0 * phi**2 / r**3
-                                                            + 2.0 * phi * phi_v / r**2)
-
         dU_u = self.U.du_ext(u, v, phi) + udot * phi_u
         dU_v = self.U.dv_ext(u, v, phi) + udot * phi_v
 
-        dA_v_du = (dSphi_u * phi_v + Sphi * phi_uv
-                   + 0.5 * Mg + (u / 2.0) * dMg_u
-                   - Uval - u * dU_u
-                   - v * G * phi * phi_v + c * (phi_u * phi_v + phi * phi_uv)
-                   - z * phi**2 + u * v * z_f * phi**2 - 2.0 * u * z * phi * phi_u)
-        dA_u_dv = (dSphi_v * phi_u + Sphi * phi_uv
-                   + 0.5 * Mg + (v / 2.0) * dMg_v
-                   - Uval - v * dU_v
-                   - u * G * phi * phi_u + c * (phi_u * phi_v + phi * phi_uv)
-                   - z * phi**2 + u * v * z_f * phi**2 - 2.0 * v * z * phi * phi_v)
+        dA_v_du = (dA_v_du - Uval - u * dU_u
+                   - v * G * phi * phi_v + c * cross
+                   - z * p2 + u * v * z_f * p2 - 2.0 * u * z * phi * phi_u)
+        dA_u_dv = (dA_u_dv - Uval - v * dU_v
+                   - u * G * phi * phi_u + c * cross
+                   - z * p2 + u * v * z_f * p2 - 2.0 * v * z * phi * phi_v)
 
         dP_v_du = 2.0 * v * dF * P_v + W * dA_v_du
         dP_u_dv = 2.0 * u * dF * P_u + W * dA_u_dv
 
-        return -0.5 * (dP_v_du + dP_u_dv) - ((self.n - 1) / (2.0 * r)) * (P_u - P_v)
+        return -0.5 * (dP_v_du + dP_u_dv) - ((self.n - 1) / (2.0 * (v - u))) * (P_u - P_v)
+
+
+def field_half(u, v, lam, phi, phi_u, phi_v, phi_uu=None, phi_uv=None, phi_vv=None):
+    """The field half of the current at the points (u, v), the bracket's terms
+    that read neither the weight nor U: phi^2 and the opening sums of A_u and
+    A_v, and given the second derivatives those of d_u A_v and d_v A_u and the
+    factor phi_u phi_v + phi phi_uv that c multiplies.  The bracket adds the
+    weight's terms after these, left to right, so one half serves every
+    weight and U on the same points bit for bit."""
+    r = v - u
+    p2 = phi**2
+    Sphi = 0.5 * (u * phi_u + v * phi_v)
+    Mg = -phi_u * phi_v + lam * p2 / r**2
+    half = (p2, Sphi * phi_u + (v / 2.0) * Mg, Sphi * phi_v + (u / 2.0) * Mg)
+    if phi_uu is None:
+        return half
+    dSphi_u = 0.5 * (phi_u + u * phi_uu + v * phi_uv)
+    dSphi_v = 0.5 * (u * phi_uv + phi_v + v * phi_vv)
+    dMg_u = -(phi_uu * phi_v + phi_u * phi_uv) + lam * (2.0 * p2 / r**3
+                                                        + 2.0 * phi * phi_u / r**2)
+    dMg_v = -(phi_uv * phi_v + phi_u * phi_vv) + lam * (-2.0 * p2 / r**3
+                                                        + 2.0 * phi * phi_v / r**2)
+    return half + (dSphi_u * phi_v + Sphi * phi_uv + 0.5 * Mg + (u / 2.0) * dMg_u,
+                   dSphi_v * phi_u + Sphi * phi_uv + 0.5 * Mg + (v / 2.0) * dMg_v,
+                   phi_u * phi_v + phi * phi_uv)
 
 
 @dataclass(frozen=True)

@@ -374,10 +374,11 @@ def _knots(x: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([np.full(k + 1, x[0]), inner, np.full(k + 1, x[-1])])
 
 
-def _bspline_basis(t: np.ndarray, k: int, x: np.ndarray, nu: int) -> tuple:
+def _bspline_basis(t: np.ndarray, k: int, x: np.ndarray, nus) -> tuple:
     """Interval l of each point x (t[l] <= x < t[l+1], the last interval
-    closed) and, in row a of a (k + 1, len(x)) array, the nu-th derivative
-    there of B_{l-k+a}, a = 0 .. k: the B-splines that do not vanish.
+    closed) and, for each order nu of `nus`, in row a of a (k + 1, len(x))
+    array, the nu-th derivative there of B_{l-k+a}, a = 0 .. k: the
+    B-splines that do not vanish.  The arrays are returned keyed by nu.
 
     de Boor's recursion builds the degree k - nu values; each of the last nu
     steps raises the degree by differentiating instead.  Every denominator
@@ -385,22 +386,24 @@ def _bspline_basis(t: np.ndarray, k: int, x: np.ndarray, nu: int) -> tuple:
     """
     l = np.clip(np.searchsorted(t, x, side="right") - 1, k, len(t) - k - 2)
     tw = t[l + np.arange(1 - k, k + 1)[:, None]]  # row q: t[l + 1 - k + q]
-    h = np.zeros((k + 1, len(x)))
-    h[0] = 1.0
-    for j in range(1, k + 1):
-        right, left = tw[k:k + j], tw[k - j:k]  # t[l+1 .. l+j], t[l+1-j .. l]
-        term = h[:j] / (right - left)
-        if j > k - nu:
-            term *= j
-            h[j] = term[j - 1]
-            h[1:j] = term[:j - 1] - term[1:j]
-            h[0] = -term[0]
-        else:
-            up = (x - left) * term
-            h[:j] = (right - x) * term
-            h[j] = up[j - 1]
-            h[1:j] += up[:j - 1]
-    return l, h
+    out = {}
+    for nu in nus:
+        h = out[nu] = np.zeros((k + 1, len(x)))
+        h[0] = 1.0
+        for j in range(1, k + 1):
+            right, left = tw[k:k + j], tw[k - j:k]  # t[l+1 .. l+j], t[l+1-j .. l]
+            term = h[:j] / (right - left)
+            if j > k - nu:
+                term *= j
+                h[j] = term[j - 1]
+                h[1:j] = term[:j - 1] - term[1:j]
+                h[0] = -term[0]
+            else:
+                up = (x - left) * term
+                h[:j] = (right - x) * term
+                h[j] = up[j - 1]
+                h[1:j] += up[:j - 1]
+    return l, out
 
 
 def _interpolate_axis(t: np.ndarray, k: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -413,8 +416,8 @@ def _interpolate_axis(t: np.ndarray, k: int, x: np.ndarray, z: np.ndarray) -> np
     them: no n x n array is built.  Each row update is a scaled subtraction
     of whole rows of z, so a column's result does not depend on the others.
     """
-    l, h = _bspline_basis(t, k, x, 0)
-    ab = h.T
+    l, basis = _bspline_basis(t, k, x, (0,))
+    ab = basis[0].T
     first = (l - k).tolist()
     last = l.tolist()
     n = len(x)
@@ -459,18 +462,27 @@ class TensorSpline:
     def ev(self, x, y, dx: int = 0, dy: int = 0) -> np.ndarray:
         """Values (dx = dy = 0) or partial derivatives d^dx/dx d^dy/dy, of
         order at most 2 per axis, at the points (x[m], y[m])."""
+        return self.ev_pairs(x, y, ((dx, dy),))[0]
+
+    def ev_pairs(self, x, y, pairs) -> list:
+        """`ev` for each (dx, dy) of `pairs` at the same points.  The clamp,
+        the interval search, each axis's basis for each order and each
+        coefficient gather are done once for all the pairs."""
         tx, ty, kx, ky = self.tx, self.ty, self.kx, self.ky
         x = np.clip(np.asarray(x, dtype=float).ravel(), tx[kx], tx[-kx - 1])
         y = np.clip(np.asarray(y, dtype=float).ravel(), ty[ky], ty[-ky - 1])
-        lx, bx = _bspline_basis(tx, kx, x, dx)
-        ly, by = _bspline_basis(ty, ky, y, dy)
+        lx, bx = _bspline_basis(tx, kx, x, {dx for dx, _ in pairs})
+        ly, by = _bspline_basis(ty, ky, y, {dy for _, dy in pairs})
         ny = self.c.shape[1]
         flat = self.c.ravel()
         cols = (ly - ky) + np.arange(ky + 1)[:, None]
-        out = np.zeros(len(x))
+        outs = [np.zeros(len(x)) for _ in pairs]
         for a in range(kx + 1):
-            out += bx[a] * (flat[(lx - kx + a) * ny + cols] * by).sum(axis=0)
-        return out
+            gathered = flat[(lx - kx + a) * ny + cols]
+            inner = {dy: (gathered * b).sum(axis=0) for dy, b in by.items()}
+            for out, (dx, dy) in zip(outs, pairs):
+                out += bx[dx][a] * inner[dy]
+        return outs
 
 
 @dataclass
@@ -493,33 +505,25 @@ class SplineEval:
             raise RegionOutOfGrid("evaluation point outside the field's grid")
         return s, y
 
-    def _ev(self, s, y, dx, dy):
-        s = np.asarray(s, dtype=float)
-        out = self.field_._spline.ev(np.ravel(s), np.ravel(y), dx=dx, dy=dy)
-        return out.reshape(s.shape)
+    def _ev(self, u, v, pairs):
+        """The spline's `pairs` of (s, y) derivatives at the points (u, v)."""
+        s, y = self._sy(u, v)
+        outs = self.field_._spline.ev_pairs(np.ravel(s), np.ravel(y), pairs)
+        return [out.reshape(s.shape) for out in outs]
 
     def value(self, u, v):
-        s, y = self._sy(u, v)
-        return self._ev(s, y, 0, 0)
+        return self._ev(u, v, ((0, 0),))[0]
 
     def derivs1(self, u, v):
-        s, y = self._sy(u, v)
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        phi = self._ev(s, y, 0, 0)
-        return (phi, *_chain_rule(u, v, self._ev(s, y, 1, 0), self._ev(s, y, 0, 1)))
+        phi, ps, py = self._ev(u, v, ((0, 0), (1, 0), (0, 1)))
+        return (phi, *_chain_rule(np.asarray(u, dtype=float), np.asarray(v, dtype=float),
+                                  ps, py))
 
     def derivs2(self, u, v):
-        s, y = self._sy(u, v)
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        phi = self._ev(s, y, 0, 0)
-        ps = self._ev(s, y, 1, 0)
-        py = self._ev(s, y, 0, 1)
-        pss = self._ev(s, y, 2, 0)
-        pyy = self._ev(s, y, 0, 2)
-        psy = self._ev(s, y, 1, 1)
-        return (phi, *_chain_rule(u, v, ps, py, pss, psy, pyy))
+        phi, ps, py, pss, pyy, psy = self._ev(
+            u, v, ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)))
+        return (phi, *_chain_rule(np.asarray(u, dtype=float), np.asarray(v, dtype=float),
+                                  ps, py, pss, psy, pyy))
 
 
 def materialize(source, grid: GridSpec) -> ScalarField:

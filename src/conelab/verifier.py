@@ -33,6 +33,7 @@ from .currents import (
     current_nl,
     current_split,
     divergence_fd,
+    field_half,
     flux_fn,
 )
 from .errors import (
@@ -133,8 +134,14 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
     E = np.exp(-rep.F(f))
 
     phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv = fld.derivs2(analytic=(mode == "analytic"))
-
-    boxphi = wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv)
+    # box phi and the field half read the field alone, so they are kept on the
+    # field like its derivative arrays, once per mode, for every weight and U
+    memo = fld.__dict__.setdefault("_identity_terms", {})
+    if mode not in memo:
+        second = (phi_uu, phi_uv, phi_vv) if mode == "analytic" else ()
+        memo[mode] = (wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv),
+                      field_half(g.U, g.V, g.lam, phi, phi_u, phi_v, *second))
+    boxphi, half = memo[mode]
     psi = E * phi
     psi_u = E * (phi_u + g.V * dF * phi)
     psi_v = E * (phi_v + g.U * dF * phi)
@@ -145,9 +152,9 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
 
     asm = current_general(fld, rep, U).assembler
     if mode == "fd":
-        div = divergence_fd(g, *asm.components(g.U, g.V, phi, phi_u, phi_v)).values
+        div = divergence_fd(g, *asm.components(g.U, g.V, phi, phi_u, phi_v, half)).values
     else:
-        div = asm.divergence(g.U, g.V, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv)
+        div = asm.divergence(g.U, g.V, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv, half)
 
     Bv = bulk_b(fld, rep, U, cross_check=False).values
     square = 2.0 * dF * sstar**2

@@ -9,9 +9,9 @@ shared quadrature implementation.
 
 Algebraic oracles write out by hand what the package assembles: the
 conjugated field e^{sign F} phi with its derivative slots, the expansion of
-the conjugated wave operator, and the expanded boundary contractions of the
+the conjugated wave operator, the expanded boundary contractions of the
 current (with the sign variant of its zero-order term that the assembled
-current must not match).
+current must not match), and the current's bracket in one piece.
 """
 
 import numpy as np
@@ -175,3 +175,83 @@ def boundary_expansion_h(fld, rep):
     up = g.U * phi_u
     vp = g.V * phi_v
     return W * (0.25 * (up**2 - vp**2) + 0.5 * c * phi * (up - vp))
+
+
+# ---------------------------------------------------------------------------
+# the current's bracket, written out in one piece
+# ---------------------------------------------------------------------------
+# CurrentAssembler splits the bracket into a field half, shared by every
+# weight and U on the same points, and the weight's terms added after it.
+# These are its formulas before the split, which the split must reproduce
+# bit for bit.
+
+def _bracket(asm, u, v, phi, phi_u, phi_v):
+    """W = e^{-2F} and the bracket (A_u, A_v) = P / W of the assembler `asm`,
+    with the terms the divergence differentiates: (f, r, F', G, c, z,
+    S phi, (grad phi)^2, U(phi))."""
+    f = -u * v
+    r = v - u
+    dF = asm.rep.dF(f)
+    W = np.exp(-2.0 * asm.rep.F(f))
+    G = asm.rep.G(f)
+    c = (asm.n - 1) / 4.0 - f * dF
+    z = (f * dF - (asm.n - 1) / 4.0) * dF - 0.5 * G
+    Sphi = 0.5 * (u * phi_u + v * phi_v)
+    Mg = -phi_u * phi_v + asm.lam * phi**2 / r**2
+    Uval = asm.U.value(u, v, phi)
+    A_u = Sphi * phi_u + (v / 2.0) * Mg - v * Uval + c * phi * phi_u - v * z * phi**2
+    A_v = Sphi * phi_v + (u / 2.0) * Mg - u * Uval + c * phi * phi_v - u * z * phi**2
+    return W, A_u, A_v, (f, r, dF, G, c, z, Sphi, Mg, Uval)
+
+
+def bracket_components(asm, u, v, phi, phi_u, phi_v):
+    """`CurrentAssembler.components` with the bracket in one piece."""
+    W, A_u, A_v, _ = _bracket(asm, np.asarray(u, float), np.asarray(v, float),
+                              phi, phi_u, phi_v)
+    return W * A_u, W * A_v
+
+
+def bracket_divergence(asm, u, v, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv):
+    """`CurrentAssembler.divergence` with the bracket in one piece:
+
+    div P = -(1/2)(d_u P_v + d_v P_u) - ((n-1)/(2r))(P_u - P_v).
+    """
+    u = np.asarray(u, float)
+    v = np.asarray(v, float)
+    lam = asm.lam
+    W, A_u, A_v, (f, r, dF, G, c, z, Sphi, Mg, Uval) = _bracket(
+        asm, u, v, phi, phi_u, phi_v)
+    d2F = asm.rep.d2F(f)
+    dG = asm.rep.dG(f)
+    # z = f (F')^2 - ((n-1)/4) F' - G/2
+    z_f = dF**2 + 2.0 * f * dF * d2F - ((asm.n - 1) / 4.0) * d2F - 0.5 * dG
+
+    udot = asm.U.udot(u, v, phi)
+    P_u = W * A_u
+    P_v = W * A_v
+
+    dSphi_u = 0.5 * (phi_u + u * phi_uu + v * phi_uv)
+    dSphi_v = 0.5 * (u * phi_uv + phi_v + v * phi_vv)
+    dMg_u = -(phi_uu * phi_v + phi_u * phi_uv) + lam * (2.0 * phi**2 / r**3
+                                                        + 2.0 * phi * phi_u / r**2)
+    dMg_v = -(phi_uv * phi_v + phi_u * phi_vv) + lam * (-2.0 * phi**2 / r**3
+                                                        + 2.0 * phi * phi_v / r**2)
+
+    dU_u = asm.U.du_ext(u, v, phi) + udot * phi_u
+    dU_v = asm.U.dv_ext(u, v, phi) + udot * phi_v
+
+    dA_v_du = (dSphi_u * phi_v + Sphi * phi_uv
+               + 0.5 * Mg + (u / 2.0) * dMg_u
+               - Uval - u * dU_u
+               - v * G * phi * phi_v + c * (phi_u * phi_v + phi * phi_uv)
+               - z * phi**2 + u * v * z_f * phi**2 - 2.0 * u * z * phi * phi_u)
+    dA_u_dv = (dSphi_v * phi_u + Sphi * phi_uv
+               + 0.5 * Mg + (v / 2.0) * dMg_v
+               - Uval - v * dU_v
+               - u * G * phi * phi_u + c * (phi_u * phi_v + phi * phi_uv)
+               - z * phi**2 + u * v * z_f * phi**2 - 2.0 * v * z * phi * phi_v)
+
+    dP_v_du = 2.0 * v * dF * P_v + W * dA_v_du
+    dP_u_dv = 2.0 * u * dF * P_u + W * dA_u_dv
+
+    return -0.5 * (dP_v_du + dP_u_dv) - ((asm.n - 1) / (2.0 * r)) * (P_u - P_v)

@@ -512,6 +512,26 @@ def test_dimension_range_admits_every_shipped_config():
         assert lo <= payload.get("n", 3) <= hi
 
 
+@pytest.mark.parametrize("command, key", [("solve", "ell"), ("solve", "power"),
+                                          ("pipeline", "ell")])
+def test_a_400_digit_mode_or_power_exits_2(tmp_path, capsys, command, key):
+    # unbounded, solve overflows converting either to a float (exit 3) and
+    # pipeline samples a grid at the 400-digit mode (exit 0)
+    path = tmp_path / "cfg.json"
+    path.write_text('{"schema": 1, "%s": %s}' % (key, "9" * 400))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config.{key} must be an integer in [") and len(err) < 200
+
+
+@pytest.mark.parametrize("key, default, tested", [("ell", 0, (0, 2)), ("power", 6, (6, 8))])
+def test_mode_and_power_ranges_admit_every_shipped_config(key, default, tested):
+    lo, hi = SIZE_RANGES[key]
+    assert lo <= min(tested) and max(tested) <= hi  # the values the library tests run at
+    for _, payload in _readme_configs() + _perfbench_configs():
+        assert lo <= payload.get(key, default) <= hi
+
+
 @pytest.mark.parametrize("combos, named", [
     ([], "config.combos must be a nonempty list"),
     ([[1, 1e20, "constant"]], "config.combos[0][1] must be an integer in ["),
@@ -681,6 +701,35 @@ def test_verify_identity_runs_fd_stencils_once_per_field_and_level(tmp_path, mon
     assert _load_report(out)["stability_hash"] == LEVELS_16_32_HASH
     labels = {"unit", "oscillatory", "separable-power", "spherical-wave", "multipole(ell=1)"}
     assert sorted(calls) == sorted((name, m) for name in labels for m in (16, 32))
+
+
+def test_verify_identity_builds_each_field_half_once_per_field_route_and_level(
+        tmp_path, monkeypatch):
+    # the six (weight x nonlinearity) checks of a field read one half of the
+    # current per route and level: five fields x two FD levels, and the
+    # finest level once more by the analytic route
+    import threading
+
+    from conelab import currents, verifier
+
+    calls = []
+    lock = threading.Lock()
+    real = currents.field_half
+
+    def counted(u, v, lam, phi, phi_u, phi_v, *second):
+        with lock:
+            calls.append((len(phi), "analytic" if second else "fd", phi.tobytes()))
+        return real(u, v, lam, phi, phi_u, phi_v, *second)
+
+    monkeypatch.setattr(currents, "field_half", counted)
+    monkeypatch.setattr(verifier, "field_half", counted)
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "levels": [16, 32]})
+    out = tmp_path / "report.json"
+    main(["verify-identity", "--config", cfg, "--out", str(out)])
+    assert _load_report(out)["stability_hash"] == LEVELS_16_32_HASH
+    assert len(set(calls)) == len(calls) == 15
+    assert sorted(m for m, route, _ in calls if route == "fd") == [16] * 5 + [32] * 5
+    assert [m for m, route, _ in calls if route == "analytic"] == [32] * 5
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conelab.currents import (
+    CurrentAssembler,
     PowerU,
     ZeroU,
     bulk_b,
@@ -16,6 +17,7 @@ from conelab.currents import (
     current_split,
     current_to_csv,
     divergence_fd,
+    field_half,
     flux,
     flux_fn,
 )
@@ -28,6 +30,7 @@ from conelab.errors import (
 )
 from conelab.fields import GridSpec, ScalarField, from_expr
 from conelab.geometry import AdmissibleRegion
+from conelab.verifier import battery_weights
 from conelab.weights import (
     Potential,
     PowerLog,
@@ -36,7 +39,12 @@ from conelab.weights import (
     gamma_v,
 )
 
-from _oracles import boundary_expansion_f, boundary_expansion_h
+from _oracles import (
+    boundary_expansion_f,
+    boundary_expansion_h,
+    bracket_components,
+    bracket_divergence,
+)
 
 PARAMS = SplitWeightParams(1.0, 0.1, 0.5)
 REGION = AdmissibleRegion(0.1, 10.0, 0.1, 10.0)
@@ -362,6 +370,31 @@ def test_zero_u_scalar_zeros_give_the_bits_of_zero_arrays(mode):
         assert terms.keys() == terms0.keys()
         for key in terms:
             assert terms[key].tobytes() == terms0[key].tobytes(), key
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+@pytest.mark.parametrize("U", [ZeroU(), PowerU(1, 1, Potential.constant(1.0))],
+                         ids=["zero-u", "power-u"])
+def test_field_half_keeps_the_bits_of_the_bracket_in_one_piece(ell, U):
+    # the battery weights on grid arrays by both derivative routes and on
+    # 1-D node arrays, with the half built inside the call and passed in
+    fld = mkfield(m=32, ell=ell)
+    g = fld.grid
+    f, h = np.meshgrid(np.linspace(0.15, 9.0, 7), np.linspace(0.2, 8.0, 5))
+    u, v = -np.sqrt(np.ravel(f / h)), np.sqrt(np.ravel(f * h))
+    points = [(g.U, g.V, fld.derivs2(analytic=True)), (g.U, g.V, fld.derivs2(analytic=False)),
+              (u, v, fld.evaluator().derivs2(u, v))]
+    for _, rep in battery_weights():
+        asm = CurrentAssembler(rep=rep, U=U, n=g.n, ell=ell)
+        for u, v, d in points:
+            want = [a.tobytes() for a in bracket_components(asm, u, v, *d[:3])]
+            half = field_half(u, v, asm.lam, *d[:3])
+            for got in (asm.components(u, v, *d[:3]), asm.components(u, v, *d[:3], half)):
+                assert [a.tobytes() for a in got] == want
+            want = bracket_divergence(asm, u, v, *d).tobytes()
+            half = field_half(u, v, asm.lam, *d)
+            assert asm.divergence(u, v, *d).tobytes() == want
+            assert asm.divergence(u, v, *d, half).tobytes() == want
 
 
 # ---------------------------------------------------------------------------

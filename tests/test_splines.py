@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
-from conelab.fields import GridSpec, ScalarField, TensorSpline, _knots
+from conelab.fields import GridSpec, ScalarField, TensorSpline, _bspline_basis, _knots
 from conelab.geometry import AdmissibleRegion
 from conelab.solver import solve, spherical_wave_data
 
@@ -68,6 +68,36 @@ def test_field_spline_matches_fitpack():
     # at the sites, closer to the data than FITPACK's fit (1.1e-15)
     gap = fld._spline.ev(np.ravel(g.S), np.ravel(g.Y)) - np.ravel(fld.values)
     assert np.max(np.abs(gap)) <= 5e-16
+
+
+def one_pair(sp, x, y, dx, dy):
+    """One (dx, dy) derivative of `sp` at (x, y), evaluated alone: the
+    clamp, interval search, bases and gathers made for that pair only."""
+    tx, ty, kx, ky = sp.tx, sp.ty, sp.kx, sp.ky
+    x = np.clip(x, tx[kx], tx[-kx - 1])
+    y = np.clip(y, ty[ky], ty[-ky - 1])
+    lx, bx = _bspline_basis(tx, kx, x, (dx,))
+    ly, by = _bspline_basis(ty, ky, y, (dy,))
+    ny = sp.c.shape[1]
+    cols = (ly - ky) + np.arange(ky + 1)[:, None]
+    out = np.zeros(len(x))
+    for a in range(kx + 1):
+        out += bx[dx][a] * (sp.c.ravel()[(lx - kx + a) * ny + cols] * by[dy]).sum(axis=0)
+    return out
+
+
+def test_pairs_share_their_bases_bitwise():
+    # 25600 points, some outside the box, on a 96 x 96 spline: one call for
+    # all six pairs gives the bits of six single-pair evaluations
+    rng = np.random.default_rng(3)
+    x, y = np.linspace(0.0, 3.0, 96), np.linspace(-1.0, 2.0, 96)
+    sp = TensorSpline(x, y, rng.normal(size=(96, 96)))
+    X, Y = rng.uniform(-0.1, 3.1, 25600), rng.uniform(-1.1, 2.1, 25600)
+    got = sp.ev_pairs(X, Y, PAIRS)
+    assert len(got) == len(PAIRS)
+    for out, (dx, dy) in zip(got, PAIRS):
+        want = one_pair(sp, X, Y, dx, dy)
+        assert out.tobytes() == want.tobytes() == sp.ev(X, Y, dx, dy).tobytes(), (dx, dy)
 
 
 def test_points_outside_the_box_are_clamped_like_fitpack():
