@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -56,6 +57,20 @@ COMMANDS = (
 )
 
 DEFAULT_REGION = dict(rho=0.1, omega=10.0, sigma=0.1, tau=10.0)
+# solve's default region, the README example's: inside the strip that the
+# default T = 1 evolves, so the default run samples its field
+SOLVE_REGION = dict(rho=0.25, omega=1.0, sigma=0.6, tau=5.0 / 3.0)
+
+# glibc malloc settings for a command run: arrays up to MMAP_THRESHOLD bytes
+# come from the heap, and freed heap memory is handed back to the OS only
+# above TRIM_THRESHOLD, so each check's temporaries reuse the pages the last
+# check freed instead of faulting fresh ones in.  Both are needed: a trim
+# threshold alone turns off glibc's sliding mmap threshold, and every array
+# of 128 KB or more is then mmapped and unmapped anew.  32 MiB is the largest
+# mmap threshold every glibc accepts (older releases refuse more).
+MALLOC_MMAP_THRESHOLD = 32 << 20
+MALLOC_TRIM_THRESHOLD = 256 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers, malloc.h
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +252,9 @@ class RunConfig:
             return None
         return RunConfig(self.command, dict(val), keys=keys, where=f"{self.where}.{key}")
 
-    def region(self) -> AdmissibleRegion:
-        sec = self.section("region", tuple(DEFAULT_REGION), default={})
-        return AdmissibleRegion(**{k: sec.get_number(k, v) for k, v in DEFAULT_REGION.items()})
+    def region(self, default=DEFAULT_REGION) -> AdmissibleRegion:
+        sec = self.section("region", tuple(default), default={})
+        return AdmissibleRegion(**{k: sec.get_number(k, v) for k, v in default.items()})
 
 
 def _json_safe(obj):
@@ -587,7 +602,7 @@ def run_solve(cfg: RunConfig, refine: int):
             value=result.energy_drift, tolerance=0.01, details={}))
     payload = {"evolution": result}
     if cfg.get_bool("sample", True):
-        reg = cfg.region()
+        reg = cfg.region(SOLVE_REGION)
         m = cfg.get_int("grid", 96)
         try:
             grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
@@ -596,7 +611,7 @@ def run_solve(cfg: RunConfig, refine: int):
         except ConelabError:
             covered = False  # sample window outside the evolved domain
         records.append(CheckRecord(
-            name="solve-exterior-sample", passed=True, value=float(covered),
+            name="solve-exterior-sample", passed=covered, value=float(covered),
             tolerance=0.0, details={"covered": covered,
                                     "region": asdict(reg)}))
     return records, payload
@@ -738,8 +753,20 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Set the malloc thresholds above; a no-op where the C library has no
+    mallopt (macOS, Windows)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)
+
+
 def main(argv: Optional[list] = None) -> int:
     args = make_parser().parse_args(argv)
+    _keep_freed_memory()
     refine = args.refine or 0
     try:
         if args.refine is not None and args.command not in REFINABLE:

@@ -181,11 +181,10 @@ class CurrentAssembler:
     def lam(self) -> float:
         return float(self.ell * (self.ell + self.n - 2))
 
-    def _bracket(self, u, v, phi, phi_u, phi_v, half):
+    def _bracket(self, u, v, f, phi, phi_u, phi_v, half):
         """W = e^{-2F} and the bracket (A_u, A_v) = P / W completed from the
         field half (see `field_half`), with the weight terms the divergence
-        differentiates: (f, F', G, c, z, U(phi))."""
-        f = -u * v
+        differentiates: (F', G, c, z, U(phi))."""
         dF = self.rep.dF(f)
         W = np.exp(-2.0 * self.rep.F(f))
         G = self.rep.G(f)
@@ -195,29 +194,32 @@ class CurrentAssembler:
         p2, A_u, A_v = half[:3]
         A_u = A_u - v * Uval + c * phi * phi_u - v * z * p2
         A_v = A_v - u * Uval + c * phi * phi_v - u * z * p2
-        return W, A_u, A_v, (f, dF, G, c, z, Uval)
+        return W, A_u, A_v, (dF, G, c, z, Uval)
 
-    def components(self, u, v, phi, phi_u, phi_v, half=None):
-        """(P_u, P_v) at the points (u, v).  `half` is `field_half` of these
-        arrays, from a caller that keeps it for several currents of one field."""
+    def components(self, u, v, f, phi, phi_u, phi_v, half=None):
+        """(P_u, P_v) at the points (u, v).  The caller gives f = -u v: a
+        grid's column `F_col`, on which the weight half is evaluated once per
+        row and broadcast, or `-u * v` at points.  `half` is `field_half` of
+        these arrays, from a caller that keeps it for several currents of one
+        field."""
         u, v = np.asarray(u, float), np.asarray(v, float)
         if half is None:
             half = field_half(u, v, self.lam, phi, phi_u, phi_v)
-        W, A_u, A_v, _ = self._bracket(u, v, phi, phi_u, phi_v, half)
+        W, A_u, A_v, _ = self._bracket(u, v, f, phi, phi_u, phi_v, half)
         return W * A_u, W * A_v
 
-    def divergence(self, u, v, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv, half=None):
+    def divergence(self, u, v, f, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv, half=None):
         """Covariant divergence of the current by direct differentiation.
 
         div P = -(1/2)(d_u P_v + d_v P_u) - ((n-1)/(2r))(P_u - P_v)
         in the sphere-averaged reduction.  Needs second derivatives of phi and,
-        for a potential-bearing U, the partials of log V.  `half` is as in
-        `components`, with the second derivatives.
+        for a potential-bearing U, the partials of log V.  `f` and `half` are
+        as in `components`, with the second derivatives.
         """
         u, v = np.asarray(u, float), np.asarray(v, float)
         if half is None:
             half = field_half(u, v, self.lam, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv)
-        W, A_u, A_v, (f, dF, G, c, z, Uval) = self._bracket(u, v, phi, phi_u, phi_v, half)
+        W, A_u, A_v, (dF, G, c, z, Uval) = self._bracket(u, v, f, phi, phi_u, phi_v, half)
         p2, _, _, dA_v_du, dA_u_dv, cross = half
         d2F = self.rep.d2F(f)
         dG = self.rep.dG(f)
@@ -286,8 +288,10 @@ class CurrentField:
 
     @cached_property
     def _on_grid(self):
+        # f = -u v at every node, as at the point evaluator's, so that the
+        # samples are its values bit for bit
         g = self.grid
-        return self.assembler.components(g.U, g.V, *self.field.derivs1())
+        return self.assembler.components(g.U, g.V, -g.U * g.V, *self.field.derivs1())
 
     @property
     def P_u(self) -> np.ndarray:
@@ -298,7 +302,7 @@ class CurrentField:
         return self._on_grid[1]
 
     def components_at(self, u, v):
-        return self.assembler.components(u, v, *self.field.evaluator().derivs1(u, v))
+        return self.assembler.components(u, v, -u * v, *self.field.evaluator().derivs1(u, v))
 
     @property
     def has_divergence(self) -> bool:
@@ -307,7 +311,7 @@ class CurrentField:
         return U.is_zero or (U.V.du_log is not None and U.V.dv_log is not None)
 
     def divergence_at(self, u, v):
-        return self.assembler.divergence(u, v, *self.field.evaluator().derivs2(u, v))
+        return self.assembler.divergence(u, v, -u * v, *self.field.evaluator().derivs2(u, v))
 
 
 def _assemble(fld: ScalarField, rep: Reparametrization, U: NonlinearityU) -> CurrentField:

@@ -126,8 +126,8 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
     """LHS and RHS arrays of the divergence identity on the field's grid, the
     residual's scale, and the terms the pointwise margin reads: F' and the
     bulk coefficient f |F'| G - H (on the grid's f column, where the weight
-    profiles are evaluated and broadcast), psi = e^{-F} phi,
-    L = e^{-F}(box phi + Udot), B and div P."""
+    profiles, those of the current's weight half included, are evaluated and
+    broadcast), psi = e^{-F} phi, L = e^{-F}(box phi + Udot), B and div P."""
     g = fld.grid
     f = g.F_col
     dF = rep.dF(f)
@@ -152,9 +152,9 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
 
     asm = current_general(fld, rep, U).assembler
     if mode == "fd":
-        div = divergence_fd(g, *asm.components(g.U, g.V, phi, phi_u, phi_v, half)).values
+        div = divergence_fd(g, *asm.components(g.U, g.V, f, phi, phi_u, phi_v, half)).values
     else:
-        div = asm.divergence(g.U, g.V, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv, half)
+        div = asm.divergence(g.U, g.V, f, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv, half)
 
     Bv = bulk_b(fld, rep, U, cross_check=False).values
     square = 2.0 * dF * sstar**2

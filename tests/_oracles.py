@@ -185,11 +185,10 @@ def boundary_expansion_h(fld, rep):
 # These are its formulas before the split, which the split must reproduce
 # bit for bit.
 
-def _bracket(asm, u, v, phi, phi_u, phi_v):
+def _bracket(asm, u, v, f, phi, phi_u, phi_v):
     """W = e^{-2F} and the bracket (A_u, A_v) = P / W of the assembler `asm`,
-    with the terms the divergence differentiates: (f, r, F', G, c, z,
+    with the terms the divergence differentiates: (r, F', G, c, z,
     S phi, (grad phi)^2, U(phi))."""
-    f = -u * v
     r = v - u
     dF = asm.rep.dF(f)
     W = np.exp(-2.0 * asm.rep.F(f))
@@ -201,17 +200,17 @@ def _bracket(asm, u, v, phi, phi_u, phi_v):
     Uval = asm.U.value(u, v, phi)
     A_u = Sphi * phi_u + (v / 2.0) * Mg - v * Uval + c * phi * phi_u - v * z * phi**2
     A_v = Sphi * phi_v + (u / 2.0) * Mg - u * Uval + c * phi * phi_v - u * z * phi**2
-    return W, A_u, A_v, (f, r, dF, G, c, z, Sphi, Mg, Uval)
+    return W, A_u, A_v, (r, dF, G, c, z, Sphi, Mg, Uval)
 
 
-def bracket_components(asm, u, v, phi, phi_u, phi_v):
+def bracket_components(asm, u, v, f, phi, phi_u, phi_v):
     """`CurrentAssembler.components` with the bracket in one piece."""
     W, A_u, A_v, _ = _bracket(asm, np.asarray(u, float), np.asarray(v, float),
-                              phi, phi_u, phi_v)
+                              f, phi, phi_u, phi_v)
     return W * A_u, W * A_v
 
 
-def bracket_divergence(asm, u, v, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv):
+def bracket_divergence(asm, u, v, f, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv):
     """`CurrentAssembler.divergence` with the bracket in one piece:
 
     div P = -(1/2)(d_u P_v + d_v P_u) - ((n-1)/(2r))(P_u - P_v).
@@ -219,8 +218,8 @@ def bracket_divergence(asm, u, v, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv):
     u = np.asarray(u, float)
     v = np.asarray(v, float)
     lam = asm.lam
-    W, A_u, A_v, (f, r, dF, G, c, z, Sphi, Mg, Uval) = _bracket(
-        asm, u, v, phi, phi_u, phi_v)
+    W, A_u, A_v, (r, dF, G, c, z, Sphi, Mg, Uval) = _bracket(
+        asm, u, v, f, phi, phi_u, phi_v)
     d2F = asm.rep.d2F(f)
     dG = asm.rep.dG(f)
     # z = f (F')^2 - ((n-1)/4) F' - G/2

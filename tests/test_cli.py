@@ -9,6 +9,7 @@ import csv
 import importlib.util
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -230,14 +231,16 @@ def test_stability_hash_is_deterministic(tmp_path):
 # solve and pipeline joined when the test-only helpers left the package, and
 # verify-identity when its identity and pointwise margin began to take the
 # bulk coefficient f|F'|G - H from the weight, so that every subcommand has
-# its default run pinned.
+# its default run pinned.  verify-identity's was recorded again when the
+# current's weight half began to read the grid's f column F_col, and solve's
+# when its default region became one its default strip covers.
 DEFAULT_HASHES = {
-    ("verify-identity",): "45cdd84d6018e05dc4dc7c1865ef2dbfc0c8a22eae17110230892d0c8e3032ac",
+    ("verify-identity",): "7adb31c6a8e0624ce3472f6874b80fcc380e4be70b20f8acb6fcf5ad84e428ce",
     ("verify-carleman",): "67baa12825f89a465b6dd405d124f5ea1c76deb99b8c9b74b38cd79af4e79eff",
     ("verify-nl",): "839865680295795e3a16e5b907f006cef1f99655d6540af39a2982b5a599584e",
     ("limits",): "1e31f31cae97946dd0a860cee51e36e7e35ef88d9c00e741cdd6bfe0b9abc37c",
     ("counterexample",): "34c73534eaba9ed6c91b268fbce52560297b2f40b86e6731cb27b929a3cd1595",
-    ("solve",): "5846b4238c8043d5a48f3a2bd63624e7f4c5155ae150e33e286cbeb53cbb14e7",
+    ("solve",): "c3b63eb33926e6c57464811e41a5127adfaa6b0d71377894f9815c6f744d20e6",
     ("pipeline",): "dd4ceb8982892fed8095cfacb5db4e5ecbbf8eea17c86dfa2ec5069f8d27dfb6",
     ("pipeline", "--refine"): "b07a1187cfc78f23871c31d351a544605263353c6539859f8515dc9992a7eb1f",
     ("pipeline", "--refine", "--config", "pipeline.json"):
@@ -297,6 +300,31 @@ def test_solve_csv_bundle_has_field_and_current(tmp_path):
     assert len(crows) == 24 * 24
     for row in frows[:8]:
         assert all(abs(float(x)) < 1e6 for x in row)
+
+
+def test_solve_defaults_sample_a_covered_region(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["solve", "--out", str(out)]) == 0
+    rec = {r["name"]: r for r in _load_report(out)["records"]}["solve-exterior-sample"]
+    assert rec["passed"] and rec["value"] == 1.0 and rec["details"]["covered"] is True
+    assert rec["details"]["region"] == {"rho": 0.25, "omega": 1.0, "sigma": 0.6,
+                                        "tau": 5.0 / 3.0}
+
+
+def test_solve_fails_a_region_its_strip_does_not_cover(tmp_path):
+    # the T = 1 strip does not reach the verify-identity default region
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "schema": 1, "command": "solve", "grid": 24,
+        "region": {"rho": 0.1, "omega": 10.0, "sigma": 0.1, "tau": 10.0},
+    })
+    outdir = tmp_path / "bundle"
+    assert main(["solve", "--config", cfg, "--format", "csv-bundle",
+                 "--out", str(outdir)]) == 1
+    report = _load_report(outdir / "report.json")
+    rec = {r["name"]: r for r in report["records"]}["solve-exterior-sample"]
+    assert not report["passed"]
+    assert not rec["passed"] and rec["value"] == 0.0 and rec["details"]["covered"] is False
+    assert not (outdir / "field.csv").exists() and not (outdir / "current.csv").exists()
 
 
 def test_pipeline_csv_bundle_series(tmp_path):
@@ -490,7 +518,9 @@ def test_size_keys_out_of_range_exit_2_naming_the_key(tmp_path, capsys, command,
     assert err.startswith("error:") and named in err and "in [" in err
 
 
+# the region lies inside the T = 0.5 strip, so the run samples its field
 SATURATING = {"schema": 1, "T": 0.5, "R": 6.0, "dr": 0.05, "grid": 16,
+              "region": {"rho": 0.25, "omega": 1.0, "sigma": 0.75, "tau": 4.0 / 3.0},
               "nonlinearity": {"potential": {"kind": "saturating"}}}
 
 
@@ -601,8 +631,9 @@ def test_verify_identity_records_match_the_library(tmp_path):
 
 # stability_hash of `verify-identity` at levels [16, 32] (seed unset), recorded
 # when each of the thirty (field, weight, nonlinearity) checks ran as its own
-# job and sampled its field again; one job per field must not move it.
-LEVELS_16_32_HASH = "9dd68bdcde9854e0228a99b85698dbe6897b32ed880f32cf7aef64581e38e3c3"
+# job and sampled its field again, and again when the current's weight half
+# began to read F_col; one job per field must not move it.
+LEVELS_16_32_HASH = "65c9a0ca1ea3a3e41de46cedf661a72480905337776bb55a14af6b44e3c5fd49"
 
 
 def test_verify_identity_differentiates_each_field_once_per_level(tmp_path, monkeypatch):
@@ -730,6 +761,89 @@ def test_verify_identity_builds_each_field_half_once_per_field_route_and_level(
     assert len(set(calls)) == len(calls) == 15
     assert sorted(m for m, route, _ in calls if route == "fd") == [16] * 5 + [32] * 5
     assert [m for m, route, _ in calls if route == "analytic"] == [32] * 5
+
+
+def test_verify_identity_evaluates_the_weight_on_the_f_column(tmp_path, monkeypatch):
+    # every weight profile of the identity path, the current's weight half
+    # included, reads the grid's (n_s, 1) column F_col, never the n_s x n_y nodes
+    import threading
+
+    from conelab.weights import PowerLog, Reparametrization, SplitWeight
+
+    shapes = []
+    lock = threading.Lock()
+
+    def spy(cls, name):
+        real = getattr(cls, name)
+
+        def counted(self, f):
+            with lock:
+                shapes.append((name, np.shape(f)))
+            return real(self, f)
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls in (Reparametrization, PowerLog, SplitWeight):
+        for name in ("F", "dF", "d2F", "G", "dG", "H", "bulk_coefficient"):
+            if name in vars(cls):
+                spy(cls, name)
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "levels": [16, 32]})
+    out = tmp_path / "report.json"
+    main(["verify-identity", "--config", cfg, "--out", str(out)])
+    assert _load_report(out)["stability_hash"] == LEVELS_16_32_HASH
+    assert {name for name, _ in shapes} == {"F", "dF", "d2F", "G", "dG", "H",
+                                            "bulk_coefficient"}
+    assert {shape for _, shape in shapes} == {(16, 1), (32, 1)}
+
+
+class _FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_main_sets_both_malloc_thresholds(tmp_path, monkeypatch):
+    import ctypes
+
+    from conelab import cli
+
+    libc = _FakeLibc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    out = tmp_path / "report.json"
+    assert main(["counterexample", "--out", str(out)]) == 0
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
+    assert sorted(libc.calls) == [(-3, 32 << 20), (-1, 256 << 20)]
+    assert (cli.MALLOC_MMAP_THRESHOLD, cli.MALLOC_TRIM_THRESHOLD) == (32 << 20, 256 << 20)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_glibc_accepts_both_malloc_thresholds():
+    import ctypes
+
+    from conelab import cli
+
+    mallopt = ctypes.CDLL(None).mallopt
+    assert mallopt(cli._M_MMAP_THRESHOLD, cli.MALLOC_MMAP_THRESHOLD) == 1
+    assert mallopt(cli._M_TRIM_THRESHOLD, cli.MALLOC_TRIM_THRESHOLD) == 1
+
+
+@pytest.mark.parametrize("libc", [object, None], ids=["no-mallopt", "no-libc"])
+def test_main_runs_without_mallopt(tmp_path, monkeypatch, libc):
+    # macOS and Windows have no mallopt: main skips the setting, as the
+    # verify-identity pool skips the affinity call where there is none
+    import ctypes
+
+    def load(name):
+        if libc is None:
+            raise OSError("no C library")
+        return libc()
+
+    monkeypatch.setattr(ctypes, "CDLL", load)
+    out = tmp_path / "report.json"
+    assert main(["counterexample", "--out", str(out)]) == 0
+    assert _load_report(out)["stability_hash"] == DEFAULT_HASHES[("counterexample",)]
 
 
 # ---------------------------------------------------------------------------

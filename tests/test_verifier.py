@@ -152,32 +152,34 @@ def test_pointwise_rejects_outward_weight():
 # Bit patterns (float.hex) of margin_min, the pointwise identity_residual and
 # identity_residual(...).rel_residual on 48x48 grids of REGION, recorded from
 # the implementation in which pointwise_inequality rebuilt the identity's
-# arrays itself.  Reusing them must not move a bit.
+# arrays itself, and recorded again when the current's weight half began to
+# read the grid's f column F_col, as the identity's other terms do, instead
+# of -u v at every node.  Reusing the arrays must not move a bit.
 POINTWISE_PINS = [
-    ("analytic", "oscillatory", "power-log", "free", "0x1.12afdf4958c00p-16", "0x1.a400000000000p-43", "0x1.e58539fb242b7p-52"),
-    ("analytic", "oscillatory", "power-log", "power-u", "0x1.fae1d61fa6000p-13", "0x1.c000000000000p-43", "0x1.4e31c1fb816aep-52"),
+    ("analytic", "oscillatory", "power-log", "free", "0x1.12afdf4958c00p-16", "0x1.a000000000000p-44", "0x1.e0e57b41e46f4p-53"),
+    ("analytic", "oscillatory", "power-log", "power-u", "0x1.fae1d61fa6000p-13", "0x1.2000000000000p-43", "0x1.adadb0435d404p-53"),
     ("analytic", "oscillatory", "split-low", "free", "0x1.03013364a1000p-16", "0x1.4600000000000p-41", "0x1.08964a2498438p-51"),
-    ("analytic", "oscillatory", "split-low", "power-u", "0x1.821b1c1647400p-13", "0x1.0000000000000p-40", "0x1.203d6560bacc7p-51"),
-    ("analytic", "spherical-wave", "power-log", "free", "0x0.0p+0", "0x1.6800000000000p-54", "0x1.2645ef4f7ca1bp-49"),
-    ("analytic", "spherical-wave", "power-log", "power-u", "0x0.0p+0", "0x1.8600000000000p-54", "0x1.19cefea1ecbebp-49"),
-    ("analytic", "spherical-wave", "split-low", "free", "0x0.0p+0", "0x1.5800000000000p-53", "0x1.9a1ae75658db1p-49"),
-    ("analytic", "spherical-wave", "split-low", "power-u", "0x0.0p+0", "0x1.3d00000000000p-53", "0x1.4536cd192530fp-49"),
-    ("analytic", "multipole", "power-log", "free", "0x1.661883a0cf952p-12", "0x1.3c328f70daa3bp-50", "0x1.fa860018d2d6ep-49"),
-    ("analytic", "multipole", "power-log", "power-u", "0x1.bfd0838ad0daep-8", "0x1.1a00000000000p-50", "0x1.7873924be940ap-49"),
-    ("analytic", "multipole", "split-low", "free", "0x1.f369dc420e48fp-10", "0x1.c6598478833f0p-50", "0x1.1aab6fdb5d780p-48"),
-    ("analytic", "multipole", "split-low", "power-u", "0x1.6b1038f57db52p-7", "0x1.f000000000000p-50", "0x1.e9b1bcf971743p-49"),
-    ("fd", "oscillatory", "power-log", "free", "-0x1.5f206eca57f20p-10", "0x1.1e3a8ad6bb663p+1", "0x1.68638d027bbc0p-9"),
-    ("fd", "oscillatory", "power-log", "power-u", "-0x1.9aee6261d2900p-9", "0x1.4ee4911c2ecc0p+0", "0x1.a82bc91a930c6p-10"),
-    ("fd", "oscillatory", "split-low", "free", "-0x1.8491a90fc2fa0p-8", "0x1.1fddac4ec52c6p+2", "0x1.25dbfd9fe3d6dp-9"),
-    ("fd", "oscillatory", "split-low", "power-u", "-0x1.f6172c5448128p-7", "0x1.8cd8143faee30p+1", "0x1.87b1984c05a1ep-10"),
-    ("fd", "spherical-wave", "power-log", "free", "-0x1.85b30acf61422p-20", "0x1.ae74af438f699p-17", "0x1.54955fdc0d876p-12"),
-    ("fd", "spherical-wave", "power-log", "power-u", "-0x1.86f101eeaf950p-20", "0x1.a8b7e2977f374p-17", "0x1.2a005a1698422p-12"),
-    ("fd", "spherical-wave", "split-low", "free", "-0x1.00abcae0f1d82p-19", "0x1.465c1d414b329p-16", "0x1.76a15e4da03e4p-12"),
-    ("fd", "spherical-wave", "split-low", "power-u", "-0x1.01aefb374ac8ep-19", "0x1.41a730cb9fe16p-16", "0x1.3f2e5dafdb851p-12"),
-    ("fd", "multipole", "power-log", "free", "0x1.e9276809cbbb1p-11", "0x1.78016a109a703p-19", "0x1.299cec456d239p-17"),
-    ("fd", "multipole", "power-log", "power-u", "0x1.9d5c040299bb2p-7", "0x1.9ccb12aab6000p-19", "0x1.24614a86c17dbp-17"),
-    ("fd", "multipole", "split-low", "free", "0x1.dd0397a8b132bp-9", "0x1.5b22f44119efap-18", "0x1.b7450605507fbp-17"),
-    ("fd", "multipole", "split-low", "power-u", "0x1.4f2114297c19cp-6", "0x1.57b9f26eb8000p-18", "0x1.6b1c4f757351ep-17"),
+    ("analytic", "oscillatory", "split-low", "power-u", "0x1.821b1c1647400p-13", "0x1.5000000000000p-41", "0x1.7a50950ef52c5p-52"),
+    ("analytic", "spherical-wave", "power-log", "free", "0x0.0p+0", "0x1.6800000000000p-54", "0x1.2645ef4f7ca1dp-49"),
+    ("analytic", "spherical-wave", "power-log", "power-u", "0x0.0p+0", "0x1.8600000000000p-54", "0x1.19cefea1ecbeep-49"),
+    ("analytic", "spherical-wave", "split-low", "free", "0x0.0p+0", "0x1.01ff3c3344f86p-53", "0x1.33934413c32fdp-49"),
+    ("analytic", "spherical-wave", "split-low", "power-u", "0x0.0p+0", "0x1.fc00000000000p-54", "0x1.0494e4f16c229p-49"),
+    ("analytic", "multipole", "power-log", "free", "0x1.661883a0cf95ap-12", "0x1.3c328f70daa3bp-50", "0x1.fa860018d2d6ep-49"),
+    ("analytic", "multipole", "power-log", "power-u", "0x1.bfd0838ad0daep-8", "0x1.0500000000000p-50", "0x1.5c6af70fca43fp-49"),
+    ("analytic", "multipole", "split-low", "free", "0x1.f369dc420e48fp-10", "0x1.b000000000000p-50", "0x1.0cc3d84cf4a39p-48"),
+    ("analytic", "multipole", "split-low", "power-u", "0x1.6b1038f57db54p-7", "0x1.1100000000000p-49", "0x1.0d87814d6c618p-48"),
+    ("fd", "oscillatory", "power-log", "free", "-0x1.5f206eca57520p-10", "0x1.1e3a8ad6bb663p+1", "0x1.68638d027bbbdp-9"),
+    ("fd", "oscillatory", "power-log", "power-u", "-0x1.9aee6261d2b00p-9", "0x1.4ee4911c2ecc0p+0", "0x1.a82bc91a930c2p-10"),
+    ("fd", "oscillatory", "split-low", "free", "-0x1.8491a90fc1ba0p-8", "0x1.1fddac4ec52c6p+2", "0x1.25dbfd9fe3d6ap-9"),
+    ("fd", "oscillatory", "split-low", "power-u", "-0x1.f6172c5449e28p-7", "0x1.8cd8143faee30p+1", "0x1.87b1984c05a23p-10"),
+    ("fd", "spherical-wave", "power-log", "free", "-0x1.85b30acf61422p-20", "0x1.ae74af438f699p-17", "0x1.54955fdc0d887p-12"),
+    ("fd", "spherical-wave", "power-log", "power-u", "-0x1.86f101eeaf950p-20", "0x1.a8b7e2977f374p-17", "0x1.2a005a1698432p-12"),
+    ("fd", "spherical-wave", "split-low", "free", "-0x1.00abcae0f1d82p-19", "0x1.465c1d414b80bp-16", "0x1.76a15e4da0992p-12"),
+    ("fd", "spherical-wave", "split-low", "power-u", "-0x1.01aefb374ac8ep-19", "0x1.41a730cb9fe96p-16", "0x1.3f2e5dafdb8d0p-12"),
+    ("fd", "multipole", "power-log", "free", "0x1.e9276809cbbf4p-11", "0x1.78016a129a703p-19", "0x1.299cec470264ap-17"),
+    ("fd", "multipole", "power-log", "power-u", "0x1.9d5c040299bc2p-7", "0x1.9ccb12acb6000p-19", "0x1.24614a882c279p-17"),
+    ("fd", "multipole", "split-low", "free", "0x1.dd0397a8b1333p-9", "0x1.5b22f43f69efap-18", "0x1.b74506032dd79p-17"),
+    ("fd", "multipole", "split-low", "power-u", "0x1.4f2114297c196p-6", "0x1.57b9f26e48000p-18", "0x1.6b1c4f74fd015p-17"),
 ]
 U_CHOICES = {"free": None, "power-u": PowerU(sign=1, p=1, V=Potential.constant(1.0))}
 
