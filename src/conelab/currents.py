@@ -422,5 +422,4 @@ def divergence_fd(grid: GridSpec, P_u: np.ndarray, P_v: np.ndarray) -> ScalarFie
 
 def current_to_csv(cur: CurrentField, path) -> None:
     """Write the current as rows u, v, P_u, P_v."""
-    g = cur.grid
-    _columns_to_csv(path, ("u", "v", "P_u", "P_v"), (g.U, g.V, cur.P_u, cur.P_v))
+    _columns_to_csv(path, cur.grid, ("P_u", "P_v"), (cur.P_u, cur.P_v))

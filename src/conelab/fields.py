@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -121,6 +121,12 @@ class GridSpec:
     @cached_property
     def T(self) -> np.ndarray:
         return self.V + self.U
+
+    @cached_property
+    def uv_text(self) -> list:
+        """Each node's "u,v" CSV text in C order, the numbers as their `repr`:
+        formatted once per grid for both the field and the current file."""
+        return list(map(",".join, zip(_reprs(self.U), _reprs(self.V))))
 
     @property
     def lam(self) -> float:
@@ -684,16 +690,32 @@ def decay_functionals(fld: ScalarField, beta: float, V: Optional[Potential] = No
     )
 
 
-def _columns_to_csv(path, header, columns) -> None:
-    """Write equally shaped arrays as CSV columns, one row per node in C
-    order, each number as its `repr` (what `csv.writer` writes for them)."""
-    cols = [map(repr, np.ravel(c).tolist()) for c in columns]
+def _reprs(a) -> Iterable[str]:
+    """The `repr` of each number of `a` in C order, lazily.  A column that
+    repeats bit patterns (f and h repeat along grid lines) formats each
+    distinct pattern once: patterns are told apart by their bits, never by
+    value, so 0.0 and -0.0 keep their own text."""
+    # np.float64 subclasses float, so float.__repr__ gives each element the
+    # text of repr(float(x)) without a list of Python floats
+    flat = np.ravel(np.asarray(a, dtype=np.float64))
+    distinct, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    if 2 * distinct.size > flat.size:
+        return map(float.__repr__, flat)
+    text = list(map(float.__repr__, distinct.view(np.float64)))
+    return map(text.__getitem__, inverse.tolist())
+
+
+def _columns_to_csv(path, grid: GridSpec, header, columns) -> None:
+    """Write the grid's u, v and arrays shaped like the grid as CSV columns,
+    one row per node in C order, each number as its `repr` (what `csv.writer`
+    writes for them)."""
+    cols = [grid.uv_text, *map(_reprs, columns)]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(("u", "v", *header)) + "\r\n")
         fh.writelines(",".join(row) + "\r\n" for row in zip(*cols))
 
 
 def field_to_csv(fld: ScalarField, path) -> None:
     """Write the field as rows u, v, f, h, value."""
     g = fld.grid
-    _columns_to_csv(path, ("u", "v", "f", "h", "value"), (g.U, g.V, g.F, g.H, fld.values))
+    _columns_to_csv(path, g, ("f", "h", "value"), (g.F, g.H, fld.values))

@@ -130,23 +130,35 @@ class EvolutionResult:
 
 
 def _wave_rhs(r, r2, dr, lam, n, ell):
-    """The spatial operator as a function of phi, with mirror parity at the
-    origin and a zero outer ghost; its coefficients and neighbour buffers
-    are built once per evolution."""
+    """The spatial operator as a function rhs(phi, out) that writes into out,
+    with mirror parity at the origin and a zero outer ghost; its coefficients
+    and neighbour and scratch buffers are built once per evolution."""
     up = np.empty_like(r)
     dn = np.empty_like(r)
+    tmp = np.empty_like(r)
     parity = (-1.0) ** ell
     dr2 = dr**2
     two_dr = 2.0 * dr
     drift = (n - 1) / r
 
-    def rhs(phi):
+    def rhs(phi, out):
+        # (up - 2 phi + dn) / dr2 + drift (up - dn) / two_dr - lam phi / r2,
+        # operation by operation in the order of that expression
         up[:-1] = phi[1:]
         up[-1] = 0.0
         dn[1:] = phi[:-1]
         dn[0] = parity * phi[0]
-        lap = (up - 2.0 * phi + dn) / dr2 + drift * (up - dn) / two_dr
-        return lap - lam * phi / r2
+        np.multiply(2.0, phi, out=out)
+        np.subtract(up, out, out=out)
+        np.add(out, dn, out=out)
+        np.divide(out, dr2, out=out)
+        np.subtract(up, dn, out=tmp)
+        np.multiply(drift, tmp, out=tmp)
+        np.divide(tmp, two_dr, out=tmp)
+        np.add(out, tmp, out=out)
+        np.multiply(lam, phi, out=tmp)
+        np.divide(tmp, r2, out=tmp)
+        return np.subtract(out, tmp, out=out)
 
     return rhs
 
@@ -186,6 +198,14 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
 
     per_dir = min(MAX_STORED_SLICES // 2, nsteps + 1)
     store_idx = np.unique(np.round(np.linspace(0, nsteps, per_dir)).astype(int))
+    stored = store_idx.tolist()  # from 0, the data, to nsteps, the last step
+    n_store = len(stored)
+    # rows n_store - 1 + k and n_store - 1 - k hold the forward and backward
+    # step stored[k]; each run writes its stored steps straight into them
+    slices = np.empty((2 * n_store - 1, nr))
+    slices[n_store - 1] = phi0
+    pos = store_idx[1:] * dt
+    times = np.concatenate((-pos[::-1], [0.0], pos))
 
     scale0 = max(float(np.max(np.abs(phi0))), float(np.max(np.abs(phi1))), 1e-300)
 
@@ -197,64 +217,73 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
 
     r2 = r**2
     rhs = _wave_rhs(r, r2, dr, lam, n, data.ell)
-    stored = set(store_idx.tolist())
     dt2 = dt**2
+    two_dr = 2.0 * dr
     rn1 = r ** (n - 1)
     mass = rn1 * dr
+    acc, tmp, mid, dmid = (np.empty_like(r) for _ in range(4))
 
     def half_step_energy(phi_a, phi_b):
-        """Leapfrog energy at the half step between consecutive slices."""
-        vel = (phi_b - phi_a) / dt
-        mid = 0.5 * (phi_a + phi_b)
-        dmid = np.gradient(mid, dr)
-        return (float(np.sum((0.5 * vel**2 + lam * 0.5 * mid**2 / r2) * mass))
-                + float(np.sum(0.5 * dmid**2 * rn1 * dr)))
+        """Leapfrog energy at the half step between consecutive slices:
+        sum((0.5 vel^2 + lam 0.5 mid^2 / r2) mass) + sum(0.5 dmid^2 rn1 dr),
+        with vel = (phi_b - phi_a) / dt, mid = 0.5 (phi_a + phi_b) and dmid
+        the centred difference of mid (one-sided at the ends, as np.gradient)."""
+        vel = tmp
+        np.subtract(phi_b, phi_a, out=vel)
+        np.divide(vel, dt, out=vel)
+        np.add(phi_a, phi_b, out=mid)
+        np.multiply(0.5, mid, out=mid)
+        np.subtract(mid[2:], mid[:-2], out=dmid[1:-1])
+        np.divide(dmid[1:-1], two_dr, out=dmid[1:-1])
+        dmid[0] = (mid[1] - mid[0]) / dr
+        dmid[-1] = (mid[-1] - mid[-2]) / dr
+        np.square(vel, out=vel)
+        np.multiply(0.5, vel, out=vel)
+        np.square(mid, out=mid)
+        np.multiply(lam * 0.5, mid, out=mid)
+        np.divide(mid, r2, out=mid)
+        np.add(vel, mid, out=vel)
+        np.multiply(vel, mass, out=vel)
+        np.square(dmid, out=dmid)
+        np.multiply(0.5, dmid, out=dmid)
+        np.multiply(dmid, rn1, out=dmid)
+        np.multiply(dmid, dr, out=dmid)
+        return float(np.add.reduce(vel)) + float(np.add.reduce(dmid))
 
-    def run(direction: int):
-        """direction +1: forward; -1: backward (velocity negated, t -> -t)."""
+    def run(direction: int, rows: np.ndarray):
+        """direction +1: forward; -1: backward (velocity negated, t -> -t).
+        Writes step stored[k] into rows[k] for k >= 1."""
         phi_prev = phi0.copy()
         vel = direction * phi1
-        acc0 = rhs(phi_prev) + nonlin(phi_prev, 0.0)
+        acc0 = rhs(phi_prev, acc) + nonlin(phi_prev, 0.0)
         phi_cur = phi_prev + dt * vel + 0.5 * dt2 * acc0
-        out = {}
         energies = []
-        if 0 in stored:
-            out[0] = phi_prev.copy()
+        k = 1
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(1, nsteps + 1):
                 if m > 1:
                     t_here = direction * (m - 1) * dt
-                    acc = rhs(phi_cur) + nonlin(phi_cur, t_here)
-                    phi_cur, phi_prev = (2.0 * phi_cur - phi_prev + dt2 * acc), phi_cur
-                if m in stored:
-                    mx = float(np.max(np.abs(phi_cur)))
+                    # 2 phi_cur - phi_prev + dt2 (rhs + nonlin), into phi_prev's
+                    # buffer; adding nonlin's 0.0 keeps the sign of zero as is
+                    rhs(phi_cur, acc)
+                    np.add(acc, nonlin(phi_cur, t_here), out=acc)
+                    np.multiply(2.0, phi_cur, out=tmp)
+                    np.subtract(tmp, phi_prev, out=phi_prev)
+                    np.multiply(dt2, acc, out=acc)
+                    np.add(phi_prev, acc, out=phi_prev)
+                    phi_cur, phi_prev = phi_prev, phi_cur
+                if m == stored[k]:
+                    mx = float(np.max(np.abs(phi_cur, out=tmp)))
                     if not np.isfinite(mx) or mx > 1e12 * scale0:
                         raise UnstableStep(f"field blew up at step {m} (max {mx:.3e})")
-                    out[m] = phi_cur.copy()
+                    rows[k] = phi_cur
+                    k += 1
                     if U is None:
                         energies.append(half_step_energy(phi_prev, phi_cur))
-        return out, energies
+        return energies
 
-    fwd, fwd_e = run(+1)
-    bwd, bwd_e = run(-1)
-
-    times = []
-    slices = []
-    for m in sorted(store_idx, reverse=True):
-        if m == 0:
-            continue
-        times.append(-m * dt)
-        slices.append(bwd[m])
-    times.append(0.0)
-    slices.append(phi0)
-    for m in sorted(store_idx):
-        if m == 0:
-            continue
-        times.append(m * dt)
-        slices.append(fwd[m])
-
-    times = np.asarray(times)
-    slices = np.asarray(slices)
+    fwd_e = run(+1, slices[n_store - 1:])
+    bwd_e = run(-1, slices[n_store - 1::-1])
 
     energies = np.asarray(fwd_e + bwd_e)
     if energies.size and np.mean(energies) > 0:

@@ -12,7 +12,12 @@ conjugated field e^{sign F} phi with its derivative slots, the expansion of
 the conjugated wave operator, the expanded boundary contractions of the
 current (with the sign variant of its zero-order term that the assembled
 current must not match), and the current's bracket in one piece.
+
+The CSV oracle writes a grid's columns node by node through `csv.writer`,
+with special values laid out so that every column repeats bit patterns.
 """
+
+import csv
 
 import numpy as np
 from scipy.integrate import simpson
@@ -254,3 +259,27 @@ def bracket_divergence(asm, u, v, f, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv):
     dP_u_dv = 2.0 * u * dF * P_u + W * dA_u_dv
 
     return -0.5 * (dP_v_du + dP_u_dv) - ((asm.n - 1) / (2.0 * r)) * (P_u - P_v)
+
+
+# 0.0 and -0.0, NaNs with three bit patterns, both infinities and subnormals:
+# equal or unordered values whose bits, and for the zeros whose text, differ
+SPECIALS = np.concatenate((
+    [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310, 1.5],
+    np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64),
+))
+
+
+def special_values(grid, shift=0):
+    """SPECIALS cycled over the grid's nodes, each repeated at many nodes."""
+    return np.resize(np.roll(SPECIALS, shift), (grid.n_s, grid.n_y))
+
+
+def csv_writer_file(path, header, columns):
+    """The reference CSV: one `csv.writer` row per node in C order, each
+    number as `repr(float(x))`."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i in range(columns[0].shape[0]):
+            for j in range(columns[0].shape[1]):
+                w.writerow([repr(float(x[i, j])) for x in columns])

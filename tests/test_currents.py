@@ -28,7 +28,8 @@ from conelab.errors import (
     NotInwardDirected,
     RangeMismatch,
 )
-from conelab.fields import GridSpec, ScalarField, from_expr
+from conelab import fields
+from conelab.fields import GridSpec, ScalarField, field_to_csv, from_expr
 from conelab.geometry import AdmissibleRegion
 from conelab.verifier import battery_weights
 from conelab.weights import (
@@ -44,6 +45,8 @@ from _oracles import (
     boundary_expansion_h,
     bracket_components,
     bracket_divergence,
+    csv_writer_file,
+    special_values,
 )
 
 PARAMS = SplitWeightParams(1.0, 0.1, 0.5)
@@ -491,3 +494,31 @@ def test_current_to_csv_matches_a_csv_writer_loop(tmp_path):
                 w.writerow([repr(float(x[i, j])) for x in (g.U, g.V, cur.P_u, cur.P_v)])
     current_to_csv(cur, tmp_path / "current.csv")
     assert (tmp_path / "current.csv").read_bytes() == ref.read_bytes()
+
+
+def test_current_to_csv_keeps_the_text_of_repeated_bit_patterns(tmp_path):
+    cur = current_general(mkfield(m=16), PowerLog(1.0))
+    g = cur.grid
+    cur.P_u[...] = special_values(g)
+    cur.P_v[...] = special_values(g, shift=3)
+    for a in (g.U, g.V, cur.P_u, cur.P_v):
+        assert 2 * np.unique(a.view(np.int64)).size <= a.size
+    ref = tmp_path / "ref.csv"
+    csv_writer_file(ref, ["u", "v", "P_u", "P_v"], (g.U, g.V, cur.P_u, cur.P_v))
+    current_to_csv(cur, tmp_path / "current.csv")
+    assert (tmp_path / "current.csv").read_bytes() == ref.read_bytes()
+
+
+def test_field_and_current_files_format_u_and_v_once(tmp_path, monkeypatch):
+    fld = mkfield(m=16)
+    g = fld.grid
+    formatted = []
+    reprs = fields._reprs
+    monkeypatch.setattr(fields, "_reprs", lambda a: formatted.append(a) or reprs(a))
+    field_to_csv(fld, tmp_path / "field.csv")
+    current_to_csv(current_general(fld, PowerLog(1.0)), tmp_path / "current.csv")
+    assert [a is g.U for a in formatted].count(True) == 1
+    assert [a is g.V for a in formatted].count(True) == 1
+    assert len(formatted) == 2 + 3 + 2  # u, v; f, h, value; P_u, P_v
+    u_v = [line.split(",")[:2] for line in (tmp_path / "field.csv").read_text().splitlines()]
+    assert [line.split(",")[:2] for line in (tmp_path / "current.csv").read_text().splitlines()] == u_v

@@ -24,7 +24,12 @@ from conelab.geometry import AdmissibleRegion
 from conelab.solver import exact_spherical_wave, static_multipole
 from conelab.weights import PowerLog
 
-from _oracles import conjugate_analytic, conjugated_wave_residual
+from _oracles import (
+    conjugate_analytic,
+    conjugated_wave_residual,
+    csv_writer_file,
+    special_values,
+)
 
 REGION = AdmissibleRegion(0.1, 10.0, 0.1, 10.0)
 
@@ -403,6 +408,25 @@ def test_field_to_csv_matches_a_csv_writer_loop(tmp_path):
                 w.writerow([repr(float(x[i, j])) for x in (g.U, g.V, g.F, g.H, fld.values)])
     field_to_csv(fld, tmp_path / "field.csv")
     assert (tmp_path / "field.csv").read_bytes() == ref.read_bytes()
+
+
+def test_field_to_csv_keeps_the_text_of_repeated_bit_patterns(tmp_path):
+    # every column repeats bit patterns (u and v along diagonals of this
+    # square grid, f and h along grid lines, the values by construction), so
+    # each takes the once-per-pattern route; zeros, NaNs, infinities and
+    # subnormals must still read as csv.writer writes them
+    g = GridSpec.from_region(REGION, 16, 16, 3)
+    fld = ScalarField(grid=g, values=np.zeros((16, 16)))
+    fld.values[...] = special_values(g)
+    for a in (g.U, g.V, g.F, g.H, fld.values):
+        assert 2 * np.unique(a.view(np.int64)).size <= a.size
+    ref = tmp_path / "ref.csv"
+    csv_writer_file(ref, ["u", "v", "f", "h", "value"], (g.U, g.V, g.F, g.H, fld.values))
+    field_to_csv(fld, tmp_path / "field.csv")
+    assert (tmp_path / "field.csv").read_bytes() == ref.read_bytes()
+    values = {line.rsplit(b",", 1)[1] for line in ref.read_bytes().splitlines()[1:]}
+    assert values == {b"0.0", b"-0.0", b"nan", b"inf", b"-inf", b"5e-324", b"-5e-324",
+                      b"2.5e-310", b"1.5"}
 
 
 @pytest.mark.parametrize("expr", ["u**(", "u +* v", "1/0*u", "0/0 + v"])

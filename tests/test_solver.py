@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -229,6 +230,16 @@ def test_window_clips_at_the_edges_of_the_strip(monkeypatch):
     assert np.max(np.abs(fld.values - full)) <= 1e-20 * np.max(np.abs(res.slices))
 
 
+def sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+TIMES_SHA256 = {
+    0.002: "d570efc4367e285831f205a356023823ef4b4cad7005fba6bb173bf3422ba946",
+    0.001: "4e28dc721679c8bc20203e8f66efad42c8945f516dbd8d59a8b17a186d8237d3",
+}
+
+
 @pytest.mark.parametrize("dr, slices_sha256, drift_hex", [
     (0.002, "5fea6d2589fdc931d98035214478f3abb59abf1a8879716997d7e8450e4eafe2",
      "0x1.fe014a30e12c2p-17"),
@@ -239,8 +250,47 @@ def test_leapfrog_output_is_pinned_bitwise(dr, slices_sha256, drift_hex):
     # the benchmark's evolutions, pinned bit for bit: reordering any of the
     # stepper's floating-point operations moves them
     res = solve(spherical_wave_data(width=1.0, power=6), T=1.0, R=6.0, dr=dr, n=3)
-    assert hashlib.sha256(res.slices.tobytes()).hexdigest() == slices_sha256
+    assert sha256(res.slices) == slices_sha256
+    assert sha256(res.times) == TIMES_SHA256[dr]
     assert res.energy_drift.hex() == drift_hex
+
+
+def test_odd_mode_leapfrog_is_pinned_bitwise():
+    # ell = 1: mirror parity -1 and a nonzero lam / r^2 term.  The data sit
+    # away from the origin and T is short, so the first cell stays quiet.
+    data = CauchyData(profile=lambda r: np.exp(-((r - 2.0) / 0.3) ** 2),
+                      velocity=lambda r: np.zeros_like(r), ell=1, label="dipole")
+    res = solve(data, T=0.1, R=4.0, dr=0.01, n=3, support_radius=2.9)
+    assert res.slices.shape == (25, 400)
+    assert sha256(res.slices) == "55c5d2eaeb12d48bad32e35b9bae9d19cf843519d5884123c756e99b800155c7"
+    assert sha256(res.times) == "47bdb12f61e94b5d2346678dea355d75ad4481e421d17500e6d5f20c12cc3974"
+    assert res.energy_drift.hex() == "0x1.232d677f55213p-11"
+
+
+def test_nonlinear_leapfrog_is_pinned_bitwise():
+    # defocusing cubic term with a time-dependent potential: the stepper adds
+    # the nonlinearity to the acceleration and keeps no energy
+    data = CauchyData(profile=lambda r: 0.5 * np.exp(-(r / 0.7) ** 2),
+                      velocity=lambda r: -0.3 * np.exp(-r ** 2))
+    U = PowerU(-1, 3.0, Potential.power_of_f(0.25, amplitude=1.0))
+    res = solve(data, T=0.5, R=4.0, dr=0.01, n=3, U=U, support_radius=2.5)
+    assert res.slices.shape == (113, 400)
+    assert sha256(res.slices) == "314f7653e889aaf6a2f793b5e38d947d7657876397d2136c3fda6b256b2b44ef"
+    assert sha256(res.times) == "ad77b87158254f52e41d84d7485778089230f7a7a3bba9dde53037a46535e832"
+    assert res.energy_drift.hex() == "nan"
+
+
+def test_solve_holds_one_copy_of_the_slices():
+    # the stored steps go straight into the result's array: no per-step
+    # copies kept beside it, and no second array built from them
+    tracemalloc.start()
+    try:
+        res = solve(spherical_wave_data(), T=1.0, R=6.0, dr=0.001, n=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.slices.shape == (1023, 6000)
+    assert peak <= 1.25 * res.slices.nbytes
 
 
 def test_field_on_guards():
