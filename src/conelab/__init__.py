@@ -31,7 +31,7 @@ from .errors import (
     RegionOutOfGrid,
     UnstableStep,
 )
-from .geometry import AdmissibleRegion, Dimension
+from .geometry import AdmissibleRegion
 from .weights import (
     Potential,
     PotentialReport,

@@ -50,7 +50,6 @@ from .weights import (
 )
 
 __all__ = [
-    "NonlinearityU",
     "ZeroU",
     "PowerU",
     "CurrentField",
@@ -72,34 +71,12 @@ __all__ = [
 # nonlinearities
 # ---------------------------------------------------------------------------
 
-class NonlinearityU:
-    """Interface for U(Q, phi) entering the conjugated operator box_U."""
+class ZeroU:
+    """U = 0: the linear equation.  A nonlinearity U(Q, phi) of box_U has
+    `value`, `udot`, `scaling_q` (grad f . grad_Q U at fixed phi) and
+    `du_ext`/`dv_ext` (the explicit Q-partials d_u U, d_v U at fixed phi)."""
 
-    is_zero = False
-
-    def value(self, u, v, phi):
-        raise NotImplementedError
-
-    def udot(self, u, v, phi):
-        raise NotImplementedError
-
-    def scaling_q(self, u, v, phi):
-        """grad f . grad_Q U at fixed phi (the Q-slot scaling derivative)."""
-        raise NotImplementedError
-
-    def du_ext(self, u, v, phi):
-        """Explicit Q-partial d_u U at fixed phi (for analytic divergences)."""
-        raise NotImplementedError
-
-    def dv_ext(self, u, v, phi):
-        raise NotImplementedError
-
-
-class ZeroU(NonlinearityU):
     is_zero = True
-    label = "zero"
-    sign = 0
-    p = None
 
     def value(self, u, v, phi):
         return 0.0  # broadcasts against every array it meets
@@ -111,9 +88,10 @@ class ZeroU(NonlinearityU):
 
 
 @dataclass(frozen=True)
-class PowerU(NonlinearityU):
+class PowerU:
     """U = sign/(p+1) V |phi|^{p+1} (sign +1 focusing, -1 defocusing)."""
 
+    is_zero = False
     sign: int
     p: float
     V: Potential
@@ -157,7 +135,7 @@ class PowerU(NonlinearityU):
             * np.asarray(self.V.dv_log(u, v), float)
 
 
-def _check_mode(U: NonlinearityU, ell: int):
+def _check_mode(U: PowerU | ZeroU, ell: int):
     if not U.is_zero and U.p != 1.0 and ell != 0:
         raise ModeNotSupported(
             f"power nonlinearity with p={U.p} needs the spherically symmetric mode"
@@ -173,7 +151,7 @@ class CurrentAssembler:
     """Evaluates current components and their analytic divergence pointwise."""
 
     rep: Reparametrization
-    U: NonlinearityU
+    U: PowerU | ZeroU
     n: int
     ell: int
 
@@ -314,7 +292,7 @@ class CurrentField:
         return self.assembler.divergence(u, v, -u * v, *self.field.evaluator().derivs2(u, v))
 
 
-def _assemble(fld: ScalarField, rep: Reparametrization, U: NonlinearityU) -> CurrentField:
+def _assemble(fld: ScalarField, rep: Reparametrization, U: PowerU | ZeroU) -> CurrentField:
     g = fld.grid
     _check_mode(U, g.ell)
     if np.any(rep.dF(g.F_col) >= 0):
@@ -323,7 +301,7 @@ def _assemble(fld: ScalarField, rep: Reparametrization, U: NonlinearityU) -> Cur
 
 
 def current_general(fld: ScalarField, rep: Reparametrization,
-                    U: Optional[NonlinearityU] = None) -> CurrentField:
+                    U: Optional[PowerU | ZeroU] = None) -> CurrentField:
     """Current for an arbitrary inward weight and nonlinearity."""
     return _assemble(fld, rep, U or ZeroU())
 
@@ -347,7 +325,7 @@ def current_nl(fld: ScalarField, a: float, U: PowerU) -> CurrentField:
     return _assemble(fld, PowerLog(a), U)
 
 
-def bulk_term(rep: Reparametrization, U: NonlinearityU, n: int, f, u, v, phi,
+def bulk_term(rep: Reparametrization, U: PowerU | ZeroU, n: int, f, u, v, phi,
               cross_check: bool = True):
     """Bulk source term B_U^F of the divergence identity at the points (u, v):
 
@@ -380,7 +358,7 @@ def bulk_term(rep: Reparametrization, U: NonlinearityU, n: int, f, u, v, phi,
     return vals
 
 
-def bulk_b(fld: ScalarField, rep: Reparametrization, U: Optional[NonlinearityU] = None,
+def bulk_b(fld: ScalarField, rep: Reparametrization, U: Optional[PowerU | ZeroU] = None,
            cross_check: bool = True) -> ScalarField:
     """`bulk_term` on the field's grid."""
     U = U or ZeroU()

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import stencils
 from .errors import InvalidInput, MissingDerivative, RegionOutOfGrid
-from .geometry import AdmissibleRegion, Dimension
+from .geometry import AdmissibleRegion
 from .weights import Potential
 
 __all__ = [
@@ -53,7 +53,8 @@ class GridSpec:
     order: int = 4
 
     def __post_init__(self):
-        Dimension(self.n)
+        if not isinstance(self.n, int) or self.n < 2:
+            raise InvalidInput(f"spatial dimension must be an integer >= 2, got {self.n}")
         if self.n_s < 8 or self.n_y < 8:
             raise InvalidInput(f"grid needs >= 8 nodes per axis, got {self.n_s}x{self.n_y}")
         if not isinstance(self.ell, int) or self.ell < 0:
@@ -308,31 +309,27 @@ class ScalarField:
         psy = stencils.d1(ps, g.dy, axis=1, order=g.order)
         return (self.values, *_chain_rule(g.U, g.V, ps, py, pss, psy, pyy))
 
-    def uses_closed_form(self, analytic: Optional[bool] = None) -> bool:
-        """Whether derivatives come from the closed form.
-
-        `analytic` None takes the closed form when there is one, False never
-        does, and True demands it: MissingDerivative without one.
-        """
-        have = self.closed_form is not None
-        if analytic and not have:
+    def route(self, mode: str = "auto") -> str:
+        """The derivative route `mode` selects on this field, "analytic" (the
+        closed form) or "fd": "auto" takes the closed form when there is one,
+        and "analytic" without one raises MissingDerivative."""
+        if mode not in ("auto", "analytic", "fd"):
+            raise InvalidInput(f"unknown derivative mode {mode!r}")
+        if mode == "auto":
+            return "fd" if self.closed_form is None else "analytic"
+        if mode == "analytic" and self.closed_form is None:
             raise MissingDerivative(f"{self.name}: no closed-form derivatives")
-        return have if analytic is None else analytic
+        return mode
 
-    def derivs1(self, analytic: Optional[bool] = None):
-        """(phi, phi_u, phi_v) on the grid; closed form per `uses_closed_form`, else FD."""
-        if self.uses_closed_form(analytic):
-            cf, g = self.closed_form, self.grid
-            return self._derivs_on_grid("closed_form", 1, lambda: cf.derivs1(g.U, g.V))
-        return self._derivs_on_grid("fd", 1, self.fd_derivs1)
+    def derivs1(self, mode: str = "auto"):
+        """(phi, phi_u, phi_v) on the grid by the route `route(mode)`."""
+        return self._derivs_on_grid(self.route(mode), 1)
 
-    def derivs2(self, analytic: Optional[bool] = None):
-        if self.uses_closed_form(analytic):
-            cf, g = self.closed_form, self.grid
-            return self._derivs_on_grid("closed_form", 2, lambda: cf.derivs2(g.U, g.V))
-        return self._derivs_on_grid("fd", 2, self.fd_derivs2)
+    def derivs2(self, mode: str = "auto"):
+        """`derivs1` and (phi_uu, phi_uv, phi_vv)."""
+        return self._derivs_on_grid(self.route(mode), 2)
 
-    def _derivs_on_grid(self, route: str, order: int, evaluate: Callable) -> tuple:
+    def _derivs_on_grid(self, route: str, order: int) -> tuple:
         """Derivative arrays up to `order` by `route` on this field's grid,
         evaluated once per field and route; order 1 is served from the order-2
         arrays once those exist.
@@ -349,7 +346,12 @@ class ScalarField:
         cached = memo.get((route, order))
         if cached is None:
             g = self.grid
-            cached = tuple(_read_only(a, g.U, g.V) for a in evaluate())
+            if route == "fd":
+                arrays = self.fd_derivs2() if order == 2 else self.fd_derivs1()
+            else:
+                cf = self.closed_form
+                arrays = cf.derivs2(g.U, g.V) if order == 2 else cf.derivs1(g.U, g.V)
+            cached = tuple(_read_only(a, g.U, g.V) for a in arrays)
             memo[route, order] = cached
             if order == 2:
                 memo.pop((route, 1), None)  # now served from `cached`
@@ -570,10 +572,11 @@ def wave_op(n: int, lam: float, r, phi, phi_u, phi_v, phi_uv):
     return out
 
 
-def box(fld: ScalarField, analytic: Optional[bool] = None) -> ScalarField:
-    """Wave operator (`wave_op`) on the mode profile."""
+def box(fld: ScalarField, mode: str = "auto") -> ScalarField:
+    """Wave operator (`wave_op`) on the mode profile, by the derivative route
+    `fld.route(mode)`."""
     g = fld.grid
-    phi, phi_u, phi_v, _, phi_uv, _ = fld.derivs2(analytic=analytic)
+    phi, phi_u, phi_v, _, phi_uv, _ = fld.derivs2(mode)
     vals = wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv)
     return ScalarField(grid=g, values=vals, name=f"box {fld.name}")
 

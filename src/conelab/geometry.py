@@ -1,4 +1,4 @@
-"""The spatial dimension and the admissible regions of the exterior.
+"""The admissible regions of the exterior.
 
 Conventions: u = (t - r)/2, v = (t + r)/2, metric -4 du dv + r^2 dS^2 on the
 exterior region D = {u < 0 < v}.  The square hyperbolic distance is f = -u v
@@ -14,21 +14,7 @@ import numpy as np
 
 from .errors import InvalidCutoffs, InvalidInput
 
-__all__ = [
-    "AdmissibleRegion",
-    "Dimension",
-]
-
-
-@dataclass(frozen=True)
-class Dimension:
-    """Spatial dimension n >= 2 of the underlying wave equation."""
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise InvalidInput(f"spatial dimension must be an integer >= 2, got {self.n}")
+__all__ = ["AdmissibleRegion"]
 
 
 @dataclass(frozen=True)

@@ -91,19 +91,16 @@ def cone_r_window(tau: float, rho: float, omega: float):
     return (math.sqrt(rho) * c, math.sqrt(omega) * c)
 
 
-def _window_args(level, window, explicit, which):
+def _t_window(level, window, explicit):
+    """`explicit`, a fixed (lo, hi) time window, or else the t-range that the
+    hyperbolic window (sigma, tau) cuts out of the level set f = level."""
     if explicit is not None:
         lo, hi = explicit
-    elif which == "t":
+    else:
         sigma, tau = window
         if not (0 < sigma <= tau):
             raise InvalidInput(f"need 0 < sigma <= tau, got ({sigma}, {tau})")
         lo, hi = hyperboloid_t_window(level, sigma, tau)
-    else:
-        rho, omega = window
-        if not (0 < rho <= omega):
-            raise InvalidInput(f"need 0 < rho <= omega, got ({rho}, {omega})")
-        lo, hi = cone_r_window(level, rho, omega)
     return float(lo), float(hi)
 
 
@@ -117,7 +114,7 @@ def hyperboloid_integral(fn: Callable, omega: float, window=None, *, n: int,
     """
     if omega <= 0:
         raise InvalidInput(f"need omega > 0, got {omega}")
-    tlo, thi = _window_args(omega, window, t_window, "t")
+    tlo, thi = _t_window(omega, window, t_window)
     if thi <= tlo:
         return 0.0
     t, w = gl_nodes(tlo, thi, nodes)
@@ -139,7 +136,7 @@ def inverted_hyperboloid_integral(fn: Callable, omega: float, window=None, *, n:
     if omega <= 0:
         raise InvalidInput(f"need omega > 0, got {omega}")
     fbar = 1.0 / omega
-    tlo, thi = _window_args(fbar, window, tbar_window, "t")
+    tlo, thi = _t_window(fbar, window, tbar_window)
     if thi <= tlo:
         return 0.0
     tb, w = gl_nodes(tlo, thi, nodes)
@@ -152,12 +149,15 @@ def inverted_hyperboloid_integral(fn: Callable, omega: float, window=None, *, n:
     return 2.0 * omega ** (n - 0.5) * float(np.sum(w * vals * rb ** (n - 2)))
 
 
-def cone_integral(fn: Callable, tau: float, window=None, *, n: int,
-                  nodes: int = DEFAULT_NODES, r_window=None) -> float:
-    """Integral of fn(u, v) over the h = tau level set, cut by rho <= f <= omega."""
+def cone_integral(fn: Callable, tau: float, window, *, n: int,
+                  nodes: int = DEFAULT_NODES) -> float:
+    """Integral of fn(u, v) over the h = tau level set, cut by window = (rho, omega) of f."""
     if tau <= 0:
         raise InvalidInput(f"need tau > 0, got {tau}")
-    rlo, rhi = _window_args(tau, window, r_window, "r")
+    rho, omega = window
+    if not (0 < rho <= omega):
+        raise InvalidInput(f"need 0 < rho <= omega, got ({rho}, {omega})")
+    rlo, rhi = cone_r_window(tau, rho, omega)
     if rhi <= rlo:
         return 0.0
     r, w = gl_nodes(rlo, rhi, nodes)

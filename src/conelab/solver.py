@@ -89,11 +89,11 @@ class EvolutionResult:
     energy_drift: float
     meta: dict = dc_field(default_factory=dict)
 
-    def spline(self, window: Optional[tuple] = None) -> TensorSpline:
-        """A new quintic spline over (times, r), fitted on the whole strip or,
-        given index bounds window = (i0, i1, j0, j1), on
-        slices[i0:i1, j0:j1] only.  `field_on` builds one per window."""
-        i0, i1, j0, j1 = window or (0, len(self.times), 0, len(self.r))
+    def spline(self, window: tuple) -> TensorSpline:
+        """A new quintic spline over (times, r) fitted on the samples
+        slices[i0:i1, j0:j1] of the index bounds window = (i0, i1, j0, j1).
+        `field_on` builds one per window."""
+        i0, i1, j0, j1 = window
         return TensorSpline(self.times[i0:i1], self.r[j0:j1], self.slices[i0:i1, j0:j1])
 
     def _window(self, T: np.ndarray, R: np.ndarray) -> tuple:

@@ -133,7 +133,7 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
     dF = rep.dF(f)
     E = np.exp(-rep.F(f))
 
-    phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv = fld.derivs2(analytic=(mode == "analytic"))
+    phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv = fld.derivs2(mode)
     # box phi and the field half read the field alone, so they are kept on the
     # field like its derivative arrays, once per mode, for every weight and U
     memo = fld.__dict__.setdefault("_identity_terms", {})
@@ -184,16 +184,12 @@ def identity_residual(fld: ScalarField, rep: Reparametrization,
                       derivative_mode: str = "auto") -> IdentityReport:
     """Max-norm residual of the divergence identity on the interior nodes.
 
-    derivative_mode 'analytic' uses closed-form derivatives everywhere
-    (machine-level) and raises MissingDerivative for a field without them;
-    'fd' uses centered stencils for both the field and the current
-    divergence, so the residual shrinks at the stencil order under
-    refinement; 'auto' picks analytic when available.
+    `fld.route(derivative_mode)` picks the route: 'analytic' uses closed-form
+    derivatives everywhere (machine-level); 'fd' uses centered stencils for
+    both the field and the current divergence, so the residual shrinks at
+    the stencil order under refinement.
     """
-    wants = {"auto": None, "analytic": True, "fd": False}
-    if derivative_mode not in wants:
-        raise InvalidInput(f"unknown derivative mode {derivative_mode!r}")
-    mode = "analytic" if fld.uses_closed_form(wants[derivative_mode]) else "fd"
+    mode = fld.route(derivative_mode)
     U = U or ZeroU()
     lhs, rhs, scale, terms = _identity_arrays(fld, rep, U, mode)
     depth = 2 if mode == "fd" else 0
@@ -479,46 +475,27 @@ def boundary_limit_experiment(kind: str, *, n: int, delta: float,
         f = -u * v
         return (1.0 + r + f) ** (-(n - 1 + delta))
 
-    levels = []
-    values = []
-    if kind == "cone_tau":
-        f_window = (0.1, 10.0)
-        target = -delta / 2.0
-        for k in range(count):
-            tau = 256.0 * LEVEL_RATIO**k
-            val = qd.cone_integral(psi_r, tau, f_window, n=n, nodes=nodes)
-            levels.append(tau)
-            values.append(val)
-    elif kind == "cone_sigma":
-        f_window = (0.1, 10.0)
-        target = delta / 2.0
-        for k in range(count):
-            sigma = (1.0 / 256.0) * LEVEL_RATIO ** (-k)
-            val = qd.cone_integral(psi_r, sigma, f_window, n=n, nodes=nodes)
-            levels.append(sigma)
-            values.append(val)
-    elif kind == "hyperboloid_rho":
-        t_window = (-2.0, 2.0)
-        target = alpha
-        for k in range(count):
-            rho = 0.02 * LEVEL_RATIO ** (-k)
-            val = qd.hyperboloid_integral(
-                lambda u, v: (-u * v) ** (-0.5 + alpha) * psi_r(u, v),
-                rho, n=n, nodes=nodes, t_window=t_window)
-            levels.append(rho)
-            values.append(val)
-    elif kind == "hyperboloid_omega":
-        tb_window = (-2.0, 2.0)
-        target = beta - delta
-        for k in range(count):
-            omega = 64.0 * LEVEL_RATIO**k
-            val = qd.inverted_hyperboloid_integral(
-                lambda u, v: (-u * v) ** (-0.5 + beta) * psi_rf(u, v),
-                omega, n=n, nodes=nodes, tbar_window=tb_window)
-            levels.append(omega)
-            values.append(val)
-    else:
+    f_window, t_window = (0.1, 10.0), (-2.0, 2.0)
+    # kind: (surface of level k, target slope, integral over the surface)
+    table = {
+        "cone_tau": (lambda k: 256.0 * LEVEL_RATIO**k, -delta / 2.0,
+                     lambda tau: qd.cone_integral(psi_r, tau, f_window, n=n, nodes=nodes)),
+        "cone_sigma": (lambda k: (1.0 / 256.0) * LEVEL_RATIO ** (-k), delta / 2.0,
+                       lambda sigma: qd.cone_integral(psi_r, sigma, f_window, n=n, nodes=nodes)),
+        "hyperboloid_rho": (lambda k: 0.02 * LEVEL_RATIO ** (-k), alpha,
+                            lambda rho: qd.hyperboloid_integral(
+                                lambda u, v: (-u * v) ** (-0.5 + alpha) * psi_r(u, v),
+                                rho, n=n, nodes=nodes, t_window=t_window)),
+        "hyperboloid_omega": (lambda k: 64.0 * LEVEL_RATIO**k, beta - delta,
+                              lambda omega: qd.inverted_hyperboloid_integral(
+                                  lambda u, v: (-u * v) ** (-0.5 + beta) * psi_rf(u, v),
+                                  omega, n=n, nodes=nodes, tbar_window=t_window)),
+    }
+    if kind not in table:
         raise InvalidInput(f"unknown experiment kind {kind!r}")
+    level, target, integral = table[kind]
+    levels = [level(k) for k in range(count)]
+    values = [integral(x) for x in levels]
 
     # decreasing levels (sigma, rho) still fit against log(level)
     slope = _slope(levels, values)

@@ -77,18 +77,10 @@ def _asf(f):
 
 
 class Reparametrization:
-    """Interface: F, dF, d2F, G = -(f F')' and dG; H follows from G and dG."""
+    """Base of the weights, which define F, dF, d2F, G = -(f F')' and dG;
+    H follows from G and dG."""
 
     name = "base"
-
-    def F(self, f):
-        raise NotImplementedError
-
-    def dF(self, f):
-        raise NotImplementedError
-
-    def d2F(self, f):
-        raise NotImplementedError
 
     def H(self, f):
         # H = (f G)'/2 = (G + f G')/2
@@ -190,7 +182,6 @@ class Potential:
     scaling_log_derivative: Callable
     du_log: Optional[Callable] = None
     dv_log: Optional[Callable] = None
-    sup_bound: Optional[float] = None
     label: str = "potential"
     _tr: Optional[Callable] = None
 
@@ -210,7 +201,6 @@ class Potential:
             scaling_log_derivative=lambda u, v: np.zeros_like(np.asarray(u, float)),
             du_log=lambda u, v: np.zeros_like(np.asarray(u, float)),
             dv_log=lambda u, v: np.zeros_like(np.asarray(u, float)),
-            sup_bound=abs(c),
             label=f"const({c})",
             _tr=lambda t, r: np.full_like(np.asarray(t, float), c),
         )
@@ -263,7 +253,6 @@ class Potential:
         return Potential(
             value=lambda u, v: decay_envelope(_f(u, v), beta, p, B),
             scaling_log_derivative=_slog,
-            sup_bound=None,
             label=f"saturating(B={B},beta={beta},p={p})",
             _tr=lambda t, r: decay_envelope(
                 np.maximum((np.asarray(r, float) ** 2 - np.asarray(t, float) ** 2) / 4.0, floor),

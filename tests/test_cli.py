@@ -257,6 +257,33 @@ def test_default_runs_keep_their_pinned_hash(tmp_path, argv):
     assert _load_report(out)["stability_hash"] == DEFAULT_HASHES[argv]
 
 
+def _cone_one_dimension_down(real):
+    return lambda fn, tau, window, *, n, **kw: real(fn, tau, window, n=n - 1, **kw)
+
+
+def _f_level_over_sqrt_omega(real):
+    return lambda fn, omega, *args, **kw: real(fn, omega, *args, **kw) / omega**0.5
+
+
+# A defect in a surface measure must fail the limit slopes it feeds: the cone
+# measure at n - 1 reads slopes -/+0.952 against -/+0.5, and the f-level
+# measure over sqrt(omega) a rho slope of -0.237 against 0.25.
+@pytest.mark.parametrize("rule, defect, failed", [
+    ("cone_integral", _cone_one_dimension_down,
+     {"limit-slope[cone_tau]", "limit-slope[cone_sigma]"}),
+    ("hyperboloid_integral", _f_level_over_sqrt_omega, {"limit-slope[hyperboloid_rho]"}),
+], ids=["cone-measure-n-1", "f-level-measure-over-sqrt-omega"])
+def test_limits_fail_on_a_defective_surface_measure(tmp_path, monkeypatch, rule, defect,
+                                                     failed):
+    from conelab import quadrature
+
+    monkeypatch.setattr(quadrature, rule, defect(getattr(quadrature, rule)))
+    out = tmp_path / "report.json"
+    assert main(["limits", "--out", str(out)]) == 1
+    report = _load_report(out)
+    assert {r["name"] for r in report["records"] if not r["passed"]} == failed
+
+
 # ---------------------------------------------------------------------------
 # csv bundles
 # ---------------------------------------------------------------------------

@@ -386,8 +386,8 @@ def test_field_half_keeps_the_bits_of_the_bracket_in_one_piece(ell, U):
     g = fld.grid
     f, h = np.meshgrid(np.linspace(0.15, 9.0, 7), np.linspace(0.2, 8.0, 5))
     u, v = -np.sqrt(np.ravel(f / h)), np.sqrt(np.ravel(f * h))
-    points = [(g.U, g.V, f_, fld.derivs2(analytic=mode))
-              for f_ in (g.F_col, -g.U * g.V) for mode in (True, False)]
+    points = [(g.U, g.V, f_, fld.derivs2(mode))
+              for f_ in (g.F_col, -g.U * g.V) for mode in ("analytic", "fd")]
     points.append((u, v, -u * v, fld.evaluator().derivs2(u, v)))
     for _, rep in battery_weights():
         asm = CurrentAssembler(rep=rep, U=U, n=g.n, ell=ell)
@@ -419,8 +419,8 @@ def test_weight_half_on_the_f_column_agrees_with_f_at_every_node(ell, U):
     bound = WEIGHT_HALF_ULPS * np.finfo(float).eps
     for _, rep in battery_weights():
         asm = CurrentAssembler(rep=rep, U=U, n=g.n, ell=ell)
-        for analytic in (True, False):
-            d = fld.derivs2(analytic=analytic)
+        for mode in ("analytic", "fd"):
+            d = fld.derivs2(mode)
             col = [*asm.components(g.U, g.V, g.F_col, *d[:3]),
                    asm.divergence(g.U, g.V, g.F_col, *d)]
             node = [*asm.components(g.U, g.V, -g.U * g.V, *d[:3]),

@@ -146,14 +146,14 @@ def test_scaling_finite_difference_route():
 # ---------------------------------------------------------------------------
 
 def fd_order(source, deriv_fn, levels=(48, 96, 192)):
-    """Errors of `deriv_fn(field, analytic)` on the FD route against the
+    """Errors of `deriv_fn(field, mode)` on the FD route against the
     closed form, and the observed orders between successive levels."""
     errs = []
     for m in levels:
         g = mkgrid(m)
         fld = ScalarField.from_function(g, source.value)
-        got = deriv_fn(fld, False)
-        ref = deriv_fn(ScalarField.from_analytic(g, source), None)
+        got = deriv_fn(fld, "fd")
+        ref = deriv_fn(ScalarField.from_analytic(g, source), "auto")
         ii, jj = g.interior(2)
         errs.append(np.max(np.abs((got - ref)[ii, jj])))
     rates = [math.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
@@ -162,8 +162,8 @@ def fd_order(source, deriv_fn, levels=(48, 96, 192)):
 
 def test_fd_first_derivative_order():
     src = from_expr("sin(u) * cos(v/3)")
-    rates_u, errs_u = fd_order(src, lambda fld, analytic: fld.derivs1(analytic)[1])
-    rates_v, errs_v = fd_order(src, lambda fld, analytic: fld.derivs1(analytic)[2])
+    rates_u, errs_u = fd_order(src, lambda fld, mode: fld.derivs1(mode)[1])
+    rates_v, errs_v = fd_order(src, lambda fld, mode: fld.derivs1(mode)[2])
     # order-4 stencils composed through the chain rule; the coarsest
     # segment is pre-asymptotic so judge the fine one
     assert rates_u[-1] > 3.2 and errs_u[-1] < 1e-5
@@ -172,7 +172,7 @@ def test_fd_first_derivative_order():
 
 def test_fd_box_convergence():
     src = from_expr("(-u*v)**(4/5) * (-v/u)**(3/10)")
-    rates, errs = fd_order(src, lambda fld, analytic: box(fld, analytic).values)
+    rates, errs = fd_order(src, lambda fld, mode: box(fld, mode).values)
     assert errs[-1] < 1e-6
     assert min(rates) > 3.3
 
@@ -498,10 +498,33 @@ def test_closed_form_memo_never_freezes_the_grid():
 def test_analytic_derivatives_without_a_closed_form_raise():
     g = mkgrid(32)
     bare = ScalarField.from_function(g, lambda u, v: np.sin(u) * np.cos(v / 3))
-    for call in (lambda: bare.derivs1(analytic=True), lambda: bare.derivs2(analytic=True),
-                 lambda: box(bare, analytic=True)):
+    for call in (lambda: bare.derivs1("analytic"), lambda: bare.derivs2("analytic"),
+                 lambda: box(bare, "analytic")):
         with pytest.raises(MissingDerivative):
             call()
+
+
+def test_fd_mode_on_a_closed_form_field_gives_the_fd_arrays():
+    g = mkgrid(32)
+    fld = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)"))
+    _bitwise_equal(fld.derivs1("fd"), fld.fd_derivs1())
+    _bitwise_equal(fld.derivs2("fd"), fld.fd_derivs2())
+    phi, phi_u, phi_v, _, phi_uv, _ = fld.fd_derivs2()
+    want = wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv)
+    assert box(fld, "fd").values.tobytes() == want.tobytes()
+    assert box(fld, "fd").values.tobytes() != box(fld).values.tobytes()
+    assert fld.route() == fld.route("analytic") == "analytic"
+    assert fld.route("fd") == "fd"
+
+
+@pytest.mark.parametrize("mode", ["bogus", True, False, None, "closed_form"])
+def test_unknown_derivative_modes_are_rejected(mode):
+    g = mkgrid(16)
+    for fld in (ScalarField.from_analytic(g, from_expr("u*v**2")),
+                ScalarField.from_function(g, lambda u, v: u * v**2)):
+        for call in (fld.derivs1, fld.derivs2, lambda m: box(fld, m), lambda m: fld.route(m)):
+            with pytest.raises(InvalidInput, match="derivative mode"):
+                call(mode)
 
 
 def test_field_without_closed_form_takes_the_fd_route():
@@ -568,11 +591,11 @@ def test_closed_form_and_fd_memos_are_kept_apart():
     g = mkgrid(24)
     fld = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)"))
     analytic = fld.derivs2()
-    fd = fld.derivs2(analytic=False)
+    fd = fld.derivs2("fd")
     _bitwise_equal(analytic, fld.closed_form.derivs2(g.U, g.V))
     _bitwise_equal(fd, fld.fd_derivs2())
-    assert fld.derivs2(analytic=True) is analytic and fld.derivs2(analytic=False) is fd
-    _bitwise_equal(fld.derivs1(analytic=False), fld.fd_derivs1())
+    assert fld.derivs2("analytic") is analytic and fld.derivs2("fd") is fd
+    _bitwise_equal(fld.derivs1("fd"), fld.fd_derivs1())
 
 
 def test_closed_form_memo_under_concurrent_first_use():

@@ -13,7 +13,6 @@ from conelab.quadrature import (
     boundary_sum,
     bulk_integral,
     cone_integral,
-    cone_r_window,
     divergence_residual,
     gl_nodes,
     hyperboloid_integral,
@@ -95,12 +94,6 @@ def test_window_helpers_match_implicit_windows():
     a = hyperboloid_integral(smooth, omega, (sigma, tau), n=3)
     b = hyperboloid_integral(smooth, omega, t_window=tw, n=3)
     assert math.isclose(a, b, rel_tol=1e-15)
-
-    rho = 0.3
-    rw = cone_r_window(tau, rho, omega)
-    c = cone_integral(smooth, tau, (rho, omega), n=3)
-    d = cone_integral(smooth, tau, r_window=rw, n=3)
-    assert math.isclose(c, d, rel_tol=1e-15)
 
 
 def test_empty_windows_integrate_to_zero():

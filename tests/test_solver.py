@@ -21,7 +21,7 @@ from conelab.errors import (
     RegionOutOfGrid,
     UnstableStep,
 )
-from conelab.fields import GridSpec, ScalarField, box
+from conelab.fields import GridSpec, TensorSpline, box
 from conelab.geometry import AdmissibleRegion
 from conelab.solver import (
     PAD,
@@ -85,7 +85,7 @@ def test_time_symmetry_of_even_data():
     res = solve(data, T=0.5, R=4.0, dr=0.01, n=3, support_radius=2.5)
     tpos = res.times >= 0
     sym = res.times[tpos]
-    sp = res.spline()
+    sp = TensorSpline(res.times, res.r, res.slices)
     a = sp.ev(sym, np.full_like(sym, 1.3))
     b = sp.ev(-sym, np.full_like(sym, 1.3))
     assert np.max(np.abs(a - b)) < 1e-6
@@ -145,13 +145,14 @@ def test_field_on_builds_one_spline_per_result(monkeypatch):
     from conelab.solver import EvolutionResult
 
     res = solve(spherical_wave_data(), T=0.5, R=4.0, dr=0.02, n=3)
-    want = res.spline()
-    assert res.spline() is not want  # spline() itself still builds anew
+    whole = (0, len(res.times), 0, len(res.r))
+    want = res.spline(whole)
+    assert res.spline(whole) is not want  # spline() itself still builds anew
     built = []
     made = []
     real = EvolutionResult.spline
 
-    def spy(self, window=None):
+    def spy(self, window):
         built.append(self)
         made.append(real(self, window))
         return made[-1]
@@ -180,7 +181,8 @@ def wave_256():
 def test_windowed_fit_matches_full_strip(wave_256, m):
     res = replace(wave_256)  # a fresh resampling cache
     grid = GridSpec.from_region(SOLVE_256_REGION, m, m, 3)
-    full = res.spline().ev(np.ravel(grid.T), np.ravel(grid.R)).reshape(grid.T.shape)
+    full = TensorSpline(res.times, res.r, res.slices).ev(
+        np.ravel(grid.T), np.ravel(grid.R)).reshape(grid.T.shape)
     gap = np.max(np.abs(res.field_on(grid).values - full))
     assert gap <= 1e-20 * np.max(np.abs(res.slices))
 
@@ -220,13 +222,14 @@ def test_window_clips_at_the_edges_of_the_strip(monkeypatch):
     windows = []
     real = EvolutionResult.spline
     monkeypatch.setattr(EvolutionResult, "spline",
-                        lambda self, window=None: windows.append(window) or real(self, window))
+                        lambda self, window: windows.append(window) or real(self, window))
     fld = res.field_on(grid)
     i0 = np.flatnonzero(res.times <= grid.T.min())[-1] - PAD
     j1 = np.flatnonzero(res.r >= grid.R.max())[0] + 1 + PAD
     assert i0 > 0 and j1 < len(res.r)
     assert windows == [(i0, len(res.times), 0, j1)]
-    full = real(res).ev(np.ravel(grid.T), np.ravel(grid.R)).reshape(grid.T.shape)
+    full = TensorSpline(res.times, res.r, res.slices).ev(
+        np.ravel(grid.T), np.ravel(grid.R)).reshape(grid.T.shape)
     assert np.max(np.abs(fld.values - full)) <= 1e-20 * np.max(np.abs(res.slices))
 
 

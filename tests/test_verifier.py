@@ -410,6 +410,47 @@ def test_limit_experiment_slopes():
         assert abs(rec.slope - target) <= 0.10 * max(abs(target), 0.05)
 
 
+# (levels, values, slope, passed) of every kind at count=5, delta=0.5,
+# alpha=0.3, beta=0.1, nodes=64 as float.hex; the `limits` hash covers the
+# defaults only
+LIMIT_PINS = {
+    "cone_tau": (
+        ("0x1.0000000000000p+8", "0x1.0000000000000p+9", "0x1.0000000000000p+10",
+         "0x1.0000000000000p+11", "0x1.0000000000000p+12"),
+        ("0x1.0cfb6afa6f21cp+0", "0x1.d737a1c3e2b77p-1", "0x1.983a427a5c2f9p-1",
+         "0x1.5ec26259420d0p-1", "0x1.2b8fc64ba39dap-1"),
+        "-0x1.be5d2be922865p-3", False),
+    "cone_sigma": (
+        ("0x1.0000000000000p-8", "0x1.0000000000000p-9", "0x1.0000000000000p-10",
+         "0x1.0000000000000p-11", "0x1.0000000000000p-12"),
+        ("0x1.0cfb6afa6f21cp+0", "0x1.d737a1c3e2b76p-1", "0x1.983a427a5c2f9p-1",
+         "0x1.5ec26259420cep-1", "0x1.2b8fc64ba39dap-1"),
+        "0x1.be5d2be922865p-3", False),
+    "hyperboloid_rho": (
+        ("0x1.47ae147ae147bp-6", "0x1.47ae147ae147bp-7", "0x1.47ae147ae147bp-8",
+         "0x1.47ae147ae147bp-9", "0x1.47ae147ae147bp-10"),
+        ("0x1.9d7380782a194p-2", "0x1.4ad1dbb73605ap-2", "0x1.08ed915fd84d7p-2",
+         "0x1.a997851eec3a0p-3", "0x1.56f7f91bbb65bp-3"),
+        "0x1.439671bf0ccb7p-2", True),
+    "hyperboloid_omega": (
+        ("0x1.0000000000000p+6", "0x1.0000000000000p+7", "0x1.0000000000000p+8",
+         "0x1.0000000000000p+9", "0x1.0000000000000p+10"),
+        ("0x1.edac97d70a738p-3", "0x1.744c02f53c301p-3", "0x1.17e508db18d84p-3",
+         "0x1.a52140ce53e91p-4", "0x1.3d665a7478d64p-4"),
+        "-0x1.a3f33e216b301p-2", True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LIMIT_PINS))
+def test_limit_experiment_is_pinned_off_the_defaults(kind):
+    rec = boundary_limit_experiment(kind, n=3, count=5, delta=0.5, alpha=0.3,
+                                    beta=0.1, nodes=64)
+    levels, values, slope, passed = LIMIT_PINS[kind]
+    assert tuple(x.hex() for x in rec.levels) == levels
+    assert tuple(x.hex() for x in rec.values) == values
+    assert (rec.slope.hex(), rec.passed) == (slope, passed)
+
+
 def test_limit_experiment_guards():
     with pytest.raises(InsufficientSequence):
         boundary_limit_experiment("cone_tau", n=3, delta=1.0, count=3)
