@@ -12,6 +12,16 @@ combines the pieces into a uniqueness verdict for claimed solutions.
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# numpy's OpenBLAS starts a worker thread per extra CPU when numpy loads, and
+# that worker busy-waits while the process runs; conelab's matrices are tiny,
+# so one thread is the default unless the host chose a count or loaded numpy
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(v in _os.environ for v in _THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .errors import (
     ConelabError,
     DomainError,

@@ -163,6 +163,14 @@ def _wave_rhs(r, r2, dr, lam, n, ell):
     return rhs
 
 
+def _stored_steps(nsteps: int) -> np.ndarray:
+    """Up to MAX_STORED_SLICES // 2 distinct steps evenly spread from 0 to
+    nsteps: each entry of the rounded linspace, non-decreasing from 0, that
+    differs from the one before it (np.unique would import numpy.ma)."""
+    idx = np.round(np.linspace(0, nsteps, min(MAX_STORED_SLICES // 2, nsteps + 1)))
+    return idx[np.diff(idx, prepend=-1) > 0].astype(int)
+
+
 def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
           U: Optional[PowerU] = None,
           support_radius: Optional[float] = None) -> EvolutionResult:
@@ -196,8 +204,7 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     nsteps = int(math.ceil(T / (_CFL_LIMIT * dr)))
     dt = T / nsteps  # land exactly on t = +-T, at most _CFL_LIMIT * dr
 
-    per_dir = min(MAX_STORED_SLICES // 2, nsteps + 1)
-    store_idx = np.unique(np.round(np.linspace(0, nsteps, per_dir)).astype(int))
+    store_idx = _stored_steps(nsteps)
     stored = store_idx.tolist()  # from 0, the data, to nsteps, the last step
     n_store = len(stored)
     # rows n_store - 1 + k and n_store - 1 - k hold the forward and backward

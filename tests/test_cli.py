@@ -2,7 +2,8 @@
 
 Everything goes through ``conelab.cli.main(argv)`` called as a plain
 function, so exit codes and emitted files are asserted directly.  Only the
-check of which modules a run imports spawns a fresh interpreter.
+checks of which modules a run imports and of its BLAS thread count spawn a
+fresh interpreter.
 """
 
 import csv
@@ -40,6 +41,18 @@ def _write_config(path, payload):
 
 def _load_report(path):
     return json.loads(path.read_text())
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_env(**threads):
+    """The environment of a fresh interpreter that imports conelab from this
+    checkout, with no BLAS thread count but those given."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**env, **threads}
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +104,7 @@ def test_verify_nl_loads_no_scipy_interpolate(tmp_path):
         f"assert main(['verify-nl', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
         "assert 'scipy.interpolate' not in sys.modules\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
@@ -110,9 +121,7 @@ def test_benchmark_solve_export_loads_no_scipy(tmp_path):
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert _load_report(out / "report.json")["stability_hash"] == (
@@ -135,11 +144,41 @@ def test_runs_on_the_fixed_fields_load_no_sympy(tmp_path):
         f"    assert main([*argv, '--out', {str(tmp_path / 'r.json')!r}]) in codes, argv\n"
         "assert 'sympy' not in sys.modules\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_solve_loads_no_numpy_ma(tmp_path):
+    script = (
+        "import sys\n"
+        "from conelab.cli import main\n"
+        f"assert main(['solve', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+# importing conelab makes one OpenBLAS thread the default, before numpy loads
+# (a second thread busy-waits); a count the host chose, or a numpy the host
+# loaded first, is left alone
+@pytest.mark.parametrize("threads, preamble, want", [
+    ({}, "", {"OPENBLAS_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "", {"OPENBLAS_NUM_THREADS": "2"}),
+    ({"GOTO_NUM_THREADS": "2"}, "", {"GOTO_NUM_THREADS": "2"}),
+    ({"OMP_NUM_THREADS": "3"}, "", {"OMP_NUM_THREADS": "3"}),
+    ({}, "import numpy\n", {}),
+], ids=["unset", "openblas", "goto", "omp", "numpy-first"])
+def test_import_sets_one_blas_thread_unless_chosen(threads, preamble, want):
+    script = (preamble + "import json, os, conelab\n"
+              f"print(json.dumps({{k: os.environ[k] for k in {BLAS_THREAD_VARS!r}"
+              " if k in os.environ}))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(**threads),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == want
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +294,20 @@ def test_default_runs_keep_their_pinned_hash(tmp_path, argv):
     out = tmp_path / "report.json"
     assert main([*args, "--out", str(out)]) == 0
     assert _load_report(out)["stability_hash"] == DEFAULT_HASHES[argv]
+
+
+# verify-nl and limits run gl_nodes' eigenvalues, the quadrature's
+# matrix-vector sums and polyfit, all through BLAS: two threads or the
+# default one give the same bits
+@pytest.mark.parametrize("threads", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["default", "2"])
+@pytest.mark.parametrize("command", ["verify-nl", "limits"])
+def test_pinned_hashes_do_not_depend_on_blas_threads(tmp_path, command, threads):
+    out = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-m", "conelab.cli", command, "--out", str(out)],
+                          env=_fresh_env(**threads), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert _load_report(out)["stability_hash"] == DEFAULT_HASHES[(command,)]
 
 
 def _cone_one_dimension_down(real):

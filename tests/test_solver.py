@@ -24,6 +24,7 @@ from conelab.errors import (
 from conelab.fields import GridSpec, TensorSpline, box
 from conelab.geometry import AdmissibleRegion
 from conelab.solver import (
+    MAX_STORED_SLICES,
     PAD,
     CauchyData,
     EvolutionResult,
@@ -32,6 +33,7 @@ from conelab.solver import (
     solve,
     spherical_wave_data,
     static_multipole,
+    _stored_steps,
 )
 from conelab.weights import Potential
 
@@ -294,6 +296,15 @@ def test_solve_holds_one_copy_of_the_slices():
         tracemalloc.stop()
     assert res.slices.shape == (1023, 6000)
     assert peak <= 1.25 * res.slices.nbytes
+
+
+def test_stored_steps_are_those_np_unique_keeps():
+    # dropping each repeat of the rounded linspace keeps np.unique's indices
+    for nsteps in range(1, 3001):
+        per_dir = min(MAX_STORED_SLICES // 2, nsteps + 1)
+        want = np.unique(np.round(np.linspace(0, nsteps, per_dir)).astype(int))
+        got = _stored_steps(nsteps)
+        assert got.dtype == want.dtype and np.array_equal(got, want), nsteps
 
 
 def test_field_on_guards():
