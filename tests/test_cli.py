@@ -276,6 +276,8 @@ def test_stability_hash_is_deterministic(tmp_path):
 DEFAULT_HASHES = {
     ("verify-identity",): "7adb31c6a8e0624ce3472f6874b80fcc380e4be70b20f8acb6fcf5ad84e428ce",
     ("verify-carleman",): "67baa12825f89a465b6dd405d124f5ea1c76deb99b8c9b74b38cd79af4e79eff",
+    ("verify-carleman", "--refine"):
+        "45c46264f835b87d248fded6e660d417c71150c0be3cbf55b431c9367e5a2f87",
     ("verify-nl",): "839865680295795e3a16e5b907f006cef1f99655d6540af39a2982b5a599584e",
     ("limits",): "1e31f31cae97946dd0a860cee51e36e7e35ef88d9c00e741cdd6bfe0b9abc37c",
     ("counterexample",): "34c73534eaba9ed6c91b268fbce52560297b2f40b86e6731cb27b929a3cd1595",
