@@ -1,9 +1,11 @@
 """Verification routines: identity closure, estimate chains, limit slopes,
 induced potentials, and the uniqueness decision pipeline.
 
-Every routine returns a small report dataclass with the computed numbers and
-a pass flag; nothing here prints or writes files.  The ground truth is the
-divergence identity
+`identity_convergence`, `carleman_split_check`, `split_cancellation` and
+`boundary_limit_experiment` return the `CheckRecord` the report holds; the
+other routines return a small dataclass with the computed numbers and a pass
+flag (`carleman_nl_check`'s includes the sign of Gamma_V).  Nothing here
+prints or writes files.  The ground truth is the divergence identity
 
     L psi . S* psi = 2 F' |S* psi|^2 + (f F' G + H) psi^2 + B + div P,
 
@@ -67,12 +69,10 @@ __all__ = [
     "identity_convergence",
     "PointwiseReport",
     "pointwise_inequality",
-    "SplitChainReport",
     "carleman_split_check",
     "split_cancellation",
     "NlChainReport",
     "carleman_nl_check",
-    "ExperimentRecord",
     "boundary_limit_experiment",
     "induced_potential",
     "ViolationRecord",
@@ -272,23 +272,25 @@ def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
 
 
 # ---------------------------------------------------------------------------
-# split estimate chain
+# estimate chains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitChainReport:
-    branch: str
-    lhs_bulk: float
-    rhs_bulk: float
-    boundary: qd.BoundarySum
-    margin: float
-    c_cal: Optional[float]
-    k_cal: Optional[float]
-    passed: bool
+def _chain(cur, integrand, nodes: int):
+    """Chain lhs <= rhs + boundary flux of a current over its field's region.
+
+    `integrand(u, v)` gives lhs, rhs and any further bulk integrands, all
+    integrated on one node mesh.  Returns the integrals, the current's
+    BoundarySum, the margin rhs + boundary - lhs and its scale max(|lhs|, |rhs|).
+    """
+    reg, n = cur.grid.region, cur.grid.n
+    ints = qd.bulk_integral(integrand, reg, n=n, nodes=nodes)
+    bnd = qd.boundary_sum(flux_fn(cur, "f"), flux_fn(cur, "h"), reg, n=n, nodes=nodes)
+    lhs, rhs = ints[0], ints[1]
+    return ints, bnd, rhs + bnd.total - lhs, max(abs(lhs), abs(rhs), 1e-300)
 
 
 def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: str,
-                         *, nodes: int = qd.DEFAULT_NODES) -> SplitChainReport:
+                         *, nodes: int = qd.DEFAULT_NODES) -> CheckRecord:
     """Exact integral chain behind the split estimate on one branch:
 
         A := int e^{-2F}(f|F'|G - H) phi^2
@@ -296,7 +298,8 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
 
     Also calibrates C = A / (b^2 p int f^{2(a-+b)} f^{+-p-1} phi^2) >= 1 and
     K = (a/8) int e^{-2F}|F'|^{-1}|box phi|^2 / int f^{2(a-+b)} f |box phi|^2
-    <= e^2/4 (None where the reference integral vanishes).
+    <= e^2/4 (None where the reference integral vanishes).  The record's value
+    is the margin; its details hold both bulk sides, the boundary terms, C and K.
     """
     g = fld.grid
     cur = current_split(fld, params, branch)
@@ -315,11 +318,7 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
                 ref * f ** (s * p - 1) * ph ** 2,
                 ref * f * boxphi ** 2)
 
-    reg = g.region
-    A, rhs_bulk, iw, ibox = qd.bulk_integral(integrand, reg, n=g.n, nodes=nodes)
-    bnd = qd.boundary_sum(flux_fn(cur, "f"), flux_fn(cur, "h"), reg, n=g.n, nodes=nodes)
-    margin = rhs_bulk + bnd.total - A
-    scale = max(abs(A), abs(rhs_bulk), 1e-300)
+    (A, rhs_bulk, iw, ibox), bnd, margin, scale = _chain(cur, integrand, nodes)
     tiny = 1e-14
     c_cal = A / (b**2 * p * iw) if iw > tiny * max(abs(A), 1.0) else None
     k_cal = (a / 8.0) * (rhs_bulk / ibox) if ibox > tiny * max(rhs_bulk, 1.0) else None
@@ -328,9 +327,10 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
         passed = passed and c_cal >= 1.0 - 1e-9
     if k_cal is not None:
         passed = passed and k_cal <= E2_OVER_4 + 1e-9
-    return SplitChainReport(branch=branch, lhs_bulk=A, rhs_bulk=rhs_bulk,
-                            boundary=bnd, margin=margin,
-                            c_cal=c_cal, k_cal=k_cal, passed=passed)
+    return CheckRecord(name=f"split-chain[{branch}]", passed=passed, value=margin,
+                       tolerance=0.0,
+                       details={"lhs_bulk": A, "rhs_bulk": rhs_bulk,
+                                "boundary": bnd.as_dict(), "c_cal": c_cal, "k_cal": k_cal})
 
 
 def split_cancellation(fld_low: ScalarField, fld_high: ScalarField,
@@ -364,10 +364,6 @@ def split_cancellation(fld_low: ScalarField, fld_high: ScalarField,
                        details={"low_flux": lo, "high_flux": hi})
 
 
-# ---------------------------------------------------------------------------
-# nonlinear estimate chain
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class NlChainReport:
     lhs_bulk: float
@@ -389,7 +385,7 @@ def carleman_nl_check(fld: ScalarField, a: float, U: PowerU, *,
     The left side is the bulk integral of -B, evaluated at the quadrature
     nodes and asserted there against its closed form.  Gamma_V's range over
     the region is reported: the monotonicity reading of the estimate needs
-    it of one sign, which `verify-nl` requires of each record.
+    it > 0 when focusing and < 0 when defocusing, and `passed` requires that.
     """
     if a <= 0:
         raise InvalidInput(f"need a > 0, got {a}")
@@ -409,30 +405,16 @@ def carleman_nl_check(fld: ScalarField, a: float, U: PowerU, *,
         L = wave_op(g.n, g.lam, v - u, ph, pu, pv, puv) + U.udot(u, v, ph)
         return -B, (1.0 / (8.0 * a)) * f ** (2 * a) * f * L**2
 
-    reg = g.region
-    lhs, rhs = qd.bulk_integral(integrand, reg, n=g.n, nodes=nodes)
-    bnd = qd.boundary_sum(flux_fn(cur, "f"), flux_fn(cur, "h"), reg, n=g.n, nodes=nodes)
-    margin = rhs + bnd.total - lhs
-    scale = max(abs(lhs), abs(rhs), 1e-300)
+    (lhs, rhs), bnd, margin, scale = _chain(cur, integrand, nodes)
+    sign_ok = gmin > 0 if U.sign > 0 else gmax < 0
     return NlChainReport(lhs_bulk=lhs, rhs_bulk=rhs, boundary=bnd, margin=margin,
                          gamma_min=gmin, gamma_max=gmax,
-                         passed=margin >= -rel_tol * scale)
+                         passed=margin >= -rel_tol * scale and sign_ok)
 
 
 # ---------------------------------------------------------------------------
 # boundary limit experiments
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    kind: str
-    levels: tuple
-    values: tuple
-    slope: float
-    target: float
-    rel_err: float
-    passed: bool
-
 
 def _slope(levels, values) -> float:
     """Least-squares log-log slope through the last four points."""
@@ -445,7 +427,7 @@ def _slope(levels, values) -> float:
 
 def boundary_limit_experiment(kind: str, *, n: int, delta: float,
                               alpha: float = 0.25, beta: float = 0.0,
-                              count: int = 6, nodes: int = qd.DEFAULT_NODES) -> ExperimentRecord:
+                              count: int = 6, nodes: int = qd.DEFAULT_NODES) -> CheckRecord:
     """Measure the decay rate of boundary integrals along a foliation limit.
 
     kind 'cone_tau'        : int_{H^tau} |Psi|           ~ tau^{-delta/2}
@@ -459,7 +441,8 @@ def boundary_limit_experiment(kind: str, *, n: int, delta: float,
     with cutoff-tied windows the measured rate would be off by one power.
     Each level moves the surface by LEVEL_RATIO.  The slope is a
     least-squares fit through the last four points; it passes within
-    SLOPE_REL_TOL of the target, relative.
+    SLOPE_REL_TOL of the target, relative.  Returns the `limit-slope[kind]`
+    record, whose value is the slope.
     """
     if count < 4:
         raise InsufficientSequence(f"need at least 4 sequence points, got {count}")
@@ -501,9 +484,10 @@ def boundary_limit_experiment(kind: str, *, n: int, delta: float,
     slope = _slope(levels, values)
     denom = max(abs(target), 0.05)
     rel = abs(slope - target) / denom
-    return ExperimentRecord(kind=kind, levels=tuple(levels), values=tuple(values),
-                            slope=slope, target=target, rel_err=rel,
-                            passed=rel <= SLOPE_REL_TOL)
+    return CheckRecord(name=f"limit-slope[{kind}]", passed=rel <= SLOPE_REL_TOL,
+                       value=slope, tolerance=SLOPE_REL_TOL,
+                       details={"target": target, "rel_err": rel,
+                                "levels": levels, "values": values})
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +628,6 @@ class PipelineReport:
     b_required: float
     b_admissible: float
     terms: tuple
-    details: dict = dc_field(default_factory=dict)
 
 
 def _classify_sequence(name: str, levels, values, grows_with_level: bool):
@@ -700,8 +683,7 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
     if amax < 1e-14:
         return PipelineReport(verdict="zero bulk: field vanishes on the region",
                               a=a, b=b, beta=beta, p=p, b_required=0.0,
-                              b_admissible=b_adm, terms=(),
-                              details={"field_max": amax})
+                              b_admissible=b_adm, terms=())
 
     # --- potential admissibility ------------------------------------------
     env = decay_envelope(g.F, beta, p)
@@ -722,7 +704,7 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
             verdict=(f"potential-bound violation: requires B = {b_req:.3g} "
                      f"> admissible {b_adm:.3g}"),
             a=a, b=b, beta=beta, p=p, b_required=b_req, b_admissible=b_adm,
-            terms=(), details={"envelope_constant": p * min(beta - p, p)})
+            terms=())
 
     # --- term tracking ------------------------------------------------------
     unbounded = fld.closed_form is not None
@@ -810,8 +792,8 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
                 verdict=(f"obstructed by {t.name}: flux term is "
                          f"{t.classification} along its limit"),
                 a=a, b=b, beta=beta, p=p, b_required=b_req, b_admissible=b_adm,
-                terms=tuple(terms), details={})
+                terms=tuple(terms))
     return PipelineReport(
         verdict="boundary terms vanish: estimates force the zero solution",
         a=a, b=b, beta=beta, p=p, b_required=b_req, b_admissible=b_adm,
-        terms=tuple(terms), details={})
+        terms=tuple(terms))

@@ -158,18 +158,18 @@ def test_criterion_03_split_chain():
             fld = materialize(src, grid)
             out = carleman_split_check(fld, PARAMS, branch, nodes=128)
             if not out.passed:
-                failures.append((branch, fname, "margin/constants", out.margin))
+                failures.append((branch, fname, "margin/constants", out.value))
             refined = carleman_split_check(fld, PARAMS, branch, nodes=256)
-            for cname, x, y in (("C", out.c_cal, refined.c_cal),
-                                ("K", out.k_cal, refined.k_cal)):
+            for cname, x, y in (("C", out.details["c_cal"], refined.details["c_cal"]),
+                                ("K", out.details["k_cal"], refined.details["k_cal"])):
                 if (x is None) != (y is None):
                     failures.append((branch, fname, cname, "degenerate flip"))
                 elif x is not None and abs(x - y) > 0.10 * max(abs(x), abs(y)):
                     failures.append((branch, fname, cname, x, y))
-            if out.c_cal is not None:
-                c_vals.append(out.c_cal)
-            if out.k_cal is not None:
-                k_vals.append(out.k_cal)
+            if out.details["c_cal"] is not None:
+                c_vals.append(out.details["c_cal"])
+            if out.details["k_cal"] is not None:
+                k_vals.append(out.details["k_cal"])
 
     bump = from_expr("exp(-((u+2)**2 + (v-2)**2)/2)")
     lo = materialize(bump, GridSpec.from_region(REG_LO, 96, 96, 3))
@@ -280,10 +280,10 @@ def test_criterion_06_limit_slopes():
     for kind, target in cases:
         rec = boundary_limit_experiment(kind, n=3, delta=1.0, alpha=0.25,
                                         beta=0.25, count=6, nodes=192)
-        summary.append(f"{kind}: {rec.slope:+.3f} vs {target:+.2f}")
-        if not (rec.passed and rec.target == pytest.approx(target)
-                and abs(rec.slope - target) <= 0.10 * max(abs(target), 0.05)):
-            failures.append((kind, rec.slope, target))
+        summary.append(f"{kind}: {rec.value:+.3f} vs {target:+.2f}")
+        if not (rec.passed and rec.details["target"] == pytest.approx(target)
+                and abs(rec.value - target) <= 0.10 * max(abs(target), 0.05)):
+            failures.append((kind, rec.value, target))
     ok = not failures
     _line(6, "limit-slopes", ok, "; ".join(summary) + " (within 10%)")
     assert ok, failures

@@ -466,7 +466,7 @@ def test_verify_carleman_without_calibration_fails_a_record(
         rep = real(fld, params, branch, nodes=nodes)
         # refine=0: drop the constants everywhere; refine=1: only when refined
         if refine == 0 or nodes > base_nodes:
-            rep = replace(rep, c_cal=None, k_cal=None)
+            rep = replace(rep, details={**rep.details, "c_cal": None, "k_cal": None})
         return rep
 
     monkeypatch.setattr(verifier, "carleman_split_check", uncalibrated)

@@ -1,8 +1,10 @@
 """The package's public surface: every declared name exists, the package
-re-exports only what its modules declare public, and every error type is
-raised somewhere and exported."""
+re-exports only what its modules declare public, every error type is
+raised somewhere and exported, and the verifier's report classes keep the
+fields the benchmark reads."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import conelab
-from conelab import errors
+from conelab import errors, verifier
 
 SRC = Path(conelab.__file__).resolve().parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
@@ -50,3 +52,18 @@ def test_every_error_is_raised_and_exported():
         assert re.search(rf"raise {cls.__name__}\b", source), cls.__name__
         assert cls.__name__ in exported and getattr(conelab, cls.__name__) is cls
     assert "ConelabError" in exported
+
+
+# The report fields the benchmark step (perfbench/child.py) reads; without
+# this check only a full benchmark run would notice one going missing.
+BENCHMARK_FIELDS = {
+    "IdentityReport": {"rel_residual"},
+    "PointwiseReport": {"passed", "mode", "margin_min"},
+    "NlChainReport": {"passed", "gamma_min", "gamma_max", "margin"},
+}
+
+
+@pytest.mark.parametrize("report", sorted(BENCHMARK_FIELDS))
+def test_the_reports_keep_the_fields_the_benchmark_reads(report):
+    fields = {f.name for f in dataclasses.fields(getattr(verifier, report))}
+    assert BENCHMARK_FIELDS[report] <= fields

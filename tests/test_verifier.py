@@ -267,7 +267,7 @@ def test_identity_margin_and_split_chain_read_the_weights_bulk_coefficient(monke
     after = pointwise_inequality(fld, rep), carleman_split_check(fld, PARAMS, "low", nodes=40)
     assert before[0].identity.rel_residual < 1e-12 < 1e-3 < after[0].identity.rel_residual
     assert after[0].margin_min < before[0].margin_min
-    assert after[1].lhs_bulk > before[1].lhs_bulk
+    assert after[1].details["lhs_bulk"] > before[1].details["lhs_bulk"]
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +279,18 @@ def test_split_chain_constants_on_both_branches():
         fld = mkfield("sin(u) * exp(-(v-1)**2 / 8)", region)
         rep = carleman_split_check(fld, PARAMS, branch, nodes=160)
         assert rep.passed
-        assert rep.margin >= 0.0
-        if rep.c_cal is not None:
-            assert rep.c_cal >= 1.0 - 1e-9
-        if rep.k_cal is not None:
-            assert rep.k_cal <= E2_OVER_4 + 1e-9
+        assert rep.value >= 0.0
+        if rep.details["c_cal"] is not None:
+            assert rep.details["c_cal"] >= 1.0 - 1e-9
+        if rep.details["k_cal"] is not None:
+            assert rep.details["k_cal"] <= E2_OVER_4 + 1e-9
 
 
 def test_split_chain_static_solution_skips_calibration():
     # box phi = 0 makes the reference integral vanish: K must be None
     fld = mkfield(static_multipole(1, 3), REG_HI, ell=1)
     rep = carleman_split_check(fld, PARAMS, "high", nodes=160)
-    assert rep.k_cal is None
+    assert rep.details["k_cal"] is None
     assert rep.passed
 
 
@@ -389,6 +389,7 @@ def test_nl_chain_indefinite_gamma_flagged():
     fld = mkfield("(-u*v)**(4/5) * exp(-(v-1)**2 / 8)")
     rep = carleman_nl_check(fld, 0.1, U, nodes=96)
     assert rep.gamma_min < 0.0 < rep.gamma_max
+    assert not rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +405,10 @@ def test_limit_experiment_slopes():
     ]
     for kind, kw, target in cases:
         rec = boundary_limit_experiment(kind, n=3, **kw)
-        assert rec.kind == kind
-        assert rec.target == pytest.approx(target)
-        assert rec.passed, (kind, rec.slope, target)
-        assert abs(rec.slope - target) <= 0.10 * max(abs(target), 0.05)
+        assert rec.name == f"limit-slope[{kind}]"
+        assert rec.details["target"] == pytest.approx(target)
+        assert rec.passed, (kind, rec.value, target)
+        assert abs(rec.value - target) <= 0.10 * max(abs(target), 0.05)
 
 
 # (levels, values, slope, passed) of every kind at count=5, delta=0.5,
@@ -446,9 +447,9 @@ def test_limit_experiment_is_pinned_off_the_defaults(kind):
     rec = boundary_limit_experiment(kind, n=3, count=5, delta=0.5, alpha=0.3,
                                     beta=0.1, nodes=64)
     levels, values, slope, passed = LIMIT_PINS[kind]
-    assert tuple(x.hex() for x in rec.levels) == levels
-    assert tuple(x.hex() for x in rec.values) == values
-    assert (rec.slope.hex(), rec.passed) == (slope, passed)
+    assert tuple(x.hex() for x in rec.details["levels"]) == levels
+    assert tuple(x.hex() for x in rec.details["values"]) == values
+    assert (rec.value.hex(), rec.passed) == (slope, passed)
 
 
 def test_limit_experiment_guards():
