@@ -69,7 +69,6 @@ from .currents import (
     ZeroU,
     bulk_b,
     current_general,
-    current_nl,
     current_split,
     current_to_csv,
     divergence_fd,

@@ -600,30 +600,32 @@ def _pipeline_field(cfg: RunConfig, n: int):
     case = cfg.get_str("case", "zero")
     reg = cfg.region()
     m = cfg.get_int("grid", 64)
-    potential = None
-    ell = cfg.get_int("ell", 0)
+    if case == "counterexample":
+        a = cfg.get_float("a", 6.0)
+        bundle = counterexample_build(n=n, a=a)
+        if bundle.ell < 0:
+            raise InvalidInput(f"{cfg.where}.a = {a:g} is carried by no integer mode "
+                               f"in n = {n}: need a = ell (ell + {n - 2})")
+        ell = cfg.check("ell", cfg.get_int("ell", bundle.ell), lambda x: x == bundle.ell,
+                        f"{bundle.ell}, the mode that carries a = {a:g}")
+    else:
+        ell = cfg.get_int("ell", 1 if case == "multipole" else 0)
+    grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
+    if case == "counterexample":
+        return (ScalarField.from_function(grid, lambda u, v: bundle.beta(v - u),
+                                          name="counterexample"),
+                lambda u, v: bundle.potential(v - u))
     if case == "zero":
-        grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
-        fld = ScalarField.zeros(grid)
-    elif case == "multipole":
-        ell = max(ell, 1)
-        grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
-        fld = materialize(static_multipole(ell, n), grid)
-    elif case == "counterexample":
-        bundle = counterexample_build(n=n, a=cfg.get_float("a", 6.0))
-        grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=bundle.ell)
-        fld = ScalarField.from_function(
-            grid, lambda u, v: bundle.beta(v - u), name="counterexample")
-        potential = lambda u, v: bundle.potential(v - u)
+        return ScalarField.zeros(grid), None
+    if case == "multipole":
+        source = static_multipole(ell, n)
     elif case == "wave":
-        grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
-        fld = materialize(exact_spherical_wave(width=1.0, power=8), grid)
+        source = exact_spherical_wave(width=1.0, power=8)
     elif case == "expr":
-        grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
-        fld = materialize(from_expr(cfg.get_str("expr", "0*u"), label="expr"), grid)
+        source = from_expr(cfg.get_str("expr", "0*u"), label="expr")
     else:
         raise InvalidInput(f"unknown pipeline case {_short.repr(case)}")
-    return fld, potential
+    return materialize(source, grid), None
 
 
 def run_pipeline(cfg: RunConfig, refine: int):

@@ -56,7 +56,6 @@ __all__ = [
     "CurrentAssembler",
     "current_general",
     "current_split",
-    "current_nl",
     "bulk_term",
     "bulk_b",
     "flux",
@@ -316,13 +315,6 @@ def current_split(fld: ScalarField, params: SplitWeightParams, branch: str) -> C
     if branch == "high" and g.region.rho < 1.0 - tol:
         raise RangeMismatch(f"high branch needs f >= 1, grid reaches f = {g.region.rho}")
     return _assemble(fld, rep, ZeroU())
-
-
-def current_nl(fld: ScalarField, a: float, U: PowerU) -> CurrentField:
-    """Nonlinear-estimate current: power weight f^{2a} plus the V-flux term."""
-    if not isinstance(U, PowerU):
-        raise InvalidInput("current_nl needs a power nonlinearity")
-    return _assemble(fld, PowerLog(a), U)
 
 
 def bulk_term(rep: Reparametrization, U: PowerU | ZeroU, n: int, f, u, v, phi,

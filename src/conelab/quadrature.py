@@ -91,9 +91,11 @@ def cone_r_window(tau: float, rho: float, omega: float):
     return (math.sqrt(rho) * c, math.sqrt(omega) * c)
 
 
-def _t_window(level, window, explicit):
-    """`explicit`, a fixed (lo, hi) time window, or else the t-range that the
-    hyperbolic window (sigma, tau) cuts out of the level set f = level."""
+def _f_level_nodes(level: float, window, explicit, nodes: int):
+    """Gauss-Legendre nodes on the level set f = level: the weights, r, u and
+    v, or None when the cut is empty.  The cut is `explicit`, a fixed (lo, hi)
+    time window, or else the t-range the hyperbolic window (sigma, tau) cuts
+    out of the level set."""
     if explicit is not None:
         lo, hi = explicit
     else:
@@ -101,7 +103,12 @@ def _t_window(level, window, explicit):
         if not (0 < sigma <= tau):
             raise InvalidInput(f"need 0 < sigma <= tau, got ({sigma}, {tau})")
         lo, hi = hyperboloid_t_window(level, sigma, tau)
-    return float(lo), float(hi)
+    lo, hi = float(lo), float(hi)
+    if hi <= lo:
+        return None
+    t, w = gl_nodes(lo, hi, nodes)
+    r = np.sqrt(t * t + 4.0 * level)
+    return w, r, 0.5 * (t - r), 0.5 * (t + r)
 
 
 def hyperboloid_integral(fn: Callable, omega: float, window=None, *, n: int,
@@ -114,13 +121,10 @@ def hyperboloid_integral(fn: Callable, omega: float, window=None, *, n: int,
     """
     if omega <= 0:
         raise InvalidInput(f"need omega > 0, got {omega}")
-    tlo, thi = _t_window(omega, window, t_window)
-    if thi <= tlo:
+    pts = _f_level_nodes(omega, window, t_window, nodes)
+    if pts is None:
         return 0.0
-    t, w = gl_nodes(tlo, thi, nodes)
-    r = np.sqrt(t * t + 4.0 * omega)
-    u = 0.5 * (t - r)
-    v = 0.5 * (t + r)
+    w, r, u, v = pts
     vals = np.asarray(fn(u, v), float)
     return 2.0 * math.sqrt(omega) * float(np.sum(w * vals * r ** (n - 2)))
 
@@ -135,17 +139,11 @@ def inverted_hyperboloid_integral(fn: Callable, omega: float, window=None, *, n:
     """
     if omega <= 0:
         raise InvalidInput(f"need omega > 0, got {omega}")
-    fbar = 1.0 / omega
-    tlo, thi = _t_window(fbar, window, tbar_window)
-    if thi <= tlo:
+    pts = _f_level_nodes(1.0 / omega, window, tbar_window, nodes)
+    if pts is None:
         return 0.0
-    tb, w = gl_nodes(tlo, thi, nodes)
-    rb = np.sqrt(tb * tb + 4.0 * fbar)
-    ub = 0.5 * (tb - rb)
-    vb = 0.5 * (tb + rb)
-    u = -1.0 / vb
-    v = -1.0 / ub
-    vals = np.asarray(fn(u, v), float)
+    w, rb, ub, vb = pts
+    vals = np.asarray(fn(-1.0 / vb, -1.0 / ub), float)
     return 2.0 * omega ** (n - 0.5) * float(np.sum(w * vals * rb ** (n - 2)))
 
 

@@ -4,8 +4,11 @@ induced potentials, and the uniqueness decision pipeline.
 `identity_convergence`, `carleman_split_check`, `split_cancellation` and
 `boundary_limit_experiment` return the `CheckRecord` the report holds; the
 other routines return a small dataclass with the computed numbers and a pass
-flag (`carleman_nl_check`'s includes the sign of Gamma_V).  Nothing here
-prints or writes files.  The ground truth is the divergence identity
+flag (`carleman_nl_check`'s includes the sign of Gamma_V).  The limit
+experiment and the pipeline follow surface integrals along foliation limits
+with one sequence of surfaces (`_surfaces`) and one tail slope
+(`_tail_slope`).  Nothing here prints or writes files.  The ground truth is
+the divergence identity
 
     L psi . S* psi = 2 F' |S* psi|^2 + (f F' G + H) psi^2 + B + div P,
 
@@ -32,7 +35,6 @@ from .currents import (
     bulk_b,
     bulk_term,
     current_general,
-    current_nl,
     current_split,
     divergence_fd,
     field_half,
@@ -53,7 +55,6 @@ from .fields import (
     wave_op,
 )
 from .weights import (
-    Potential,
     PowerLog,
     Reparametrization,
     SplitWeight,
@@ -97,7 +98,7 @@ AMPLITUDE_FLOOR = 1e-3   # induced potential: nodes below this fraction of max |
 MAX_MASKED = 0.5         # induced potential: largest masked fraction that still means anything
 FLAT_TOL = 0.05          # pipeline: a log-log slope within this of 0 is "bounded"
 ZERO_FLOOR = 1e-13       # pipeline: a flux sequence below this is "zero"
-SURFACES = 6             # pipeline: surfaces per tracked flux term (clipped to a grid's domain)
+SURFACES = 6             # pipeline: surfaces per tracked flux term
 
 
 @dataclass(frozen=True)
@@ -413,16 +414,19 @@ def carleman_nl_check(fld: ScalarField, a: float, U: PowerU, *,
 
 
 # ---------------------------------------------------------------------------
-# boundary limit experiments
+# foliation limits and the boundary limit experiments
 # ---------------------------------------------------------------------------
 
-def _slope(levels, values) -> float:
+def _surfaces(start: float, outward: bool, count: int) -> list:
+    """Levels of a foliation limit: `start` moved by LEVEL_RATIO per level,
+    outward (growing) or inward (shrinking)."""
+    return [start * LEVEL_RATIO ** (k if outward else -k) for k in range(count)]
+
+
+def _tail_slope(levels, values) -> float:
     """Least-squares log-log slope through the last four points."""
-    lv = np.log(np.asarray(levels[-4:], float))
-    va = np.asarray(values[-4:], float)
-    if np.any(va <= 0):
-        raise InsufficientSequence("nonpositive values in slope fit")
-    return float(np.polyfit(lv, np.log(va), 1)[0])
+    return float(np.polyfit(np.log(np.asarray(levels[-4:], float)),
+                            np.log(np.asarray(values[-4:], float)), 1)[0])
 
 
 def boundary_limit_experiment(kind: str, *, n: int, delta: float,
@@ -459,29 +463,32 @@ def boundary_limit_experiment(kind: str, *, n: int, delta: float,
         return (1.0 + r + f) ** (-(n - 1 + delta))
 
     f_window, t_window = (0.1, 10.0), (-2.0, 2.0)
-    # kind: (surface of level k, target slope, integral over the surface)
+
+    def cone(h):
+        return qd.cone_integral(psi_r, h, f_window, n=n, nodes=nodes)
+
+    # kind: (first surface, outward, target slope, integral over a surface)
     table = {
-        "cone_tau": (lambda k: 256.0 * LEVEL_RATIO**k, -delta / 2.0,
-                     lambda tau: qd.cone_integral(psi_r, tau, f_window, n=n, nodes=nodes)),
-        "cone_sigma": (lambda k: (1.0 / 256.0) * LEVEL_RATIO ** (-k), delta / 2.0,
-                       lambda sigma: qd.cone_integral(psi_r, sigma, f_window, n=n, nodes=nodes)),
-        "hyperboloid_rho": (lambda k: 0.02 * LEVEL_RATIO ** (-k), alpha,
+        "cone_tau": (256.0, True, -delta / 2.0, cone),
+        "cone_sigma": (1.0 / 256.0, False, delta / 2.0, cone),
+        "hyperboloid_rho": (0.02, False, alpha,
                             lambda rho: qd.hyperboloid_integral(
                                 lambda u, v: (-u * v) ** (-0.5 + alpha) * psi_r(u, v),
                                 rho, n=n, nodes=nodes, t_window=t_window)),
-        "hyperboloid_omega": (lambda k: 64.0 * LEVEL_RATIO**k, beta - delta,
+        "hyperboloid_omega": (64.0, True, beta - delta,
                               lambda omega: qd.inverted_hyperboloid_integral(
                                   lambda u, v: (-u * v) ** (-0.5 + beta) * psi_rf(u, v),
                                   omega, n=n, nodes=nodes, tbar_window=t_window)),
     }
     if kind not in table:
         raise InvalidInput(f"unknown experiment kind {kind!r}")
-    level, target, integral = table[kind]
-    levels = [level(k) for k in range(count)]
+    start, outward, target, integral = table[kind]
+    levels = _surfaces(start, outward, count)
     values = [integral(x) for x in levels]
-
+    if any(x <= 0 for x in values[-4:]):
+        raise InsufficientSequence("nonpositive values in slope fit")
     # decreasing levels (sigma, rho) still fit against log(level)
-    slope = _slope(levels, values)
+    slope = _tail_slope(levels, values)
     denom = max(abs(target), 0.05)
     rel = abs(slope - target) / denom
     return CheckRecord(name=f"limit-slope[{kind}]", passed=rel <= SLOPE_REL_TOL,
@@ -635,12 +642,9 @@ def _classify_sequence(name: str, levels, values, grows_with_level: bool):
     vals = np.abs(np.asarray(values, float))
     if not np.all(np.isfinite(vals)):
         raise InvalidInput(f"flux term {name} is not finite along its limit")
-    scale = float(np.max(vals))
-    if scale < ZERO_FLOOR:
+    if float(np.max(vals)) < ZERO_FLOOR:
         return None, "zero"
-    lv = np.log(np.asarray(levels, float))
-    safe = np.log(np.maximum(vals, 1e-300))
-    slope = float(np.polyfit(lv[-4:], safe[-4:], 1)[0])
+    slope = _tail_slope(levels, np.maximum(vals, 1e-300))
     oriented = slope if grows_with_level else -slope
     if oriented > FLAT_TOL:
         return slope, "growing"
@@ -650,150 +654,88 @@ def _classify_sequence(name: str, levels, values, grows_with_level: bool):
 
 
 def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
-                        potential=None, sign: int = 1, nodes: int = qd.DEFAULT_NODES,
-                        nonlinear: bool = False) -> PipelineReport:
+                        potential=None, nodes: int = qd.DEFAULT_NODES) -> PipelineReport:
     """Decision procedure for exterior uniqueness at decay rate beta.
 
     Weight parameters follow the linear recipe a = (beta + p)/4,
-    b = min(beta - p, 8p)/16.  Order of business:
+    b = min(beta - p, 8p)/16.  `potential` is None or a callable
+    (u, v) -> V.  Order of business:
 
       1. zero bulk: a numerically zero field is reported as such;
       2. potential admissibility: the claimed potential must fit under
          B_adm * envelope with B_adm = sqrt(C a / (2 K p)) at the chain
          constants C = 1 and K = e^2/4 -- the absorption budget of the estimate;
-      3. boundary-term tracking: each flux term is followed along its
-         foliation limit; the first non-vanishing one is named;
+      3. boundary-term tracking: each flux term of the split currents is
+         followed along its foliation limit, SURFACES surfaces moving away
+         from the region; the first non-vanishing one is named;
       4. all terms vanishing: the estimates force phi = 0 on the exterior.
 
-    The claimed solution must be evaluable on the growing family of
-    surfaces; sequences are clipped to the field's domain when it is only
-    known on a grid (at least four surviving points are required).
+    The surfaces of step 3 leave the field's region, so tracking needs the
+    field in closed form; a field known only on its grid raises
+    InsufficientSequence there.
     """
     if not (0 < p < beta):
         raise InvalidInput(f"need 0 < p < beta, got p={p}, beta={beta}")
     g = fld.grid
-    n = g.n
     a = (beta + p) / 4.0
     b = min(beta - p, 8.0 * p) / 16.0
     params = SplitWeightParams(a=a, b=b, p=min(p, 2 * a * 0.99))
     b_adm = math.sqrt(a / (2.0 * E2_OVER_4 * p))  # C = 1
 
-    base = g.region
-    amax = float(np.max(np.abs(fld.values)))
-    if amax < 1e-14:
-        return PipelineReport(verdict="zero bulk: field vanishes on the region",
-                              a=a, b=b, beta=beta, p=p, b_required=0.0,
-                              b_admissible=b_adm, terms=())
+    def report(verdict, b_req, terms=()):
+        return PipelineReport(verdict=verdict, a=a, b=b, beta=beta, p=p,
+                              b_required=b_req, b_admissible=b_adm, terms=tuple(terms))
+
+    if float(np.max(np.abs(fld.values))) < 1e-14:
+        return report("zero bulk: field vanishes on the region", 0.0)
 
     # --- potential admissibility ------------------------------------------
-    env = decay_envelope(g.F, beta, p)
-    if potential is None:
-        b_req = 0.0
-    else:
-        if isinstance(potential, Potential):
-            vvals = np.asarray(potential.value(g.U, g.V), float)
-        elif callable(potential):
-            vvals = np.asarray(potential(g.U, g.V), float)
-        else:
-            raise InvalidInput("potential must be None, a Potential or a callable")
-        b_req = float(np.max(np.abs(vvals) / env))
+    b_req = 0.0
+    if potential is not None:
+        if not callable(potential):
+            raise InvalidInput("potential must be None or a callable (u, v) -> V")
+        vvals = np.asarray(potential(g.U, g.V), float)
+        b_req = float(np.max(np.abs(vvals) / decay_envelope(g.F, beta, p)))
         if not math.isfinite(b_req):
             raise InvalidPotential(f"potential bound is not finite (B = {b_req})")
     if b_req > b_adm:
-        return PipelineReport(
-            verdict=(f"potential-bound violation: requires B = {b_req:.3g} "
-                     f"> admissible {b_adm:.3g}"),
-            a=a, b=b, beta=beta, p=p, b_required=b_req, b_admissible=b_adm,
-            terms=())
+        return report(f"potential-bound violation: requires B = {b_req:.3g} "
+                      f"> admissible {b_adm:.3g}", b_req)
 
     # --- term tracking ------------------------------------------------------
-    unbounded = fld.closed_form is not None
-
-    def clip_levels(seq, lo=None, hi=None):
-        out = [x for x in seq
-               if (lo is None or x >= lo) and (hi is None or x <= hi)]
-        if len(out) < 4:
-            raise InsufficientSequence(
-                "fewer than 4 surfaces fit inside the field's domain")
-        return out
-
-    omega_seq = [base.omega * LEVEL_RATIO**k for k in range(SURFACES)]
-    rho_seq = [base.rho * LEVEL_RATIO ** (-k) for k in range(SURFACES)]
-    tau_seq = [base.tau * LEVEL_RATIO**k for k in range(SURFACES)]
-    sigma_seq = [base.sigma * LEVEL_RATIO ** (-k) for k in range(SURFACES)]
-    if not unbounded:
-        omega_seq = clip_levels(omega_seq, hi=base.omega)
-        rho_seq = clip_levels(rho_seq, lo=base.rho)
-        tau_seq = clip_levels(tau_seq, hi=base.tau)
-        sigma_seq = clip_levels(sigma_seq, lo=base.sigma)
-
-    hw = (base.sigma, base.tau)
-    fw = (base.rho, base.omega)
-
-    if nonlinear:
-        if not isinstance(potential, Potential):
-            raise InvalidInput("nonlinear tracking needs an explicit Potential")
-        cur = current_nl(fld, a, PowerU(sign=sign, p=p, V=potential))
-        cf, ch = (qd.unit_normal(flux_fn(cur, d)) for d in "fh")
-        ev = fld.evaluator()
-
-        def zfn(u, v):
-            f = -u * v
-            ph = ev.value(u, v)
-            Vv = np.asarray(potential.value(u, v), float)
-            return f ** (2 * a) * np.sqrt(f) * Vv * np.abs(ph) ** (p + 1.0)
-
-        specs = [
-            ("I1", omega_seq, True,
-             lambda L: qd.hyperboloid_integral(cf, L, hw, n=n, nodes=nodes)),
-            ("I2", rho_seq, False,
-             lambda L: -qd.hyperboloid_integral(cf, L, hw, n=n, nodes=nodes)),
-            ("J1", tau_seq, True,
-             lambda L: qd.cone_integral(ch, L, fw, n=n, nodes=nodes)),
-            ("J2", sigma_seq, False,
-             lambda L: -qd.cone_integral(ch, L, fw, n=n, nodes=nodes)),
-            ("Z1", omega_seq, True,
-             lambda L: qd.hyperboloid_integral(zfn, L, hw, n=n, nodes=nodes)),
-            ("Z2", rho_seq, False,
-             lambda L: qd.hyperboloid_integral(zfn, L, hw, n=n, nodes=nodes)),
-        ]
-    else:
-        cur_lo = current_general(fld, SplitWeight(params, "low"))
-        cur_hi = current_general(fld, SplitWeight(params, "high"))
-        cf_lo, ch_lo = (qd.unit_normal(flux_fn(cur_lo, d)) for d in "fh")
-        cf_hi, ch_hi = (qd.unit_normal(flux_fn(cur_hi, d)) for d in "fh")
-
-        specs = [
-            ("I1", omega_seq, True,
-             lambda L: qd.hyperboloid_integral(cf_hi, L, hw, n=n, nodes=nodes)),
-            ("I2", rho_seq, False,
-             lambda L: -qd.hyperboloid_integral(cf_lo, L, hw, n=n, nodes=nodes)),
-            ("J1", tau_seq, True,
-             lambda L: qd.cone_integral(ch_lo, L, fw, n=n, nodes=nodes)),
-            ("J2", tau_seq, True,
-             lambda L: qd.cone_integral(ch_hi, L, fw, n=n, nodes=nodes)),
-            ("J3", sigma_seq, False,
-             lambda L: -qd.cone_integral(ch_lo, L, fw, n=n, nodes=nodes)),
-            ("J4", sigma_seq, False,
-             lambda L: -qd.cone_integral(ch_hi, L, fw, n=n, nodes=nodes)),
-        ]
-
+    if fld.closed_form is None:
+        raise InsufficientSequence(
+            "tracking the flux terms past the region needs a field in closed form; "
+            "this one is known only on its grid")
+    reg = g.region
+    curs = {branch: current_general(fld, SplitWeight(params, branch))
+            for branch in ("low", "high")}
+    # name: (first surface, outward, current's branch, face); an inner face
+    # (the limit moves inward) enters the boundary sum with a minus sign
+    rows = (("I1", reg.omega, True, "high", "f"),
+            ("I2", reg.rho, False, "low", "f"),
+            ("J1", reg.tau, True, "low", "h"),
+            ("J2", reg.tau, True, "high", "h"),
+            ("J3", reg.sigma, False, "low", "h"),
+            ("J4", reg.sigma, False, "high", "h"))
     terms = []
-    for name, seq, grows, evalfn in specs:
-        vals = [evalfn(L) for L in seq]
-        slope, cls = _classify_sequence(name, seq, vals, grows)
-        terms.append(PipelineTerm(name=name, levels=tuple(seq),
-                                  values=tuple(vals), slope=slope,
-                                  classification=cls))
+    for name, start, outward, branch, face in rows:
+        fn = qd.unit_normal(flux_fn(curs[branch], face))
+        levels = _surfaces(start, outward, SURFACES)
+        if face == "f":
+            vals = [qd.hyperboloid_integral(fn, L, (reg.sigma, reg.tau), n=g.n, nodes=nodes)
+                    for L in levels]
+        else:
+            vals = [qd.cone_integral(fn, L, (reg.rho, reg.omega), n=g.n, nodes=nodes)
+                    for L in levels]
+        if not outward:
+            vals = [-x for x in vals]
+        slope, cls = _classify_sequence(name, levels, vals, outward)
+        terms.append(PipelineTerm(name=name, levels=tuple(levels), values=tuple(vals),
+                                  slope=slope, classification=cls))
 
     for t in terms:
         if t.classification in ("growing", "bounded"):
-            return PipelineReport(
-                verdict=(f"obstructed by {t.name}: flux term is "
-                         f"{t.classification} along its limit"),
-                a=a, b=b, beta=beta, p=p, b_required=b_req, b_admissible=b_adm,
-                terms=tuple(terms))
-    return PipelineReport(
-        verdict="boundary terms vanish: estimates force the zero solution",
-        a=a, b=b, beta=beta, p=p, b_required=b_req, b_admissible=b_adm,
-        terms=tuple(terms))
+            return report(f"obstructed by {t.name}: flux term is "
+                          f"{t.classification} along its limit", b_req, terms)
+    return report("boundary terms vanish: estimates force the zero solution", b_req, terms)

@@ -246,6 +246,29 @@ def test_pipeline_with_a_non_finite_flux_term_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("payload, named", [
+    ({"case": "multipole", "ell": 0}, "ell >= 1"),
+    ({"case": "counterexample", "a": 0.5}, "config.a = 0.5 is carried by no integer mode"),
+    ({"case": "counterexample", "ell": 3}, "config.ell must be 2"),
+], ids=["multipole-ell-0", "counterexample-a", "counterexample-ell"])
+def test_pipeline_mode_index_says_what_runs(tmp_path, capsys, payload, named):
+    # the multipole's mode is ell as given (default 1), and the counterexample's
+    # is the one its a fixes, which a set ell must match
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "grid": 16, **payload})
+    assert main(["pipeline", "--config", cfg]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_pipeline_on_a_grid_only_field_exits_2(tmp_path, capsys):
+    # the counterexample is sampled on its grid; with its potential admitted,
+    # the flux terms cannot be followed off the region
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "schema": 1, "case": "counterexample", "a": 2, "beta": 1000, "p": 1,
+    })
+    assert main(["pipeline", "--config", cfg]) == 2
+    assert "needs a field in closed form" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from conelab.currents import (
     bulk_b,
     bulk_term,
     current_general,
-    current_nl,
     current_split,
     current_to_csv,
     divergence_fd,
@@ -102,7 +101,7 @@ def test_nonlinear_current_adds_potential_flux():
     a, p = 0.6, 2.0
     U = PowerU(1, p, Potential.constant(1.0))
     base = current_general(fld, PowerLog(a))
-    nl = current_nl(fld, a, U)
+    nl = current_general(fld, PowerLog(a), U)
     g = fld.grid
     W = g.F ** (2 * a)  # e^{-2F} for the pure power weight
     Uval = (1.0 / (p + 1.0)) * np.abs(fld.values) ** (p + 1.0)
@@ -135,7 +134,7 @@ def test_building_a_current_samples_nothing_on_the_grid(monkeypatch):
     U = PowerU(1, 2.0, Potential.constant(1.0))
     current_general(mkfield(), PowerLog(1.0))
     current_split(mkfield(region=REG_LO), PARAMS, "low")
-    current_nl(mkfield("(-u*v)**(4/5)"), 0.6, U)
+    current_general(mkfield("(-u*v)**(4/5)"), PowerLog(0.6), U)
 
 
 @pytest.mark.parametrize("sampled", [False, True], ids=["closed-form", "sampled"])
@@ -248,7 +247,7 @@ def test_divergence_analytic_vs_fd():
 def test_divergence_analytic_vs_fd_nonlinear():
     fld = mkfield("(-u*v)**(3/5) * exp(-v/6)", m=128)
     U = PowerU(-1, 2.0, Potential.power_of_f(-0.5))
-    cur = current_nl(fld, 0.4, U)
+    cur = current_general(fld, PowerLog(0.4), U)
     da = cur.divergence_at(fld.grid.U, fld.grid.V)
     df = divergence_fd(fld.grid, cur.P_u, cur.P_v).values
     ii, jj = fld.grid.interior(2)
@@ -261,9 +260,9 @@ def test_point_divergence_unavailable_without_log_partials():
     # off-grid divergence evaluator must be withheld rather than wrong
     fld = mkfield("(-u*v)**(3/5)")
     sat = Potential.saturating(1.0, 3.0, 1.0)
-    cur = current_nl(fld, 0.4, PowerU(1, 1.0, sat))
+    cur = current_general(fld, PowerLog(0.4), PowerU(1, 1.0, sat))
     assert not cur.has_divergence
-    ok = current_nl(fld, 0.4, PowerU(1, 1.0, Potential.power_of_f(-0.5)))
+    ok = current_general(fld, PowerLog(0.4), PowerU(1, 1.0, Potential.power_of_f(-0.5)))
     assert ok.has_divergence
 
 
@@ -455,13 +454,11 @@ def test_mode_restriction_for_nonlinear_powers():
     fld2 = mkfield(ell=2)
     U2 = PowerU(1, 2.0, Potential.constant(1.0))
     with pytest.raises(ModeNotSupported):
-        current_nl(fld2, 0.5, U2)
+        current_general(fld2, PowerLog(0.5), U2)
     # p = 1 stays linear in the mode and is allowed on any single mode
     U1 = PowerU(1, 1.0, Potential.constant(1.0))
-    cur = current_nl(fld2, 0.5, U1)
+    cur = current_general(fld2, PowerLog(0.5), U1)
     assert np.all(np.isfinite(cur.P_u))
-    with pytest.raises(InvalidInput):
-        current_nl(fld2, 0.5, "nope")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conelab.currents import PowerU, current_general, current_nl
+from conelab.currents import PowerU, current_general
 from conelab.errors import InvalidInput, RegionMismatch
 from conelab.fields import GridSpec, ScalarField, from_expr
 from conelab.geometry import AdmissibleRegion
@@ -273,7 +273,7 @@ def test_divergence_residual_auto_falls_back_to_fd():
     g = GridSpec.from_region(REGION, 128, 128, 3)
     fld = ScalarField.from_analytic(g, from_expr("(-u*v)**(3/5)"))
     sat = Potential.saturating(1.0, 3.0, 1.0)
-    cur = current_nl(fld, 0.4, PowerU(1, 1.0, sat))
+    cur = current_general(fld, PowerLog(0.4), PowerU(1, 1.0, sat))
     res = divergence_residual(cur, nodes=96)
     assert res.route == "fd"
     with pytest.raises(InvalidInput):

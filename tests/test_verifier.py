@@ -459,6 +459,16 @@ def test_limit_experiment_guards():
         boundary_limit_experiment("cone_chi", n=3, delta=1.0)
 
 
+def test_limit_experiment_rejects_a_nonpositive_tail(monkeypatch):
+    # a log-log slope needs positive values; a vanishing surface integral
+    # must not be fitted as log(0)
+    from conelab import quadrature
+
+    monkeypatch.setattr(quadrature, "cone_integral", lambda *args, **kwargs: 0.0)
+    with pytest.raises(InsufficientSequence, match="nonpositive"):
+        boundary_limit_experiment("cone_tau", n=3, delta=1.0, nodes=16)
+
+
 # ---------------------------------------------------------------------------
 # induced potential and falsifiability
 # ---------------------------------------------------------------------------
@@ -557,6 +567,14 @@ def test_pipeline_non_finite_potential_is_rejected(bad):
                             potential=lambda u, v: np.full(np.shape(u), bad))
 
 
+def test_pipeline_needs_a_closed_form_to_track_flux_terms():
+    # the tracked surfaces leave the region, where a grid-only field has no values
+    fld = mkfield(static_multipole(1, 3), m=48, ell=1)
+    sampled = ScalarField(grid=fld.grid, values=fld.values, name="sampled")
+    with pytest.raises(InsufficientSequence, match="closed form"):
+        uniqueness_pipeline(sampled, beta=2.0, p=1.0)
+
+
 def test_pipeline_wave_beta_claim_obstructed():
     fld = mkfield(exact_spherical_wave(width=4.0, power=8), m=96)
     rep = uniqueness_pipeline(fld, beta=2.0, p=1.0)
@@ -579,14 +597,3 @@ def test_classify_sequence_rejects_a_non_finite_term(bad):
     assert _classify_sequence("I1", levels, [1.0] * 5, True)[1] == "bounded"
     with pytest.raises(InvalidInput, match="I1"):
         _classify_sequence("I1", levels, [1.0, 1.0, bad, 1.0, 1.0], True)
-
-
-def test_pipeline_nonlinear_terms():
-    fld = mkfield("(-u*v)**(4/5) * exp(-(v-1)**2 / 8)", m=64)
-    # the saturating potential sits exactly under the admissibility envelope
-    pot = Potential.saturating(0.3, 2.0, 1.0)
-    rep = uniqueness_pipeline(fld, beta=2.0, p=1.0, nonlinear=True, potential=pot)
-    assert rep.b_required <= rep.b_admissible
-    assert {t.name for t in rep.terms} == {"I1", "I2", "J1", "J2", "Z1", "Z2"}
-    with pytest.raises(InvalidInput):
-        uniqueness_pipeline(fld, beta=2.0, p=1.0, nonlinear=True)
