@@ -1,218 +1,250 @@
 """Generated by `python -m conelab._gen_forms` with sympy 1.14.0; do not edit.
 
-FORMS maps each expression string to its slots value, du, dv, duu, duv, dvv.
+FORMS maps each expression string to its function `fn(u, v, k)`, which returns
+the first k (1, 3, 4 or 6) of the slots value, du, dv, duv, duu, dvv.
 """
 
 from numpy import cos, less, log, nan, select, sin
 
 
-def unit_value(u, v):
-    return 1
-
-
-def unit_du(u, v):
-    return 0
-
-
-def unit_dv(u, v):
-    return 0
-
-
-def unit_duu(u, v):
-    return 0
-
-
-def unit_duv(u, v):
-    return 0
-
-
-def unit_dvv(u, v):
-    return 0
-
-
-def oscillatory_value(u, v):
-    return sin(u)*cos((1/3)*v)
-
-
-def oscillatory_du(u, v):
-    return cos(u)*cos((1/3)*v)
-
-
-def oscillatory_dv(u, v):
-    return -1/3*sin(u)*sin((1/3)*v)
-
-
-def oscillatory_duu(u, v):
-    return -sin(u)*cos((1/3)*v)
-
-
-def oscillatory_duv(u, v):
-    return -1/3*sin((1/3)*v)*cos(u)
-
-
-def oscillatory_dvv(u, v):
-    return -1/9*sin(u)*cos((1/3)*v)
-
-
-def separable_power_value(u, v):
-    return (-v/u)**(3/10)*(-u*v)**(4/5)
-
-
-def separable_power_du(u, v):
-    return (1/2)*(-v/u)**(3/10)*(-u*v)**(4/5)/u
-
-
-def separable_power_dv(u, v):
-    return (11/10)*(-v/u)**(3/10)*(-u*v)**(4/5)/v
-
-
-def separable_power_duu(u, v):
-    return -1/4*(-v/u)**(3/10)*(-u*v)**(4/5)/u**2
-
-
-def separable_power_duv(u, v):
-    return (11/20)*(-v/u)**(3/10)*(-u*v)**(4/5)/(u*v)
-
-
-def separable_power_dvv(u, v):
-    return (11/100)*(-v/u)**(3/10)*(-u*v)**(4/5)/v**2
-
-
-def spherical_wave_value(u, v):
-    return (select([less(u**2, 0.25),True], [(1 - 4.0*u**2)**8,0], default=nan) - select([less(v**2, 0.25),True], [(1 - 4.0*v**2)**8,0], default=nan))/(-u + v)
-
-
-def spherical_wave_du(u, v):
-    return select([less(u**2, 0.25),True], [-64.0*u*(1 - 4.0*u**2)**7,0], default=nan)/(-u + v) + (select([less(u**2, 0.25),True], [(1 - 4.0*u**2)**8,0], default=nan) - select([less(v**2, 0.25),True], [(1 - 4.0*v**2)**8,0], default=nan))/(-u + v)**2
-
-
-def spherical_wave_dv(u, v):
-    return -select([less(v**2, 0.25),True], [-64.0*v*(1 - 4.0*v**2)**7,0], default=nan)/(-u + v) - (select([less(u**2, 0.25),True], [(1 - 4.0*u**2)**8,0], default=nan) - select([less(v**2, 0.25),True], [(1 - 4.0*v**2)**8,0], default=nan))/(-u + v)**2
-
-
-def spherical_wave_duu(u, v):
-    return (-select([less(u**2, 0.25),True], [(4.0*u**2 - 1)**6*(3840.0*u**2 - 64.0),0], default=nan) + 2*select([less(u**2, 0.25),True], [64.0*u*(4.0*u**2 - 1)**7,0], default=nan)/(u - v) - 2*(select([less(u**2, 0.25),True], [(4.0*u**2 - 1)**8,0], default=nan) - select([less(v**2, 0.25),True], [(4.0*v**2 - 1)**8,0], default=nan))/(u - v)**2)/(u - v)
-
-
-def spherical_wave_duv(u, v):
-    return -select([less(u**2, 0.25),True], [-64.0*u*(1 - 4.0*u**2)**7,0], default=nan)/(-u + v)**2 - select([less(v**2, 0.25),True], [-64.0*v*(1 - 4.0*v**2)**7,0], default=nan)/(-u + v)**2 - 2*(select([less(u**2, 0.25),True], [(1 - 4.0*u**2)**8,0], default=nan) - select([less(v**2, 0.25),True], [(1 - 4.0*v**2)**8,0], default=nan))/(-u + v)**3
-
-
-def spherical_wave_dvv(u, v):
-    return (select([less(v**2, 0.25),True], [(4.0*v**2 - 1)**6*(3840.0*v**2 - 64.0),0], default=nan) + 2*select([less(v**2, 0.25),True], [64.0*v*(4.0*v**2 - 1)**7,0], default=nan)/(u - v) - 2*(select([less(u**2, 0.25),True], [(4.0*u**2 - 1)**8,0], default=nan) - select([less(v**2, 0.25),True], [(4.0*v**2 - 1)**8,0], default=nan))/(u - v)**2)/(u - v)
-
-
-def multipole_2_value(u, v):
-    return (-u + v)**(-2.0)
-
-
-def multipole_2_du(u, v):
-    return 2/(-u + v)**3
-
-
-def multipole_2_dv(u, v):
-    return -2/(-u + v)**3
-
-
-def multipole_2_duu(u, v):
-    return 6/(u - v)**4
-
-
-def multipole_2_duv(u, v):
-    return -6/(-u + v)**4
-
-
-def multipole_2_dvv(u, v):
-    return 6/(u - v)**4
-
-
-def pretender_1_value(u, v):
-    return ((1 - u)*(v + 1))**(-3/2)
-
-
-def pretender_1_du(u, v):
-    return ((3/2)*v + 3/2)/(((1 - u)*(v + 1))**(3/2)*(1 - u)*(v + 1))
-
-
-def pretender_1_dv(u, v):
-    return ((3/2)*u - 3/2)/(((1 - u)*(v + 1))**(3/2)*(1 - u)*(v + 1))
-
-
-def pretender_1_duu(u, v):
-    return (15/4)/((-(u - 1)*(v + 1))**(3/2)*(u - 1)**2)
-
-
-def pretender_1_duv(u, v):
-    return (3/2)/(((1 - u)*(v + 1))**(3/2)*(1 - u)*(v + 1)) - ((3/2)*v + 3/2)/(((1 - u)*(v + 1))**(3/2)*(1 - u)*(v + 1)**2) + ((3/2)*u - 3/2)*((3/2)*v + 3/2)/(((1 - u)*(v + 1))**(3/2)*(1 - u)**2*(v + 1)**2)
-
-
-def pretender_1_dvv(u, v):
-    return (15/4)/((-(u - 1)*(v + 1))**(3/2)*(v + 1)**2)
-
-
-def pretender_2_value(u, v):
-    return (1/3)*(sin(log(-u*v)) + 2)/((1 - u)*(v + 1))**(3/2)
-
-
-def pretender_2_du(u, v):
-    return (1/3)*((3/2)*v + 3/2)*(sin(log(-u*v)) + 2)/(((1 - u)*(v + 1))**(3/2)*(1 - u)*(v + 1)) + (1/3)*cos(log(-u*v))/(u*((1 - u)*(v + 1))**(3/2))
-
-
-def pretender_2_dv(u, v):
-    return (1/3)*((3/2)*u - 3/2)*(sin(log(-u*v)) + 2)/(((1 - u)*(v + 1))**(3/2)*(1 - u)*(v + 1)) + (1/3)*cos(log(-u*v))/(v*((1 - u)*(v + 1))**(3/2))
-
-
-def pretender_2_duu(u, v):
-    return ((5/4)*(sin(log(-u*v)) + 2)/(u - 1)**2 - cos(log(-u*v))/(u*(u - 1)) - 1/3*(sin(log(-u*v)) + cos(log(-u*v)))/u**2)/(-(u - 1)*(v + 1))**(3/2)
-
-
-def pretender_2_duv(u, v):
-    return (1/2)*(sin(log(-u*v)) + 2)/(((1 - u)*(v + 1))**(3/2)*(1 - u)*(v + 1)) - 1/3*((3/2)*v + 3/2)*(sin(log(-u*v)) + 2)/(((1 - u)*(v + 1))**(3/2)*(1 - u)*(v + 1)**2) + (1/3)*((3/2)*u - 3/2)*((3/2)*v + 3/2)*(sin(log(-u*v)) + 2)/(((1 - u)*(v + 1))**(3/2)*(1 - u)**2*(v + 1)**2) + (1/3)*((3/2)*v + 3/2)*cos(log(-u*v))/(v*((1 - u)*(v + 1))**(3/2)*(1 - u)*(v + 1)) + (1/3)*((3/2)*u - 3/2)*cos(log(-u*v))/(u*((1 - u)*(v + 1))**(3/2)*(1 - u)*(v + 1)) - 1/3*sin(log(-u*v))/(u*v*((1 - u)*(v + 1))**(3/2))
-
-
-def pretender_2_dvv(u, v):
-    return ((5/4)*(sin(log(-u*v)) + 2)/(v + 1)**2 - cos(log(-u*v))/(v*(v + 1)) - 1/3*(sin(log(-u*v)) + cos(log(-u*v)))/v**2)/(-(u - 1)*(v + 1))**(3/2)
-
-
-def pretender_3_value(u, v):
-    return ((1 - u)*(v + 1))**(-8/5)
-
-
-def pretender_3_du(u, v):
-    return ((8/5)*v + 8/5)/(((1 - u)*(v + 1))**(8/5)*(1 - u)*(v + 1))
-
-
-def pretender_3_dv(u, v):
-    return ((8/5)*u - 8/5)/(((1 - u)*(v + 1))**(8/5)*(1 - u)*(v + 1))
-
-
-def pretender_3_duu(u, v):
-    return (104/25)/((-(u - 1)*(v + 1))**(8/5)*(u - 1)**2)
-
-
-def pretender_3_duv(u, v):
-    return (8/5)/(((1 - u)*(v + 1))**(8/5)*(1 - u)*(v + 1)) - ((8/5)*v + 8/5)/(((1 - u)*(v + 1))**(8/5)*(1 - u)*(v + 1)**2) + ((8/5)*u - 8/5)*((8/5)*v + 8/5)/(((1 - u)*(v + 1))**(8/5)*(1 - u)**2*(v + 1)**2)
-
-
-def pretender_3_dvv(u, v):
-    return (104/25)/((-(u - 1)*(v + 1))**(8/5)*(v + 1)**2)
+def unit(u, v, k):
+    value = 1
+    if k == 1:
+        return (value,)
+    du = 0
+    dv = 0
+    if k == 3:
+        return (value, du, dv)
+    duv = 0
+    if k == 4:
+        return (value, du, dv, duv)
+    duu = 0
+    dvv = 0
+    return (value, du, dv, duv, duu, dvv)
+
+
+def oscillatory(u, v, k):
+    x0 = sin(u)
+    x1 = 1 / 3 * v
+    x2 = cos(x1)
+    value = x0 * x2
+    if k == 1:
+        return (value,)
+    x3 = cos(u)
+    du = x3 * x2
+    x4 = sin(x1)
+    del x1
+    dv = -1 / 3 * x0 * x4
+    if k == 3:
+        return (value, du, dv)
+    duv = -1 / 3 * x4 * x3
+    del x3, x4
+    if k == 4:
+        return (value, du, dv, duv)
+    duu = -x0 * x2
+    dvv = -1 / 9 * x0 * x2
+    del x0, x2
+    return (value, du, dv, duv, duu, dvv)
+
+
+def separable_power(u, v, k):
+    x0 = (-v / u) ** (3 / 10)
+    x1 = (-u * v) ** (4 / 5)
+    value = x0 * x1
+    if k == 1:
+        return (value,)
+    du = 1 / 2 * x0 * x1 / u
+    dv = 11 / 10 * x0 * x1 / v
+    if k == 3:
+        return (value, du, dv)
+    duv = 11 / 20 * x0 * x1 / (u * v)
+    if k == 4:
+        return (value, du, dv, duv)
+    duu = -1 / 4 * x0 * x1 / u ** 2
+    dvv = 11 / 100 * x0 * x1 / v ** 2
+    del x0, x1
+    return (value, du, dv, duv, duu, dvv)
+
+
+def spherical_wave(u, v, k):
+    x0 = u ** 2
+    x1 = less(x0, 0.25)
+    x2 = 4.0 * x0
+    x3 = 1 - x2
+    x4 = v ** 2
+    x5 = less(x4, 0.25)
+    x6 = 4.0 * x4
+    x7 = 1 - x6
+    x8 = select([x1, True], [x3 ** 8, 0], default=nan) - select([x5, True], [x7 ** 8, 0], default=nan)
+    x9 = -u + v
+    value = x8 / x9
+    if k == 1:
+        return (value,)
+    x10 = select([x1, True], [-64.0 * u * x3 ** 7, 0], default=nan)
+    del x3
+    x11 = x9 ** 2
+    x12 = x8 / x11
+    du = x10 / x9 + x12
+    x13 = select([x5, True], [-64.0 * v * x7 ** 7, 0], default=nan)
+    del x7
+    dv = -x13 / x9 - x12
+    del x12
+    if k == 3:
+        return (value, du, dv)
+    duv = -x10 / x11 - x13 / x11 - 2 * x8 / x9 ** 3
+    del x8, x9, x10, x11, x13
+    if k == 4:
+        return (value, du, dv, duv)
+    x14 = x2 - 1
+    del x2
+    x15 = u - v
+    x16 = x6 - 1
+    del x6
+    x17 = 2 * (select([x1, True], [x14 ** 8, 0], default=nan) - select([x5, True], [x16 ** 8, 0], default=nan)) / x15 ** 2
+    duu = (-select([x1, True], [x14 ** 6 * (3840.0 * x0 - 64.0), 0], default=nan) + 2 * select([x1, True], [64.0 * u * x14 ** 7, 0], default=nan) / x15 - x17) / x15
+    del x0, x1, x14
+    dvv = (select([x5, True], [x16 ** 6 * (3840.0 * x4 - 64.0), 0], default=nan) + 2 * select([x5, True], [64.0 * v * x16 ** 7, 0], default=nan) / x15 - x17) / x15
+    del x4, x5, x15, x16, x17
+    return (value, du, dv, duv, duu, dvv)
+
+
+def multipole_2(u, v, k):
+    x0 = -u + v
+    value = x0 ** (-2.0)
+    if k == 1:
+        return (value,)
+    x1 = x0 ** 3
+    du = 2 / x1
+    dv = -2 / x1
+    del x1
+    if k == 3:
+        return (value, du, dv)
+    duv = -6 / x0 ** 4
+    del x0
+    if k == 4:
+        return (value, du, dv, duv)
+    x2 = 6 / (u - v) ** 4
+    duu = x2
+    dvv = x2
+    del x2
+    return (value, du, dv, duv, duu, dvv)
+
+
+def pretender_1(u, v, k):
+    x0 = 1 - u
+    x1 = v + 1
+    x2 = x0 * x1
+    value = x2 ** (-3 / 2)
+    if k == 1:
+        return (value,)
+    x3 = 3 / 2 * v + 3 / 2
+    x4 = x2 ** (3 / 2)
+    del x2
+    x5 = x4 * x0
+    x6 = x5 * x1
+    du = x3 / x6
+    x7 = 3 / 2 * u - 3 / 2
+    dv = x7 / x6
+    if k == 3:
+        return (value, du, dv)
+    x8 = x1 ** 2
+    duv = 3 / 2 / x6 - x3 / (x5 * x8) + x7 * x3 / (x4 * x0 ** 2 * x8)
+    del x0, x3, x4, x5, x6, x7
+    if k == 4:
+        return (value, du, dv, duv)
+    x9 = u - 1
+    x10 = (-x9 * x1) ** (3 / 2)
+    del x1
+    duu = 15 / 4 / (x10 * x9 ** 2)
+    del x9
+    dvv = 15 / 4 / (x10 * x8)
+    del x8, x10
+    return (value, du, dv, duv, duu, dvv)
+
+
+def pretender_2(u, v, k):
+    x0 = log(-u * v)
+    x1 = sin(x0)
+    x2 = x1 + 2
+    x3 = 1 - u
+    x4 = v + 1
+    x5 = (x3 * x4) ** (3 / 2)
+    value = 1 / 3 * x2 / x5
+    if k == 1:
+        return (value,)
+    x6 = 3 / 2 * v + 3 / 2
+    x7 = 1 / 3 * x6
+    x8 = x7 * x2
+    x9 = x5 * x3
+    x10 = x9 * x4
+    x11 = cos(x0)
+    del x0
+    x12 = 1 / 3 * x11
+    x13 = u * x5
+    du = x8 / x10 + x12 / x13
+    x14 = 1 / 3 * (3 / 2 * u - 3 / 2)
+    x15 = v * x5
+    dv = x14 * x2 / x10 + x12 / x15
+    del x12
+    if k == 3:
+        return (value, du, dv)
+    x16 = x4 ** 2
+    duv = 1 / 2 * x2 / x10 - x8 / (x9 * x16) + x14 * x6 * x2 / (x5 * x3 ** 2 * x16) + x7 * x11 / (x15 * x3 * x4) + x14 * x11 / (x13 * x3 * x4) - 1 / 3 * x1 / (u * v * x5)
+    del x3, x5, x6, x7, x8, x9, x10, x13, x14, x15
+    if k == 4:
+        return (value, du, dv, duv)
+    x17 = 5 / 4 * x2
+    del x2
+    x18 = u - 1
+    x19 = 1 / 3 * (x1 + x11)
+    del x1
+    x20 = (-x18 * x4) ** (3 / 2)
+    duu = (x17 / x18 ** 2 - x11 / (u * x18) - x19 / u ** 2) / x20
+    del x18
+    dvv = (x17 / x16 - x11 / (v * x4) - x19 / v ** 2) / x20
+    del x4, x11, x16, x17, x19, x20
+    return (value, du, dv, duv, duu, dvv)
+
+
+def pretender_3(u, v, k):
+    x0 = 1 - u
+    x1 = v + 1
+    x2 = x0 * x1
+    value = x2 ** (-8 / 5)
+    if k == 1:
+        return (value,)
+    x3 = 8 / 5 * v + 8 / 5
+    x4 = x2 ** (8 / 5)
+    del x2
+    x5 = x4 * x0
+    x6 = x5 * x1
+    du = x3 / x6
+    x7 = 8 / 5 * u - 8 / 5
+    dv = x7 / x6
+    if k == 3:
+        return (value, du, dv)
+    x8 = x1 ** 2
+    duv = 8 / 5 / x6 - x3 / (x5 * x8) + x7 * x3 / (x4 * x0 ** 2 * x8)
+    del x0, x3, x4, x5, x6, x7
+    if k == 4:
+        return (value, du, dv, duv)
+    x9 = u - 1
+    x10 = (-x9 * x1) ** (8 / 5)
+    del x1
+    duu = 104 / 25 / (x10 * x9 ** 2)
+    del x9
+    dvv = 104 / 25 / (x10 * x8)
+    del x8, x10
+    return (value, du, dv, duv, duu, dvv)
 
 
 FORMS = {
-    '1 + 0*u':
-        (unit_value, unit_du, unit_dv, unit_duu, unit_duv, unit_dvv),
-    'sin(u)*cos(v/3)':
-        (oscillatory_value, oscillatory_du, oscillatory_dv, oscillatory_duu, oscillatory_duv, oscillatory_dvv),
-    '(-u*v)**(4/5) * (-v/u)**(3/10)':
-        (separable_power_value, separable_power_du, separable_power_dv, separable_power_duu, separable_power_duv, separable_power_dvv),
-    '(Piecewise(((1 - ((2*u)/1.0)**2)**8, (2*u)**2 < 1.0**2), (0, True)) - Piecewise(((1 - ((2*v)/1.0)**2)**8, (2*v)**2 < 1.0**2), (0, True))) / (v - u)':
-        (spherical_wave_value, spherical_wave_du, spherical_wave_dv, spherical_wave_duu, spherical_wave_duv, spherical_wave_dvv),
-    '(v - u)**(-2)':
-        (multipole_2_value, multipole_2_du, multipole_2_dv, multipole_2_duu, multipole_2_duv, multipole_2_dvv),
-    '((1-u)*(1+v))**(-3/2)':
-        (pretender_1_value, pretender_1_du, pretender_1_dv, pretender_1_duu, pretender_1_duv, pretender_1_dvv),
-    '((1-u)*(1+v))**(-3/2) * (2 + sin(log(-u*v)))/3':
-        (pretender_2_value, pretender_2_du, pretender_2_dv, pretender_2_duu, pretender_2_duv, pretender_2_dvv),
-    '((1-u)*(1+v))**(-8/5)':
-        (pretender_3_value, pretender_3_du, pretender_3_dv, pretender_3_duu, pretender_3_duv, pretender_3_dvv),
+    '1 + 0*u': unit,
+    'sin(u)*cos(v/3)': oscillatory,
+    '(-u*v)**(4/5) * (-v/u)**(3/10)': separable_power,
+    '(Piecewise(((1 - ((2*u)/1.0)**2)**8, (2*u)**2 < 1.0**2), (0, True)) - Piecewise(((1 - ((2*v)/1.0)**2)**8, (2*v)**2 < 1.0**2), (0, True))) / (v - u)': spherical_wave,
+    '(v - u)**(-2)': multipole_2,
+    '((1-u)*(1+v))**(-3/2)': pretender_1,
+    '((1-u)*(1+v))**(-3/2) * (2 + sin(log(-u*v)))/3': pretender_2,
+    '((1-u)*(1+v))**(-8/5)': pretender_3,
 }

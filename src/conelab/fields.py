@@ -153,28 +153,41 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class AnalyticField:
-    """Closed-form profile with its first and second derivatives in (u, v)."""
+    """Closed-form profile with its first and second derivatives in (u, v).
 
-    value: Callable
-    du: Callable
-    dv: Callable
-    duu: Callable
-    duv: Callable
-    dvv: Callable
+    `slots(u, v, k)` returns the first k (1, 3, 4 or 6) of the slots in the
+    order `_SLOTS`: value, du, dv, duv, duu, dvv.  Each method returns one
+    float array per slot, of the points' broadcast shape, none of them the
+    same object as another."""
+
+    slots: Callable
     label: str = "analytic"
 
+    def _arrays(self, u, v, k: int) -> tuple:
+        shape = np.broadcast(np.asarray(u), np.asarray(v)).shape
+        arrays = []
+        for out in self.slots(u, v, k):
+            arr = np.asarray(out, dtype=float)
+            if arr.shape != shape or any(arr is a for a in arrays):
+                arr = np.broadcast_to(arr, shape).copy()
+            arrays.append(arr)
+        return tuple(arrays)
+
+    def value(self, u, v):
+        return self._arrays(u, v, 1)[0]
+
     def derivs1(self, u, v):
-        return (np.asarray(self.value(u, v), float),
-                np.asarray(self.du(u, v), float),
-                np.asarray(self.dv(u, v), float))
+        """(phi, phi_u, phi_v)."""
+        return self._arrays(u, v, 3)
+
+    def derivs_wave(self, u, v):
+        """(phi, phi_u, phi_v, phi_uv): what the wave operator reads."""
+        return self._arrays(u, v, 4)
 
     def derivs2(self, u, v):
-        return (np.asarray(self.value(u, v), float),
-                np.asarray(self.du(u, v), float),
-                np.asarray(self.dv(u, v), float),
-                np.asarray(self.duu(u, v), float),
-                np.asarray(self.duv(u, v), float),
-                np.asarray(self.dvv(u, v), float))
+        """`derivs1` and (phi_uu, phi_uv, phi_vv)."""
+        phi, phi_u, phi_v, phi_uv, phi_uu, phi_vv = self._arrays(u, v, 6)
+        return phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv
 
 
 def _chain_rule(u, v, ps, py, pss=None, psy=None, pyy=None) -> tuple:
@@ -185,9 +198,14 @@ def _chain_rule(u, v, ps, py, pss=None, psy=None, pyy=None) -> tuple:
     if pss is None:
         return phi_u, phi_v
     phi_uu = (pss - 2 * psy + pyy - (ps - py)) / u**2
-    phi_uv = (pss - pyy) / (u * v)
+    phi_uv = _mixed(u, v, pss, pyy)
     phi_vv = (pss + 2 * psy + pyy - (ps + py)) / v**2
     return phi_u, phi_v, phi_uu, phi_uv, phi_vv
+
+
+def _mixed(u, v, pss, pyy):
+    """phi_uv from the second (s, y) derivatives at the points (u, v)."""
+    return (pss - pyy) / (u * v)
 
 
 def _read_only(a: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
@@ -199,24 +217,16 @@ def _read_only(a: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
     return view
 
 
-def _broadcasting(fn):
-    def wrapped(u, v):
-        out = fn(u, v)
-        arr = np.asarray(out, dtype=float)
-        shape = np.broadcast(np.asarray(u), np.asarray(v)).shape
-        if arr.shape != shape:
-            arr = np.broadcast_to(arr, shape).copy()
-        return arr
-    return wrapped
-
-
-_SLOTS = ("value", "du", "dv", "duu", "duv", "dvv")
+_SLOTS = ("value", "du", "dv", "duv", "duu", "dvv")
 
 
 def _symbolic_slots(expr):
     """The (u, v) symbols and the `_SLOTS` of a sympy expression (or string)
-    in (u, v), differentiated symbolically, in that order."""
+    in (u, v), differentiated symbolically, in that order.  The expression
+    must be real-valued in u and v alone: another symbol, an undefined
+    function, a relation or a logical value, or I raises InvalidInput."""
     import sympy as sp
+    from sympy.core.function import AppliedUndef
     from tokenize import TokenError
 
     U_, V_ = sp.symbols("u v", real=True)
@@ -224,31 +234,41 @@ def _symbolic_slots(expr):
         e = sp.sympify(expr, locals={"u": U_, "v": V_})
     except (sp.SympifyError, SyntaxError, TokenError, TypeError) as exc:
         raise InvalidInput(f"cannot parse expression {expr!r}") from exc
+    if not isinstance(e, sp.Expr):
+        raise InvalidInput(f"expression {expr!r} is not a number-valued expression")
     if e.has(sp.zoo, sp.nan):
         raise InvalidInput(f"expression {expr!r} is undefined")
+    others = e.free_symbols - {U_, V_}
+    if others:
+        raise InvalidInput(f"expression {expr!r} has symbols other than u and v: "
+                           f"{', '.join(sorted(map(str, others)))}")
+    if e.atoms(AppliedUndef, sp.Derivative):
+        raise InvalidInput(f"expression {expr!r} has an undefined function or derivative")
+    if e.has(sp.I):
+        raise InvalidInput(f"expression {expr!r} is not real (it contains I)")
 
-    return (U_, V_), (e, sp.diff(e, U_), sp.diff(e, V_), sp.diff(e, U_, 2),
-                      sp.diff(sp.diff(e, U_), V_), sp.diff(e, V_, 2))
+    du, dv = sp.diff(e, U_), sp.diff(e, V_)
+    return (U_, V_), (e, du, dv, sp.diff(du, V_), sp.diff(e, U_, 2), sp.diff(e, V_, 2))
 
 
 def from_expr(expr, label: Optional[str] = None) -> AnalyticField:
     """Build an AnalyticField from a sympy expression (or string) in (u, v).
 
-    All six derivative slots are generated symbolically and lambdified with
-    numpy, so operators on the resulting field are exact up to rounding.  A
-    string the package builds itself takes the slots `lambdify` wrote for it
-    from the committed `_forms` table, without importing sympy.
+    All six derivative slots are generated symbolically, lambdified with
+    numpy and joined into one function that computes each shared
+    subexpression once (`_gen_forms.joint_source`), so operators on the
+    resulting field are exact up to rounding.  A string the package builds
+    itself takes that function from the committed `_forms` table, without
+    importing sympy.
     """
     from ._forms import FORMS
 
-    fns = FORMS.get(expr) if isinstance(expr, str) else None
-    if fns is None:
-        import sympy as sp
+    fn = FORMS.get(expr) if isinstance(expr, str) else None
+    if fn is None:
+        from ._gen_forms import joint_function
 
-        args, slots = _symbolic_slots(expr)
-        fns = [sp.lambdify(args, e, [np]) for e in slots]
-    return AnalyticField(label=label or str(expr),
-                         **{k: _broadcasting(fn) for k, fn in zip(_SLOTS, fns)})
+        fn = joint_function(expr)
+    return AnalyticField(fn, label or str(expr))
 
 
 @dataclass(frozen=True)
@@ -526,6 +546,13 @@ class SplineEval:
         phi, ps, py = self._ev(u, v, ((0, 0), (1, 0), (0, 1)))
         return (phi, *_chain_rule(np.asarray(u, dtype=float), np.asarray(v, dtype=float),
                                   ps, py))
+
+    def derivs_wave(self, u, v):
+        """(phi, phi_u, phi_v, phi_uv), without the mixed (s, y) derivative."""
+        phi, ps, py, pss, pyy = self._ev(u, v, ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2)))
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        return (phi, *_chain_rule(u, v, ps, py), _mixed(u, v, pss, pyy))
 
     def derivs2(self, u, v):
         phi, ps, py, pss, pyy, psy = self._ev(

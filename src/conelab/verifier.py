@@ -310,7 +310,7 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
 
     def integrand(u, v):
         f = -u * v
-        ph, pu, pv, _, puv, _ = ev.derivs2(u, v)
+        ph, pu, pv, puv = ev.derivs_wave(u, v)
         boxphi = wave_op(g.n, g.lam, v - u, ph, pu, pv, puv)
         W = np.exp(-2.0 * rep.F(f))
         ref = f ** (2 * (a - s * b))
@@ -401,7 +401,7 @@ def carleman_nl_check(fld: ScalarField, a: float, U: PowerU, *,
 
     def integrand(u, v):
         f = -u * v
-        ph, pu, pv, _, puv, _ = ev.derivs2(u, v)
+        ph, pu, pv, puv = ev.derivs_wave(u, v)
         B = bulk_term(rep, U, g.n, f, u, v, ph, cross_check=True)
         L = wave_op(g.n, g.lam, v - u, ph, pu, pv, puv) + U.udot(u, v, ph)
         return -B, (1.0 / (8.0 * a)) * f ** (2 * a) * f * L**2

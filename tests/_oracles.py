@@ -80,45 +80,23 @@ def bulk_simpson(fn, region, n, m=1201):
 def conjugate_analytic(af, rep, sign=-1):
     """Closed-form e^{sign F} * af with all derivative slots filled."""
 
-    def _common(u, v):
+    def slots(u, v, k):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         f = -u * v
         E = np.exp(sign * rep.F(f))
         A = sign * rep.dF(f)
         B = sign * rep.d2F(f)
-        return u, v, E, A, B
-
-    def value(u, v):
-        u, v, E, A, B = _common(u, v)
-        return E * af.value(u, v)
-
-    def du(u, v):
-        u, v, E, A, B = _common(u, v)
-        return E * (af.du(u, v) - v * A * af.value(u, v))
-
-    def dv(u, v):
-        u, v, E, A, B = _common(u, v)
-        return E * (af.dv(u, v) - u * A * af.value(u, v))
-
-    def duu(u, v):
-        u, v, E, A, B = _common(u, v)
-        return E * (af.duu(u, v) - 2 * v * A * af.du(u, v)
-                    + (v * v * (A * A + B)) * af.value(u, v))
-
-    def duv(u, v):
-        u, v, E, A, B = _common(u, v)
-        return E * (af.duv(u, v) - u * A * af.du(u, v) - v * A * af.dv(u, v)
-                    + (u * v * (A * A + B) - A) * af.value(u, v))
-
-    def dvv(u, v):
-        u, v, E, A, B = _common(u, v)
-        return E * (af.dvv(u, v) - 2 * u * A * af.dv(u, v)
-                    + (u * u * (A * A + B)) * af.value(u, v))
+        val, du, dv, duu, duv, dvv = af.derivs2(u, v)
+        return (E * val,
+                E * (du - v * A * val),
+                E * (dv - u * A * val),
+                E * (duv - u * A * du - v * A * dv + (u * v * (A * A + B) - A) * val),
+                E * (duu - 2 * v * A * du + (v * v * (A * A + B)) * val),
+                E * (dvv - 2 * u * A * dv + (u * u * (A * A + B)) * val))[:k]
 
     tag = "+" if sign > 0 else "-"
-    return AnalyticField(value=value, du=du, dv=dv, duu=duu, duv=duv, dvv=dvv,
-                         label=f"e^{tag}F {af.label}")
+    return AnalyticField(slots, f"e^{tag}F {af.label}")
 
 
 def conjugated_wave_residual(psi, rep):

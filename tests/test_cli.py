@@ -246,6 +246,18 @@ def test_pipeline_with_a_non_finite_flux_term_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("expr, named", [
+    ("u*w", "symbols other than u and v: w"),
+    ("u > 0", "not a number-valued expression"),
+    ("I*u", "not real"),
+], ids=["free-symbol", "relation", "imaginary"])
+def test_pipeline_on_an_expression_not_real_in_u_and_v_exits_2(tmp_path, capsys, expr, named):
+    # before the check these exited 3 (the first two) or passed on the real part
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "case": "expr", "expr": expr})
+    assert main(["pipeline", "--config", cfg]) == 2
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("payload, named", [
     ({"case": "multipole", "ell": 0}, "ell >= 1"),
     ({"case": "counterexample", "a": 0.5}, "config.a = 0.5 is carried by no integer mode"),

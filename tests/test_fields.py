@@ -211,6 +211,30 @@ def test_spline_derivs_bitwise_equal_to_composed_d_sy():
         assert got.tobytes() == ref.tobytes()
 
 
+def test_spline_derivs_wave_are_bitwise_derivs2_entries():
+    # derivs_wave skips the mixed (s, y) pair; an `ev_pairs` output does not
+    # depend on which other pairs are asked for
+    fld = ScalarField.from_function(mkgrid(40), lambda u, v: np.sin(u) * np.cos(v / 3))
+    f, h = np.meshgrid([0.2, 1.0, 7.5, 3.3], [0.15, 2.0, 9.0])
+    u, v = -np.sqrt(f / h), np.sqrt(f * h)
+    s, y = np.ravel(np.log(-u * v)), np.ravel(np.log(-v / u))
+    pairs = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+    every = fld._spline.ev_pairs(s, y, pairs)
+    for i, pair in enumerate(pairs):
+        alone = fld._spline.ev_pairs(s, y, [pair])[0]
+        assert alone.tobytes() == every[i].tobytes(), pair
+    ev = fld.evaluator()
+    want = ev.derivs2(u, v)
+    got = ev.derivs_wave(u, v)
+    assert len(got) == 4
+    for a, b in zip(got, [want[i] for i in (0, 1, 2, 4)], strict=True):
+        assert a.shape == b.shape == u.shape and a.tobytes() == b.tobytes()
+    # and at a single point
+    got = ev.derivs_wave(float(u[1, 2]), float(v[1, 2]))
+    want = ev.derivs2(float(u[1, 2]), float(v[1, 2]))
+    assert [a.tobytes() for a in got] == [want[i].tobytes() for i in (0, 1, 2, 4)]
+
+
 @pytest.mark.parametrize("ell", [0, 1])
 def test_wave_op_at_grid_points_is_box(ell):
     g = mkgrid(40, ell=ell)
@@ -429,16 +453,22 @@ def test_field_to_csv_keeps_the_text_of_repeated_bit_patterns(tmp_path):
                       b"2.5e-310", b"1.5"}
 
 
-@pytest.mark.parametrize("expr", ["u**(", "u +* v", "1/0*u", "0/0 + v"])
+@pytest.mark.parametrize("expr", ["u**(", "u +* v", "1/0*u", "0/0 + v",
+                                  "u*w", "u > 0", "I*u", "f(u)", "Abs(u + v)**3"])
 def test_from_expr_rejects_unparsable_or_undefined_expressions(expr):
+    # a closed form is real-valued in u and v alone: another symbol, a
+    # relation, I, an undefined function or a slot numpy cannot evaluate
+    # (the second derivative of Abs holds DiracDelta) would fail later
     with pytest.raises(InvalidInput):
         from_expr(expr)
 
 
 def test_missing_derivative_guard():
-    # a closed form carries all six slots: without its derivatives there is none
+    # a closed form is one function of all six slots: a value alone is none
     with pytest.raises(TypeError):
         AnalyticField(value=lambda u, v: u + v, label="bare")
+    with pytest.raises(TypeError):
+        AnalyticField(label="bare")
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,35 @@
-"""The committed closed forms of the fixed fields (`conelab._forms`)."""
+"""The committed closed forms of the fixed fields (`conelab._forms`) and the
+joint slot functions `from_expr` builds: each slot bitwise what sympy's
+`lambdify` of that slot alone gives."""
 
+import ast
+import inspect
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from conelab import _forms
-from conelab._gen_forms import fixed_expressions, render
-from conelab.fields import _SLOTS, GridSpec, from_expr
+from conelab._gen_forms import (
+    SLOT_COUNTS,
+    _shareable,
+    fixed_expressions,
+    joint_function,
+    render,
+)
+from conelab.fields import GridSpec, _symbolic_slots, from_expr
 from conelab.geometry import AdmissibleRegion
-from conelab.solver import static_multipole
+from conelab.solver import _spherical_wave_expr, static_multipole
 
 REGIONS = [AdmissibleRegion(0.1, 10.0, 0.1, 10.0), AdmissibleRegion(0.01, 0.3, 0.5, 2.0)]
+
+# closed forms outside the table: a power of r, a Piecewise with a branch on
+# u and a transcendental one on v, and a sum that `lambdify` writes as a
+# generator expression, whose terms must stay inside it
+OUTSIDE = ["(v - u)**(-3)", "Piecewise((u**3*v + exp(u), u**2 < 0.3), (sin(v)*u, True)) / (v - u)",
+           "Sum(u**k * v, (k, 0, 3))"]
 
 
 def test_committed_forms_are_what_the_generator_writes():
@@ -22,6 +40,14 @@ def test_table_holds_each_fixed_expression_once():
     exprs = [e for _, e in fixed_expressions()]
     assert len(set(exprs)) == len(exprs)
     assert set(_forms.FORMS) == set(exprs)
+    assert not set(OUTSIDE) & set(_forms.FORMS)
+
+
+def per_slot_oracle(expr):
+    """One `lambdify` function per slot, in `_SLOTS` order: the route the
+    joint function replaces, each slot evaluated on its own."""
+    args, slots = _symbolic_slots(expr)
+    return [sp.lambdify(args, e, [np]) for e in slots]
 
 
 def _points(region):
@@ -34,23 +60,45 @@ def _points(region):
     return [(g.U, g.V), (u, v), (float(u[3, 5]), float(v[3, 5]))]
 
 
-@pytest.mark.parametrize("expr", [e for _, e in fixed_expressions()],
-                         ids=[tag for tag, _ in fixed_expressions()])
-def test_table_slots_are_bitwise_the_sympy_route(monkeypatch, expr):
-    table = from_expr(expr)
-    monkeypatch.setattr(_forms, "FORMS", {})
-    sympy_route = from_expr(expr)
+def _bytes(out, u, v):
+    shape = np.broadcast(np.asarray(u), np.asarray(v)).shape
+    return np.broadcast_to(np.asarray(out, dtype=float), shape).tobytes()
+
+
+def _assert_joint_is_the_oracle(joint, expr):
+    oracle = per_slot_oracle(expr)
+    af = from_expr(expr)
     for region in REGIONS:
         for u, v in _points(region):
-            for slot in _SLOTS:
-                got = getattr(table, slot)(u, v)
-                want = getattr(sympy_route, slot)(u, v)
-                assert got.shape == want.shape == np.broadcast(u, v).shape
-                assert got.tobytes() == want.tobytes(), (slot, region)
+            want = [_bytes(fn(u, v), u, v) for fn in oracle]
+            for k in SLOT_COUNTS:
+                got = joint(u, v, k)
+                assert len(got) == k
+                assert [_bytes(x, u, v) for x in got] == want[:k], (k, region)
+            # the field's methods put the slots in their places
+            phi, pu, pv, puv, puu, pvv = want
+            for method, slots in (("value", [phi]), ("derivs1", [phi, pu, pv]),
+                                  ("derivs_wave", [phi, pu, pv, puv]),
+                                  ("derivs2", [phi, pu, pv, puu, puv, pvv])):
+                arrays = getattr(af, method)(u, v)
+                arrays = [arrays] if method == "value" else arrays
+                assert [a.tobytes() for a in arrays] == slots, method
+
+
+@pytest.mark.parametrize("expr", [e for _, e in fixed_expressions()],
+                         ids=[tag for tag, _ in fixed_expressions()])
+def test_table_slots_are_bitwise_the_sympy_route(expr):
+    # the sympy route: `lambdify` of each slot on its own
+    _assert_joint_is_the_oracle(_forms.FORMS[expr], expr)
+
+
+@pytest.mark.parametrize("expr", OUTSIDE, ids=["multipole-3", "piecewise", "sum"])
+def test_joint_functions_outside_the_table_are_bitwise_the_per_slot_lambdify(expr):
+    # `from_expr` builds the same function, which the field methods check
+    _assert_joint_is_the_oracle(joint_function(expr), expr)
 
 
 def test_expressions_outside_the_table_take_the_sympy_route():
-    assert "(v - u)**(-3)" not in _forms.FORMS
     g = GridSpec.from_region(REGIONS[0], 16, 16, 3, ell=2)
     phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv = static_multipole(2, 3).derivs2(g.U, g.V)
     assert np.allclose(phi, g.R**-3, rtol=1e-14, atol=0)
@@ -59,4 +107,52 @@ def test_expressions_outside_the_table_take_the_sympy_route():
 
     af = from_expr("u**2 * v", label="expr")
     assert af.label == "expr"
-    assert np.allclose(af.duv(g.U, g.V), 2 * g.U, rtol=1e-14, atol=0)
+    assert np.allclose(af.derivs2(g.U, g.V)[4], 2 * g.U, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("expr", [e for _, e in fixed_expressions()],
+                         ids=[tag for tag, _ in fixed_expressions()])
+def test_each_shared_subexpression_is_computed_once(expr):
+    # the per-slot sources repeat each `select`, power and product they
+    # share; the joint function spells each of them once
+    tree = ast.parse(inspect.getsource(_forms.FORMS[expr]))
+    spelled = [ast.dump(n) for n in ast.walk(tree) if _shareable(n)]
+    assert len(spelled) == len(set(spelled))
+
+
+def test_equal_slots_are_distinct_arrays():
+    # the multipole's duu and dvv are one local in its joint function
+    g = GridSpec.from_region(REGIONS[0], 16, 16, 3)
+    arrays = from_expr("(v - u)**(-2)").derivs2(g.U, g.V)
+    assert arrays[3].tobytes() == arrays[5].tobytes()
+    assert len({id(a) for a in arrays}) == 6
+
+
+def _peak(call):
+    """Bytes `call` allocates at its peak, and bytes it leaves allocated."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak - base, current - base
+
+
+def test_temporaries_are_freed_after_their_last_read():
+    expr = _spherical_wave_expr(1.0, 8)
+    g = GridSpec.from_region(REGIONS[0], 256, 256, 3)
+    joint = _forms.FORMS[expr]
+    source = inspect.getsource(joint)
+    kept = "\n".join(line for line in source.splitlines() if not line.lstrip().startswith("del "))
+    namespace = dict(vars(_forms))
+    exec(kept, namespace)
+    array = g.U.nbytes
+    for k in SLOT_COUNTS[1:]:
+        peak, left = _peak(lambda: joint(g.U, g.V, k))
+        peak_kept, _ = _peak(lambda: namespace[joint.__name__](g.U, g.V, k))
+        assert left < (k + 1) * array           # only the k outputs outlive the call
+        assert peak < peak_kept - array / 2, k  # measured: 1, 3 and 9 arrays lower

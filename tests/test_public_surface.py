@@ -67,3 +67,18 @@ BENCHMARK_FIELDS = {
 def test_the_reports_keep_the_fields_the_benchmark_reads(report):
     fields = {f.name for f in dataclasses.fields(getattr(verifier, report))}
     assert BENCHMARK_FIELDS[report] <= fields
+
+
+# The methods the benchmark's traced run wraps through `vars(cls)[name]`
+# (perfbench/tracer.py): inherited or renamed, they would escape the trace.
+TRACED_METHODS = {
+    "AnalyticField": {"derivs1", "derivs2"},
+    "SplineEval": {"value", "derivs1", "derivs2"},
+}
+
+
+@pytest.mark.parametrize("cls", sorted(TRACED_METHODS))
+def test_the_traced_methods_are_defined_on_their_classes(cls):
+    from conelab import fields
+
+    assert TRACED_METHODS[cls] <= set(vars(getattr(fields, cls)))

@@ -319,22 +319,23 @@ def test_infinite_value_or_tolerance_fails_its_record(field, bad):
     assert not replace(ok, **{field: bad}).passed
 
 
-def _count_derivs2(monkeypatch):
+def _count_derivs_wave(monkeypatch):
+    # the bulk integrands read the four slots of the wave operator
     from conelab.fields import AnalyticField
 
     shapes = []
-    real = AnalyticField.derivs2
+    real = AnalyticField.derivs_wave
 
     def spy(self, u, v):
         shapes.append(np.shape(u))
         return real(self, u, v)
 
-    monkeypatch.setattr(AnalyticField, "derivs2", spy)
+    monkeypatch.setattr(AnalyticField, "derivs_wave", spy)
     return shapes
 
 
 def test_chains_evaluate_the_field_once_per_bulk_mesh(monkeypatch):
-    shapes = _count_derivs2(monkeypatch)
+    shapes = _count_derivs_wave(monkeypatch)
     fld = mkfield("sin(u) * exp(-(v-1)**2 / 8)", REG_LO, m=32)
     assert carleman_split_check(fld, PARAMS, "low", nodes=40).passed
     assert shapes == [(40, 40)]
