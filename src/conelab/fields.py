@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -124,10 +124,13 @@ class GridSpec:
         return self.V + self.U
 
     @cached_property
-    def uv_text(self) -> list:
+    def uv_text(self) -> np.ndarray:
         """Each node's "u,v" CSV text in C order, the numbers as their `repr`:
-        formatted once per grid for both the field and the current file."""
-        return list(map(",".join, zip(_reprs(self.U), _reprs(self.V))))
+        one row of bytes per node whose nonzero bytes are the text, formatted
+        once per grid for both the field and the current file."""
+        from ._floatrepr import repr_bytes  # loads with the first CSV, not with conelab
+
+        return _csv_rows(repr_bytes(self.U), repr_bytes(self.V))
 
     @property
     def lam(self) -> float:
@@ -720,29 +723,34 @@ def decay_functionals(fld: ScalarField, beta: float, V: Optional[Potential] = No
     )
 
 
-def _reprs(a) -> Iterable[str]:
-    """The `repr` of each number of `a` in C order, lazily.  A column that
-    repeats bit patterns (f and h repeat along grid lines) formats each
-    distinct pattern once: patterns are told apart by their bits, never by
-    value, so 0.0 and -0.0 keep their own text."""
-    # np.float64 subclasses float, so float.__repr__ gives each element the
-    # text of repr(float(x)) without a list of Python floats
-    flat = np.ravel(np.asarray(a, dtype=np.float64))
-    distinct, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    if 2 * distinct.size > flat.size:
-        return map(float.__repr__, flat)
-    text = list(map(float.__repr__, distinct.view(np.float64)))
-    return map(text.__getitem__, inverse.tolist())
+CSV_ROWS = 16384  # rows per written block: bounds the writer's buffers
+
+
+def _csv_rows(*texts, end: bytes = b"") -> np.ndarray:
+    """Text matrices (`repr_bytes` rows) side by side, joined by commas, each
+    row followed by `end`."""
+    n = len(texts[0])
+    sep = np.full((n, 1), ord(","), dtype=np.uint8)
+    tail = np.broadcast_to(np.frombuffer(end, dtype=np.uint8), (n, len(end)))
+    parts = [p for text in texts for p in (sep, text)][1:]
+    return np.concatenate([*parts, tail], axis=1)
 
 
 def _columns_to_csv(path, grid: GridSpec, header, columns) -> None:
     """Write the grid's u, v and arrays shaped like the grid as CSV columns,
     one row per node in C order, each number as its `repr` (what `csv.writer`
-    writes for them)."""
-    cols = [grid.uv_text, *map(_reprs, columns)]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(("u", "v", *header)) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*cols))
+    writes for them), in blocks of `CSV_ROWS` rows with the zero bytes
+    dropped."""
+    from ._floatrepr import repr_bytes
+
+    uv = grid.uv_text
+    flat = [np.ravel(c) for c in columns]
+    with open(path, "wb") as fh:
+        fh.write(",".join(("u", "v", *header)).encode() + b"\r\n")
+        for i in range(0, len(uv), CSV_ROWS):
+            rows = slice(i, i + CSV_ROWS)
+            block = _csv_rows(uv[rows], *(repr_bytes(c[rows]) for c in flat), end=b"\r\n")
+            fh.write(block[block != 0])
 
 
 def field_to_csv(fld: ScalarField, path) -> None:

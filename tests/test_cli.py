@@ -7,6 +7,7 @@ fresh interpreter.
 """
 
 import csv
+import hashlib
 import importlib.util
 import json
 import os
@@ -109,6 +110,13 @@ def test_verify_nl_loads_no_scipy_interpolate(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# The grid-256 bundle that both benchmark solve configs write.
+BENCHMARK_BUNDLE_SHA256 = {
+    "field.csv": "f29c82f301309925302f155e002daf5ae24693c07af898a2b31ffb438d7506ee",
+    "current.csv": "4771af5d537337ef97c12bb06327a49b19eea243a371bd051663916419aeaf37",
+}
+
+
 def test_benchmark_solve_export_loads_no_scipy(tmp_path):
     cfg = next(c for command, c in _perfbench_configs() if command == "solve")
     path = _write_config(tmp_path / "solve.json", cfg)
@@ -126,6 +134,24 @@ def test_benchmark_solve_export_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert _load_report(out / "report.json")["stability_hash"] == (
         "12661ff40402dff004ee81638fcc393c7fabbfe1ecbc38a8751f049a3ba2bbfc")
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("field.csv", "current.csv")} == BENCHMARK_BUNDLE_SHA256
+
+
+def test_verify_nl_loads_no_csv_kernel(tmp_path):
+    # the kernel's module loads with the first CSV, and importing it builds
+    # none of its tables
+    script = (
+        "import sys\n"
+        "from conelab.cli import main\n"
+        f"assert main(['verify-nl', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "assert 'conelab._floatrepr' not in sys.modules\n"
+        "from conelab import _floatrepr as k\n"
+        "assert not any(f.cache_info().currsize for f in (k._table, k._quads, k._templates))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_runs_on_the_fixed_fields_load_no_sympy(tmp_path):

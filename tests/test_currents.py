@@ -27,7 +27,7 @@ from conelab.errors import (
     NotInwardDirected,
     RangeMismatch,
 )
-from conelab import fields
+from conelab import _floatrepr
 from conelab.fields import GridSpec, ScalarField, field_to_csv, from_expr
 from conelab.geometry import AdmissibleRegion
 from conelab.verifier import battery_weights
@@ -510,8 +510,9 @@ def test_field_and_current_files_format_u_and_v_once(tmp_path, monkeypatch):
     fld = mkfield(m=16)
     g = fld.grid
     formatted = []
-    reprs = fields._reprs
-    monkeypatch.setattr(fields, "_reprs", lambda a: formatted.append(a) or reprs(a))
+    repr_bytes = _floatrepr.repr_bytes
+    monkeypatch.setattr(_floatrepr, "repr_bytes",
+                        lambda a: formatted.append(a) or repr_bytes(a))
     field_to_csv(fld, tmp_path / "field.csv")
     current_to_csv(current_general(fld, PowerLog(1.0)), tmp_path / "current.csv")
     assert [a is g.U for a in formatted].count(True) == 1
