@@ -109,8 +109,9 @@ SIZE_RANGES = {"n": (2, 10), "grid": (8, 1024), "nodes": (2, 2048), "count": (4,
                "ell": (0, 10), "power": (1, 20)}
 LEVEL_COUNT = (2, 8)
 COMBO_POWER = (1, 10)
-# solve keeps up to 1023 time slices of R/dr cells, so the two keys are
-# bounded together as well: R 100 with dr 1e-4 would need 8 GB.
+# solve keeps up to 1023 time slices of up to R/dr cells (of all R/dr for
+# data that fill the strip), so the two keys are bounded together as well:
+# R 100 with dr 1e-4 would need 8 GB.
 SOLVE_CELLS = 10_000
 
 # Rejected values are echoed at most this long: a 400-digit integer or a long

@@ -10,7 +10,11 @@ parity phi(-r) = (-1)^ell phi(r) at the origin and a homogeneous outer value
 that causality keeps irrelevant (enforced by a domain-size check).  Runs go
 both forward and backward in time (the backward leg evolves with negated
 initial velocity and the potential sampled at negative times), so the result
-covers a symmetric time strip around the data surface.
+covers a symmetric time strip around the data surface.  The three-point
+stencil moves data by at most one cell per step, so a linear evolution of
+data that vanish past cell b0 is exactly zero past b0 + m at step m: each
+step is computed only on that band, and the result keeps only the columns
+the band reaches by the last step (its `slices` pads them with zeros).
 
 Also here: the closed-form spherical-wave solution used as a convergence and
 finite-speed reference, static multipole profiles, and the construction of a
@@ -77,11 +81,15 @@ class CauchyData:
 
 @dataclass
 class EvolutionResult:
-    """Sampled evolution phi(t_i, r_j) over a symmetric time strip."""
+    """Sampled evolution phi(t_i, r_j) over a symmetric time strip.
+
+    Only the columns the leapfrog's domain of influence reaches are kept:
+    `band` holds phi on r[:nb], and phi is exactly +0.0 on every later
+    column at every stored time."""
 
     times: np.ndarray
     r: np.ndarray
-    slices: np.ndarray  # (len(times), len(r))
+    band: np.ndarray  # (len(times), nb), nb <= len(r)
     n: int
     ell: int
     dr: float
@@ -89,12 +97,27 @@ class EvolutionResult:
     energy_drift: float
     meta: dict = dc_field(default_factory=dict)
 
+    @property
+    def slices(self) -> np.ndarray:
+        """phi on the whole (times, r) grid, (len(times), len(r)): `band`
+        padded with zeros.  A new array on each read, so writing to it
+        changes nothing."""
+        return self._padded(0, len(self.times), 0, len(self.r))
+
+    def _padded(self, i0, i1, j0, j1) -> np.ndarray:
+        """A new array of slices[i0:i1, j0:j1]."""
+        out = np.zeros((i1 - i0, j1 - j0))
+        part = self.band[i0:i1, j0:j1]
+        out[:, :part.shape[1]] = part
+        return out
+
     def spline(self, window: tuple) -> TensorSpline:
         """A new quintic spline over (times, r) fitted on the samples
-        slices[i0:i1, j0:j1] of the index bounds window = (i0, i1, j0, j1).
-        `field_on` builds one per window."""
+        slices[i0:i1, j0:j1] of the index bounds window = (i0, i1, j0, j1),
+        the stored columns followed by zeros.  `field_on` builds one per
+        window."""
         i0, i1, j0, j1 = window
-        return TensorSpline(self.times[i0:i1], self.r[j0:j1], self.slices[i0:i1, j0:j1])
+        return TensorSpline(self.times[i0:i1], self.r[j0:j1], self._padded(*window))
 
     def _window(self, T: np.ndarray, R: np.ndarray) -> tuple:
         """Index bounds (i0, i1, j0, j1) of the samples bracketing the times
@@ -131,7 +154,8 @@ class EvolutionResult:
 
 def _wave_rhs(r, r2, dr, lam, n, ell):
     """The spatial operator as a function rhs(phi, out) that writes into out,
-    with mirror parity at the origin and a zero outer ghost; its coefficients
+    with mirror parity at the origin and a zero ghost past the last cell of
+    phi, which may be any leading part r[:w] of the grid; its coefficients
     and neighbour and scratch buffers are built once per evolution."""
     up = np.empty_like(r)
     dn = np.empty_like(r)
@@ -144,21 +168,23 @@ def _wave_rhs(r, r2, dr, lam, n, ell):
     def rhs(phi, out):
         # (up - 2 phi + dn) / dr2 + drift (up - dn) / two_dr - lam phi / r2,
         # operation by operation in the order of that expression
-        up[:-1] = phi[1:]
-        up[-1] = 0.0
-        dn[1:] = phi[:-1]
-        dn[0] = parity * phi[0]
+        w = len(phi)
+        u, d, t = up[:w], dn[:w], tmp[:w]
+        u[:-1] = phi[1:]
+        u[-1] = 0.0
+        d[1:] = phi[:-1]
+        d[0] = parity * phi[0]
         np.multiply(2.0, phi, out=out)
-        np.subtract(up, out, out=out)
-        np.add(out, dn, out=out)
+        np.subtract(u, out, out=out)
+        np.add(out, d, out=out)
         np.divide(out, dr2, out=out)
-        np.subtract(up, dn, out=tmp)
-        np.multiply(drift, tmp, out=tmp)
-        np.divide(tmp, two_dr, out=tmp)
-        np.add(out, tmp, out=out)
-        np.multiply(lam, phi, out=tmp)
-        np.divide(tmp, r2, out=tmp)
-        return np.subtract(out, tmp, out=out)
+        np.subtract(u, d, out=t)
+        np.multiply(drift[:w], t, out=t)
+        np.divide(t, two_dr, out=t)
+        np.add(out, t, out=out)
+        np.multiply(lam, phi, out=t)
+        np.divide(t, r2[:w], out=t)
+        return np.subtract(out, t, out=out)
 
     return rhs
 
@@ -204,13 +230,26 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     nsteps = int(math.ceil(T / (_CFL_LIMIT * dr)))
     dt = T / nsteps  # land exactly on t = +-T, at most _CFL_LIMIT * dr
 
+    # b0 is one past the last cell where phi0 has nonzero bits (-0.0 counts)
+    # or phi1 != 0.  The three-point stencil reaches one cell per step, so
+    # at step m every cell from b0 + m on is exactly +0.0: the step, its
+    # blow-up check and the energy's elementwise work run on that band only.
+    # A nonlinear term is sampled on the whole grid, so it starts at nr.
+    if U is None:
+        live = np.flatnonzero((phi0 != 0) | np.signbit(phi0) | (phi1 != 0))
+        b0 = int(live[-1]) + 1 if live.size else 0
+    else:
+        b0 = nr
+    nb = min(nr, b0 + nsteps)
+
     store_idx = _stored_steps(nsteps)
     stored = store_idx.tolist()  # from 0, the data, to nsteps, the last step
     n_store = len(stored)
     # rows n_store - 1 + k and n_store - 1 - k hold the forward and backward
-    # step stored[k]; each run writes its stored steps straight into them
-    slices = np.empty((2 * n_store - 1, nr))
-    slices[n_store - 1] = phi0
+    # step stored[k] on the columns [:nb]; each run writes its stored steps
+    # straight into them
+    band = np.empty((2 * n_store - 1, nb))
+    band[n_store - 1] = phi0[:nb]
     pos = store_idx[1:] * dt
     times = np.concatenate((-pos[::-1], [0.0], pos))
 
@@ -219,8 +258,7 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     def nonlin(phi, t):
         if U is None:
             return 0.0
-        V = np.asarray(U.V.value_tr(t, r), float)
-        return U.sign * V * np.abs(phi) ** (U.p - 1.0) * phi
+        return U.force(np.asarray(U.V.value_tr(t, r), float), phi)
 
     r2 = r**2
     rhs = _wave_rhs(r, r2, dr, lam, n, data.ell)
@@ -230,67 +268,81 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     mass = rn1 * dr
     acc, tmp, mid, dmid = (np.empty_like(r) for _ in range(4))
 
-    def half_step_energy(phi_a, phi_b):
+    def half_step_energy(phi_a, phi_b, w):
         """Leapfrog energy at the half step between consecutive slices:
         sum((0.5 vel^2 + lam 0.5 mid^2 / r2) mass) + sum(0.5 dmid^2 rn1 dr),
         with vel = (phi_b - phi_a) / dt, mid = 0.5 (phi_a + phi_b) and dmid
-        the centred difference of mid (one-sided at the ends, as np.gradient)."""
-        vel = tmp
-        np.subtract(phi_b, phi_a, out=vel)
+        the centred difference of mid (one-sided at the ends, as np.gradient).
+        The terms are computed on the cells [:w], two past the band of
+        phi_b (dmid reaches one cell past mid, and its centred difference
+        reads one more), or on all nr; each sum still runs over the whole
+        zero-filled buffer, since pairwise summation groups terms by array
+        length."""
+        a, b = phi_a[:w], phi_b[:w]
+        vel, md, dm = tmp[:w], mid[:w], dmid[:w]
+        np.subtract(b, a, out=vel)
         np.divide(vel, dt, out=vel)
-        np.add(phi_a, phi_b, out=mid)
-        np.multiply(0.5, mid, out=mid)
-        np.subtract(mid[2:], mid[:-2], out=dmid[1:-1])
-        np.divide(dmid[1:-1], two_dr, out=dmid[1:-1])
-        dmid[0] = (mid[1] - mid[0]) / dr
-        dmid[-1] = (mid[-1] - mid[-2]) / dr
+        np.add(a, b, out=md)
+        np.multiply(0.5, md, out=md)
+        np.subtract(md[2:], md[:-2], out=dm[1:-1])
+        np.divide(dm[1:-1], two_dr, out=dm[1:-1])
+        dm[0] = (md[1] - md[0]) / dr
+        if w == nr:
+            dm[-1] = (md[-1] - md[-2]) / dr
         np.square(vel, out=vel)
         np.multiply(0.5, vel, out=vel)
-        np.square(mid, out=mid)
-        np.multiply(lam * 0.5, mid, out=mid)
-        np.divide(mid, r2, out=mid)
-        np.add(vel, mid, out=vel)
-        np.multiply(vel, mass, out=vel)
-        np.square(dmid, out=dmid)
-        np.multiply(0.5, dmid, out=dmid)
-        np.multiply(dmid, rn1, out=dmid)
-        np.multiply(dmid, dr, out=dmid)
-        return float(np.add.reduce(vel)) + float(np.add.reduce(dmid))
+        np.square(md, out=md)
+        np.multiply(lam * 0.5, md, out=md)
+        np.divide(md, r2[:w], out=md)
+        np.add(vel, md, out=vel)
+        np.multiply(vel, mass[:w], out=vel)
+        np.square(dm, out=dm)
+        np.multiply(0.5, dm, out=dm)
+        np.multiply(dm, rn1[:w], out=dm)
+        np.multiply(dm, dr, out=dm)
+        return float(np.add.reduce(tmp)) + float(np.add.reduce(dmid))
 
     def run(direction: int, rows: np.ndarray):
         """direction +1: forward; -1: backward (velocity negated, t -> -t).
         Writes step stored[k] into rows[k] for k >= 1."""
+        # the energy sums read tmp and dmid whole: clear what the last run
+        # left past the band
+        tmp.fill(0.0)
+        dmid.fill(0.0)
         phi_prev = phi0.copy()
-        vel = direction * phi1
-        acc0 = rhs(phi_prev, acc) + nonlin(phi_prev, 0.0)
-        phi_cur = phi_prev + dt * vel + 0.5 * dt2 * acc0
+        phi_cur = np.zeros_like(r)
+        w = min(nr, b0 + 1)
+        acc0 = rhs(phi_prev[:w], acc[:w]) + nonlin(phi_prev[:w], 0.0)
+        phi_cur[:w] = phi_prev[:w] + dt * (direction * phi1[:w]) + 0.5 * dt2 * acc0
         energies = []
         k = 1
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(1, nsteps + 1):
+                w = min(nr, b0 + m)
                 if m > 1:
                     t_here = direction * (m - 1) * dt
                     # 2 phi_cur - phi_prev + dt2 (rhs + nonlin), into phi_prev's
                     # buffer; adding nonlin's 0.0 keeps the sign of zero as is
-                    rhs(phi_cur, acc)
-                    np.add(acc, nonlin(phi_cur, t_here), out=acc)
-                    np.multiply(2.0, phi_cur, out=tmp)
-                    np.subtract(tmp, phi_prev, out=phi_prev)
-                    np.multiply(dt2, acc, out=acc)
-                    np.add(phi_prev, acc, out=phi_prev)
+                    cur, prev, a = phi_cur[:w], phi_prev[:w], acc[:w]
+                    rhs(cur, a)
+                    np.add(a, nonlin(cur, t_here), out=a)
+                    np.multiply(2.0, cur, out=tmp[:w])
+                    np.subtract(tmp[:w], prev, out=prev)
+                    np.multiply(dt2, a, out=a)
+                    np.add(prev, a, out=prev)
                     phi_cur, phi_prev = phi_prev, phi_cur
                 if m == stored[k]:
-                    mx = float(np.max(np.abs(phi_cur, out=tmp)))
+                    mx = float(np.max(np.abs(phi_cur[:w], out=tmp[:w])))
                     if not np.isfinite(mx) or mx > 1e12 * scale0:
                         raise UnstableStep(f"field blew up at step {m} (max {mx:.3e})")
-                    rows[k] = phi_cur
+                    rows[k] = phi_cur[:nb]
                     k += 1
                     if U is None:
-                        energies.append(half_step_energy(phi_prev, phi_cur))
+                        energies.append(half_step_energy(phi_prev, phi_cur, min(nr, w + 2)))
         return energies
 
-    fwd_e = run(+1, slices[n_store - 1:])
-    bwd_e = run(-1, slices[n_store - 1::-1])
+    fwd_e = run(+1, band[n_store - 1:])
+    bwd_e = run(-1, band[n_store - 1::-1])
 
     energies = np.asarray(fwd_e + bwd_e)
     if energies.size and np.mean(energies) > 0:
@@ -298,7 +350,7 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     else:
         drift = math.nan
 
-    return EvolutionResult(times=times, r=r, slices=slices, n=n, ell=data.ell,
+    return EvolutionResult(times=times, r=r, band=band, n=n, ell=data.ell,
                            dr=dr, dt=dt, energy_drift=drift,
                            meta={"label": data.label, "support_radius": support_radius,
                                  "nsteps": nsteps, "cfl": _CFL_LIMIT,

@@ -261,3 +261,70 @@ def csv_writer_file(path, header, columns):
         for i in range(columns[0].shape[0]):
             for j in range(columns[0].shape[1]):
                 w.writerow([repr(float(x[i, j])) for x in columns])
+
+
+def leapfrog_full_width(data, T, R, dr, n, U=None):
+    """The leapfrog of `solver.solve` updated, energy-summed and stored on
+    every cell of the grid at every step: (times, slices, energy_drift).
+    It makes the same floating-point operations in the same order, so the
+    solver, which works only on the cells the data can reach, must match it
+    bit for bit."""
+    from conelab.solver import _CFL_LIMIT, _stored_steps
+
+    nr = int(round(R / dr))
+    r = (np.arange(nr) + 0.5) * dr
+    lam = float(data.ell * (data.ell + n - 2))
+    phi0 = np.asarray(data.profile(r), float)
+    phi1 = np.asarray(data.velocity(r), float)
+    nsteps = int(np.ceil(T / (_CFL_LIMIT * dr)))
+    dt = T / nsteps
+    stored = _stored_steps(nsteps)
+    parity = (-1.0) ** data.ell
+    r2, rn1 = r**2, r ** (n - 1)
+    mass = rn1 * dr
+
+    def rhs(phi):
+        up = np.append(phi[1:], 0.0)
+        dn = np.concatenate(([parity * phi[0]], phi[:-1]))
+        out = (up - 2.0 * phi + dn) / dr**2 + (n - 1) / r * (up - dn) / (2.0 * dr)
+        return out - lam * phi / r2
+
+    def nonlin(phi, t):
+        if U is None:
+            return 0.0
+        V = np.asarray(U.V.value_tr(t, r), float)
+        return U.sign * V * np.abs(phi) ** (U.p - 1.0) * phi
+
+    def energy(a, b):
+        vel = (b - a) / dt
+        mid = 0.5 * (a + b)
+        dmid = np.empty_like(mid)
+        dmid[1:-1] = (mid[2:] - mid[:-2]) / (2.0 * dr)
+        dmid[0] = (mid[1] - mid[0]) / dr
+        dmid[-1] = (mid[-1] - mid[-2]) / dr
+        e = (0.5 * vel**2 + lam * 0.5 * mid**2 / r2) * mass
+        return float(np.add.reduce(e)) + float(np.add.reduce(0.5 * dmid**2 * rn1 * dr))
+
+    def run(direction):
+        prev = phi0.copy()
+        cur = prev + dt * (direction * phi1) + 0.5 * dt**2 * (rhs(prev) + nonlin(prev, 0.0))
+        rows, energies = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(1, nsteps + 1):
+                if m > 1:
+                    acc = rhs(cur) + nonlin(cur, direction * (m - 1) * dt)
+                    prev, cur = cur, 2.0 * cur - prev + dt**2 * acc
+                if m in stored:
+                    rows.append(cur)
+                    if U is None:
+                        energies.append(energy(prev, cur))
+        return rows, energies
+
+    fwd, fwd_e = run(+1)
+    bwd, bwd_e = run(-1)
+    pos = stored[1:] * dt
+    times = np.concatenate((-pos[::-1], [0.0], pos))
+    slices = np.array(bwd[::-1] + [phi0] + fwd)
+    e = np.asarray(fwd_e + bwd_e)
+    drift = float((e.max() - e.min()) / e.mean()) if e.size and e.mean() > 0 else float("nan")
+    return times, slices, drift

@@ -470,6 +470,18 @@ def test_solve_fails_a_region_its_strip_does_not_cover(tmp_path):
     assert not (outdir / "field.csv").exists() and not (outdir / "current.csv").exists()
 
 
+def test_solve_with_a_sublinear_power_runs(tmp_path):
+    # |phi|^(p-1) phi -> 0 at phi = 0 for p < 1 too: the term must not read
+    # inf * 0 = nan where the field vanishes and blow the evolution up
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "schema": 1, "T": 0.5, "R": 6, "dr": 0.02, "sample": False,
+        "nonlinearity": {"sign": 1, "p": 0.5}})
+    out = tmp_path / "report.json"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    rec = {r["name"]: r for r in _load_report(out)["records"]}["solve-completed"]
+    assert rec["passed"] and rec["value"] == 0.5
+
+
 def test_pipeline_csv_bundle_series(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json", {
         "schema": 1, "case": "multipole", "grid": 32, "nodes": 48,

@@ -109,6 +109,19 @@ def test_nonlinear_current_adds_potential_flux():
     assert np.allclose(nl.P_v - base.P_v, -W * g.U * Uval, rtol=1e-12)
 
 
+@pytest.mark.parametrize("p", [0.25, 0.5, 1.0, 3.0])
+def test_power_force_vanishes_with_phi(p):
+    # dU/dphi = sign V |phi|^(p-1) phi is 0 at phi = 0, for p < 1 as well,
+    # where |0|^(p-1) is inf
+    U = PowerU(-1, p, Potential.constant(2.0))
+    phi = np.array([0.0, -0.0, 0.25, -4.0])
+    with np.errstate(all="raise"):
+        got = U.udot(-1.0, 2.0, phi)
+    assert np.array_equal(got[:2], [0.0, 0.0])
+    assert np.allclose(got[2:], -2.0 * np.abs(phi[2:]) ** p * np.sign(phi[2:]), rtol=1e-15)
+    assert U.udot(-1.0, 2.0, 0.0) == 0.0
+
+
 def test_split_currents_match_across_seam():
     # low and high currents come from different weights that agree at f = 1,
     # so the assembled components must match on the seam

@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conelab.currents import PowerU
 from conelab.errors import (
@@ -36,6 +38,8 @@ from conelab.solver import (
     _stored_steps,
 )
 from conelab.weights import Potential
+
+from _oracles import leapfrog_full_width
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +290,121 @@ def test_nonlinear_leapfrog_is_pinned_bitwise():
 
 
 def test_solve_holds_one_copy_of_the_slices():
-    # the stored steps go straight into the result's array: no per-step
-    # copies kept beside it, and no second array built from them
+    # the stored steps go straight into the result's array, on the columns
+    # the data reach by T (1000 cells of support plus one per step, 1112
+    # steps: 2112 of 6000): no per-step copies kept beside it, no second
+    # array built from them, and no columns that stay zero
     tracemalloc.start()
     try:
         res = solve(spherical_wave_data(), T=1.0, R=6.0, dr=0.001, n=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert res.band.shape == (1023, 2112)
+    assert peak <= 1.25 * res.band.nbytes
     assert res.slices.shape == (1023, 6000)
-    assert peak <= 1.25 * res.slices.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the causal band against the full-width leapfrog
+# ---------------------------------------------------------------------------
+
+def assert_matches_full_width(data, U=None, support_radius=None, **kw):
+    """solve(data) equals the oracle that steps every cell, bit for bit."""
+    res = solve(data, U=U, support_radius=support_radius, **kw)
+    times, slices, drift = leapfrog_full_width(data, U=U, **kw)
+    assert res.times.tobytes() == times.tobytes()
+    assert res.slices.tobytes() == slices.tobytes()
+    assert res.energy_drift.hex() == drift.hex()
+    return res
+
+
+def bump(width, power, center=0.0):
+    """(1 - ((r - center) / width)^2)^power on |r - center| < width, else +0.0."""
+    return lambda r: np.clip(1.0 - ((r - center) / width) ** 2, 0.0, None) ** power
+
+
+# -0.0, subnormals of both signs and a tiny normal number
+TAILS = (-0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e-300)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(w0=st.floats(0.2, 1.2), w1=st.floats(0.2, 1.2), power=st.integers(1, 8),
+       n=st.integers(2, 4), dr=st.sampled_from([0.01, 0.02, 0.04]), T=st.floats(0.05, 1.0))
+def test_band_matches_full_width_on_compact_data(w0, w1, power, n, dr, T):
+    data = CauchyData(profile=bump(w0, power), velocity=lambda r: -0.5 * bump(w1, power + 1)(r))
+    res = assert_matches_full_width(data, T=T, R=max(w0, w1) + T + 1.5, dr=dr, n=n)
+    assert res.band.shape[1] < len(res.r)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(amp=st.sampled_from([0.0, 1.0]),
+       tail0=st.dictionaries(st.integers(60, 199), st.sampled_from(TAILS), max_size=4),
+       tail1=st.dictionaries(st.integers(60, 199), st.sampled_from(TAILS), max_size=4))
+def test_band_matches_full_width_with_zero_and_subnormal_tails(amp, tail0, tail1):
+    # cells past the bump hold -0.0 or subnormals: -0.0 in phi0 and any
+    # nonzero value in either widen the band, -0.0 in phi1 does not
+    def with_tail(f, tail):
+        def g(r):
+            out = amp * f(r)
+            for j, x in tail.items():
+                out[j] = x
+            return out
+        return g
+
+    data = CauchyData(profile=with_tail(bump(1.0, 4), tail0),
+                      velocity=with_tail(bump(0.6, 3), tail1))
+    assert_matches_full_width(data, support_radius=1.0, T=0.5, R=4.0, dr=0.02, n=3)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("ell", [0, 1])
+def test_band_matches_full_width_on_zero_data(zero, ell):
+    data = CauchyData(profile=lambda r: np.full_like(r, zero),
+                      velocity=lambda r: np.full_like(r, zero), ell=ell)
+    res = assert_matches_full_width(data, T=0.3, R=2.0, dr=0.02, n=3)
+    assert math.isnan(res.energy_drift)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(ell=st.sampled_from([1, 2]), n=st.integers(3, 4), center=st.floats(1.0, 2.0),
+       T=st.floats(0.02, 0.2))
+def test_band_matches_full_width_on_higher_modes(ell, n, center, T):
+    # the data stay clear of the origin, where ell >= 1 is not stable
+    data = CauchyData(profile=bump(0.5, 4, center), velocity=bump(0.3, 2, center), ell=ell)
+    assert_matches_full_width(data, T=T, R=center + 2.0, dr=0.01, n=n)
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(width=st.floats(0.3, 1.0), T=st.floats(0.1, 0.6))
+def test_band_matches_full_width_on_gaussian_data(width, T):
+    # no cell of a gaussian is zero on this grid: the band is the whole grid
+    data = CauchyData(profile=lambda r: np.exp(-(r / width) ** 2),
+                      velocity=lambda r: np.zeros_like(r))
+    res = assert_matches_full_width(data, support_radius=2.0, T=T, R=4.0, dr=0.02, n=3)
+    assert res.band.shape == res.slices.shape
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(sign=st.sampled_from([-1, 1]), p=st.sampled_from([1.0, 3.0]),
+       kind=st.sampled_from(["constant", "power"]), T=st.floats(0.1, 0.5))
+def test_band_matches_full_width_on_nonlinear_data(sign, p, kind, T):
+    pot = (Potential.constant(1.0) if kind == "constant"
+           else Potential.power_of_f(0.25, amplitude=1.0))
+    data = CauchyData(profile=lambda r: 0.5 * bump(1.0, 4)(r), velocity=bump(0.5, 3))
+    res = assert_matches_full_width(data, U=PowerU(sign, p, pot), T=T, R=3.0, dr=0.02, n=3)
+    assert res.band.shape == res.slices.shape
+
+
+def test_slices_are_a_new_array_on_each_read():
+    res = solve(spherical_wave_data(), T=0.5, R=4.0, dr=0.02, n=3)
+    nb = res.band.shape[1]
+    assert nb < len(res.r)
+    first = res.slices
+    assert first is not res.slices
+    first[:] = 1.0
+    assert np.array_equal(res.slices[:, :nb], res.band)
+    assert not np.any(res.slices[:, nb:])
 
 
 def test_stored_steps_are_those_np_unique_keeps():
