@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from . import verifier as V
-from .currents import PowerU, current_general, current_to_csv
+from .currents import PowerU, ZeroU, current_general, current_to_csv
 from .errors import ConelabError, InvalidInput
 from .fields import GridSpec, ScalarField, field_to_csv, from_expr, materialize
 from .geometry import AdmissibleRegion
@@ -313,7 +313,7 @@ def _fan_out(jobs):
 # ---------------------------------------------------------------------------
 
 def _battery_u_choices():
-    return [("free", None),
+    return [("free", ZeroU()),
             ("power-u", PowerU(sign=1, p=1, V=Potential.constant(1.0)))]
 
 
@@ -332,19 +332,24 @@ def run_verify_identity(cfg: RunConfig, refine: int):
                    for i, m in enumerate(raw))
     cfg.check("levels", levels, lambda x: len(set(x)) == len(x), "distinct grid sizes")
     params = SplitWeightParams(a=1.0, b=0.1, p=0.5)
+    # checks that share a U share the object, whose identity keys its stage
+    u_choices = _battery_u_choices()
     checks = [(f"{wname}/{uname}", rep, U)
               for wname, rep in V.battery_weights(params)
-              for uname, U in _battery_u_choices()]
+              for uname, U in u_choices]
     fields = V.battery_fields()
     grids = {(m, ell): GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
              for m in levels for _, _, ell in fields}
 
     def job(fname, src, ell):
-        # one field per level serves all six checks, so its derivatives and its
-        # half of the current are built once per level and route; the analytic
-        # checks read a fresh copy of the finest field once the FD arrays are freed
+        # one field per level serves all six checks, and each identity term
+        # is built once per field and route, per field, route and weight, or
+        # per field, route and U (V.IdentityStages), and dropped after the
+        # last check that reads it; the analytic checks read a fresh copy of
+        # the finest field once the FD arrays are freed
+        stages = V.IdentityStages([(rep, U) for _, rep, U in checks])
         sampled = [materialize(src, grids[m, ell]) for m in levels]
-        recs = [replace(V.identity_convergence(sampled, rep, U),
+        recs = [replace(V.identity_convergence(sampled, rep, U, stages=stages),
                         name=f"identity-order[{fname}/{check}]")
                 for check, rep, U in checks]
         finest = replace(sampled.pop())
@@ -352,7 +357,8 @@ def run_verify_identity(cfg: RunConfig, refine: int):
         for check, rep, U in checks:
             tag = f"{fname}/{check}"
             # one analytic identity evaluation feeds both records
-            pw = V.pointwise_inequality(finest, rep, U, derivative_mode="analytic")
+            pw = V.pointwise_inequality(finest, rep, U, derivative_mode="analytic",
+                                        stages=stages)
             ana = pw.identity
             recs.append(CheckRecord(
                 name=f"identity-analytic[{tag}]",

@@ -54,6 +54,8 @@ __all__ = [
     "PowerU",
     "CurrentField",
     "CurrentAssembler",
+    "UTerms",
+    "WeightTerms",
     "current_general",
     "current_split",
     "bulk_term",
@@ -153,7 +155,14 @@ def _check_mode(U: PowerU | ZeroU, ell: int):
 
 @dataclass
 class CurrentAssembler:
-    """Evaluates current components and their analytic divergence pointwise."""
+    """Evaluates current components and their analytic divergence pointwise.
+
+    Each evaluation joins three stages, by what the terms read: the field
+    half (`field_half`: the field alone), `UTerms` (the field and U) and
+    `WeightTerms` (the field and the weight).  A caller that evaluates
+    several weights or nonlinearities on the same points passes the stages
+    it keeps as `terms`; the sums run in one order either way, so a kept
+    stage gives the same bits as a fresh one."""
 
     rep: Reparametrization
     U: PowerU | ZeroU
@@ -164,69 +173,112 @@ class CurrentAssembler:
     def lam(self) -> float:
         return float(self.ell * (self.ell + self.n - 2))
 
-    def _bracket(self, u, v, f, phi, phi_u, phi_v, half):
-        """W = e^{-2F} and the bracket (A_u, A_v) = P / W completed from the
-        field half (see `field_half`), with the weight terms the divergence
-        differentiates: (F', G, c, z, U(phi))."""
-        dF = self.rep.dF(f)
-        W = np.exp(-2.0 * self.rep.F(f))
-        G = self.rep.G(f)
-        c = (self.n - 1) / 4.0 - f * dF
-        z = (f * dF - (self.n - 1) / 4.0) * dF - 0.5 * G
-        Uval = self.U.value(u, v, phi)
-        p2, A_u, A_v = half[:3]
-        A_u = A_u - v * Uval + c * phi * phi_u - v * z * p2
-        A_v = A_v - u * Uval + c * phi * phi_v - u * z * p2
-        return W, A_u, A_v, (dF, G, c, z, Uval)
+    def terms(self, u, v, f, phi, phi_u, phi_v, half):
+        """The (UTerms, WeightTerms) pair of this current on the given arrays."""
+        return (UTerms(self.U, u, v, phi, phi_u, phi_v, half),
+                WeightTerms(self.rep, self.n, f, u, v, phi, phi_u, phi_v, half))
 
-    def components(self, u, v, f, phi, phi_u, phi_v, half=None):
+    @staticmethod
+    def _join(ut, wt):
+        """P = e^{-2F} (A_u, A_v): each bracket opened with U, then the
+        weight's products added left to right."""
+        cpp_u, vzp2, cpp_v, uzp2 = wt.bracket
+        A_u, A_v = ut.A
+        return wt.W * (A_u + cpp_u - vzp2), wt.W * (A_v + cpp_v - uzp2)
+
+    def components(self, u, v, f, phi, phi_u, phi_v, *, terms=None):
         """(P_u, P_v) at the points (u, v).  The caller gives f = -u v: a
-        grid's column `F_col`, on which the weight half is evaluated once per
-        row and broadcast, or `-u * v` at points.  `half` is `field_half` of
-        these arrays, from a caller that keeps it for several currents of one
-        field."""
+        grid's column `F_col`, on which the weight's profiles are evaluated
+        once per row and broadcast, or `-u * v` at points.  `terms` is the
+        `terms` of these arrays, from a caller that keeps them for several
+        currents of one field."""
         u, v = np.asarray(u, float), np.asarray(v, float)
-        if half is None:
-            half = field_half(u, v, self.lam, phi, phi_u, phi_v)
-        W, A_u, A_v, _ = self._bracket(u, v, f, phi, phi_u, phi_v, half)
-        return W * A_u, W * A_v
+        if terms is None:
+            terms = self.terms(u, v, f, phi, phi_u, phi_v,
+                               field_half(u, v, self.lam, phi, phi_u, phi_v))
+        return self._join(*terms)
 
-    def divergence(self, u, v, f, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv, half=None):
+    def divergence(self, u, v, f, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv, *, terms=None):
         """Covariant divergence of the current by direct differentiation.
 
         div P = -(1/2)(d_u P_v + d_v P_u) - ((n-1)/(2r))(P_u - P_v)
         in the sphere-averaged reduction.  Needs second derivatives of phi and,
-        for a potential-bearing U, the partials of log V.  `f` and `half` are
-        as in `components`, with the second derivatives.
+        for a potential-bearing U, the partials of log V.  `f` and `terms`
+        are as in `components`, the half in `terms` with the second
+        derivatives.
         """
         u, v = np.asarray(u, float), np.asarray(v, float)
-        if half is None:
+        if terms is None:
             half = field_half(u, v, self.lam, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv)
-        W, A_u, A_v, (dF, G, c, z, Uval) = self._bracket(u, v, f, phi, phi_u, phi_v, half)
-        p2, _, _, dA_v_du, dA_u_dv, cross = half
+            terms = self.terms(u, v, f, phi, phi_u, phi_v, half)
+        ut, wt = terms
+        P_u, P_v = self._join(ut, wt)
+        dF, G, c, z, W = wt.dF, wt.G, wt.c, wt.z, wt.W
+        p2, cross = wt.half[0], wt.half[5]
         d2F = self.rep.d2F(f)
-        dG = self.rep.dG(f)
         # z = f (F')^2 - ((n-1)/4) F' - G/2
-        z_f = dF**2 + 2.0 * f * dF * d2F - ((self.n - 1) / 4.0) * d2F - 0.5 * dG
-
-        udot = self.U.udot(u, v, phi)
-        P_u = W * A_u
-        P_v = W * A_v
-
-        dU_u = self.U.du_ext(u, v, phi) + udot * phi_u
-        dU_v = self.U.dv_ext(u, v, phi) + udot * phi_v
-
-        dA_v_du = (dA_v_du - Uval - u * dU_u
-                   - v * G * phi * phi_v + c * cross
-                   - z * p2 + u * v * z_f * p2 - 2.0 * u * z * phi * phi_u)
-        dA_u_dv = (dA_u_dv - Uval - v * dU_v
-                   - u * G * phi * phi_u + c * cross
-                   - z * p2 + u * v * z_f * p2 - 2.0 * v * z * phi * phi_v)
-
-        dP_v_du = 2.0 * v * dF * P_v + W * dA_v_du
-        dP_u_dv = 2.0 * u * dF * P_u + W * dA_u_dv
-
+        z_f = dF**2 + 2.0 * f * dF * d2F - ((self.n - 1) / 4.0) * d2F - 0.5 * self.rep.dG(f)
+        open_vu, open_uv = ut.dA
+        # d_u A_v and d_v A_u: the U openings, then the weight's products
+        # left to right, each formed inside its sum so that few are held
+        dP_v_du = 2.0 * v * dF * P_v + W * (open_vu - v * G * phi * phi_v + c * cross - z * p2
+                                            + u * v * z_f * p2 - 2.0 * u * z * phi * phi_u)
+        dP_u_dv = 2.0 * u * dF * P_u + W * (open_uv - u * G * phi * phi_u + c * cross - z * p2
+                                            + u * v * z_f * p2 - 2.0 * v * z * phi * phi_v)
         return -0.5 * (dP_v_du + dP_u_dv) - ((self.n - 1) / (2.0 * (v - u))) * (P_u - P_v)
+
+
+class UTerms:
+    """The terms of the current and of the bulk term that read U and the
+    field but no weight, at the points (u, v).  Given the field half (see
+    `field_half`), the bracket's openings are formed at once and the half
+    is not kept: `A`, and with second derivatives in the half also `dA`.
+    `value`, `udot` and `scaling_q` are computed on first read and kept
+    while this object lives."""
+
+    def __init__(self, U, u, v, phi, phi_u=None, phi_v=None, half=None):
+        self.U, self.u, self.v, self.phi = U, u, v, phi
+        if half is None:
+            return
+        # the brackets (A_u, A_v) opened: the half's sums minus v U and u U
+        self.A = half[1] - v * self.value, half[2] - u * self.value
+        if len(half) > 3:
+            # (d_u A_v, d_v A_u) opened: the half's sums minus U and u d_u U,
+            # v d_v U (total derivatives along the field)
+            dU_u = U.du_ext(u, v, phi) + self.udot * phi_u
+            dU_v = U.dv_ext(u, v, phi) + self.udot * phi_v
+            self.dA = half[3] - self.value - u * dU_u, half[4] - self.value - v * dU_v
+
+    @cached_property
+    def value(self):
+        return self.U.value(self.u, self.v, self.phi)
+
+    @cached_property
+    def udot(self):
+        return self.U.udot(self.u, self.v, self.phi)
+
+    @cached_property
+    def scaling_q(self):
+        return self.U.scaling_q(self.u, self.v, self.phi)
+
+
+class WeightTerms:
+    """The weight's profiles on f (a grid's column `F_col`, or -u v at
+    points): F, F', G, W = e^{-2F}, c = (n-1)/4 - f F' and
+    z = (f F' - (n-1)/4) F' - G/2.  Given the field half, also the bracket's
+    products that read the weight and the field but no U, which it adds
+    after the U opening: `bracket` = (c phi phi_u, v z phi^2, c phi phi_v,
+    u z phi^2)."""
+
+    def __init__(self, rep, n, f, u, v, phi, phi_u=None, phi_v=None, half=None):
+        self.half = half
+        self.F, self.dF, self.G = rep.F(f), rep.dF(f), rep.G(f)
+        self.W = np.exp(-2.0 * self.F)
+        self.c = (n - 1) / 4.0 - f * self.dF
+        self.z = (f * self.dF - (n - 1) / 4.0) * self.dF - 0.5 * self.G
+        if half is not None:
+            c, z, p2 = self.c, self.z, half[0]
+            self.bracket = c * phi * phi_u, v * z * p2, c * phi * phi_v, u * z * p2
 
 
 def field_half(u, v, lam, phi, phi_u, phi_v, phi_uu=None, phi_uv=None, phi_vv=None):
@@ -324,23 +376,23 @@ def current_split(fld: ScalarField, params: SplitWeightParams, branch: str) -> C
 
 
 def bulk_term(rep: Reparametrization, U: PowerU | ZeroU, n: int, f, u, v, phi,
-              cross_check: bool = True):
+              cross_check: bool = True, *, terms=None):
     """Bulk source term B_U^F of the divergence identity at the points (u, v):
 
         B = e^{-2F} [ ((n-1)/4 - f F') Udot(phi) phi
                       - grad f . grad_Q U - 2 ((n+1)/4 - f F') U(phi) ].
 
     f is passed explicitly (the grid's f column `F_col` on a grid, -u v at
-    quadrature nodes).  For the power weight and a power nonlinearity this
-    must coincide with -sign/(p+1) f^{2a} V Gamma_V |phi|^{p+1}; the
-    closed-form cross-check is asserted to 1e-10 relative unless disabled.
+    quadrature nodes).  `terms` is the (UTerms, WeightTerms) pair of these
+    arrays, from a caller that keeps them (see `CurrentAssembler.terms`).
+    For the power weight and a power nonlinearity this must coincide with
+    -sign/(p+1) f^{2a} V Gamma_V |phi|^{p+1}; the closed-form cross-check is
+    asserted to 1e-10 relative unless disabled.
     """
-    dF = rep.dF(f)
-    W = np.exp(-2.0 * rep.F(f))
-    c = (n - 1) / 4.0 - f * dF
-    vals = W * (c * U.udot(u, v, phi) * phi
-                - U.scaling_q(u, v, phi)
-                - 2.0 * ((n + 1) / 4.0 - f * dF) * U.value(u, v, phi))
+    ut, wt = terms or (UTerms(U, u, v, phi), WeightTerms(rep, n, f, u, v, phi))
+    vals = wt.W * (wt.c * ut.udot * phi
+                   - ut.scaling_q
+                   - 2.0 * ((n + 1) / 4.0 - f * wt.dF) * ut.value)
 
     if cross_check and isinstance(rep, PowerLog) and isinstance(U, PowerU):
         gam = gamma_v(U.V, rep.a, U.p, u, v, n)
@@ -389,10 +441,15 @@ def flux_fn(cur: CurrentField, direction: str) -> Callable:
 
 
 def divergence_fd(grid: GridSpec, P_u: np.ndarray, P_v: np.ndarray) -> ScalarField:
-    """Divergence by finite differences of components sampled on `grid`."""
-    _, dPu_u, dPu_v = ScalarField(grid=grid, values=P_u, name="P_u").fd_derivs1()
-    _, dPv_u, dPv_v = ScalarField(grid=grid, values=P_v, name="P_v").fd_derivs1()
-    vals = -0.5 * (dPv_u + dPu_v) - ((grid.n - 1) / (2.0 * grid.R)) * (P_u - P_v)
+    """Divergence by finite differences of components sampled on `grid`.
+
+    Only the cross derivatives d_u P_v and d_v P_u enter: by the chain rule
+    (fields' module docstring) d_u = (d_s - d_y)/u and d_v = (d_s + d_y)/v."""
+    Pu = ScalarField(grid=grid, values=P_u, name="P_u")
+    Pv = ScalarField(grid=grid, values=P_v, name="P_v")
+    dPu_v = (Pu.d_s() + Pu.d_y()) / grid.V
+    dPv_u = (Pv.d_s() - Pv.d_y()) / grid.U
+    vals = -0.5 * (dPv_u + dPu_v) - grid.radial_coef * (P_u - P_v)
     return ScalarField(grid=grid, values=vals, name="div P (fd)")
 
 

@@ -84,24 +84,26 @@ class GridSpec:
     def dy(self) -> float:
         return float(self.y[1] - self.y[0])
 
-    @cached_property
+    # S and Y are built on each read and kept by no one: the node arrays
+    # below come from the 1-D s and y, elementwise, to the same bits
+    @property
     def S(self) -> np.ndarray:
         return np.broadcast_to(self.s[:, None], (self.n_s, self.n_y)).copy()
 
-    @cached_property
+    @property
     def Y(self) -> np.ndarray:
         return np.broadcast_to(self.y[None, :], (self.n_s, self.n_y)).copy()
 
     @cached_property
-    def F(self) -> np.ndarray:
-        return np.exp(self.S)
-
-    @property
     def F_col(self) -> np.ndarray:
-        """The (n_s, 1) column of `F`.  f is constant along each row, so a
+        """f = e^s as an (n_s, 1) column.  f is constant along each row, so a
         weight profile evaluated here broadcasts to the same bits as on `F`
         at n_s points instead of n_s * n_y."""
-        return self.F[:, :1]
+        return np.exp(self.s)[:, None]
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return np.broadcast_to(self.F_col, (self.n_s, self.n_y)).copy()
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -109,11 +111,11 @@ class GridSpec:
 
     @cached_property
     def U(self) -> np.ndarray:
-        return -np.exp((self.S - self.Y) / 2.0)
+        return -np.exp((self.s[:, None] - self.y[None, :]) / 2.0)
 
     @cached_property
     def V(self) -> np.ndarray:
-        return np.exp((self.S + self.Y) / 2.0)
+        return np.exp((self.s[:, None] + self.y[None, :]) / 2.0)
 
     @cached_property
     def R(self) -> np.ndarray:
@@ -122,6 +124,12 @@ class GridSpec:
     @cached_property
     def T(self) -> np.ndarray:
         return self.V + self.U
+
+    @cached_property
+    def radial_coef(self) -> np.ndarray:
+        """(n-1)/(2r) at the nodes: the factor of the first-order terms of
+        the reduced wave operator and of P_u - P_v in a current's divergence."""
+        return (self.n - 1) / (2.0 * self.R)
 
     @cached_property
     def uv_text(self) -> np.ndarray:
@@ -274,6 +282,9 @@ def from_expr(expr, label: Optional[str] = None) -> AnalyticField:
     return AnalyticField(fn, label or str(expr))
 
 
+_ORDERS = (1, "wave", 2)  # the derivative sets of `ScalarField`, narrowest first
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Mode profile sampled on a grid, optionally backed by a closed form.
@@ -325,6 +336,12 @@ class ScalarField:
         g = self.grid
         return (self.values, *_chain_rule(g.U, g.V, self.d_s(), self.d_y()))
 
+    def fd_derivs_wave(self):
+        """(phi, phi_u, phi_v, phi_uv), without the mixed (s, y) stencil."""
+        g = self.grid
+        phi_u, phi_v = _chain_rule(g.U, g.V, self.d_s(), self.d_y())
+        return self.values, phi_u, phi_v, _mixed(g.U, g.V, self.d_ss(), self.d_yy())
+
     def fd_derivs2(self):
         g = self.grid
         ps, py = self.d_s(), self.d_y()
@@ -348,14 +365,19 @@ class ScalarField:
         """(phi, phi_u, phi_v) on the grid by the route `route(mode)`."""
         return self._derivs_on_grid(self.route(mode), 1)
 
+    def derivs_wave(self, mode: str = "auto"):
+        """(phi, phi_u, phi_v, phi_uv): what the wave operator reads."""
+        return self._derivs_on_grid(self.route(mode), "wave")
+
     def derivs2(self, mode: str = "auto"):
         """`derivs1` and (phi_uu, phi_uv, phi_vv)."""
         return self._derivs_on_grid(self.route(mode), 2)
 
-    def _derivs_on_grid(self, route: str, order: int) -> tuple:
-        """Derivative arrays up to `order` by `route` on this field's grid,
-        evaluated once per field and route; order 1 is served from the order-2
-        arrays once those exist.
+    def _derivs_on_grid(self, route: str, order) -> tuple:
+        """The derivative arrays of `order` (1, "wave" or 2, each a subset of
+        the next) by `route` on this field's grid, evaluated once per field
+        and route; an order is served from a wider one's arrays once those
+        exist.
 
         The arrays are read-only, and one that shares memory with the grid's
         coordinates (the value of `from_expr("u")` is `grid.U` itself) is
@@ -363,21 +385,23 @@ class ScalarField:
         lock: threads racing on first use may each evaluate, to equal arrays.
         """
         memo = self.__dict__.setdefault("_derivs", {})
-        both = memo.get((route, 2))
-        if both is not None:
-            return both if order == 2 else both[:3]
-        cached = memo.get((route, order))
-        if cached is None:
-            g = self.grid
-            if route == "fd":
-                arrays = self.fd_derivs2() if order == 2 else self.fd_derivs1()
-            else:
-                cf = self.closed_form
-                arrays = cf.derivs2(g.U, g.V) if order == 2 else cf.derivs1(g.U, g.V)
-            cached = tuple(_read_only(a, g.U, g.V) for a in arrays)
-            memo[route, order] = cached
-            if order == 2:
-                memo.pop((route, 1), None)  # now served from `cached`
+        for have in reversed(_ORDERS[_ORDERS.index(order):]):  # widest first
+            cached = memo.get((route, have))
+            if cached is not None:
+                if have == order:
+                    return cached
+                # order 2 is (phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv)
+                return cached[:3] if order == 1 else cached[:3] + cached[4:5]
+        g = self.grid
+        if route == "fd":
+            arrays = {1: self.fd_derivs1, "wave": self.fd_derivs_wave, 2: self.fd_derivs2}[order]()
+        else:
+            cf = self.closed_form
+            arrays = {1: cf.derivs1, "wave": cf.derivs_wave, 2: cf.derivs2}[order](g.U, g.V)
+        cached = tuple(_read_only(a, g.U, g.V) for a in arrays)
+        memo[route, order] = cached
+        for narrower in _ORDERS[:_ORDERS.index(order)]:
+            memo.pop((route, narrower), None)  # now served from `cached`
         return cached
 
     @cached_property
@@ -606,8 +630,7 @@ def box(fld: ScalarField, mode: str = "auto") -> ScalarField:
     """Wave operator (`wave_op`) on the mode profile, by the derivative route
     `fld.route(mode)`."""
     g = fld.grid
-    phi, phi_u, phi_v, _, phi_uv, _ = fld.derivs2(mode)
-    vals = wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv)
+    vals = wave_op(g.n, g.lam, g.R, *fld.derivs_wave(mode))
     return ScalarField(grid=g, values=vals, name=f"box {fld.name}")
 
 

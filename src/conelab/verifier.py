@@ -31,8 +31,9 @@ import numpy as np
 from . import quadrature as qd
 from .currents import (
     PowerU,
+    UTerms,
+    WeightTerms,
     ZeroU,
-    bulk_b,
     bulk_term,
     current_general,
     current_split,
@@ -65,6 +66,7 @@ from .weights import (
 
 __all__ = [
     "CheckRecord",
+    "IdentityStages",
     "IdentityReport",
     "identity_residual",
     "identity_convergence",
@@ -123,49 +125,139 @@ class CheckRecord:
 # identity closure
 # ---------------------------------------------------------------------------
 
-def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str):
+class IdentityStages:
+    """The terms of the divergence identity that the checks of one job share,
+    one stage per dependency level:
+
+    - field: box phi and the field half of the current (`field_half`), per
+      field and route;
+    - field x U: the current's and the bulk term's `UTerms`, and box phi + Udot;
+    - field x weight: the `WeightTerms` (the bracket's products among them),
+      e^{-F}, S* psi (psi = e^{-F} phi), and 2 F' |S* psi|^2 - (f|F'|G - H) psi^2
+      with the largest |2 F' |S* psi|^2|.
+
+    `checks` lists the (weight, U) pairs the job evaluates on each of its
+    fields and routes.  A stage is built on its first read and dropped after
+    its last reader in that list: a field x U or field x weight stage after
+    its last check; of the field stage, what the U stages read (box phi and
+    the half's openings) once every U stage of the field is built, and what
+    the weight stages read once every weight stage is.  So nothing outlives
+    the job, and a pair outside the list builds its stages for that one
+    check.  Stages are keyed by the field, weight and U objects themselves,
+    never by their values."""
+
+    def __init__(self, checks):
+        self._checks = list(checks)
+        self._live = {}  # key: [stage, reads left, the objects whose ids key it]
+
+    def _take(self, key, owners, readers: int, build):
+        """The stage `key`, built by `build` on first read and dropped after
+        `readers` reads.  The entry holds `owners`, the objects the key names
+        by id, so that no other object takes one of their ids while it lives."""
+        entry = self._live.pop(key, None) or [build(), readers, owners]
+        entry[1] -= 1
+        if entry[1] > 0:
+            self._live[key] = entry
+        return entry[0]
+
+    def _field(self, fld: ScalarField, mode: str, side: int):
+        """The field stage of `fld` on `mode` as the U stages (side 0: box phi
+        and the half's openings) or the weight stages (side 1: the half's
+        phi^2 and the factor c multiplies) read it.  The half keeps its
+        positions; the entries a side does not read are None."""
+        readers = (len({id(U) for _, U in self._checks}),
+                   len({id(rep) for rep, _ in self._checks}))
+
+        def build():
+            g = fld.grid
+            derivs = _identity_derivs(fld, mode)
+            phi, phi_u, phi_v = derivs[:3]
+            phi_uv, second = (derivs[3], ()) if mode == "fd" else (derivs[4], derivs[3:])
+            half = field_half(g.U, g.V, g.lam, phi, phi_u, phi_v, *second)
+            sides = ((wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv), (None, *half[1:5])),
+                     (None, (half[0], None, None, None, None, *half[5:])))
+            other = 1 - side
+            self._live[id(fld), mode, other] = [sides[other], readers[other], (fld,)]
+            return sides[side]
+
+        return self._take((id(fld), mode, side), (fld,), readers[side], build)
+
+    def weight(self, fld: ScalarField, mode: str, rep: Reparametrization):
+        """The field x weight stage: (WeightTerms, e^{-F}, S* psi, the bulk
+        coefficient, 2 F' |S* psi|^2 - bulk psi^2, max |2 F' |S* psi|^2|)."""
+        def build():
+            g = fld.grid
+            phi, phi_u, phi_v = _identity_derivs(fld, mode)[:3]
+            _, half = self._field(fld, mode, 1)
+            wt = WeightTerms(rep, g.n, g.F_col, g.U, g.V, phi, phi_u, phi_v, half)
+            dF = wt.dF
+            E = np.exp(-wt.F)
+            psi = E * phi
+            psi_u = E * (phi_u + g.V * dF * phi)
+            psi_v = E * (phi_v + g.U * dF * phi)
+            sstar = 0.5 * (g.U * psi_u + g.V * psi_v) + (g.n - 1) / 4.0 * psi
+            square = 2.0 * dF * sstar**2
+            # F' < 0 (current_general checks it), so f F' G + H is minus the
+            # bulk coefficient, and negating it is exact
+            bulk = rep.bulk_coefficient(g.F_col)
+            return (wt, E, sstar, bulk, square - bulk * psi**2,
+                    float(np.max(np.abs(square))))
+
+        readers = sum(r is rep for r, _ in self._checks)
+        return self._take((id(fld), mode, id(rep)), (fld, rep), readers, build)
+
+    def u(self, fld: ScalarField, mode: str, U):
+        """The field x U stage: (UTerms, box phi + Udot)."""
+        def build():
+            g = fld.grid
+            phi, phi_u, phi_v = _identity_derivs(fld, mode)[:3]
+            boxphi, half = self._field(fld, mode, 0)
+            ut = UTerms(U, g.U, g.V, phi, phi_u, phi_v, half)
+            return ut, boxphi + ut.udot
+
+        readers = sum(x is U for _, x in self._checks)
+        return self._take((id(fld), mode, id(U)), (fld, U), readers, build)
+
+
+def _identity_derivs(fld: ScalarField, mode: str):
+    """The derivative arrays the identity reads on route `mode`:
+    `derivs_wave` on the FD route, `derivs2` on the analytic one."""
+    return fld.derivs_wave(mode) if mode == "fd" else fld.derivs2(mode)
+
+
+def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str,
+                     stages: Optional[IdentityStages] = None):
     """LHS and RHS arrays of the divergence identity on the field's grid, the
     residual's scale, and the terms the pointwise margin reads: F' and the
     bulk coefficient f |F'| G - H (on the grid's f column, where the weight
     profiles, those of the current's weight half included, are evaluated and
-    broadcast), psi = e^{-F} phi, L = e^{-F}(box phi + Udot), B and div P."""
+    broadcast), psi = e^{-F} phi, L = e^{-F}(box phi + Udot), B and div P.
+    The shared terms come from `stages` (see IdentityStages), or from stages
+    built for this one check; only the sums that mix U and weight terms are
+    formed here."""
+    stages = stages or IdentityStages([(rep, U)])
     g = fld.grid
     f = g.F_col
-    dF = rep.dF(f)
-    E = np.exp(-rep.F(f))
+    derivs = _identity_derivs(fld, mode)
+    phi = derivs[0]
+    wt, E, sstar, bulk, square_bulk, square_max = stages.weight(fld, mode, rep)
+    ut, boxU = stages.u(fld, mode, U)
 
-    phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv = fld.derivs2(mode)
-    # box phi and the field half read the field alone, so they are kept on the
-    # field like its derivative arrays, once per mode, for every weight and U
-    memo = fld.__dict__.setdefault("_identity_terms", {})
-    if mode not in memo:
-        second = (phi_uu, phi_uv, phi_vv) if mode == "analytic" else ()
-        memo[mode] = (wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv),
-                      field_half(g.U, g.V, g.lam, phi, phi_u, phi_v, *second))
-    boxphi, half = memo[mode]
-    psi = E * phi
-    psi_u = E * (phi_u + g.V * dF * phi)
-    psi_v = E * (phi_v + g.U * dF * phi)
-    sstar = 0.5 * (g.U * psi_u + g.V * psi_v) + (g.n - 1) / 4.0 * psi
-
-    L = E * (boxphi + U.udot(g.U, g.V, phi))
-    lhs = L * sstar
-
+    # the divergence first: its temporaries peak above all the rest
     asm = current_general(fld, rep, U).assembler
+    shared = (ut, wt)
     if mode == "fd":
-        div = divergence_fd(g, *asm.components(g.U, g.V, f, phi, phi_u, phi_v, half)).values
+        div = divergence_fd(g, *asm.components(g.U, g.V, f, *derivs[:3], terms=shared)).values
     else:
-        div = asm.divergence(g.U, g.V, f, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv, half)
+        div = asm.divergence(g.U, g.V, f, *derivs, terms=shared)
 
-    Bv = bulk_b(fld, rep, U, cross_check=False).values
-    square = 2.0 * dF * sstar**2
-    # F' < 0 (current_general checks it), so f F' G + H is minus the bulk
-    # coefficient, and negating it is exact
-    bulk = rep.bulk_coefficient(f)
-    rhs = square - bulk * psi**2 + Bv + div
-    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(square))),
-                float(np.max(np.abs(div))), 1e-300)
-    terms = {"dF": dF, "bulk": bulk, "psi": psi, "L": L, "B": Bv, "div": div}
+    Bv = bulk_term(rep, U, g.n, f, g.U, g.V, phi, cross_check=False, terms=shared)
+    rhs = square_bulk + Bv + div
+    psi = E * phi
+    L = E * boxU
+    lhs = L * sstar
+    scale = max(float(np.max(np.abs(lhs))), square_max, float(np.max(np.abs(div))), 1e-300)
+    terms = {"dF": wt.dF, "bulk": bulk, "psi": psi, "L": L, "B": Bv, "div": div}
     return lhs, rhs, scale, terms
 
 
@@ -182,17 +274,19 @@ class IdentityReport:
 
 def identity_residual(fld: ScalarField, rep: Reparametrization,
                       U: Optional[PowerU] = None, *,
-                      derivative_mode: str = "auto") -> IdentityReport:
+                      derivative_mode: str = "auto",
+                      stages: Optional[IdentityStages] = None) -> IdentityReport:
     """Max-norm residual of the divergence identity on the interior nodes.
 
     `fld.route(derivative_mode)` picks the route: 'analytic' uses closed-form
     derivatives everywhere (machine-level); 'fd' uses centered stencils for
     both the field and the current divergence, so the residual shrinks at
-    the stencil order under refinement.
+    the stencil order under refinement.  `stages` holds the terms a job's
+    checks share (see IdentityStages).
     """
     mode = fld.route(derivative_mode)
     U = U or ZeroU()
-    lhs, rhs, scale, terms = _identity_arrays(fld, rep, U, mode)
+    lhs, rhs, scale, terms = _identity_arrays(fld, rep, U, mode, stages)
     depth = 2 if mode == "fd" else 0
     sl = fld.grid.interior(depth) if depth else (slice(None), slice(None))
     res = float(np.max(np.abs((lhs - rhs)[sl])))
@@ -201,7 +295,8 @@ def identity_residual(fld: ScalarField, rep: Reparametrization,
 
 
 def identity_convergence(fields: Sequence[ScalarField], rep: Reparametrization,
-                         U: Optional[PowerU]) -> CheckRecord:
+                         U: Optional[PowerU], *,
+                         stages: Optional[IdentityStages] = None) -> CheckRecord:
     """Fit the FD-mode residual order across one sampled field per grid level.
 
     A field's level is its grid's `n_s`; the levels must be distinct (in any
@@ -218,7 +313,7 @@ def identity_convergence(fields: Sequence[ScalarField], rep: Reparametrization,
     shared = {(g.region, g.n, g.ell, g.order) for g in (fld.grid for fld in fields)}
     if len(shared) != 1:
         raise InvalidInput("identity levels must share region, n, ell and stencil order")
-    rels = [identity_residual(fld, rep, U, derivative_mode="fd").rel_residual
+    rels = [identity_residual(fld, rep, U, derivative_mode="fd", stages=stages).rel_residual
             for fld in fields]
     rels_arr = np.asarray(rels)
     hs = np.array([1.0 / (m - 1) for m in levels])
@@ -250,7 +345,8 @@ class PointwiseReport:
 
 def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
                          U: Optional[PowerU] = None, *,
-                         derivative_mode: str = "auto") -> PointwiseReport:
+                         derivative_mode: str = "auto",
+                         stages: Optional[IdentityStages] = None) -> PointwiseReport:
     """Completed-square consequence of the identity:
 
         (f |F'| G - H) psi^2 <= (1/8)|F'|^{-1} |L psi|^2 + B + div P,
@@ -259,7 +355,7 @@ def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
     dip below zero only by the identity discretization error; POINTWISE_SLACK
     times that residual is tolerated.  A non-finite margin or tolerance fails.
     """
-    idrep = identity_residual(fld, rep, U, derivative_mode=derivative_mode)
+    idrep = identity_residual(fld, rep, U, derivative_mode=derivative_mode, stages=stages)
     t = idrep.terms
     margin = (0.125 / np.abs(t["dF"]) * t["L"]**2 + t["B"] + t["div"]
               - t["bulk"] * t["psi"]**2)

@@ -866,21 +866,22 @@ def test_verify_identity_pool_without_cpu_affinity(tmp_path, monkeypatch):
 
 def test_verify_identity_runs_fd_stencils_once_per_field_and_level(tmp_path, monkeypatch):
     # one sampled field per level serves all six (weight x nonlinearity)
-    # checks, and its FD derivatives are kept: five fields x two levels
+    # checks, and its FD derivatives are kept: five fields x two levels; the
+    # FD identity reads the wave operator's arrays (`fd_derivs_wave`) only
     import threading
 
     from conelab.fields import ScalarField
 
     calls = []
     lock = threading.Lock()
-    real = ScalarField.fd_derivs2
+    real = ScalarField.fd_derivs_wave
 
     def counted(self):
         with lock:
             calls.append((self.name, self.grid.n_s))
         return real(self)
 
-    monkeypatch.setattr(ScalarField, "fd_derivs2", counted)
+    monkeypatch.setattr(ScalarField, "fd_derivs_wave", counted)
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "levels": [16, 32]})
     out = tmp_path / "report.json"
     main(["verify-identity", "--config", cfg, "--out", str(out)])

@@ -257,6 +257,24 @@ def test_divergence_analytic_vs_fd():
     assert math.log2(errs[0] / errs[1]) > 3.0
 
 
+@pytest.mark.parametrize("ell", [0, 1])
+def test_divergence_fd_is_bitwise_the_formula_of_all_four_derivatives(ell):
+    # only d_v P_u and d_u P_v enter; the other two were built and dropped
+    for m in (16, 33):
+        fld = mkfield("sin(u) * exp(-v/4)", m=m, ell=ell)
+        g = fld.grid
+        for U in (ZeroU(), PowerU(1, 1, Potential.constant(1.0))):
+            cur = current_general(fld, PowerLog(0.8), U)
+            _, _, dPu_v = ScalarField(grid=g, values=cur.P_u).fd_derivs1()
+            _, dPv_u, _ = ScalarField(grid=g, values=cur.P_v).fd_derivs1()
+            want = -0.5 * (dPv_u + dPu_v) - ((g.n - 1) / (2.0 * g.R)) * (cur.P_u - cur.P_v)
+            assert divergence_fd(g, cur.P_u, cur.P_v).values.tobytes() == want.tobytes()
+    bad = cur.P_u.copy()
+    bad[3, 4] = np.nan
+    with pytest.raises(InvalidInput, match="finite"):
+        divergence_fd(g, bad, cur.P_v)
+
+
 def test_divergence_analytic_vs_fd_nonlinear():
     fld = mkfield("(-u*v)**(3/5) * exp(-v/6)", m=128)
     U = PowerU(-1, 2.0, Potential.power_of_f(-0.5))
@@ -393,7 +411,7 @@ def test_zero_u_scalar_zeros_give_the_bits_of_zero_arrays(mode):
 def test_field_half_keeps_the_bits_of_the_bracket_in_one_piece(ell, U):
     # the battery weights on grid arrays by both derivative routes, with f
     # the grid's column and at every node, and on 1-D node arrays, with the
-    # half built inside the call and passed in
+    # half built inside the call and passed in with the stages it feeds
     fld = mkfield(m=32, ell=ell)
     g = fld.grid
     f, h = np.meshgrid(np.linspace(0.15, 9.0, 7), np.linspace(0.2, 8.0, 5))
@@ -405,14 +423,14 @@ def test_field_half_keeps_the_bits_of_the_bracket_in_one_piece(ell, U):
         asm = CurrentAssembler(rep=rep, U=U, n=g.n, ell=ell)
         for u, v, f, d in points:
             want = [a.tobytes() for a in bracket_components(asm, u, v, f, *d[:3])]
-            half = field_half(u, v, asm.lam, *d[:3])
+            terms = asm.terms(u, v, f, *d[:3], field_half(u, v, asm.lam, *d[:3]))
             for got in (asm.components(u, v, f, *d[:3]),
-                        asm.components(u, v, f, *d[:3], half)):
+                        asm.components(u, v, f, *d[:3], terms=terms)):
                 assert [a.tobytes() for a in got] == want
             want = bracket_divergence(asm, u, v, f, *d).tobytes()
-            half = field_half(u, v, asm.lam, *d)
+            terms = asm.terms(u, v, f, *d[:3], field_half(u, v, asm.lam, *d))
             assert asm.divergence(u, v, f, *d).tobytes() == want
-            assert asm.divergence(u, v, f, *d, half).tobytes() == want
+            assert asm.divergence(u, v, f, *d, terms=terms).tobytes() == want
 
 
 # On a grid the weight half reads f from the grid's column F_col = exp(s),

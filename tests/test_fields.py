@@ -55,6 +55,26 @@ def test_grid_coordinate_consistency():
     assert math.isclose(g.s[-1], math.log(REGION.omega))
 
 
+def test_grid_node_arrays_come_from_the_1d_axes_to_the_same_bits():
+    # U, V and F_col are built from s and y without keeping the n_s x n_y S
+    # and Y, and F only when read; each has the bits of its 2-D formula
+    for region in (REGION, AdmissibleRegion(0.25, 1.0, 0.6, 5.0 / 3.0)):
+        for m in (16, 33, 64, 256):
+            g = GridSpec.from_region(region, m, m + 3, 3)
+            S = np.broadcast_to(g.s[:, None], (m, m + 3)).copy()
+            Y = np.broadcast_to(g.y[None, :], (m, m + 3)).copy()
+            assert g.S.tobytes() == S.tobytes() and g.Y.tobytes() == Y.tobytes()
+            assert g.U.tobytes() == (-np.exp((S - Y) / 2.0)).tobytes()
+            assert g.V.tobytes() == np.exp((S + Y) / 2.0).tobytes()
+            assert g.F_col.shape == (m, 1)
+            assert g.F_col.tobytes() == np.exp(S)[:, :1].copy().tobytes()
+            assert "F" not in vars(g)
+            assert g.F.tobytes() == np.exp(S).tobytes()
+            assert g.H.tobytes() == np.exp(Y).tobytes()
+            assert g.radial_coef.tobytes() == ((g.n - 1) / (2.0 * g.R)).tobytes()
+            assert g.S is not g.S and not {"S", "Y"} & set(vars(g))
+
+
 def test_grid_refine_and_covers():
     g = mkgrid(32)
     # a refined grid of (m - 1) * 2 + 1 nodes per axis keeps the existing nodes
@@ -188,6 +208,39 @@ def test_fd_derivs2_bitwise_equal_to_composed_d_sy():
             (pss + 2 * psy + pyy - (ps + py)) / g.V**2)
     for got, ref in zip(fld.fd_derivs2(), want, strict=True):
         assert got.tobytes() == ref.tobytes()
+
+
+def test_fd_derivs_wave_are_bitwise_fd_derivs2_entries(monkeypatch):
+    # the wave operator's four arrays, without the mixed (s, y) stencil
+    fld = ScalarField.from_function(mkgrid(40), lambda u, v: np.sin(u) * np.cos(v / 3))
+    phi, phi_u, phi_v, _, phi_uv, _ = fld.fd_derivs2()
+    shapes = []
+    real = stencils.d1
+    monkeypatch.setattr(stencils, "d1", lambda a, *args, **kw: shapes.append(a is fld.values)
+                        or real(a, *args, **kw))
+    got = fld.fd_derivs_wave()
+    assert shapes == [True, True]  # d_s and d_y of the values, no d_y of d_s
+    _bitwise_equal(got, (phi, phi_u, phi_v, phi_uv))
+
+
+def test_derivs_wave_route_is_served_from_the_widest_kept_set(monkeypatch):
+    g = mkgrid(24)
+    fld = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)"))
+    calls = []
+    for name in ("fd_derivs1", "fd_derivs_wave", "fd_derivs2"):
+        real = getattr(ScalarField, name)
+        monkeypatch.setattr(ScalarField, name,
+                            lambda self, _n=name, _r=real: calls.append(_n) or _r(self))
+    wave = fld.derivs_wave("fd")
+    assert fld.derivs_wave("fd") is wave
+    assert all(a is b for a, b in zip(fld.derivs1("fd"), wave[:3]))
+    both = fld.derivs2("fd")
+    assert calls == ["fd_derivs_wave", "fd_derivs2"]
+    got = fld.derivs_wave("fd")
+    assert all(a is b for a, b in zip(got, both[:3] + both[4:5]))
+    _bitwise_equal(wave, got)
+    _bitwise_equal(fld.derivs_wave(), fld.closed_form.derivs_wave(g.U, g.V))
+    assert not any(a.flags.writeable for a in wave)
 
 
 def test_spline_derivs_bitwise_equal_to_composed_d_sy():
