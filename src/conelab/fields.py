@@ -419,6 +419,19 @@ class ScalarField:
 # interpolating tensor-product splines
 # ---------------------------------------------------------------------------
 
+EV_BLOCK = 4096  # points per block of `TensorSpline.ev_pairs`: bounds its temporaries
+
+
+def _sites(x) -> np.ndarray:
+    """x as a float array of at least one finite, strictly increasing site;
+    anything else raises InvalidInput."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) == 0 or not np.all(np.isfinite(x)) or not np.all(np.diff(x) > 0):
+        raise InvalidInput("spline sites must be a nonempty 1-D array of finite, "
+                           "strictly increasing numbers")
+    return x
+
+
 def _knots(x: np.ndarray, k: int) -> np.ndarray:
     """FITPACK's knots for the degree-k spline interpolating at the sites x
     (regrid at s = 0): the ends repeated k + 1 times, and inside the data
@@ -461,15 +474,17 @@ def _bspline_basis(t: np.ndarray, k: int, x: np.ndarray, nus) -> tuple:
     return l, out
 
 
-def _interpolate_axis(t: np.ndarray, k: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Coefficients c of the splines sum_j c[j] B_j through z[i] at x[i], for
-    every column of z at once.
+def _interpolate_axis(t: np.ndarray, k: int, x: np.ndarray, c: np.ndarray) -> None:
+    """Overwrite c, the samples z[i] at x[i] along axis 0, with the
+    coefficients c[j] of the splines sum_j c[j] B_j through them, for every
+    column of c at once.  c may be a strided view (the transpose of a
+    C-ordered array), so the fit along a second axis needs no copy.
 
     Row i of the collocation matrix is nonzero only in the columns
     l_i - k .. l_i, so it is held as those k + 1 entries, and the LU
     factors without pivoting (the matrix is totally positive) stay inside
     them: no n x n array is built.  Each row update is a scaled subtraction
-    of whole rows of z, so a column's result does not depend on the others.
+    of whole rows of c, so a column's result does not depend on the others.
     """
     l, basis = _bspline_basis(t, k, x, (0,))
     ab = basis[0].T
@@ -485,7 +500,6 @@ def _interpolate_axis(t: np.ndarray, k: int, x: np.ndarray, z: np.ndarray) -> np
             ab[i, oi] /= ab[j, dj]
             ab[i, oi + 1:oi + 1 + len(tail)] -= ab[i, oi] * tail
             i += 1
-    c = np.array(z, dtype=float)
     for i in range(n):
         for a in range(i - first[i]):
             c[i] -= ab[i, a] * c[first[i] + a]
@@ -494,7 +508,6 @@ def _interpolate_axis(t: np.ndarray, k: int, x: np.ndarray, z: np.ndarray) -> np
         for a in range(1, last[j] - j + 1):
             c[j] -= ab[j, dj + a] * c[j + a]
         c[j] /= ab[j, dj]
-    return c
 
 
 class TensorSpline:
@@ -507,12 +520,17 @@ class TensorSpline:
     """
 
     def __init__(self, x, y, z):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x = _sites(x)
+        y = _sites(y)
+        if np.shape(z) != (len(x), len(y)):
+            raise InvalidInput(f"spline samples must have shape {(len(x), len(y))}, "
+                               f"got {np.shape(z)}")
         self.kx, self.ky = min(5, len(x) - 1), min(5, len(y) - 1)
         self.tx, self.ty = _knots(x, self.kx), _knots(y, self.ky)
-        c = _interpolate_axis(self.tx, self.kx, x, z)
-        self.c = np.ascontiguousarray(_interpolate_axis(self.ty, self.ky, y, c.T).T)
+        # the one copy of z: fitted along x, then along y through its transpose
+        self.c = np.array(z, dtype=float, order="C")
+        _interpolate_axis(self.tx, self.kx, x, self.c)
+        _interpolate_axis(self.ty, self.ky, y, self.c.T)
 
     def ev(self, x, y, dx: int = 0, dy: int = 0) -> np.ndarray:
         """Values (dx = dy = 0) or partial derivatives d^dx/dx d^dy/dy, of
@@ -520,23 +538,33 @@ class TensorSpline:
         return self.ev_pairs(x, y, ((dx, dy),))[0]
 
     def ev_pairs(self, x, y, pairs) -> list:
-        """`ev` for each (dx, dy) of `pairs` at the same points.  The clamp,
-        the interval search, each axis's basis for each order and each
-        coefficient gather are done once for all the pairs."""
+        """`ev` for each (dx, dy) of `pairs` at the same points.
+
+        The points are taken EV_BLOCK at a time, each block written into
+        the preallocated outputs, so the temporaries stay the size of a
+        block whatever the number of points.  In a block the clamp, the
+        interval search, each axis's basis for each order and each
+        coefficient gather are done once for all the pairs; every output
+        element is the sum it would be without blocks, in the same order."""
         tx, ty, kx, ky = self.tx, self.ty, self.kx, self.ky
-        x = np.clip(np.asarray(x, dtype=float).ravel(), tx[kx], tx[-kx - 1])
-        y = np.clip(np.asarray(y, dtype=float).ravel(), ty[ky], ty[-ky - 1])
-        lx, bx = _bspline_basis(tx, kx, x, {dx for dx, _ in pairs})
-        ly, by = _bspline_basis(ty, ky, y, {dy for _, dy in pairs})
+        x = np.asarray(x, dtype=float).ravel()
+        y = np.asarray(y, dtype=float).ravel()
+        if len(x) != len(y):
+            raise InvalidInput(f"{len(x)} x coordinates but {len(y)} y coordinates")
+        dxs, dys = {dx for dx, _ in pairs}, {dy for _, dy in pairs}
         ny = self.c.shape[1]
         flat = self.c.ravel()
-        cols = (ly - ky) + np.arange(ky + 1)[:, None]
         outs = [np.zeros(len(x)) for _ in pairs]
-        for a in range(kx + 1):
-            gathered = flat[(lx - kx + a) * ny + cols]
-            inner = {dy: (gathered * b).sum(axis=0) for dy, b in by.items()}
-            for out, (dx, dy) in zip(outs, pairs):
-                out += bx[dx][a] * inner[dy]
+        for lo in range(0, len(x), EV_BLOCK):
+            block = slice(lo, lo + EV_BLOCK)
+            lx, bx = _bspline_basis(tx, kx, np.clip(x[block], tx[kx], tx[-kx - 1]), dxs)
+            ly, by = _bspline_basis(ty, ky, np.clip(y[block], ty[ky], ty[-ky - 1]), dys)
+            cols = (ly - ky) + np.arange(ky + 1)[:, None]
+            for a in range(kx + 1):
+                gathered = flat[(lx - kx + a) * ny + cols]
+                inner = {dy: (gathered * b).sum(axis=0) for dy, b in by.items()}
+                for out, (dx, dy) in zip(outs, pairs):
+                    out[block] += bx[dx][a] * inner[dy]
         return outs
 
 

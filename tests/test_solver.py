@@ -305,6 +305,25 @@ def test_solve_holds_one_copy_of_the_slices():
     assert res.slices.shape == (1023, 6000)
 
 
+def test_field_on_holds_two_copies_of_the_window():
+    # the csv-bundle sample of the benchmark's solve: the window's samples
+    # and the coefficients fitted in place on one copy of them, with the
+    # evaluation's temporaries one point block in size (measured 2.06 times
+    # the coefficient bytes; 7.60 with three copies and one 65536-point pass)
+    res = solve(spherical_wave_data(), T=1.0, R=6.0, dr=0.002, n=3)
+    grid = GridSpec.from_region(AdmissibleRegion(0.25, 1.0, 0.6, 1.6666667), 256, 256, 3)
+    grid.T, grid.R  # the grid's nodes are built before the trace
+    tracemalloc.start()
+    try:
+        res.field_on(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sp, = res._interpolants.values()
+    assert sp.c.shape == (659, 663)
+    assert peak <= 2.25 * sp.c.nbytes
+
+
 # ---------------------------------------------------------------------------
 # the causal band against the full-width leapfrog
 # ---------------------------------------------------------------------------

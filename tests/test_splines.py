@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
-from conelab.fields import GridSpec, ScalarField, TensorSpline, _bspline_basis, _knots
+import conelab.fields
+from conelab.errors import InvalidInput
+from conelab.fields import (EV_BLOCK, GridSpec, ScalarField, SplineEval, TensorSpline,
+                           _bspline_basis, _knots)
 from conelab.geometry import AdmissibleRegion
 from conelab.solver import solve, spherical_wave_data
 
@@ -116,6 +119,79 @@ def test_points_outside_the_box_are_clamped_like_fitpack():
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), (dx, dy)
 
 
+@pytest.mark.parametrize("block", [EV_BLOCK, 7])
+def test_blocked_evaluation_is_bitwise_the_unblocked_sum(monkeypatch, block):
+    # point counts on each side of one and two block boundaries, some points
+    # outside the box; block 7 puts the same boundaries at a few points
+    monkeypatch.setattr(conelab.fields, "EV_BLOCK", block)
+    rng = np.random.default_rng(4)
+    x, y = np.linspace(0.0, 3.0, 40), np.linspace(-1.0, 2.0, 30)
+    sp = TensorSpline(x, y, rng.normal(size=(40, 30)))
+    for m in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+        X, Y = rng.uniform(-0.1, 3.1, m), rng.uniform(-1.1, 2.1, m)
+        got = sp.ev_pairs(X, Y, PAIRS)
+        for out, (dx, dy) in zip(got, PAIRS):
+            assert out.tobytes() == one_pair(sp, X, Y, dx, dy).tobytes(), (m, dx, dy)
+
+
+def test_fit_leaves_the_samples_untouched():
+    rng = np.random.default_rng(5)
+    x, y = np.linspace(0.0, 1.0, 12), np.linspace(0.0, 2.0, 17)
+    z = rng.normal(size=(12, 17))
+    before = z.tobytes()
+    sp = TensorSpline(x, y, z)
+    assert z.tobytes() == before
+    frozen = z.copy()
+    frozen.flags.writeable = False
+    assert TensorSpline(x, y, frozen).c.tobytes() == sp.c.tobytes()
+    # an F-ordered z gives the same bits, into C-ordered coefficients
+    fz = np.asfortranarray(z)
+    assert TensorSpline(x, y, fz).c.tobytes() == sp.c.tobytes()
+    assert sp.c.flags.c_contiguous
+
+
+def test_spline_use_leaves_a_fields_values_untouched():
+    g = GridSpec.from_region(AdmissibleRegion(0.1, 10.0, 0.1, 10.0), 24, 24, 3)
+    fld = ScalarField.from_function(g, lambda u, v: np.sin(u) * np.cos(v / 3))
+    before = fld.values.tobytes()
+    fld._spline.ev(np.ravel(g.S), np.ravel(g.Y))
+    SplineEval(fld).derivs2(g.U[2:-2, 2:-2], g.V[2:-2, 2:-2])
+    assert fld.values.tobytes() == before
+
+
+@pytest.mark.parametrize("case", ["duplicate", "decreasing", "nan", "shape"])
+def test_degenerate_fit_input_raises_invalid_input(case):
+    x, y = np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 9)
+    z = np.ones((8, 9))
+    if case == "duplicate":
+        x[3] = x[4]
+    elif case == "decreasing":
+        y = y[::-1]
+    elif case == "nan":
+        y[5] = np.nan
+    else:
+        z = np.ones((9, 8))
+    with pytest.raises(InvalidInput):
+        TensorSpline(x, y, z)
+
+
+def test_unequal_point_counts_raise_invalid_input():
+    sp = TensorSpline(np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 9), np.ones((8, 9)))
+    with pytest.raises(InvalidInput):
+        sp.ev_pairs(np.full(EV_BLOCK, 0.5), np.full(EV_BLOCK + 1, 0.5), PAIRS)
+
+
+def traced_peak(f):
+    """f() and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        out = f()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 def test_full_strip_fit_never_allocates_n_squared():
     # the radial axis of a full strip at dr = 0.001: 6000 sites, where one
     # dense collocation matrix alone would take 6000**2 * 8 bytes = 288 MB
@@ -123,10 +199,26 @@ def test_full_strip_fit_never_allocates_n_squared():
     x = np.linspace(0.0, 1.0, 16)
     y = (np.arange(6000) + 0.5) * 0.001
     z = rng.normal(size=(16, 6000))
-    tracemalloc.start()
-    try:
-        TensorSpline(x, y, z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * z.nbytes  # 6 MB
+    _, peak = traced_peak(lambda: TensorSpline(x, y, z))
+    # measured 3.38: the one copy of z and the 6000-site basis
+    assert peak <= 3.5 * z.nbytes
+    # where the samples outweigh the basis, the fit holds one copy of them
+    # (measured 1.15; three copies, 2.07, without the in-place solve)
+    x, y = np.linspace(0.0, 1.0, 256), np.linspace(0.0, 1.0, 1024)
+    z = rng.normal(size=(256, 1024))
+    _, peak = traced_peak(lambda: TensorSpline(x, y, z))
+    assert peak <= 1.25 * z.nbytes
+
+
+def test_bulk_mesh_evaluation_holds_block_sized_temporaries():
+    # a 48^2 field's spline at a 128^2 mesh, as the nonlinear chain reads it:
+    # measured 8.0 times the four outputs' bytes (18.5 without blocks)
+    g = GridSpec.from_region(AdmissibleRegion(0.25, 1.0, 0.6, 5.0 / 3.0), 48, 48, 3)
+    fld = ScalarField.from_function(g, lambda u, v: np.sin(u) * np.cos(v / 3))
+    fld._spline  # fitted before the trace
+    S, Y = np.meshgrid(np.linspace(g.s[0], g.s[-1], 128), np.linspace(g.y[0], g.y[-1], 128),
+                       indexing="ij")
+    U, V = -np.exp((S - Y) / 2), np.exp((S + Y) / 2)
+    outs, peak = traced_peak(lambda: SplineEval(fld).derivs_wave(U, V))
+    assert len(outs) == 4 and outs[0].shape == (128, 128)
+    assert peak <= 9 * sum(o.nbytes for o in outs)
