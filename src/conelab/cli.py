@@ -497,7 +497,7 @@ def run_limits(cfg: RunConfig, refine: int):
 
 def run_counterexample(cfg: RunConfig, refine: int):
     n = cfg.get_int("n", 3)
-    a = cfg.get_float("a", 6.0)
+    a = cfg.get_float("a", 2.0 * n)  # the ell = 2 mode: ell (ell + n - 2)
     bundle = counterexample_build(n=n, a=a)
     r = np.linspace(0.05, 40.0, 4000)
     res = bundle.residual(r)
@@ -608,7 +608,7 @@ def _pipeline_field(cfg: RunConfig, n: int):
     reg = cfg.region()
     m = cfg.get_int("grid", 64)
     if case == "counterexample":
-        a = cfg.get_float("a", 6.0)
+        a = cfg.get_float("a", 2.0 * n)
         bundle = counterexample_build(n=n, a=a)
         if bundle.ell < 0:
             raise InvalidInput(f"{cfg.where}.a = {a:g} is carried by no integer mode "

@@ -251,7 +251,7 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str,
     else:
         div = asm.divergence(g.U, g.V, f, *derivs, terms=shared)
 
-    Bv = bulk_term(rep, U, g.n, f, g.U, g.V, phi, cross_check=False, terms=shared)
+    Bv = bulk_term(rep, U, g.n, f, g.U, g.V, phi, terms=shared)
     rhs = square_bulk + Bv + div
     psi = E * phi
     L = E * boxU
@@ -408,7 +408,7 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
         f = -u * v
         ph, pu, pv, puv = ev.derivs_wave(u, v)
         boxphi = wave_op(g.n, g.lam, v - u, ph, pu, pv, puv)
-        W = np.exp(-2.0 * rep.F(f))
+        W = rep.W(rep.F(f))
         ref = f ** (2 * (a - s * b))
         return (W * rep.bulk_coefficient(f) * ph ** 2,
                 0.125 * W / np.abs(rep.dF(f)) * boxphi ** 2,
@@ -480,9 +480,12 @@ def carleman_nl_check(fld: ScalarField, a: float, U: PowerU, *,
           <= 1/(8a) int f^{2a} f |box phi + Udot|^2 + boundary flux total.
 
     The left side is the bulk integral of -B, evaluated at the quadrature
-    nodes and asserted there against its closed form.  Gamma_V's range over
-    the region is reported: the monotonicity reading of the estimate needs
-    it > 0 when focusing and < 0 when defocusing, and `passed` requires that.
+    nodes by `bulk_term`, whose arithmetic tests/test_certificate.py reduces
+    to the closed form -sign/(p+1) f^{2a} V Gamma_V |phi|^{p+1} exactly; a
+    NaN at a node makes the margin NaN and fails the chain.  Gamma_V's range
+    over the region is reported: the monotonicity reading of the estimate
+    needs it > 0 when focusing and < 0 when defocusing, and `passed` requires
+    that (a NaN Gamma_V fails both comparisons).
     """
     if a <= 0:
         raise InvalidInput(f"need a > 0, got {a}")
@@ -498,7 +501,7 @@ def carleman_nl_check(fld: ScalarField, a: float, U: PowerU, *,
     def integrand(u, v):
         f = -u * v
         ph, pu, pv, puv = ev.derivs_wave(u, v)
-        B = bulk_term(rep, U, g.n, f, u, v, ph, cross_check=True)
+        B = bulk_term(rep, U, g.n, f, u, v, ph)
         L = wave_op(g.n, g.lam, v - u, ph, pu, pv, puv) + U.udot(u, v, ph)
         return -B, (1.0 / (8.0 * a)) * f ** (2 * a) * f * L**2
 

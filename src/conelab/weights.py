@@ -82,6 +82,11 @@ class Reparametrization:
 
     name = "base"
 
+    @staticmethod
+    def W(F):
+        """The weight e^{-2F}, from the values of F."""
+        return np.exp(-2.0 * F)
+
     def H(self, f):
         # H = (f G)'/2 = (G + f G')/2
         f = _asf(f)
@@ -275,7 +280,7 @@ def gamma_v(V: Potential, a: float, p: float, u, v, n: int):
         raise InvalidInput(f"need p > 0, got {p}")
     m = n - 1 + 4.0 * a
     shift = (m / 4.0) * (p - 1.0 - 4.0 / m)
-    return 0.5 * np.asarray(V.scaling_log_derivative(u, v), dtype=float) - shift
+    return 0.5 * V.scaling_log_derivative(u, v) - shift
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,39 @@ def test_focusing_cubic_constant_potential_fails(tmp_path):
     assert gmax < 0
 
 
+def _nan_at_one_point(fn):
+    """`fn` with NaN written into the first element of its output (of its
+    first output, for a tuple)."""
+    def wrapped(*args):
+        out = fn(*args)
+        first = np.array(out[0] if isinstance(out, tuple) else out, dtype=float)
+        first.flat[0] = np.nan
+        return (first, *out[1:]) if isinstance(out, tuple) else first
+    return wrapped
+
+
+@pytest.mark.parametrize("where", ["phi-at-a-node", "gamma-v"])
+def test_a_nan_fails_the_nl_chain_record(tmp_path, monkeypatch, where):
+    # with no closed-form comparison at the nodes, a NaN must still fail the
+    # record: a NaN phi makes the margin NaN, a NaN Gamma_V both sign rules
+    from conelab import fields, verifier
+
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "schema": 1, "combos": [[1, 2, "power"]], "grid": 32, "nodes": 48,
+    })
+    out = tmp_path / "report.json"
+    assert main(["verify-nl", "--config", cfg, "--out", str(out)]) == 0
+    if where == "phi-at-a-node":
+        monkeypatch.setattr(fields.AnalyticField, "derivs_wave",
+                            _nan_at_one_point(fields.AnalyticField.derivs_wave))
+    else:
+        monkeypatch.setattr(verifier, "gamma_v", _nan_at_one_point(verifier.gamma_v))
+    with np.errstate(invalid="ignore"):
+        assert main(["verify-nl", "--config", cfg, "--out", str(out)]) == 1
+    (rec,) = _load_report(out)["records"]
+    assert rec["name"] == "nl-chain[focusing/p=2/power]" and rec["passed"] is False
+
+
 # ---------------------------------------------------------------------------
 # exit code 2: invalid input
 # ---------------------------------------------------------------------------
@@ -295,6 +328,24 @@ def test_pipeline_mode_index_says_what_runs(tmp_path, capsys, payload, named):
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "grid": 16, **payload})
     assert main(["pipeline", "--config", cfg]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["counterexample", "pipeline"])
+def test_counterexample_default_a_is_the_ell_2_mode_at_every_n(tmp_path, command):
+    # a = 2n is ell (ell + n - 2) at ell = 2; a fixed a = 6 is carried by an
+    # integer mode only at n = 3 and n = 7
+    out = tmp_path / "report.json"
+    for n in range(3, 11):
+        payload = {"schema": 1, "n": n}
+        if command == "pipeline":
+            payload["case"] = "counterexample"
+        cfg = _write_config(tmp_path / "cfg.json", payload)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0, n
+        records = _load_report(out)["records"]
+        assert all(rec["passed"] for rec in records), n
+        if command == "counterexample":
+            details = records[0]["details"]
+            assert (details["a"], details["ell"]) == (2.0 * n, 2), n
 
 
 def test_pipeline_on_a_grid_only_field_exits_2(tmp_path, capsys):
