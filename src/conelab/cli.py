@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from . import verifier as V
 from .currents import PowerU, ZeroU, current_general, current_to_csv
-from .errors import ConelabError, InvalidInput
+from .errors import ConelabError, InvalidInput, is_finite
 from .fields import GridSpec, ScalarField, field_to_csv, from_expr, materialize
 from .geometry import AdmissibleRegion
 from .solver import (
@@ -123,15 +123,6 @@ _short.maxstring = _short.maxother = 40
 def _is_int(x) -> bool:
     return not isinstance(x, bool) and (
         isinstance(x, int) or (isinstance(x, float) and x.is_integer()))
-
-
-def _is_finite(x) -> bool:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 def _check_refined(refine: int, key: str, size) -> None:
@@ -230,7 +221,7 @@ class RunConfig:
 
     def get_number(self, key: str, default=None):
         """A finite int or float, returned as given."""
-        return self._get(key, default, _is_finite, "a finite number")
+        return self._get(key, default, is_finite, "a finite number")
 
     def get_float(self, key: str, default=None) -> Optional[float]:
         val = self.get_number(key, default)
@@ -332,33 +323,39 @@ def run_verify_identity(cfg: RunConfig, refine: int):
                    for i, m in enumerate(raw))
     cfg.check("levels", levels, lambda x: len(set(x)) == len(x), "distinct grid sizes")
     params = SplitWeightParams(a=1.0, b=0.1, p=0.5)
-    # checks that share a U share the object, whose identity keys its stage
+    # checks that share a U share the object, of which identity_checks
+    # builds one stage
     u_choices = _battery_u_choices()
     checks = [(f"{wname}/{uname}", rep, U)
               for wname, rep in V.battery_weights(params)
               for uname, U in u_choices]
+    pairs = [(rep, U) for _, rep, U in checks]
     fields = V.battery_fields()
     grids = {(m, ell): GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
              for m in levels for _, _, ell in fields}
 
+    def fd_rel(fld, rep, U, stages):
+        return V.identity_residual(fld, rep, U, derivative_mode="fd", stages=stages).rel_residual
+
+    def analytic(fld, rep, U, stages):
+        return V.pointwise_inequality(fld, rep, U, derivative_mode="analytic", stages=stages)
+
     def job(fname, src, ell):
-        # one field per level serves all six checks, and each identity term
-        # is built once per field and route, per field, route and weight, or
-        # per field, route and U (V.IdentityStages), and dropped after the
-        # last check that reads it; the analytic checks read a fresh copy of
-        # the finest field once the FD arrays are freed
-        stages = V.IdentityStages([(rep, U) for _, rep, U in checks])
+        # level first, check second: each level's field serves all six
+        # checks, and V.identity_checks builds each identity term they share
+        # once and drops it before it moves on; the analytic checks read a
+        # fresh copy of the finest field once the FD arrays are freed
         sampled = [materialize(src, grids[m, ell]) for m in levels]
-        recs = [replace(V.identity_convergence(sampled, rep, U, stages=stages),
+        rels = [V.identity_checks(fld, "fd", pairs, fd_rel) for fld in sampled]
+        recs = [replace(V.identity_convergence(sampled, level_rels),
                         name=f"identity-order[{fname}/{check}]")
-                for check, rep, U in checks]
+                for (check, _, _), level_rels in zip(checks, zip(*rels))]
         finest = replace(sampled.pop())
         del sampled
-        for check, rep, U in checks:
+        # one analytic identity evaluation feeds both records of a check
+        for (check, _, _), pw in zip(checks, V.identity_checks(finest, "analytic", pairs,
+                                                                analytic)):
             tag = f"{fname}/{check}"
-            # one analytic identity evaluation feeds both records
-            pw = V.pointwise_inequality(finest, rep, U, derivative_mode="analytic",
-                                        stages=stages)
             ana = pw.identity
             recs.append(CheckRecord(
                 name=f"identity-analytic[{tag}]",

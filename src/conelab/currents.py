@@ -39,6 +39,7 @@ from .errors import (
     ModeNotSupported,
     NotInwardDirected,
     RangeMismatch,
+    is_finite,
 )
 from .fields import GridSpec, ScalarField, _columns_to_csv
 from .weights import Potential, Reparametrization, SplitWeight, SplitWeightParams
@@ -94,7 +95,7 @@ class PowerU:
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise InvalidInput("sign must be +1 or -1")
-        if not (np.isfinite(self.p) and self.p > 0):
+        if not (is_finite(self.p) and self.p > 0):
             raise InvalidInput(f"need p > 0, got {self.p}")
 
     @property

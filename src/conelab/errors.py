@@ -1,4 +1,22 @@
-"""Exception types shared across the laboratory."""
+"""Exception types shared across the laboratory, and the test of a scalar
+parameter that the guards raising them apply first."""
+
+import math
+
+import numpy as np
+
+
+def is_finite(x) -> bool:
+    """Whether `x` is a finite real int or float, numpy scalars included, and
+    not a bool.  A guard tests this before it compares a parameter, so that a
+    value of another type (None, a string, a sympy number) raises the guard's
+    named error rather than a bare TypeError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 class ConelabError(Exception):

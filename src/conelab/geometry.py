@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import InvalidCutoffs, InvalidInput
+from .errors import InvalidCutoffs, InvalidInput, is_finite
 
 __all__ = ["AdmissibleRegion"]
 
@@ -28,7 +26,7 @@ class AdmissibleRegion:
 
     def __post_init__(self):
         for x in (self.rho, self.omega, self.sigma, self.tau):
-            if not np.isfinite(x):
+            if not is_finite(x):
                 raise InvalidInput(f"non-finite coordinate value: {x!r}")
         if not (0 < self.rho < self.omega and 0 < self.sigma < self.tau):
             raise InvalidCutoffs(

@@ -4,7 +4,9 @@ induced potentials, and the uniqueness decision pipeline.
 `identity_convergence`, `carleman_split_check`, `split_cancellation` and
 `boundary_limit_experiment` return the `CheckRecord` the report holds; the
 other routines return a small dataclass with the computed numbers and a pass
-flag (`carleman_nl_check`'s includes the sign of Gamma_V).  The limit
+flag (`carleman_nl_check`'s includes the sign of Gamma_V).
+`identity_checks` runs several (weight, U) checks of the identity on one
+field and route, and builds each term they share once.  The limit
 experiment and the pipeline follow surface integrals along foliation limits
 with one sequence of surfaces (`_surfaces`) and one tail slope
 (`_tail_slope`).  Nothing here prints or writes files.  The ground truth is
@@ -66,8 +68,8 @@ from .weights import (
 
 __all__ = [
     "CheckRecord",
-    "IdentityStages",
     "IdentityReport",
+    "identity_checks",
     "identity_residual",
     "identity_convergence",
     "PointwiseReport",
@@ -125,123 +127,88 @@ class CheckRecord:
 # identity closure
 # ---------------------------------------------------------------------------
 
-class IdentityStages:
-    """The terms of the divergence identity that the checks of one job share,
-    one stage per dependency level:
-
-    - field: box phi and the field half of the current (`field_half`), per
-      field and route;
-    - field x U: the current's and the bulk term's `UTerms`, and box phi + Udot;
-    - field x weight: the `WeightTerms` (the bracket's products among them),
-      e^{-F}, S* psi (psi = e^{-F} phi), and 2 F' |S* psi|^2 - (f|F'|G - H) psi^2
-      with the largest |2 F' |S* psi|^2|.
-
-    `checks` lists the (weight, U) pairs the job evaluates on each of its
-    fields and routes.  A stage is built on its first read and dropped after
-    its last reader in that list: a field x U or field x weight stage after
-    its last check; of the field stage, what the U stages read (box phi and
-    the half's openings) once every U stage of the field is built, and what
-    the weight stages read once every weight stage is.  So nothing outlives
-    the job, and a pair outside the list builds its stages for that one
-    check.  Stages are keyed by the field, weight and U objects themselves,
-    never by their values."""
-
-    def __init__(self, checks):
-        self._checks = list(checks)
-        self._live = {}  # key: [stage, reads left, the objects whose ids key it]
-
-    def _take(self, key, owners, readers: int, build):
-        """The stage `key`, built by `build` on first read and dropped after
-        `readers` reads.  The entry holds `owners`, the objects the key names
-        by id, so that no other object takes one of their ids while it lives."""
-        entry = self._live.pop(key, None) or [build(), readers, owners]
-        entry[1] -= 1
-        if entry[1] > 0:
-            self._live[key] = entry
-        return entry[0]
-
-    def _field(self, fld: ScalarField, mode: str, side: int):
-        """The field stage of `fld` on `mode` as the U stages (side 0: box phi
-        and the half's openings) or the weight stages (side 1: the half's
-        phi^2 and the factor c multiplies) read it.  The half keeps its
-        positions; the entries a side does not read are None."""
-        readers = (len({id(U) for _, U in self._checks}),
-                   len({id(rep) for rep, _ in self._checks}))
-
-        def build():
-            g = fld.grid
-            derivs = _identity_derivs(fld, mode)
-            phi, phi_u, phi_v = derivs[:3]
-            phi_uv, second = (derivs[3], ()) if mode == "fd" else (derivs[4], derivs[3:])
-            half = field_half(g.U, g.V, g.lam, phi, phi_u, phi_v, *second)
-            sides = ((wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv), (None, *half[1:5])),
-                     (None, (half[0], None, None, None, None, *half[5:])))
-            other = 1 - side
-            self._live[id(fld), mode, other] = [sides[other], readers[other], (fld,)]
-            return sides[side]
-
-        return self._take((id(fld), mode, side), (fld,), readers[side], build)
-
-    def weight(self, fld: ScalarField, mode: str, rep: Reparametrization):
-        """The field x weight stage: (WeightTerms, e^{-F}, S* psi, the bulk
-        coefficient, 2 F' |S* psi|^2 - bulk psi^2, max |2 F' |S* psi|^2|)."""
-        def build():
-            g = fld.grid
-            phi, phi_u, phi_v = _identity_derivs(fld, mode)[:3]
-            _, half = self._field(fld, mode, 1)
-            wt = WeightTerms(rep, g.n, g.F_col, g.U, g.V, phi, phi_u, phi_v, half)
-            dF = wt.dF
-            E = np.exp(-wt.F)
-            psi = E * phi
-            psi_u = E * (phi_u + g.V * dF * phi)
-            psi_v = E * (phi_v + g.U * dF * phi)
-            sstar = 0.5 * (g.U * psi_u + g.V * psi_v) + (g.n - 1) / 4.0 * psi
-            square = 2.0 * dF * sstar**2
-            # F' < 0 (current_general checks it), so f F' G + H is minus the
-            # bulk coefficient, and negating it is exact
-            bulk = rep.bulk_coefficient(g.F_col)
-            return (wt, E, sstar, bulk, square - bulk * psi**2,
-                    float(np.max(np.abs(square))))
-
-        readers = sum(r is rep for r, _ in self._checks)
-        return self._take((id(fld), mode, id(rep)), (fld, rep), readers, build)
-
-    def u(self, fld: ScalarField, mode: str, U):
-        """The field x U stage: (UTerms, box phi + Udot)."""
-        def build():
-            g = fld.grid
-            phi, phi_u, phi_v = _identity_derivs(fld, mode)[:3]
-            boxphi, half = self._field(fld, mode, 0)
-            ut = UTerms(U, g.U, g.V, phi, phi_u, phi_v, half)
-            return ut, boxphi + ut.udot
-
-        readers = sum(x is U for _, x in self._checks)
-        return self._take((id(fld), mode, id(U)), (fld, U), readers, build)
-
-
 def _identity_derivs(fld: ScalarField, mode: str):
     """The derivative arrays the identity reads on route `mode`:
     `derivs_wave` on the FD route, `derivs2` on the analytic one."""
     return fld.derivs_wave(mode) if mode == "fd" else fld.derivs2(mode)
 
 
-def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str,
-                     stages: Optional[IdentityStages] = None):
+def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, check) -> list:
+    """The results of `check(fld, rep, U, stages)` for each (weight, U) pair
+    of `pairs` in turn, on the route `fld.route(derivative_mode)`.
+
+    The identity's terms that the pairs share are built once, one stage per
+    dependency level; `stages` is the pair's (field x U, field x weight)
+    stages, which `identity_residual` and `pointwise_inequality` take:
+
+    - field: box phi and the field half of the current (`field_half`);
+    - field x U, one per distinct U object, all built first: `UTerms` and
+      box phi + Udot.  Box phi and the half's openings go after them;
+    - field x weight, one per run of consecutive pairs that share a weight
+      object, each dropped before the next is built: see `_weight_stage`.
+
+    Nothing is kept on the field, and no stage outlives the call unless a
+    result holds it."""
+    mode = fld.route(derivative_mode)
+    g = fld.grid
+    derivs = _identity_derivs(fld, mode)
+    phi, phi_u, phi_v = derivs[:3]
+    phi_uv, second = (derivs[3], ()) if mode == "fd" else (derivs[4], derivs[3:])
+    half = field_half(g.U, g.V, g.lam, phi, phi_u, phi_v, *second)
+    boxphi = wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv)
+    u_stages = {}  # by id: `pairs` holds each U while this lives
+    for _, U in pairs:
+        if id(U) not in u_stages:
+            ut = UTerms(U, g.U, g.V, phi, phi_u, phi_v, half)
+            u_stages[id(U)] = ut, boxphi + ut.udot
+    del boxphi
+    # the weight stages read the half's phi^2 and the factor c multiplies
+    half = (half[0], None, None, None, None, *half[5:])
+    results, w_rep, w_stage = [], None, None
+    for rep, U in pairs:
+        if rep is not w_rep:
+            w_stage = None  # the last weight's stage goes before the next is built
+            w_rep, w_stage = rep, _weight_stage(g, rep, phi, phi_u, phi_v, half)
+        results.append(check(fld, rep, U, (u_stages[id(U)], w_stage)))
+    return results
+
+
+def _weight_stage(g, rep: Reparametrization, phi, phi_u, phi_v, half):
+    """The field x weight stage: the `WeightTerms` (the bracket's products
+    among them), e^{-F}, S* psi (psi = e^{-F} phi), the bulk coefficient
+    f|F'|G - H, 2 F' |S* psi|^2 - (f|F'|G - H) psi^2 and the largest
+    |2 F' |S* psi|^2|."""
+    wt = WeightTerms(rep, g.n, g.F_col, g.U, g.V, phi, phi_u, phi_v, half)
+    dF = wt.dF
+    E = np.exp(-wt.F)
+    psi = E * phi
+    psi_u = E * (phi_u + g.V * dF * phi)
+    psi_v = E * (phi_v + g.U * dF * phi)
+    sstar = 0.5 * (g.U * psi_u + g.V * psi_v) + (g.n - 1) / 4.0 * psi
+    square = 2.0 * dF * sstar**2
+    # F' < 0 (current_general checks it), so f F' G + H is minus the bulk
+    # coefficient, and negating it is exact
+    bulk = rep.bulk_coefficient(g.F_col)
+    return wt, E, sstar, bulk, square - bulk * psi**2, float(np.max(np.abs(square)))
+
+
+def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str, stages=None):
     """LHS and RHS arrays of the divergence identity on the field's grid, the
     residual's scale, and the terms the pointwise margin reads: F' and the
     bulk coefficient f |F'| G - H (on the grid's f column, where the weight
     profiles, those of the current's weight half included, are evaluated and
     broadcast), psi = e^{-F} phi, L = e^{-F}(box phi + Udot), B and div P.
-    The shared terms come from `stages` (see IdentityStages), or from stages
-    built for this one check; only the sums that mix U and weight terms are
-    formed here."""
-    stages = stages or IdentityStages([(rep, U)])
+    The shared terms come from `stages` (see identity_checks), or from
+    stages built for this one check; only the sums that mix U and weight
+    terms are formed here."""
+    if stages is None:
+        return identity_checks(fld, mode, [(rep, U)], lambda fld, rep, U, stages:
+                               _identity_arrays(fld, rep, U, mode, stages))[0]
+    (ut, boxU), (wt, E, sstar, bulk, square_bulk, square_max) = stages
     g = fld.grid
     f = g.F_col
     derivs = _identity_derivs(fld, mode)
     phi = derivs[0]
-    wt, E, sstar, bulk, square_bulk, square_max = stages.weight(fld, mode, rep)
-    ut, boxU = stages.u(fld, mode, U)
 
     # the divergence first: its temporaries peak above all the rest
     asm = current_general(fld, rep, U).assembler
@@ -274,15 +241,14 @@ class IdentityReport:
 
 def identity_residual(fld: ScalarField, rep: Reparametrization,
                       U: Optional[PowerU] = None, *,
-                      derivative_mode: str = "auto",
-                      stages: Optional[IdentityStages] = None) -> IdentityReport:
+                      derivative_mode: str = "auto", stages=None) -> IdentityReport:
     """Max-norm residual of the divergence identity on the interior nodes.
 
     `fld.route(derivative_mode)` picks the route: 'analytic' uses closed-form
     derivatives everywhere (machine-level); 'fd' uses centered stencils for
     both the field and the current divergence, so the residual shrinks at
-    the stencil order under refinement.  `stages` holds the terms a job's
-    checks share (see IdentityStages).
+    the stencil order under refinement.  `stages` is this check's stages,
+    from `identity_checks` on the same field and route.
     """
     mode = fld.route(derivative_mode)
     U = U or ZeroU()
@@ -294,13 +260,14 @@ def identity_residual(fld: ScalarField, rep: Reparametrization,
                           mode=mode, interior_depth=depth, terms=terms)
 
 
-def identity_convergence(fields: Sequence[ScalarField], rep: Reparametrization,
-                         U: Optional[PowerU], *,
-                         stages: Optional[IdentityStages] = None) -> CheckRecord:
-    """Fit the FD-mode residual order across one sampled field per grid level.
+def identity_convergence(fields: Sequence[ScalarField], rels: Sequence[float]) -> CheckRecord:
+    """Fit the FD-mode residual order across one sampled field per grid level,
+    from `rels`, the identity's relative FD residual on each field in turn
+    (`identity_residual(..., derivative_mode="fd").rel_residual`).
 
     A field's level is its grid's `n_s`; the levels must be distinct (in any
-    order), and the grids must share region, `n`, `ell` and stencil order.
+    order), the grids must share region, `n`, `ell` and stencil order, and
+    there is one residual per field.
     Passes when the fitted order lies in [1.5, 4.5] or every residual sits
     below ORDER_FLOOR (fields annihilated by the identity to machine
     precision have no order to fit; the value is then the largest residual).
@@ -313,8 +280,9 @@ def identity_convergence(fields: Sequence[ScalarField], rep: Reparametrization,
     shared = {(g.region, g.n, g.ell, g.order) for g in (fld.grid for fld in fields)}
     if len(shared) != 1:
         raise InvalidInput("identity levels must share region, n, ell and stencil order")
-    rels = [identity_residual(fld, rep, U, derivative_mode="fd", stages=stages).rel_residual
-            for fld in fields]
+    rels = list(rels)
+    if len(rels) != len(levels):
+        raise InvalidInput(f"need one residual per level, got {len(rels)} for {len(levels)}")
     rels_arr = np.asarray(rels)
     hs = np.array([1.0 / (m - 1) for m in levels])
     if np.all(rels_arr < ORDER_FLOOR):
@@ -345,8 +313,7 @@ class PointwiseReport:
 
 def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
                          U: Optional[PowerU] = None, *,
-                         derivative_mode: str = "auto",
-                         stages: Optional[IdentityStages] = None) -> PointwiseReport:
+                         derivative_mode: str = "auto", stages=None) -> PointwiseReport:
     """Completed-square consequence of the identity:
 
         (f |F'| G - H) psi^2 <= (1/8)|F'|^{-1} |L psi|^2 + B + div P,
@@ -354,6 +321,7 @@ def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
     checked nodewise on the arrays of one identity evaluation.  The margin may
     dip below zero only by the identity discretization error; POINTWISE_SLACK
     times that residual is tolerated.  A non-finite margin or tolerance fails.
+    `stages` is as in `identity_residual`.
     """
     idrep = identity_residual(fld, rep, U, derivative_mode=derivative_mode, stages=stages)
     t = idrep.terms
@@ -395,7 +363,8 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
 
     Also calibrates C = A / (b^2 p int f^{2(a-+b)} f^{+-p-1} phi^2) >= 1 and
     K = (a/8) int e^{-2F}|F'|^{-1}|box phi|^2 / int f^{2(a-+b)} f |box phi|^2
-    <= e^2/4 (None where the reference integral vanishes).  The record's value
+    <= e^2/4 (None where its reference integral vanishes, and C at b = 0,
+    where the bound b^2 p f^{+-p-1} it calibrates is 0).  The record's value
     is the margin; its details hold both bulk sides, the boundary terms, C and K.
     """
     g = fld.grid
@@ -417,7 +386,7 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
 
     (A, rhs_bulk, iw, ibox), bnd, margin, scale = _chain(cur, integrand, nodes)
     tiny = 1e-14
-    c_cal = A / (b**2 * p * iw) if iw > tiny * max(abs(A), 1.0) else None
+    c_cal = A / (b**2 * p * iw) if b > 0 and iw > tiny * max(abs(A), 1.0) else None
     k_cal = (a / 8.0) * (rhs_bulk / ibox) if ibox > tiny * max(rhs_bulk, 1.0) else None
     passed = margin >= -SPLIT_REL_TOL * scale
     if c_cal is not None:

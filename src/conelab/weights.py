@@ -29,6 +29,7 @@ from .errors import (
     InvalidInput,
     InvalidPotential,
     InvalidWeightParams,
+    is_finite,
 )
 
 __all__ = [
@@ -54,7 +55,7 @@ class SplitWeightParams:
 
     def __post_init__(self):
         for name, val in (("a", self.a), ("b", self.b), ("p", self.p)):
-            if not np.isfinite(val):
+            if not is_finite(val):
                 raise InvalidWeightParams(f"{name} must be finite, got {val}")
         if not self.a > 0:
             raise InvalidWeightParams(f"need a > 0, got a={self.a}")
@@ -106,7 +107,7 @@ class PowerLog(Reparametrization):
     name = "power_log"
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and self.a > 0):
+        if not (is_finite(self.a) and self.a > 0):
             raise InvalidWeightParams(f"need a > 0, got {self.a}")
 
     def F(self, f):
@@ -199,7 +200,7 @@ class Potential:
 
     @staticmethod
     def constant(c: float) -> "Potential":
-        if not (np.isfinite(c)):
+        if not is_finite(c):
             raise InvalidPotential(f"constant potential must be finite, got {c}")
         return Potential(
             value=lambda u, v: np.full_like(np.asarray(u, float), c),
@@ -214,7 +215,7 @@ class Potential:
     def power_of_f(c: float, amplitude: float = 1.0) -> "Potential":
         """V = amplitude * max(f, 0)^c.  (u d_u + v d_v) log f = 2, so the
         scaling log-derivative is 2c wherever f > 0."""
-        if amplitude == 0 or not np.isfinite(amplitude) or not np.isfinite(c):
+        if not (is_finite(amplitude) and is_finite(c)) or amplitude == 0:
             raise InvalidPotential("power_of_f needs finite c and nonzero amplitude")
 
         def _f(u, v):
@@ -239,11 +240,11 @@ class Potential:
         """V = `decay_envelope` with amplitude B: extremal for the
         admissible-decay bound.  `floor` caps f away from the cone so the
         time-domain solver can cross f = 0."""
-        if not (np.isfinite(B) and B > 0):
+        if not (is_finite(B) and B > 0):
             raise InvalidPotential(f"amplitude bound B must be positive, got {B}")
-        if not (0 < p < beta):
+        if not (is_finite(p) and is_finite(beta) and 0 < p < beta):
             raise InvalidPotential(f"need 0 < p < beta, got p={p}, beta={beta}")
-        if not (np.isfinite(floor) and floor >= 0):
+        if not (is_finite(floor) and floor >= 0):
             raise InvalidPotential(f"floor must be finite and >= 0, got {floor}")
 
         def _f(u, v):
@@ -274,9 +275,9 @@ def decay_envelope(f, beta: float, p: float, B: float = 1.0):
 
 def gamma_v(V: Potential, a: float, p: float, u, v, n: int):
     """Gamma_V = (1/2)(u d_u + v d_v) log V - ((n-1+4a)/4)(p - 1 - 4/(n-1+4a))."""
-    if not (np.isfinite(a) and a > 0):
+    if not (is_finite(a) and a > 0):
         raise InvalidInput(f"need a > 0, got {a}")
-    if not (np.isfinite(p) and p > 0):
+    if not (is_finite(p) and p > 0):
         raise InvalidInput(f"need p > 0, got {p}")
     m = n - 1 + 4.0 * a
     shift = (m / 4.0) * (p - 1.0 - 4.0 / m)

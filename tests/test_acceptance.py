@@ -43,6 +43,7 @@ from conelab.verifier import (
     carleman_split_check,
     falsifiability_check,
     identity_convergence,
+    identity_residual,
     manufactured_field,
     pointwise_inequality,
     split_cancellation,
@@ -106,7 +107,9 @@ def test_criterion_01_identity_battery():
             levels = [materialize(src, GridSpec.from_region(REGION, m, m, 3))
                       for m in LEVELS]
             for uname, U in (("linear", None), ("power", U_POWER)):
-                rec = identity_convergence(levels, rep, U)
+                rec = identity_convergence(levels, [
+                    identity_residual(fld, rep, U, derivative_mode="fd").rel_residual
+                    for fld in levels])
                 finest = rec.details["residuals"][-1]
                 worst_res = max(worst_res, finest)
                 if not rec.details["at_floor"]:

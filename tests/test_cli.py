@@ -387,6 +387,8 @@ def test_stability_hash_is_deterministic(tmp_path):
 # when its default region became one its default strip covers.
 DEFAULT_HASHES = {
     ("verify-identity",): "7adb31c6a8e0624ce3472f6874b80fcc380e4be70b20f8acb6fcf5ad84e428ce",
+    ("verify-identity", "--preset", "battery"):
+        "2d322387016d8e1d991c48e58ec60317c6bb3b26e8d097a9b58fea2959881260",
     ("verify-carleman",): "67baa12825f89a465b6dd405d124f5ea1c76deb99b8c9b74b38cd79af4e79eff",
     ("verify-carleman", "--refine"):
         "45c46264f835b87d248fded6e660d417c71150c0be3cbf55b431c9367e5a2f87",
@@ -603,6 +605,21 @@ def test_verify_carleman_without_calibration_fails_a_record(
     records = {r["name"]: r for r in _load_report(out)["records"]}
     assert records[failing]["passed"] is False
     assert "calibrated" in records[failing]["details"]["error"]
+
+
+def test_verify_carleman_at_b_zero_calibrates_no_c(tmp_path):
+    # at b = 0 the bound b^2 p f^{sp-1} that C calibrates is 0, so no C is
+    # calibrated and the constants record fails, where C = A / 0 exited 3
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "schema": 1, "weight": {"b": 0}, "grid": 16, "nodes": 8,
+    })
+    out = tmp_path / "report.json"
+    assert main(["verify-carleman", "--config", cfg, "--out", str(out)]) == 1
+    records = {r["name"]: r for r in _load_report(out)["records"]}
+    chains = [r for name, r in records.items() if name.startswith("split-chain[")]
+    assert len(chains) == 10 and all(r["details"]["c_cal"] is None for r in chains)
+    assert records["battery-constants"]["passed"] is False
+    assert "calibrated" in records["battery-constants"]["details"]["error"]
 
 
 # ---------------------------------------------------------------------------

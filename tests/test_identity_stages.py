@@ -1,6 +1,7 @@
-"""The identity's shared stages (verifier.IdentityStages): the checks of a job
-read each term built once, to the bits of a check that builds its own, and
-no stage outlives its last reader or the job."""
+"""The identity's shared stages (verifier.identity_checks): the checks on one
+field read each term built once, to the bits of a check that builds its own,
+each weight's stage goes before the next is built, and no stage outlives the
+call."""
 
 import gc
 import json
@@ -15,9 +16,9 @@ import pytest
 from conelab import cli
 from conelab import verifier as V
 from conelab.currents import UTerms, WeightTerms
-from conelab.fields import GridSpec, materialize
+from conelab.fields import GridSpec, ScalarField, materialize
 from conelab.geometry import AdmissibleRegion
-from conelab.verifier import IdentityStages, _identity_arrays
+from conelab.verifier import _identity_arrays, identity_checks
 
 REGION = AdmissibleRegion(0.1, 10.0, 0.1, 10.0)
 FIELDS = {name: (src, ell) for name, src, ell in V.battery_fields()}
@@ -27,28 +28,34 @@ CHECKS = [(rep, U) for _, rep in V.battery_weights() for U in U_CHOICES]
 ARRAY_256 = 256 * 256 * 8  # bytes of one 256 x 256 float64 array
 
 
+def _same_bits(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+    assert got[3].keys() == want[3].keys()
+    for key in want[3]:
+        assert got[3][key].tobytes() == want[3][key].tobytes(), key
+
+
 @pytest.mark.parametrize("mode", ["fd", "analytic"])
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_shared_stages_give_the_bits_of_one_check_evaluations(name, mode):
     src, ell = FIELDS[name]
     grid = GridSpec(region=REGION, n_s=24, n_y=24, n=3, ell=ell)
-    fld = materialize(src, grid)
-    stages = IdentityStages(CHECKS)
-    for rep, U in CHECKS:
-        got = _identity_arrays(fld, rep, U, mode, stages)
+
+    def check(fld, rep, U, stages):
         # a fresh field, whose derivatives and stages serve this check alone
-        want = _identity_arrays(materialize(src, grid), rep, U, mode)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-        assert got[2] == want[2]
-        assert got[3].keys() == want[3].keys()
-        for key in want[3]:
-            assert got[3][key].tobytes() == want[3][key].tobytes(), key
-    assert not stages._live
+        _same_bits(_identity_arrays(fld, rep, U, mode, stages),
+                   _identity_arrays(materialize(src, grid), rep, U, mode))
+        return rep, U
+
+    assert identity_checks(materialize(src, grid), mode, CHECKS, check) == CHECKS
 
 
 def _stage_refs(stage):
-    """Weak references to what a stage built: its arrays and term objects."""
+    """Weak references to what a stage holds: its arrays and term objects.
+    A live object's plain weak reference is one object, so the references
+    tell the objects apart."""
     if isinstance(stage, tuple):
         return [r for part in stage for r in _stage_refs(part)]
     if isinstance(stage, (np.ndarray, UTerms, WeightTerms)):
@@ -57,79 +64,125 @@ def _stage_refs(stage):
 
 
 def test_no_stage_outlives_its_last_reader_or_is_reachable_from_a_field(monkeypatch):
-    # the job's flow on two levels: FD orders, then the analytic checks on a
-    # fresh copy of the finest field
-    built, kinds = [], []
-    real = IdentityStages._take
+    # the job's flow on two levels: FD residuals level by level, then the
+    # analytic checks on a fresh copy of the finest field
+    built, weight_stages = [], []
+    real_weight = V._weight_stage
 
-    def take(self, key, owners, readers, build):
-        def tracked():
-            stage = build()
-            refs = _stage_refs(stage)
-            built.extend(refs)
-            kinds.extend(type(r()).__name__ for r in refs)
-            return stage
-        return real(self, key, owners, readers, tracked)
+    def weight_stage(*args):
+        # the last weight's stage is gone before the next is built
+        assert not [r for r in weight_stages if r() is not None]
+        stage = real_weight(*args)
+        weight_stages.extend(_stage_refs(stage))
+        return stage
 
-    monkeypatch.setattr(IdentityStages, "_take", take)
+    def record(stages):
+        built.extend((r, type(r()).__name__) for r in _stage_refs(stages))
+
+    def fd(fld, rep, U, stages):
+        record(stages)
+        return V.identity_residual(fld, rep, U, derivative_mode="fd", stages=stages).rel_residual
+
+    def analytic(fld, rep, U, stages):
+        record(stages)
+        return V.pointwise_inequality(fld, rep, U, derivative_mode="analytic", stages=stages)
+
+    monkeypatch.setattr(V, "_weight_stage", weight_stage)
     src, ell = FIELDS["spherical-wave"]
     sampled = [materialize(src, GridSpec(region=REGION, n_s=m, n_y=m, n=3, ell=ell))
                for m in (16, 32)]
     finest = replace(sampled[-1])
-    stages = IdentityStages(CHECKS)
-    for rep, U in CHECKS:
-        V.identity_convergence(sampled, rep, U, stages=stages)
-    assert not stages._live
-    for rep, U in CHECKS:
-        V.pointwise_inequality(finest, rep, U, derivative_mode="analytic", stages=stages)
-    assert not stages._live
+    rels = [identity_checks(fld, "fd", CHECKS, fd) for fld in sampled]
+    recs = [V.identity_convergence(sampled, level_rels) for level_rels in zip(*rels)]
+    assert len(recs) == len(CHECKS)
+    assert len(identity_checks(finest, "analytic", CHECKS, analytic)) == len(CHECKS)
     # per field (2 FD levels, 1 analytic copy): 2 U stages and 3 weight stages
+    kinds = list({id(r): kind for r, kind in built}.values())
     assert kinds.count("UTerms") == 3 * 2 and kinds.count("WeightTerms") == 3 * 3
-    del stages
     gc.collect()
-    assert built and not [r for r in built if r() is not None]
+    assert built and not [r for r, _ in built if r() is not None]
     for fld in (*sampled, finest):
         assert set(vars(fld)) <= {"grid", "values", "closed_form", "name", "_derivs"}
 
 
-def test_a_check_outside_the_plan_builds_its_own_stages():
+def test_a_check_outside_the_plan_builds_its_own_stages(monkeypatch):
+    # a lone check (no stages=) runs identity_checks on its one pair, to the
+    # bits it has among the job's pairs
     src, ell = FIELDS["oscillatory"]
     fld = materialize(src, GridSpec(region=REGION, n_s=20, n_y=20, n=3, ell=ell))
-    stages = IdentityStages(CHECKS[:2])
-    other = V.battery_weights()[1][1]
-    got = _identity_arrays(fld, other, CHECKS[0][1], "analytic", stages)
-    want = _identity_arrays(fld, other, CHECKS[0][1], "analytic")
-    assert got[1].tobytes() == want[1].tobytes()
-    assert not [k for k in stages._live if id(other) in k]
+    other = CHECKS[2][0]  # the low split weight
+    shared = identity_checks(fld, "analytic", CHECKS, lambda fld, rep, U, stages: (
+        _identity_arrays(fld, rep, U, "analytic", stages) if rep is other else None))
+    calls = []
+    real = V.identity_checks
+
+    def spy(fld, mode, pairs, check):
+        calls.append(list(pairs))
+        return real(fld, mode, pairs, check)
+
+    monkeypatch.setattr(V, "identity_checks", spy)
+    for (rep, U), want in zip(CHECKS, shared):
+        if rep is other:
+            _same_bits(_identity_arrays(fld, rep, U, "analytic"), want)
+    assert calls == [[(other, U)] for U in U_CHOICES]
+
+
+def test_a_weight_stage_serves_one_run_of_pairs(monkeypatch):
+    # a weight that comes back after another gets a stage of its own again,
+    # with the same bits
+    src, ell = FIELDS["multipole"]
+    fld = materialize(src, GridSpec(region=REGION, n_s=20, n_y=20, n=3, ell=ell))
+    w1, w2 = CHECKS[0][0], CHECKS[2][0]
+    pairs = [(w1, U_CHOICES[0]), (w2, U_CHOICES[0]), (w1, U_CHOICES[1])]
+    wants = [_identity_arrays(fld, rep, U, "fd") for rep, U in pairs]
+    built = []
+    real = V._weight_stage
+
+    def weight_stage(g, rep, *args):
+        built.append(rep)
+        return real(g, rep, *args)
+
+    monkeypatch.setattr(V, "_weight_stage", weight_stage)
+    gots = identity_checks(fld, "fd", pairs, lambda fld, rep, U, stages:
+                           _identity_arrays(fld, rep, U, "fd", stages))
+    for got, want in zip(gots, wants):
+        _same_bits(got, want)
+    assert [rep is w for rep, w in zip(built, (w1, w2, w1))] == [True] * 3
+    built.clear()
+    identity_checks(fld, "fd", CHECKS, lambda *args: None)
+    assert len(built) == 3
 
 
 def test_verify_identity_checks_that_share_a_u_share_the_object(tmp_path, monkeypatch):
-    # stages are keyed by the U object, so a U rebuilt per weight (whose
+    # a U stage is built per U object, so a U rebuilt per weight (whose
     # potential's lambdas make equal-looking copies compare unequal) would
     # build its stage once per weight
-    seen = []
-    made = []
+    seen, fits = [], []
     lock = threading.Lock()
+    real_checks = V.identity_checks
     real_conv = V.identity_convergence
-    real_init = IdentityStages.__init__
 
-    def conv(fields, rep, U, **kw):
+    def checks(fld, mode, pairs, check):
         with lock:
-            seen.append((rep, U))
-        return real_conv(fields, rep, U, **kw)
+            seen.append((mode, list(pairs)))
+        return real_checks(fld, mode, pairs, check)
 
-    def init(self, checks):
-        made.append(self)
-        real_init(self, checks)
+    def conv(fields, rels):
+        with lock:
+            fits.append(len(rels))
+        return real_conv(fields, rels)
 
+    monkeypatch.setattr(V, "identity_checks", checks)
     monkeypatch.setattr(V, "identity_convergence", conv)
-    monkeypatch.setattr(IdentityStages, "__init__", init)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema": 1, "levels": [16, 32]}))
     cli.main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
-    assert len(seen) == 30
-    assert len({id(U) for _, U in seen}) == 2 and len({id(rep) for rep, _ in seen}) == 3
-    assert len(made) == 5 and not any(s._live for s in made)
+    assert fits == [2] * 30
+    # per field, 2 FD levels and 1 analytic copy, each over the six checks
+    assert sorted(mode for mode, _ in seen) == ["analytic"] * 5 + ["fd"] * 10
+    pairs = [pair for _, ps in seen for pair in ps]
+    assert len(pairs) == 15 * 6
+    assert len({id(U) for _, U in pairs}) == 2 and len({id(rep) for rep, _ in pairs}) == 3
 
 
 # tracemalloc peak of one default-level job (levels 64, 128, 256, its grids'
@@ -162,3 +215,36 @@ def test_one_verify_identity_job_peaks_no_higher_than_unshared_checks(tmp_path, 
     assert set(peaks) == {"spherical-wave", "multipole"}
     for name, peak in peaks.items():
         assert peak <= UNSHARED_JOB_PEAK, (name, peak)
+
+
+# tracemalloc peak of the FD phase of the default multipole job (levels 64,
+# 128, 256, up to its first analytic derivative evaluation): 34.68 arrays of
+# 256^2 when each level's stages go before the next level's are built, 39.71
+# when every level's stages of a weight or U lived until that weight's or
+# U's last check.
+FD_PHASE_PEAK = 38.5
+
+
+def test_the_fd_phase_holds_one_level_of_stages(tmp_path, monkeypatch):
+    fd_peak = []
+    real_derivs2 = ScalarField.derivs2
+
+    def derivs2(self, mode="auto"):
+        if not fd_peak and self.route(mode) == "analytic":
+            fd_peak.append(tracemalloc.get_traced_memory()[1] / ARRAY_256)
+        return real_derivs2(self, mode)
+
+    def fan_out(jobs):
+        fn = dict(jobs)["multipole"]
+        tracemalloc.start()
+        try:
+            return fn()
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(ScalarField, "derivs2", derivs2)
+    monkeypatch.setattr(cli, "_fan_out", fan_out)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1}))
+    cli.main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    assert len(fd_peak) == 1 and fd_peak[0] <= FD_PHASE_PEAK, fd_peak

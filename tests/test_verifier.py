@@ -49,6 +49,13 @@ def mkfield(expr="sin(u)*cos(v/3)", region=REGION, m=96, n=3, ell=0):
     return ScalarField.from_analytic(g, src)
 
 
+def fd_order(fields, rep=PowerLog(1.0), U=None):
+    """The identity-order record of the FD residuals on `fields`."""
+    return identity_convergence(
+        fields, [identity_residual(fld, rep, U, derivative_mode="fd").rel_residual
+                 for fld in fields])
+
+
 # ---------------------------------------------------------------------------
 # multiplier identity
 # ---------------------------------------------------------------------------
@@ -66,19 +73,19 @@ def test_identity_closes_with_nonlinearity():
 
 
 def test_identity_fd_route_converges():
-    rec = identity_convergence([mkfield(m=m) for m in (64, 128, 256)], PowerLog(1.0), None)
+    rec = fd_order([mkfield(m=m) for m in (64, 128, 256)])
     assert rec.passed
     assert rec.details["at_floor"] or 1.5 <= rec.value <= 4.5
 
 
 def test_identity_order_needs_distinct_levels():
     with pytest.raises(InsufficientSequence, match="distinct"):
-        identity_convergence([mkfield(m=64), mkfield(m=64)], PowerLog(1.0), None)
-    rec = identity_convergence([mkfield(m=128), mkfield(m=64)], PowerLog(1.0), None)
+        fd_order([mkfield(m=64), mkfield(m=64)])
+    rec = fd_order([mkfield(m=128), mkfield(m=64)])
     assert rec.passed and 1.5 <= rec.value <= 4.5
     assert rec.details["levels"] == [128, 64]
     with pytest.raises(InsufficientSequence, match="two"):
-        identity_convergence([mkfield(m=64)], PowerLog(1.0), None)
+        fd_order([mkfield(m=64)])
 
 
 @pytest.mark.parametrize("other", [
@@ -88,7 +95,14 @@ def test_identity_order_levels_must_share_all_but_their_size(other):
     g = GridSpec(**{"region": REGION, "n_s": 64, "n_y": 64, "n": 3, **other})
     odd = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)"))
     with pytest.raises(InvalidInput, match="share"):
-        identity_convergence([mkfield(m=32), odd], PowerLog(1.0), None)
+        fd_order([mkfield(m=32), odd])
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_identity_order_needs_one_residual_per_level(count):
+    fields = [mkfield(m=32), mkfield(m=64)]
+    with pytest.raises(InvalidInput, match="one residual per level"):
+        identity_convergence(fields, [1e-3, 2.5e-4, 6e-5][:count])
 
 
 def test_nan_value_or_tolerance_fails_its_record():
@@ -100,7 +114,7 @@ def test_nan_value_or_tolerance_fails_its_record():
     # a field the identity annihilates exactly has no order to fit; its
     # record reports the largest residual, so the guard leaves it passing
     zeros = [ScalarField.zeros(GridSpec.from_region(REGION, m, m, 3)) for m in (16, 32)]
-    rec = identity_convergence(zeros, PowerLog(1.0), None)
+    rec = fd_order(zeros)
     assert rec.details["at_floor"] and rec.passed and rec.value == 0.0
 
 

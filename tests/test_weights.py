@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conelab.currents import PowerU
 from conelab.errors import (
     DomainError,
     InvalidInput,
     InvalidPotential,
     InvalidWeightParams,
 )
+from conelab.geometry import AdmissibleRegion
 from conelab.weights import (
     Potential,
     PowerLog,
@@ -240,3 +243,45 @@ def test_saturating_floor_must_be_finite_and_nonnegative():
             Potential.saturating(1.0, 3.0, 1.0, floor=floor)
     pot = Potential.saturating(1.0, 3.0, 1.0, floor=0.1)
     assert np.isfinite(pot.value(np.array([0.0]), np.array([1.0]))).all()
+
+
+# Each scalar parameter guard, with the error it raises and a valid numpy
+# scalar: a value that is not a real int or float must raise the error too,
+# never np.isfinite's bare TypeError.
+ONE = Potential.constant(1.0)
+GUARDS = {
+    "PowerU.p": (InvalidInput, lambda x: PowerU(1, x, ONE), np.float32(1.5)),
+    "PowerLog.a": (InvalidWeightParams, lambda x: PowerLog(x), np.float32(1.5)),
+    "SplitWeightParams.a": (InvalidWeightParams, lambda x: SplitWeightParams(x, 0.1, 0.5),
+                            np.float32(1.5)),
+    "SplitWeightParams.b": (InvalidWeightParams, lambda x: SplitWeightParams(1.0, x, 0.5),
+                            np.int64(0)),
+    "SplitWeightParams.p": (InvalidWeightParams, lambda x: SplitWeightParams(1.0, 0.1, x),
+                            np.float32(1.5)),
+    "gamma_v.a": (InvalidInput, lambda x: gamma_v(ONE, x, 1.0, -1.0, 2.0, 3), np.float32(1.5)),
+    "gamma_v.p": (InvalidInput, lambda x: gamma_v(ONE, 0.1, x, -1.0, 2.0, 3), np.float32(1.5)),
+    "constant.c": (InvalidPotential, lambda x: Potential.constant(x), np.float32(1.5)),
+    "power_of_f.c": (InvalidPotential, lambda x: Potential.power_of_f(x), np.float32(1.5)),
+    "power_of_f.amplitude": (InvalidPotential, lambda x: Potential.power_of_f(0.25, x),
+                             np.float32(1.5)),
+    "saturating.B": (InvalidPotential, lambda x: Potential.saturating(x, 3.0, 1.0),
+                     np.float32(1.5)),
+    "saturating.beta": (InvalidPotential, lambda x: Potential.saturating(1.0, x, 1.0),
+                        np.float32(1.5)),
+    "saturating.p": (InvalidPotential, lambda x: Potential.saturating(1.0, 3.0, x),
+                     np.float32(1.5)),
+    "saturating.floor": (InvalidPotential, lambda x: Potential.saturating(1.0, 3.0, 1.0, x),
+                         np.int64(0)),
+    "AdmissibleRegion": (InvalidInput, lambda x: AdmissibleRegion(x, 10.0, 0.1, 10.0),
+                         np.float32(1.5)),
+}
+
+
+@pytest.mark.parametrize("value", [None, "0.5", sympy.Rational(3, 2)],
+                         ids=["none", "string", "sympy"])
+@pytest.mark.parametrize("guard", list(GUARDS))
+def test_a_non_number_parameter_raises_the_guards_named_error(guard, value):
+    error, build, valid = GUARDS[guard]
+    with pytest.raises(error):
+        build(value)
+    build(valid)
