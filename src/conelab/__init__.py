@@ -44,12 +44,10 @@ from .errors import (
 from .geometry import AdmissibleRegion
 from .weights import (
     Potential,
-    PotentialReport,
     PowerLog,
     Reparametrization,
     SplitWeight,
     SplitWeightParams,
-    classify_potential,
     decay_envelope,
     gamma_v,
 )
@@ -58,7 +56,6 @@ from .fields import (
     GridSpec,
     ScalarField,
     box,
-    decay_functionals,
     field_to_csv,
     from_expr,
     materialize,

@@ -1,4 +1,4 @@
-"""Exception types shared across the laboratory, and the test of a scalar
+"""Exception types shared across the laboratory, and the tests of a scalar
 parameter that the guards raising them apply first."""
 
 import math
@@ -17,6 +17,12 @@ def is_finite(x) -> bool:
         return math.isfinite(x)
     except OverflowError:  # an int too large for a float
         return False
+
+
+def is_int(x) -> bool:
+    """Whether `x` is an int, numpy integers included, and not a bool: the
+    test of a size or an index before it is compared."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 class ConelabError(Exception):

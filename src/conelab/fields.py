@@ -22,9 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import stencils
-from .errors import InvalidInput, MissingDerivative, RegionOutOfGrid
+from .errors import InvalidInput, MissingDerivative, RegionOutOfGrid, is_int
 from .geometry import AdmissibleRegion
-from .weights import Potential
 
 __all__ = [
     "GridSpec",
@@ -34,8 +33,6 @@ __all__ = [
     "from_expr",
     "box",
     "wave_op",
-    "decay_functionals",
-    "DecayReport",
     "field_to_csv",
     "materialize",
 ]
@@ -53,11 +50,11 @@ class GridSpec:
     order: int = 4
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
+        if not is_int(self.n) or self.n < 2:
             raise InvalidInput(f"spatial dimension must be an integer >= 2, got {self.n}")
-        if self.n_s < 8 or self.n_y < 8:
+        if not (is_int(self.n_s) and is_int(self.n_y)) or self.n_s < 8 or self.n_y < 8:
             raise InvalidInput(f"grid needs >= 8 nodes per axis, got {self.n_s}x{self.n_y}")
-        if not isinstance(self.ell, int) or self.ell < 0:
+        if not is_int(self.ell) or self.ell < 0:
             raise InvalidInput(f"mode index ell must be an integer >= 0, got {self.ell}")
         if self.order not in stencils.SUPPORTED_ORDERS:
             raise InvalidInput(f"unsupported stencil order {self.order}")
@@ -660,118 +657,6 @@ def box(fld: ScalarField, mode: str = "auto") -> ScalarField:
     g = fld.grid
     vals = wave_op(g.n, g.lam, g.R, *fld.derivs_wave(mode))
     return ScalarField(grid=g, values=vals, name=f"box {fld.name}")
-
-
-# ---------------------------------------------------------------------------
-# decay functionals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DecayReport:
-    beta: float
-    sup_field: float
-    sup_derivative: float
-    sup_angular: Optional[float]
-    sup_focusing: Optional[float]
-    trends: dict
-    classifications: dict
-    levels: list
-
-
-def _sups_on(fld: ScalarField, beta: float, V: Optional[Potential], p: Optional[float]):
-    g = fld.grid
-    w = (1.0 + g.R + g.F) ** ((g.n - 1 + beta) / 2.0)
-    phi, phi_u, phi_v = fld.derivs1()
-    sup_field = float(np.max(w * np.abs(phi)))
-    sup_deriv = float(np.max(w * (np.abs(g.U * phi_u) + np.abs(g.V * phi_v))))
-    sup_ang = None
-    if g.lam > 0:
-        mask = g.F < 1.0
-        if np.any(mask):
-            wang = (1.0 + g.R) ** ((g.n - 1 + beta) / 2.0) * np.sqrt(g.F)
-            grad_ang = math.sqrt(g.lam) * np.abs(phi) / g.R
-            sup_ang = float(np.max((wang * grad_ang)[mask]))
-        else:
-            sup_ang = 0.0
-    sup_foc = None
-    if V is not None and p is not None:
-        mask = g.F > 1.0
-        if np.any(mask):
-            wf = (1.0 + g.R + g.F) ** ((g.n - 1 + beta) / (p + 1.0))
-            Vv = np.abs(np.asarray(V.value(g.U, g.V), dtype=float))
-            val = wf * (g.F * Vv) ** (1.0 / (p + 1.0)) * np.abs(phi)
-            sup_foc = float(np.max(val[mask]))
-        else:
-            sup_foc = 0.0
-    return {"field": sup_field, "derivative": sup_deriv, "angular": sup_ang,
-            "focusing": sup_foc}
-
-
-def decay_functionals(fld: ScalarField, beta: float, V: Optional[Potential] = None,
-                      p: Optional[float] = None, levels: int = 5) -> DecayReport:
-    """Weighted suprema of the profile and their growth trend under expanding
-    truncation.
-
-    The weight is (1 + r + f)^{(n-1+beta)/2} (equal to the product null weight
-    ((1+|u|)(1+|v|))^{(n-1+beta)/2} on the exterior region).  The trend is the
-    log-log slope of each supremum as the grid truncation expands by a
-    factor 2 per level (closed-form fields) or nests inward (sampled fields);
-    a slope at most 0.05 is classified "consistent", larger growth
-    "violated".
-    """
-    if not np.isfinite(beta) or beta < 0:
-        raise InvalidInput(f"beta must be >= 0, got {beta}")
-    g = fld.grid
-    base = _sups_on(fld, beta, V, p)
-
-    seq: dict = {k: [] for k in base}
-    lv = []
-    expandable = fld.closed_form is not None
-    for k in range(levels):
-        scale = 2.0**k
-        if expandable:
-            reg = AdmissibleRegion(g.region.rho / scale, g.region.omega * scale,
-                                   g.region.sigma / scale, g.region.tau * scale)
-            sub = GridSpec.from_region(reg, g.n_s, g.n_y, g.n, ell=g.ell, order=g.order)
-            f2 = ScalarField.from_analytic(sub, fld.closed_form)
-        else:
-            reg = AdmissibleRegion(g.region.rho * scale, g.region.omega / scale,
-                                   g.region.sigma * scale, g.region.tau / scale)
-            if reg.rho >= reg.omega or reg.sigma >= reg.tau:
-                break
-            sub = GridSpec.from_region(reg, g.n_s, g.n_y, g.n, ell=g.ell, order=g.order)
-            ev = fld.evaluator()
-            f2 = ScalarField(grid=sub, values=ev.value(sub.U, sub.V), name=fld.name)
-        sups = _sups_on(f2, beta, V, p)
-        for key in seq:
-            seq[key].append(sups[key])
-        lv.append(scale)
-
-    trends = {}
-    classes = {}
-    sgn = 1.0 if expandable else -1.0  # nested subgrids shrink: invert the axis
-    for key, vals in seq.items():
-        usable = [(l, x) for l, x in zip(lv, vals) if x is not None and x > 0]
-        if len(usable) < 3:
-            trends[key] = None
-            classes[key] = "consistent"
-            continue
-        L = np.log([l for l, _ in usable])
-        X = np.log([x for _, x in usable])
-        slope = float(np.polyfit(sgn * L, X, 1)[0])
-        trends[key] = slope
-        classes[key] = "consistent" if slope <= 0.05 else "violated"
-
-    return DecayReport(
-        beta=beta,
-        sup_field=base["field"],
-        sup_derivative=base["derivative"],
-        sup_angular=base["angular"],
-        sup_focusing=base["focusing"],
-        trends=trends,
-        classifications=classes,
-        levels=lv,
-    )
 
 
 CSV_ROWS = 16384  # rows per written block: bounds the writer's buffers

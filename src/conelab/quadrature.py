@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidInput, RegionMismatch
+from .errors import InvalidInput, RegionMismatch, is_finite, is_int
 from .geometry import AdmissibleRegion
 
 __all__ = [
@@ -67,9 +67,9 @@ def _gl_reference(m: int):
 
 def gl_nodes(lo: float, hi: float, m: int):
     """Gauss-Legendre nodes and weights mapped to [lo, hi]."""
-    if m < 2:
-        raise InvalidInput(f"need at least 2 quadrature nodes, got {m}")
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    if not is_int(m) or m < 2:
+        raise InvalidInput(f"need an integer >= 2 quadrature nodes, got {m}")
+    if not (is_finite(lo) and is_finite(hi)):
         raise InvalidInput("quadrature window must be finite")
     if hi < lo:
         raise InvalidInput(f"empty quadrature window [{lo}, {hi}]")

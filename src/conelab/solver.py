@@ -37,6 +37,8 @@ from .errors import (
     ModeNotSupported,
     RegionOutOfGrid,
     UnstableStep,
+    is_finite,
+    is_int,
 )
 from .fields import AnalyticField, GridSpec, ScalarField, TensorSpline, from_expr
 
@@ -75,7 +77,7 @@ class CauchyData:
     label: str = "data"
 
     def __post_init__(self):
-        if self.ell < 0 or self.ell != int(self.ell):
+        if not is_int(self.ell) or self.ell < 0:
             raise InvalidInput(f"ell must be a nonnegative integer, got {self.ell}")
 
 
@@ -206,8 +208,10 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     OUTER_PAD, so the zero outer value is never reached by the domain of
     influence.
     """
-    if T <= 0 or R <= 0 or dr <= 0:
-        raise InvalidInput("T, R, dr must be positive")
+    if not all(is_finite(x) and x > 0 for x in (T, R, dr)):
+        raise InvalidInput(f"T, R, dr must be finite and positive, got {T}, {R}, {dr}")
+    if not is_int(n) or n < 2:
+        raise InvalidInput(f"spatial dimension must be an integer >= 2, got {n}")
     if U is not None and U.p != 1.0 and data.ell != 0:
         raise ModeNotSupported("power nonlinearity requires the spherically symmetric mode")
 
@@ -441,11 +445,11 @@ def counterexample_build(n: int = 3, a: float = 6.0) -> CounterexampleBundle:
     potential U = -(w'' + w'^2) - (n-1) w'/r + a/r^2 (w = log beta) vanishes
     identically outside [1, 2] and makes beta an exact static solution.
     """
-    if n < 3:
-        raise InvalidInput("need n >= 3 for a decaying branch")
+    if not is_int(n) or n < 3:
+        raise InvalidInput(f"need an integer n >= 3 for a decaying branch, got {n}")
+    if not (is_finite(a) and a > 0):
+        raise InvalidInput(f"need a finite a > 0, got {a}")
     disc = (n - 2) ** 2 + 4.0 * a
-    if disc <= 0 or a <= 0:
-        raise InvalidInput(f"need a > 0 (got {a})")
     q_plus = (-(n - 2) + math.sqrt(disc)) / 2.0
     q_minus = (-(n - 2) - math.sqrt(disc)) / 2.0
     ell = int(round(q_plus))

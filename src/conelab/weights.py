@@ -18,7 +18,6 @@ F, F' and G at f = 1, which is what makes the matched estimate glue.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,8 +38,6 @@ __all__ = [
     "SplitWeight",
     "Potential",
     "gamma_v",
-    "classify_potential",
-    "PotentialReport",
     "decay_envelope",
 ]
 
@@ -282,56 +279,3 @@ def gamma_v(V: Potential, a: float, p: float, u, v, n: int):
     m = n - 1 + 4.0 * a
     shift = (m / 4.0) * (p - 1.0 - 4.0 / m)
     return 0.5 * V.scaling_log_derivative(u, v) - shift
-
-
-@dataclass(frozen=True)
-class PotentialReport:
-    decay_margin: float
-    decay_ok: bool
-    strong_mono_margin: float
-    strong_mono_ok: bool
-    focusing_mono_margin: float
-    focusing_mono_ok: bool
-    defocusing_mono_margin: float
-    defocusing_mono_ok: bool
-    worst_decay_point: tuple
-
-
-def classify_potential(
-    V: Potential, u, v, n: int, p: float, beta: float, B: float, mu: float = 0.0
-) -> PotentialReport:
-    """Sample the admissibility conditions for V on the given points.
-
-    decay:      |V| <= B p min(beta-p, p) min(f^{-1+p/2}, f^{-1-p/2})
-    strong:     (u d_u + v d_v) log V > -2 + mu          (V > 0)
-    focusing:   ... > -((n-1)/2)(1 + 4/(n-1) - p) + mu
-    defocusing: ... <= ((n-1)/2)(p - 1 - 4/(n-1))
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    cap = decay_envelope(-u * v, beta, p, B)
-    vals = np.asarray(V.value(u, v), dtype=float)
-    if np.any(~np.isfinite(vals)):
-        raise InvalidPotential("potential is non-finite at a sample point")
-    decay_margins = cap - np.abs(vals)
-    iworst = int(np.argmin(decay_margins))
-    slog = np.asarray(V.scaling_log_derivative(u, v), dtype=float)
-
-    positive = bool(np.all(vals > 0))
-    strong_margin = float(np.min(slog - (-2.0 + mu))) if positive else -math.inf
-    foc_floor = -((n - 1) / 2.0) * (1.0 + 4.0 / (n - 1) - p) + mu
-    focusing_margin = float(np.min(slog - foc_floor)) if positive else -math.inf
-    defoc_cap = ((n - 1) / 2.0) * (p - 1.0 - 4.0 / (n - 1))
-    defocusing_margin = float(np.min(defoc_cap - slog)) if positive else -math.inf
-
-    return PotentialReport(
-        decay_margin=float(np.min(decay_margins)),
-        decay_ok=bool(np.all(decay_margins >= -1e-12 * np.maximum(cap, 1.0))),
-        strong_mono_margin=strong_margin,
-        strong_mono_ok=positive and strong_margin > 0,
-        focusing_mono_margin=focusing_margin,
-        focusing_mono_ok=positive and focusing_margin > 0,
-        defocusing_mono_margin=defocusing_margin,
-        defocusing_mono_ok=positive and defocusing_margin >= 0,
-        worst_decay_point=(float(u.flat[iworst]), float(v.flat[iworst])),
-    )

@@ -1,4 +1,5 @@
-"""Field containers, derivative routes, operators, and decay functionals."""
+"""Grids, field containers, derivative routes, the wave operator, and
+serialization."""
 
 import csv
 import math
@@ -14,7 +15,6 @@ from conelab.fields import (
     GridSpec,
     ScalarField,
     box,
-    decay_functionals,
     field_to_csv,
     from_expr,
     materialize,
@@ -41,6 +41,17 @@ def mkgrid(m=96, n=3, ell=0):
 # ---------------------------------------------------------------------------
 # grid bookkeeping
 # ---------------------------------------------------------------------------
+
+def test_grid_sizes_dimension_and_mode_are_integers():
+    # a malformed size is named, never a bare TypeError; numpy integers pass
+    for key, bad in (("n_s", 8.5), ("n_s", math.nan), ("n_s", None), ("n_y", 8.5),
+                     ("n_y", True), ("n_s", 7), ("n", 3.0), ("n", None), ("ell", True),
+                     ("ell", 1.0), ("ell", -1)):
+        with pytest.raises(InvalidInput):
+            GridSpec(**{"region": REGION, "n_s": 16, "n_y": 16, "n": 3, key: bad})
+    g = GridSpec(REGION, np.int64(16), np.int32(12), np.int64(3), ell=np.int64(1))
+    assert g.F.shape == (16, 12)
+
 
 def test_grid_coordinate_consistency():
     g = mkgrid(48)
@@ -400,59 +411,6 @@ def test_closed_form_evaluator_passthrough():
     ev = fld.evaluator()
     assert ev is fld.closed_form
     assert ev.value(-3.0, 7.0) == pytest.approx(-21.0)
-
-
-# ---------------------------------------------------------------------------
-# decay functionals
-# ---------------------------------------------------------------------------
-
-def test_decay_dalembert_consistent_at_beta_zero():
-    # a compact-profile outgoing wave decays like r^{-1}: exactly beta = 0
-    wave = exact_spherical_wave(width=4.0, power=6)
-    g = mkgrid(96, n=3)
-    fld = ScalarField.from_analytic(g, wave)
-    rep = decay_functionals(fld, beta=0.0)
-    assert rep.classifications["field"] == "consistent"
-    assert rep.classifications["derivative"] == "consistent"
-    assert rep.sup_field > 0
-
-
-def test_decay_multipole_flags_divergence():
-    # r^{-(1+ell)} on mode ell is singular where the expanding window
-    # approaches the cone tip, so its weighted supremum must be flagged
-    g = mkgrid(64, n=3, ell=1)
-    fld = ScalarField.from_analytic(g, static_multipole(1, 3))
-    bad = decay_functionals(fld, beta=2.5)
-    assert bad.classifications["field"] == "violated"
-    assert bad.trends["field"] > 0.05
-
-
-def test_decay_product_null_weight_saturation():
-    # ((1-u)(1+v))^{-3/2} saturates the beta = 1 weight in n = 3:
-    # (1 + r + f) factors as (1-u)(1+v), so w |phi| == 1 identically
-    g = mkgrid(48, n=3)
-    fld = ScalarField.from_analytic(g, from_expr("((1-u)*(1+v))**(-3/2)"))
-    rep = decay_functionals(fld, beta=1.0)
-    assert abs(rep.sup_field - 1.0) < 1e-12
-    assert rep.classifications["field"] == "consistent"
-
-
-def test_decay_rejects_negative_beta():
-    g = mkgrid(16)
-    fld = ScalarField.from_analytic(g, from_expr("1 + 0*u"))
-    with pytest.raises(InvalidInput):
-        decay_functionals(fld, beta=-1.0)
-
-
-def test_decay_sampled_field_uses_nested_windows():
-    # sampled (no closed form): windows nest inward instead of expanding;
-    # a profile that saturates the weight exactly stays flat either way
-    g = mkgrid(64)
-    fld = ScalarField.from_function(g, lambda u, v: ((1 - u) * (1 + v)) ** -1.0)
-    rep = decay_functionals(fld, beta=0.0, levels=4)
-    assert len(rep.levels) >= 3
-    assert abs(rep.sup_field - 1.0) < 1e-10
-    assert rep.classifications["field"] == "consistent"
 
 
 # ---------------------------------------------------------------------------

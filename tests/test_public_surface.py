@@ -1,7 +1,7 @@
-"""The package's public surface: every declared name exists, the package
-re-exports only what its modules declare public, every error type is
-raised somewhere and exported, and the verifier's report classes keep the
-fields the benchmark reads."""
+"""The package's public surface: every declared name exists and is read
+outside its own tests, the package re-exports only what its modules declare
+public, every error type is raised somewhere and exported, and the
+verifier's report classes keep the fields the benchmark reads."""
 
 import ast
 import dataclasses
@@ -82,3 +82,42 @@ def test_the_traced_methods_are_defined_on_their_classes(cls):
     from conelab import fields
 
     assert TRACED_METHODS[cls] <= set(vars(getattr(fields, cls)))
+
+
+# A public name must be read: by another module of the package, by the
+# benchmark (which also names traced attributes as strings) or by the
+# acceptance criteria.  A name only its own tests reach is dead code.
+ROOT = Path(__file__).resolve().parents[1]
+UNREAD_BY_DESIGN = {
+    ("quadrature", "divergence_residual"):
+        "the coarea oracle: boundary_sum against bulk_integral of div P, run by its tests",
+}
+
+
+def _reads():
+    """Every name read in the package's modules, the benchmark's scripts and
+    the acceptance tests: AST names, attributes and imported names, plus the
+    identifier strings of the benchmark."""
+    benchmark = sorted((ROOT / "perfbench").glob("*.py"))
+    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    names = set()
+    for path in files + benchmark + [ROOT / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif (path in benchmark and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and node.value.isidentifier()):
+                names.add(node.value)
+    return names
+
+
+def test_every_public_name_is_read_outside_its_tests():
+    reads = _reads()
+    unread = {(module, name) for module in MODULES
+              for name in getattr(importlib.import_module(f"conelab.{module}"), "__all__", ())
+              if name not in reads}
+    assert unread == set(UNREAD_BY_DESIGN)

@@ -129,8 +129,16 @@ def test_gl_nodes_returns_fresh_writable_arrays(lo, hi):
 def test_quadrature_input_guards():
     with pytest.raises(InvalidInput):
         gl_nodes(0.0, 1.0, 1)
+    for m in (2.5, math.nan, None, True):  # a node count is an int, never a bare TypeError
+        with pytest.raises(InvalidInput):
+            gl_nodes(0.0, 1.0, m)
+    assert len(gl_nodes(0.0, 1.0, np.int64(4))[0]) == 4
     with pytest.raises(InvalidInput):
         gl_nodes(0.0, math.inf, 8)
+    with pytest.raises(InvalidInput):
+        gl_nodes(math.nan, 1.0, 8)
+    with pytest.raises(InvalidInput):
+        gl_nodes(None, 1.0, 8)
     with pytest.raises(InvalidInput):
         gl_nodes(1.0, 0.0, 8)
     with pytest.raises(InvalidInput):

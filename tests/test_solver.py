@@ -471,10 +471,18 @@ def test_mode_and_stability_guards():
                       velocity=lambda r: np.zeros_like(r))
     with pytest.raises(InvalidInput):
         solve(data, T=-1.0, R=4.0, dr=0.02, n=3)
+    # a malformed size or dimension is named, never a bare ValueError,
+    # OverflowError or TypeError
+    for bad in ({"T": math.nan}, {"R": math.nan}, {"dr": math.nan}, {"R": math.inf},
+                {"T": math.inf}, {"dr": None}, {"n": math.nan}, {"n": 2.5}, {"n": None}):
+        with pytest.raises(InvalidInput):
+            solve(data, **{"T": 0.5, "R": 4.0, "dr": 0.02, "n": 3, **bad})
     with pytest.raises(DomainTooSmall):
         solve(data, T=3.0, R=4.0, dr=0.02, n=3)
-    with pytest.raises(InvalidInput):
-        CauchyData(profile=lambda r: r, velocity=lambda r: r, ell=-1)
+    for ell in (-1, math.nan, None, 1.5, True):
+        with pytest.raises(InvalidInput):
+            CauchyData(profile=lambda r: r, velocity=lambda r: r, ell=ell)
+    assert CauchyData(profile=lambda r: r, velocity=lambda r: r, ell=np.int64(1)).ell == 1
     with pytest.raises(InvalidInput):
         solve(CauchyData(profile=lambda r: 1.0, velocity=lambda r: 0.0),
               T=0.5, R=4.0, dr=0.02, n=3)
@@ -594,3 +602,9 @@ def test_counterexample_input_guards():
         counterexample_build(n=2, a=6.0)
     with pytest.raises(InvalidInput):
         counterexample_build(n=3, a=-1.0)
+    for a in (math.nan, math.inf, None):
+        with pytest.raises(InvalidInput):
+            counterexample_build(n=3, a=a)
+    for n in (3.5, math.nan, None):
+        with pytest.raises(InvalidInput):
+            counterexample_build(n=n, a=6.0)

@@ -21,7 +21,7 @@ from conelab.weights import (
     PowerLog,
     SplitWeight,
     SplitWeightParams,
-    classify_potential,
+    decay_envelope,
     gamma_v,
 )
 
@@ -209,14 +209,9 @@ def test_potential_constructors_and_classification():
     F, Hh = np.meshgrid(fs, hs, indexing="ij")
     uu, vv = -np.sqrt(F / Hh), np.sqrt(F * Hh)
 
-    rep = classify_potential(W, uu, vv, n=3, p=2.0, beta=3.0, B=10.0, mu=0.1)
-    assert rep.strong_mono_ok              # slog = 0.5 > -2 + mu
-    assert rep.focusing_mono_ok
-
     sat = Potential.saturating(1.0, 3.0, 1.0)
-    repsat = classify_potential(sat, uu, vv, n=3, p=1.0, beta=3.0, B=1.0)
-    assert repsat.decay_ok                 # saturates its own decay bound
-    assert abs(repsat.decay_margin) < 1e-12
+    # saturates its own decay bound
+    assert sat.value(uu, vv).tobytes() == decay_envelope(-uu * vv, 3.0, 1.0, 1.0).tobytes()
 
 
 def test_gamma_v_frozen_values():
@@ -228,6 +223,11 @@ def test_gamma_v_frozen_values():
     # n = 3, V = 1: Gamma(p=2) = 1/2 - a, -Gamma(p=3) = 2a
     assert abs(gamma_v(one, 0.1, 2.0, u, v, 3)[0] - 0.4) < 1e-14
     assert abs(gamma_v(one, 0.1, 3.0, u, v, 3)[0] + 0.2) < 1e-14
+    # n = 3, V = f^{1/4} (scaling log-derivative 1/2): Gamma(p=2) = 3/4 - a > 0,
+    # the focusing sign
+    quarter = Potential.power_of_f(0.25)
+    for a in (0.1, 0.3, 0.7):
+        assert abs(gamma_v(quarter, a, 2.0, u, v, 3)[0] - (0.75 - a)) < 1e-14
 
 
 def test_invalid_potential():
