@@ -343,14 +343,14 @@ def run_verify_identity(cfg: RunConfig, refine: int):
     def job(fname, src, ell):
         # level first, check second: each level's field serves all six
         # checks, and V.identity_checks builds each identity term they share
-        # once and drops it before it moves on; the analytic checks read a
-        # fresh copy of the finest field once the FD arrays are freed
+        # once and drops it before it moves on, leaving nothing on the field;
+        # the analytic checks then read the finest field alone
         sampled = [materialize(src, grids[m, ell]) for m in levels]
         rels = [V.identity_checks(fld, "fd", pairs, fd_rel) for fld in sampled]
         recs = [replace(V.identity_convergence(sampled, level_rels),
                         name=f"identity-order[{fname}/{check}]")
                 for (check, _, _), level_rels in zip(checks, zip(*rels))]
-        finest = replace(sampled.pop())
+        finest = sampled.pop()
         del sampled
         # one analytic identity evaluation feeds both records of a check
         for (check, _, _), pw in zip(checks, V.identity_checks(finest, "analytic", pairs,

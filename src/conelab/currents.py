@@ -195,7 +195,7 @@ class CurrentAssembler:
         in the sphere-averaged reduction.  Needs second derivatives of phi and,
         for a potential-bearing U, the partials of log V.  `f` and `terms`
         are as in `components`, the half in `terms` with the second
-        derivatives.
+        derivatives, which are then read from there alone.
         """
         if terms is None:
             half = field_half(u, v, self.lam, phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv)
@@ -209,12 +209,19 @@ class CurrentAssembler:
         z_f = dF**2 + 2.0 * f * dF * d2F - ((self.n - 1) / 4.0) * d2F - 0.5 * self.rep.dG(f)
         open_vu, open_uv = ut.dA
         # d_u A_v and d_v A_u: the U openings, then the weight's products
-        # left to right, each formed inside its sum so that few are held
-        dP_v_du = 2.0 * v * dF * P_v + W * (open_vu - v * G * phi * phi_v + c * cross - z * p2
-                                            + u * v * z_f * p2 - 2.0 * u * z * phi * phi_u)
-        dP_u_dv = 2.0 * u * dF * P_u + W * (open_uv - u * G * phi * phi_u + c * cross - z * p2
-                                            + u * v * z_f * p2 - 2.0 * v * z * phi * phi_v)
-        return -0.5 * (dP_v_du + dP_u_dv) - ((self.n - 1) / (2.0 * (v - u))) * (P_u - P_v)
+        # left to right, each formed inside its sum, and the sum before the
+        # F' P term (a + b is b + a to the bit) so that few are held
+        dP_v_du = W * (open_vu - v * G * phi * phi_v + c * cross - z * p2
+                       + u * v * z_f * p2 - 2.0 * u * z * phi * phi_u) + 2.0 * v * dF * P_v
+        dP_u_dv = W * (open_uv - u * G * phi * phi_u + c * cross - z * p2
+                       + u * v * z_f * p2 - 2.0 * v * z * phi * phi_v) + 2.0 * u * dF * P_u
+        # -(1/2)(dP_v_du + dP_u_dv) - ((n-1)/(2r))(P_u - P_v), operation by
+        # operation, in place on arrays (numbers and symbols are rebound)
+        dP_v_du += dP_u_dv
+        del dP_u_dv
+        dP_v_du *= -0.5
+        dP_v_du -= ((self.n - 1) / (2.0 * (v - u))) * (P_u - P_v)
+        return dP_v_du
 
 
 class UTerms:

@@ -1,5 +1,6 @@
-"""Exception types shared across the laboratory, and the tests of a scalar
-parameter that the guards raising them apply first."""
+"""Exception types shared across the laboratory, the tests of a scalar
+parameter that the guards raising them apply first, and the guard of the
+spatial dimension, which grids, the solver and the quadrature rules share."""
 
 import math
 
@@ -31,6 +32,13 @@ class ConelabError(Exception):
 
 class InvalidInput(ConelabError):
     """Malformed argument (non-finite number, bad dimension, bad config value)."""
+
+
+def check_dimension(n) -> None:
+    """Raise InvalidInput unless the spatial dimension n is an integer >= 2:
+    NaN would read as a value, and None or a string as a bare TypeError."""
+    if not is_int(n) or n < 2:
+        raise InvalidInput(f"spatial dimension must be an integer >= 2, got {n}")
 
 
 class InvalidCutoffs(ConelabError):

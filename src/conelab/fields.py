@@ -15,6 +15,8 @@ Chain rule used throughout (u < 0 < v):
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
@@ -22,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import stencils
-from .errors import InvalidInput, MissingDerivative, RegionOutOfGrid, is_int
+from .errors import InvalidInput, MissingDerivative, RegionOutOfGrid, check_dimension, is_int
 from .geometry import AdmissibleRegion
 
 __all__ = [
@@ -38,33 +40,13 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class GridSpec:
-    """Uniform grid in (s, y) = (log f, log h) covering an admissible region."""
+class _Nodes:
+    """The node arrays of every grid on one region, size and dimension n.
+    Each is built on first read and kept while some grid holds the set."""
 
-    region: AdmissibleRegion
-    n_s: int
-    n_y: int
-    n: int
-    ell: int = 0
-    order: int = 4
+    def __init__(self, region: AdmissibleRegion, n_s: int, n_y: int, n: int):
+        self.region, self.n_s, self.n_y, self.n = region, n_s, n_y, n
 
-    def __post_init__(self):
-        if not is_int(self.n) or self.n < 2:
-            raise InvalidInput(f"spatial dimension must be an integer >= 2, got {self.n}")
-        if not (is_int(self.n_s) and is_int(self.n_y)) or self.n_s < 8 or self.n_y < 8:
-            raise InvalidInput(f"grid needs >= 8 nodes per axis, got {self.n_s}x{self.n_y}")
-        if not is_int(self.ell) or self.ell < 0:
-            raise InvalidInput(f"mode index ell must be an integer >= 0, got {self.ell}")
-        if self.order not in stencils.SUPPORTED_ORDERS:
-            raise InvalidInput(f"unsupported stencil order {self.order}")
-
-    @classmethod
-    def from_region(cls, region: AdmissibleRegion, n_s: int, n_y: int, n: int,
-                    ell: int = 0, order: int = 4) -> "GridSpec":
-        return cls(region=region, n_s=n_s, n_y=n_y, n=n, ell=ell, order=order)
-
-    # -- node coordinates ------------------------------------------------
     @cached_property
     def s(self) -> np.ndarray:
         return np.linspace(math.log(self.region.rho), math.log(self.region.omega), self.n_s)
@@ -73,29 +55,8 @@ class GridSpec:
     def y(self) -> np.ndarray:
         return np.linspace(math.log(self.region.sigma), math.log(self.region.tau), self.n_y)
 
-    @property
-    def ds(self) -> float:
-        return float(self.s[1] - self.s[0])
-
-    @property
-    def dy(self) -> float:
-        return float(self.y[1] - self.y[0])
-
-    # S and Y are built on each read and kept by no one: the node arrays
-    # below come from the 1-D s and y, elementwise, to the same bits
-    @property
-    def S(self) -> np.ndarray:
-        return np.broadcast_to(self.s[:, None], (self.n_s, self.n_y)).copy()
-
-    @property
-    def Y(self) -> np.ndarray:
-        return np.broadcast_to(self.y[None, :], (self.n_s, self.n_y)).copy()
-
     @cached_property
     def F_col(self) -> np.ndarray:
-        """f = e^s as an (n_s, 1) column.  f is constant along each row, so a
-        weight profile evaluated here broadcasts to the same bits as on `F`
-        at n_s points instead of n_s * n_y."""
         return np.exp(self.s)[:, None]
 
     @cached_property
@@ -104,7 +65,7 @@ class GridSpec:
 
     @cached_property
     def H(self) -> np.ndarray:
-        return np.exp(self.Y)
+        return np.exp(np.broadcast_to(self.y[None, :], (self.n_s, self.n_y)))
 
     @cached_property
     def U(self) -> np.ndarray:
@@ -124,18 +85,95 @@ class GridSpec:
 
     @cached_property
     def radial_coef(self) -> np.ndarray:
-        """(n-1)/(2r) at the nodes: the factor of the first-order terms of
-        the reduced wave operator and of P_u - P_v in a current's divergence."""
         return (self.n - 1) / (2.0 * self.R)
 
     @cached_property
     def uv_text(self) -> np.ndarray:
-        """Each node's "u,v" CSV text in C order, the numbers as their `repr`:
-        one row of bytes per node whose nonzero bytes are the text, formatted
-        once per grid for both the field and the current file."""
         from ._floatrepr import repr_bytes  # loads with the first CSV, not with conelab
 
         return _csv_rows(repr_bytes(self.U), repr_bytes(self.V))
+
+
+# the node set of each (region, n_s, n_y, n) that some grid holds: an entry
+# goes with the last grid that holds it.  Grids are built on worker threads
+# too, so the lookup and the insertion are one step under the lock.
+_NODE_SETS = weakref.WeakValueDictionary()
+_NODE_SETS_LOCK = threading.Lock()
+
+
+@dataclass(eq=False)
+class GridSpec:
+    """Uniform grid in (s, y) = (log f, log h) covering an admissible region.
+
+    The node arrays depend on the region, the sizes and n alone, so every
+    grid that differs from another only in the mode (`ell`, and `lam` from
+    it) or the stencil order (`order`, and `interior` from it) reads the
+    same objects: the axes `s` and `y`, `F_col`, `F`, `H`, `U`, `V`, `R`,
+    `T`, `radial_coef` and `uv_text`.  Each is built on first read and
+    lives while some grid on those nodes does."""
+
+    region: AdmissibleRegion
+    n_s: int
+    n_y: int
+    n: int
+    ell: int = 0
+    order: int = 4
+
+    def __post_init__(self):
+        check_dimension(self.n)
+        if not (is_int(self.n_s) and is_int(self.n_y)) or self.n_s < 8 or self.n_y < 8:
+            raise InvalidInput(f"grid needs >= 8 nodes per axis, got {self.n_s}x{self.n_y}")
+        if not is_int(self.ell) or self.ell < 0:
+            raise InvalidInput(f"mode index ell must be an integer >= 0, got {self.ell}")
+        if self.order not in stencils.SUPPORTED_ORDERS:
+            raise InvalidInput(f"unsupported stencil order {self.order}")
+        key = (self.region, self.n_s, self.n_y, self.n)
+        with _NODE_SETS_LOCK:
+            self._nodes = _NODE_SETS.setdefault(key, _Nodes(*key))
+
+    @classmethod
+    def from_region(cls, region: AdmissibleRegion, n_s: int, n_y: int, n: int,
+                    ell: int = 0, order: int = 4) -> "GridSpec":
+        return cls(region=region, n_s=n_s, n_y=n_y, n=n, ell=ell, order=order)
+
+    # -- node coordinates (the node set's) ---------------------------------
+    s = property(lambda self: self._nodes.s)
+    y = property(lambda self: self._nodes.y)
+    # f = e^s as an (n_s, 1) column.  f is constant along each row, so a
+    # weight profile evaluated here broadcasts to the same bits as on `F` at
+    # n_s points instead of n_s * n_y
+    F_col = property(lambda self: self._nodes.F_col)
+    F = property(lambda self: self._nodes.F)
+    H = property(lambda self: self._nodes.H)
+    U = property(lambda self: self._nodes.U)
+    V = property(lambda self: self._nodes.V)
+    R = property(lambda self: self._nodes.R)
+    T = property(lambda self: self._nodes.T)
+    # (n-1)/(2r) at the nodes: the factor of the first-order terms of the
+    # reduced wave operator and of P_u - P_v in a current's divergence
+    radial_coef = property(lambda self: self._nodes.radial_coef)
+    # each node's "u,v" CSV text in C order, the numbers as their `repr`: one
+    # row of bytes per node whose nonzero bytes are the text, formatted once
+    # per node set for both the field and the current file
+    uv_text = property(lambda self: self._nodes.uv_text)
+
+    @property
+    def ds(self) -> float:
+        return float(self.s[1] - self.s[0])
+
+    @property
+    def dy(self) -> float:
+        return float(self.y[1] - self.y[0])
+
+    # S and Y are built on each read and kept by no one: the node arrays
+    # come from the 1-D s and y, elementwise, to the same bits
+    @property
+    def S(self) -> np.ndarray:
+        return np.broadcast_to(self.s[:, None], (self.n_s, self.n_y)).copy()
+
+    @property
+    def Y(self) -> np.ndarray:
+        return np.broadcast_to(self.y[None, :], (self.n_s, self.n_y)).copy()
 
     @property
     def lam(self) -> float:
@@ -370,18 +408,32 @@ class ScalarField:
         """`derivs1` and (phi_uu, phi_uv, phi_vv)."""
         return self._derivs_on_grid(self.route(mode), 2)
 
+    def derivs_unkept(self, order, mode: str = "auto") -> tuple:
+        """The derivative arrays of `order` (1, "wave" or 2) by the route
+        `route(mode)`, for a caller that reads them once and drops them: the
+        memo's when it holds them, else evaluated and not kept."""
+        route = self.route(mode)
+        return self._kept(route, order) or self._evaluated(route, order)
+
     def _derivs_on_grid(self, route: str, order) -> tuple:
         """The derivative arrays of `order` (1, "wave" or 2, each a subset of
         the next) by `route` on this field's grid, evaluated once per field
         and route; an order is served from a wider one's arrays once those
-        exist.
+        exist.  There is no lock: threads racing on first use may each
+        evaluate, to equal arrays."""
+        cached = self._kept(route, order)
+        if cached is None:
+            cached = self._evaluated(route, order)
+            memo = self.__dict__.setdefault("_derivs", {})
+            memo[route, order] = cached
+            for narrower in _ORDERS[:_ORDERS.index(order)]:
+                memo.pop((route, narrower), None)  # now served from `cached`
+        return cached
 
-        The arrays are read-only, and one that shares memory with the grid's
-        coordinates (the value of `from_expr("u")` is `grid.U` itself) is
-        copied first, so the memo never freezes or aliases them.  There is no
-        lock: threads racing on first use may each evaluate, to equal arrays.
-        """
-        memo = self.__dict__.setdefault("_derivs", {})
+    def _kept(self, route: str, order) -> Optional[tuple]:
+        """The memo's arrays of `order` by `route`, from the widest order it
+        holds, or None."""
+        memo = self.__dict__.get("_derivs", {})
         for have in reversed(_ORDERS[_ORDERS.index(order):]):  # widest first
             cached = memo.get((route, have))
             if cached is not None:
@@ -389,17 +441,20 @@ class ScalarField:
                     return cached
                 # order 2 is (phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv)
                 return cached[:3] if order == 1 else cached[:3] + cached[4:5]
+        return None
+
+    def _evaluated(self, route: str, order) -> tuple:
+        """The arrays of `order` by `route`, evaluated now.  They are
+        read-only, and one that shares memory with the grid's coordinates
+        (the value of `from_expr("u")` is `grid.U` itself) is copied first,
+        so the memo never freezes or aliases them."""
         g = self.grid
         if route == "fd":
             arrays = {1: self.fd_derivs1, "wave": self.fd_derivs_wave, 2: self.fd_derivs2}[order]()
         else:
             cf = self.closed_form
             arrays = {1: cf.derivs1, "wave": cf.derivs_wave, 2: cf.derivs2}[order](g.U, g.V)
-        cached = tuple(_read_only(a, g.U, g.V) for a in arrays)
-        memo[route, order] = cached
-        for narrower in _ORDERS[:_ORDERS.index(order)]:
-            memo.pop((route, narrower), None)  # now served from `cached`
-        return cached
+        return tuple(_read_only(a, g.U, g.V) for a in arrays)
 
     @cached_property
     def _spline(self) -> TensorSpline:

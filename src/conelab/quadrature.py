@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidInput, RegionMismatch, is_finite, is_int
+from .errors import InvalidInput, RegionMismatch, check_dimension, is_finite, is_int
 from .geometry import AdmissibleRegion
 
 __all__ = [
@@ -119,6 +119,7 @@ def hyperboloid_integral(fn: Callable, omega: float, window=None, *, n: int,
     as `t_window` (used when a fixed time window must be held while omega or
     the cuts move).
     """
+    check_dimension(n)
     if omega <= 0:
         raise InvalidInput(f"need omega > 0, got {omega}")
     pts = _f_level_nodes(omega, window, t_window, nodes)
@@ -137,6 +138,7 @@ def inverted_hyperboloid_integral(fn: Callable, omega: float, window=None, *, n:
     window transfers verbatim; a fixed `tbar_window` plays the role of a
     fixed time cut near the inverted cone tip as omega grows.
     """
+    check_dimension(n)
     if omega <= 0:
         raise InvalidInput(f"need omega > 0, got {omega}")
     pts = _f_level_nodes(1.0 / omega, window, tbar_window, nodes)
@@ -150,6 +152,7 @@ def inverted_hyperboloid_integral(fn: Callable, omega: float, window=None, *, n:
 def cone_integral(fn: Callable, tau: float, window, *, n: int,
                   nodes: int = DEFAULT_NODES) -> float:
     """Integral of fn(u, v) over the h = tau level set, cut by window = (rho, omega) of f."""
+    check_dimension(n)
     if tau <= 0:
         raise InvalidInput(f"need tau > 0, got {tau}")
     rho, omega = window
@@ -174,6 +177,7 @@ def bulk_integral(fn: Callable, region: AdmissibleRegion, *, n: int,
     An integrand returning a tuple of k arrays gets a tuple of k integrals,
     all taken on one node mesh.
     """
+    check_dimension(n)
     s, ws = gl_nodes(math.log(region.rho), math.log(region.omega), nodes)
     y, wy = gl_nodes(math.log(region.sigma), math.log(region.tau), nodes)
     S, Y = np.meshgrid(s, y, indexing="ij")
@@ -225,6 +229,7 @@ def boundary_sum(contract_f_fn: Callable, contract_h_fn: Callable,
     total (outer minus inner on each foliation) equals the bulk integral of
     div P for any differentiable current.
     """
+    check_dimension(n)
     wf, wh = unit_normal(contract_f_fn), unit_normal(contract_h_fn)
     hw = (region.sigma, region.tau)
     fw = (region.rho, region.omega)

@@ -37,6 +37,7 @@ from .errors import (
     ModeNotSupported,
     RegionOutOfGrid,
     UnstableStep,
+    check_dimension,
     is_finite,
     is_int,
 )
@@ -210,8 +211,7 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     """
     if not all(is_finite(x) and x > 0 for x in (T, R, dr)):
         raise InvalidInput(f"T, R, dr must be finite and positive, got {T}, {R}, {dr}")
-    if not is_int(n) or n < 2:
-        raise InvalidInput(f"spatial dimension must be an integer >= 2, got {n}")
+    check_dimension(n)
     if U is not None and U.p != 1.0 and data.ell != 0:
         raise ModeNotSupported("power nonlinearity requires the spherically symmetric mode")
 

@@ -127,21 +127,22 @@ class CheckRecord:
 # identity closure
 # ---------------------------------------------------------------------------
 
-def _identity_derivs(fld: ScalarField, mode: str):
-    """The derivative arrays the identity reads on route `mode`:
-    `derivs_wave` on the FD route, `derivs2` on the analytic one."""
-    return fld.derivs_wave(mode) if mode == "fd" else fld.derivs2(mode)
-
-
 def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, check) -> list:
     """The results of `check(fld, rep, U, stages)` for each (weight, U) pair
     of `pairs` in turn, on the route `fld.route(derivative_mode)`.
 
     The identity's terms that the pairs share are built once, one stage per
-    dependency level; `stages` is the pair's (field x U, field x weight)
-    stages, which `identity_residual` and `pointwise_inequality` take:
+    dependency level; `stages` is the pair's (field, field x U, field x
+    weight) stages, which `identity_residual` and `pointwise_inequality`
+    take:
 
-    - field: box phi and the field half of the current (`field_half`);
+    - field: (phi, phi_u, phi_v), which live through the loop over the
+      pairs, and box phi and the field half of the current (`field_half`).
+      They come from `derivs_unkept`: `derivs_wave` on the FD route,
+      `derivs2` on the analytic one, read from the field's memo only when
+      it already holds them.  The second derivatives (phi_uv on the FD
+      route, phi_uu, phi_uv and phi_vv on the analytic one) go once box phi
+      and the half are built;
     - field x U, one per distinct U object, all built first: `UTerms` and
       box phi + Udot.  Box phi and the half's openings go after them;
     - field x weight, one per run of consecutive pairs that share a weight
@@ -151,11 +152,12 @@ def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, che
     result holds it."""
     mode = fld.route(derivative_mode)
     g = fld.grid
-    derivs = _identity_derivs(fld, mode)
-    phi, phi_u, phi_v = derivs[:3]
+    derivs = fld.derivs_unkept("wave" if mode == "fd" else 2, mode)
+    first = phi, phi_u, phi_v = derivs[:3]
     phi_uv, second = (derivs[3], ()) if mode == "fd" else (derivs[4], derivs[3:])
     half = field_half(g.U, g.V, g.lam, phi, phi_u, phi_v, *second)
     boxphi = wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv)
+    del derivs, phi_uv, second
     u_stages = {}  # by id: `pairs` holds each U while this lives
     for _, U in pairs:
         if id(U) not in u_stages:
@@ -169,7 +171,7 @@ def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, che
         if rep is not w_rep:
             w_stage = None  # the last weight's stage goes before the next is built
             w_rep, w_stage = rep, _weight_stage(g, rep, phi, phi_u, phi_v, half)
-        results.append(check(fld, rep, U, (u_stages[id(U)], w_stage)))
+        results.append(check(fld, rep, U, (first, u_stages[id(U)], w_stage)))
     return results
 
 
@@ -204,26 +206,28 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str, sta
     if stages is None:
         return identity_checks(fld, mode, [(rep, U)], lambda fld, rep, U, stages:
                                _identity_arrays(fld, rep, U, mode, stages))[0]
-    (ut, boxU), (wt, E, sstar, bulk, square_bulk, square_max) = stages
+    (phi, phi_u, phi_v), (ut, boxU), (wt, E, sstar, bulk, square_bulk, square_max) = stages
     g = fld.grid
     f = g.F_col
-    derivs = _identity_derivs(fld, mode)
-    phi = derivs[0]
 
     # the divergence first: its temporaries peak above all the rest
     asm = current_general(fld, rep, U).assembler
     shared = (ut, wt)
     if mode == "fd":
-        div = divergence_fd(g, *asm.components(g.U, g.V, f, *derivs[:3], terms=shared)).values
+        div = divergence_fd(g, *asm.components(g.U, g.V, f, phi, phi_u, phi_v,
+                                               terms=shared)).values
     else:
-        div = asm.divergence(g.U, g.V, f, *derivs, terms=shared)
+        # the half in `shared` carries what the divergence reads of the
+        # second derivatives
+        div = asm.divergence(g.U, g.V, f, phi, phi_u, phi_v, None, None, None, terms=shared)
 
+    div_max = float(np.max(np.abs(div)))
     Bv = bulk_term(rep, U, g.n, f, g.U, g.V, phi, terms=shared)
     rhs = square_bulk + Bv + div
-    psi = E * phi
     L = E * boxU
     lhs = L * sstar
-    scale = max(float(np.max(np.abs(lhs))), square_max, float(np.max(np.abs(div))), 1e-300)
+    scale = max(float(np.max(np.abs(lhs))), square_max, div_max, 1e-300)
+    psi = E * phi
     terms = {"dF": wt.dF, "bulk": bulk, "psi": psi, "L": L, "B": Bv, "div": div}
     return lhs, rhs, scale, terms
 
@@ -255,7 +259,8 @@ def identity_residual(fld: ScalarField, rep: Reparametrization,
     lhs, rhs, scale, terms = _identity_arrays(fld, rep, U, mode, stages)
     depth = 2 if mode == "fd" else 0
     sl = fld.grid.interior(depth) if depth else (slice(None), slice(None))
-    res = float(np.max(np.abs((lhs - rhs)[sl])))
+    # lhs is this call's own, so the difference and its size overwrite it
+    res = float(np.max(np.abs(np.subtract(lhs, rhs, out=lhs), out=lhs)[sl]))
     return IdentityReport(residual=res, rel_residual=res / scale,
                           mode=mode, interior_depth=depth, terms=terms)
 
@@ -325,8 +330,14 @@ def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
     """
     idrep = identity_residual(fld, rep, U, derivative_mode=derivative_mode, stages=stages)
     t = idrep.terms
-    margin = (0.125 / np.abs(t["dF"]) * t["L"]**2 + t["B"] + t["div"]
-              - t["bulk"] * t["psi"]**2)
+    # L and psi are this call's own, so their squares overwrite them
+    margin = np.square(t["L"], out=t["L"])
+    margin *= 0.125 / np.abs(t["dF"])
+    margin += t["B"]
+    margin += t["div"]
+    bulk_psi2 = np.square(t["psi"], out=t["psi"])
+    bulk_psi2 *= t["bulk"]
+    margin -= bulk_psi2
     sl = fld.grid.interior(idrep.interior_depth) if idrep.interior_depth else (slice(None),) * 2
     mmin = float(np.min(margin[sl]))
     tol = POINTWISE_SLACK * idrep.residual

@@ -15,9 +15,12 @@ current must not match), and the current's bracket in one piece.
 
 The CSV oracle writes a grid's columns node by node through `csv.writer`,
 with special values laid out so that every column repeats bit patterns.
+
+`traced_peak` is the memory probe of the tests that bound a peak.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 from scipy.integrate import simpson
@@ -328,3 +331,16 @@ def leapfrog_full_width(data, T, R, dr, n, U=None):
     e = np.asarray(fwd_e + bwd_e)
     drift = float((e.max() - e.min()) / e.mean()) if e.size and e.mean() > 0 else float("nan")
     return times, slices, drift
+
+
+def traced_peak(call):
+    """call() and the tracemalloc peak of the call in bytes, counted from
+    what was traced when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak

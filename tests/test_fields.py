@@ -3,6 +3,8 @@ serialization."""
 
 import csv
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -79,11 +81,50 @@ def test_grid_node_arrays_come_from_the_1d_axes_to_the_same_bits():
             assert g.V.tobytes() == np.exp((S + Y) / 2.0).tobytes()
             assert g.F_col.shape == (m, 1)
             assert g.F_col.tobytes() == np.exp(S)[:, :1].copy().tobytes()
-            assert "F" not in vars(g)
+            assert "F" not in vars(g._nodes)
             assert g.F.tobytes() == np.exp(S).tobytes()
             assert g.H.tobytes() == np.exp(Y).tobytes()
             assert g.radial_coef.tobytes() == ((g.n - 1) / (2.0 * g.R)).tobytes()
-            assert g.S is not g.S and not {"S", "Y"} & set(vars(g))
+            assert g.S is not g.S and not {"S", "Y"} & (set(vars(g)) | set(vars(g._nodes)))
+
+
+def test_grids_that_differ_in_mode_or_order_alone_share_their_node_arrays():
+    g = GridSpec.from_region(REGION, 16, 20, 3)
+    h = GridSpec.from_region(REGION, 16, 20, 3, ell=2, order=2)
+    for name in ("s", "y", "F_col", "F", "H", "U", "V", "R", "T", "radial_coef"):
+        assert getattr(h, name) is getattr(g, name), name
+    assert (g.lam, h.lam) == (0.0, 6.0)
+    # another n, size or region has nodes of its own: (n-1)/(2r) reads n
+    other_n = GridSpec.from_region(REGION, 16, 20, 4)
+    assert other_n.U is not g.U
+    assert other_n.radial_coef.tobytes() == (3 / (2.0 * g.R)).tobytes()
+    assert GridSpec.from_region(REGION, 16, 21, 3).U is not g.U
+    assert GridSpec.from_region(AdmissibleRegion(0.1, 10.0, 0.1, 9.0), 16, 20, 3).U is not g.U
+
+
+def test_grids_built_on_racing_threads_share_one_node_set():
+    # more threads than cores, switching often, all building the first grids
+    # of one key: a lost registry update would give one of them its own set
+    start = threading.Barrier(8)
+    built = [[] for _ in range(8)]
+
+    def build(out, ell):
+        start.wait(timeout=10)
+        out.extend(GridSpec.from_region(REGION, 17, 19, 3, ell=ell) for _ in range(200))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out, i % 3)) for i, out in enumerate(built)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(len(out) == 200 for out in built)
+    assert len({id(g._nodes) for out in built for g in out}) == 1
 
 
 def test_grid_refine_and_covers():
@@ -534,6 +575,22 @@ def test_closed_form_memo_never_freezes_the_grid():
         assert not np.shares_memory(arr, g.U) and not np.shares_memory(arr, g.V)
         assert arr.tobytes() == g.U.tobytes()
     assert g.U.flags.writeable and g.V.flags.writeable
+
+
+@pytest.mark.parametrize("mode, order, name", [("analytic", 2, "derivs2"),
+                                               ("fd", "wave", "derivs_wave"),
+                                               ("fd", 1, "derivs1")])
+def test_unkept_derivatives_are_the_memos_bits_and_stay_off_the_field(mode, order, name):
+    g = mkgrid(16, ell=1)
+    fld = ScalarField.from_analytic(g, static_multipole(1, 3))
+    once = fld.derivs_unkept(order, mode)
+    assert not vars(fld).get("_derivs")
+    assert all(not arr.flags.writeable for arr in once)
+    kept = getattr(fld, name)(mode)
+    _bitwise_equal(once, kept)
+    # once the memo holds them, they are its arrays, also from a wider set
+    assert all(a is b for a, b in zip(fld.derivs_unkept(order, mode), kept))
+    assert all(a is b for a, b in zip(fld.derivs_unkept(1, mode), kept[:3]))
 
 
 def test_analytic_derivatives_without_a_closed_form_raise():

@@ -23,6 +23,8 @@ from conelab.fields import GridSpec, _symbolic_slots, from_expr
 from conelab.geometry import AdmissibleRegion
 from conelab.solver import _spherical_wave_expr, static_multipole
 
+from _oracles import traced_peak
+
 REGIONS = [AdmissibleRegion(0.1, 10.0, 0.1, 10.0), AdmissibleRegion(0.01, 0.3, 0.5, 2.0)]
 
 # closed forms outside the table: a power of r, a Piecewise with a branch on
@@ -131,15 +133,9 @@ def test_equal_slots_are_distinct_arrays():
 def _peak(call):
     """Bytes `call` allocates at its peak, and bytes it leaves allocated."""
     call()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = call()
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (out, left), peak = traced_peak(lambda: (call(), tracemalloc.get_traced_memory()[0]))
     del out
-    return peak - base, current - base
+    return peak, left
 
 
 def test_temporaries_are_freed_after_their_last_read():

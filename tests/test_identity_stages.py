@@ -1,7 +1,8 @@
 """The identity's shared stages (verifier.identity_checks): the checks on one
 field read each term built once, to the bits of a check that builds its own,
 each weight's stage goes before the next is built, and no stage outlives the
-call."""
+call.  A verify-identity job's memory: its peaks, and one set of node arrays
+for the grids of a level."""
 
 import gc
 import json
@@ -19,6 +20,8 @@ from conelab.currents import UTerms, WeightTerms
 from conelab.fields import GridSpec, ScalarField, materialize
 from conelab.geometry import AdmissibleRegion
 from conelab.verifier import _identity_arrays, identity_checks
+
+from _oracles import traced_peak
 
 REGION = AdmissibleRegion(0.1, 10.0, 0.1, 10.0)
 FIELDS = {name: (src, ell) for name, src, ell in V.battery_fields()}
@@ -102,7 +105,7 @@ def test_no_stage_outlives_its_last_reader_or_is_reachable_from_a_field(monkeypa
     gc.collect()
     assert built and not [r for r, _ in built if r() is not None]
     for fld in (*sampled, finest):
-        assert set(vars(fld)) <= {"grid", "values", "closed_form", "name", "_derivs"}
+        assert set(vars(fld)) <= {"grid", "values", "closed_form", "name"}
 
 
 def test_a_check_outside_the_plan_builds_its_own_stages(monkeypatch):
@@ -185,11 +188,15 @@ def test_verify_identity_checks_that_share_a_u_share_the_object(tmp_path, monkey
     assert len({id(U) for _, U in pairs}) == 2 and len({id(rep) for rep, _ in pairs}) == 3
 
 
-# tracemalloc peak of one default-level job (levels 64, 128, 256, its grids'
-# arrays built inside it) when every check built every term: 43.01 arrays of
-# 256^2, the same for each of the five fields.  Sharing the terms must not
-# buy its time with memory.
-UNSHARED_JOB_PEAK = 43.0
+# tracemalloc peak of one default-level job (levels 64, 128, 256), with the
+# node arrays of the grids it is the first to read built inside it: 43.01
+# arrays of 256^2 when every check built every term, 41.38 when the checks
+# shared them, and 36.50 when the analytic route's second derivatives also
+# went after the field half, no level's derivatives stayed on its field and
+# the grids of one level shared their node arrays (the multipole job, which
+# reads the nodes the first job built, then peaks at 31.2); pinned with 1.5
+# arrays of margin.
+UNSHARED_JOB_PEAK = 38.0
 
 
 def test_one_verify_identity_job_peaks_no_higher_than_unshared_checks(tmp_path, monkeypatch):
@@ -200,12 +207,9 @@ def test_one_verify_identity_job_peaks_no_higher_than_unshared_checks(tmp_path, 
         for name, fn in jobs:
             if name not in ("spherical-wave", "multipole"):
                 continue
-            tracemalloc.start()
-            try:
-                out.extend(fn())
-            finally:
-                peaks[name] = tracemalloc.get_traced_memory()[1] / ARRAY_256
-                tracemalloc.stop()
+            res, peak = traced_peak(fn)
+            out.extend(res)
+            peaks[name] = peak / ARRAY_256
         return out
 
     monkeypatch.setattr(cli, "_fan_out", fan_out)
@@ -217,34 +221,89 @@ def test_one_verify_identity_job_peaks_no_higher_than_unshared_checks(tmp_path, 
         assert peak <= UNSHARED_JOB_PEAK, (name, peak)
 
 
-# tracemalloc peak of the FD phase of the default multipole job (levels 64,
-# 128, 256, up to its first analytic derivative evaluation): 34.68 arrays of
-# 256^2 when each level's stages go before the next level's are built, 39.71
-# when every level's stages of a weight or U lived until that weight's or
-# U's last check.
-FD_PHASE_PEAK = 38.5
-
-
-def test_the_fd_phase_holds_one_level_of_stages(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def multipole_phase_peaks(tmp_path_factory):
+    """tracemalloc peaks, in arrays of 256^2, of the default multipole job run
+    alone: its FD phase, up to its first analytic derivative evaluation
+    (a list, empty if the hook there never fired), and the rest of the job,
+    its analytic stage."""
     fd_peak = []
-    real_derivs2 = ScalarField.derivs2
+    real = ScalarField.derivs_unkept
 
-    def derivs2(self, mode="auto"):
+    def derivs_unkept(self, order, mode="auto"):
         if not fd_peak and self.route(mode) == "analytic":
             fd_peak.append(tracemalloc.get_traced_memory()[1] / ARRAY_256)
-        return real_derivs2(self, mode)
+            tracemalloc.reset_peak()
+        return real(self, order, mode)
+
+    analytic_peak = []
 
     def fan_out(jobs):
-        fn = dict(jobs)["multipole"]
-        tracemalloc.start()
-        try:
-            return fn()
-        finally:
-            tracemalloc.stop()
+        res, peak = traced_peak(dict(jobs)["multipole"])
+        analytic_peak.append(peak / ARRAY_256)
+        return res
 
-    monkeypatch.setattr(ScalarField, "derivs2", derivs2)
-    monkeypatch.setattr(cli, "_fan_out", fan_out)
-    cfg = tmp_path / "cfg.json"
+    tmp = tmp_path_factory.mktemp("phases")
+    cfg = tmp / "cfg.json"
     cfg.write_text(json.dumps({"schema": 1}))
-    cli.main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ScalarField, "derivs_unkept", derivs_unkept)
+        mp.setattr(cli, "_fan_out", fan_out)
+        cli.main(["verify-identity", "--config", str(cfg), "--out", str(tmp / "r.json")])
+    return fd_peak, analytic_peak
+
+
+# tracemalloc peak of the FD phase of the default multipole job, run alone
+# (levels 64, 128, 256, up to its first analytic derivative evaluation, the
+# grids' node arrays built inside it): 34.68 arrays of 256^2 when each
+# level's stages went before the next level's were built, 39.71 when every
+# level's stages of a weight or U lived until that weight's or U's last
+# check, and 30.88 when no level's derivatives stay on its field; pinned
+# with 1.5 arrays of margin.
+FD_PHASE_PEAK = 32.4
+
+
+def test_the_fd_phase_holds_one_level_of_stages(multipole_phase_peaks):
+    fd_peak, _ = multipole_phase_peaks
     assert len(fd_peak) == 1 and fd_peak[0] <= FD_PHASE_PEAK, fd_peak
+
+
+# tracemalloc peak of the analytic stage of the same run, from its first
+# derivative evaluation to the end of the job, counted from the job's start:
+# 41.37 arrays of 256^2 when the field's memo kept phi_uu, phi_uv and phi_vv
+# through the six checks, and 36.47 when only phi, phi_u and phi_v live
+# through them; pinned with 1.5 arrays of margin.
+ANALYTIC_STAGE_PEAK = 38.0
+
+
+def test_the_analytic_stage_keeps_no_second_derivative(multipole_phase_peaks):
+    fd_peak, analytic_peak = multipole_phase_peaks
+    assert len(fd_peak) == 1, "the analytic stage never started"
+    assert analytic_peak[0] <= ANALYTIC_STAGE_PEAK, analytic_peak
+
+
+def test_the_grids_of_a_level_share_one_set_of_node_arrays(tmp_path, monkeypatch):
+    # the ell = 0 and ell = 1 grids of a level read the same node arrays, and
+    # nothing keeps those arrays once the run's grids are gone
+    grids = []
+    real = cli.materialize
+
+    def materialize(src, grid):
+        grids.append(grid)
+        return real(src, grid)
+
+    monkeypatch.setattr(cli, "materialize", materialize)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "levels": [16, 32]}))
+    cli.main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    refs = []
+    for m in (16, 32):
+        by_ell = {g.ell: g for g in grids if g.n_s == m}
+        assert set(by_ell) == {0, 1} and by_ell[0] is not by_ell[1]
+        for name in ("U", "V", "R", "F_col"):
+            array = getattr(by_ell[0], name)
+            assert getattr(by_ell[1], name) is array, (m, name)
+            refs.append(weakref.ref(array))
+    del grids[:], by_ell, array
+    gc.collect()
+    assert not [r for r in refs if r() is not None]

@@ -151,6 +151,30 @@ def test_quadrature_input_guards():
         cone_integral(smooth, 1.0, (3.0, 2.0), n=3)
 
 
+def _unit(u, v):
+    return u * 0 + 1
+
+
+RULES = {
+    "hyperboloid_integral": lambda n: hyperboloid_integral(_unit, 1.0, (0.5, 2.0), n=n),
+    "inverted_hyperboloid_integral":
+        lambda n: inverted_hyperboloid_integral(_unit, 1.0, (0.5, 2.0), n=n),
+    "cone_integral": lambda n: cone_integral(_unit, 1.0, (0.5, 2.0), n=n),
+    "bulk_integral": lambda n: bulk_integral(_unit, REGION, n=n, nodes=8),
+    "boundary_sum": lambda n: boundary_sum(_unit, _unit, REGION, n=n, nodes=8),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_a_rule_raises_on_a_dimension_that_is_no_integer_from_2(rule):
+    # NaN read as an integral (NaN) and None as a bare TypeError
+    for n in (math.nan, None, 2.5, 1, True, "3"):
+        with pytest.raises(InvalidInput):
+            RULES[rule](n)
+    for n in (2, np.int64(3)):
+        RULES[rule](n)
+
+
 # ---------------------------------------------------------------------------
 # inversion duality
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +38,7 @@ from conelab.solver import (
 )
 from conelab.weights import Potential
 
-from _oracles import leapfrog_full_width
+from _oracles import leapfrog_full_width, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +293,7 @@ def test_solve_holds_one_copy_of_the_slices():
     # the data reach by T (1000 cells of support plus one per step, 1112
     # steps: 2112 of 6000): no per-step copies kept beside it, no second
     # array built from them, and no columns that stay zero
-    tracemalloc.start()
-    try:
-        res = solve(spherical_wave_data(), T=1.0, R=6.0, dr=0.001, n=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(lambda: solve(spherical_wave_data(), T=1.0, R=6.0, dr=0.001, n=3))
     assert res.band.shape == (1023, 2112)
     assert peak <= 1.25 * res.band.nbytes
     assert res.slices.shape == (1023, 6000)
@@ -313,12 +307,7 @@ def test_field_on_holds_two_copies_of_the_window():
     res = solve(spherical_wave_data(), T=1.0, R=6.0, dr=0.002, n=3)
     grid = GridSpec.from_region(AdmissibleRegion(0.25, 1.0, 0.6, 1.6666667), 256, 256, 3)
     grid.T, grid.R  # the grid's nodes are built before the trace
-    tracemalloc.start()
-    try:
-        res.field_on(grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: res.field_on(grid))
     sp, = res._interpolants.values()
     assert sp.c.shape == (659, 663)
     assert peak <= 2.25 * sp.c.nbytes

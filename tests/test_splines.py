@@ -1,8 +1,6 @@
 """The interpolating tensor-product spline against scipy's
 RectBivariateSpline, which fits the same spline with FITPACK."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
@@ -13,6 +11,8 @@ from conelab.fields import (EV_BLOCK, GridSpec, ScalarField, SplineEval, TensorS
                            _bspline_basis, _knots)
 from conelab.geometry import AdmissibleRegion
 from conelab.solver import solve, spherical_wave_data
+
+from _oracles import traced_peak
 
 PAIRS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
@@ -179,17 +179,6 @@ def test_unequal_point_counts_raise_invalid_input():
     sp = TensorSpline(np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 9), np.ones((8, 9)))
     with pytest.raises(InvalidInput):
         sp.ev_pairs(np.full(EV_BLOCK, 0.5), np.full(EV_BLOCK + 1, 0.5), PAIRS)
-
-
-def traced_peak(f):
-    """f() and the tracemalloc peak of the call."""
-    tracemalloc.start()
-    try:
-        out = f()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, peak
 
 
 def test_full_strip_fit_never_allocates_n_squared():
