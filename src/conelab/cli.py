@@ -560,13 +560,13 @@ def run_solve(cfg: RunConfig, refine: int):
             "potential", ("kind", "c", "amplitude", "B", "beta", "p", "floor"),
             default={"kind": "constant", "c": 1.0}))
         U = PowerU(sign=nl.get_int("sign", 1), p=nl.get_float("p", 1), V=pot)
+    w = cfg.check("width", cfg.get_float("width", 0.5 if profile == "gaussian" else 1.0),
+                  lambda x: x > 0, "positive")
     if profile == "spherical-wave":
-        base = spherical_wave_data(width=cfg.get_float("width", 1.0),
-                                   power=cfg.get_int("power", 6))
+        base = spherical_wave_data(width=w, power=cfg.get_int("power", 6))
         data = CauchyData(profile=base.profile, velocity=base.velocity,
                           ell=ell, label="spherical-wave")
     elif profile == "gaussian":
-        w = cfg.get_float("width", 0.5)
         data = CauchyData(profile=lambda r: np.exp(-(r / w) ** 2),
                           velocity=lambda r: np.zeros_like(r), ell=ell,
                           label="gaussian")

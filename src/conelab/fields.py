@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+def _node_array(build):
+    """A node set's array, built on first read and kept: read-only, since
+    every grid on the set reads the same object."""
+    return cached_property(lambda nodes: _read_only(build(nodes)))
+
+
 class _Nodes:
     """The node arrays of every grid on one region, size and dimension n.
     Each is built on first read and kept while some grid holds the set."""
@@ -47,47 +53,47 @@ class _Nodes:
     def __init__(self, region: AdmissibleRegion, n_s: int, n_y: int, n: int):
         self.region, self.n_s, self.n_y, self.n = region, n_s, n_y, n
 
-    @cached_property
+    @_node_array
     def s(self) -> np.ndarray:
         return np.linspace(math.log(self.region.rho), math.log(self.region.omega), self.n_s)
 
-    @cached_property
+    @_node_array
     def y(self) -> np.ndarray:
         return np.linspace(math.log(self.region.sigma), math.log(self.region.tau), self.n_y)
 
-    @cached_property
+    @_node_array
     def F_col(self) -> np.ndarray:
         return np.exp(self.s)[:, None]
 
-    @cached_property
+    @_node_array
     def F(self) -> np.ndarray:
         return np.broadcast_to(self.F_col, (self.n_s, self.n_y)).copy()
 
-    @cached_property
+    @_node_array
     def H(self) -> np.ndarray:
         return np.exp(np.broadcast_to(self.y[None, :], (self.n_s, self.n_y)))
 
-    @cached_property
+    @_node_array
     def U(self) -> np.ndarray:
         return -np.exp((self.s[:, None] - self.y[None, :]) / 2.0)
 
-    @cached_property
+    @_node_array
     def V(self) -> np.ndarray:
         return np.exp((self.s[:, None] + self.y[None, :]) / 2.0)
 
-    @cached_property
+    @_node_array
     def R(self) -> np.ndarray:
         return self.V - self.U
 
-    @cached_property
+    @_node_array
     def T(self) -> np.ndarray:
         return self.V + self.U
 
-    @cached_property
+    @_node_array
     def radial_coef(self) -> np.ndarray:
         return (self.n - 1) / (2.0 * self.R)
 
-    @cached_property
+    @_node_array
     def uv_text(self) -> np.ndarray:
         from ._floatrepr import repr_bytes  # loads with the first CSV, not with conelab
 
@@ -109,8 +115,8 @@ class GridSpec:
     grid that differs from another only in the mode (`ell`, and `lam` from
     it) or the stencil order (`order`, and `interior` from it) reads the
     same objects: the axes `s` and `y`, `F_col`, `F`, `H`, `U`, `V`, `R`,
-    `T`, `radial_coef` and `uv_text`.  Each is built on first read and
-    lives while some grid on those nodes does."""
+    `T`, `radial_coef` and `uv_text`.  Each is read-only, built on first
+    read, and lives while some grid on those nodes does."""
 
     region: AdmissibleRegion
     n_s: int
@@ -164,16 +170,6 @@ class GridSpec:
     @property
     def dy(self) -> float:
         return float(self.y[1] - self.y[0])
-
-    # S and Y are built on each read and kept by no one: the node arrays
-    # come from the 1-D s and y, elementwise, to the same bits
-    @property
-    def S(self) -> np.ndarray:
-        return np.broadcast_to(self.s[:, None], (self.n_s, self.n_y)).copy()
-
-    @property
-    def Y(self) -> np.ndarray:
-        return np.broadcast_to(self.y[None, :], (self.n_s, self.n_y)).copy()
 
     @property
     def lam(self) -> float:
@@ -254,13 +250,10 @@ def _mixed(u, v, pss, pyy):
     return (pss - pyy) / (u * v)
 
 
-def _read_only(a: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
-    """Read-only view of `a`, copied first if it shares memory with an input."""
-    if any(np.may_share_memory(a, x) for x in inputs):
-        a = a.copy()
-    view = a.view()
-    view.flags.writeable = False
-    return view
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only."""
+    a.flags.writeable = False
+    return a
 
 
 _SLOTS = ("value", "du", "dv", "duv", "duu", "dvv")
@@ -317,15 +310,13 @@ def from_expr(expr, label: Optional[str] = None) -> AnalyticField:
     return AnalyticField(fn, label or str(expr))
 
 
-_ORDERS = (1, "wave", 2)  # the derivative sets of `ScalarField`, narrowest first
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """Mode profile sampled on a grid, optionally backed by a closed form.
 
-    Frozen, because its derivative arrays are kept once read: a changed
-    field is a new field."""
+    Frozen, because its spline (`_spline`) is kept once built: a changed
+    field is a new field.  Its derivative arrays are evaluated on each call
+    and kept by no one."""
 
     grid: GridSpec
     values: np.ndarray
@@ -398,63 +389,26 @@ class ScalarField:
 
     def derivs1(self, mode: str = "auto"):
         """(phi, phi_u, phi_v) on the grid by the route `route(mode)`."""
-        return self._derivs_on_grid(self.route(mode), 1)
+        return self._evaluated(self.route(mode), 1)
 
     def derivs_wave(self, mode: str = "auto"):
         """(phi, phi_u, phi_v, phi_uv): what the wave operator reads."""
-        return self._derivs_on_grid(self.route(mode), "wave")
+        return self._evaluated(self.route(mode), "wave")
 
     def derivs2(self, mode: str = "auto"):
         """`derivs1` and (phi_uu, phi_uv, phi_vv)."""
-        return self._derivs_on_grid(self.route(mode), 2)
-
-    def derivs_unkept(self, order, mode: str = "auto") -> tuple:
-        """The derivative arrays of `order` (1, "wave" or 2) by the route
-        `route(mode)`, for a caller that reads them once and drops them: the
-        memo's when it holds them, else evaluated and not kept."""
-        route = self.route(mode)
-        return self._kept(route, order) or self._evaluated(route, order)
-
-    def _derivs_on_grid(self, route: str, order) -> tuple:
-        """The derivative arrays of `order` (1, "wave" or 2, each a subset of
-        the next) by `route` on this field's grid, evaluated once per field
-        and route; an order is served from a wider one's arrays once those
-        exist.  There is no lock: threads racing on first use may each
-        evaluate, to equal arrays."""
-        cached = self._kept(route, order)
-        if cached is None:
-            cached = self._evaluated(route, order)
-            memo = self.__dict__.setdefault("_derivs", {})
-            memo[route, order] = cached
-            for narrower in _ORDERS[:_ORDERS.index(order)]:
-                memo.pop((route, narrower), None)  # now served from `cached`
-        return cached
-
-    def _kept(self, route: str, order) -> Optional[tuple]:
-        """The memo's arrays of `order` by `route`, from the widest order it
-        holds, or None."""
-        memo = self.__dict__.get("_derivs", {})
-        for have in reversed(_ORDERS[_ORDERS.index(order):]):  # widest first
-            cached = memo.get((route, have))
-            if cached is not None:
-                if have == order:
-                    return cached
-                # order 2 is (phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv)
-                return cached[:3] if order == 1 else cached[:3] + cached[4:5]
-        return None
+        return self._evaluated(self.route(mode), 2)
 
     def _evaluated(self, route: str, order) -> tuple:
-        """The arrays of `order` by `route`, evaluated now.  They are
-        read-only, and one that shares memory with the grid's coordinates
-        (the value of `from_expr("u")` is `grid.U` itself) is copied first,
-        so the memo never freezes or aliases them."""
+        """The arrays of `order` (1, "wave" or 2) by `route`, evaluated now,
+        each a read-only view: phi on the FD route is the field's values."""
         g = self.grid
         if route == "fd":
             arrays = {1: self.fd_derivs1, "wave": self.fd_derivs_wave, 2: self.fd_derivs2}[order]()
         else:
             cf = self.closed_form
             arrays = {1: cf.derivs1, "wave": cf.derivs_wave, 2: cf.derivs2}[order](g.U, g.V)
-        return tuple(_read_only(a, g.U, g.V) for a in arrays)
+        return tuple(_read_only(a.view()) for a in arrays)
 
     @cached_property
     def _spline(self) -> TensorSpline:
@@ -669,23 +623,9 @@ class SplineEval:
 
 
 def materialize(source, grid: GridSpec) -> ScalarField:
-    """Sample an AnalyticField, or resample a ScalarField, on `grid`.
-
-    A ScalarField already on an equal grid (region, sizes, n, ell and
-    stencil order) is returned as it is, and one on the same nodes with
-    another stencil order keeps its values on `grid`; any other source
-    raises InvalidInput.
-    """
+    """Sample an AnalyticField on `grid`; any other source raises InvalidInput."""
     if isinstance(source, AnalyticField):
         return ScalarField.from_analytic(grid, source)
-    if isinstance(source, ScalarField):
-        g = source.grid
-        if g is grid or (g.region == grid.region and (g.n_s, g.n_y, g.n, g.ell)
-                         == (grid.n_s, grid.n_y, grid.n, grid.ell)):
-            return source if g.order == grid.order else replace(source, grid=grid)
-        ev = source.evaluator()
-        vals = ev.value(grid.U, grid.V)
-        return ScalarField(grid=grid, values=vals, name=source.name)
     raise InvalidInput(f"cannot materialize field source of type {type(source)!r}")
 
 

@@ -375,15 +375,22 @@ def exact_spherical_wave(width: float = 1.0, power: int = 6) -> AnalyticField:
     return from_expr(_spherical_wave_expr(width, power), label="spherical-wave")
 
 
+def _width(width) -> float:
+    """`width` as a float; InvalidInput unless it is finite and positive."""
+    if not (is_finite(width) and width > 0):
+        raise InvalidInput(f"width must be a finite number > 0, got {width!r}")
+    return float(width)
+
+
 def _spherical_wave_expr(width: float, power: int) -> str:
-    w = float(width)
+    w = _width(width)
     g = f"Piecewise(((1 - (X/{w})**2)**{power}, X**2 < {w}**2), (0, True))"
     return f"({g.replace('X', '(2*u)')} - {g.replace('X', '(2*v)')}) / (v - u)"
 
 
 def spherical_wave_data(width: float = 1.0, power: int = 6) -> CauchyData:
     """Cauchy data whose evolution is `exact_spherical_wave` (n = 3)."""
-    w = float(width)
+    w = _width(width)
 
     def profile(r):
         return np.zeros_like(np.asarray(r, float))

@@ -138,11 +138,10 @@ def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, che
 
     - field: (phi, phi_u, phi_v), which live through the loop over the
       pairs, and box phi and the field half of the current (`field_half`).
-      They come from `derivs_unkept`: `derivs_wave` on the FD route,
-      `derivs2` on the analytic one, read from the field's memo only when
-      it already holds them.  The second derivatives (phi_uv on the FD
-      route, phi_uu, phi_uv and phi_vv on the analytic one) go once box phi
-      and the half are built;
+      They come from `derivs_wave` on the FD route and `derivs2` on the
+      analytic one, evaluated for this call.  The second derivatives
+      (phi_uv on the FD route, phi_uu, phi_uv and phi_vv on the analytic
+      one) go once box phi and the half are built;
     - field x U, one per distinct U object, all built first: `UTerms` and
       box phi + Udot.  Box phi and the half's openings go after them;
     - field x weight, one per run of consecutive pairs that share a weight
@@ -152,7 +151,7 @@ def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, che
     result holds it."""
     mode = fld.route(derivative_mode)
     g = fld.grid
-    derivs = fld.derivs_unkept("wave" if mode == "fd" else 2, mode)
+    derivs = fld.derivs_wave(mode) if mode == "fd" else fld.derivs2(mode)
     first = phi, phi_u, phi_v = derivs[:3]
     phi_uv, second = (derivs[3], ()) if mode == "fd" else (derivs[4], derivs[3:])
     half = field_half(g.U, g.V, g.lam, phi, phi_u, phi_v, *second)
@@ -199,7 +198,7 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str, sta
     residual's scale, and the terms the pointwise margin reads: F' and the
     bulk coefficient f |F'| G - H (on the grid's f column, where the weight
     profiles, those of the current's weight half included, are evaluated and
-    broadcast), psi = e^{-F} phi, L = e^{-F}(box phi + Udot), B and div P.
+    broadcast), e^{-F}, phi, L = e^{-F}(box phi + Udot), B and div P.
     The shared terms come from `stages` (see identity_checks), or from
     stages built for this one check; only the sums that mix U and weight
     terms are formed here."""
@@ -227,8 +226,7 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str, sta
     L = E * boxU
     lhs = L * sstar
     scale = max(float(np.max(np.abs(lhs))), square_max, div_max, 1e-300)
-    psi = E * phi
-    terms = {"dF": wt.dF, "bulk": bulk, "psi": psi, "L": L, "B": Bv, "div": div}
+    terms = {"dF": wt.dF, "bulk": bulk, "E": E, "phi": phi, "L": L, "B": Bv, "div": div}
     return lhs, rhs, scale, terms
 
 
@@ -335,7 +333,8 @@ def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
     margin *= 0.125 / np.abs(t["dF"])
     margin += t["B"]
     margin += t["div"]
-    bulk_psi2 = np.square(t["psi"], out=t["psi"])
+    psi = t["E"] * t["phi"]
+    bulk_psi2 = np.square(psi, out=psi)
     bulk_psi2 *= t["bulk"]
     margin -= bulk_psi2
     sl = fld.grid.interior(idrep.interior_depth) if idrep.interior_depth else (slice(None),) * 2

@@ -10,6 +10,7 @@ import csv
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import platform
 import re
@@ -820,6 +821,19 @@ def test_solve_with_saturating_potential_needs_a_floor(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     records = {r["name"]: r for r in _load_report(out)["records"]}
     assert records["solve-completed"]["value"] == 0.5
+
+
+@pytest.mark.parametrize("profile", ["spherical-wave", "gaussian"])
+@pytest.mark.parametrize("width", [-1, 0, math.inf, math.nan])
+def test_solve_with_a_width_that_is_not_finite_and_positive_exits_2(tmp_path, capsys,
+                                                                    monkeypatch, profile, width):
+    # width -1 ran as width +1 and width 0 exited 1 on a NaN energy drift
+    from conelab import cli
+
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solve ran"))
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "profile": profile, "width": width})
+    assert main(["solve", "--config", cfg]) == 2
+    assert "config.width" in capsys.readouterr().err
 
 
 def test_verify_identity_records_match_the_library(tmp_path):

@@ -61,22 +61,21 @@ def test_grid_coordinate_consistency():
     assert np.allclose(g.H, -g.V / g.U)
     assert np.allclose(g.R, g.V - g.U)
     assert np.allclose(g.T, g.U + g.V)
-    assert np.allclose(g.F, np.exp(g.S))
-    assert np.allclose(g.H, np.exp(g.Y))
+    assert np.allclose(g.F, np.exp(g.s)[:, None])
+    assert np.allclose(g.H, np.exp(g.y)[None, :])
     # log-uniform spacing and region corners
     assert math.isclose(g.s[0], math.log(REGION.rho))
     assert math.isclose(g.s[-1], math.log(REGION.omega))
 
 
 def test_grid_node_arrays_come_from_the_1d_axes_to_the_same_bits():
-    # U, V and F_col are built from s and y without keeping the n_s x n_y S
-    # and Y, and F only when read; each has the bits of its 2-D formula
+    # U, V and F_col are built from s and y without an n_s x n_y S or Y,
+    # and F only when read; each has the bits of its 2-D formula
     for region in (REGION, AdmissibleRegion(0.25, 1.0, 0.6, 5.0 / 3.0)):
         for m in (16, 33, 64, 256):
             g = GridSpec.from_region(region, m, m + 3, 3)
             S = np.broadcast_to(g.s[:, None], (m, m + 3)).copy()
             Y = np.broadcast_to(g.y[None, :], (m, m + 3)).copy()
-            assert g.S.tobytes() == S.tobytes() and g.Y.tobytes() == Y.tobytes()
             assert g.U.tobytes() == (-np.exp((S - Y) / 2.0)).tobytes()
             assert g.V.tobytes() == np.exp((S + Y) / 2.0).tobytes()
             assert g.F_col.shape == (m, 1)
@@ -85,7 +84,7 @@ def test_grid_node_arrays_come_from_the_1d_axes_to_the_same_bits():
             assert g.F.tobytes() == np.exp(S).tobytes()
             assert g.H.tobytes() == np.exp(Y).tobytes()
             assert g.radial_coef.tobytes() == ((g.n - 1) / (2.0 * g.R)).tobytes()
-            assert g.S is not g.S and not {"S", "Y"} & (set(vars(g)) | set(vars(g._nodes)))
+            assert not {"S", "Y"} & (set(vars(g)) | set(vars(g._nodes)))
 
 
 def test_grids_that_differ_in_mode_or_order_alone_share_their_node_arrays():
@@ -100,6 +99,21 @@ def test_grids_that_differ_in_mode_or_order_alone_share_their_node_arrays():
     assert other_n.radial_coef.tobytes() == (3 / (2.0 * g.R)).tobytes()
     assert GridSpec.from_region(REGION, 16, 21, 3).U is not g.U
     assert GridSpec.from_region(AdmissibleRegion(0.1, 10.0, 0.1, 9.0), 16, 20, 3).U is not g.U
+
+
+def test_an_in_place_write_into_a_node_array_raises():
+    # every grid on a node set reads the same arrays: a write into one would
+    # change them for all of them
+    g = GridSpec.from_region(REGION, 16, 20, 3)
+    h = GridSpec.from_region(REGION, 16, 20, 3, ell=1, order=6)
+    for name in ("s", "y", "F_col", "F", "H", "U", "V", "R", "T", "radial_coef", "uv_text"):
+        arr = getattr(g, name)
+        before = arr.tobytes()
+        for write in (lambda a: a.__setitem__(0, 0), lambda a: a.__iadd__(1),
+                      lambda a: np.negative(a, out=a)):
+            with pytest.raises(ValueError):
+                write(arr)
+        assert getattr(h, name).tobytes() == before, name
 
 
 def test_grids_built_on_racing_threads_share_one_node_set():
@@ -275,26 +289,6 @@ def test_fd_derivs_wave_are_bitwise_fd_derivs2_entries(monkeypatch):
     _bitwise_equal(got, (phi, phi_u, phi_v, phi_uv))
 
 
-def test_derivs_wave_route_is_served_from_the_widest_kept_set(monkeypatch):
-    g = mkgrid(24)
-    fld = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)"))
-    calls = []
-    for name in ("fd_derivs1", "fd_derivs_wave", "fd_derivs2"):
-        real = getattr(ScalarField, name)
-        monkeypatch.setattr(ScalarField, name,
-                            lambda self, _n=name, _r=real: calls.append(_n) or _r(self))
-    wave = fld.derivs_wave("fd")
-    assert fld.derivs_wave("fd") is wave
-    assert all(a is b for a, b in zip(fld.derivs1("fd"), wave[:3]))
-    both = fld.derivs2("fd")
-    assert calls == ["fd_derivs_wave", "fd_derivs2"]
-    got = fld.derivs_wave("fd")
-    assert all(a is b for a, b in zip(got, both[:3] + both[4:5]))
-    _bitwise_equal(wave, got)
-    _bitwise_equal(fld.derivs_wave(), fld.closed_form.derivs_wave(g.U, g.V))
-    assert not any(a.flags.writeable for a in wave)
-
-
 def test_spline_derivs_bitwise_equal_to_composed_d_sy():
     fld = ScalarField.from_function(mkgrid(40), lambda u, v: np.sin(u) * np.cos(v / 3))
     f, h = np.meshgrid([0.2, 1.0, 7.5], [0.15, 2.0, 9.0])
@@ -363,46 +357,23 @@ def test_derivs_auto_prefers_closed_form():
 def test_materialize_accepts_analytic_field_and_factory():
     g = mkgrid(16)
     a = materialize(from_expr("u + v"), g)
-    b = materialize(ScalarField.from_function(g, lambda u, v: u + v), g)
+    b = ScalarField.from_function(g, lambda u, v: u + v)
     assert np.allclose(a.values, b.values)
-    assert a.closed_form is not None
-    assert materialize(a, g) is a                    # same grid: passthrough
-    d = materialize(a, replace(g, n_s=31, n_y=31))   # resample through evaluator
-    assert d.grid.n_s == 31
-    assert np.allclose(d.values, d.grid.U + d.grid.V, atol=1e-12)
+    assert a.closed_form is not None and a.grid is g
     with pytest.raises(InvalidInput):
         materialize("u + v", g)
     with pytest.raises(InvalidInput):                # a grid -> field factory is no source
         materialize(lambda grid: ScalarField.from_function(grid, lambda u, v: u + v), g)
 
 
-def test_materialize_resamples_onto_another_stencil_order():
-    # a grid that differs only in its stencil order is another grid: the
-    # field returned must carry the requested order into its stencils
-    g4 = mkgrid(16)
-    fld = ScalarField.from_function(g4, lambda u, v: np.sin(u) * np.cos(v / 3))
-    assert materialize(fld, replace(g4)) is fld       # equal grid: passthrough
-    g6 = replace(g4, order=6)
-    out = materialize(fld, g6)
-    assert out.grid is g6
-    assert np.allclose(out.values, fld.values, rtol=0, atol=1e-12)
-    assert out.d_s().tobytes() != fld.d_s().tobytes()  # order-6 stencils, not order-4
-
-
-def test_materialize_onto_another_stencil_order_keeps_the_values(monkeypatch):
-    # the same nodes need no spline: the values are wrapped on the new grid
-    import conelab.fields
-
-    def no_fit(*args):
-        raise AssertionError("a spline was fitted")
-
-    monkeypatch.setattr(conelab.fields, "TensorSpline", no_fit)
-    g4 = mkgrid(96)
-    fld = ScalarField.from_function(g4, lambda u, v: np.sin(u) * np.cos(v / 3))
-    g6 = replace(g4, order=6)
-    out = materialize(fld, g6)
-    assert out.grid is g6
-    assert out.values.tobytes() == fld.values.tobytes()
+def test_materialize_raises_on_a_scalar_field():
+    # a sampled field is no source: it is neither passed through, re-gridded
+    # nor resampled, whatever grid it is asked onto
+    g = mkgrid(16)
+    fld = materialize(from_expr("u + v"), g)
+    for grid in (g, replace(g), replace(g, order=6), replace(g, n_s=31, n_y=31)):
+        with pytest.raises(InvalidInput, match="cannot materialize"):
+            materialize(fld, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +495,32 @@ def test_missing_derivative_guard():
 
 
 # ---------------------------------------------------------------------------
-# closed-form derivative memo
+# derivative arrays on the grid: evaluated on each call and kept by no one.
+# Some test names still say "memo", after the per-field store of derivative
+# arrays these routes once kept, so that their ids stay put
 # ---------------------------------------------------------------------------
+
+FIELD_VARS = {"grid", "values", "closed_form", "name"}
+
 
 def _bitwise_equal(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _fresh_on_each_call(fld, name, mode, want):
+    """Two calls of `fld.<name>(mode)`: distinct read-only arrays, each with
+    the bits of `want`, and nothing left on the field."""
+    first, second = getattr(fld, name)(mode), getattr(fld, name)(mode)
+    _bitwise_equal(first, want)
+    _bitwise_equal(second, want)
+    assert not {id(a) for a in first} & {id(a) for a in second}
+    for arr in (*first, *second):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    assert set(vars(fld)) == FIELD_VARS
 
 
 @pytest.mark.parametrize("first", ["derivs1", "derivs2"])
@@ -545,52 +535,52 @@ def test_closed_form_memo_is_bitwise_direct_evaluation(first):
 
 
 def test_closed_form_memo_evaluates_once_and_is_read_only(monkeypatch):
+    # each call goes through the closed form once, and keeps nothing
     g = mkgrid(16)
     fld = ScalarField.from_analytic(g, from_expr("u**2 * v"))
+    cf = fld.closed_form
     calls = []
-    real1, real2 = AnalyticField.derivs1, AnalyticField.derivs2
-    monkeypatch.setattr(AnalyticField, "derivs1",
-                        lambda self, u, v: calls.append(1) or real1(self, u, v))
-    monkeypatch.setattr(AnalyticField, "derivs2",
-                        lambda self, u, v: calls.append(2) or real2(self, u, v))
-    first = fld.derivs1()
-    assert fld.derivs1() is first
-    both = fld.derivs2()
-    assert fld.derivs2() is both
-    assert all(a is b for a, b in zip(fld.derivs1(), both[:3]))
-    assert calls == [1, 2]
-    for arr in both:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0, 0] = 1.0
+    for name in ("derivs1", "derivs_wave", "derivs2"):
+        want = getattr(AnalyticField, name)(cf, g.U, g.V)
+        real = getattr(AnalyticField, name)
+        monkeypatch.setattr(AnalyticField, name, lambda self, u, v, _n=name, _r=real:
+                            calls.append(_n) or _r(self, u, v))
+        _fresh_on_each_call(fld, name, "auto", want)
+        assert calls == [name, name]
+        calls.clear()
 
 
-def test_closed_form_memo_never_freezes_the_grid():
-    # the value slot of "u" returns its input array: the memo must copy it
+def test_the_derivatives_of_u_stay_read_only():
+    # the value slot of "u" is the grid's U itself, and a field sampled from
+    # u holds U as its values: every route hands out read-only views of it
     g = mkgrid(16)
-    fld = ScalarField.from_analytic(g, from_expr("u"))
-    phi, phi_u, phi_v = fld.derivs1()
-    phi2 = fld.derivs2()[0]
-    for arr in (phi, phi2):
-        assert not np.shares_memory(arr, g.U) and not np.shares_memory(arr, g.V)
-        assert arr.tobytes() == g.U.tobytes()
-    assert g.U.flags.writeable and g.V.flags.writeable
+    before = g.U.tobytes()
+    for fld in (ScalarField.from_analytic(g, from_expr("u")),
+                ScalarField.from_function(g, lambda u, v: u)):
+        for mode in ("auto", "fd"):
+            for name in ("derivs1", "derivs_wave", "derivs2"):
+                arrays = getattr(fld, name)(mode)
+                assert arrays[0].tobytes() == g.U.tobytes()
+                for arr in arrays:
+                    assert not arr.flags.writeable
+                    with pytest.raises(ValueError):
+                        arr[0, 0] = 1.0
+    assert not g.U.flags.writeable and g.U.tobytes() == before
 
 
 @pytest.mark.parametrize("mode, order, name", [("analytic", 2, "derivs2"),
                                                ("fd", "wave", "derivs_wave"),
                                                ("fd", 1, "derivs1")])
 def test_unkept_derivatives_are_the_memos_bits_and_stay_off_the_field(mode, order, name):
+    # every call evaluates afresh, to the bits of the route's source, and
+    # leaves nothing on the field
     g = mkgrid(16, ell=1)
     fld = ScalarField.from_analytic(g, static_multipole(1, 3))
-    once = fld.derivs_unkept(order, mode)
-    assert not vars(fld).get("_derivs")
-    assert all(not arr.flags.writeable for arr in once)
-    kept = getattr(fld, name)(mode)
-    _bitwise_equal(once, kept)
-    # once the memo holds them, they are its arrays, also from a wider set
-    assert all(a is b for a, b in zip(fld.derivs_unkept(order, mode), kept))
-    assert all(a is b for a, b in zip(fld.derivs_unkept(1, mode), kept[:3]))
+    if mode == "fd":
+        want = {1: fld.fd_derivs1, "wave": fld.fd_derivs_wave, 2: fld.fd_derivs2}[order]()
+    else:
+        want = fld.closed_form.derivs2(g.U, g.V)
+    _fresh_on_each_call(fld, name, mode, want)
 
 
 def test_analytic_derivatives_without_a_closed_form_raise():
@@ -630,51 +620,31 @@ def test_field_without_closed_form_takes_the_fd_route():
     fld = ScalarField.from_function(g, lambda u, v: u * v**2)
     _bitwise_equal(fld.derivs1(), fld.fd_derivs1())
     _bitwise_equal(fld.derivs2(), fld.fd_derivs2())
-    assert fld.derivs2() is fld.derivs2()
+    assert fld.route() == "fd"
     assert not any(a.flags.writeable for a in fld.derivs1())
 
 
 def test_fd_memo_evaluates_once_and_is_read_only(monkeypatch):
+    # each call goes through its FD source once, and keeps nothing
     g = mkgrid(16)
     fld = ScalarField.from_function(g, lambda u, v: u**2 * v)
-    want1, want2 = fld.fd_derivs1(), fld.fd_derivs2()
     calls = []
-    real1, real2 = ScalarField.fd_derivs1, ScalarField.fd_derivs2
-    monkeypatch.setattr(ScalarField, "fd_derivs1",
-                        lambda self: calls.append(1) or real1(self))
-    monkeypatch.setattr(ScalarField, "fd_derivs2",
-                        lambda self: calls.append(2) or real2(self))
-    first = fld.derivs1()
-    assert fld.derivs1() is first
-    both = fld.derivs2()
-    assert fld.derivs2() is both
-    assert all(a is b for a, b in zip(fld.derivs1(), both[:3]))
-    assert calls == [1, 2]
-    _bitwise_equal(first, want1)
-    _bitwise_equal(both, want2)
-    for arr in both:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0, 0] = 1.0
-    # the memo holds a read-only view of the values: the field's own stay writeable
+    for name in ("derivs1", "derivs_wave", "derivs2"):
+        source = f"fd_{name}"
+        want = getattr(fld, source)()
+        real = getattr(ScalarField, source)
+        monkeypatch.setattr(ScalarField, source,
+                            lambda self, _n=source, _r=real: calls.append(_n) or _r(self))
+        _fresh_on_each_call(fld, name, "fd", want)
+        assert calls == [source, source]
+        calls.clear()
+    # phi is a read-only view of the values: the field's own stay writeable
     assert fld.values.flags.writeable
 
 
-def test_fd_memo_never_freezes_the_grid():
-    # values sampled from "u" are grid.U itself: the memo must copy them
-    g = mkgrid(16)
-    fld = ScalarField.from_function(g, lambda u, v: u)
-    assert fld.values is g.U
-    phi = fld.derivs1()[0]
-    phi2 = fld.derivs2()[0]
-    for arr in (phi, phi2):
-        assert not np.shares_memory(arr, g.U) and not np.shares_memory(arr, g.V)
-        assert arr.tobytes() == g.U.tobytes()
-    assert g.U.flags.writeable and g.V.flags.writeable
-
-
 def test_a_field_with_kept_derivatives_cannot_be_reassigned():
-    # derivatives are kept once read, so new values make a new field
+    # a field is frozen (its spline is kept once built), so derivative arrays
+    # a caller keeps stay those of the field: new values make a new field
     import dataclasses
 
     g = mkgrid(16)
@@ -682,29 +652,30 @@ def test_a_field_with_kept_derivatives_cannot_be_reassigned():
     kept = fld.derivs2()
     with pytest.raises(dataclasses.FrozenInstanceError):
         fld.values = 2.0 * fld.values
-    assert fld.derivs2() is kept
+    _bitwise_equal(fld.derivs2(), kept)
 
 
 def test_closed_form_and_fd_memos_are_kept_apart():
+    # the routes of one field give each its own source's arrays, in any order
     g = mkgrid(24)
     fld = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)"))
     analytic = fld.derivs2()
     fd = fld.derivs2("fd")
     _bitwise_equal(analytic, fld.closed_form.derivs2(g.U, g.V))
     _bitwise_equal(fd, fld.fd_derivs2())
-    assert fld.derivs2("analytic") is analytic and fld.derivs2("fd") is fd
+    _bitwise_equal(fld.derivs2("analytic"), analytic)
     _bitwise_equal(fld.derivs1("fd"), fld.fd_derivs1())
 
 
 def test_closed_form_memo_under_concurrent_first_use():
-    # the memo takes no lock: threads racing on first use may evaluate twice,
-    # but each must still get arrays equal to a direct evaluation
+    # threads calling at once each evaluate, and each must get arrays equal
+    # to a direct evaluation
     import sys
     import threading
 
     g = mkgrid(64)
     af = from_expr("sin(u)*cos(v/3)")
-    # the same memo serves a field without a closed form (the FD route)
+    # the FD route of a field without a closed form, too
     vals = af.value(g.U, g.V)
     cases = ((lambda: ScalarField.from_analytic(g, af), af.derivs2(g.U, g.V)),
              (lambda: ScalarField(grid=g, values=vals), ScalarField(g, vals).fd_derivs2()))

@@ -228,13 +228,13 @@ def multipole_phase_peaks(tmp_path_factory):
     (a list, empty if the hook there never fired), and the rest of the job,
     its analytic stage."""
     fd_peak = []
-    real = ScalarField.derivs_unkept
+    real = ScalarField.derivs2
 
-    def derivs_unkept(self, order, mode="auto"):
+    def derivs2(self, mode="auto"):
         if not fd_peak and self.route(mode) == "analytic":
             fd_peak.append(tracemalloc.get_traced_memory()[1] / ARRAY_256)
             tracemalloc.reset_peak()
-        return real(self, order, mode)
+        return real(self, mode)
 
     analytic_peak = []
 
@@ -247,7 +247,7 @@ def multipole_phase_peaks(tmp_path_factory):
     cfg = tmp / "cfg.json"
     cfg.write_text(json.dumps({"schema": 1}))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ScalarField, "derivs_unkept", derivs_unkept)
+        mp.setattr(ScalarField, "derivs2", derivs2)
         mp.setattr(cli, "_fan_out", fan_out)
         cli.main(["verify-identity", "--config", str(cfg), "--out", str(tmp / "r.json")])
     return fd_peak, analytic_peak

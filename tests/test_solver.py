@@ -96,6 +96,23 @@ def test_time_symmetry_of_even_data():
     assert np.max(np.abs(a - b)) < 1e-6
 
 
+BAD_WIDTHS = [-1, -0.5, 0, -0.0, math.inf, math.nan, None, "1"]
+
+
+@pytest.mark.parametrize("width", BAD_WIDTHS)
+def test_spherical_wave_data_needs_a_finite_positive_width(width):
+    # a negative width squared away to the data of its absolute value
+    with pytest.raises(InvalidInput, match="width"):
+        spherical_wave_data(width=width)
+
+
+@pytest.mark.parametrize("width", BAD_WIDTHS)
+def test_exact_spherical_wave_needs_a_finite_positive_width(width):
+    # width -1 gave the zero field: sympy read "X**2 < -1.0**2" as -(1.0**2)
+    with pytest.raises(InvalidInput, match="width"):
+        exact_spherical_wave(width=width)
+
+
 # ---------------------------------------------------------------------------
 # resampling onto exterior grids
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def test_field_spline_matches_fitpack():
     # measured: 1.0e-15, 1.2e-14 and 9.3e-14
     assert_matches_oracle(g.s, g.y, fld.values, S, Y, (4e-15, 4e-14, 4e-13))
     # at the sites, closer to the data than FITPACK's fit (1.1e-15)
-    gap = fld._spline.ev(np.ravel(g.S), np.ravel(g.Y)) - np.ravel(fld.values)
+    gap = fld._spline.ev(np.repeat(g.s, g.n_y), np.tile(g.y, g.n_s)) - np.ravel(fld.values)
     assert np.max(np.abs(gap)) <= 5e-16
 
 
@@ -154,7 +154,7 @@ def test_spline_use_leaves_a_fields_values_untouched():
     g = GridSpec.from_region(AdmissibleRegion(0.1, 10.0, 0.1, 10.0), 24, 24, 3)
     fld = ScalarField.from_function(g, lambda u, v: np.sin(u) * np.cos(v / 3))
     before = fld.values.tobytes()
-    fld._spline.ev(np.ravel(g.S), np.ravel(g.Y))
+    fld._spline.ev(np.repeat(g.s, g.n_y), np.tile(g.y, g.n_s))
     SplineEval(fld).derivs2(g.U[2:-2, 2:-2], g.V[2:-2, 2:-2])
     assert fld.values.tobytes() == before
 
