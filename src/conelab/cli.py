@@ -25,7 +25,7 @@ import time
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,16 +45,6 @@ from .solver import (
 )
 from .verifier import CheckRecord
 from .weights import Potential, PowerLog, SplitWeightParams
-
-COMMANDS = (
-    "verify-identity",
-    "verify-carleman",
-    "verify-nl",
-    "limits",
-    "counterexample",
-    "solve",
-    "pipeline",
-)
 
 DEFAULT_REGION = dict(rho=0.1, omega=10.0, sigma=0.1, tau=10.0)
 # solve's default region, the README example's: inside the strip that the
@@ -77,24 +67,7 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers, mall
 # configuration
 # ---------------------------------------------------------------------------
 
-# Top-level config keys each subcommand reads (besides "schema" and
-# "command"); "preset" is accepted everywhere but only PRESETS may name one.
-# Any other key is rejected, so a misspelling never falls back to a default.
-CONFIG_KEYS = {
-    "verify-identity": ("n", "levels", "region"),
-    "verify-carleman": ("n", "nodes", "grid", "weight", "region"),
-    "verify-nl": ("n", "a", "nodes", "grid", "combos", "region"),
-    "limits": ("n", "nodes", "count", "delta", "alpha", "beta"),
-    "counterexample": ("n", "a"),
-    "solve": ("n", "profile", "T", "R", "dr", "ell", "width", "power",
-              "nonlinearity", "sample", "grid", "region"),
-    "pipeline": ("n", "beta", "p", "nodes", "case", "grid", "ell", "a",
-                 "expr", "region"),
-}
-PRESETS = {"verify-identity": ("battery",)}
 BATTERY_LEVELS = (128, 256, 512)  # the verify-identity levels of --preset battery
-# The subcommands that re-run at doubled resolution; the others reject --refine.
-REFINABLE = ("verify-carleman", "pipeline")
 
 # Desk-scale bounds (inclusive) on the size keys: the spatial dimension, a
 # grid side (also each verify-identity level and each --refine level), a
@@ -162,7 +135,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.keys is None:
-            self.keys = CONFIG_KEYS[self.command] + ("preset",)
+            self.keys = COMMANDS[self.command].keys
         unknown = sorted(set(self.params) - set(self.keys))
         if unknown:
             raise InvalidInput(
@@ -172,8 +145,6 @@ class RunConfig:
     @classmethod
     def load(cls, command: str, path: Optional[str],
              preset: Optional[str] = None) -> "RunConfig":
-        if command not in COMMANDS:
-            raise InvalidInput(f"unknown command {command!r}")
         params = {}
         if path is not None:
             try:
@@ -193,11 +164,6 @@ class RunConfig:
             params = raw
         if preset is not None:
             params["preset"] = preset
-        chosen = params.get("preset")
-        if chosen is not None and chosen not in PRESETS.get(command, ()):
-            offered = ", ".join(PRESETS.get(command, ())) or "none"
-            raise InvalidInput(
-                f"{command} has no preset {_short.repr(chosen)} (presets: {offered})")
         return cls(command=command, params=params)
 
     def check(self, label: str, val, ok, what: str):
@@ -308,10 +274,11 @@ def _battery_u_choices():
             ("power-u", PowerU(sign=1, p=1, V=Potential.constant(1.0)))]
 
 
-def run_verify_identity(cfg: RunConfig, refine: int):
+def run_verify_identity(cfg: RunConfig):
     reg = cfg.region()
     n = cfg.get_int("n", 3)
-    battery = cfg.get_str("preset") == "battery"
+    battery = cfg.check("preset", cfg.get_str("preset"), lambda x: x in (None, "battery"),
+                        '"battery", the only preset') == "battery"
     if battery and "levels" in cfg.params:
         raise InvalidInput(f"{cfg.where}.levels cannot be set with preset battery, "
                            f"which runs levels {list(BATTERY_LEVELS)}")
@@ -322,12 +289,11 @@ def run_verify_identity(cfg: RunConfig, refine: int):
     levels = tuple(int(cfg.check(f"levels[{i}]", m, *_ranged("grid", _is_int, "an integer")))
                    for i, m in enumerate(raw))
     cfg.check("levels", levels, lambda x: len(set(x)) == len(x), "distinct grid sizes")
-    params = SplitWeightParams(a=1.0, b=0.1, p=0.5)
     # checks that share a U share the object, of which identity_checks
     # builds one stage
     u_choices = _battery_u_choices()
     checks = [(f"{wname}/{uname}", rep, U)
-              for wname, rep in V.battery_weights(params)
+              for wname, rep in V.battery_weights()
               for uname, U in u_choices]
     pairs = [(rep, U) for _, rep, U in checks]
     fields = V.battery_fields()
@@ -452,7 +418,7 @@ def _nl_combos(cfg: RunConfig):
     return out
 
 
-def run_verify_nl(cfg: RunConfig, refine: int):
+def run_verify_nl(cfg: RunConfig):
     n = cfg.get_int("n", 3)
     a = cfg.get_float("a", 0.1)
     nodes = cfg.get_int("nodes", 160)
@@ -475,7 +441,7 @@ def run_verify_nl(cfg: RunConfig, refine: int):
     return records, {}
 
 
-def run_limits(cfg: RunConfig, refine: int):
+def run_limits(cfg: RunConfig):
     n = cfg.get_int("n", 3)
     nodes = cfg.get_int("nodes", 192)
     count = cfg.get_int("count", 6)
@@ -492,7 +458,7 @@ def run_limits(cfg: RunConfig, refine: int):
     return records, {"series": series}
 
 
-def run_counterexample(cfg: RunConfig, refine: int):
+def run_counterexample(cfg: RunConfig):
     n = cfg.get_int("n", 3)
     a = cfg.get_float("a", 2.0 * n)  # the ell = 2 mode: ell (ell + n - 2)
     bundle = counterexample_build(n=n, a=a)
@@ -545,7 +511,7 @@ def _potential_from_config(spec: Optional[RunConfig]) -> Optional[Potential]:
     raise InvalidInput(f"unknown potential kind {_short.repr(kind)}")
 
 
-def run_solve(cfg: RunConfig, refine: int):
+def run_solve(cfg: RunConfig):
     n = cfg.get_int("n", 3)
     profile = cfg.get_str("profile", "spherical-wave")
     T = cfg.get_float("T", 1.0)
@@ -660,14 +626,29 @@ def run_pipeline(cfg: RunConfig, refine: int):
     return records, {"series": series}
 
 
-RUNNERS = {
-    "verify-identity": run_verify_identity,
-    "verify-carleman": run_verify_carleman,
-    "verify-nl": run_verify_nl,
-    "limits": run_limits,
-    "counterexample": run_counterexample,
-    "solve": run_solve,
-    "pipeline": run_pipeline,
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its runner, the config keys it reads besides "schema" and
+    "command" (any other key exits 2, so a misspelling never falls back to a
+    default; "preset" among them registers --preset), and whether the runner
+    takes the --refine level count, levels re-run at doubled resolution."""
+
+    run: Callable
+    keys: tuple
+    refinable: bool = False
+
+
+COMMANDS = {
+    "verify-identity": Command(run_verify_identity, ("n", "levels", "region", "preset")),
+    "verify-carleman": Command(run_verify_carleman,
+                               ("n", "nodes", "grid", "weight", "region"), refinable=True),
+    "verify-nl": Command(run_verify_nl, ("n", "a", "nodes", "grid", "combos", "region")),
+    "limits": Command(run_limits, ("n", "nodes", "count", "delta", "alpha", "beta")),
+    "counterexample": Command(run_counterexample, ("n", "a")),
+    "solve": Command(run_solve, ("n", "profile", "T", "R", "dr", "ell", "width", "power",
+                                 "nonlinearity", "sample", "grid", "region")),
+    "pipeline": Command(run_pipeline, ("n", "beta", "p", "nodes", "case", "grid", "ell", "a",
+                                       "expr", "region"), refinable=True),
 }
 
 
@@ -721,20 +702,22 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"conelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
-        sp = sub.add_parser(cmd)
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name)
         sp.add_argument("--config", default=None,
                         help="JSON config file (schema 1)")
         sp.add_argument("--out", default=None,
                         help="output path (file for json, directory for csv-bundle)")
         sp.add_argument("--format", default="json",
                         choices=("json", "csv-bundle"))
-        sp.add_argument("--preset", default=None, choices=("battery",),
-                        help="use the full acceptance-scale configuration")
-        sp.add_argument("--refine", type=int, nargs="?", const=1, default=None,
-                        metavar="LEVELS",
-                        help="re-run at doubled resolution LEVELS times "
-                             "(default once) and check stability")
+        if "preset" in cmd.keys:
+            sp.add_argument("--preset", default=None, choices=("battery",),
+                            help="use the full acceptance-scale configuration")
+        if cmd.refinable:
+            sp.add_argument("--refine", type=int, nargs="?", const=1, default=0,
+                            metavar="LEVELS",
+                            help="re-run at doubled resolution LEVELS times "
+                                 "(default once) and check stability")
     return parser
 
 
@@ -752,15 +735,13 @@ def _keep_freed_memory() -> None:
 def main(argv: Optional[list] = None) -> int:
     args = make_parser().parse_args(argv)
     _keep_freed_memory()
-    refine = args.refine or 0
+    command = COMMANDS[args.command]
     try:
-        if args.refine is not None and args.command not in REFINABLE:
-            raise InvalidInput(f"--refine is not supported by {args.command} "
-                               f"(only by {' and '.join(REFINABLE)})")
-        if refine < 0:
-            raise InvalidInput(f"--refine must be >= 0, got {_short.repr(refine)}")
-        cfg = RunConfig.load(args.command, args.config, preset=args.preset)
-        records, payload = RUNNERS[args.command](cfg, refine)
+        if command.refinable and args.refine < 0:
+            raise InvalidInput(f"--refine must be >= 0, got {_short.repr(args.refine)}")
+        cfg = RunConfig.load(args.command, args.config, preset=getattr(args, "preset", None))
+        records, payload = (command.run(cfg, args.refine) if command.refinable
+                            else command.run(cfg))
         report = build_report(args.command, records)
         emit(report, payload, args.out, args.format)
         return 0 if report["passed"] else 1

@@ -30,11 +30,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .currents import PowerU
+from .currents import PowerU, _check_mode
 from .errors import (
     DomainTooSmall,
     InvalidInput,
-    ModeNotSupported,
     RegionOutOfGrid,
     UnstableStep,
     check_dimension,
@@ -212,8 +211,8 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     if not all(is_finite(x) and x > 0 for x in (T, R, dr)):
         raise InvalidInput(f"T, R, dr must be finite and positive, got {T}, {R}, {dr}")
     check_dimension(n)
-    if U is not None and U.p != 1.0 and data.ell != 0:
-        raise ModeNotSupported("power nonlinearity requires the spherically symmetric mode")
+    if U is not None:
+        _check_mode(U, data.ell)
 
     nr = int(round(R / dr))
     r = (np.arange(nr) + 0.5) * dr
@@ -391,6 +390,8 @@ def _spherical_wave_expr(width: float, power: int) -> str:
 def spherical_wave_data(width: float = 1.0, power: int = 6) -> CauchyData:
     """Cauchy data whose evolution is `exact_spherical_wave` (n = 3)."""
     w = _width(width)
+    if not math.isfinite(w * w):
+        raise InvalidInput(f"width must have a finite square, got {w!r}")
 
     def profile(r):
         return np.zeros_like(np.asarray(r, float))

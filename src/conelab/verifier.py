@@ -680,9 +680,9 @@ _BATTERY_EXPRS = {
 }
 
 
-def battery_weights(params: Optional[SplitWeightParams] = None) -> list:
+def battery_weights() -> list:
     """(name, reparametrization) pairs for the identity battery."""
-    params = params or SplitWeightParams(a=1.0, b=0.1, p=0.5)
+    params = SplitWeightParams(a=1.0, b=0.1, p=0.5)
     return [
         ("power-log", PowerLog(1.0)),
         ("split-low", SplitWeight(params, "low")),

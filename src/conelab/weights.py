@@ -177,8 +177,8 @@ class Potential:
 
     `du_log`/`dv_log` are the separate partials of log V; they are optional
     and unlock analytic current divergences for nonlinear terms.  `value_tr`
-    evaluates V as a function of (t, r) for the time-domain solver; the
-    default assumes the (u, v) form is safe there too.
+    evaluates V as a function of (t, r) for the time-domain solver, through
+    `value` at u = (t - r)/2, v = (t + r)/2.
     """
 
     value: Callable
@@ -186,11 +186,8 @@ class Potential:
     du_log: Optional[Callable] = None
     dv_log: Optional[Callable] = None
     label: str = "potential"
-    _tr: Optional[Callable] = None
 
     def value_tr(self, t, r):
-        if self._tr is not None:
-            return self._tr(np.asarray(t, float), np.asarray(r, float))
         t = np.asarray(t, float)
         r = np.asarray(r, float)
         return self.value((t - r) / 2.0, (t + r) / 2.0)
@@ -205,7 +202,6 @@ class Potential:
             du_log=lambda u, v: np.zeros_like(np.asarray(u, float)),
             dv_log=lambda u, v: np.zeros_like(np.asarray(u, float)),
             label=f"const({c})",
-            _tr=lambda t, r: np.full_like(np.asarray(t, float), c),
         )
 
     @staticmethod
@@ -218,18 +214,12 @@ class Potential:
         def _f(u, v):
             return np.maximum(-np.asarray(u, float) * np.asarray(v, float), 0.0)
 
-        def _ftr(t, r):
-            t = np.asarray(t, float)
-            r = np.asarray(r, float)
-            return np.maximum((r * r - t * t) / 4.0, 0.0)
-
         return Potential(
             value=lambda u, v: amplitude * _f(u, v) ** c,
             scaling_log_derivative=lambda u, v: np.where(_f(u, v) > 0.0, 2.0 * c, 0.0),
             du_log=lambda u, v: np.where(_f(u, v) > 0.0, c / np.asarray(u, float), 0.0),
             dv_log=lambda u, v: np.where(_f(u, v) > 0.0, c / np.asarray(v, float), 0.0),
             label=f"{amplitude}*f^{c}",
-            _tr=lambda t, r: amplitude * _ftr(t, r) ** c,
         )
 
     @staticmethod
@@ -257,9 +247,6 @@ class Potential:
             value=lambda u, v: decay_envelope(_f(u, v), beta, p, B),
             scaling_log_derivative=_slog,
             label=f"saturating(B={B},beta={beta},p={p})",
-            _tr=lambda t, r: decay_envelope(
-                np.maximum((np.asarray(r, float) ** 2 - np.asarray(t, float) ** 2) / 4.0, floor),
-                beta, p, B),
         )
 
 

@@ -7,6 +7,7 @@ fresh interpreter.
 """
 
 import csv
+import gc
 import hashlib
 import importlib.util
 import json
@@ -23,8 +24,6 @@ import pytest
 
 from conelab.cli import (
     COMMANDS,
-    CONFIG_KEYS,
-    REFINABLE,
     SIZE_RANGES,
     SOLVE_CELLS,
     RunConfig,
@@ -608,6 +607,29 @@ def test_verify_carleman_without_calibration_fails_a_record(
     assert "calibrated" in records[failing]["details"]["error"]
 
 
+def test_verify_carleman_leaves_no_array_to_the_cyclic_collector(tmp_path):
+    # its cyclic garbage is argparse's parser and the json encoder's closures;
+    # an array held by a cycle would keep its memory until a collection, so
+    # the run's peak would move with the collector's timing.  A numeric array
+    # is never tracked by the collector itself, so the check looks at what
+    # the garbage refers to.
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(["verify-carleman", "--out", str(tmp_path / "r.json")]) == 0
+        gc.collect()
+        assert gc.garbage
+        arrays = [o.shape for o in gc.get_referents(*gc.garbage) if isinstance(o, np.ndarray)]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert not arrays
+
+
 def test_verify_carleman_at_b_zero_calibrates_no_c(tmp_path):
     # at b = 0 the bound b^2 p f^{sp-1} that C calibrates is 0, so no C is
     # calibrated and the constants record fails, where C = A / 0 exited 3
@@ -642,11 +664,50 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, payl
     assert named in err
 
 
+def _refused_by_argparse(argv, capsys):
+    """The stderr of a command line that argparse refuses, exiting 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "verify-identity"])
-def test_battery_preset_is_rejected_outside_verify_identity(capsys, command):
-    assert main([command, "--preset", "battery"]) == 2
+def test_battery_preset_is_rejected_outside_verify_identity(tmp_path, capsys, monkeypatch,
+                                                            command):
+    _forbid_work(monkeypatch)
+    out = tmp_path / "r.json"
+    err = _refused_by_argparse([command, "--preset", "battery", "--out", str(out)], capsys)
+    assert "conelab: error: unrecognized arguments: --preset battery" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "verify-identity"])
+def test_a_config_preset_outside_verify_identity_is_an_unknown_key(tmp_path, capsys,
+                                                                   monkeypatch, command):
+    _forbid_work(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "preset": "battery"})
+    assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "no preset 'battery'" in err
+    assert err.startswith(f"error: unknown key 'preset' in config for {command}")
+
+
+def test_a_config_preset_other_than_battery_exits_2(tmp_path, capsys, monkeypatch):
+    _forbid_work(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "preset": "full"})
+    assert main(["verify-identity", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.preset must be \"battery\"") and "'full'" in err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_refine_and_preset_only_where_they_apply(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert ("--refine" in text) == (command in ("verify-carleman", "pipeline"))
+    assert ("--preset" in text) == (command == "verify-identity")
 
 
 def _readme_config_files():
@@ -680,7 +741,7 @@ def test_shipped_configs_still_load(tmp_path):
     for i, (command, payload) in enumerate(shipped):
         path = _write_config(tmp_path / f"cfg{i}.json", payload)
         cfg = RunConfig.load(command, path)
-        assert set(cfg.params) <= set(CONFIG_KEYS[command])
+        assert set(cfg.params) <= set(COMMANDS[command].keys)
 
 
 # One small config per runner branch, together holding every accepted key, so a
@@ -717,9 +778,9 @@ def test_every_accepted_key_is_read_through_the_schema(tmp_path, command, payloa
 
 
 def test_every_accepted_key_appears_in_a_branch_config():
-    for command, keys in CONFIG_KEYS.items():
+    for command, cmd in COMMANDS.items():
         seen = set().union(*(p for c, p in EVERY_KEY if c == command))
-        assert set(keys) <= seen, command
+        assert set(cmd.keys) <= seen, command
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +895,16 @@ def test_solve_with_a_width_that_is_not_finite_and_positive_exits_2(tmp_path, ca
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "profile": profile, "width": width})
     assert main(["solve", "--config", cfg]) == 2
     assert "config.width" in capsys.readouterr().err
+
+
+def test_solve_with_a_width_whose_square_overflows_exits_2(tmp_path, capsys, monkeypatch):
+    # width 1e300 exited 3 on the OverflowError of the velocity's w**2
+    from conelab import cli
+
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solve ran"))
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "width": 1e300})
+    assert main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: width must have a finite square")
 
 
 def test_verify_identity_records_match_the_library(tmp_path):
@@ -1118,18 +1189,25 @@ def test_refine_out_of_range_exits_2_before_any_work(tmp_path, capsys, monkeypat
                                                      command, payload, refine):
     _forbid_work(monkeypatch)
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, **payload})
-    assert main([command, "--config", cfg, "--refine", refine]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --refine") and len(err) < 200
+    out = tmp_path / "r.json"
+    argv = [command, "--config", cfg, "--refine", refine, "--out", str(out)]
+    if COMMANDS[command].refinable:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --refine") and len(err) < 200
+    else:  # a command that cannot refine has no --refine to parse
+        err = _refused_by_argparse(argv, capsys)
+        assert f"conelab: error: unrecognized arguments: --refine {refine}" in err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [c for c in COMMANDS if c not in REFINABLE])
+@pytest.mark.parametrize("command", [c for c, cmd in COMMANDS.items() if not cmd.refinable])
 def test_refine_is_rejected_where_nothing_refines(tmp_path, capsys, monkeypatch, command):
     _forbid_work(monkeypatch)
-    assert main([command, "--refine", "3", "--out", str(tmp_path / "r.json")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --refine") and command in err
-    assert not (tmp_path / "r.json").exists()
+    out = tmp_path / "r.json"
+    err = _refused_by_argparse([command, "--refine", "3", "--out", str(out)], capsys)
+    assert "conelab: error: unrecognized arguments: --refine 3" in err
+    assert not out.exists()
 
 
 def test_refine_at_the_bound_still_runs(tmp_path):

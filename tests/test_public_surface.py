@@ -127,7 +127,7 @@ def test_every_public_name_is_read_outside_its_tests():
 # Lines of hand-written source: every module of the package but the
 # generated `_forms.py`.  A change that adds lines raises the ceiling with a
 # CHANGES.md line that says why, so each change shows its line delta.
-SOURCE_LINE_CEILING = 4551
+SOURCE_LINE_CEILING = 4520
 
 
 def test_hand_written_source_stays_under_its_line_ceiling():

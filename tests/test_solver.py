@@ -106,6 +106,15 @@ def test_spherical_wave_data_needs_a_finite_positive_width(width):
         spherical_wave_data(width=width)
 
 
+@pytest.mark.parametrize("width", [1.4e154, 1e300, sys.float_info.max])
+def test_spherical_wave_data_needs_a_width_with_a_finite_square(width):
+    # the velocity's w**2 raised OverflowError past about 1.3e154
+    with pytest.raises(InvalidInput, match="width must have a finite square"):
+        spherical_wave_data(width=width)
+    v = spherical_wave_data(width=1.3e154).velocity(np.array([0.5, 1e150]))
+    assert np.all(np.isfinite(v))
+
+
 @pytest.mark.parametrize("width", BAD_WIDTHS)
 def test_exact_spherical_wave_needs_a_finite_positive_width(width):
     # width -1 gave the zero field: sympy read "X**2 < -1.0**2" as -(1.0**2)

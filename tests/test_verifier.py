@@ -134,7 +134,7 @@ def test_analytic_mode_demands_a_closed_form():
 def test_identity_battery_all_combinations():
     U = PowerU(1, 1.0, Potential.constant(1.0))
     for name, expr, ell in battery_fields():
-        for wname, rep in battery_weights(PARAMS):
+        for wname, rep in battery_weights():
             for nl in (None, U):
                 if ell != 0 and nl is not None and nl.p != 1.0:
                     continue
@@ -273,7 +273,7 @@ def test_identity_margin_and_split_chain_read_the_weights_bulk_coefficient(monke
     from conelab.weights import Reparametrization
 
     fld = mkfield("sin(u) * exp(-(v-1)**2 / 8)", REG_LO, m=32)
-    rep = dict(battery_weights(PARAMS))["split-low"]
+    rep = dict(battery_weights())["split-low"]
     before = pointwise_inequality(fld, rep), carleman_split_check(fld, PARAMS, "low", nodes=40)
     real = Reparametrization.bulk_coefficient
     monkeypatch.setattr(Reparametrization, "bulk_coefficient",
