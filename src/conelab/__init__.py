@@ -37,7 +37,6 @@ from .errors import (
     MostlyMasked,
     NotInwardDirected,
     RangeMismatch,
-    RegionMismatch,
     RegionOutOfGrid,
     UnstableStep,
 )
@@ -75,7 +74,7 @@ from .quadrature import (
     boundary_sum,
     bulk_integral,
     cone_integral,
-    divergence_residual,
+    face_flux,
     hyperboloid_integral,
     inverted_hyperboloid_integral,
 )

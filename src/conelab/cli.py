@@ -694,6 +694,17 @@ def emit(report: dict, payload: dict, out: Optional[str], fmt: str) -> None:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it refuses what it does not take with its own
+    usage, where argparse would leave that to the top-level parser's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conelab",
@@ -701,7 +712,8 @@ def make_parser() -> argparse.ArgumentParser:
                     "on the exterior of the light cone.")
     parser.add_argument("--version", action="version",
                         version=f"conelab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
     for name, cmd in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None,

@@ -307,7 +307,8 @@ class CurrentField:
     """The current of a field: its assembler applied to the field's derivatives.
 
     `P_u`/`P_v` are sampled on the field's grid on first read; `components_at`
-    and `divergence_at` evaluate anywhere through the field's point evaluator.
+    evaluates them anywhere through the field's point evaluator.  The
+    divergence is `assembler.divergence`, on derivatives the caller supplies.
     """
 
     field: ScalarField
@@ -334,15 +335,6 @@ class CurrentField:
 
     def components_at(self, u, v):
         return self.assembler.components(u, v, -u * v, *self.field.evaluator().derivs1(u, v))
-
-    @property
-    def has_divergence(self) -> bool:
-        """The analytic divergence needs log-V partials for a varying potential."""
-        U = self.assembler.U
-        return U.is_zero or (U.V.du_log is not None and U.V.dv_log is not None)
-
-    def divergence_at(self, u, v):
-        return self.assembler.divergence(u, v, -u * v, *self.field.evaluator().derivs2(u, v))
 
 
 def _assemble(fld: ScalarField, rep: Reparametrization, U: PowerU | ZeroU) -> CurrentField:

@@ -81,10 +81,6 @@ class RegionOutOfGrid(ConelabError):
     """Requested region is not covered by the field's grid."""
 
 
-class RegionMismatch(ConelabError):
-    """Paired regions disagree on shared cutoffs."""
-
-
 class InsufficientSequence(ConelabError):
     """Fewer than four usable points in a limit sequence."""
 

@@ -182,16 +182,6 @@ class GridSpec:
             raise InvalidInput("grid too small for the requested interior margin")
         return (slice(m, self.n_s - m), slice(m, self.n_y - m))
 
-    def covers(self, region: AdmissibleRegion) -> bool:
-        """Whether this grid's region contains `region`, to 1e-12 relative."""
-        tol = 1e-12
-        return (
-            self.region.rho <= region.rho * (1 + tol)
-            and self.region.omega >= region.omega * (1 - tol)
-            and self.region.sigma <= region.sigma * (1 + tol)
-            and self.region.tau >= region.tau * (1 - tol)
-        )
-
 
 @dataclass(frozen=True)
 class AnalyticField:
@@ -337,13 +327,13 @@ class ScalarField:
         return cls(grid=grid, values=np.asarray(fn(grid.U, grid.V), dtype=float), name=name)
 
     @classmethod
-    def from_analytic(cls, grid: GridSpec, af: AnalyticField, name: Optional[str] = None) -> "ScalarField":
+    def from_analytic(cls, grid: GridSpec, af: AnalyticField) -> "ScalarField":
         vals = np.asarray(af.value(grid.U, grid.V), dtype=float)
-        return cls(grid=grid, values=vals, closed_form=af, name=name or af.label)
+        return cls(grid=grid, values=vals, closed_form=af, name=af.label)
 
     @classmethod
-    def zeros(cls, grid: GridSpec, name: str = "zero") -> "ScalarField":
-        return cls(grid=grid, values=np.zeros((grid.n_s, grid.n_y)), name=name)
+    def zeros(cls, grid: GridSpec) -> "ScalarField":
+        return cls(grid=grid, values=np.zeros((grid.n_s, grid.n_y)), name="zero")
 
     # -- finite differences on the (s, y) grid ---------------------------
     def d_s(self):

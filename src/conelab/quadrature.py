@@ -21,9 +21,11 @@ and h -> h, and evaluates the same f-level integral near the inverted light
 cone:  int_{f=omega} Psi = 2 omega^{n-1/2} int Psi(point map) rbar^{n-2} dtbar
 on the chart level fbar = 1/omega.
 
-`boundary_sum` assembles the four oriented flux terms whose total equals the
-bulk integral of div P over the region (outward orientation, inner terms
-subtracted); `divergence_residual` is that comparison.
+`face_flux` integrates the flux of a current through the unit normal of one
+face, its contraction P.grad f (face f) or u^2 P.grad h (face h) over
+f^{1/2}; `boundary_sum` assembles the four oriented face fluxes, whose total
+equals the bulk integral of div P over the region (outward orientation,
+inner terms subtracted).
 """
 
 from __future__ import annotations
@@ -31,26 +33,23 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInput, RegionMismatch, check_dimension, is_finite, is_int
+from .errors import InvalidInput, check_dimension, is_finite, is_int
 from .geometry import AdmissibleRegion
 
 __all__ = [
     "gl_nodes",
     "hyperboloid_t_window",
-    "cone_r_window",
     "hyperboloid_integral",
     "inverted_hyperboloid_integral",
     "cone_integral",
     "bulk_integral",
     "BoundarySum",
-    "unit_normal",
+    "face_flux",
     "boundary_sum",
-    "DivergenceResidual",
-    "divergence_residual",
 ]
 
 DEFAULT_NODES = 128
@@ -83,12 +82,6 @@ def hyperboloid_t_window(omega: float, sigma: float, tau: float):
     ro = math.sqrt(omega)
     return (ro * (math.sqrt(sigma) - 1.0 / math.sqrt(sigma)),
             ro * (math.sqrt(tau) - 1.0 / math.sqrt(tau)))
-
-
-def cone_r_window(tau: float, rho: float, omega: float):
-    """r-range cut out of the level set h = tau by rho <= f <= omega."""
-    c = math.sqrt(tau) + 1.0 / math.sqrt(tau)
-    return (math.sqrt(rho) * c, math.sqrt(omega) * c)
 
 
 def _f_level_nodes(level: float, window, explicit, nodes: int):
@@ -158,7 +151,9 @@ def cone_integral(fn: Callable, tau: float, window, *, n: int,
     rho, omega = window
     if not (0 < rho <= omega):
         raise InvalidInput(f"need 0 < rho <= omega, got ({rho}, {omega})")
-    rlo, rhi = cone_r_window(tau, rho, omega)
+    # the r-range that rho <= f <= omega cuts out of h = tau
+    c = math.sqrt(tau) + 1.0 / math.sqrt(tau)
+    rlo, rhi = math.sqrt(rho) * c, math.sqrt(omega) * c
     if rhi <= rlo:
         return 0.0
     r, w = gl_nodes(rlo, rhi, nodes)
@@ -213,74 +208,34 @@ class BoundarySum:
                 "total": self.total}
 
 
-def unit_normal(contraction: Callable) -> Callable:
-    """Point function of the flux through the unit normal: a contraction
-    (P.grad f or u^2 P.grad h) divided by f^{1/2} = sqrt(-u v)."""
-    return lambda u, v: np.asarray(contraction(u, v), float) / np.sqrt(-u * v)
+def face_flux(contraction: Callable, face: str, level: float, region: AdmissibleRegion,
+              *, n: int, nodes: int) -> float:
+    """Flux of a current through the unit normal of the face f = level, cut
+    by the region's (sigma, tau) (face 'f', `contraction` = P.grad f), or of
+    the face h = level, cut by its (rho, omega) (face 'h', u^2 P.grad h).
+    The unit normal divides the contraction by f^{1/2} = sqrt(-u v)."""
+    def fn(u, v):
+        return np.asarray(contraction(u, v), float) / np.sqrt(-u * v)
+
+    if face == "f":
+        return hyperboloid_integral(fn, level, (region.sigma, region.tau), n=n, nodes=nodes)
+    if face == "h":
+        return cone_integral(fn, level, (region.rho, region.omega), n=n, nodes=nodes)
+    raise InvalidInput(f"face must be 'f' or 'h', got {face!r}")
 
 
 def boundary_sum(contract_f_fn: Callable, contract_h_fn: Callable,
                  region: AdmissibleRegion, *, n: int,
                  nodes: int = DEFAULT_NODES) -> BoundarySum:
-    """Unit-normal flux integrals of a current over the region's faces.
-
-    Takes the scalar contractions P.grad f and u^2 P.grad h as point
-    functions; `unit_normal` applies the weight f^{-1/2} here.  The signed
-    total (outer minus inner on each foliation) equals the bulk integral of
-    div P for any differentiable current.
+    """Unit-normal flux integrals (`face_flux`) of a current over the
+    region's four faces, from its contractions P.grad f and u^2 P.grad h as
+    point functions.  The signed total (outer minus inner on each foliation)
+    equals the bulk integral of div P for any differentiable current.
     """
-    check_dimension(n)
-    wf, wh = unit_normal(contract_f_fn), unit_normal(contract_h_fn)
-    hw = (region.sigma, region.tau)
-    fw = (region.rho, region.omega)
+    flux = functools.partial(face_flux, region=region, n=n, nodes=nodes)
     return BoundarySum(
-        f_omega=hyperboloid_integral(wf, region.omega, hw, n=n, nodes=nodes),
-        f_rho=hyperboloid_integral(wf, region.rho, hw, n=n, nodes=nodes),
-        h_tau=cone_integral(wh, region.tau, fw, n=n, nodes=nodes),
-        h_sigma=cone_integral(wh, region.sigma, fw, n=n, nodes=nodes),
+        f_omega=flux(contract_f_fn, "f", region.omega),
+        f_rho=flux(contract_f_fn, "f", region.rho),
+        h_tau=flux(contract_h_fn, "h", region.tau),
+        h_sigma=flux(contract_h_fn, "h", region.sigma),
     )
-
-
-@dataclass(frozen=True)
-class DivergenceResidual:
-    bulk: float
-    boundary: BoundarySum
-    residual: float
-    rel_residual: float
-    route: str
-
-
-def divergence_residual(cur, region: Optional[AdmissibleRegion] = None, *,
-                        nodes: int = DEFAULT_NODES, route: str = "auto") -> DivergenceResidual:
-    """Bulk integral of div P minus the oriented boundary flux total.
-
-    route 'analytic' differentiates the current in closed form, 'fd' uses
-    finite differences of the sampled components, 'auto' prefers analytic.
-    """
-    g = cur.grid
-    if region is None:
-        region = g.region
-    elif not g.covers(region):
-        raise RegionMismatch("requested region is not covered by the current's grid")
-
-    from .currents import divergence_fd, flux_fn
-
-    if route == "auto":
-        route = "analytic" if cur.has_divergence else "fd"
-    if route == "analytic":
-        if not cur.has_divergence:
-            raise InvalidInput("no analytic divergence available for this current")
-        div_fn = cur.divergence_at
-    elif route == "fd":
-        div_fn = divergence_fd(g, cur.P_u, cur.P_v).evaluator().value
-    else:
-        raise InvalidInput(f"route must be 'auto', 'analytic' or 'fd', got {route!r}")
-
-    bulk = bulk_integral(div_fn, region, n=g.n, nodes=nodes)
-    bnd = boundary_sum(flux_fn(cur, "f"), flux_fn(cur, "h"), region, n=g.n, nodes=nodes)
-    resid = bulk - bnd.total
-    scale = max(abs(bulk), sum(abs(x) for x in
-                               (bnd.f_omega, bnd.f_rho, bnd.h_tau, bnd.h_sigma)),
-                1e-300)
-    return DivergenceResidual(bulk=bulk, boundary=bnd, residual=resid,
-                              rel_residual=abs(resid) / scale, route=route)

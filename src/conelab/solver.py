@@ -10,7 +10,7 @@ parity phi(-r) = (-1)^ell phi(r) at the origin and a homogeneous outer value
 that causality keeps irrelevant (enforced by a domain-size check).  Runs go
 both forward and backward in time (the backward leg evolves with negated
 initial velocity and the potential sampled at negative times), so the result
-covers a symmetric time strip around the data surface.  The three-point
+spans a symmetric time strip around the data surface.  The three-point
 stencil moves data by at most one cell per step, so a linear evolution of
 data that vanish past cell b0 is exactly zero past b0 + m at step m: each
 step is computed only on that band, and the result keeps only the columns
@@ -56,7 +56,7 @@ __all__ = [
 MAX_STORED_SLICES = 1024
 _CFL_LIMIT = 0.9
 
-# Samples kept on each side of the block a resampled grid covers.  An
+# Samples kept on each side of the block a resampled grid spans.  An
 # interpolating quintic spline's dependence on one sample decays by a factor
 # |lambda| = 0.4306 per knot, lambda the dominant root of the quintic
 # Euler-Frobenius polynomial.  A sample PAD knots outside the block moves the
@@ -458,6 +458,8 @@ def counterexample_build(n: int = 3, a: float = 6.0) -> CounterexampleBundle:
     if not (is_finite(a) and a > 0):
         raise InvalidInput(f"need a finite a > 0, got {a}")
     disc = (n - 2) ** 2 + 4.0 * a
+    if not math.isfinite(disc):
+        raise InvalidInput(f"need a whose (n - 2)^2 + 4 a is a finite float, got a = {a}")
     q_plus = (-(n - 2) + math.sqrt(disc)) / 2.0
     q_minus = (-(n - 2) - math.sqrt(disc)) / 2.0
     ell = int(round(q_plus))

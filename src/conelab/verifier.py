@@ -425,11 +425,9 @@ def split_cancellation(fld_low: ScalarField, fld_high: ScalarField,
             or g_lo.region.tau != g_hi.region.tau):
         raise RangeMismatch("branch regions must share the cone cutoffs")
 
-    hw = (g_lo.region.sigma, g_lo.region.tau)
-
     def flux(fld, branch):
-        cf = qd.unit_normal(flux_fn(current_split(fld, params, branch), "f"))
-        return qd.hyperboloid_integral(cf, 1.0, hw, n=fld.grid.n, nodes=nodes)
+        return qd.face_flux(flux_fn(current_split(fld, params, branch), "f"), "f", 1.0,
+                            fld.grid.region, n=fld.grid.n, nodes=nodes)
 
     lo = flux(fld_low, "low")
     hi = flux(fld_high, "high")
@@ -579,15 +577,13 @@ def boundary_limit_experiment(kind: str, *, n: int, delta: float,
 # induced potentials and falsifiability
 # ---------------------------------------------------------------------------
 
-def induced_potential(fld: ScalarField, p: float, sign: int = 1):
-    """Potential a field would have to carry to solve box phi + s V |phi|^{p-1} phi = 0.
+def induced_potential(fld: ScalarField, p: float):
+    """Potential a field would have to carry to solve box phi + V |phi|^{p-1} phi = 0.
 
-    V = -box phi / (s |phi|^{p-1} phi) where |phi| exceeds AMPLITUDE_FLOOR
+    V = -box phi / (|phi|^{p-1} phi) where |phi| exceeds AMPLITUDE_FLOOR
     times its max; elsewhere masked.  Raises MostlyMasked when more than
     MAX_MASKED of the grid is masked: the quotient then means nothing.
     """
-    if sign not in (-1, 1):
-        raise InvalidInput("sign must be +1 or -1")
     g = fld.grid
     bx = box(fld).values
     phi = fld.values
@@ -599,7 +595,7 @@ def induced_potential(fld: ScalarField, p: float, sign: int = 1):
     if frac_masked > MAX_MASKED:
         raise MostlyMasked(f"{frac_masked:.0%} of nodes below the amplitude floor")
     vals = np.zeros_like(phi)
-    denom = sign * np.abs(phi[mask]) ** (p - 1.0) * phi[mask]
+    denom = np.abs(phi[mask]) ** (p - 1.0) * phi[mask]
     vals[mask] = -bx[mask] / denom
     out = ScalarField(grid=g, values=vals, name=f"induced-V[{fld.name}]")
     return out, mask
@@ -616,14 +612,14 @@ class ViolationRecord:
 
 
 def falsifiability_check(fld: ScalarField, *, beta: float, p: float,
-                         sign: int = 1, b_admissible: float) -> ViolationRecord:
+                         b_admissible: float) -> ViolationRecord:
     """Compare a field's induced potential against the admissible envelope.
 
     A node violates when |V_induced| > b_admissible * envelope(f).  A field
     that genuinely radiates at rate beta under an admissible potential
     produces an empty violation set; hand-built impostors do not.
     """
-    vind, mask = induced_potential(fld, p, sign)
+    vind, mask = induced_potential(fld, p)
     g = fld.grid
     env = b_admissible * decay_envelope(g.F, beta, p)
     ratio = np.zeros_like(vind.values)
@@ -798,14 +794,9 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
             ("J4", reg.sigma, False, "high", "h"))
     terms = []
     for name, start, outward, branch, face in rows:
-        fn = qd.unit_normal(flux_fn(curs[branch], face))
+        contraction = flux_fn(curs[branch], face)
         levels = _surfaces(start, outward, SURFACES)
-        if face == "f":
-            vals = [qd.hyperboloid_integral(fn, L, (reg.sigma, reg.tau), n=g.n, nodes=nodes)
-                    for L in levels]
-        else:
-            vals = [qd.cone_integral(fn, L, (reg.rho, reg.omega), n=g.n, nodes=nodes)
-                    for L in levels]
+        vals = [qd.face_flux(contraction, face, L, reg, n=g.n, nodes=nodes) for L in levels]
         if not outward:
             vals = [-x for x in vals]
         slope, cls = _classify_sequence(name, levels, vals, outward)

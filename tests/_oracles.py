@@ -7,6 +7,9 @@ Simpson / trapezoid rules on dense parameter grids.  Agreement with the
 package routes is then evidence about the measures themselves, not about a
 shared quadrature implementation.
 
+The coarea oracle runs the other way, on the package's own rules: the bulk
+integral of div P against the oriented total of the current's face fluxes.
+
 Algebraic oracles write out by hand what the package assembles: the
 conjugated field e^{sign F} phi with its derivative slots, the expansion of
 the conjugated wave operator, the expanded boundary contractions of the
@@ -25,8 +28,10 @@ import tracemalloc
 import numpy as np
 from scipy.integrate import simpson
 
-from conelab.errors import InvalidInput
+from conelab.currents import divergence_fd, flux_fn
+from conelab.errors import InvalidInput, MissingDerivative
 from conelab.fields import AnalyticField, ScalarField, box
+from conelab.quadrature import boundary_sum, bulk_integral
 
 
 def fixed_f_surface_integral(fn, omega, window, n, m=200_001):
@@ -78,6 +83,39 @@ def bulk_simpson(fn, region, n, m=1201):
     r = v - u
     vals = fn(u, v) * r ** (n - 1) * F
     return float(simpson(simpson(vals, x=y, axis=1), x=s))
+
+
+def divergence_residual(cur, region=None, *, nodes=128, route="auto"):
+    """(relative residual, route) of the bulk integral of div P over `region`
+    (by default the current's grid region) against the oriented total of the
+    current's boundary fluxes.
+
+    Route 'analytic' differentiates the current in closed form through its
+    assembler, 'fd' by finite differences of its grid samples, and 'auto'
+    takes 'analytic' unless the assembler raises MissingDerivative.
+    """
+    g = cur.grid
+    region = region or g.region
+    if not (g.region.rho <= region.rho and region.omega <= g.region.omega
+            and g.region.sigma <= region.sigma and region.tau <= g.region.tau):
+        raise InvalidInput("requested region is not covered by the current's grid")
+    if route == "auto":
+        try:
+            return divergence_residual(cur, region, nodes=nodes, route="analytic")
+        except MissingDerivative:
+            route = "fd"
+    if route == "analytic":
+        def div(u, v):
+            return cur.assembler.divergence(u, v, -u * v, *cur.field.evaluator().derivs2(u, v))
+    elif route == "fd":
+        div = divergence_fd(g, cur.P_u, cur.P_v).evaluator().value
+    else:
+        raise InvalidInput(f"route must be 'auto', 'analytic' or 'fd', got {route!r}")
+    bulk = bulk_integral(div, region, n=g.n, nodes=nodes)
+    bnd = boundary_sum(flux_fn(cur, "f"), flux_fn(cur, "h"), region, n=g.n, nodes=nodes)
+    scale = max(abs(bulk), abs(bnd.f_omega) + abs(bnd.f_rho) + abs(bnd.h_tau)
+                + abs(bnd.h_sigma), 1e-300)
+    return abs(bulk - bnd.total) / scale, route
 
 
 def conjugate_analytic(af, rep, sign=-1):

@@ -678,7 +678,7 @@ def test_battery_preset_is_rejected_outside_verify_identity(tmp_path, capsys, mo
     _forbid_work(monkeypatch)
     out = tmp_path / "r.json"
     err = _refused_by_argparse([command, "--preset", "battery", "--out", str(out)], capsys)
-    assert "conelab: error: unrecognized arguments: --preset battery" in err
+    assert f"conelab {command}: error: unrecognized arguments: --preset battery" in err
     assert not out.exists()
 
 
@@ -905,6 +905,20 @@ def test_solve_with_a_width_whose_square_overflows_exits_2(tmp_path, capsys, mon
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "width": 1e300})
     assert main(["solve", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("error: width must have a finite square")
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("counterexample", {}),
+    ("pipeline", {"case": "counterexample"}),
+])
+def test_an_a_whose_discriminant_overflows_exits_2(tmp_path, capsys, command, payload):
+    # a = 1e308 exited 3: 4 a is inf, and int(round(q_plus)) raised OverflowError
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "a": 1e308, **payload})
+    out = tmp_path / "r.json"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need a whose") and "got a = 1e+308" in err
+    assert not out.exists()
 
 
 def test_verify_identity_records_match_the_library(tmp_path):
@@ -1197,7 +1211,7 @@ def test_refine_out_of_range_exits_2_before_any_work(tmp_path, capsys, monkeypat
         assert err.startswith("error: --refine") and len(err) < 200
     else:  # a command that cannot refine has no --refine to parse
         err = _refused_by_argparse(argv, capsys)
-        assert f"conelab: error: unrecognized arguments: --refine {refine}" in err
+        assert f"conelab {command}: error: unrecognized arguments: --refine {refine}" in err
     assert not out.exists()
 
 
@@ -1206,7 +1220,8 @@ def test_refine_is_rejected_where_nothing_refines(tmp_path, capsys, monkeypatch,
     _forbid_work(monkeypatch)
     out = tmp_path / "r.json"
     err = _refused_by_argparse([command, "--refine", "3", "--out", str(out)], capsys)
-    assert "conelab: error: unrecognized arguments: --refine 3" in err
+    assert err.startswith(f"usage: conelab {command} [-h]")
+    assert f"conelab {command}: error: unrecognized arguments: --refine 3" in err
     assert not out.exists()
 
 

@@ -22,6 +22,7 @@ from conelab.currents import (
 )
 from conelab.errors import (
     InvalidInput,
+    MissingDerivative,
     ModeNotSupported,
     NotInwardDirected,
     RangeMismatch,
@@ -56,6 +57,14 @@ REG_HI = AdmissibleRegion(1.0, 10.0, 0.1, 10.0)
 def mkfield(expr="sin(u)*cos(v/3)", region=REGION, m=64, n=3, ell=0):
     g = GridSpec.from_region(region, m, m, n, ell=ell)
     return ScalarField.from_analytic(g, from_expr(expr))
+
+
+def grid_divergence(cur):
+    """The assembler's closed-form divergence at the grid's nodes, from the
+    field's point evaluator."""
+    g = cur.grid
+    return cur.assembler.divergence(g.U, g.V, -g.U * g.V,
+                                    *cur.field.evaluator().derivs2(g.U, g.V))
 
 
 def grid_flux(cur, direction):
@@ -247,7 +256,7 @@ def test_divergence_analytic_vs_fd():
     for m in (96, 192):
         fld = mkfield("sin(u) * exp(-v/4)", m=m)
         cur = current_general(fld, PowerLog(0.8))
-        da = cur.divergence_at(fld.grid.U, fld.grid.V)
+        da = grid_divergence(cur)
         df = divergence_fd(fld.grid, cur.P_u, cur.P_v).values
         ii, jj = fld.grid.interior(2)
         scale = np.max(np.abs(da))
@@ -278,7 +287,7 @@ def test_divergence_analytic_vs_fd_nonlinear():
     fld = mkfield("(-u*v)**(3/5) * exp(-v/6)", m=128)
     U = PowerU(-1, 2.0, Potential.power_of_f(-0.5))
     cur = current_general(fld, PowerLog(0.4), U)
-    da = cur.divergence_at(fld.grid.U, fld.grid.V)
+    da = grid_divergence(cur)
     df = divergence_fd(fld.grid, cur.P_u, cur.P_v).values
     ii, jj = fld.grid.interior(2)
     scale = np.max(np.abs(da))
@@ -287,13 +296,14 @@ def test_divergence_analytic_vs_fd_nonlinear():
 
 def test_point_divergence_unavailable_without_log_partials():
     # the saturating potential carries no closed-form log-gradient, so the
-    # off-grid divergence evaluator must be withheld rather than wrong
+    # closed-form divergence must be refused rather than wrong
     fld = mkfield("(-u*v)**(3/5)")
     sat = Potential.saturating(1.0, 3.0, 1.0)
     cur = current_general(fld, PowerLog(0.4), PowerU(1, 1.0, sat))
-    assert not cur.has_divergence
+    with pytest.raises(MissingDerivative):
+        grid_divergence(cur)
     ok = current_general(fld, PowerLog(0.4), PowerU(1, 1.0, Potential.power_of_f(-0.5)))
-    assert ok.has_divergence
+    assert np.all(np.isfinite(grid_divergence(ok)))
 
 
 # ---------------------------------------------------------------------------

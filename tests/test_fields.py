@@ -141,14 +141,12 @@ def test_grids_built_on_racing_threads_share_one_node_set():
     assert len({id(g._nodes) for out in built for g in out}) == 1
 
 
-def test_grid_refine_and_covers():
+def test_grid_refine_keeps_the_existing_nodes():
     g = mkgrid(32)
     # a refined grid of (m - 1) * 2 + 1 nodes per axis keeps the existing nodes
     g2 = replace(g, n_s=63, n_y=63)
     assert np.allclose(g2.s[::2], g.s, rtol=0, atol=1e-15)
     assert np.allclose(g2.y[::2], g.y, rtol=0, atol=1e-15)
-    assert g.covers(REGION)
-    assert not g.covers(AdmissibleRegion(0.05, 10.0, 0.1, 10.0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from conelab.currents import PowerU, current_general
-from conelab.errors import InvalidInput, RegionMismatch
+from conelab.errors import InvalidInput, MissingDerivative
 from conelab.fields import GridSpec, ScalarField, from_expr
 from conelab.geometry import AdmissibleRegion
 from conelab.quadrature import (
     boundary_sum,
     bulk_integral,
     cone_integral,
-    divergence_residual,
+    face_flux,
     gl_nodes,
     hyperboloid_integral,
     hyperboloid_t_window,
@@ -21,7 +21,12 @@ from conelab.quadrature import (
 )
 from conelab.weights import Potential, PowerLog
 
-from _oracles import bulk_simpson, fixed_f_surface_integral, fixed_h_surface_integral
+from _oracles import (
+    bulk_simpson,
+    divergence_residual,
+    fixed_f_surface_integral,
+    fixed_h_surface_integral,
+)
 
 REGION = AdmissibleRegion(0.1, 10.0, 0.1, 10.0)
 
@@ -162,6 +167,7 @@ RULES = {
     "cone_integral": lambda n: cone_integral(_unit, 1.0, (0.5, 2.0), n=n),
     "bulk_integral": lambda n: bulk_integral(_unit, REGION, n=n, nodes=8),
     "boundary_sum": lambda n: boundary_sum(_unit, _unit, REGION, n=n, nodes=8),
+    "face_flux": lambda n: face_flux(_unit, "h", 1.0, REGION, n=n, nodes=8),
 }
 
 
@@ -265,6 +271,53 @@ def test_boundary_additivity_across_seam():
 
 
 # ---------------------------------------------------------------------------
+# face fluxes
+# ---------------------------------------------------------------------------
+
+def _contraction(u, v):
+    f = -u * v
+    return np.sin(f) * np.exp(-v / u / 4.0) + 0.5 * u
+
+
+@pytest.mark.parametrize("face", ["f", "h"])
+def test_face_flux_is_the_level_integral_of_the_contraction_over_sqrt_f(face):
+    reg = AdmissibleRegion(0.2, 3.0, 0.4, 5.0)
+
+    def unit(u, v):
+        return _contraction(u, v) / np.sqrt(-u * v)
+
+    for level in (0.3, 1.0, 7.0):
+        got = face_flux(_contraction, face, level, reg, n=3, nodes=40)
+        if face == "f":
+            want = hyperboloid_integral(unit, level, (reg.sigma, reg.tau), n=3, nodes=40)
+        else:
+            want = cone_integral(unit, level, (reg.rho, reg.omega), n=3, nodes=40)
+        assert got == want and got != 0.0
+
+
+def test_boundary_sum_is_its_four_face_fluxes():
+    reg = AdmissibleRegion(0.2, 3.0, 0.4, 5.0)
+
+    def ch(u, v):
+        return np.cos(-v / u) * u
+
+    bnd = boundary_sum(_contraction, ch, reg, n=4, nodes=48)
+    want = {"f_omega": face_flux(_contraction, "f", reg.omega, reg, n=4, nodes=48),
+            "f_rho": face_flux(_contraction, "f", reg.rho, reg, n=4, nodes=48),
+            "h_tau": face_flux(ch, "h", reg.tau, reg, n=4, nodes=48),
+            "h_sigma": face_flux(ch, "h", reg.sigma, reg, n=4, nodes=48)}
+    got = bnd.as_dict()
+    assert all(got[k] == want[k] for k in want)
+    assert got["total"] == want["f_omega"] - want["f_rho"] + want["h_tau"] - want["h_sigma"]
+
+
+@pytest.mark.parametrize("face", ["g", "F", None, ""])
+def test_face_flux_rejects_an_unknown_face(face):
+    with pytest.raises(InvalidInput, match="face"):
+        face_flux(_contraction, face, 1.0, REGION, n=3, nodes=8)
+
+
+# ---------------------------------------------------------------------------
 # divergence residual on assembled currents
 # ---------------------------------------------------------------------------
 
@@ -272,18 +325,18 @@ def test_divergence_residual_analytic_route():
     g = GridSpec.from_region(REGION, 96, 96, 3)
     fld = ScalarField.from_analytic(g, from_expr("sin(u) * exp(-v/4)"))
     cur = current_general(fld, PowerLog(0.8))
-    res = divergence_residual(cur, nodes=160)
-    assert res.route == "analytic"
-    assert res.rel_residual < 1e-9
+    rel, route = divergence_residual(cur, nodes=160)
+    assert route == "analytic"
+    assert rel < 1e-9
 
 
 def test_divergence_residual_fd_route():
     g = GridSpec.from_region(REGION, 192, 192, 3)
     fld = ScalarField.from_analytic(g, from_expr("sin(u) * exp(-v/4)"))
     cur = current_general(fld, PowerLog(0.8))
-    res = divergence_residual(cur, nodes=160, route="fd")
-    assert res.route == "fd"
-    assert res.rel_residual < 1e-3
+    rel, route = divergence_residual(cur, nodes=160, route="fd")
+    assert route == "fd"
+    assert rel < 1e-3
     with pytest.raises(InvalidInput):
         divergence_residual(cur, route="simpson")
 
@@ -293,9 +346,9 @@ def test_divergence_residual_subregion_and_mismatch():
     fld = ScalarField.from_analytic(g, from_expr("(-u*v)**(4/5)"))
     cur = current_general(fld, PowerLog(0.8))
     sub = AdmissibleRegion(0.2, 5.0, 0.2, 5.0)
-    res = divergence_residual(cur, region=sub, nodes=160)
-    assert res.rel_residual < 1e-9
-    with pytest.raises(RegionMismatch):
+    rel, _ = divergence_residual(cur, region=sub, nodes=160)
+    assert rel < 1e-9
+    with pytest.raises(InvalidInput):
         divergence_residual(cur, region=AdmissibleRegion(0.01, 10.0, 0.1, 10.0))
 
 
@@ -306,7 +359,7 @@ def test_divergence_residual_auto_falls_back_to_fd():
     fld = ScalarField.from_analytic(g, from_expr("(-u*v)**(3/5)"))
     sat = Potential.saturating(1.0, 3.0, 1.0)
     cur = current_general(fld, PowerLog(0.4), PowerU(1, 1.0, sat))
-    res = divergence_residual(cur, nodes=96)
-    assert res.route == "fd"
-    with pytest.raises(InvalidInput):
+    _, route = divergence_residual(cur, nodes=96)
+    assert route == "fd"
+    with pytest.raises(MissingDerivative):
         divergence_residual(cur, route="analytic")

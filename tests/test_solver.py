@@ -623,3 +623,7 @@ def test_counterexample_input_guards():
     for n in (3.5, math.nan, None):
         with pytest.raises(InvalidInput):
             counterexample_build(n=n, a=6.0)
+    # 4 a overflows to inf: sqrt(inf) then fed int(round(inf)), an OverflowError
+    for a in (1e308, 1.7976931348623157e308):
+        with pytest.raises(InvalidInput, match="got a = "):
+            counterexample_build(n=3, a=a)
