@@ -55,9 +55,11 @@ from .fields import (
     GridSpec,
     ScalarField,
     box,
+    exact_spherical_wave,
     field_to_csv,
     from_expr,
     materialize,
+    static_multipole,
 )
 from .currents import (
     CurrentField,
@@ -78,16 +80,6 @@ from .quadrature import (
     hyperboloid_integral,
     inverted_hyperboloid_integral,
 )
-from .solver import (
-    CauchyData,
-    CounterexampleBundle,
-    EvolutionResult,
-    counterexample_build,
-    exact_spherical_wave,
-    solve,
-    spherical_wave_data,
-    static_multipole,
-)
 from .verifier import (
     CheckRecord,
     boundary_limit_experiment,
@@ -102,3 +94,16 @@ from .verifier import (
     split_cancellation,
     uniqueness_pipeline,
 )
+
+# the leapfrog module loads with the first evolution or counterexample, not
+# with the package: these names of its __all__ resolve on first use (PEP 562)
+_SOLVER_NAMES = ("CauchyData", "CounterexampleBundle", "EvolutionResult",
+                 "counterexample_build", "solve", "spherical_wave_data")
+
+
+def __getattr__(name):
+    if name not in _SOLVER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import solver
+
+    return getattr(solver, name)

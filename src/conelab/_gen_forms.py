@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInput
-from .fields import _SLOTS, _symbolic_slots
+from .fields import _SLOTS, _multipole_expr, _spherical_wave_expr, _symbolic_slots
 
 # A joint function `fn(u, v, k)` returns the first k slots; k is one of these.
 SLOT_COUNTS = (1, 3, 4, 6)
@@ -42,7 +42,6 @@ def fixed_expressions() -> list:
     """(tag, expression) for each closed form the package builds itself: the
     battery, the spherical wave of width 1 and power 8, the multipole with
     k = n - 2 + ell = 2 and the three manufactured fields."""
-    from .solver import _multipole_expr, _spherical_wave_expr
     from .verifier import _BATTERY_EXPRS, _PRETENDER_EXPRS
 
     return [*_BATTERY_EXPRS.items(),

@@ -12,8 +12,6 @@ configuration, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import csv
 import ctypes
 import hashlib
 import json
@@ -33,16 +31,9 @@ from . import __version__
 from . import verifier as V
 from .currents import PowerU, ZeroU, current_general, current_to_csv
 from .errors import ConelabError, InvalidInput, is_finite
-from .fields import GridSpec, ScalarField, field_to_csv, from_expr, materialize
+from .fields import (GridSpec, ScalarField, exact_spherical_wave, field_to_csv, from_expr,
+                     materialize, static_multipole)
 from .geometry import AdmissibleRegion
-from .solver import (
-    CauchyData,
-    counterexample_build,
-    exact_spherical_wave,
-    solve,
-    spherical_wave_data,
-    static_multipole,
-)
 from .verifier import CheckRecord
 from .weights import Potential, PowerLog, SplitWeightParams
 
@@ -254,6 +245,8 @@ def _fan_out(jobs):
     """Run (name, callable) jobs on a pool of one thread per CPU this process
     may use (per CPU of the machine on platforms without an affinity call);
     exceptions propagate."""
+    import concurrent.futures  # loads with verify-identity, not with every command
+
     out = []
     affinity = getattr(os, "sched_getaffinity", None)
     workers = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -458,10 +451,22 @@ def run_limits(cfg: RunConfig):
     return records, {"series": series}
 
 
+def _counterexample(cfg: RunConfig, n: int):
+    """(a, bundle) at config.a, by default 2n (the ell = 2 mode).  Past the
+    builder's own guards, a is bounded as the mode index is, before any work."""
+    from .solver import counterexample_build
+
+    a = cfg.get_float("a", 2.0 * n)
+    bundle = counterexample_build(n=n, a=a)
+    top = SIZE_RANGES["ell"][1]
+    cfg.check("a", a, lambda x: x <= top * (top + n - 2),
+              f"at most {top * (top + n - 2)}, ell (ell + n - 2) at ell = {top}")
+    return a, bundle
+
+
 def run_counterexample(cfg: RunConfig):
     n = cfg.get_int("n", 3)
-    a = cfg.get_float("a", 2.0 * n)  # the ell = 2 mode: ell (ell + n - 2)
-    bundle = counterexample_build(n=n, a=a)
+    a, bundle = _counterexample(cfg, n)
     r = np.linspace(0.05, 40.0, 4000)
     res = bundle.residual(r)
     res_max = float(np.max(np.abs(res)))
@@ -512,6 +517,8 @@ def _potential_from_config(spec: Optional[RunConfig]) -> Optional[Potential]:
 
 
 def run_solve(cfg: RunConfig):
+    from .solver import CauchyData, solve, spherical_wave_data
+
     n = cfg.get_int("n", 3)
     profile = cfg.get_str("profile", "spherical-wave")
     T = cfg.get_float("T", 1.0)
@@ -571,8 +578,7 @@ def _pipeline_field(cfg: RunConfig, n: int):
     reg = cfg.region()
     m = cfg.get_int("grid", 64)
     if case == "counterexample":
-        a = cfg.get_float("a", 2.0 * n)
-        bundle = counterexample_build(n=n, a=a)
+        a, bundle = _counterexample(cfg, n)
         if bundle.ell < 0:
             raise InvalidInput(f"{cfg.where}.a = {a:g} is carried by no integer mode "
                                f"in n = {n}: need a = ell (ell + {n - 2})")
@@ -657,6 +663,8 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 def _write_series_csv(path: Path, series: dict) -> None:
+    import csv
+
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["name", "param", "value"])

@@ -1,4 +1,5 @@
-"""Grids on the exterior region, scalar fields, and the reduced wave operator.
+"""Grids on the exterior region, scalar fields, the reduced wave operator and
+the reference closed forms: the spherical wave and the static multipoles.
 
 Fields store the radial profile of a single angular mode: the physical field
 is phi_hat(u, v) * Y_ell(angles) with Y_ell an L^2-normalized spherical
@@ -24,7 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import stencils
-from .errors import InvalidInput, MissingDerivative, RegionOutOfGrid, check_dimension, is_int
+from .errors import (InvalidInput, MissingDerivative, RegionOutOfGrid, check_dimension,
+                     is_finite, is_int)
 from .geometry import AdmissibleRegion
 
 __all__ = [
@@ -33,6 +35,8 @@ __all__ = [
     "ScalarField",
     "TensorSpline",
     "from_expr",
+    "exact_spherical_wave",
+    "static_multipole",
     "box",
     "wave_op",
     "field_to_csv",
@@ -298,6 +302,40 @@ def from_expr(expr, label: Optional[str] = None) -> AnalyticField:
 
         fn = joint_function(expr)
     return AnalyticField(fn, label or str(expr))
+
+
+def exact_spherical_wave(width: float = 1.0, power: int = 6) -> AnalyticField:
+    """Outgoing-plus-ingoing spherical wave (n = 3, ell = 0).
+
+    phi = [g(2u) - g(2v)] / r with the even compactly supported profile
+    g(x) = (1 - (x/width)^2)^power on |x| < width.  Exact solution of the
+    free wave equation; its Cauchy data at t = 0 are (0, -2 g'(r)/r).
+    """
+    return from_expr(_spherical_wave_expr(width, power), label="spherical-wave")
+
+
+def _width(width) -> float:
+    """`width` as a float; InvalidInput unless it is finite and positive."""
+    if not (is_finite(width) and width > 0):
+        raise InvalidInput(f"width must be a finite number > 0, got {width!r}")
+    return float(width)
+
+
+def _spherical_wave_expr(width: float, power: int) -> str:
+    w = _width(width)
+    g = f"Piecewise(((1 - (X/{w})**2)**{power}, X**2 < {w}**2), (0, True))"
+    return f"({g.replace('X', '(2*u)')} - {g.replace('X', '(2*v)')}) / (v - u)"
+
+
+def static_multipole(ell: int, n: int) -> AnalyticField:
+    """Static decaying multipole profile r^{-(n-2+ell)} (free-wave solution)."""
+    if ell < 1 or n < 3:
+        raise InvalidInput("decaying static multipole needs ell >= 1 and n >= 3")
+    return from_expr(_multipole_expr(n - 2 + ell), label=f"multipole(ell={ell})")
+
+
+def _multipole_expr(k: int) -> str:
+    return f"(v - u)**(-{k})"
 
 
 @dataclass(frozen=True)

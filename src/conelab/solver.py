@@ -16,10 +16,10 @@ data that vanish past cell b0 is exactly zero past b0 + m at step m: each
 step is computed only on that band, and the result keeps only the columns
 the band reaches by the last step (its `slices` pads them with zeros).
 
-Also here: the closed-form spherical-wave solution used as a convergence and
-finite-speed reference, static multipole profiles, and the construction of a
-compactly supported bounded potential admitting a nontrivial static solution
-with two-sided power decay (the obstruction example for the estimates).
+Also here: the Cauchy data of `fields.exact_spherical_wave`, the convergence
+and finite-speed reference, and the construction of a compactly supported
+bounded potential admitting a nontrivial static solution with two-sided power
+decay (the obstruction example for the estimates).
 """
 
 from __future__ import annotations
@@ -40,15 +40,13 @@ from .errors import (
     is_finite,
     is_int,
 )
-from .fields import AnalyticField, GridSpec, ScalarField, TensorSpline, from_expr
+from .fields import GridSpec, ScalarField, TensorSpline, _width
 
 __all__ = [
     "CauchyData",
     "EvolutionResult",
     "solve",
-    "exact_spherical_wave",
     "spherical_wave_data",
-    "static_multipole",
     "CounterexampleBundle",
     "counterexample_build",
 ]
@@ -360,33 +358,6 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
                                  "nonlinearity": getattr(U, "label", None)})
 
 
-# ---------------------------------------------------------------------------
-# reference solutions
-# ---------------------------------------------------------------------------
-
-def exact_spherical_wave(width: float = 1.0, power: int = 6) -> AnalyticField:
-    """Outgoing-plus-ingoing spherical wave (n = 3, ell = 0).
-
-    phi = [g(2u) - g(2v)] / r with the even compactly supported profile
-    g(x) = (1 - (x/width)^2)^power on |x| < width.  Exact solution of the
-    free wave equation; its Cauchy data at t = 0 are (0, -2 g'(r)/r).
-    """
-    return from_expr(_spherical_wave_expr(width, power), label="spherical-wave")
-
-
-def _width(width) -> float:
-    """`width` as a float; InvalidInput unless it is finite and positive."""
-    if not (is_finite(width) and width > 0):
-        raise InvalidInput(f"width must be a finite number > 0, got {width!r}")
-    return float(width)
-
-
-def _spherical_wave_expr(width: float, power: int) -> str:
-    w = _width(width)
-    g = f"Piecewise(((1 - (X/{w})**2)**{power}, X**2 < {w}**2), (0, True))"
-    return f"({g.replace('X', '(2*u)')} - {g.replace('X', '(2*v)')}) / (v - u)"
-
-
 def spherical_wave_data(width: float = 1.0, power: int = 6) -> CauchyData:
     """Cauchy data whose evolution is `exact_spherical_wave` (n = 3)."""
     w = _width(width)
@@ -406,17 +377,6 @@ def spherical_wave_data(width: float = 1.0, power: int = 6) -> CauchyData:
         return -2.0 * gp / r
 
     return CauchyData(profile=profile, velocity=velocity, ell=0, label="spherical-wave")
-
-
-def static_multipole(ell: int, n: int) -> AnalyticField:
-    """Static decaying multipole profile r^{-(n-2+ell)} (free-wave solution)."""
-    if ell < 1 or n < 3:
-        raise InvalidInput("decaying static multipole needs ell >= 1 and n >= 3")
-    return from_expr(_multipole_expr(n - 2 + ell), label=f"multipole(ell={ell})")
-
-
-def _multipole_expr(k: int) -> str:
-    return f"(v - u)**(-{k})"
 
 
 # ---------------------------------------------------------------------------

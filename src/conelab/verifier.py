@@ -54,7 +54,9 @@ from .fields import (
     AnalyticField,
     ScalarField,
     box,
+    exact_spherical_wave,
     from_expr,
+    static_multipole,
     wave_op,
 )
 from .weights import (
@@ -660,8 +662,6 @@ _PRETENDER_EXPRS = {
 
 def battery_fields() -> list:
     """(name, source, ell) triples for the identity battery."""
-    from .solver import exact_spherical_wave, static_multipole
-
     return [
         *((name, from_expr(expr, label=name), 0) for name, expr in _BATTERY_EXPRS.items()),
         ("spherical-wave", exact_spherical_wave(width=1.0, power=8), 0),

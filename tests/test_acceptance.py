@@ -19,8 +19,10 @@ from conelab.currents import PowerU
 from conelab.fields import (
     GridSpec,
     ScalarField,
+    exact_spherical_wave,
     from_expr,
     materialize,
+    static_multipole,
 )
 from conelab.geometry import AdmissibleRegion
 from conelab.quadrature import (
@@ -31,10 +33,8 @@ from conelab.quadrature import (
 )
 from conelab.solver import (
     counterexample_build,
-    exact_spherical_wave,
     solve,
     spherical_wave_data,
-    static_multipole,
 )
 from conelab.verifier import (
     E2_OVER_4,

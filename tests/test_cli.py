@@ -17,6 +17,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,45 @@ def test_solve_loads_no_numpy_ma(tmp_path):
         "from conelab.cli import main\n"
         f"assert main(['solve', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
         "assert 'numpy.ma' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+# Modules that no quadrature command runs: the leapfrog, the thread pool of
+# verify-identity (concurrent.futures also loads logging) and the writer of a
+# series CSV.  A subcommand imports them where it uses them.
+UNLOADED_ON_IMPORT = ("conelab.solver", "concurrent.futures", "logging", "csv")
+
+
+def test_importing_the_package_and_cli_loads_no_solver_pool_or_csv():
+    script = (
+        "import sys\n"
+        "import conelab, conelab.cli\n"
+        f"loaded = [m for m in {UNLOADED_ON_IMPORT!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "import conelab.solver\n"
+        "assert conelab.solve is conelab.solver.solve\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_quadrature_commands_load_no_solver(tmp_path):
+    small = {"schema": 1, "nodes": 16}
+    runs = [("limits", small), ("verify-nl", {**small, "grid": 16}),
+            ("verify-carleman", {**small, "grid": 16}),
+            ("pipeline", {**small, "grid": 16, "case": "multipole"})]
+    argvs = [[command, "--config", _write_config(tmp_path / f"{command}.json", payload)]
+             for command, payload in runs]
+    script = (
+        "import sys\n"
+        "from conelab.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        f"    assert main([*argv, '--out', {str(tmp_path / 'r.json')!r}]) == 0, argv\n"
+        "    assert 'conelab.solver' not in sys.modules, argv\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
                           capture_output=True, text=True, timeout=300)
@@ -889,9 +929,9 @@ def test_solve_with_saturating_potential_needs_a_floor(tmp_path, capsys):
 def test_solve_with_a_width_that_is_not_finite_and_positive_exits_2(tmp_path, capsys,
                                                                     monkeypatch, profile, width):
     # width -1 ran as width +1 and width 0 exited 1 on a NaN energy drift
-    from conelab import cli
+    from conelab import solver
 
-    monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solve ran"))
+    monkeypatch.setattr(solver, "solve", lambda *a, **k: pytest.fail("solve ran"))
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "profile": profile, "width": width})
     assert main(["solve", "--config", cfg]) == 2
     assert "config.width" in capsys.readouterr().err
@@ -899,9 +939,9 @@ def test_solve_with_a_width_that_is_not_finite_and_positive_exits_2(tmp_path, ca
 
 def test_solve_with_a_width_whose_square_overflows_exits_2(tmp_path, capsys, monkeypatch):
     # width 1e300 exited 3 on the OverflowError of the velocity's w**2
-    from conelab import cli
+    from conelab import solver
 
-    monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solve ran"))
+    monkeypatch.setattr(solver, "solve", lambda *a, **k: pytest.fail("solve ran"))
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "width": 1e300})
     assert main(["solve", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("error: width must have a finite square")
@@ -918,6 +958,33 @@ def test_an_a_whose_discriminant_overflows_exits_2(tmp_path, capsys, command, pa
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: need a whose") and "got a = 1e+308" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a", [4e307, 1e6])
+@pytest.mark.parametrize("command, payload", [
+    ("counterexample", {}),
+    ("pipeline", {"case": "counterexample"}),
+])
+def test_a_counterexample_a_past_the_largest_mode_exits_2(tmp_path, capsys, monkeypatch,
+                                                          command, payload, a):
+    # a = 4e307 exited 1 with thirteen overflow warnings (pipeline: 2, naming
+    # config.ell), and a = 1e6 warned of a division by zero: a is bounded as
+    # the mode index is, at most ell (ell + n - 2) = 110 at ell = 10, n = 3
+    from conelab import fields, solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the counterexample was evaluated")
+
+    monkeypatch.setattr(solver.CounterexampleBundle, "residual", refuse)
+    monkeypatch.setattr(fields.ScalarField, "from_function", refuse)
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "a": a, **payload})
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.a must be at most 110") and "RuntimeWarning" not in err
     assert not out.exists()
 
 
@@ -1175,12 +1242,12 @@ def test_main_runs_without_mallopt(tmp_path, monkeypatch, libc):
 
 def _forbid_work(monkeypatch):
     """Make every routine that samples a field or runs a check raise."""
-    from conelab import cli, verifier
+    from conelab import cli, solver, verifier
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the configuration was checked")
 
-    for mod, name in ((cli, "materialize"), (cli, "_pipeline_field"), (cli, "solve"),
+    for mod, name in ((cli, "materialize"), (cli, "_pipeline_field"), (solver, "solve"),
                       (verifier, "carleman_split_check"), (verifier, "carleman_nl_check"),
                       (verifier, "uniqueness_pipeline"),
                       (verifier, "boundary_limit_experiment"),

@@ -17,13 +17,14 @@ from conelab.fields import (
     GridSpec,
     ScalarField,
     box,
+    exact_spherical_wave,
     field_to_csv,
     from_expr,
     materialize,
+    static_multipole,
     wave_op,
 )
 from conelab.geometry import AdmissibleRegion
-from conelab.solver import exact_spherical_wave, static_multipole
 from conelab.weights import PowerLog
 
 from _oracles import (

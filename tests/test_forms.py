@@ -19,9 +19,14 @@ from conelab._gen_forms import (
     joint_function,
     render,
 )
-from conelab.fields import GridSpec, _symbolic_slots, from_expr
+from conelab.fields import (
+    GridSpec,
+    _spherical_wave_expr,
+    _symbolic_slots,
+    from_expr,
+    static_multipole,
+)
 from conelab.geometry import AdmissibleRegion
-from conelab.solver import _spherical_wave_expr, static_multipole
 
 from _oracles import traced_peak
 

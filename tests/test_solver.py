@@ -22,7 +22,7 @@ from conelab.errors import (
     RegionOutOfGrid,
     UnstableStep,
 )
-from conelab.fields import GridSpec, TensorSpline, box
+from conelab.fields import GridSpec, TensorSpline, box, exact_spherical_wave, static_multipole
 from conelab.geometry import AdmissibleRegion
 from conelab.solver import (
     MAX_STORED_SLICES,
@@ -30,10 +30,8 @@ from conelab.solver import (
     CauchyData,
     EvolutionResult,
     counterexample_build,
-    exact_spherical_wave,
     solve,
     spherical_wave_data,
-    static_multipole,
     _stored_steps,
 )
 from conelab.weights import Potential

@@ -15,9 +15,15 @@ from conelab.errors import (
     MissingDerivative,
     MostlyMasked,
 )
-from conelab.fields import GridSpec, ScalarField, from_expr, materialize
+from conelab.fields import (
+    GridSpec,
+    ScalarField,
+    exact_spherical_wave,
+    from_expr,
+    materialize,
+    static_multipole,
+)
 from conelab.geometry import AdmissibleRegion
-from conelab.solver import exact_spherical_wave, static_multipole
 from conelab.verifier import (
     E2_OVER_4,
     CheckRecord,
