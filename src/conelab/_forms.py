@@ -4,7 +4,24 @@ FORMS maps each expression string to its function `fn(u, v, k)`, which returns
 the first k (1, 3, 4 or 6) of the slots value, du, dv, duv, duu, dvv.
 """
 
-from numpy import cos, less, log, nan, select, sin
+import numpy as np
+from numpy import cos, less, log, nan, sin
+
+
+def _select(conds, branches, default):
+    """`numpy.select(conds, [fn(*args) for fn, *args in branches], default)`
+    calling each `fn` only where its condition is the first that holds, on
+    its `args` gathered there (0-d ones as they are); the result is float64."""
+    shape = np.broadcast_shapes(*map(np.shape, conds),
+                                *(np.shape(a) for _, *args in branches for a in args))
+    out, free = np.full(shape, default, dtype=float), np.ones(shape, dtype=bool)
+    for cond, (fn, *args) in zip(conds, branches):
+        taken = free.copy() if cond is True else free & cond  # `& True` is ~20x slower
+        if taken.any():
+            free ^= taken
+            out[taken] = fn(*(np.broadcast_to(a, shape)[taken] if np.ndim(a) else a
+                              for a in args))
+    return out
 
 
 def unit(u, v, k):
@@ -75,17 +92,17 @@ def spherical_wave(u, v, k):
     x5 = less(x4, 0.25)
     x6 = 4.0 * x4
     x7 = 1 - x6
-    x8 = select([x1, True], [x3 ** 8, 0], default=nan) - select([x5, True], [x7 ** 8, 0], default=nan)
+    x8 = _select([x1, True], [(lambda x3: x3 ** 8, x3), (lambda: 0,)], default=nan) - _select([x5, True], [(lambda x7: x7 ** 8, x7), (lambda: 0,)], default=nan)
     x9 = -u + v
     value = x8 / x9
     if k == 1:
         return (value,)
-    x10 = select([x1, True], [-64.0 * u * x3 ** 7, 0], default=nan)
+    x10 = _select([x1, True], [(lambda u, x3: -64.0 * u * x3 ** 7, u, x3), (lambda: 0,)], default=nan)
     del x3
     x11 = x9 ** 2
     x12 = x8 / x11
     du = x10 / x9 + x12
-    x13 = select([x5, True], [-64.0 * v * x7 ** 7, 0], default=nan)
+    x13 = _select([x5, True], [(lambda v, x7: -64.0 * v * x7 ** 7, v, x7), (lambda: 0,)], default=nan)
     del x7
     dv = -x13 / x9 - x12
     del x12
@@ -100,10 +117,10 @@ def spherical_wave(u, v, k):
     x15 = u - v
     x16 = x6 - 1
     del x6
-    x17 = 2 * (select([x1, True], [x14 ** 8, 0], default=nan) - select([x5, True], [x16 ** 8, 0], default=nan)) / x15 ** 2
-    duu = (-select([x1, True], [x14 ** 6 * (3840.0 * x0 - 64.0), 0], default=nan) + 2 * select([x1, True], [64.0 * u * x14 ** 7, 0], default=nan) / x15 - x17) / x15
+    x17 = 2 * (_select([x1, True], [(lambda x14: x14 ** 8, x14), (lambda: 0,)], default=nan) - _select([x5, True], [(lambda x16: x16 ** 8, x16), (lambda: 0,)], default=nan)) / x15 ** 2
+    duu = (-_select([x1, True], [(lambda x14, x0: x14 ** 6 * (3840.0 * x0 - 64.0), x14, x0), (lambda: 0,)], default=nan) + 2 * _select([x1, True], [(lambda u, x14: 64.0 * u * x14 ** 7, u, x14), (lambda: 0,)], default=nan) / x15 - x17) / x15
     del x0, x1, x14
-    dvv = (select([x5, True], [x16 ** 6 * (3840.0 * x4 - 64.0), 0], default=nan) + 2 * select([x5, True], [64.0 * v * x16 ** 7, 0], default=nan) / x15 - x17) / x15
+    dvv = (_select([x5, True], [(lambda x16, x4: x16 ** 6 * (3840.0 * x4 - 64.0), x16, x4), (lambda: 0,)], default=nan) + 2 * _select([x5, True], [(lambda v, x16: 64.0 * v * x16 ** 7, v, x16), (lambda: 0,)], default=nan) / x15 - x17) / x15
     del x4, x5, x15, x16, x17
     return (value, du, dv, duv, duu, dvv)
 

@@ -12,7 +12,10 @@ writes.
 The sharing is syntactic (`joint_source`): a subtree that occurs more than
 once in the six `lambdify` sources is assigned to a local once and read by
 name after that.  Nothing is re-associated or simplified, so every slot
-comes out with the bits its own `lambdify` function gives.
+comes out with the bits its own `lambdify` function gives.  Each branch of
+a Piecewise runs only on the points that select it (`_select`): `numpy.select`
+ran every branch everywhere, and numpy's float64 `power` of a negative base,
+as outside the spherical wave's support, costs ~45 times a positive one.
 """
 
 from __future__ import annotations
@@ -50,6 +53,36 @@ def fixed_expressions() -> list:
             *((f"pretender-{i}", e) for i, e in _PRETENDER_EXPRS.items())]
 
 
+def _select(conds, branches, default):
+    """`numpy.select(conds, [fn(*args) for fn, *args in branches], default)`
+    calling each `fn` only where its condition is the first that holds, on
+    its `args` gathered there (0-d ones as they are); the result is float64."""
+    shape = np.broadcast_shapes(*map(np.shape, conds),
+                                *(np.shape(a) for _, *args in branches for a in args))
+    out, free = np.full(shape, default, dtype=float), np.ones(shape, dtype=bool)
+    for cond, (fn, *args) in zip(conds, branches):
+        taken = free.copy() if cond is True else free & cond  # `& True` is ~20x slower
+        if taken.any():
+            free ^= taken
+            out[taken] = fn(*(np.broadcast_to(a, shape)[taken] if np.ndim(a) else a
+                              for a in args))
+    return out
+
+
+def _branch_locally(stmt, local) -> None:
+    """Rewrite each `select(conds, choices, default=...)` in `stmt` as a
+    `_select` call whose branch i is `(lambda a, b: choice_i, a, b)`, where
+    a, b are the names in `local` that choice i reads."""
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "select":
+            node.func = ast.Name("_select", ast.Load())
+            for i, choice in enumerate(node.args[1].elts):
+                reads = ", ".join(dict.fromkeys(n.id for n in ast.walk(choice)
+                                                if isinstance(n, ast.Name) and n.id in local))
+                node.args[1].elts[i] = ast.parse(f"(lambda {reads}: 0, {reads})", mode="eval").body
+                node.args[1].elts[i].elts[0].body = choice
+
+
 def _shareable(node) -> bool:
     """A subtree worth a local: an expression that reads a name, other than
     a bare name or a list display (constant subtrees Python folds itself)."""
@@ -65,7 +98,7 @@ def joint_source(stem: str, slot_sources) -> str:
     expressions (`_shareable` ones) becomes a local `x<i>`, assigned once,
     in the order of first use, and deleted after its last read.  A `return`
     follows slots 1, 3, 4 and 6, so a call computes only what its first k
-    slots read.
+    slots read.  Then each `select` becomes a `_select` (`_branch_locally`).
     """
     roots, params = [], None
     for source in slot_sources:
@@ -123,6 +156,9 @@ def joint_source(stem: str, slot_sources) -> str:
             test = ast.parse(f"k == {i}", mode="eval").body
             body.append(ast.If(test, [ret], []) if i < len(_SLOTS) else ret)
 
+    local = {a.arg for a in params.args} | set(names.values())
+    for stmt in body:
+        _branch_locally(stmt, local)
     last = {}
     for i, stmt in enumerate(body):
         for n in ast.walk(stmt):
@@ -165,6 +201,7 @@ def slot_sources(expr) -> tuple:
 def joint_function(expr):
     """The joint function of `expr`, compiled from `joint_source` at run time."""
     sources, namespace = slot_sources(expr)
+    namespace["_select"] = _select
     exec(joint_source("joint", sources), namespace)
     return namespace["joint"]
 
@@ -187,14 +224,14 @@ def render() -> str:
         stem = re.sub(r"\W", "_", tag)
         sources, _ = slot_sources(expr)
         defs.append(joint_source(stem, sources))
-        for source in sources:
-            names |= _global_names(source)
+        names |= _global_names(defs[-1]) - {"_select"}
         rows.append(f"    {expr!r}: {stem},\n")
     header = (f'"""Generated by `python -m conelab._gen_forms` with sympy {sp.__version__};'
               " do not edit.\n\nFORMS maps each expression string to its function"
               " `fn(u, v, k)`, which returns\nthe first k (1, 3, 4 or 6) of the slots"
               f' {", ".join(_SLOTS)}.\n"""\n\n')
-    return (header + f"from numpy import {', '.join(sorted(names))}\n\n\n" + "\n\n".join(defs)
+    return (header + f"import numpy as np\nfrom numpy import {', '.join(sorted(names))}\n\n\n"
+            + inspect.getsource(_select) + "\n\n" + "\n\n".join(defs)
             + "\n\nFORMS = {\n" + "".join(rows) + "}\n")
 
 

@@ -533,7 +533,7 @@ def test_closed_form_memo_is_bitwise_direct_evaluation(first):
         _bitwise_equal(getattr(fld, name)(), want1 if name == "derivs1" else want2)
 
 
-def test_closed_form_memo_evaluates_once_and_is_read_only(monkeypatch):
+def test_closed_form_route_evaluates_once_and_is_read_only(monkeypatch):
     # each call goes through the closed form once, and keeps nothing
     g = mkgrid(16)
     fld = ScalarField.from_analytic(g, from_expr("u**2 * v"))
@@ -623,7 +623,7 @@ def test_field_without_closed_form_takes_the_fd_route():
     assert not any(a.flags.writeable for a in fld.derivs1())
 
 
-def test_fd_memo_evaluates_once_and_is_read_only(monkeypatch):
+def test_fd_route_evaluates_once_and_is_read_only(monkeypatch):
     # each call goes through its FD source once, and keeps nothing
     g = mkgrid(16)
     fld = ScalarField.from_function(g, lambda u, v: u**2 * v)
@@ -654,7 +654,7 @@ def test_a_field_with_kept_derivatives_cannot_be_reassigned():
     _bitwise_equal(fld.derivs2(), kept)
 
 
-def test_closed_form_and_fd_memos_are_kept_apart():
+def test_closed_form_and_fd_routes_are_kept_apart():
     # the routes of one field give each its own source's arrays, in any order
     g = mkgrid(24)
     fld = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)"))

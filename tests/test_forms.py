@@ -34,9 +34,17 @@ REGIONS = [AdmissibleRegion(0.1, 10.0, 0.1, 10.0), AdmissibleRegion(0.01, 0.3, 0
 
 # closed forms outside the table: a power of r, a Piecewise with a branch on
 # u and a transcendental one on v, and a sum that `lambdify` writes as a
-# generator expression, whose terms must stay inside it
+# generator expression, whose terms must stay inside it.  Then Piecewise
+# edge cases: no `True` fallback (NaN where no condition holds), integer
+# branches, overlapping conditions (the first true one wins), and a
+# condition and a branch that read one shared local
 OUTSIDE = ["(v - u)**(-3)", "Piecewise((u**3*v + exp(u), u**2 < 0.3), (sin(v)*u, True)) / (v - u)",
-           "Sum(u**k * v, (k, 0, 3))"]
+           "Sum(u**k * v, (k, 0, 3))", "Piecewise((u, u**2 < 0.3))/(v - u)",
+           "Piecewise((1, u**2 < 0.3), (0, True))*v",
+           "Piecewise((u, u < -1), (v, u < 0), (u*v, True))",
+           "Piecewise((u*v, u*v < -0.5), (0, True))"]
+OUTSIDE_IDS = ["multipole-3", "piecewise", "sum", "piecewise-no-fallback", "piecewise-integer",
+               "piecewise-overlapping", "piecewise-shared-local"]
 
 
 def test_committed_forms_are_what_the_generator_writes():
@@ -99,10 +107,29 @@ def test_table_slots_are_bitwise_the_sympy_route(expr):
     _assert_joint_is_the_oracle(_forms.FORMS[expr], expr)
 
 
-@pytest.mark.parametrize("expr", OUTSIDE, ids=["multipole-3", "piecewise", "sum"])
+@pytest.mark.parametrize("expr", OUTSIDE, ids=OUTSIDE_IDS)
 def test_joint_functions_outside_the_table_are_bitwise_the_per_slot_lambdify(expr):
     # `from_expr` builds the same function, which the field methods check
     _assert_joint_is_the_oracle(joint_function(expr), expr)
+
+
+def test_each_branch_runs_only_on_the_points_that_select_it():
+    # the log branch is undefined where its condition fails: `numpy.select`
+    # evaluated it on every point, and raised here
+    joint = joint_function("Piecewise((log(1 - 4*u**2), 4*u**2 < 1), (0, True))")
+    g = GridSpec.from_region(REGIONS[0], 256, 256, 3)
+    with np.errstate(all="raise"):
+        for k in SLOT_COUNTS:
+            joint(g.U, g.V, k)
+    tree = ast.parse(Path(_forms.__file__).read_text())
+    assert "select" not in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # the spherical wave's profile powers, of a base that is negative off
+    # the support, all sit inside a branch
+    source = ast.parse(inspect.getsource(_forms.spherical_wave))
+    branches = {id(n) for f in ast.walk(source) if isinstance(f, ast.Lambda) for n in ast.walk(f)}
+    powers = [n for n in ast.walk(source) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+              and n.right.value >= 6]
+    assert powers and all(id(n) in branches for n in powers)
 
 
 def test_expressions_outside_the_table_take_the_sympy_route():
