@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -55,8 +55,6 @@ __all__ = [
     "current_split",
     "bulk_term",
     "bulk_b",
-    "flux",
-    "flux_fn",
     "divergence_fd",
     "field_half",
     "current_to_csv",
@@ -336,8 +334,22 @@ class CurrentField:
     def components_at(self, u, v):
         return self.assembler.components(u, v, -u * v, *self.field.evaluator().derivs1(u, v))
 
+    def flux(self, u, v, face: str):
+        """The contraction of the current's components at (u, v) that face
+        `face` carries: P . grad f = (u P_u + v P_v)/2 on 'f' (hyperboloid
+        flux density), u^2 P . grad h = (u P_u - v P_v)/2 on 'h' (cone)."""
+        if face not in ("f", "h"):
+            raise InvalidInput(f"face must be 'f' or 'h', got {face!r}")
+        P_u, P_v = self.components_at(u, v)
+        if face == "f":
+            return 0.5 * (u * P_u + v * P_v)
+        return 0.5 * (u * P_u - v * P_v)
 
-def _assemble(fld: ScalarField, rep: Reparametrization, U: PowerU | ZeroU) -> CurrentField:
+
+def current_general(fld: ScalarField, rep: Reparametrization,
+                    U: Optional[PowerU | ZeroU] = None) -> CurrentField:
+    """Current for an arbitrary inward weight and nonlinearity."""
+    U = U or ZeroU()
     g = fld.grid
     _check_mode(U, g.ell)
     if np.any(rep.dF(g.F_col) >= 0):
@@ -345,22 +357,15 @@ def _assemble(fld: ScalarField, rep: Reparametrization, U: PowerU | ZeroU) -> Cu
     return CurrentField(field=fld, assembler=CurrentAssembler(rep=rep, U=U, n=g.n, ell=g.ell))
 
 
-def current_general(fld: ScalarField, rep: Reparametrization,
-                    U: Optional[PowerU | ZeroU] = None) -> CurrentField:
-    """Current for an arbitrary inward weight and nonlinearity."""
-    return _assemble(fld, rep, U or ZeroU())
-
-
 def current_split(fld: ScalarField, params: SplitWeightParams, branch: str) -> CurrentField:
     """Split-estimate current P^- (branch 'low', f <= 1) or P^+ ('high', f >= 1)."""
-    g = fld.grid
-    rep = SplitWeight(params, branch)
+    reg = fld.grid.region
     tol = 1e-12
-    if branch == "low" and g.region.omega > 1.0 + tol:
-        raise RangeMismatch(f"low branch needs f <= 1, grid reaches f = {g.region.omega}")
-    if branch == "high" and g.region.rho < 1.0 - tol:
-        raise RangeMismatch(f"high branch needs f >= 1, grid reaches f = {g.region.rho}")
-    return _assemble(fld, rep, ZeroU())
+    if branch == "low" and reg.omega > 1.0 + tol:
+        raise RangeMismatch(f"low branch needs f <= 1, grid reaches f = {reg.omega}")
+    if branch == "high" and reg.rho < 1.0 - tol:
+        raise RangeMismatch(f"high branch needs f >= 1, grid reaches f = {reg.rho}")
+    return current_general(fld, SplitWeight(params, branch))
 
 
 def bulk_term(rep: Reparametrization, U: PowerU | ZeroU, n: int, f, u, v, phi, *, terms=None):
@@ -391,28 +396,6 @@ def bulk_b(fld: ScalarField, rep: Reparametrization,
     _check_mode(U, g.ell)
     vals = bulk_term(rep, U, g.n, g.F_col, g.U, g.V, fld.values)
     return ScalarField(grid=g, values=vals, name=f"B[{fld.name}]")
-
-
-def flux(u, v, P_u, P_v, direction: str):
-    """Contractions of a current used on the foliation boundaries.
-
-    direction 'f': P . grad f = (u P_u + v P_v)/2  (hyperboloid flux density)
-    direction 'h': u^2 P . grad h = (u P_u - v P_v)/2  (cone flux density)
-    """
-    if direction == "f":
-        return 0.5 * (u * P_u + v * P_v)
-    if direction == "h":
-        return 0.5 * (u * P_u - v * P_v)
-    raise InvalidInput(f"direction must be 'f' or 'h', got {direction!r}")
-
-
-def flux_fn(cur: CurrentField, direction: str) -> Callable:
-    """Point evaluator (u, v) -> `flux` of the current's components at (u, v)."""
-
-    def fn(u, v):
-        return flux(u, v, *cur.components_at(u, v), direction)
-
-    return fn
 
 
 def divergence_fd(grid: GridSpec, P_u: np.ndarray, P_v: np.ndarray) -> ScalarField:

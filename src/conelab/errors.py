@@ -82,7 +82,10 @@ class RegionOutOfGrid(ConelabError):
 
 
 class InsufficientSequence(ConelabError):
-    """Fewer than four usable points in a limit sequence."""
+    """A sequence too short or ill-formed to fit: fewer than four points in
+    a limit sequence, fewer than two or repeated grid levels in an identity
+    convergence fit, nonpositive values in a slope fit, or a pipeline field
+    with no closed form to follow past its region."""
 
 
 class MostlyMasked(ConelabError):
@@ -90,11 +93,13 @@ class MostlyMasked(ConelabError):
 
 
 class UnstableStep(ConelabError):
-    """Time step violates the CFL bound."""
+    """A stored leapfrog step is non-finite or exceeds 1e12 times the scale
+    of the Cauchy data."""
 
 
 class DomainTooSmall(ConelabError):
-    """Solver domain cannot cover the requested resampling grid causally."""
+    """Solver outer radius R below the data's support + T + `OUTER_PAD`, so
+    the evolved field would reach the domain's edge."""
 
 
 __all__ = [name for name, obj in list(globals().items())

@@ -22,10 +22,10 @@ cone:  int_{f=omega} Psi = 2 omega^{n-1/2} int Psi(point map) rbar^{n-2} dtbar
 on the chart level fbar = 1/omega.
 
 `face_flux` integrates the flux of a current through the unit normal of one
-face, its contraction P.grad f (face f) or u^2 P.grad h (face h) over
-f^{1/2}; `boundary_sum` assembles the four oriented face fluxes, whose total
-equals the bulk integral of div P over the region (outward orientation,
-inner terms subtracted).
+face, its contraction `flux(u, v, face)` (P.grad f on face f, u^2 P.grad h
+on face h) over f^{1/2}; `boundary_sum` assembles the four oriented face
+fluxes, whose total equals the bulk integral of div P over the region
+(outward orientation, inner terms subtracted).
 """
 
 from __future__ import annotations
@@ -88,7 +88,10 @@ def _f_level_nodes(level: float, window, explicit, nodes: int):
     """Gauss-Legendre nodes on the level set f = level: the weights, r, u and
     v, or None when the cut is empty.  The cut is `explicit`, a fixed (lo, hi)
     time window, or else the t-range the hyperbolic window (sigma, tau) cuts
-    out of the level set."""
+    out of the level set.  Exactly one of the two must be given."""
+    if (window is None) == (explicit is None):
+        raise InvalidInput("give the cut either as a window (sigma, tau) or as a "
+                           "fixed time window, not both or neither")
     if explicit is not None:
         lo, hi = explicit
     else:
@@ -208,14 +211,15 @@ class BoundarySum:
                 "total": self.total}
 
 
-def face_flux(contraction: Callable, face: str, level: float, region: AdmissibleRegion,
+def face_flux(flux: Callable, face: str, level: float, region: AdmissibleRegion,
               *, n: int, nodes: int) -> float:
     """Flux of a current through the unit normal of the face f = level, cut
-    by the region's (sigma, tau) (face 'f', `contraction` = P.grad f), or of
-    the face h = level, cut by its (rho, omega) (face 'h', u^2 P.grad h).
-    The unit normal divides the contraction by f^{1/2} = sqrt(-u v)."""
+    by the region's (sigma, tau) (face 'f'), or of the face h = level, cut by
+    its (rho, omega) (face 'h').  `flux(u, v, face)` is the current's
+    contraction on that face (`CurrentField.flux`); the unit normal divides
+    it by f^{1/2} = sqrt(-u v)."""
     def fn(u, v):
-        return np.asarray(contraction(u, v), float) / np.sqrt(-u * v)
+        return np.asarray(flux(u, v, face), float) / np.sqrt(-u * v)
 
     if face == "f":
         return hyperboloid_integral(fn, level, (region.sigma, region.tau), n=n, nodes=nodes)
@@ -224,18 +228,13 @@ def face_flux(contraction: Callable, face: str, level: float, region: Admissible
     raise InvalidInput(f"face must be 'f' or 'h', got {face!r}")
 
 
-def boundary_sum(contract_f_fn: Callable, contract_h_fn: Callable,
-                 region: AdmissibleRegion, *, n: int,
+def boundary_sum(flux: Callable, region: AdmissibleRegion, *, n: int,
                  nodes: int = DEFAULT_NODES) -> BoundarySum:
     """Unit-normal flux integrals (`face_flux`) of a current over the
-    region's four faces, from its contractions P.grad f and u^2 P.grad h as
-    point functions.  The signed total (outer minus inner on each foliation)
-    equals the bulk integral of div P for any differentiable current.
+    region's four faces, from its contractions `flux(u, v, face)`.  The
+    signed total (outer minus inner on each foliation) equals the bulk
+    integral of div P for any differentiable current.
     """
-    flux = functools.partial(face_flux, region=region, n=n, nodes=nodes)
-    return BoundarySum(
-        f_omega=flux(contract_f_fn, "f", region.omega),
-        f_rho=flux(contract_f_fn, "f", region.rho),
-        h_tau=flux(contract_h_fn, "h", region.tau),
-        h_sigma=flux(contract_h_fn, "h", region.sigma),
-    )
+    at = functools.partial(face_flux, flux, region=region, n=n, nodes=nodes)
+    return BoundarySum(f_omega=at("f", region.omega), f_rho=at("f", region.rho),
+                       h_tau=at("h", region.tau), h_sigma=at("h", region.sigma))

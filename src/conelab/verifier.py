@@ -41,7 +41,6 @@ from .currents import (
     current_split,
     divergence_fd,
     field_half,
-    flux_fn,
 )
 from .errors import (
     InsufficientSequence,
@@ -361,7 +360,7 @@ def _chain(cur, integrand, nodes: int):
     """
     reg, n = cur.grid.region, cur.grid.n
     ints = qd.bulk_integral(integrand, reg, n=n, nodes=nodes)
-    bnd = qd.boundary_sum(flux_fn(cur, "f"), flux_fn(cur, "h"), reg, n=n, nodes=nodes)
+    bnd = qd.boundary_sum(cur.flux, reg, n=n, nodes=nodes)
     lhs, rhs = ints[0], ints[1]
     return ints, bnd, rhs + bnd.total - lhs, max(abs(lhs), abs(rhs), 1e-300)
 
@@ -428,7 +427,7 @@ def split_cancellation(fld_low: ScalarField, fld_high: ScalarField,
         raise RangeMismatch("branch regions must share the cone cutoffs")
 
     def flux(fld, branch):
-        return qd.face_flux(flux_fn(current_split(fld, params, branch), "f"), "f", 1.0,
+        return qd.face_flux(current_split(fld, params, branch).flux, "f", 1.0,
                             fld.grid.region, n=fld.grid.n, nodes=nodes)
 
     lo = flux(fld_low, "low")
@@ -794,9 +793,9 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
             ("J4", reg.sigma, False, "high", "h"))
     terms = []
     for name, start, outward, branch, face in rows:
-        contraction = flux_fn(curs[branch], face)
         levels = _surfaces(start, outward, SURFACES)
-        vals = [qd.face_flux(contraction, face, L, reg, n=g.n, nodes=nodes) for L in levels]
+        vals = [qd.face_flux(curs[branch].flux, face, L, reg, n=g.n, nodes=nodes)
+                for L in levels]
         if not outward:
             vals = [-x for x in vals]
         slope, cls = _classify_sequence(name, levels, vals, outward)

@@ -28,7 +28,7 @@ import tracemalloc
 import numpy as np
 from scipy.integrate import simpson
 
-from conelab.currents import divergence_fd, flux_fn
+from conelab.currents import divergence_fd
 from conelab.errors import InvalidInput, MissingDerivative
 from conelab.fields import AnalyticField, ScalarField, box
 from conelab.quadrature import boundary_sum, bulk_integral
@@ -112,7 +112,7 @@ def divergence_residual(cur, region=None, *, nodes=128, route="auto"):
     else:
         raise InvalidInput(f"route must be 'auto', 'analytic' or 'fd', got {route!r}")
     bulk = bulk_integral(div, region, n=g.n, nodes=nodes)
-    bnd = boundary_sum(flux_fn(cur, "f"), flux_fn(cur, "h"), region, n=g.n, nodes=nodes)
+    bnd = boundary_sum(cur.flux, region, n=g.n, nodes=nodes)
     scale = max(abs(bulk), abs(bnd.f_omega) + abs(bnd.f_rho) + abs(bnd.h_tau)
                 + abs(bnd.h_sigma), 1e-300)
     return abs(bulk - bnd.total) / scale, route

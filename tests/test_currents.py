@@ -17,8 +17,6 @@ from conelab.currents import (
     current_to_csv,
     divergence_fd,
     field_half,
-    flux,
-    flux_fn,
 )
 from conelab.errors import (
     InvalidInput,
@@ -67,10 +65,10 @@ def grid_divergence(cur):
                                     *cur.field.evaluator().derivs2(g.U, g.V))
 
 
-def grid_flux(cur, direction):
-    """`flux` of the current's components on its grid."""
+def grid_flux(cur, face):
+    """`cur.flux` at the nodes of the current's grid."""
     g = cur.grid
-    return flux(g.U, g.V, cur.P_u, cur.P_v, direction)
+    return cur.flux(g.U, g.V, face)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +82,7 @@ def test_constant_profile_flux_frozen_at_seam():
     cur = current_split(fld, PARAMS, "low")
     h = np.linspace(0.5, 2.0, 7)
     useam, vseam = -1.0 / np.sqrt(h), np.sqrt(h)
-    vals = flux_fn(cur, "f")(useam, vseam)
+    vals = cur.flux(useam, vseam, "f")
     assert np.allclose(vals, 1.475 * math.exp(0.4), rtol=1e-14)
     assert np.allclose(vals, 2.2004414290208736, rtol=1e-14)
     # and the h-contraction of a constant profile vanishes identically
@@ -232,18 +230,22 @@ def test_boundary_expansion_h_matches_and_is_mode_free():
     assert np.max(np.abs(f0 - f2)) > 1e-3
 
 
-@pytest.mark.parametrize("direction", ["f", "h"])
-def test_flux_fn_at_grid_points_is_contract(direction):
+@pytest.mark.parametrize("face", ["f", "h"])
+def test_flux_at_grid_points_is_the_contraction_of_the_sampled_components(face):
     fld = mkfield("sin(u)*cos(v/3)", REG_LO, ell=1)
     cur = current_split(fld, PARAMS, "low")
     g = cur.grid
-    got = flux_fn(cur, direction)(g.U, g.V)
-    assert got.tobytes() == grid_flux(cur, direction).tobytes()
+    if face == "f":
+        want = 0.5 * (g.U * cur.P_u + g.V * cur.P_v)
+    else:
+        want = 0.5 * (g.U * cur.P_u - g.V * cur.P_v)
+    assert cur.flux(g.U, g.V, face).tobytes() == want.tobytes()
 
 
-def test_flux_rejects_an_unknown_direction():
+def test_flux_rejects_an_unknown_face():
+    cur = current_split(mkfield(region=REG_LO, m=16), PARAMS, "low")
     with pytest.raises(InvalidInput):
-        flux(-1.0, 1.0, 0.0, 0.0, "g")
+        cur.flux(-1.0, 1.0, "g")
 
 
 # ---------------------------------------------------------------------------

@@ -494,9 +494,7 @@ def test_missing_derivative_guard():
 
 
 # ---------------------------------------------------------------------------
-# derivative arrays on the grid: evaluated on each call and kept by no one.
-# Some test names still say "memo", after the per-field store of derivative
-# arrays these routes once kept, so that their ids stay put
+# derivative arrays on the grid: evaluated on each call and kept by no one
 # ---------------------------------------------------------------------------
 
 FIELD_VARS = {"grid", "values", "closed_form", "name"}
@@ -523,7 +521,7 @@ def _fresh_on_each_call(fld, name, mode, want):
 
 
 @pytest.mark.parametrize("first", ["derivs1", "derivs2"])
-def test_closed_form_memo_is_bitwise_direct_evaluation(first):
+def test_closed_form_route_is_bitwise_direct_evaluation(first):
     g = mkgrid(24, ell=1)
     af = static_multipole(1, 3)
     want1 = af.derivs1(g.U, g.V)
@@ -570,7 +568,7 @@ def test_the_derivatives_of_u_stay_read_only():
 @pytest.mark.parametrize("mode, order, name", [("analytic", 2, "derivs2"),
                                                ("fd", "wave", "derivs_wave"),
                                                ("fd", 1, "derivs1")])
-def test_unkept_derivatives_are_the_memos_bits_and_stay_off_the_field(mode, order, name):
+def test_unkept_derivatives_are_the_routes_bits_and_stay_off_the_field(mode, order, name):
     # every call evaluates afresh, to the bits of the route's source, and
     # leaves nothing on the field
     g = mkgrid(16, ell=1)
@@ -666,7 +664,7 @@ def test_closed_form_and_fd_routes_are_kept_apart():
     _bitwise_equal(fld.derivs1("fd"), fld.fd_derivs1())
 
 
-def test_closed_form_memo_under_concurrent_first_use():
+def test_closed_form_route_under_concurrent_first_use():
     # threads calling at once each evaluate, and each must get arrays equal
     # to a direct evaluation
     import sys

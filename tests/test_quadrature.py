@@ -107,6 +107,17 @@ def test_empty_windows_integrate_to_zero():
     assert hyperboloid_integral(smooth, 1.0, t_window=(1.0, -1.0), n=3) == 0.0
 
 
+@pytest.mark.parametrize("rule, fixed", [(hyperboloid_integral, "t_window"),
+                                         (inverted_hyperboloid_integral, "tbar_window")])
+@pytest.mark.parametrize("cuts", ["neither", "both"])
+def test_an_f_level_rule_takes_exactly_one_cut(rule, fixed, cuts):
+    # neither read as a bare TypeError; both ignored the hyperbolic window
+    kw = {} if cuts == "neither" else {fixed: (-1.0, 1.0)}
+    window = None if cuts == "neither" else (0.5, 2.0)
+    with pytest.raises(InvalidInput, match="cut"):
+        rule(smooth, 1.0, window, n=3, **kw)
+
+
 @pytest.mark.parametrize("m", [2, 5, 48, 128, 160])
 @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 1.0), (-2.3, 0.7),
                                     (math.log(0.1), math.log(10.0)), (3.0, 3.0)])
@@ -160,14 +171,19 @@ def _unit(u, v):
     return u * 0 + 1
 
 
+def _faces(cf, ch):
+    """A current's `flux(u, v, face)` from its contractions on face f and face h."""
+    return lambda u, v, face: cf(u, v) if face == "f" else ch(u, v)
+
+
 RULES = {
     "hyperboloid_integral": lambda n: hyperboloid_integral(_unit, 1.0, (0.5, 2.0), n=n),
     "inverted_hyperboloid_integral":
         lambda n: inverted_hyperboloid_integral(_unit, 1.0, (0.5, 2.0), n=n),
     "cone_integral": lambda n: cone_integral(_unit, 1.0, (0.5, 2.0), n=n),
     "bulk_integral": lambda n: bulk_integral(_unit, REGION, n=n, nodes=8),
-    "boundary_sum": lambda n: boundary_sum(_unit, _unit, REGION, n=n, nodes=8),
-    "face_flux": lambda n: face_flux(_unit, "h", 1.0, REGION, n=n, nodes=8),
+    "boundary_sum": lambda n: boundary_sum(_faces(_unit, _unit), REGION, n=n, nodes=8),
+    "face_flux": lambda n: face_flux(_faces(_unit, _unit), "h", 1.0, REGION, n=n, nodes=8),
 }
 
 
@@ -218,7 +234,7 @@ def test_flux_total_radial_current_closed_form():
     def ch(u, v):
         return np.zeros_like(u)
 
-    bnd = boundary_sum(cf, ch, reg, n=3, nodes=96)
+    bnd = boundary_sum(_faces(cf, ch), reg, n=3, nodes=96)
     expect = (omega**3 - rho**3) * ((tau - sigma) + 2.0 * math.log(tau / sigma)
                                     + 1.0 / sigma - 1.0 / tau)
     assert abs(bnd.total - expect) < 1e-11 * abs(expect)
@@ -240,7 +256,7 @@ def test_flux_total_cone_current_closed_form():
     def ch(u, v):
         return v / u
 
-    bnd = boundary_sum(cf, ch, reg, n=3, nodes=96)
+    bnd = boundary_sum(_faces(cf, ch), reg, n=3, nodes=96)
     expect = (omega - rho) * (sigma**2 + 2 * sigma - tau**2 - 2 * tau)
     assert abs(bnd.total - expect) < 1e-11 * abs(expect)
     assert bnd.f_omega == 0.0 and bnd.f_rho == 0.0
@@ -260,9 +276,10 @@ def test_boundary_additivity_across_seam():
     def ch(u, v):
         return np.cos(-v / u)
 
-    b_full = boundary_sum(cf, ch, full, n=3, nodes=128)
-    b_lo = boundary_sum(cf, ch, lo, n=3, nodes=128)
-    b_hi = boundary_sum(cf, ch, hi, n=3, nodes=128)
+    flux = _faces(cf, ch)
+    b_full = boundary_sum(flux, full, n=3, nodes=128)
+    b_lo = boundary_sum(flux, lo, n=3, nodes=128)
+    b_hi = boundary_sum(flux, hi, n=3, nodes=128)
     assert abs(b_lo.f_omega - b_hi.f_rho) < 1e-12 * max(1.0, abs(b_lo.f_omega))
     scale = sum(abs(x) for x in (b_full.f_omega, b_full.f_rho,
                                  b_full.h_tau, b_full.h_sigma))
@@ -287,7 +304,7 @@ def test_face_flux_is_the_level_integral_of_the_contraction_over_sqrt_f(face):
         return _contraction(u, v) / np.sqrt(-u * v)
 
     for level in (0.3, 1.0, 7.0):
-        got = face_flux(_contraction, face, level, reg, n=3, nodes=40)
+        got = face_flux(_faces(_contraction, _contraction), face, level, reg, n=3, nodes=40)
         if face == "f":
             want = hyperboloid_integral(unit, level, (reg.sigma, reg.tau), n=3, nodes=40)
         else:
@@ -301,11 +318,12 @@ def test_boundary_sum_is_its_four_face_fluxes():
     def ch(u, v):
         return np.cos(-v / u) * u
 
-    bnd = boundary_sum(_contraction, ch, reg, n=4, nodes=48)
-    want = {"f_omega": face_flux(_contraction, "f", reg.omega, reg, n=4, nodes=48),
-            "f_rho": face_flux(_contraction, "f", reg.rho, reg, n=4, nodes=48),
-            "h_tau": face_flux(ch, "h", reg.tau, reg, n=4, nodes=48),
-            "h_sigma": face_flux(ch, "h", reg.sigma, reg, n=4, nodes=48)}
+    flux = _faces(_contraction, ch)
+    bnd = boundary_sum(flux, reg, n=4, nodes=48)
+    want = {"f_omega": face_flux(flux, "f", reg.omega, reg, n=4, nodes=48),
+            "f_rho": face_flux(flux, "f", reg.rho, reg, n=4, nodes=48),
+            "h_tau": face_flux(flux, "h", reg.tau, reg, n=4, nodes=48),
+            "h_sigma": face_flux(flux, "h", reg.sigma, reg, n=4, nodes=48)}
     got = bnd.as_dict()
     assert all(got[k] == want[k] for k in want)
     assert got["total"] == want["f_omega"] - want["f_rho"] + want["h_tau"] - want["h_sigma"]
@@ -314,7 +332,7 @@ def test_boundary_sum_is_its_four_face_fluxes():
 @pytest.mark.parametrize("face", ["g", "F", None, ""])
 def test_face_flux_rejects_an_unknown_face(face):
     with pytest.raises(InvalidInput, match="face"):
-        face_flux(_contraction, face, 1.0, REGION, n=3, nodes=8)
+        face_flux(_faces(_contraction, _contraction), face, 1.0, REGION, n=3, nodes=8)
 
 
 # ---------------------------------------------------------------------------
