@@ -68,11 +68,13 @@ BATTERY_LEVELS = (128, 256, 512)  # the verify-identity levels of --preset batte
 # LEVEL_COUNT bounds the length of the verify-identity level list, and
 # COMBO_POWER the power p of each verify-nl combo.  A value outside exits 2
 # before anything is allocated.
-SIZE_RANGES = {"n": (2, 10), "grid": (8, 1024), "nodes": (2, 2048), "count": (4, 32),
+SIZE_RANGES = {"n": (2, 10), "grid": (8, 1024), "nodes": (2, 2048), "count": (V.TAIL, 32),
                "dr": (1e-4, 1.0), "T": (1e-3, 20.0), "R": (1.0, 100.0),
                "ell": (0, 10), "power": (1, 20)}
 LEVEL_COUNT = (2, 8)
 COMBO_POWER = (1, 10)
+# the keys of a potential: a solve potential may set any, a verify-nl combo only its kind
+POTENTIAL_KEYS = ("kind", "c", "amplitude", "B", "beta", "p", "floor")
 # solve keeps up to 1023 time slices of up to R/dr cells (of all R/dr for
 # data that fill the strip), so the two keys are bounded together as well:
 # R 100 with dr 1e-4 would need 8 GB.
@@ -400,13 +402,9 @@ def _nl_combos(cfg: RunConfig):
         sgn = cfg.check(f"combos[{i}][0]", row[0], _is_int, "an integer")
         p = cfg.check(f"combos[{i}][1]", row[1], lambda x: _is_int(x) and lo <= x <= hi,
                       f"an integer in [{lo}, {hi}]")
-        kind = row[2]
-        if kind == "constant":
-            pot = Potential.constant(1.0)
-        elif kind == "power":
-            pot = Potential.power_of_f(0.25, amplitude=1.0)
-        else:
-            raise InvalidInput(f"unknown potential kind {_short.repr(kind)}")
+        kind = cfg.check(f"combos[{i}][2]", row[2], lambda x: x in ("constant", "power"),
+                         '"constant" or "power"')
+        pot = _potential_from_config(RunConfig(cfg.command, {"kind": kind}, POTENTIAL_KEYS))
         out.append((int(sgn), int(p), pot, kind))
     return out
 
@@ -474,7 +472,7 @@ def run_counterexample(cfg: RunConfig):
     outside = ~((r > bundle.support[0] - 1e-9) & (r < bundle.support[1] + 1e-9))
     u_out = float(np.max(np.abs(bundle.potential(r[outside]))))
     tail = np.logspace(1, 3, 31)
-    slope = float(np.polyfit(np.log(tail), np.log(bundle.beta(tail)), 1)[0])
+    slope = V.log_slope(tail, bundle.beta(tail))
     records = [
         CheckRecord(name="counterexample-exponents",
                     passed=bundle.ell >= 0, value=bundle.q_plus, tolerance=0.0,
@@ -529,9 +527,8 @@ def run_solve(cfg: RunConfig):
     U = None
     nl = cfg.section("nonlinearity", ("potential", "sign", "p"))
     if nl is not None:
-        pot = _potential_from_config(nl.section(
-            "potential", ("kind", "c", "amplitude", "B", "beta", "p", "floor"),
-            default={"kind": "constant", "c": 1.0}))
+        pot = _potential_from_config(nl.section("potential", POTENTIAL_KEYS,
+                                                default={"kind": "constant", "c": 1.0}))
         U = PowerU(sign=nl.get_int("sign", 1), p=nl.get_float("p", 1), V=pot)
     w = cfg.check("width", cfg.get_float("width", 0.5 if profile == "gaussian" else 1.0),
                   lambda x: x > 0, "positive")

@@ -82,10 +82,10 @@ class RegionOutOfGrid(ConelabError):
 
 
 class InsufficientSequence(ConelabError):
-    """A sequence too short or ill-formed to fit: fewer than four points in
+    """A sequence too short or ill-formed to fit: fewer than TAIL points in
     a limit sequence, fewer than two or repeated grid levels in an identity
-    convergence fit, nonpositive values in a slope fit, or a pipeline field
-    with no closed form to follow past its region."""
+    convergence fit, a value <= 0 in any log-log slope fit (`log_slope`), or
+    a pipeline field with no closed form to follow past its region."""
 
 
 class MostlyMasked(ConelabError):

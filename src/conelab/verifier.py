@@ -8,9 +8,9 @@ flag (`carleman_nl_check`'s includes the sign of Gamma_V).
 `identity_checks` runs several (weight, U) checks of the identity on one
 field and route, and builds each term they share once.  The limit
 experiment and the pipeline follow surface integrals along foliation limits
-with one sequence of surfaces (`_surfaces`) and one tail slope
-(`_tail_slope`).  Nothing here prints or writes files.  The ground truth is
-the divergence identity
+with one sequence of surfaces (`_surfaces`) and fit its last TAIL points;
+every rate is one log-log fit (`log_slope`).  Nothing here prints or writes
+files.  The ground truth is the divergence identity
 
     L psi . S* psi = 2 F' |S* psi|^2 + (f F' G + H) psi^2 + B + div P,
 
@@ -104,6 +104,7 @@ MAX_MASKED = 0.5         # induced potential: largest masked fraction that still
 FLAT_TOL = 0.05          # pipeline: a log-log slope within this of 0 is "bounded"
 ZERO_FLOOR = 1e-13       # pipeline: a flux sequence below this is "zero"
 SURFACES = 6             # pipeline: surfaces per tracked flux term
+TAIL = 4                 # limit and pipeline slopes: points fitted at the end of a sequence
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,7 @@ def identity_convergence(fields: Sequence[ScalarField], rels: Sequence[float]) -
                            value=float(np.max(rels_arr)), tolerance=ORDER_FLOOR,
                            details={"residuals": rels, "levels": list(levels),
                                     "at_floor": True})
-    fit = float(np.polyfit(np.log(hs), np.log(np.maximum(rels_arr, 1e-300)), 1)[0])
+    fit = log_slope(hs, np.maximum(rels_arr, 1e-300))
     passed = 1.5 <= fit <= 4.5
     return CheckRecord(name="identity-order", passed=passed, value=fit,
                        tolerance=0.0,
@@ -500,10 +501,12 @@ def _surfaces(start: float, outward: bool, count: int) -> list:
     return [start * LEVEL_RATIO ** (k if outward else -k) for k in range(count)]
 
 
-def _tail_slope(levels, values) -> float:
-    """Least-squares log-log slope through the last four points."""
-    return float(np.polyfit(np.log(np.asarray(levels[-4:], float)),
-                            np.log(np.asarray(values[-4:], float)), 1)[0])
+def log_slope(levels, values) -> float:
+    """Least-squares slope of log(values) against log(levels), over every
+    point given.  Raises InsufficientSequence on a value <= 0."""
+    if np.any(np.asarray(values) <= 0):
+        raise InsufficientSequence("nonpositive values in slope fit")
+    return float(np.polyfit(np.log(levels), np.log(values), 1)[0])
 
 
 def boundary_limit_experiment(kind: str, *, n: int, delta: float,
@@ -520,13 +523,13 @@ def boundary_limit_experiment(kind: str, *, n: int, delta: float,
     and Psi = (1+r+f)^{-(n-1+delta)} on the outer one.  The rho and omega
     limits hold a fixed time window (the omega one on the inverted chart) --
     with cutoff-tied windows the measured rate would be off by one power.
-    Each level moves the surface by LEVEL_RATIO.  The slope is a
-    least-squares fit through the last four points; it passes within
+    Each level moves the surface by LEVEL_RATIO.  The slope is `log_slope`
+    through the last TAIL points; it passes within
     SLOPE_REL_TOL of the target, relative.  Returns the `limit-slope[kind]`
     record, whose value is the slope.
     """
-    if count < 4:
-        raise InsufficientSequence(f"need at least 4 sequence points, got {count}")
+    if count < TAIL:
+        raise InsufficientSequence(f"need at least {TAIL} sequence points, got {count}")
     if delta <= 0:
         raise InvalidInput(f"need delta > 0, got {delta}")
 
@@ -562,10 +565,8 @@ def boundary_limit_experiment(kind: str, *, n: int, delta: float,
     start, outward, target, integral = table[kind]
     levels = _surfaces(start, outward, count)
     values = [integral(x) for x in levels]
-    if any(x <= 0 for x in values[-4:]):
-        raise InsufficientSequence("nonpositive values in slope fit")
     # decreasing levels (sigma, rho) still fit against log(level)
-    slope = _tail_slope(levels, values)
+    slope = log_slope(levels[-TAIL:], values[-TAIL:])
     denom = max(abs(target), 0.05)
     rel = abs(slope - target) / denom
     return CheckRecord(name=f"limit-slope[{kind}]", passed=rel <= SLOPE_REL_TOL,
@@ -717,7 +718,7 @@ def _classify_sequence(name: str, levels, values, grows_with_level: bool):
         raise InvalidInput(f"flux term {name} is not finite along its limit")
     if float(np.max(vals)) < ZERO_FLOOR:
         return None, "zero"
-    slope = _tail_slope(levels, np.maximum(vals, 1e-300))
+    slope = log_slope(levels[-TAIL:], np.maximum(vals[-TAIL:], 1e-300))
     oriented = slope if grows_with_level else -slope
     if oriented > FLAT_TOL:
         return slope, "growing"

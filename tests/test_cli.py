@@ -892,7 +892,9 @@ def test_mode_and_power_ranges_admit_every_shipped_config(key, default, tested):
     ([[1, 1e20, "constant"]], "config.combos[0][1] must be an integer in ["),
     ([[1, 10**400, "constant"]], "config.combos[0][1] must be an integer in ["),
     ([[-1, 0, "constant"]], "config.combos[0][1] must be an integer in ["),
-], ids=["empty", "1e20", "400-digit", "zero"])
+    ([[1, 1, "saturating"]], 'config.combos[0][2] must be "constant" or "power"'),
+    ([[1, 1, "bogus"]], 'config.combos[0][2] must be "constant" or "power"'),
+], ids=["empty", "1e20", "400-digit", "zero", "saturating", "bogus"])
 def test_verify_nl_combos_are_checked_before_any_work(tmp_path, capsys, monkeypatch,
                                                         combos, named):
     # an empty list would leave the report without records, and PowerU's

@@ -196,10 +196,10 @@ def test_verify_identity_checks_that_share_a_u_share_the_object(tmp_path, monkey
 # the grids of one level shared their node arrays (the multipole job, which
 # reads the nodes the first job built, then peaks at 31.2); pinned with 1.5
 # arrays of margin.
-UNSHARED_JOB_PEAK = 38.0
+JOB_PEAK_ARRAYS = 38.0
 
 
-def test_one_verify_identity_job_peaks_no_higher_than_unshared_checks(tmp_path, monkeypatch):
+def test_one_verify_identity_job_peaks_at_most_its_pin(tmp_path, monkeypatch):
     peaks = {}
 
     def fan_out(jobs):
@@ -218,7 +218,7 @@ def test_one_verify_identity_job_peaks_no_higher_than_unshared_checks(tmp_path, 
     cli.main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
     assert set(peaks) == {"spherical-wave", "multipole"}
     for name, peak in peaks.items():
-        assert peak <= UNSHARED_JOB_PEAK, (name, peak)
+        assert peak <= JOB_PEAK_ARRAYS, (name, peak)
 
 
 @pytest.fixture(scope="module")

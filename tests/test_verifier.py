@@ -36,6 +36,7 @@ from conelab.verifier import (
     identity_convergence,
     identity_residual,
     induced_potential,
+    log_slope,
     manufactured_field,
     pointwise_inequality,
     split_cancellation,
@@ -478,6 +479,35 @@ def test_limit_experiment_guards():
         boundary_limit_experiment("cone_tau", n=3, delta=1.0, count=3)
     with pytest.raises(InvalidInput):
         boundary_limit_experiment("cone_chi", n=3, delta=1.0)
+
+
+@pytest.mark.parametrize("levels", [
+    [256.0 * 2.0**k for k in range(4)],          # tau-like, growing
+    [64.0 * 2.0**k for k in range(6)],           # omega-like, growing
+    [2.0**-8 / 2.0**k for k in range(4)],        # sigma-like, shrinking
+    [0.02 / 2.0**k for k in range(5)],           # rho-like, shrinking
+], ids=["tau", "omega", "sigma", "rho"])
+def test_log_slope_is_the_least_squares_log_log_fit(levels):
+    values = [math.exp(0.3 * k) / (1.0 + x) ** 0.7 for k, x in enumerate(levels)]
+    expected = float(np.polyfit(np.log(levels), np.log(values), 1)[0])
+    assert log_slope(levels, values).hex() == expected.hex()
+
+
+def test_log_slope_recovers_the_power_of_an_exact_power_law():
+    hs = np.array([1.0 / (m - 1) for m in (16, 32, 64, 128)])
+    assert abs(log_slope(hs, 3.7 * hs**2.5) - 2.5) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3])
+def test_log_slope_raises_on_a_nonpositive_value(bad):
+    with pytest.raises(InsufficientSequence, match="nonpositive"):
+        log_slope([1.0, 2.0, 4.0, 8.0], [1.0, 0.5, bad, 0.125])
+
+
+def test_log_slope_of_a_nan_value_is_nan_and_fails_its_record():
+    slope = log_slope([1.0, 2.0, 4.0, 8.0], [1.0, math.nan, 0.25, 0.125])
+    assert math.isnan(slope)
+    assert CheckRecord(name="x", passed=True, value=slope, tolerance=0.1).passed is False
 
 
 def test_limit_experiment_rejects_a_nonpositive_tail(monkeypatch):
