@@ -292,8 +292,7 @@ def run_verify_identity(cfg: RunConfig):
               for uname, U in u_choices]
     pairs = [(rep, U) for _, rep, U in checks]
     fields = V.battery_fields()
-    grids = {(m, ell): GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
-             for m in levels for _, _, ell in fields}
+    grids = {m: GridSpec(region=reg, n_s=m, n_y=m, n=n) for m in levels}
 
     def fd_rel(fld, rep, U, stages):
         return V.identity_residual(fld, rep, U, derivative_mode="fd", stages=stages).rel_residual
@@ -306,7 +305,7 @@ def run_verify_identity(cfg: RunConfig):
         # checks, and V.identity_checks builds each identity term they share
         # once and drops it before it moves on, leaving nothing on the field;
         # the analytic checks then read the finest field alone
-        sampled = [materialize(src, grids[m, ell]) for m in levels]
+        sampled = [materialize(src, grids[m], ell) for m in levels]
         rels = [V.identity_checks(fld, "fd", pairs, fd_rel) for fld in sampled]
         recs = [replace(V.identity_convergence(sampled, level_rels),
                         name=f"identity-order[{fname}/{check}]")
@@ -351,9 +350,9 @@ def run_verify_carleman(cfg: RunConfig, refine: int):
         spherical wave's (low, high) fields, which the seam check reads, and
         the smallest calibrated C and largest calibrated K (None if none)."""
         recs, seam = [], None
+        grids = [GridSpec(region=reg, n_s=m_, n_y=m_, n=n) for reg in (reg_lo, reg_hi)]
         for fname, src, ell in V.battery_fields():
-            flds = [materialize(src, GridSpec(region=reg, n_s=m_, n_y=m_, n=n, ell=ell))
-                    for reg in (reg_lo, reg_hi)]
+            flds = [materialize(src, grid, ell) for grid in grids]
             if fname == "spherical-wave":
                 seam = flds
             recs += [replace(V.carleman_split_check(fld, params, br, nodes=nodes_),
@@ -558,7 +557,7 @@ def run_solve(cfg: RunConfig):
         reg = cfg.region(SOLVE_REGION)
         m = cfg.get_int("grid", 96)
         try:
-            grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
+            grid = GridSpec(region=reg, n_s=m, n_y=m, n=n)
             payload["field"] = result.field_on(grid)
             covered = True
         except ConelabError:
@@ -583,10 +582,10 @@ def _pipeline_field(cfg: RunConfig, n: int):
                         f"{bundle.ell}, the mode that carries a = {a:g}")
     else:
         ell = cfg.get_int("ell", 1 if case == "multipole" else 0)
-    grid = GridSpec(region=reg, n_s=m, n_y=m, n=n, ell=ell)
+    grid = GridSpec(region=reg, n_s=m, n_y=m, n=n)
     if case == "counterexample":
         return (ScalarField.from_function(grid, lambda u, v: bundle.beta(v - u),
-                                          name="counterexample"),
+                                          name="counterexample", ell=ell),
                 lambda u, v: bundle.potential(v - u))
     if case == "zero":
         return ScalarField.zeros(grid), None
@@ -598,7 +597,7 @@ def _pipeline_field(cfg: RunConfig, n: int):
         source = from_expr(cfg.get_str("expr", "0*u"), label="expr")
     else:
         raise InvalidInput(f"unknown pipeline case {_short.repr(case)}")
-    return materialize(source, grid), None
+    return materialize(source, grid, ell), None
 
 
 def run_pipeline(cfg: RunConfig, refine: int):

@@ -156,11 +156,7 @@ class CurrentAssembler:
     rep: Reparametrization
     U: PowerU | ZeroU
     n: int
-    ell: int
-
-    @property
-    def lam(self) -> float:
-        return float(self.ell * (self.ell + self.n - 2))
+    lam: float
 
     def terms(self, u, v, f, phi, phi_u, phi_v, half):
         """The (UTerms, WeightTerms) pair of this current on the given arrays."""
@@ -351,10 +347,10 @@ def current_general(fld: ScalarField, rep: Reparametrization,
     """Current for an arbitrary inward weight and nonlinearity."""
     U = U or ZeroU()
     g = fld.grid
-    _check_mode(U, g.ell)
+    _check_mode(U, fld.ell)
     if np.any(rep.dF(g.F_col) >= 0):
         raise NotInwardDirected(f"{rep.name}: F' >= 0 somewhere on the grid")
-    return CurrentField(field=fld, assembler=CurrentAssembler(rep=rep, U=U, n=g.n, ell=g.ell))
+    return CurrentField(field=fld, assembler=CurrentAssembler(rep=rep, U=U, n=g.n, lam=fld.lam))
 
 
 def current_split(fld: ScalarField, params: SplitWeightParams, branch: str) -> CurrentField:
@@ -393,7 +389,7 @@ def bulk_b(fld: ScalarField, rep: Reparametrization,
     """`bulk_term` on the field's grid."""
     U = U or ZeroU()
     g = fld.grid
-    _check_mode(U, g.ell)
+    _check_mode(U, fld.ell)
     vals = bulk_term(rep, U, g.n, g.F_col, g.U, g.V, fld.values)
     return ScalarField(grid=g, values=vals, name=f"B[{fld.name}]")
 

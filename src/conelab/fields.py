@@ -16,8 +16,6 @@ Chain rule used throughout (u < 0 < v):
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -45,18 +43,40 @@ __all__ = [
 
 
 def _node_array(build):
-    """A node set's array, built on first read and kept: read-only, since
-    every grid on the set reads the same object."""
-    return cached_property(lambda nodes: _read_only(build(nodes)))
+    """A grid's node array, built on first read and kept: read-only, since
+    every field on the grid reads the same object."""
+    return cached_property(lambda grid: _read_only(build(grid)))
 
 
-class _Nodes:
-    """The node arrays of every grid on one region, size and dimension n.
-    Each is built on first read and kept while some grid holds the set."""
+@dataclass(eq=False)
+class GridSpec:
+    """Uniform grid in (s, y) = (log f, log h) covering an admissible region.
 
-    def __init__(self, region: AdmissibleRegion, n_s: int, n_y: int, n: int):
-        self.region, self.n_s, self.n_y, self.n = region, n_s, n_y, n
+    A grid is its nodes, fixed by the region, the sizes and n; `order` picks
+    the stencils.  The fields of every mode read one grid (only a field's
+    `lam` depends on its mode) and share its arrays `s`, `y`, `F_col`, `F`,
+    `H`, `U`, `V`, `R`, `T`, `radial_coef` and `uv_text`, each read-only and
+    built on first read."""
 
+    region: AdmissibleRegion
+    n_s: int
+    n_y: int
+    n: int
+    order: int = 4
+
+    def __post_init__(self):
+        check_dimension(self.n)
+        if not (is_int(self.n_s) and is_int(self.n_y)) or self.n_s < 8 or self.n_y < 8:
+            raise InvalidInput(f"grid needs >= 8 nodes per axis, got {self.n_s}x{self.n_y}")
+        if self.order not in stencils.SUPPORTED_ORDERS:
+            raise InvalidInput(f"unsupported stencil order {self.order}")
+
+    @classmethod
+    def from_region(cls, region: AdmissibleRegion, n_s: int, n_y: int, n: int,
+                    order: int = 4) -> "GridSpec":
+        return cls(region=region, n_s=n_s, n_y=n_y, n=n, order=order)
+
+    # -- node coordinates ---------------------------------------------------
     @_node_array
     def s(self) -> np.ndarray:
         return np.linspace(math.log(self.region.rho), math.log(self.region.omega), self.n_s)
@@ -65,6 +85,9 @@ class _Nodes:
     def y(self) -> np.ndarray:
         return np.linspace(math.log(self.region.sigma), math.log(self.region.tau), self.n_y)
 
+    # f = e^s as an (n_s, 1) column.  f is constant along each row, so a
+    # weight profile evaluated here broadcasts to the same bits as on `F` at
+    # n_s points instead of n_s * n_y
     @_node_array
     def F_col(self) -> np.ndarray:
         return np.exp(self.s)[:, None]
@@ -93,79 +116,20 @@ class _Nodes:
     def T(self) -> np.ndarray:
         return self.V + self.U
 
+    # (n-1)/(2r) at the nodes: the factor of the first-order terms of the
+    # reduced wave operator and of P_u - P_v in a current's divergence
     @_node_array
     def radial_coef(self) -> np.ndarray:
         return (self.n - 1) / (2.0 * self.R)
 
+    # each node's "u,v" CSV text in C order, the numbers as their `repr`: one
+    # row of bytes per node whose nonzero bytes are the text, formatted once
+    # per grid for both the field and the current file
     @_node_array
     def uv_text(self) -> np.ndarray:
         from ._floatrepr import repr_bytes  # loads with the first CSV, not with conelab
 
         return _csv_rows(repr_bytes(self.U), repr_bytes(self.V))
-
-
-# the node set of each (region, n_s, n_y, n) that some grid holds: an entry
-# goes with the last grid that holds it.  Grids are built on worker threads
-# too, so the lookup and the insertion are one step under the lock.
-_NODE_SETS = weakref.WeakValueDictionary()
-_NODE_SETS_LOCK = threading.Lock()
-
-
-@dataclass(eq=False)
-class GridSpec:
-    """Uniform grid in (s, y) = (log f, log h) covering an admissible region.
-
-    The node arrays depend on the region, the sizes and n alone, so every
-    grid that differs from another only in the mode (`ell`, and `lam` from
-    it) or the stencil order (`order`, and `interior` from it) reads the
-    same objects: the axes `s` and `y`, `F_col`, `F`, `H`, `U`, `V`, `R`,
-    `T`, `radial_coef` and `uv_text`.  Each is read-only, built on first
-    read, and lives while some grid on those nodes does."""
-
-    region: AdmissibleRegion
-    n_s: int
-    n_y: int
-    n: int
-    ell: int = 0
-    order: int = 4
-
-    def __post_init__(self):
-        check_dimension(self.n)
-        if not (is_int(self.n_s) and is_int(self.n_y)) or self.n_s < 8 or self.n_y < 8:
-            raise InvalidInput(f"grid needs >= 8 nodes per axis, got {self.n_s}x{self.n_y}")
-        if not is_int(self.ell) or self.ell < 0:
-            raise InvalidInput(f"mode index ell must be an integer >= 0, got {self.ell}")
-        if self.order not in stencils.SUPPORTED_ORDERS:
-            raise InvalidInput(f"unsupported stencil order {self.order}")
-        key = (self.region, self.n_s, self.n_y, self.n)
-        with _NODE_SETS_LOCK:
-            self._nodes = _NODE_SETS.setdefault(key, _Nodes(*key))
-
-    @classmethod
-    def from_region(cls, region: AdmissibleRegion, n_s: int, n_y: int, n: int,
-                    ell: int = 0, order: int = 4) -> "GridSpec":
-        return cls(region=region, n_s=n_s, n_y=n_y, n=n, ell=ell, order=order)
-
-    # -- node coordinates (the node set's) ---------------------------------
-    s = property(lambda self: self._nodes.s)
-    y = property(lambda self: self._nodes.y)
-    # f = e^s as an (n_s, 1) column.  f is constant along each row, so a
-    # weight profile evaluated here broadcasts to the same bits as on `F` at
-    # n_s points instead of n_s * n_y
-    F_col = property(lambda self: self._nodes.F_col)
-    F = property(lambda self: self._nodes.F)
-    H = property(lambda self: self._nodes.H)
-    U = property(lambda self: self._nodes.U)
-    V = property(lambda self: self._nodes.V)
-    R = property(lambda self: self._nodes.R)
-    T = property(lambda self: self._nodes.T)
-    # (n-1)/(2r) at the nodes: the factor of the first-order terms of the
-    # reduced wave operator and of P_u - P_v in a current's divergence
-    radial_coef = property(lambda self: self._nodes.radial_coef)
-    # each node's "u,v" CSV text in C order, the numbers as their `repr`: one
-    # row of bytes per node whose nonzero bytes are the text, formatted once
-    # per node set for both the field and the current file
-    uv_text = property(lambda self: self._nodes.uv_text)
 
     @property
     def ds(self) -> float:
@@ -174,10 +138,6 @@ class GridSpec:
     @property
     def dy(self) -> float:
         return float(self.y[1] - self.y[0])
-
-    @property
-    def lam(self) -> float:
-        return float(self.ell * (self.ell + self.n - 2))
 
     def interior(self, depth: int = 1):
         """Slice pair selecting nodes unaffected by edge stencils (depth = stacked applications)."""
@@ -340,7 +300,8 @@ def _multipole_expr(k: int) -> str:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Mode profile sampled on a grid, optionally backed by a closed form.
+    """Profile of the angular mode `ell` (eigenvalue `lam`) sampled on a grid,
+    which fields of every mode share, optionally backed by a closed form.
 
     Frozen, because its spline (`_spline`) is kept once built: a changed
     field is a new field.  Its derivative arrays are evaluated on each call
@@ -350,6 +311,7 @@ class ScalarField:
     values: np.ndarray
     closed_form: Optional[AnalyticField] = None
     name: str = "field"
+    ell: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -359,15 +321,22 @@ class ScalarField:
             )
         if not np.all(np.isfinite(self.values)):
             raise InvalidInput("field values must be finite")
+        if not is_int(self.ell) or self.ell < 0:
+            raise InvalidInput(f"mode index ell must be an integer >= 0, got {self.ell}")
+
+    @property
+    def lam(self) -> float:  # lambda_ell = ell (ell + n - 2)
+        return float(self.ell * (self.ell + self.grid.n - 2))
 
     @classmethod
-    def from_function(cls, grid: GridSpec, fn: Callable, name: str = "field") -> "ScalarField":
-        return cls(grid=grid, values=np.asarray(fn(grid.U, grid.V), dtype=float), name=name)
+    def from_function(cls, grid: GridSpec, fn: Callable, name: str = "field",
+                      ell: int = 0) -> "ScalarField":
+        return cls(grid, np.asarray(fn(grid.U, grid.V), dtype=float), name=name, ell=ell)
 
     @classmethod
-    def from_analytic(cls, grid: GridSpec, af: AnalyticField) -> "ScalarField":
+    def from_analytic(cls, grid: GridSpec, af: AnalyticField, ell: int = 0) -> "ScalarField":
         vals = np.asarray(af.value(grid.U, grid.V), dtype=float)
-        return cls(grid=grid, values=vals, closed_form=af, name=af.label)
+        return cls(grid=grid, values=vals, closed_form=af, name=af.label, ell=ell)
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "ScalarField":
@@ -650,10 +619,11 @@ class SplineEval:
                                   ps, py, pss, psy, pyy))
 
 
-def materialize(source, grid: GridSpec) -> ScalarField:
-    """Sample an AnalyticField on `grid`; any other source raises InvalidInput."""
+def materialize(source, grid: GridSpec, ell: int = 0) -> ScalarField:
+    """Sample an AnalyticField on `grid` as a mode-`ell` field; any other source raises
+    InvalidInput."""
     if isinstance(source, AnalyticField):
-        return ScalarField.from_analytic(grid, source)
+        return ScalarField.from_analytic(grid, source, ell)
     raise InvalidInput(f"cannot materialize field source of type {type(source)!r}")
 
 
@@ -678,8 +648,8 @@ def box(fld: ScalarField, mode: str = "auto") -> ScalarField:
     """Wave operator (`wave_op`) on the mode profile, by the derivative route
     `fld.route(mode)`."""
     g = fld.grid
-    vals = wave_op(g.n, g.lam, g.R, *fld.derivs_wave(mode))
-    return ScalarField(grid=g, values=vals, name=f"box {fld.name}")
+    vals = wave_op(g.n, fld.lam, g.R, *fld.derivs_wave(mode))
+    return ScalarField(grid=g, values=vals, name=f"box {fld.name}", ell=fld.ell)
 
 
 CSV_ROWS = 16384  # rows per written block: bounds the writer's buffers

@@ -40,7 +40,7 @@ from .errors import (
     is_finite,
     is_int,
 )
-from .fields import GridSpec, ScalarField, TensorSpline, _width
+from .fields import GridSpec, ScalarField, TensorSpline, _width, wave_op
 
 __all__ = [
     "CauchyData",
@@ -135,9 +135,9 @@ class EvolutionResult:
 
         The spline is fitted only on the samples the grid spans plus PAD on
         each side, once per such window and result, so grids that span the
-        same block share one fit."""
-        if grid.ell != self.ell or grid.n != self.n:
-            raise InvalidInput("grid mode/dimension does not match the evolution")
+        same block share one fit.  The field is of the evolution's mode."""
+        if grid.n != self.n:
+            raise InvalidInput("grid dimension does not match the evolution")
         T, R = grid.T, grid.R
         if (np.max(np.abs(T)) > self.times[-1] + 1e-12
                 or np.max(R) > self.r[-1] + 1e-12
@@ -149,7 +149,7 @@ class EvolutionResult:
         if sp is None:
             sp = cache[window] = self.spline(window)
         vals = sp.ev(np.ravel(T), np.ravel(R)).reshape(T.shape)
-        return ScalarField(grid=grid, values=vals, name=self.meta.get("label", "evolved"))
+        return ScalarField(grid, vals, name=self.meta.get("label", "evolved"), ell=self.ell)
 
 
 def _wave_rhs(r, r2, dr, lam, n, ell):
@@ -398,10 +398,13 @@ class CounterexampleBundle:
     support: tuple
 
     def residual(self, r) -> np.ndarray:
-        """Static-equation residual beta'' + (n-1)/r beta' - a beta / r^2 + U beta."""
+        """Static-equation residual beta'' + (n-1)/r beta' - a beta / r^2 + U beta:
+        `wave_op` at lam = a on beta(v - u), whose (phi_u, phi_v, phi_uv) are
+        (-beta', beta', -beta'')."""
         r = np.asarray(r, float)
-        return (self.d2beta(r) + (self.n - 1) / r * self.dbeta(r)
-                - self.a * self.beta(r) / r**2 + self.potential(r) * self.beta(r))
+        beta, dbeta = self.beta(r), self.dbeta(r)
+        return wave_op(self.n, self.a, r, beta, -dbeta, dbeta, -self.d2beta(r)) \
+            + self.potential(r) * beta
 
 
 def counterexample_build(n: int = 3, a: float = 6.0) -> CounterexampleBundle:

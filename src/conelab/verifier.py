@@ -156,8 +156,8 @@ def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, che
     derivs = fld.derivs_wave(mode) if mode == "fd" else fld.derivs2(mode)
     first = phi, phi_u, phi_v = derivs[:3]
     phi_uv, second = (derivs[3], ()) if mode == "fd" else (derivs[4], derivs[3:])
-    half = field_half(g.U, g.V, g.lam, phi, phi_u, phi_v, *second)
-    boxphi = wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv)
+    half = field_half(g.U, g.V, fld.lam, phi, phi_u, phi_v, *second)
+    boxphi = wave_op(g.n, fld.lam, g.R, phi, phi_u, phi_v, phi_uv)
     del derivs, phi_uv, second
     u_stages = {}  # by id: `pairs` holds each U while this lives
     for _, U in pairs:
@@ -271,8 +271,8 @@ def identity_convergence(fields: Sequence[ScalarField], rels: Sequence[float]) -
     (`identity_residual(..., derivative_mode="fd").rel_residual`).
 
     A field's level is its grid's `n_s`; the levels must be distinct (in any
-    order), the grids must share region, `n`, `ell` and stencil order, and
-    there is one residual per field.
+    order), the grids must share region, `n` and stencil order, the fields
+    their mode `ell`, and there is one residual per field.
     Passes when the fitted order lies in [1.5, 4.5] or every residual sits
     below ORDER_FLOOR (fields annihilated by the identity to machine
     precision have no order to fit; the value is then the largest residual).
@@ -282,7 +282,7 @@ def identity_convergence(fields: Sequence[ScalarField], rels: Sequence[float]) -
         raise InsufficientSequence("need at least two grid levels")
     if len(set(levels)) != len(levels):
         raise InsufficientSequence(f"grid levels must be distinct, got {levels}")
-    shared = {(g.region, g.n, g.ell, g.order) for g in (fld.grid for fld in fields)}
+    shared = {(fld.grid.region, fld.grid.n, fld.ell, fld.grid.order) for fld in fields}
     if len(shared) != 1:
         raise InvalidInput("identity levels must share region, n, ell and stencil order")
     rels = list(rels)
@@ -388,7 +388,7 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
     def integrand(u, v):
         f = -u * v
         ph, pu, pv, puv = ev.derivs_wave(u, v)
-        boxphi = wave_op(g.n, g.lam, v - u, ph, pu, pv, puv)
+        boxphi = wave_op(g.n, fld.lam, v - u, ph, pu, pv, puv)
         W = rep.W(rep.F(f))
         ref = f ** (2 * (a - s * b))
         return (W * rep.bulk_coefficient(f) * ph ** 2,
@@ -481,7 +481,7 @@ def carleman_nl_check(fld: ScalarField, a: float, U: PowerU, *,
         f = -u * v
         ph, pu, pv, puv = ev.derivs_wave(u, v)
         B = bulk_term(rep, U, g.n, f, u, v, ph)
-        L = wave_op(g.n, g.lam, v - u, ph, pu, pv, puv) + U.udot(u, v, ph)
+        L = wave_op(g.n, fld.lam, v - u, ph, pu, pv, puv) + U.udot(u, v, ph)
         return -B, (1.0 / (8.0 * a)) * f ** (2 * a) * f * L**2
 
     (lhs, rhs), bnd, margin, scale = _chain(cur, integrand, nodes)
@@ -599,7 +599,7 @@ def induced_potential(fld: ScalarField, p: float):
     vals = np.zeros_like(phi)
     denom = np.abs(phi[mask]) ** (p - 1.0) * phi[mask]
     vals[mask] = -bx[mask] / denom
-    out = ScalarField(grid=g, values=vals, name=f"induced-V[{fld.name}]")
+    out = ScalarField(grid=g, values=vals, name=f"induced-V[{fld.name}]", ell=fld.ell)
     return out, mask
 
 

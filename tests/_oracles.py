@@ -180,7 +180,7 @@ def boundary_expansion_f(fld, rep, variant="consistent"):
     phi, phi_u, phi_v = fld.derivs1()
     up = g.U * phi_u
     vp = g.V * phi_v
-    ang = g.lam * phi**2 / g.R**2
+    ang = fld.lam * phi**2 / g.R**2
     sgn = 1.0 if variant == "consistent" else -1.0
     return W * (0.25 * (up**2 + vp**2)
                 - 0.5 * f * ang

@@ -330,11 +330,10 @@ def test_criterion_07_counterexample():
 def test_criterion_08_pipeline_discrimination():
     bun = counterexample_build(n=3, a=6.0)
     zero = ScalarField.zeros(GridSpec.from_region(REGION, 64, 64, 3))
-    multi = materialize(static_multipole(1, 3),
-                        GridSpec.from_region(REGION, 96, 96, 3, ell=1))
-    cg = GridSpec.from_region(REGION, 96, 96, 3, ell=bun.ell)
+    multi = materialize(static_multipole(1, 3), GridSpec.from_region(REGION, 96, 96, 3), 1)
+    cg = GridSpec.from_region(REGION, 96, 96, 3)
     static = ScalarField.from_function(cg, lambda u, v: bun.beta(v - u),
-                                       name="glued-static")
+                                       name="glued-static", ell=bun.ell)
 
     cases = [
         ("zero", zero, None, "zero bulk"),

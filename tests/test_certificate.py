@@ -144,7 +144,7 @@ def identity_terms():
     phi = sp.Function("phi")(u, v)
     f = -u * v
     rep, U = SymWeight(sp.Function("F")(x)), SymU(u, v)
-    asm = CurrentAssembler(rep=rep, U=U, n=n, ell=0)
+    asm = CurrentAssembler(rep=rep, U=U, n=n, lam=lam)
     d1 = phi, phi.diff(u), phi.diff(v)
     d2 = phi.diff(u, 2), phi.diff(u, v), phi.diff(v, 2)
     half = currents.field_half(u, v, lam, *d1, *d2)

@@ -1004,7 +1004,7 @@ def test_verify_identity_records_match_the_library(tmp_path):
     region = AdmissibleRegion(rho=0.1, omega=10.0, sigma=0.1, tau=10.0)
     seen = 0
     for fname, src, ell in battery_fields():
-        fld = materialize(src, GridSpec(region=region, n_s=32, n_y=32, n=3, ell=ell))
+        fld = materialize(src, GridSpec(region=region, n_s=32, n_y=32, n=3), ell)
         for wname, rep in battery_weights():
             for uname, U in _battery_u_choices():
                 tag = f"{fname}/{wname}/{uname}"

@@ -53,8 +53,8 @@ REG_HI = AdmissibleRegion(1.0, 10.0, 0.1, 10.0)
 
 
 def mkfield(expr="sin(u)*cos(v/3)", region=REGION, m=64, n=3, ell=0):
-    g = GridSpec.from_region(region, m, m, n, ell=ell)
-    return ScalarField.from_analytic(g, from_expr(expr))
+    g = GridSpec.from_region(region, m, m, n)
+    return ScalarField.from_analytic(g, from_expr(expr), ell)
 
 
 def grid_divergence(cur):
@@ -389,7 +389,7 @@ def test_field_half_keeps_the_bits_of_the_bracket_in_one_piece(ell, U):
               for f_ in (g.F_col, -g.U * g.V) for mode in ("analytic", "fd")]
     points.append((u, v, -u * v, fld.evaluator().derivs2(u, v)))
     for _, rep in battery_weights():
-        asm = CurrentAssembler(rep=rep, U=U, n=g.n, ell=ell)
+        asm = CurrentAssembler(rep=rep, U=U, n=g.n, lam=fld.lam)
         for u, v, f, d in points:
             want = [a.tobytes() for a in bracket_components(asm, u, v, f, *d[:3])]
             terms = asm.terms(u, v, f, *d[:3], field_half(u, v, asm.lam, *d[:3]))
@@ -417,7 +417,7 @@ def test_weight_half_on_the_f_column_agrees_with_f_at_every_node(ell, U):
     g = fld.grid
     bound = WEIGHT_HALF_ULPS * np.finfo(float).eps
     for _, rep in battery_weights():
-        asm = CurrentAssembler(rep=rep, U=U, n=g.n, ell=ell)
+        asm = CurrentAssembler(rep=rep, U=U, n=g.n, lam=fld.lam)
         for mode in ("analytic", "fd"):
             d = fld.derivs2(mode)
             col = [*asm.components(g.U, g.V, g.F_col, *d[:3]),

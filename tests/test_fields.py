@@ -4,7 +4,6 @@ serialization."""
 import csv
 import math
 import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -37,8 +36,8 @@ from _oracles import (
 REGION = AdmissibleRegion(0.1, 10.0, 0.1, 10.0)
 
 
-def mkgrid(m=96, n=3, ell=0):
-    return GridSpec.from_region(REGION, m, m, n, ell=ell)
+def mkgrid(m=96, n=3):
+    return GridSpec.from_region(REGION, m, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -48,12 +47,16 @@ def mkgrid(m=96, n=3, ell=0):
 def test_grid_sizes_dimension_and_mode_are_integers():
     # a malformed size is named, never a bare TypeError; numpy integers pass
     for key, bad in (("n_s", 8.5), ("n_s", math.nan), ("n_s", None), ("n_y", 8.5),
-                     ("n_y", True), ("n_s", 7), ("n", 3.0), ("n", None), ("ell", True),
-                     ("ell", 1.0), ("ell", -1)):
+                     ("n_y", True), ("n_s", 7), ("n", 3.0), ("n", None)):
         with pytest.raises(InvalidInput):
             GridSpec(**{"region": REGION, "n_s": 16, "n_y": 16, "n": 3, key: bad})
-    g = GridSpec(REGION, np.int64(16), np.int32(12), np.int64(3), ell=np.int64(1))
+    g = GridSpec(REGION, np.int64(16), np.int32(12), np.int64(3))
     assert g.F.shape == (16, 12)
+    # the mode is the field's
+    for bad in (True, 1.0, -1):
+        with pytest.raises(InvalidInput):
+            ScalarField(grid=g, values=np.zeros((16, 12)), ell=bad)
+    assert ScalarField(grid=g, values=np.zeros((16, 12)), ell=np.int64(1)).lam == 2.0
 
 
 def test_grid_coordinate_consistency():
@@ -81,32 +84,30 @@ def test_grid_node_arrays_come_from_the_1d_axes_to_the_same_bits():
             assert g.V.tobytes() == np.exp((S + Y) / 2.0).tobytes()
             assert g.F_col.shape == (m, 1)
             assert g.F_col.tobytes() == np.exp(S)[:, :1].copy().tobytes()
-            assert "F" not in vars(g._nodes)
+            assert "F" not in vars(g)
             assert g.F.tobytes() == np.exp(S).tobytes()
             assert g.H.tobytes() == np.exp(Y).tobytes()
             assert g.radial_coef.tobytes() == ((g.n - 1) / (2.0 * g.R)).tobytes()
-            assert not {"S", "Y"} & (set(vars(g)) | set(vars(g._nodes)))
+            assert not {"S", "Y"} & set(vars(g))
 
 
-def test_grids_that_differ_in_mode_or_order_alone_share_their_node_arrays():
+def test_fields_of_every_mode_on_one_grid_read_its_node_arrays():
     g = GridSpec.from_region(REGION, 16, 20, 3)
-    h = GridSpec.from_region(REGION, 16, 20, 3, ell=2, order=2)
+    src = from_expr("sin(u)*cos(v/3)")
+    f0, f2 = (ScalarField.from_analytic(g, src, ell) for ell in (0, 2))
+    assert (f0.ell, f0.lam, f2.ell, f2.lam) == (0, 0.0, 2, 6.0)
     for name in ("s", "y", "F_col", "F", "H", "U", "V", "R", "T", "radial_coef"):
-        assert getattr(h, name) is getattr(g, name), name
-    assert (g.lam, h.lam) == (0.0, 6.0)
-    # another n, size or region has nodes of its own: (n-1)/(2r) reads n
+        assert getattr(f2.grid, name) is getattr(f0.grid, name) is getattr(g, name), name
+    assert box(f2).ell == 2 and box(f0).ell == 0
+    # (n-1)/(2r) reads n
     other_n = GridSpec.from_region(REGION, 16, 20, 4)
-    assert other_n.U is not g.U
     assert other_n.radial_coef.tobytes() == (3 / (2.0 * g.R)).tobytes()
-    assert GridSpec.from_region(REGION, 16, 21, 3).U is not g.U
-    assert GridSpec.from_region(AdmissibleRegion(0.1, 10.0, 0.1, 9.0), 16, 20, 3).U is not g.U
 
 
 def test_an_in_place_write_into_a_node_array_raises():
-    # every grid on a node set reads the same arrays: a write into one would
+    # every field on a grid reads the same arrays: a write into one would
     # change them for all of them
     g = GridSpec.from_region(REGION, 16, 20, 3)
-    h = GridSpec.from_region(REGION, 16, 20, 3, ell=1, order=6)
     for name in ("s", "y", "F_col", "F", "H", "U", "V", "R", "T", "radial_coef", "uv_text"):
         arr = getattr(g, name)
         before = arr.tobytes()
@@ -114,32 +115,7 @@ def test_an_in_place_write_into_a_node_array_raises():
                       lambda a: np.negative(a, out=a)):
             with pytest.raises(ValueError):
                 write(arr)
-        assert getattr(h, name).tobytes() == before, name
-
-
-def test_grids_built_on_racing_threads_share_one_node_set():
-    # more threads than cores, switching often, all building the first grids
-    # of one key: a lost registry update would give one of them its own set
-    start = threading.Barrier(8)
-    built = [[] for _ in range(8)]
-
-    def build(out, ell):
-        start.wait(timeout=10)
-        out.extend(GridSpec.from_region(REGION, 17, 19, 3, ell=ell) for _ in range(200))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=build, args=(out, i % 3)) for i, out in enumerate(built)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert all(len(out) == 200 for out in built)
-    assert len({id(g._nodes) for out in built for g in out}) == 1
+        assert getattr(g, name).tobytes() == before, name
 
 
 def test_grid_refine_keeps_the_existing_nodes():
@@ -175,8 +151,8 @@ def test_dalembert_solution_annihilated():
 def test_static_multipole_annihilated():
     # r^{-(n-2+ell)} on the ell-th mode is a static solution
     for n, ell in ((3, 1), (3, 2), (4, 1)):
-        g = mkgrid(48, n=n, ell=ell)
-        fld = ScalarField.from_analytic(g, static_multipole(ell, n))
+        g = mkgrid(48, n=n)
+        fld = ScalarField.from_analytic(g, static_multipole(ell, n), ell)
         res = box(fld).values
         scale = np.max(np.abs(fld.values) / g.R**2)
         assert np.max(np.abs(res)) < 1e-10 * scale
@@ -184,13 +160,12 @@ def test_static_multipole_annihilated():
 
 def test_mode_coupling_term_sign():
     # on a mode the operator picks up +lam/r^2 relative to ell=0
-    g0 = mkgrid(32, n=3, ell=0)
-    g2 = mkgrid(32, n=3, ell=2)
-    assert g0.lam == 0.0 and g2.lam == 2 * (2 + 3 - 2)
-    fld0 = ScalarField.from_analytic(g0, from_expr("sin(u)*cos(v)"))
-    fld2 = ScalarField.from_analytic(g2, from_expr("sin(u)*cos(v)"))
+    g = mkgrid(32, n=3)
+    fld0 = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v)"), 0)
+    fld2 = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v)"), 2)
+    assert fld0.lam == 0.0 and fld2.lam == 2 * (2 + 3 - 2)
     diff = box(fld2).values - box(fld0).values
-    expect = -g2.lam * fld2.values / g2.R**2
+    expect = -fld2.lam * fld2.values / g.R**2
     assert np.allclose(diff, expect, atol=1e-13)
 
 
@@ -335,13 +310,13 @@ def test_spline_derivs_wave_are_bitwise_derivs2_entries():
 
 @pytest.mark.parametrize("ell", [0, 1])
 def test_wave_op_at_grid_points_is_box(ell):
-    g = mkgrid(40, ell=ell)
+    g = mkgrid(40)
     src = from_expr("sin(u)*cos(v/3) + u*v**2")
-    analytic = ScalarField.from_analytic(g, src)
-    sampled = ScalarField(grid=g, values=analytic.values.copy())
+    analytic = ScalarField.from_analytic(g, src, ell)
+    sampled = ScalarField(grid=g, values=analytic.values.copy(), ell=ell)
     for fld, derivs in ((analytic, src.derivs2(g.U, g.V)), (sampled, sampled.fd_derivs2())):
         phi, phi_u, phi_v, _, phi_uv, _ = derivs
-        got = wave_op(g.n, g.lam, g.V - g.U, phi, phi_u, phi_v, phi_uv)
+        got = wave_op(g.n, fld.lam, g.V - g.U, phi, phi_u, phi_v, phi_uv)
         assert got.tobytes() == box(fld).values.tobytes()
 
 
@@ -497,7 +472,7 @@ def test_missing_derivative_guard():
 # derivative arrays on the grid: evaluated on each call and kept by no one
 # ---------------------------------------------------------------------------
 
-FIELD_VARS = {"grid", "values", "closed_form", "name"}
+FIELD_VARS = {"grid", "values", "closed_form", "name", "ell"}
 
 
 def _bitwise_equal(got, want):
@@ -522,11 +497,11 @@ def _fresh_on_each_call(fld, name, mode, want):
 
 @pytest.mark.parametrize("first", ["derivs1", "derivs2"])
 def test_closed_form_route_is_bitwise_direct_evaluation(first):
-    g = mkgrid(24, ell=1)
+    g = mkgrid(24)
     af = static_multipole(1, 3)
     want1 = af.derivs1(g.U, g.V)
     want2 = af.derivs2(g.U, g.V)
-    fld = ScalarField.from_analytic(g, af)
+    fld = ScalarField.from_analytic(g, af, 1)
     for name in (first, "derivs1" if first == "derivs2" else "derivs2") * 2:
         _bitwise_equal(getattr(fld, name)(), want1 if name == "derivs1" else want2)
 
@@ -571,8 +546,8 @@ def test_the_derivatives_of_u_stay_read_only():
 def test_unkept_derivatives_are_the_routes_bits_and_stay_off_the_field(mode, order, name):
     # every call evaluates afresh, to the bits of the route's source, and
     # leaves nothing on the field
-    g = mkgrid(16, ell=1)
-    fld = ScalarField.from_analytic(g, static_multipole(1, 3))
+    g = mkgrid(16)
+    fld = ScalarField.from_analytic(g, static_multipole(1, 3), 1)
     if mode == "fd":
         want = {1: fld.fd_derivs1, "wave": fld.fd_derivs_wave, 2: fld.fd_derivs2}[order]()
     else:
@@ -595,7 +570,7 @@ def test_fd_mode_on_a_closed_form_field_gives_the_fd_arrays():
     _bitwise_equal(fld.derivs1("fd"), fld.fd_derivs1())
     _bitwise_equal(fld.derivs2("fd"), fld.fd_derivs2())
     phi, phi_u, phi_v, _, phi_uv, _ = fld.fd_derivs2()
-    want = wave_op(g.n, g.lam, g.R, phi, phi_u, phi_v, phi_uv)
+    want = wave_op(g.n, fld.lam, g.R, phi, phi_u, phi_v, phi_uv)
     assert box(fld, "fd").values.tobytes() == want.tobytes()
     assert box(fld, "fd").values.tobytes() != box(fld).values.tobytes()
     assert fld.route() == fld.route("analytic") == "analytic"

@@ -133,7 +133,7 @@ def test_each_branch_runs_only_on_the_points_that_select_it():
 
 
 def test_expressions_outside_the_table_take_the_sympy_route():
-    g = GridSpec.from_region(REGIONS[0], 16, 16, 3, ell=2)
+    g = GridSpec.from_region(REGIONS[0], 16, 16, 3)
     phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv = static_multipole(2, 3).derivs2(g.U, g.V)
     assert np.allclose(phi, g.R**-3, rtol=1e-14, atol=0)
     assert np.allclose(phi_u, 3 * g.R**-4, rtol=1e-14, atol=0)

@@ -44,15 +44,15 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_shared_stages_give_the_bits_of_one_check_evaluations(name, mode):
     src, ell = FIELDS[name]
-    grid = GridSpec(region=REGION, n_s=24, n_y=24, n=3, ell=ell)
+    grid = GridSpec(region=REGION, n_s=24, n_y=24, n=3)
 
     def check(fld, rep, U, stages):
         # a fresh field, whose derivatives and stages serve this check alone
         _same_bits(_identity_arrays(fld, rep, U, mode, stages),
-                   _identity_arrays(materialize(src, grid), rep, U, mode))
+                   _identity_arrays(materialize(src, grid, ell), rep, U, mode))
         return rep, U
 
-    assert identity_checks(materialize(src, grid), mode, CHECKS, check) == CHECKS
+    assert identity_checks(materialize(src, grid, ell), mode, CHECKS, check) == CHECKS
 
 
 def _stage_refs(stage):
@@ -92,7 +92,7 @@ def test_no_stage_outlives_its_last_reader_or_is_reachable_from_a_field(monkeypa
 
     monkeypatch.setattr(V, "_weight_stage", weight_stage)
     src, ell = FIELDS["spherical-wave"]
-    sampled = [materialize(src, GridSpec(region=REGION, n_s=m, n_y=m, n=3, ell=ell))
+    sampled = [materialize(src, GridSpec(region=REGION, n_s=m, n_y=m, n=3), ell)
                for m in (16, 32)]
     finest = replace(sampled[-1])
     rels = [identity_checks(fld, "fd", CHECKS, fd) for fld in sampled]
@@ -105,14 +105,14 @@ def test_no_stage_outlives_its_last_reader_or_is_reachable_from_a_field(monkeypa
     gc.collect()
     assert built and not [r for r, _ in built if r() is not None]
     for fld in (*sampled, finest):
-        assert set(vars(fld)) <= {"grid", "values", "closed_form", "name"}
+        assert set(vars(fld)) <= {"grid", "values", "closed_form", "name", "ell"}
 
 
 def test_a_check_outside_the_plan_builds_its_own_stages(monkeypatch):
     # a lone check (no stages=) runs identity_checks on its one pair, to the
     # bits it has among the job's pairs
     src, ell = FIELDS["oscillatory"]
-    fld = materialize(src, GridSpec(region=REGION, n_s=20, n_y=20, n=3, ell=ell))
+    fld = materialize(src, GridSpec(region=REGION, n_s=20, n_y=20, n=3), ell)
     other = CHECKS[2][0]  # the low split weight
     shared = identity_checks(fld, "analytic", CHECKS, lambda fld, rep, U, stages: (
         _identity_arrays(fld, rep, U, "analytic", stages) if rep is other else None))
@@ -134,7 +134,7 @@ def test_a_weight_stage_serves_one_run_of_pairs(monkeypatch):
     # a weight that comes back after another gets a stage of its own again,
     # with the same bits
     src, ell = FIELDS["multipole"]
-    fld = materialize(src, GridSpec(region=REGION, n_s=20, n_y=20, n=3, ell=ell))
+    fld = materialize(src, GridSpec(region=REGION, n_s=20, n_y=20, n=3), ell)
     w1, w2 = CHECKS[0][0], CHECKS[2][0]
     pairs = [(w1, U_CHOICES[0]), (w2, U_CHOICES[0]), (w1, U_CHOICES[1])]
     wants = [_identity_arrays(fld, rep, U, "fd") for rep, U in pairs]
@@ -282,15 +282,15 @@ def test_the_analytic_stage_keeps_no_second_derivative(multipole_phase_peaks):
     assert analytic_peak[0] <= ANALYTIC_STAGE_PEAK, analytic_peak
 
 
-def test_the_grids_of_a_level_share_one_set_of_node_arrays(tmp_path, monkeypatch):
-    # the ell = 0 and ell = 1 grids of a level read the same node arrays, and
-    # nothing keeps those arrays once the run's grids are gone
-    grids = []
+def test_the_fields_of_a_level_share_one_grid(tmp_path, monkeypatch):
+    # the ell = 0 and ell = 1 fields of a level are sampled on one grid, and
+    # nothing keeps its node arrays once the run's grids are gone
+    sampled = []
     real = cli.materialize
 
-    def materialize(src, grid):
-        grids.append(grid)
-        return real(src, grid)
+    def materialize(src, grid, ell):
+        sampled.append((grid, ell))
+        return real(src, grid, ell)
 
     monkeypatch.setattr(cli, "materialize", materialize)
     cfg = tmp_path / "cfg.json"
@@ -298,12 +298,11 @@ def test_the_grids_of_a_level_share_one_set_of_node_arrays(tmp_path, monkeypatch
     cli.main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
     refs = []
     for m in (16, 32):
-        by_ell = {g.ell: g for g in grids if g.n_s == m}
-        assert set(by_ell) == {0, 1} and by_ell[0] is not by_ell[1]
-        for name in ("U", "V", "R", "F_col"):
-            array = getattr(by_ell[0], name)
-            assert getattr(by_ell[1], name) is array, (m, name)
-            refs.append(weakref.ref(array))
-    del grids[:], by_ell, array
+        level = [(grid, ell) for grid, ell in sampled if grid.n_s == m]
+        assert {ell for _, ell in level} == {0, 1}
+        assert len({id(grid) for grid, _ in level}) == 1, m
+        grid = level[0][0]
+        refs += [weakref.ref(getattr(grid, name)) for name in ("U", "V", "R", "F_col")]
+    del sampled[:], level, grid
     gc.collect()
     assert not [r for r in refs if r() is not None]

@@ -457,6 +457,14 @@ def test_field_on_guards():
     small = GridSpec.from_region(AdmissibleRegion(0.25, 1.0, 0.7, 1.4), 8, 8, 4)
     with pytest.raises(InvalidInput):
         res.field_on(small)  # wrong dimension
+    # the sampled field is of the evolution's mode; 9 steps stay clear of
+    # the ell = 1 blow-up at the origin
+    dipole = CauchyData(profile=lambda r: r * np.exp(-(r / 0.5) ** 2),
+                        velocity=lambda r: np.zeros_like(r), ell=1)
+    res = solve(dipole, T=0.15, R=6.0, dr=0.02, n=3)
+    assert res.meta["nsteps"] == 9
+    fld = res.field_on(GridSpec.from_region(AdmissibleRegion(0.25, 1.0, 0.9, 1.1), 8, 8, 3))
+    assert (fld.ell, fld.lam) == (1, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,9 @@ REG_HI = AdmissibleRegion(1.0, 10.0, 0.1, 10.0)
 
 
 def mkfield(expr="sin(u)*cos(v/3)", region=REGION, m=96, n=3, ell=0):
-    g = GridSpec.from_region(region, m, m, n, ell=ell)
+    g = GridSpec.from_region(region, m, m, n)
     src = from_expr(expr) if isinstance(expr, str) else expr
-    return ScalarField.from_analytic(g, src)
+    return ScalarField.from_analytic(g, src, ell)
 
 
 def fd_order(fields, rep=PowerLog(1.0), U=None):
@@ -99,8 +99,9 @@ def test_identity_order_needs_distinct_levels():
     dict(region=REG_LO), dict(n=4), dict(ell=1), dict(order=2),
 ], ids=["region", "n", "ell", "order"])
 def test_identity_order_levels_must_share_all_but_their_size(other):
-    g = GridSpec(**{"region": REGION, "n_s": 64, "n_y": 64, "n": 3, **other})
-    odd = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)"))
+    grid_keys = {k: v for k, v in other.items() if k != "ell"}
+    g = GridSpec(**{"region": REGION, "n_s": 64, "n_y": 64, "n": 3, **grid_keys})
+    odd = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)"), other.get("ell", 0))
     with pytest.raises(InvalidInput, match="share"):
         fd_order([mkfield(m=32), odd])
 
@@ -210,7 +211,7 @@ U_CHOICES = {"free": None, "power-u": PowerU(sign=1, p=1, V=Potential.constant(1
 def test_pointwise_and_identity_are_bitwise_pinned(mode, fname, wname, uname,
                                                    margin, residual, rel):
     src, ell = {name: (s, e) for name, s, e in battery_fields()}[fname]
-    fld = materialize(src, GridSpec(region=REGION, n_s=48, n_y=48, n=3, ell=ell))
+    fld = materialize(src, GridSpec(region=REGION, n_s=48, n_y=48, n=3), ell)
     rep, U = dict(battery_weights())[wname], U_CHOICES[uname]
     pw = pointwise_inequality(fld, rep, U, derivative_mode=mode)
     idr = identity_residual(fld, rep, U, derivative_mode=mode)
@@ -599,8 +600,8 @@ def test_pipeline_counterexample_needs_unbounded_potential():
     def value(u, v):
         return bun.beta(v - u)
 
-    fld = mkfield(from_expr("1 + 0*u"), m=96, ell=bun.ell)
-    fld = ScalarField.from_function(fld.grid, value, name="glued-static")
+    fld = mkfield(from_expr("1 + 0*u"), m=96)
+    fld = ScalarField.from_function(fld.grid, value, name="glued-static", ell=bun.ell)
 
     def vfun(u, v):
         return bun.potential(v - u)
