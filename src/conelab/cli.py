@@ -255,8 +255,7 @@ def _fan_out(jobs):
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
         futs = {ex.submit(fn): name for name, fn in jobs}
         for fut in concurrent.futures.as_completed(futs):
-            res = fut.result()
-            out.extend(res if isinstance(res, list) else [res])
+            out.extend(fut.result())
     return out
 
 
@@ -319,8 +318,8 @@ def run_verify_identity(cfg: RunConfig):
             ana = pw.identity
             recs.append(CheckRecord(
                 name=f"identity-analytic[{tag}]",
-                passed=ana.rel_residual < 1e-9,
-                value=ana.rel_residual, tolerance=1e-9, details={}))
+                passed=ana.rel_residual < V.ANALYTIC_TOL,
+                value=ana.rel_residual, tolerance=V.ANALYTIC_TOL, details={}))
             recs.append(CheckRecord(
                 name=f"pointwise-margin[{tag}]", passed=pw.passed,
                 value=pw.margin_min,
@@ -365,16 +364,15 @@ def run_verify_carleman(cfg: RunConfig, refine: int):
     uncalibrated = "no battery field calibrated both C and K"
     records, seam, cmin, kmax = chain_records(nodes, m)
     records.append(V.split_cancellation(*seam, params, nodes=nodes))
-    if cmin is None or kmax is None:
-        records.append(CheckRecord(
-            name="battery-constants", passed=False, value=math.nan, tolerance=0.0,
-            details={"c_min": cmin, "k_max": kmax, "k_bound": V.E2_OVER_4,
-                     "error": uncalibrated}))
-        return records, {}
+    calibrated = cmin is not None and kmax is not None
+    details = {"c_min": cmin, "k_max": kmax, "k_bound": V.E2_OVER_4}
+    if not calibrated:
+        details["error"] = uncalibrated
     records.append(CheckRecord(
-        name="battery-constants", passed=cmin >= 1.0 and kmax <= V.E2_OVER_4,
-        value=cmin / kmax, tolerance=0.0,
-        details={"c_min": cmin, "k_max": kmax, "k_bound": V.E2_OVER_4}))
+        name="battery-constants", passed=calibrated and cmin >= 1.0 and kmax <= V.E2_OVER_4,
+        value=cmin / kmax if calibrated else math.nan, tolerance=0.0, details=details))
+    if not calibrated:
+        return records, {}
     for level in range(1, refine + 1):
         scale = 2**level
         _, _, cmin2, kmax2 = chain_records(scale * nodes, scale * (m - 1) + 1)
@@ -385,8 +383,8 @@ def run_verify_carleman(cfg: RunConfig, refine: int):
         else:
             drift = max(abs(cmin2 - cmin) / cmin, abs(kmax2 - kmax) / kmax)
         records.append(CheckRecord(
-            name=f"battery-constants-stability[{level}]", passed=drift <= 0.10,
-            value=drift, tolerance=0.10, details=details))
+            name=f"battery-constants-stability[{level}]", passed=drift <= V.STABILITY_TOL,
+            value=drift, tolerance=V.STABILITY_TOL, details=details))
     return records, {}
 
 
@@ -477,11 +475,11 @@ def run_counterexample(cfg: RunConfig):
                     passed=bundle.ell >= 0, value=bundle.q_plus, tolerance=0.0,
                     details={"q_plus": bundle.q_plus, "q_minus": bundle.q_minus,
                              "ell": bundle.ell, "a": a}),
-        CheckRecord(name="counterexample-residual", passed=res_max < 1e-10,
-                    value=res_max, tolerance=1e-10, details={}),
+        CheckRecord(name="counterexample-residual", passed=res_max < V.RESIDUAL_TOL,
+                    value=res_max, tolerance=V.RESIDUAL_TOL, details={}),
         CheckRecord(name="counterexample-tail-slope",
-                    passed=abs(slope - bundle.q_minus) <= 0.01 * abs(bundle.q_minus),
-                    value=slope, tolerance=0.01,
+                    passed=abs(slope - bundle.q_minus) <= V.TAIL_SLOPE_TOL * abs(bundle.q_minus),
+                    value=slope, tolerance=V.TAIL_SLOPE_TOL,
                     details={"expected": bundle.q_minus}),
         CheckRecord(name="counterexample-potential-support",
                     passed=bool(u_out == 0.0 and np.isfinite(umax)),
@@ -532,9 +530,7 @@ def run_solve(cfg: RunConfig):
     w = cfg.check("width", cfg.get_float("width", 0.5 if profile == "gaussian" else 1.0),
                   lambda x: x > 0, "positive")
     if profile == "spherical-wave":
-        base = spherical_wave_data(width=w, power=cfg.get_int("power", 6))
-        data = CauchyData(profile=base.profile, velocity=base.velocity,
-                          ell=ell, label="spherical-wave")
+        data = replace(spherical_wave_data(width=w, power=cfg.get_int("power", 6)), ell=ell)
     elif profile == "gaussian":
         data = CauchyData(profile=lambda r: np.exp(-(r / w) ** 2),
                           velocity=lambda r: np.zeros_like(r), ell=ell,
@@ -550,8 +546,8 @@ def run_solve(cfg: RunConfig):
     ]
     if U is None:
         records.append(CheckRecord(
-            name="solve-energy-drift", passed=result.energy_drift < 0.01,
-            value=result.energy_drift, tolerance=0.01, details={}))
+            name="solve-energy-drift", passed=result.energy_drift < V.DRIFT_TOL,
+            value=result.energy_drift, tolerance=V.DRIFT_TOL, details={}))
     payload = {"evolution": result}
     if cfg.get_bool("sample", True):
         reg = cfg.region(SOLVE_REGION)

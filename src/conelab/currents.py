@@ -104,15 +104,12 @@ class PowerU:
         return (self.sign / (self.p + 1.0)) * self.V.value(u, v) * np.abs(phi) ** (self.p + 1.0)
 
     def udot(self, u, v, phi):
-        return self.force(self.V.value(u, v), phi)
-
-    def force(self, Vv, phi):
-        """dU/dphi = sign V |phi|^{p-1} phi for sampled V; 0 at phi = 0 for
-        p < 1 too, where |0|^{p-1} is inf."""
+        """dU/dphi = sign V |phi|^{p-1} phi; 0 at phi = 0 for p < 1 too,
+        where |0|^{p-1} is inf."""
         mag = np.abs(phi)
         if self.p < 1.0:
             mag = np.where(mag == 0.0, 1.0, mag)
-        return self.sign * Vv * mag ** (self.p - 1.0) * phi
+        return self.sign * self.V.value(u, v) * mag ** (self.p - 1.0) * phi
 
     def scaling_q(self, u, v, phi):
         return (self.sign / (self.p + 1.0)) * np.abs(phi) ** (self.p + 1.0) * 0.5 \

@@ -11,10 +11,10 @@ that causality keeps irrelevant (enforced by a domain-size check).  Runs go
 both forward and backward in time (the backward leg evolves with negated
 initial velocity and the potential sampled at negative times), so the result
 spans a symmetric time strip around the data surface.  The three-point
-stencil moves data by at most one cell per step, so a linear evolution of
-data that vanish past cell b0 is exactly zero past b0 + m at step m: each
-step is computed only on that band, and the result keeps only the columns
-the band reaches by the last step (its `slices` pads them with zeros).
+stencil moves data by at most one cell per step and dU/dphi is 0 at phi = 0,
+so data that vanish past cell b0 evolve to exactly zero past b0 + m at step
+m: each step is computed only on that band, and the result keeps only the
+columns the band reaches by the last step (its `slices` pads them with zeros).
 
 Also here: the Cauchy data of `fields.exact_spherical_wave`, the convergence
 and finite-speed reference, and the construction of a compactly supported
@@ -232,15 +232,11 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     dt = T / nsteps  # land exactly on t = +-T, at most _CFL_LIMIT * dr
 
     # b0 is one past the last cell where phi0 has nonzero bits (-0.0 counts)
-    # or phi1 != 0.  The three-point stencil reaches one cell per step, so
-    # at step m every cell from b0 + m on is exactly +0.0: the step, its
-    # blow-up check and the energy's elementwise work run on that band only.
-    # A nonlinear term is sampled on the whole grid, so it starts at nr.
-    if U is None:
-        live = np.flatnonzero((phi0 != 0) | np.signbit(phi0) | (phi1 != 0))
-        b0 = int(live[-1]) + 1 if live.size else 0
-    else:
-        b0 = nr
+    # or phi1 != 0.  The stencil reaches one cell per step and dU/dphi is 0 at
+    # phi = 0, so at step m every cell from b0 + m on is exactly +0.0: the step,
+    # its blow-up check and the energy's elementwise work run on that band only.
+    live = np.flatnonzero((phi0 != 0) | np.signbit(phi0) | (phi1 != 0))
+    b0 = int(live[-1]) + 1 if live.size else 0
     nb = min(nr, b0 + nsteps)
 
     store_idx = _stored_steps(nsteps)
@@ -259,7 +255,8 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     def nonlin(phi, t):
         if U is None:
             return 0.0
-        return U.force(np.asarray(U.V.value_tr(t, r), float), phi)
+        rw = r[:len(phi)]
+        return U.udot((t - rw) / 2.0, (t + rw) / 2.0, phi)
 
     r2 = r**2
     rhs = _wave_rhs(r, r2, dr, lam, n, data.ell)
@@ -448,22 +445,19 @@ def counterexample_build(n: int = 3, a: float = 6.0) -> CounterexampleBundle:
             b = [(1.0 - s) * x + s * y for x, y in zip(b, b[1:])]
         return b[0]
 
-    def beta(r):
-        r = np.asarray(r, float)
-        return np.where(r <= 1.0, r**q_plus,
-                        np.where(r >= 2.0, r**q_minus, np.exp(bridge(w, r))))
+    def glued(inner, outer, mid):
+        """beta's rule: inner(r) for r <= 1, outer(r) for r >= 2, mid(r) between."""
+        def at(r):
+            r = np.asarray(r, float)
+            return np.where(r <= 1.0, inner(r), np.where(r >= 2.0, outer(r), mid(r)))
+        return at
 
-    def dbeta(r):
-        r = np.asarray(r, float)
-        mid = np.exp(bridge(w, r)) * bridge(dw, r)
-        return np.where(r <= 1.0, q_plus * r ** (q_plus - 1),
-                        np.where(r >= 2.0, q_minus * r ** (q_minus - 1), mid))
-
-    def d2beta(r):
-        r = np.asarray(r, float)
-        mid = np.exp(bridge(w, r)) * (bridge(d2w, r) + bridge(dw, r) ** 2)
-        return np.where(r <= 1.0, q_plus * (q_plus - 1) * r ** (q_plus - 2),
-                        np.where(r >= 2.0, q_minus * (q_minus - 1) * r ** (q_minus - 2), mid))
+    beta = glued(lambda r: r**q_plus, lambda r: r**q_minus, lambda r: np.exp(bridge(w, r)))
+    dbeta = glued(lambda r: q_plus * r ** (q_plus - 1), lambda r: q_minus * r ** (q_minus - 1),
+                  lambda r: np.exp(bridge(w, r)) * bridge(dw, r))
+    d2beta = glued(lambda r: q_plus * (q_plus - 1) * r ** (q_plus - 2),
+                   lambda r: q_minus * (q_minus - 1) * r ** (q_minus - 2),
+                   lambda r: np.exp(bridge(w, r)) * (bridge(d2w, r) + bridge(dw, r) ** 2))
 
     def potential(r):
         r = np.asarray(r, float)

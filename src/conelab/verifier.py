@@ -92,13 +92,19 @@ __all__ = [
 ]
 
 E2_OVER_4 = math.e**2 / 4.0
-# Fixed constants of the checks.  The CLI records that report a tolerance
-# read POINTWISE_SLACK and SLOPE_REL_TOL from here when they are built.
+# Fixed constants of the checks.  Every fixed nonzero tolerance a record
+# reports is read from here when the record is built.
 ORDER_FLOOR = 1e-12      # identity-order: a relative residual below this is rounding
 POINTWISE_SLACK = 2.0    # pointwise margin may dip this many identity residuals below 0
 SPLIT_REL_TOL = 1e-7     # split chain: tolerated relative deficit of its margin
 LEVEL_RATIO = 2.0        # limit and pipeline surfaces grow or shrink by this per level
 SLOPE_REL_TOL = 0.10     # limit slopes: tolerated relative error against the target
+ANALYTIC_TOL = 1e-9      # identity-analytic: largest relative residual of the closed forms
+SEAM_TOL = 1e-10         # split seam: largest relative mismatch of the two branch fluxes
+STABILITY_TOL = 0.10     # battery constants: largest relative move of C and K per refinement
+RESIDUAL_TOL = 1e-10     # counterexample: largest static-equation residual
+TAIL_SLOPE_TOL = 0.01    # counterexample: tolerated relative error of the tail slope
+DRIFT_TOL = 0.01         # solve: largest relative drift of the leapfrog energy
 AMPLITUDE_FLOOR = 1e-3   # induced potential: nodes below this fraction of max |phi| are masked
 MAX_MASKED = 0.5         # induced potential: largest masked fraction that still means anything
 FLAT_TOL = 0.05          # pipeline: a log-log slope within this of 0 is "bounded"
@@ -435,8 +441,8 @@ def split_cancellation(fld_low: ScalarField, fld_high: ScalarField,
     hi = flux(fld_high, "high")
     scale = max(abs(lo), abs(hi), 1e-300)
     rel = abs(lo - hi) / scale
-    return CheckRecord(name="split-seam-cancellation", passed=rel <= 1e-10,
-                       value=rel, tolerance=1e-10,
+    return CheckRecord(name="split-seam-cancellation", passed=rel <= SEAM_TOL,
+                       value=rel, tolerance=SEAM_TOL,
                        details={"low_flux": lo, "high_flux": hi})
 
 

@@ -176,9 +176,8 @@ class Potential:
     """Potential V(u, v) with its scaling log-derivative (u d_u + v d_v) log V.
 
     `du_log`/`dv_log` are the separate partials of log V; they are optional
-    and unlock analytic current divergences for nonlinear terms.  `value_tr`
-    evaluates V as a function of (t, r) for the time-domain solver, through
-    `value` at u = (t - r)/2, v = (t + r)/2.
+    and unlock analytic current divergences for nonlinear terms.  The
+    time-domain solver samples V only through `PowerU.udot`.
     """
 
     value: Callable
@@ -186,11 +185,6 @@ class Potential:
     du_log: Optional[Callable] = None
     dv_log: Optional[Callable] = None
     label: str = "potential"
-
-    def value_tr(self, t, r):
-        t = np.asarray(t, float)
-        r = np.asarray(r, float)
-        return self.value((t - r) / 2.0, (t + r) / 2.0)
 
     @staticmethod
     def constant(c: float) -> "Potential":

@@ -333,7 +333,7 @@ def leapfrog_full_width(data, T, R, dr, n, U=None):
     def nonlin(phi, t):
         if U is None:
             return 0.0
-        V = np.asarray(U.V.value_tr(t, r), float)
+        V = np.asarray(U.V.value((t - r) / 2.0, (t + r) / 2.0), float)
         return U.sign * V * np.abs(phi) ** (U.p - 1.0) * phi
 
     def energy(a, b):

@@ -100,7 +100,7 @@ class SymU:
 
 def _expr(val):
     """A sympy expression from the package's output (for p < 1 a 0-d object
-    array, from `PowerU.force`'s np.where), each float in it the rational its
+    array, from `PowerU.udot`'s np.where), each float in it the rational its
     decimal digits give, as nsimplify(rational=True) makes it."""
     expr = sp.sympify(np.asarray(val, dtype=object).item())
     return expr.xreplace({fl: sp.nsimplify(fl, rational=True) for fl in expr.atoms(sp.Float)})

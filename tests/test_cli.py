@@ -547,6 +547,21 @@ def test_solve_defaults_sample_a_covered_region(tmp_path):
                                         "tau": 5.0 / 3.0}
 
 
+DRIFT_OVER_TOL = pytest.mark.xfail(
+    strict=True, reason="solve-energy-drift reads 0.0117 (n = 7) to 0.0274 (n = 10) against "
+    "0.01: the leapfrog's energy drift grows with n (ROADMAP items 3 and 7)")
+
+
+@pytest.mark.parametrize("n", [*range(2, 7), *(pytest.param(n, marks=DRIFT_OVER_TOL)
+                                                 for n in range(7, 11))])
+def test_solve_passes_at_every_dimension(tmp_path, n):
+    # the dimension sweep at a small sample grid: every record passes
+    out = tmp_path / "report.json"
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "n": n, "grid": 16})
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert all(rec["passed"] for rec in _load_report(out)["records"])
+
+
 def test_solve_fails_a_region_its_strip_does_not_cover(tmp_path):
     # the T = 1 strip does not reach the verify-identity default region
     cfg = _write_config(tmp_path / "cfg.json", {

@@ -2,9 +2,10 @@
 the exterior-region bookkeeping.
 
 The maps (t, r) <-> (u, v) <-> (f, h) have no functions of their own: grids
-place their nodes by them, `Potential.value_tr` and the inverted quadrature
-chart apply them, and the spline evaluator inverts them.  The metric
-contractions of df and dh are checked through closed-form derivatives.
+place their nodes by them, `solve` (sampling a nonlinear potential) and the
+inverted quadrature chart apply them, and the spline evaluator inverts them.
+The metric contractions of df and dh are checked through closed-form
+derivatives.
 """
 
 import math
@@ -14,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conelab.currents import PowerU
 from conelab.errors import InvalidCutoffs, InvalidInput, RegionOutOfGrid
 from conelab.fields import GridSpec, ScalarField, from_expr, wave_op
 from conelab.geometry import AdmissibleRegion
 from conelab.quadrature import inverted_hyperboloid_integral
+from conelab.solver import CauchyData, solve
 from conelab.weights import Potential
 
 coord = st.floats(min_value=-50.0, max_value=50.0,
@@ -31,14 +34,31 @@ def corner(f, h):
     return GridSpec(AdmissibleRegion(f, 2 * f, h, 2 * h), 8, 8, n=3)
 
 
-def null_probe(t, r):
-    """(u, v) at which `Potential.value_tr` evaluates V for (t, r)."""
-    V = Potential(value=lambda u, v: (float(u), float(v)), scaling_log_derivative=None)
-    return V.value_tr(t, r)
+def null_probe(T, dr):
+    """Evolve data supported in r < 1 under a potential that records the
+    (u, v) of each call and returns zeros: (result, live cells of the data,
+    calls in order, each a (u, v) pair of arrays)."""
+    seen = []
+
+    def record(u, v):
+        seen.append((np.array(u), np.array(v)))
+        return np.zeros_like(u)
+
+    U = PowerU(1, 1.0, Potential(value=record, scaling_log_derivative=None))
+    data = CauchyData(profile=lambda r: np.clip(1.0 - r**2, 0.0, None) ** 4,
+                      velocity=np.zeros_like)
+    # R exceeds the support, 1, plus T plus the solver's outer pad, 1
+    res = solve(data, T=T, R=10.0, dr=dr, n=3, U=U)
+    return res, int(np.count_nonzero(data.profile(res.r))), seen
 
 
 def test_null_from_rect_frozen():
-    assert null_probe(3.0, 5.0) == (-1.0, 4.0)
+    # the first sample is at t = 0 on the data's cells and one more
+    res, live, seen = null_probe(T=1.0, dr=0.05)
+    u, v = seen[0]
+    r = res.r[:live + 1]
+    assert live + 1 < len(res.r)
+    assert np.array_equal(u, -r / 2) and np.array_equal(v, r / 2)
     g = corner(4.0, 4.0)                     # (u, v) = (-1, 4)
     assert math.isclose(g.T[0, 0], 3.0, rel_tol=1e-15)
     assert math.isclose(g.R[0, 0], 5.0, rel_tol=1e-15)
@@ -51,12 +71,21 @@ def test_hyperbolic_frozen():
         assert abs(g.F[0, 0] - f) < 1e-15 and abs(g.H[0, 0] - h) < 1e-15
 
 
-@given(t=coord, r=pos)
-def test_rect_null_roundtrip(t, r):
-    u, v = null_probe(t, r)
-    t2, r2 = u + v, v - u
-    assert abs(t - t2) <= 1e-12 * max(1.0, abs(t))
-    assert abs(r - r2) <= 1e-12 * max(1.0, r)
+@given(T=st.floats(0.1, 2.0), dr=st.floats(0.02, 0.1))
+@settings(max_examples=20, deadline=None)
+def test_rect_null_roundtrip(T, dr):
+    # each leg samples t = k dt, k = 0, 1, ..., nsteps - 1 (backward: -k), on
+    # the band's radii, which gain one cell per step
+    res, live, seen = null_probe(T, dr)
+    nsteps = res.meta["nsteps"]
+    assert len(seen) == 2 * nsteps
+    for i, (u, v) in enumerate(seen):
+        k = i if i < nsteps else nsteps - i
+        r = res.r[:min(len(res.r), live + 1 + abs(k))]
+        t = k * res.dt
+        assert u.shape == r.shape
+        assert np.all(np.abs((u + v) - t) <= 1e-12 * max(1.0, abs(t)))
+        assert np.all(np.abs((v - u) - r) <= 1e-12 * np.maximum(1.0, r))
 
 
 @given(f=pos, h=pos)

@@ -425,7 +425,8 @@ def test_band_matches_full_width_on_nonlinear_data(sign, p, kind, T):
            else Potential.power_of_f(0.25, amplitude=1.0))
     data = CauchyData(profile=lambda r: 0.5 * bump(1.0, 4)(r), velocity=bump(0.5, 3))
     res = assert_matches_full_width(data, U=PowerU(sign, p, pot), T=T, R=3.0, dr=0.02, n=3)
-    assert res.band.shape == res.slices.shape
+    # the nonlinear term vanishes with phi, so the band stops short of R too
+    assert res.band.shape[1] < res.slices.shape[1]
 
 
 def test_slices_are_a_new_array_on_each_read():
