@@ -23,8 +23,6 @@ from conelab.quadrature import inverted_hyperboloid_integral
 from conelab.solver import CauchyData, solve
 from conelab.weights import Potential
 
-coord = st.floats(min_value=-50.0, max_value=50.0,
-                  allow_nan=False, allow_infinity=False)
 pos = st.floats(min_value=1e-3, max_value=1e3,
                 allow_nan=False, allow_infinity=False)
 
