@@ -56,9 +56,12 @@ def fixed_expressions() -> list:
 def _select(conds, branches, default):
     """`numpy.select(conds, [fn(*args) for fn, *args in branches], default)`
     calling each `fn` only where its condition is the first that holds, on
-    its `args` gathered there (0-d ones as they are); the result is float64."""
+    its `args` gathered there (0-d ones as they are); the result is float64.
+    A constant last branch, as `(0, True)`, fills the output, not `default`."""
     shape = np.broadcast_shapes(*map(np.shape, conds),
                                 *(np.shape(a) for _, *args in branches for a in args))
+    if conds[-1] is True and len(branches[-1]) == 1:
+        conds, branches, default = conds[:-1], branches[:-1], branches[-1][0]()
     out, free = np.full(shape, default, dtype=float), np.ones(shape, dtype=bool)
     for cond, (fn, *args) in zip(conds, branches):
         taken = free.copy() if cond is True else free & cond  # `& True` is ~20x slower

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from . import verifier as V
 from .currents import PowerU, ZeroU, current_general, current_to_csv
-from .errors import ConelabError, InvalidInput, is_finite
+from .errors import ConelabError, InvalidInput, RegionOutOfGrid, is_finite
 from .fields import (GridSpec, ScalarField, exact_spherical_wave, field_to_csv, from_expr,
                      materialize, static_multipole)
 from .geometry import AdmissibleRegion
@@ -548,20 +548,22 @@ def run_solve(cfg: RunConfig):
         records.append(CheckRecord(
             name="solve-energy-drift", passed=result.energy_drift < V.DRIFT_TOL,
             value=result.energy_drift, tolerance=V.DRIFT_TOL, details={}))
-    payload = {"evolution": result}
+    payload = {}
     if cfg.get_bool("sample", True):
         reg = cfg.region(SOLVE_REGION)
         m = cfg.get_int("grid", 96)
+        covered, reach = True, {}
+        grid = GridSpec(region=reg, n_s=m, n_y=m, n=n)
         try:
-            grid = GridSpec(region=reg, n_s=m, n_y=m, n=n)
             payload["field"] = result.field_on(grid)
-            covered = True
-        except ConelabError:
-            covered = False  # sample window outside the evolved domain
+        except RegionOutOfGrid:  # the sample grid reaches past the evolved strip
+            covered, reach = False, {
+                "grid_t_max": float(np.max(np.abs(grid.T))), "grid_r_min": float(np.min(grid.R)),
+                "grid_r_max": float(np.max(grid.R)), "strip_T": float(result.times[-1]),
+                "strip_R": float(result.r[-1])}
         records.append(CheckRecord(
             name="solve-exterior-sample", passed=covered, value=float(covered),
-            tolerance=0.0, details={"covered": covered,
-                                    "region": asdict(reg)}))
+            tolerance=0.0, details={"covered": covered, "region": asdict(reg), **reach}))
     return records, payload
 
 

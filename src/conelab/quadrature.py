@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 DEFAULT_NODES = 128
+BULK_POINTS = 4096  # nodes per `bulk_integral` integrand call: one `fields.EV_BLOCK`
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,23 +174,29 @@ def bulk_integral(fn: Callable, region: AdmissibleRegion, *, n: int,
     """Integral of fn(u, v) over the region with the spacetime volume measure.
 
     An integrand returning a tuple of k arrays gets a tuple of k integrals,
-    all taken on one node mesh.
+    all taken on one node mesh.  `fn` must be pointwise, with no max or
+    normalisation over the mesh: it sees row blocks of at most BULK_POINTS
+    nodes (or one row), whose weighted values fill one mesh per output.
     """
     check_dimension(n)
     s, ws = gl_nodes(math.log(region.rho), math.log(region.omega), nodes)
     y, wy = gl_nodes(math.log(region.sigma), math.log(region.tau), nodes)
-    S, Y = np.meshgrid(s, y, indexing="ij")
-    F = np.exp(S)
-    H = np.exp(Y)
-    u = -np.sqrt(F / H)
-    v = np.sqrt(F * H)
-    rn = (v - u) ** (n - 1)
-    out = fn(u, v)
-
-    def integral(vals):
-        return float(ws @ (np.asarray(vals, float) * rn * F) @ wy)
-
-    return tuple(map(integral, out)) if isinstance(out, tuple) else integral(out)
+    rows = max(1, BULK_POINTS // nodes)
+    for lo in range(0, nodes, rows):
+        S, Y = np.meshgrid(s[lo:lo + rows], y, indexing="ij")
+        F = np.exp(S)
+        H = np.exp(Y)
+        u = -np.sqrt(F / H)
+        v = np.sqrt(F * H)
+        rn = (v - u) ** (n - 1)
+        out = fn(u, v)
+        outs = out if isinstance(out, tuple) else (out,)
+        if lo == 0:
+            meshes = [np.empty((nodes, nodes)) for _ in outs]
+        for mesh, vals in zip(meshes, outs):
+            mesh[lo:lo + rows] = np.asarray(vals, float) * rn * F
+    ints = tuple(float(ws @ mesh @ wy) for mesh in meshes)
+    return ints if isinstance(out, tuple) else ints[0]
 
 
 @dataclass(frozen=True)

@@ -19,19 +19,24 @@ current must not match), and the current's bracket in one piece.
 The CSV oracle writes a grid's columns node by node through `csv.writer`,
 with special values laid out so that every column repeats bit patterns.
 
+`bulk_integral_whole` is the package's bulk rule as it stood before it
+called its integrand on row blocks: one call on the whole node mesh.  The
+blocked rule must return its bits.
+
 `traced_peak` is the memory probe of the tests that bound a peak.
 """
 
 import csv
+import math
 import tracemalloc
 
 import numpy as np
 from scipy.integrate import simpson
 
 from conelab.currents import divergence_fd
-from conelab.errors import InvalidInput, MissingDerivative
+from conelab.errors import InvalidInput, MissingDerivative, check_dimension
 from conelab.fields import AnalyticField, ScalarField, box
-from conelab.quadrature import boundary_sum, bulk_integral
+from conelab.quadrature import boundary_sum, bulk_integral, gl_nodes
 
 
 def fixed_f_surface_integral(fn, omega, window, n, m=200_001):
@@ -83,6 +88,26 @@ def bulk_simpson(fn, region, n, m=1201):
     r = v - u
     vals = fn(u, v) * r ** (n - 1) * F
     return float(simpson(simpson(vals, x=y, axis=1), x=s))
+
+
+def bulk_integral_whole(fn, region, *, n, nodes):
+    """`bulk_integral` evaluating fn(u, v) once, on the whole nodes x nodes
+    mesh, with each output's weighted mesh contracted with the weights."""
+    check_dimension(n)
+    s, ws = gl_nodes(math.log(region.rho), math.log(region.omega), nodes)
+    y, wy = gl_nodes(math.log(region.sigma), math.log(region.tau), nodes)
+    S, Y = np.meshgrid(s, y, indexing="ij")
+    F = np.exp(S)
+    H = np.exp(Y)
+    u = -np.sqrt(F / H)
+    v = np.sqrt(F * H)
+    rn = (v - u) ** (n - 1)
+    out = fn(u, v)
+
+    def integral(vals):
+        return float(ws @ (np.asarray(vals, float) * rn * F) @ wy)
+
+    return tuple(map(integral, out)) if isinstance(out, tuple) else integral(out)
 
 
 def divergence_residual(cur, region=None, *, nodes=128, route="auto"):

@@ -18,6 +18,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -545,6 +546,45 @@ def test_solve_defaults_sample_a_covered_region(tmp_path):
     assert rec["passed"] and rec["value"] == 1.0 and rec["details"]["covered"] is True
     assert rec["details"]["region"] == {"rho": 0.25, "omega": 1.0, "sigma": 0.6,
                                         "tau": 5.0 / 3.0}
+
+
+def test_solve_sample_past_the_strip_reports_the_grid_reach(tmp_path):
+    # the default sample region reaches |t| = sqrt(f) (sqrt(h) - 1/sqrt(h))
+    # = 0.5164 at f = 1, h = 5/3: a strip evolved to T = 0.51 does not cover it
+    for T, code in ((0.51, 1), (0.52, 0)):
+        out = tmp_path / f"report-{T}.json"
+        cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "T": T})
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == code
+        details = {r["name"]: r for r in _load_report(out)["records"]}[
+            "solve-exterior-sample"]["details"]
+        if code == 0:  # a covered sample keeps the details it had
+            assert set(details) == {"covered", "region"}
+            continue
+        assert details["covered"] is False
+        assert details["grid_t_max"] == pytest.approx(math.sqrt(5 / 3) - math.sqrt(3 / 5),
+                                                      rel=1e-12)
+        assert details["grid_t_max"] > details["strip_T"] == T
+        assert details["strip_R"] == pytest.approx(6.0, abs=0.02)
+        assert 1.0 <= details["grid_r_min"] < details["grid_r_max"] < details["strip_R"]
+
+
+def test_run_solve_keeps_no_reference_to_its_evolution(monkeypatch):
+    # the csv-bundle writers run after `run_solve` returns: its payload holds
+    # the sampled field, and the evolution's band and splines are freed
+    from conelab import cli, solver
+
+    evolved = []
+
+    def spy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        evolved.append(weakref.ref(res))
+        return res
+
+    real = solver.solve
+    monkeypatch.setattr(solver, "solve", spy)
+    records, payload = cli.run_solve(RunConfig("solve", {"grid": 16}))
+    assert len(evolved) == 1 and evolved[0]() is None
+    assert set(payload) == {"field"} and all(r.passed for r in records)
 
 
 DRIFT_OVER_TOL = pytest.mark.xfail(

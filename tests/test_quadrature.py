@@ -7,9 +7,10 @@ import pytest
 
 from conelab.currents import PowerU, current_general
 from conelab.errors import InvalidInput, MissingDerivative
-from conelab.fields import GridSpec, ScalarField, from_expr
+from conelab.fields import GridSpec, ScalarField, exact_spherical_wave, from_expr, wave_op
 from conelab.geometry import AdmissibleRegion
 from conelab.quadrature import (
+    BULK_POINTS,
     boundary_sum,
     bulk_integral,
     cone_integral,
@@ -22,10 +23,12 @@ from conelab.quadrature import (
 from conelab.weights import Potential, PowerLog
 
 from _oracles import (
+    bulk_integral_whole,
     bulk_simpson,
     divergence_residual,
     fixed_f_surface_integral,
     fixed_h_surface_integral,
+    traced_peak,
 )
 
 REGION = AdmissibleRegion(0.1, 10.0, 0.1, 10.0)
@@ -87,6 +90,67 @@ def test_bulk_tuple_integrand_is_one_mesh_of_single_integrals():
     assert meshes == [(48, 48)]
     assert all(type(x) is float for x in got)
     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+# ---------------------------------------------------------------------------
+# the bulk rule's row blocks
+# ---------------------------------------------------------------------------
+
+# 8 and 37 nodes fit one block; 160 and 640 (25 and 6 rows a block) end on a
+# partial one
+BLOCK_NODES = [8, 37, 160, 640]
+WAVE = exact_spherical_wave(width=1.0, power=8)
+
+
+def wave_pair(u, v):
+    """A chain's two-output integrand on a closed form: phi^2 and f (box phi)^2."""
+    ph, pu, pv, puv = WAVE.derivs_wave(u, v)
+    return ph ** 2, -u * v * wave_op(3, 0.0, v - u, ph, pu, pv, puv) ** 2
+
+
+@pytest.mark.parametrize("nodes", BLOCK_NODES)
+def test_blocked_bulk_rule_is_bitwise_the_whole_mesh_rule(nodes):
+    got = bulk_integral(smooth, REGION, n=3, nodes=nodes)
+    assert type(got) is float
+    assert got.hex() == bulk_integral_whole(smooth, REGION, n=3, nodes=nodes).hex()
+    got = bulk_integral(wave_pair, REGION, n=4, nodes=nodes)
+    want = bulk_integral_whole(wave_pair, REGION, n=4, nodes=nodes)
+    assert all(type(x) is float for x in got) and got[0] > 0
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("nodes", BLOCK_NODES)
+def test_blocked_bulk_rule_calls_its_integrand_on_each_node_once(nodes):
+    def recorder(calls):
+        def fn(u, v):
+            calls.append((u.copy(), v.copy()))
+            return smooth(u, v)
+        return fn
+
+    blocks, whole = [], []
+    bulk_integral(recorder(blocks), REGION, n=3, nodes=nodes)
+    bulk_integral_whole(recorder(whole), REGION, n=3, nodes=nodes)
+    assert all(u.size <= BULK_POINTS for u, _ in blocks)
+    assert len(blocks) == -(-nodes // (BULK_POINTS // nodes))
+    # the blocks, stacked in call order, are the whole mesh bit for bit
+    (u, v), = whole
+    assert np.concatenate([b for b, _ in blocks]).tobytes() == u.tobytes()
+    assert np.concatenate([b for _, b in blocks]).tobytes() == v.tobytes()
+
+
+# tracemalloc peak of one `wave_pair` bulk integral at 640 nodes, in arrays
+# of 640^2: 22.3 when the integrand ran on the whole mesh, 2.26 on row
+# blocks (the two output meshes and one block's temporaries); pinned with
+# 0.74 arrays of margin.
+BULK_PEAK_ARRAYS = 3.0
+
+
+def test_one_bulk_integral_peaks_at_most_its_pin():
+    for rule in (bulk_integral, bulk_integral_whole):
+        _, peak = traced_peak(lambda: rule(wave_pair, REGION, n=3, nodes=640))
+        arrays = peak / (8 * 640 ** 2)
+        # the whole-mesh rule must fail the pin, or the pin shows nothing
+        assert (arrays <= BULK_PEAK_ARRAYS) == (rule is bulk_integral), (rule, arrays)
 
 
 # ---------------------------------------------------------------------------
