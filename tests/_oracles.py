@@ -19,9 +19,8 @@ current must not match), and the current's bracket in one piece.
 The CSV oracle writes a grid's columns node by node through `csv.writer`,
 with special values laid out so that every column repeats bit patterns.
 
-`bulk_integral_whole` is the package's bulk rule as it stood before it
-called its integrand on row blocks: one call on the whole node mesh.  The
-blocked rule must return its bits.
+`bulk_integral_whole` is the bulk rule with one integrand call on the whole
+node mesh; the package's row-blocked rule must return its bits.
 
 `traced_peak` is the memory probe of the tests that bound a peak.
 """

@@ -139,9 +139,9 @@ def test_blocked_bulk_rule_calls_its_integrand_on_each_node_once(nodes):
 
 
 # tracemalloc peak of one `wave_pair` bulk integral at 640 nodes, in arrays
-# of 640^2: 22.3 when the integrand ran on the whole mesh, 2.26 on row
-# blocks (the two output meshes and one block's temporaries); pinned with
-# 0.74 arrays of margin.
+# of 640^2: 22.3 for `bulk_integral_whole`, 2.26 for the row blocks (the
+# two output meshes and one block's temporaries); pinned with 0.74 arrays
+# of margin.
 BULK_PEAK_ARRAYS = 3.0
 
 
