@@ -34,7 +34,6 @@ from .errors import (
     InvalidWeightParams,
     MissingDerivative,
     ModeNotSupported,
-    MostlyMasked,
     NotInwardDirected,
     RangeMismatch,
     RegionOutOfGrid,
@@ -54,7 +53,6 @@ from .fields import (
     AnalyticField,
     GridSpec,
     ScalarField,
-    box,
     exact_spherical_wave,
     field_to_csv,
     from_expr,
@@ -85,11 +83,8 @@ from .verifier import (
     boundary_limit_experiment,
     carleman_nl_check,
     carleman_split_check,
-    falsifiability_check,
     identity_convergence,
     identity_residual,
-    induced_potential,
-    manufactured_field,
     pointwise_inequality,
     split_cancellation,
     uniqueness_pipeline,

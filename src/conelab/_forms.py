@@ -5,7 +5,7 @@ the first k (1, 3, 4 or 6) of the slots value, du, dv, duv, duu, dvv.
 """
 
 import numpy as np
-from numpy import cos, less, log, nan, sin
+from numpy import cos, less, nan, sin
 
 
 def _select(conds, branches, default):
@@ -150,121 +150,10 @@ def multipole_2(u, v, k):
     return (value, du, dv, duv, duu, dvv)
 
 
-def pretender_1(u, v, k):
-    x0 = 1 - u
-    x1 = v + 1
-    x2 = x0 * x1
-    value = x2 ** (-3 / 2)
-    if k == 1:
-        return (value,)
-    x3 = 3 / 2 * v + 3 / 2
-    x4 = x2 ** (3 / 2)
-    del x2
-    x5 = x4 * x0
-    x6 = x5 * x1
-    du = x3 / x6
-    x7 = 3 / 2 * u - 3 / 2
-    dv = x7 / x6
-    if k == 3:
-        return (value, du, dv)
-    x8 = x1 ** 2
-    duv = 3 / 2 / x6 - x3 / (x5 * x8) + x7 * x3 / (x4 * x0 ** 2 * x8)
-    del x0, x3, x4, x5, x6, x7
-    if k == 4:
-        return (value, du, dv, duv)
-    x9 = u - 1
-    x10 = (-x9 * x1) ** (3 / 2)
-    del x1
-    duu = 15 / 4 / (x10 * x9 ** 2)
-    del x9
-    dvv = 15 / 4 / (x10 * x8)
-    del x8, x10
-    return (value, du, dv, duv, duu, dvv)
-
-
-def pretender_2(u, v, k):
-    x0 = log(-u * v)
-    x1 = sin(x0)
-    x2 = x1 + 2
-    x3 = 1 - u
-    x4 = v + 1
-    x5 = (x3 * x4) ** (3 / 2)
-    value = 1 / 3 * x2 / x5
-    if k == 1:
-        return (value,)
-    x6 = 3 / 2 * v + 3 / 2
-    x7 = 1 / 3 * x6
-    x8 = x7 * x2
-    x9 = x5 * x3
-    x10 = x9 * x4
-    x11 = cos(x0)
-    del x0
-    x12 = 1 / 3 * x11
-    x13 = u * x5
-    du = x8 / x10 + x12 / x13
-    x14 = 1 / 3 * (3 / 2 * u - 3 / 2)
-    x15 = v * x5
-    dv = x14 * x2 / x10 + x12 / x15
-    del x12
-    if k == 3:
-        return (value, du, dv)
-    x16 = x4 ** 2
-    duv = 1 / 2 * x2 / x10 - x8 / (x9 * x16) + x14 * x6 * x2 / (x5 * x3 ** 2 * x16) + x7 * x11 / (x15 * x3 * x4) + x14 * x11 / (x13 * x3 * x4) - 1 / 3 * x1 / (u * v * x5)
-    del x3, x5, x6, x7, x8, x9, x10, x13, x14, x15
-    if k == 4:
-        return (value, du, dv, duv)
-    x17 = 5 / 4 * x2
-    del x2
-    x18 = u - 1
-    x19 = 1 / 3 * (x1 + x11)
-    del x1
-    x20 = (-x18 * x4) ** (3 / 2)
-    duu = (x17 / x18 ** 2 - x11 / (u * x18) - x19 / u ** 2) / x20
-    del x18
-    dvv = (x17 / x16 - x11 / (v * x4) - x19 / v ** 2) / x20
-    del x4, x11, x16, x17, x19, x20
-    return (value, du, dv, duv, duu, dvv)
-
-
-def pretender_3(u, v, k):
-    x0 = 1 - u
-    x1 = v + 1
-    x2 = x0 * x1
-    value = x2 ** (-8 / 5)
-    if k == 1:
-        return (value,)
-    x3 = 8 / 5 * v + 8 / 5
-    x4 = x2 ** (8 / 5)
-    del x2
-    x5 = x4 * x0
-    x6 = x5 * x1
-    du = x3 / x6
-    x7 = 8 / 5 * u - 8 / 5
-    dv = x7 / x6
-    if k == 3:
-        return (value, du, dv)
-    x8 = x1 ** 2
-    duv = 8 / 5 / x6 - x3 / (x5 * x8) + x7 * x3 / (x4 * x0 ** 2 * x8)
-    del x0, x3, x4, x5, x6, x7
-    if k == 4:
-        return (value, du, dv, duv)
-    x9 = u - 1
-    x10 = (-x9 * x1) ** (8 / 5)
-    del x1
-    duu = 104 / 25 / (x10 * x9 ** 2)
-    del x9
-    dvv = 104 / 25 / (x10 * x8)
-    del x8, x10
-    return (value, du, dv, duv, duu, dvv)
-
-
 FORMS = {
     '1 + 0*u': unit,
     'sin(u)*cos(v/3)': oscillatory,
     '(-u*v)**(4/5) * (-v/u)**(3/10)': separable_power,
     '(Piecewise(((1 - ((2*u)/1.0)**2)**8, (2*u)**2 < 1.0**2), (0, True)) - Piecewise(((1 - ((2*v)/1.0)**2)**8, (2*v)**2 < 1.0**2), (0, True))) / (v - u)': spherical_wave,
     '(v - u)**(-2)': multipole_2,
-    '((1-u)*(1+v))**(-3/2)': pretender_1,
-    '((1-u)*(1+v))**(-3/2) * (2 + sin(log(-u*v)))/3': pretender_2,
-    '((1-u)*(1+v))**(-8/5)': pretender_3,
 }

@@ -447,8 +447,8 @@ def run_limits(cfg: RunConfig):
 
 
 def _counterexample(cfg: RunConfig, n: int):
-    """(a, bundle) at config.a, by default 2n (the ell = 2 mode).  Past the
-    builder's own guards, a is bounded as the mode index is, before any work."""
+    """(a, bundle) at config.a, by default 2n (the ell = 2 mode).  Past the builder's
+    own guards, a is bounded as the mode index is and carried by an integer mode."""
     from .solver import counterexample_build
 
     a = cfg.get_float("a", 2.0 * n)
@@ -456,6 +456,9 @@ def _counterexample(cfg: RunConfig, n: int):
     top = SIZE_RANGES["ell"][1]
     cfg.check("a", a, lambda x: x <= top * (top + n - 2),
               f"at most {top * (top + n - 2)}, ell (ell + n - 2) at ell = {top}")
+    if bundle.ell < 0:
+        raise InvalidInput(f"{cfg.where}.a = {a:g} is carried by no integer mode "
+                           f"in n = {n}: need a = ell (ell + {n - 2})")
     return a, bundle
 
 
@@ -573,9 +576,6 @@ def _pipeline_field(cfg: RunConfig, n: int):
     m = cfg.get_int("grid", 64)
     if case == "counterexample":
         a, bundle = _counterexample(cfg, n)
-        if bundle.ell < 0:
-            raise InvalidInput(f"{cfg.where}.a = {a:g} is carried by no integer mode "
-                               f"in n = {n}: need a = ell (ell + {n - 2})")
         ell = cfg.check("ell", cfg.get_int("ell", bundle.ell), lambda x: x == bundle.ell,
                         f"{bundle.ell}, the mode that carries a = {a:g}")
     else:

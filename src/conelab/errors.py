@@ -88,10 +88,6 @@ class InsufficientSequence(ConelabError):
     a pipeline field with no closed form to follow past its region."""
 
 
-class MostlyMasked(ConelabError):
-    """Induced potential defined on too small a fraction of the region."""
-
-
 class UnstableStep(ConelabError):
     """A stored leapfrog step is non-finite or exceeds 1e12 times the scale
     of the Cauchy data."""

@@ -35,7 +35,6 @@ __all__ = [
     "from_expr",
     "exact_spherical_wave",
     "static_multipole",
-    "box",
     "wave_op",
     "field_to_csv",
     "materialize",
@@ -642,14 +641,6 @@ def wave_op(n: int, lam: float, r, phi, phi_u, phi_v, phi_uv):
     if lam != 0.0:
         out = out - lam * phi / r**2
     return out
-
-
-def box(fld: ScalarField, mode: str = "auto") -> ScalarField:
-    """Wave operator (`wave_op`) on the mode profile, by the derivative route
-    `fld.route(mode)`."""
-    g = fld.grid
-    vals = wave_op(g.n, fld.lam, g.R, *fld.derivs_wave(mode))
-    return ScalarField(grid=g, values=vals, name=f"box {fld.name}", ell=fld.ell)
 
 
 CSV_ROWS = 16384  # rows per written block: bounds the writer's buffers

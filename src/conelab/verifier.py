@@ -1,5 +1,5 @@
 """Verification routines: identity closure, estimate chains, limit slopes,
-induced potentials, and the uniqueness decision pipeline.
+and the uniqueness pipeline, whose step 2 is the one measure of a potential's B.
 
 `identity_convergence`, `carleman_split_check`, `split_cancellation` and
 `boundary_limit_experiment` return the `CheckRecord` the report holds; the
@@ -46,13 +46,10 @@ from .errors import (
     InsufficientSequence,
     InvalidInput,
     InvalidPotential,
-    MostlyMasked,
     RangeMismatch,
 )
 from .fields import (
-    AnalyticField,
     ScalarField,
-    box,
     exact_spherical_wave,
     from_expr,
     static_multipole,
@@ -80,10 +77,6 @@ __all__ = [
     "NlChainReport",
     "carleman_nl_check",
     "boundary_limit_experiment",
-    "induced_potential",
-    "ViolationRecord",
-    "falsifiability_check",
-    "manufactured_field",
     "battery_fields",
     "battery_weights",
     "PipelineTerm",
@@ -105,8 +98,6 @@ STABILITY_TOL = 0.10     # battery constants: largest relative move of C and K p
 RESIDUAL_TOL = 1e-10     # counterexample: largest static-equation residual
 TAIL_SLOPE_TOL = 0.01    # counterexample: tolerated relative error of the tail slope
 DRIFT_TOL = 0.01         # solve: largest relative drift of the leapfrog energy
-AMPLITUDE_FLOOR = 1e-3   # induced potential: nodes below this fraction of max |phi| are masked
-MAX_MASKED = 0.5         # induced potential: largest masked fraction that still means anything
 FLAT_TOL = 0.05          # pipeline: a log-log slope within this of 0 is "bounded"
 ZERO_FLOOR = 1e-13       # pipeline: a flux sequence below this is "zero"
 SURFACES = 6             # pipeline: surfaces per tracked flux term
@@ -579,87 +570,6 @@ def boundary_limit_experiment(kind: str, *, n: int, delta: float,
                        value=slope, tolerance=SLOPE_REL_TOL,
                        details={"target": target, "rel_err": rel,
                                 "levels": levels, "values": values})
-
-
-# ---------------------------------------------------------------------------
-# induced potentials and falsifiability
-# ---------------------------------------------------------------------------
-
-def induced_potential(fld: ScalarField, p: float):
-    """Potential a field would have to carry to solve box phi + V |phi|^{p-1} phi = 0.
-
-    V = -box phi / (|phi|^{p-1} phi) where |phi| exceeds AMPLITUDE_FLOOR
-    times its max; elsewhere masked.  Raises MostlyMasked when more than
-    MAX_MASKED of the grid is masked: the quotient then means nothing.
-    """
-    g = fld.grid
-    bx = box(fld).values
-    phi = fld.values
-    amax = float(np.max(np.abs(phi)))
-    if amax == 0.0:
-        raise MostlyMasked("field is identically zero")
-    mask = np.abs(phi) > AMPLITUDE_FLOOR * amax
-    frac_masked = 1.0 - float(np.mean(mask))
-    if frac_masked > MAX_MASKED:
-        raise MostlyMasked(f"{frac_masked:.0%} of nodes below the amplitude floor")
-    vals = np.zeros_like(phi)
-    denom = np.abs(phi[mask]) ** (p - 1.0) * phi[mask]
-    vals[mask] = -bx[mask] / denom
-    out = ScalarField(grid=g, values=vals, name=f"induced-V[{fld.name}]", ell=fld.ell)
-    return out, mask
-
-
-@dataclass(frozen=True)
-class ViolationRecord:
-    count: int
-    fraction: float
-    worst_ratio: float
-    b_required: float
-    b_admissible: float
-    nonempty: bool
-
-
-def falsifiability_check(fld: ScalarField, *, beta: float, p: float,
-                         b_admissible: float) -> ViolationRecord:
-    """Compare a field's induced potential against the admissible envelope.
-
-    A node violates when |V_induced| > b_admissible * envelope(f).  A field
-    that genuinely radiates at rate beta under an admissible potential
-    produces an empty violation set; hand-built impostors do not.
-    """
-    vind, mask = induced_potential(fld, p)
-    g = fld.grid
-    env = b_admissible * decay_envelope(g.F, beta, p)
-    ratio = np.zeros_like(vind.values)
-    ratio[mask] = np.abs(vind.values[mask]) / env[mask]
-    violations = ratio > 1.0
-    count = int(np.sum(violations))
-    b_req = float(np.max(ratio)) * b_admissible
-    return ViolationRecord(count=count,
-                           fraction=float(np.mean(violations[mask])) if mask.any() else 0.0,
-                           worst_ratio=float(np.max(ratio)),
-                           b_required=b_req, b_admissible=b_admissible,
-                           nonempty=count > 0)
-
-
-def manufactured_field(which: int) -> AnalyticField:
-    """Hand-built fields saturating the beta = 1 radiating-decay envelope.
-
-    All three have bounded weighted suprema at beta = 1 (the weight is
-    exactly (1+r+f) = (1-u)(1+v) in n = 3), yet none can solve an equation
-    with an admissible potential: their induced potentials decay too slowly
-    toward null infinity.
-    """
-    if which not in _PRETENDER_EXPRS:
-        raise InvalidInput(f"manufactured field index must be 1, 2 or 3, got {which}")
-    return from_expr(_PRETENDER_EXPRS[which], label=f"pretender-{which}")
-
-
-_PRETENDER_EXPRS = {
-    1: "((1-u)*(1+v))**(-3/2)",
-    2: "((1-u)*(1+v))**(-3/2) * (2 + sin(log(-u*v)))/3",
-    3: "((1-u)*(1+v))**(-8/5)",
-}
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,11 @@ with special values laid out so that every column repeats bit patterns.
 node mesh; the package's row-blocked rule must return its bits.
 
 `traced_peak` is the memory probe of the tests that bound a peak.
+
+`box` is the wave operator on a field's grid, by the field's derivative
+route.  The decay pretenders are closed forms no admissible potential
+carries; `pointwise_potential_bound` is the largest B the split estimate
+absorbs pointwise, from the package's own weight functions.
 """
 
 import csv
@@ -34,8 +39,44 @@ from scipy.integrate import simpson
 
 from conelab.currents import divergence_fd
 from conelab.errors import InvalidInput, MissingDerivative, check_dimension
-from conelab.fields import AnalyticField, ScalarField, box
+from conelab.fields import AnalyticField, ScalarField, wave_op
 from conelab.quadrature import boundary_sum, bulk_integral, gl_nodes
+from conelab.weights import SplitWeight, SplitWeightParams, decay_envelope
+
+
+def box(fld, mode="auto"):
+    """Wave operator (`wave_op`) on the mode profile, by the derivative route
+    `fld.route(mode)`."""
+    g = fld.grid
+    vals = wave_op(g.n, fld.lam, g.R, *fld.derivs_wave(mode))
+    return ScalarField(grid=g, values=vals, name=f"box {fld.name}", ell=fld.ell)
+
+
+# Fields saturating the beta = 1 radiating-decay envelope: the weight is
+# exactly (1 + r + f) = (1 - u)(1 + v) in n = 3, so their weighted suprema
+# are bounded, yet the potentials they induce decay too slowly toward null
+# infinity for any admissible B.
+PRETENDER_EXPRS = ("((1-u)*(1+v))**(-3/2)",
+                   "((1-u)*(1+v))**(-3/2) * (2 + sin(log(-u*v)))/3",
+                   "((1-u)*(1+v))**(-8/5)")
+
+
+def pointwise_potential_bound(beta, p):
+    """The largest B with B * decay_envelope <= sqrt(8 |F'| c) at every f on
+    both branches of the split weight `uniqueness_pipeline` builds at (beta, p),
+    c its `bulk_coefficient`, f log-spaced over 1e-8 ... 1 ... 1e8.
+
+    With box phi = -V phi, the split chain's right side is (1/8) W |F'|^-1
+    V^2 phi^2 and its left side W c phi^2: both multiply phi^2, so the chain
+    absorbs V exactly when V^2 <= 8 |F'| c pointwise."""
+    a = (beta + p) / 4.0
+    params = SplitWeightParams(a=a, b=min(beta - p, 8.0 * p) / 16.0, p=min(p, 2 * a * 0.99))
+    bounds = []
+    for branch, f in (("low", np.logspace(-8.0, 0.0, 1601)), ("high", np.logspace(0.0, 8.0, 1601))):
+        w = SplitWeight(params, branch)
+        bounds.append(np.min(np.sqrt(8.0 * np.abs(w.dF(f)) * w.bulk_coefficient(f))
+                             / decay_envelope(f, beta, p)))
+    return float(min(bounds))
 
 
 def fixed_f_surface_integral(fn, omega, window, n, m=200_001):

@@ -23,6 +23,7 @@ from conelab.fields import (
     from_expr,
     materialize,
     static_multipole,
+    wave_op,
 )
 from conelab.geometry import AdmissibleRegion
 from conelab.quadrature import (
@@ -41,10 +42,8 @@ from conelab.verifier import (
     boundary_limit_experiment,
     carleman_nl_check,
     carleman_split_check,
-    falsifiability_check,
     identity_convergence,
     identity_residual,
-    manufactured_field,
     pointwise_inequality,
     split_cancellation,
     uniqueness_pipeline,
@@ -52,10 +51,12 @@ from conelab.verifier import (
 from conelab.weights import Potential, PowerLog, SplitWeight, SplitWeightParams
 
 from _oracles import (
+    PRETENDER_EXPRS,
     bulk_simpson,
     conjugate_analytic,
     fixed_f_surface_integral,
     fixed_h_surface_integral,
+    pointwise_potential_bound,
 )
 
 PARAMS = SplitWeightParams(a=1.0, b=0.1, p=0.5)
@@ -360,24 +361,38 @@ def test_criterion_08_pipeline_discrimination():
 # 9. falsifiability: decay pretenders violate the potential envelope
 # ---------------------------------------------------------------------------
 
+# The B each pretender's induced potential needs, as the pipeline measures it
+PRETENDER_B = (1.085708738243325, 1.5785724857606724, 1.0843778582984616)
+
+
 def test_criterion_09_falsifiability():
+    # a pretender solves box phi + V |phi|^{p-1} phi = 0 only with the V it
+    # induces; the pipeline's potential step must find that V inadmissible,
+    # under its own bound and under the split estimate's pointwise one
     reg = AdmissibleRegion(0.1, 10.0, 0.1, 1000.0)
     grid = GridSpec.from_region(reg, 128, 128, 3)
-    b_adm = math.sqrt(0.375 / (2.0 * E2_OVER_4 * 0.5))
+    p = 0.5
+    pointwise = pointwise_potential_bound(1.0, p)
     failures = []
-    counts = []
-    for which in (1, 2, 3):
-        fld = materialize(manufactured_field(which), grid)
-        rec = falsifiability_check(fld, beta=1.0, p=0.5, b_admissible=b_adm)
-        counts.append(rec.count)
-        if not (rec.nonempty and rec.count > 0
-                and rec.b_required > rec.b_admissible):
-            failures.append((which, rec))
+    required = []
+    for expr, pinned in zip(PRETENDER_EXPRS, PRETENDER_B):
+        af = from_expr(expr)
+
+        def induced(u, v, af=af):
+            slots = af.derivs_wave(u, v)
+            return -wave_op(3, 0.0, v - u, *slots) / (np.abs(slots[0]) ** (p - 1.0) * slots[0])
+
+        rep = uniqueness_pipeline(materialize(af, grid), beta=1.0, p=p, potential=induced)
+        required.append(rep.b_required)
+        if not (rep.verdict.startswith("potential-bound violation")
+                and rep.b_required > max(rep.b_admissible, pointwise)
+                and rep.b_required == pytest.approx(pinned, rel=1e-14)):
+            failures.append((expr, rep.verdict, rep.b_required))
     ok = not failures
     _line(9, "falsifiability", ok,
-          f"3 rate-1 pretenders: violation sets nonempty "
-          f"({counts[0]}, {counts[1]}, {counts[2]} nodes) against "
-          f"admissible bound {b_adm:.3f}")
+          f"3 rate-1 pretenders need B = {required[0]:.3f}, {required[1]:.3f}, "
+          f"{required[2]:.3f} against admissible {rep.b_admissible:.3f} "
+          f"(pointwise {pointwise:.3f})")
     assert ok, failures
 
 

@@ -371,6 +371,23 @@ def test_pipeline_mode_index_says_what_runs(tmp_path, capsys, payload, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a", [3.0, 0.5])
+@pytest.mark.parametrize("command, payload", [
+    ("counterexample", {}),
+    ("pipeline", {"case": "counterexample", "grid": 16}),
+], ids=["counterexample", "pipeline"])
+def test_an_a_no_integer_mode_carries_exits_2_in_both_commands(tmp_path, capsys,
+                                                               command, payload, a):
+    # counterexample exited 1 here, on its counterexample-exponents record,
+    # while pipeline rejected the same a: both now share one gate
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "n": 3, "a": a, **payload})
+    out = tmp_path / "r.json"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config.a = {a:g} is carried by no integer mode in n = 3" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["counterexample", "pipeline"])
 def test_counterexample_default_a_is_the_ell_2_mode_at_every_n(tmp_path, command):
     # a = 2n is ell (ell + n - 2) at ell = 2; a fixed a = 6 is carried by an

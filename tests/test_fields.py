@@ -15,7 +15,6 @@ from conelab.fields import (
     AnalyticField,
     GridSpec,
     ScalarField,
-    box,
     exact_spherical_wave,
     field_to_csv,
     from_expr,
@@ -27,6 +26,7 @@ from conelab.geometry import AdmissibleRegion
 from conelab.weights import PowerLog
 
 from _oracles import (
+    box,
     conjugate_analytic,
     conjugated_wave_residual,
     csv_writer_file,

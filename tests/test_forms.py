@@ -17,7 +17,9 @@ from conelab._gen_forms import (
     _shareable,
     fixed_expressions,
     joint_function,
+    joint_source,
     render,
+    slot_sources,
 )
 from conelab.fields import (
     GridSpec,
@@ -28,23 +30,26 @@ from conelab.fields import (
 )
 from conelab.geometry import AdmissibleRegion
 
-from _oracles import traced_peak
+from _oracles import PRETENDER_EXPRS, traced_peak
 
 REGIONS = [AdmissibleRegion(0.1, 10.0, 0.1, 10.0), AdmissibleRegion(0.01, 0.3, 0.5, 2.0)]
+
+PRETENDERS = [(f"pretender-{i}", e) for i, e in enumerate(PRETENDER_EXPRS, 1)]
 
 # closed forms outside the table: a power of r, a Piecewise with a branch on
 # u and a transcendental one on v, and a sum that `lambdify` writes as a
 # generator expression, whose terms must stay inside it.  Then Piecewise
 # edge cases: no `True` fallback (NaN where no condition holds), integer
 # branches, overlapping conditions (the first true one wins), and a
-# condition and a branch that read one shared local
+# condition and a branch that read one shared local.  Last, the decay
+# pretenders, which only tests build
 OUTSIDE = ["(v - u)**(-3)", "Piecewise((u**3*v + exp(u), u**2 < 0.3), (sin(v)*u, True)) / (v - u)",
            "Sum(u**k * v, (k, 0, 3))", "Piecewise((u, u**2 < 0.3))/(v - u)",
            "Piecewise((1, u**2 < 0.3), (0, True))*v",
            "Piecewise((u, u < -1), (v, u < 0), (u*v, True))",
-           "Piecewise((u*v, u*v < -0.5), (0, True))"]
+           "Piecewise((u*v, u*v < -0.5), (0, True))", *(e for _, e in PRETENDERS)]
 OUTSIDE_IDS = ["multipole-3", "piecewise", "sum", "piecewise-no-fallback", "piecewise-integer",
-               "piecewise-overlapping", "piecewise-shared-local"]
+               "piecewise-overlapping", "piecewise-shared-local", *(t for t, _ in PRETENDERS)]
 
 
 def test_committed_forms_are_what_the_generator_writes():
@@ -144,12 +149,15 @@ def test_expressions_outside_the_table_take_the_sympy_route():
     assert np.allclose(af.derivs2(g.U, g.V)[4], 2 * g.U, rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("expr", [e for _, e in fixed_expressions()],
-                         ids=[tag for tag, _ in fixed_expressions()])
+@pytest.mark.parametrize("expr", [e for _, e in fixed_expressions() + PRETENDERS],
+                         ids=[tag for tag, _ in fixed_expressions() + PRETENDERS])
 def test_each_shared_subexpression_is_computed_once(expr):
     # the per-slot sources repeat each `select`, power and product they
-    # share; the joint function spells each of them once
-    tree = ast.parse(inspect.getsource(_forms.FORMS[expr]))
+    # share; the joint function spells each of them once, committed or built
+    # at run time
+    source = (inspect.getsource(_forms.FORMS[expr]) if expr in _forms.FORMS
+              else joint_source("joint", slot_sources(expr)[0]))
+    tree = ast.parse(source)
     spelled = [ast.dump(n) for n in ast.walk(tree) if _shareable(n)]
     assert len(spelled) == len(set(spelled))
 

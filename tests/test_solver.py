@@ -22,7 +22,7 @@ from conelab.errors import (
     RegionOutOfGrid,
     UnstableStep,
 )
-from conelab.fields import GridSpec, TensorSpline, box, exact_spherical_wave, static_multipole
+from conelab.fields import GridSpec, TensorSpline, exact_spherical_wave, static_multipole
 from conelab.geometry import AdmissibleRegion
 from conelab.solver import (
     MAX_STORED_SLICES,
@@ -36,7 +36,7 @@ from conelab.solver import (
 )
 from conelab.weights import Potential
 
-from _oracles import leapfrog_full_width, traced_peak
+from _oracles import box, leapfrog_full_width, traced_peak
 
 
 # ---------------------------------------------------------------------------
