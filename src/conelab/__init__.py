@@ -56,7 +56,6 @@ from .fields import (
     exact_spherical_wave,
     field_to_csv,
     from_expr,
-    materialize,
     static_multipole,
 )
 from .currents import (

@@ -32,7 +32,7 @@ from . import verifier as V
 from .currents import PowerU, ZeroU, current_general, current_to_csv
 from .errors import ConelabError, InvalidInput, RegionOutOfGrid, is_finite
 from .fields import (GridSpec, ScalarField, exact_spherical_wave, field_to_csv, from_expr,
-                     materialize, static_multipole)
+                     static_multipole)
 from .geometry import AdmissibleRegion
 from .verifier import CheckRecord
 from .weights import Potential, PowerLog, SplitWeightParams
@@ -304,7 +304,7 @@ def run_verify_identity(cfg: RunConfig):
         # checks, and V.identity_checks builds each identity term they share
         # once and drops it before it moves on, leaving nothing on the field;
         # the analytic checks then read the finest field alone
-        sampled = [materialize(src, grids[m], ell) for m in levels]
+        sampled = [ScalarField.from_analytic(grids[m], src, ell) for m in levels]
         rels = [V.identity_checks(fld, "fd", pairs, fd_rel) for fld in sampled]
         recs = [replace(V.identity_convergence(sampled, level_rels),
                         name=f"identity-order[{fname}/{check}]")
@@ -323,8 +323,8 @@ def run_verify_identity(cfg: RunConfig):
             recs.append(CheckRecord(
                 name=f"pointwise-margin[{tag}]", passed=pw.passed,
                 value=pw.margin_min,
-                tolerance=V.POINTWISE_SLACK * pw.identity_residual,
-                details={"identity_residual": pw.identity_residual}))
+                tolerance=V.POINTWISE_SLACK * pw.identity.residual,
+                details={"identity_residual": pw.identity.residual}))
         return recs
 
     return _fan_out((fname, partial(job, fname, src, ell))
@@ -342,16 +342,16 @@ def run_verify_carleman(cfg: RunConfig, refine: int):
     reg_hi = AdmissibleRegion(rho=1.0, omega=base.omega, sigma=base.sigma, tau=base.tau)
     m = cfg.get_int("grid", 96)
     _check_refined(refine, "nodes", lambda level: 2**level * nodes)
-    _check_refined(refine, "grid", lambda level: 2**level * (m - 1) + 1)
+    grids = [GridSpec(region=reg, n_s=m, n_y=m, n=n) for reg in (reg_lo, reg_hi)]
 
-    def chain_records(nodes_, m_):
+    def chain_records(nodes_):
         """The split-chain record of every battery field on both branches, the
         spherical wave's (low, high) fields, which the seam check reads, and
-        the smallest calibrated C and largest calibrated K (None if none)."""
+        the smallest calibrated C and largest calibrated K (None if none);
+        the checks read closed forms at the nodes, so every level shares grids."""
         recs, seam = [], None
-        grids = [GridSpec(region=reg, n_s=m_, n_y=m_, n=n) for reg in (reg_lo, reg_hi)]
         for fname, src, ell in V.battery_fields():
-            flds = [materialize(src, grid, ell) for grid in grids]
+            flds = [ScalarField.from_analytic(grid, src, ell) for grid in grids]
             if fname == "spherical-wave":
                 seam = flds
             recs += [replace(V.carleman_split_check(fld, params, br, nodes=nodes_),
@@ -362,7 +362,7 @@ def run_verify_carleman(cfg: RunConfig, refine: int):
         return recs, seam, (min(cs) if cs else None), (max(ks) if ks else None)
 
     uncalibrated = "no battery field calibrated both C and K"
-    records, seam, cmin, kmax = chain_records(nodes, m)
+    records, seam, cmin, kmax = chain_records(nodes)
     records.append(V.split_cancellation(*seam, params, nodes=nodes))
     calibrated = cmin is not None and kmax is not None
     details = {"c_min": cmin, "k_max": kmax, "k_bound": V.E2_OVER_4}
@@ -375,7 +375,7 @@ def run_verify_carleman(cfg: RunConfig, refine: int):
         return records, {}
     for level in range(1, refine + 1):
         scale = 2**level
-        _, _, cmin2, kmax2 = chain_records(scale * nodes, scale * (m - 1) + 1)
+        _, _, cmin2, kmax2 = chain_records(scale * nodes)
         details = {"c_min": [cmin, cmin2], "k_max": [kmax, kmax2]}
         if cmin2 is None or kmax2 is None:
             drift = math.nan
@@ -414,7 +414,7 @@ def run_verify_nl(cfg: RunConfig):
     reg = cfg.region()
     grid = GridSpec(region=reg, n_s=m, n_y=m, n=n)
     combos = _nl_combos(cfg)
-    fld = materialize(exact_spherical_wave(width=1.0, power=8), grid)
+    fld = ScalarField.from_analytic(grid, exact_spherical_wave(width=1.0, power=8))
     records = []
     for sgn, p, pot, kind in combos:
         U = PowerU(sign=sgn, p=p, V=pot)
@@ -474,16 +474,13 @@ def run_counterexample(cfg: RunConfig):
     tail = np.logspace(1, 3, 31)
     slope = V.log_slope(tail, bundle.beta(tail))
     records = [
-        CheckRecord(name="counterexample-exponents",
-                    passed=bundle.ell >= 0, value=bundle.q_plus, tolerance=0.0,
-                    details={"q_plus": bundle.q_plus, "q_minus": bundle.q_minus,
-                             "ell": bundle.ell, "a": a}),
         CheckRecord(name="counterexample-residual", passed=res_max < V.RESIDUAL_TOL,
                     value=res_max, tolerance=V.RESIDUAL_TOL, details={}),
         CheckRecord(name="counterexample-tail-slope",
                     passed=abs(slope - bundle.q_minus) <= V.TAIL_SLOPE_TOL * abs(bundle.q_minus),
                     value=slope, tolerance=V.TAIL_SLOPE_TOL,
-                    details={"expected": bundle.q_minus}),
+                    details={"expected": bundle.q_minus, "q_plus": bundle.q_plus,
+                             "ell": bundle.ell, "a": a}),
         CheckRecord(name="counterexample-potential-support",
                     passed=bool(u_out == 0.0 and np.isfinite(umax)),
                     value=umax, tolerance=0.0,
@@ -524,7 +521,7 @@ def run_solve(cfg: RunConfig):
     dr = cfg.check("dr", cfg.get_float("dr", 0.02), lambda x: R / x <= SOLVE_CELLS,
                    f"at least R/{SOLVE_CELLS} = {R / SOLVE_CELLS:g}")
     ell = cfg.get_int("ell", 0)
-    U = None
+    U = ZeroU()
     nl = cfg.section("nonlinearity", ("potential", "sign", "p"))
     if nl is not None:
         pot = _potential_from_config(nl.section("potential", POTENTIAL_KEYS,
@@ -547,7 +544,7 @@ def run_solve(cfg: RunConfig):
                     details={"slices": len(result.times), "dr": result.dr,
                              "dt": result.dt, "label": data.label}),
     ]
-    if U is None:
+    if U.is_zero:
         records.append(CheckRecord(
             name="solve-energy-drift", passed=result.energy_drift < V.DRIFT_TOL,
             value=result.energy_drift, tolerance=V.DRIFT_TOL, details={}))
@@ -595,7 +592,7 @@ def _pipeline_field(cfg: RunConfig, n: int):
         source = from_expr(cfg.get_str("expr", "0*u"), label="expr")
     else:
         raise InvalidInput(f"unknown pipeline case {_short.repr(case)}")
-    return materialize(source, grid, ell), None
+    return ScalarField.from_analytic(grid, source, ell), None
 
 
 def run_pipeline(cfg: RunConfig, refine: int):
@@ -605,24 +602,17 @@ def run_pipeline(cfg: RunConfig, refine: int):
     nodes = cfg.get_int("nodes", 96)
     _check_refined(refine, "nodes", lambda level: 2**level * nodes)
     fld, potential = _pipeline_field(cfg, n)
-    rep = V.uniqueness_pipeline(fld, beta=beta, p=p, potential=potential,
-                                nodes=nodes)
-    records = [CheckRecord(
-        name="pipeline-verdict", passed=True, value=rep.b_required,
-        tolerance=rep.b_admissible,
-        details={"verdict": rep.verdict, "a": rep.a, "b": rep.b,
-                 "terms": [{"name": t.name, "slope": t.slope,
-                            "classification": t.classification}
-                           for t in rep.terms]})]
-    series = {f"term-{t.name}": list(zip(t.levels, t.values)) for t in rep.terms}
+    rec, series = V.uniqueness_pipeline(fld, beta=beta, p=p, potential=potential, nodes=nodes)
+    records = [rec]
+    verdict = rec.details["verdict"]
     for level in range(1, refine + 1):
-        rep2 = V.uniqueness_pipeline(fld, beta=beta, p=p, potential=potential,
-                                     nodes=2**level * nodes)
-        stable = rep2.verdict.split(":")[0] == rep.verdict.split(":")[0]
+        refined = V.uniqueness_pipeline(fld, beta=beta, p=p, potential=potential,
+                                        nodes=2**level * nodes)[0].details["verdict"]
+        stable = refined.split(":")[0] == verdict.split(":")[0]
         records.append(CheckRecord(
             name=f"pipeline-verdict-stability[{level}]", passed=stable,
             value=float(stable), tolerance=0.0,
-            details={"verdict": rep.verdict, "refined_verdict": rep2.verdict}))
+            details={"verdict": verdict, "refined_verdict": refined}))
     return records, {"series": series}
 
 

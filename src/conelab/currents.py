@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -129,6 +128,8 @@ class PowerU:
 
 
 def _check_mode(U: PowerU | ZeroU, ell: int):
+    if not isinstance(U, (ZeroU, PowerU)):
+        raise InvalidInput(f"U must be ZeroU() or a PowerU, got {type(U).__name__}")
     if not U.is_zero and U.p != 1.0 and ell != 0:
         raise ModeNotSupported(
             f"power nonlinearity with p={U.p} needs the spherically symmetric mode"
@@ -297,10 +298,9 @@ def field_half(u, v, lam, phi, phi_u, phi_v, phi_uu=None, phi_uv=None, phi_vv=No
 class CurrentField:
     """The current of a field: its assembler applied to the field's derivatives.
 
-    `P_u`/`P_v` are sampled on the field's grid on first read; `components_at`
-    evaluates them anywhere through the field's point evaluator.  The
-    divergence is `assembler.divergence`, on derivatives the caller supplies.
-    """
+    `components_at` evaluates (P_u, P_v) anywhere through the field's point
+    evaluator; the divergence is `assembler.divergence`, on derivatives the
+    caller supplies."""
 
     field: ScalarField
     assembler: CurrentAssembler
@@ -308,21 +308,6 @@ class CurrentField:
     @property
     def grid(self) -> GridSpec:
         return self.field.grid
-
-    @cached_property
-    def _on_grid(self):
-        # f = -u v at every node, as at the point evaluator's, so that the
-        # samples are its values bit for bit
-        g = self.grid
-        return self.assembler.components(g.U, g.V, -g.U * g.V, *self.field.derivs1())
-
-    @property
-    def P_u(self) -> np.ndarray:
-        return self._on_grid[0]
-
-    @property
-    def P_v(self) -> np.ndarray:
-        return self._on_grid[1]
 
     def components_at(self, u, v):
         return self.assembler.components(u, v, -u * v, *self.field.evaluator().derivs1(u, v))
@@ -340,9 +325,8 @@ class CurrentField:
 
 
 def current_general(fld: ScalarField, rep: Reparametrization,
-                    U: Optional[PowerU | ZeroU] = None) -> CurrentField:
+                    U: PowerU | ZeroU = ZeroU()) -> CurrentField:
     """Current for an arbitrary inward weight and nonlinearity."""
-    U = U or ZeroU()
     g = fld.grid
     _check_mode(U, fld.ell)
     if np.any(rep.dF(g.F_col) >= 0):
@@ -382,9 +366,8 @@ def bulk_term(rep: Reparametrization, U: PowerU | ZeroU, n: int, f, u, v, phi, *
 
 
 def bulk_b(fld: ScalarField, rep: Reparametrization,
-           U: Optional[PowerU | ZeroU] = None) -> ScalarField:
+           U: PowerU | ZeroU = ZeroU()) -> ScalarField:
     """`bulk_term` on the field's grid."""
-    U = U or ZeroU()
     g = fld.grid
     _check_mode(U, fld.ell)
     vals = bulk_term(rep, U, g.n, g.F_col, g.U, g.V, fld.values)
@@ -405,5 +388,9 @@ def divergence_fd(grid: GridSpec, P_u: np.ndarray, P_v: np.ndarray) -> ScalarFie
 
 
 def current_to_csv(cur: CurrentField, path) -> None:
-    """Write the current as rows u, v, P_u, P_v."""
-    _columns_to_csv(path, cur.grid, ("P_u", "P_v"), (cur.P_u, cur.P_v))
+    """Write the current as rows u, v, P_u, P_v on its field's grid."""
+    g = cur.grid
+    # f = -u v at every node, as at the point evaluator's, so that the
+    # samples are its values bit for bit
+    P = cur.assembler.components(g.U, g.V, -g.U * g.V, *cur.field.derivs1())
+    _columns_to_csv(path, g, ("P_u", "P_v"), P)

@@ -37,7 +37,6 @@ __all__ = [
     "static_multipole",
     "wave_op",
     "field_to_csv",
-    "materialize",
 ]
 
 
@@ -334,6 +333,8 @@ class ScalarField:
 
     @classmethod
     def from_analytic(cls, grid: GridSpec, af: AnalyticField, ell: int = 0) -> "ScalarField":
+        if not isinstance(af, AnalyticField):
+            raise InvalidInput(f"cannot sample a field source of type {type(af)!r}")
         vals = np.asarray(af.value(grid.U, grid.V), dtype=float)
         return cls(grid=grid, values=vals, closed_form=af, name=af.label, ell=ell)
 
@@ -616,14 +617,6 @@ class SplineEval:
             u, v, ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)))
         return (phi, *_chain_rule(np.asarray(u, dtype=float), np.asarray(v, dtype=float),
                                   ps, py, pss, psy, pyy))
-
-
-def materialize(source, grid: GridSpec, ell: int = 0) -> ScalarField:
-    """Sample an AnalyticField on `grid` as a mode-`ell` field; any other source raises
-    InvalidInput."""
-    if isinstance(source, AnalyticField):
-        return ScalarField.from_analytic(grid, source, ell)
-    raise InvalidInput(f"cannot materialize field source of type {type(source)!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .currents import PowerU, _check_mode
+from .currents import PowerU, ZeroU, _check_mode
 from .errors import (
     DomainTooSmall,
     InvalidInput,
@@ -198,7 +198,7 @@ def _stored_steps(nsteps: int) -> np.ndarray:
 
 
 def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
-          U: Optional[PowerU] = None,
+          U: PowerU | ZeroU = ZeroU(),
           support_radius: Optional[float] = None) -> EvolutionResult:
     """Evolve Cauchy data over t in [-T, T].
 
@@ -209,8 +209,7 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     if not all(is_finite(x) and x > 0 for x in (T, R, dr)):
         raise InvalidInput(f"T, R, dr must be finite and positive, got {T}, {R}, {dr}")
     check_dimension(n)
-    if U is not None:
-        _check_mode(U, data.ell)
+    _check_mode(U, data.ell)
 
     nr = int(round(R / dr))
     r = (np.arange(nr) + 0.5) * dr
@@ -253,7 +252,7 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     scale0 = max(float(np.max(np.abs(phi0))), float(np.max(np.abs(phi1))), 1e-300)
 
     def nonlin(phi, t):
-        if U is None:
+        if U.is_zero:
             return 0.0
         rw = r[:len(phi)]
         return U.udot((t - rw) / 2.0, (t + rw) / 2.0, phi)
@@ -335,7 +334,7 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
                         raise UnstableStep(f"field blew up at step {m} (max {mx:.3e})")
                     rows[k] = phi_cur[:nb]
                     k += 1
-                    if U is None:
+                    if U.is_zero:
                         energies.append(half_step_energy(phi_prev, phi_cur, min(nr, w + 2)))
         return energies
 

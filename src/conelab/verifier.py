@@ -1,10 +1,10 @@
 """Verification routines: identity closure, estimate chains, limit slopes,
 and the uniqueness pipeline, whose step 2 is the one measure of a potential's B.
 
-`identity_convergence`, `carleman_split_check`, `split_cancellation` and
-`boundary_limit_experiment` return the `CheckRecord` the report holds; the
-other routines return a small dataclass with the computed numbers and a pass
-flag (`carleman_nl_check`'s includes the sign of Gamma_V).
+`identity_convergence`, `carleman_split_check`, `split_cancellation`,
+`boundary_limit_experiment` and `uniqueness_pipeline` (with its flux series)
+return the `CheckRecord` the report holds; the others return a dataclass of
+the computed numbers and a pass flag (with Gamma_V's sign for the nl chain).
 `identity_checks` runs several (weight, U) checks of the identity on one
 field and route, and builds each term they share once.  The limit
 experiment and the pipeline follow surface integrals along foliation limits
@@ -36,6 +36,7 @@ from .currents import (
     UTerms,
     WeightTerms,
     ZeroU,
+    _check_mode,
     bulk_term,
     current_general,
     current_split,
@@ -79,8 +80,6 @@ __all__ = [
     "boundary_limit_experiment",
     "battery_fields",
     "battery_weights",
-    "PipelineTerm",
-    "PipelineReport",
     "uniqueness_pipeline",
 ]
 
@@ -159,6 +158,7 @@ def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, che
     u_stages = {}  # by id: `pairs` holds each U while this lives
     for _, U in pairs:
         if id(U) not in u_stages:
+            _check_mode(U, fld.ell)
             ut = UTerms(U, g.U, g.V, phi, phi_u, phi_v, half)
             u_stages[id(U)] = ut, boxphi + ut.udot
     del boxphi
@@ -234,14 +234,13 @@ class IdentityReport:
     residual: float
     rel_residual: float
     mode: str
-    interior_depth: int
     # the identity's term arrays (see _identity_arrays), which
     # pointwise_inequality builds its margin from
     terms: Optional[dict] = dc_field(default=None, compare=False, repr=False)
 
 
 def identity_residual(fld: ScalarField, rep: Reparametrization,
-                      U: Optional[PowerU] = None, *,
+                      U: PowerU | ZeroU = ZeroU(), *,
                       derivative_mode: str = "auto", stages=None) -> IdentityReport:
     """Max-norm residual of the divergence identity on the interior nodes.
 
@@ -252,14 +251,11 @@ def identity_residual(fld: ScalarField, rep: Reparametrization,
     from `identity_checks` on the same field and route.
     """
     mode = fld.route(derivative_mode)
-    U = U or ZeroU()
     lhs, rhs, scale, terms = _identity_arrays(fld, rep, U, mode, stages)
-    depth = 2 if mode == "fd" else 0
-    sl = fld.grid.interior(depth) if depth else (slice(None), slice(None))
+    sl = fld.grid.interior(2) if mode == "fd" else (slice(None), slice(None))
     # lhs is this call's own, so the difference and its size overwrite it
     res = float(np.max(np.abs(np.subtract(lhs, rhs, out=lhs), out=lhs)[sl]))
-    return IdentityReport(residual=res, rel_residual=res / scale,
-                          mode=mode, interior_depth=depth, terms=terms)
+    return IdentityReport(residual=res, rel_residual=res / scale, mode=mode, terms=terms)
 
 
 def identity_convergence(fields: Sequence[ScalarField], rels: Sequence[float]) -> CheckRecord:
@@ -307,14 +303,13 @@ def identity_convergence(fields: Sequence[ScalarField], rels: Sequence[float]) -
 @dataclass(frozen=True)
 class PointwiseReport:
     margin_min: float
-    identity_residual: float
     passed: bool
     mode: str
     identity: IdentityReport  # the identity evaluation the margin was built from
 
 
 def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
-                         U: Optional[PowerU] = None, *,
+                         U: PowerU | ZeroU = ZeroU(), *,
                          derivative_mode: str = "auto", stages=None) -> PointwiseReport:
     """Completed-square consequence of the identity:
 
@@ -336,12 +331,11 @@ def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
     bulk_psi2 = np.square(psi, out=psi)
     bulk_psi2 *= t["bulk"]
     margin -= bulk_psi2
-    sl = fld.grid.interior(idrep.interior_depth) if idrep.interior_depth else (slice(None),) * 2
+    sl = fld.grid.interior(2) if idrep.mode == "fd" else (slice(None), slice(None))
     mmin = float(np.min(margin[sl]))
     tol = POINTWISE_SLACK * idrep.residual
     passed = math.isfinite(mmin) and math.isfinite(tol) and mmin >= -tol
-    return PointwiseReport(margin_min=mmin, identity_residual=idrep.residual,
-                           passed=passed, mode=idrep.mode,
+    return PointwiseReport(margin_min=mmin, passed=passed, mode=idrep.mode,
                            identity=replace(idrep, terms=None))
 
 
@@ -606,27 +600,6 @@ def battery_weights() -> list:
 # uniqueness pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PipelineTerm:
-    name: str
-    levels: tuple
-    values: tuple
-    slope: Optional[float]
-    classification: str  # 'vanishing' | 'bounded' | 'growing' | 'zero'
-
-
-@dataclass(frozen=True)
-class PipelineReport:
-    verdict: str
-    a: float
-    b: float
-    beta: float
-    p: float
-    b_required: float
-    b_admissible: float
-    terms: tuple
-
-
 def _classify_sequence(name: str, levels, values, grows_with_level: bool):
     """Slope-classify |values| along levels (oriented so growth means trouble)."""
     vals = np.abs(np.asarray(values, float))
@@ -644,7 +617,7 @@ def _classify_sequence(name: str, levels, values, grows_with_level: bool):
 
 
 def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
-                        potential=None, nodes: int = qd.DEFAULT_NODES) -> PipelineReport:
+                        potential=None, nodes: int = qd.DEFAULT_NODES) -> tuple:
     """Decision procedure for exterior uniqueness at decay rate beta.
 
     Weight parameters follow the linear recipe a = (beta + p)/4,
@@ -663,6 +636,11 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
     The surfaces of step 3 leave the field's region, so tracking needs the
     field in closed form; a field known only on its grid raises
     InsufficientSequence there.
+
+    Returns the `pipeline-verdict` record (value: the B the potential
+    requires; tolerance: B_adm; details: the verdict, a, b and each tracked
+    term's name, slope and classification) and the tracked terms' series,
+    {"term-<name>": [(level, value), ...]}.
     """
     if not (0 < p < beta):
         raise InvalidInput(f"need 0 < p < beta, got p={p}, beta={beta}")
@@ -672,9 +650,11 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
     params = SplitWeightParams(a=a, b=b, p=min(p, 2 * a * 0.99))
     b_adm = math.sqrt(a / (2.0 * E2_OVER_4 * p))  # C = 1
 
-    def report(verdict, b_req, terms=()):
-        return PipelineReport(verdict=verdict, a=a, b=b, beta=beta, p=p,
-                              b_required=b_req, b_admissible=b_adm, terms=tuple(terms))
+    terms, series = [], {}
+
+    def report(verdict, b_req):
+        return CheckRecord(name="pipeline-verdict", passed=True, value=b_req, tolerance=b_adm,
+                           details={"verdict": verdict, "a": a, "b": b, "terms": terms}), series
 
     if float(np.max(np.abs(fld.values))) < 1e-14:
         return report("zero bulk: field vanishes on the region", 0.0)
@@ -708,7 +688,6 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
             ("J2", reg.tau, True, "high", "h"),
             ("J3", reg.sigma, False, "low", "h"),
             ("J4", reg.sigma, False, "high", "h"))
-    terms = []
     for name, start, outward, branch, face in rows:
         levels = _surfaces(start, outward, SURFACES)
         vals = [qd.face_flux(curs[branch].flux, face, L, reg, n=g.n, nodes=nodes)
@@ -716,11 +695,11 @@ def uniqueness_pipeline(fld: ScalarField, *, beta: float, p: float,
         if not outward:
             vals = [-x for x in vals]
         slope, cls = _classify_sequence(name, levels, vals, outward)
-        terms.append(PipelineTerm(name=name, levels=tuple(levels), values=tuple(vals),
-                                  slope=slope, classification=cls))
+        terms.append({"name": name, "slope": slope, "classification": cls})
+        series[f"term-{name}"] = list(zip(levels, vals))
 
     for t in terms:
-        if t.classification in ("growing", "bounded"):
-            return report(f"obstructed by {t.name}: flux term is "
-                          f"{t.classification} along its limit", b_req, terms)
-    return report("boundary terms vanish: estimates force the zero solution", b_req, terms)
+        if t["classification"] in ("growing", "bounded"):
+            return report(f"obstructed by {t['name']}: flux term is "
+                          f"{t['classification']} along its limit", b_req)
+    return report("boundary terms vanish: estimates force the zero solution", b_req)

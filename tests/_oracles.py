@@ -26,18 +26,22 @@ node mesh; the package's row-blocked rule must return its bits.
 
 `box` is the wave operator on a field's grid, by the field's derivative
 route.  The decay pretenders are closed forms no admissible potential
-carries; `pointwise_potential_bound` is the largest B the split estimate
+carries, and `pretender_joint` builds each one's joint function once per
+session; `pointwise_potential_bound` is the largest B the split estimate
 absorbs pointwise, from the package's own weight functions.
+
+`grid_components` samples a current's components on its field's grid.
 """
 
 import csv
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 from scipy.integrate import simpson
 
-from conelab.currents import divergence_fd
+from conelab.currents import ZeroU, divergence_fd
 from conelab.errors import InvalidInput, MissingDerivative, check_dimension
 from conelab.fields import AnalyticField, ScalarField, wave_op
 from conelab.quadrature import boundary_sum, bulk_integral, gl_nodes
@@ -59,6 +63,16 @@ def box(fld, mode="auto"):
 PRETENDER_EXPRS = ("((1-u)*(1+v))**(-3/2)",
                    "((1-u)*(1+v))**(-3/2) * (2 + sin(log(-u*v)))/3",
                    "((1-u)*(1+v))**(-8/5)")
+
+
+@functools.cache
+def pretender_joint(expr):
+    """The joint function `from_expr` builds at run time for a decay
+    pretender, which the generated table does not hold, built once per
+    session: criterion 09 and tests/test_forms.py read the same one."""
+    from conelab._gen_forms import joint_function
+
+    return joint_function(expr)
 
 
 def pointwise_potential_bound(beta, p):
@@ -150,6 +164,13 @@ def bulk_integral_whole(fn, region, *, n, nodes):
     return tuple(map(integral, out)) if isinstance(out, tuple) else integral(out)
 
 
+def grid_components(cur):
+    """(P_u, P_v) of a current on its field's grid, as `current_to_csv`
+    writes them: f = -u v at every node, derivatives by the field's route."""
+    g = cur.grid
+    return cur.assembler.components(g.U, g.V, -g.U * g.V, *cur.field.derivs1())
+
+
 def divergence_residual(cur, region=None, *, nodes=128, route="auto"):
     """(relative residual, route) of the bulk integral of div P over `region`
     (by default the current's grid region) against the oriented total of the
@@ -173,7 +194,7 @@ def divergence_residual(cur, region=None, *, nodes=128, route="auto"):
         def div(u, v):
             return cur.assembler.divergence(u, v, -u * v, *cur.field.evaluator().derivs2(u, v))
     elif route == "fd":
-        div = divergence_fd(g, cur.P_u, cur.P_v).evaluator().value
+        div = divergence_fd(g, *grid_components(cur)).evaluator().value
     else:
         raise InvalidInput(f"route must be 'auto', 'analytic' or 'fd', got {route!r}")
     bulk = bulk_integral(div, region, n=g.n, nodes=nodes)
@@ -369,7 +390,7 @@ def csv_writer_file(path, header, columns):
                 w.writerow([repr(float(x[i, j])) for x in columns])
 
 
-def leapfrog_full_width(data, T, R, dr, n, U=None):
+def leapfrog_full_width(data, T, R, dr, n, U=ZeroU()):
     """The leapfrog of `solver.solve` updated, energy-summed and stored on
     every cell of the grid at every step: (times, slices, energy_drift).
     It makes the same floating-point operations in the same order, so the
@@ -396,7 +417,7 @@ def leapfrog_full_width(data, T, R, dr, n, U=None):
         return out - lam * phi / r2
 
     def nonlin(phi, t):
-        if U is None:
+        if U.is_zero:
             return 0.0
         V = np.asarray(U.V.value((t - r) / 2.0, (t + r) / 2.0), float)
         return U.sign * V * np.abs(phi) ** (U.p - 1.0) * phi
@@ -422,7 +443,7 @@ def leapfrog_full_width(data, T, R, dr, n, U=None):
                     prev, cur = cur, 2.0 * cur - prev + dt**2 * acc
                 if m in stored:
                     rows.append(cur)
-                    if U is None:
+                    if U.is_zero:
                         energies.append(energy(prev, cur))
         return rows, energies
 

@@ -15,13 +15,13 @@ import math
 import numpy as np
 import pytest
 
-from conelab.currents import PowerU
+from conelab.currents import PowerU, ZeroU
 from conelab.fields import (
+    AnalyticField,
     GridSpec,
     ScalarField,
     exact_spherical_wave,
     from_expr,
-    materialize,
     static_multipole,
     wave_op,
 )
@@ -57,6 +57,7 @@ from _oracles import (
     fixed_f_surface_integral,
     fixed_h_surface_integral,
     pointwise_potential_bound,
+    pretender_joint,
 )
 
 PARAMS = SplitWeightParams(a=1.0, b=0.1, p=0.5)
@@ -105,9 +106,9 @@ def test_criterion_01_identity_battery():
     orders = []
     for wname, rep in acceptance_weights():
         for fname, src in acceptance_fields(rep):
-            levels = [materialize(src, GridSpec.from_region(REGION, m, m, 3))
+            levels = [ScalarField.from_analytic(GridSpec.from_region(REGION, m, m, 3), src)
                       for m in LEVELS]
-            for uname, U in (("linear", None), ("power", U_POWER)):
+            for uname, U in (("linear", ZeroU()), ("power", U_POWER)):
                 rec = identity_convergence(levels, [
                     identity_residual(fld, rep, U, derivative_mode="fd").rel_residual
                     for fld in levels])
@@ -135,13 +136,13 @@ def test_criterion_02_pointwise_margins():
     for wname, rep in acceptance_weights():
         grid = GridSpec.from_region(REGION, 128, 128, 3)
         for fname, src in acceptance_fields(rep):
-            fld = materialize(src, grid)
-            for uname, U in (("linear", None), ("power", U_POWER)):
+            fld = ScalarField.from_analytic(grid, src)
+            for uname, U in (("linear", ZeroU()), ("power", U_POWER)):
                 out = pointwise_inequality(fld, rep, U)
                 worst = min(worst, out.margin_min)
                 if not out.passed:
                     failures.append((wname, fname, uname, out.margin_min,
-                                     out.identity_residual))
+                                     out.identity.residual))
     ok = not failures
     _line(2, "pointwise-margin", ok,
           f"30 combos: min margin {worst:.2e} >= -2x identity residual")
@@ -159,7 +160,7 @@ def test_criterion_03_split_chain():
                                  ("high", REG_HI, SplitWeight(PARAMS, "high"))):
         grid = GridSpec.from_region(region, 96, 96, 3)
         for fname, src in acceptance_fields(wrep):
-            fld = materialize(src, grid)
+            fld = ScalarField.from_analytic(grid, src)
             out = carleman_split_check(fld, PARAMS, branch, nodes=128)
             if not out.passed:
                 failures.append((branch, fname, "margin/constants", out.value))
@@ -176,8 +177,8 @@ def test_criterion_03_split_chain():
                 k_vals.append(out.details["k_cal"])
 
     bump = from_expr("exp(-((u+2)**2 + (v-2)**2)/2)")
-    lo = materialize(bump, GridSpec.from_region(REG_LO, 96, 96, 3))
-    hi = materialize(bump, GridSpec.from_region(REG_HI, 96, 96, 3))
+    lo = ScalarField.from_analytic(GridSpec.from_region(REG_LO, 96, 96, 3), bump)
+    hi = ScalarField.from_analytic(GridSpec.from_region(REG_HI, 96, 96, 3), bump)
     seam = split_cancellation(lo, hi, PARAMS, nodes=160)
     if not (seam.passed and seam.value <= 1e-10):
         failures.append(("seam", seam.value))
@@ -331,7 +332,8 @@ def test_criterion_07_counterexample():
 def test_criterion_08_pipeline_discrimination():
     bun = counterexample_build(n=3, a=6.0)
     zero = ScalarField.zeros(GridSpec.from_region(REGION, 64, 64, 3))
-    multi = materialize(static_multipole(1, 3), GridSpec.from_region(REGION, 96, 96, 3), 1)
+    multi = ScalarField.from_analytic(GridSpec.from_region(REGION, 96, 96, 3),
+                                      static_multipole(1, 3), 1)
     cg = GridSpec.from_region(REGION, 96, 96, 3)
     static = ScalarField.from_function(cg, lambda u, v: bun.beta(v - u),
                                        name="glued-static", ell=bun.ell)
@@ -345,12 +347,13 @@ def test_criterion_08_pipeline_discrimination():
     failures = []
     verdicts = []
     for name, fld, pot, prefix in cases:
-        rep = uniqueness_pipeline(fld, beta=2.0, p=1.0, potential=pot, nodes=96)
-        rep2 = uniqueness_pipeline(fld, beta=2.0, p=1.0, potential=pot, nodes=192)
-        stable = rep.verdict.split(":")[0] == rep2.verdict.split(":")[0]
-        verdicts.append(f"{name} -> {rep.verdict.split(':')[0]}")
-        if not (rep.verdict.startswith(prefix) and stable):
-            failures.append((name, rep.verdict, rep2.verdict))
+        verdict, refined = (
+            uniqueness_pipeline(fld, beta=2.0, p=1.0, potential=pot, nodes=nodes)[0]
+            .details["verdict"] for nodes in (96, 192))
+        stable = verdict.split(":")[0] == refined.split(":")[0]
+        verdicts.append(f"{name} -> {verdict.split(':')[0]}")
+        if not (verdict.startswith(prefix) and stable):
+            failures.append((name, verdict, refined))
     ok = not failures
     _line(8, "pipeline-discrimination", ok,
           "; ".join(verdicts) + " (verdicts stable at doubled quadrature)")
@@ -376,22 +379,23 @@ def test_criterion_09_falsifiability():
     failures = []
     required = []
     for expr, pinned in zip(PRETENDER_EXPRS, PRETENDER_B):
-        af = from_expr(expr)
+        af = AnalyticField(pretender_joint(expr), expr)  # from_expr(expr), built once
 
         def induced(u, v, af=af):
             slots = af.derivs_wave(u, v)
             return -wave_op(3, 0.0, v - u, *slots) / (np.abs(slots[0]) ** (p - 1.0) * slots[0])
 
-        rep = uniqueness_pipeline(materialize(af, grid), beta=1.0, p=p, potential=induced)
-        required.append(rep.b_required)
-        if not (rep.verdict.startswith("potential-bound violation")
-                and rep.b_required > max(rep.b_admissible, pointwise)
-                and rep.b_required == pytest.approx(pinned, rel=1e-14)):
-            failures.append((expr, rep.verdict, rep.b_required))
+        rec, _ = uniqueness_pipeline(ScalarField.from_analytic(grid, af), beta=1.0, p=p,
+                                     potential=induced)
+        required.append(rec.value)
+        if not (rec.details["verdict"].startswith("potential-bound violation")
+                and rec.value > max(rec.tolerance, pointwise)
+                and rec.value == pytest.approx(pinned, rel=1e-14)):
+            failures.append((expr, rec.details["verdict"], rec.value))
     ok = not failures
     _line(9, "falsifiability", ok,
           f"3 rate-1 pretenders need B = {required[0]:.3f}, {required[1]:.3f}, "
-          f"{required[2]:.3f} against admissible {rep.b_admissible:.3f} "
+          f"{required[2]:.3f} against admissible {rec.tolerance:.3f} "
           f"(pointwise {pointwise:.3f})")
     assert ok, failures
 

@@ -402,7 +402,7 @@ def test_counterexample_default_a_is_the_ell_2_mode_at_every_n(tmp_path, command
         records = _load_report(out)["records"]
         assert all(rec["passed"] for rec in records), n
         if command == "counterexample":
-            details = records[0]["details"]
+            details = {r["name"]: r for r in records}["counterexample-tail-slope"]["details"]
             assert (details["a"], details["ell"]) == (2.0 * n, 2), n
 
 
@@ -443,6 +443,9 @@ def test_stability_hash_is_deterministic(tmp_path):
 # its default run pinned.  verify-identity's was recorded again when the
 # current's weight half began to read the grid's f column F_col, and solve's
 # when its default region became one its default strip covers.
+# counterexample's was recorded again when its exponents record, which could
+# not fail past the `a` gate, was deleted and its q_plus, ell and a moved to
+# the details of counterexample-tail-slope.
 DEFAULT_HASHES = {
     ("verify-identity",): "7adb31c6a8e0624ce3472f6874b80fcc380e4be70b20f8acb6fcf5ad84e428ce",
     ("verify-identity", "--preset", "battery"):
@@ -452,7 +455,7 @@ DEFAULT_HASHES = {
         "45c46264f835b87d248fded6e660d417c71150c0be3cbf55b431c9367e5a2f87",
     ("verify-nl",): "839865680295795e3a16e5b907f006cef1f99655d6540af39a2982b5a599584e",
     ("limits",): "1e31f31cae97946dd0a860cee51e36e7e35ef88d9c00e741cdd6bfe0b9abc37c",
-    ("counterexample",): "34c73534eaba9ed6c91b268fbce52560297b2f40b86e6731cb27b929a3cd1595",
+    ("counterexample",): "719ee7c604bae45687f4da4e766c92326f798b91e70f5a93480216dba6743e7e",
     ("solve",): "c3b63eb33926e6c57464811e41a5127adfaa6b0d71377894f9815c6f744d20e6",
     ("pipeline",): "dd4ceb8982892fed8095cfacb5db4e5ecbbf8eea17c86dfa2ec5069f8d27dfb6",
     ("pipeline", "--refine"): "b07a1187cfc78f23871c31d351a544605263353c6539859f8515dc9992a7eb1f",
@@ -657,6 +660,54 @@ def test_pipeline_csv_bundle_series(tmp_path):
     header, rows = _read_csv(outdir / "series.csv")
     assert header == ["name", "param", "value"]
     assert any(r[0].startswith("term-") for r in rows)
+
+
+@pytest.mark.parametrize("case, verdict", [
+    ("zero", "zero bulk"),
+    ("multipole", "obstructed by I1"),
+    ("counterexample", "potential-bound violation"),
+])
+def test_the_pipeline_returns_the_record_and_series_the_command_writes(tmp_path, case, verdict):
+    # the command writes what the library returns: zero at every default key,
+    # the README's multipole config, and a potential the estimate cannot absorb
+    from conelab.cli import DEFAULT_REGION, _record_dict
+    from conelab.fields import GridSpec, ScalarField, static_multipole
+    from conelab.geometry import AdmissibleRegion
+    from conelab.solver import counterexample_build
+    from conelab.verifier import uniqueness_pipeline
+
+    region = AdmissibleRegion(**DEFAULT_REGION)
+    potential = None
+    if case == "zero":
+        payload = {"schema": 1}
+        fld = ScalarField.zeros(GridSpec(region=region, n_s=64, n_y=64, n=3))
+    elif case == "multipole":
+        payload = _readme_config_files()["pipeline.json"][1]
+        fld = ScalarField.from_analytic(GridSpec(region=region, n_s=96, n_y=96, n=3),
+                                        static_multipole(1, 3), 1)
+    else:
+        payload = {"schema": 1, "case": "counterexample"}
+        bundle = counterexample_build(n=3, a=6.0)
+        fld = ScalarField.from_function(GridSpec(region=region, n_s=64, n_y=64, n=3),
+                                        lambda u, v: bundle.beta(v - u),
+                                        name="counterexample", ell=bundle.ell)
+        potential = lambda u, v: bundle.potential(v - u)
+    rec, series = uniqueness_pipeline(fld, beta=2.0, p=1.0, potential=potential, nodes=96)
+    assert rec.details["verdict"].startswith(verdict)
+    assert bool(series) == (case == "multipole")
+
+    outdir = tmp_path / "bundle"
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    assert main(["pipeline", "--config", cfg, "--format", "csv-bundle",
+                 "--out", str(outdir)]) == 0
+    (written,) = _load_report(outdir / "report.json")["records"]
+    assert written == json.loads(json.dumps(_record_dict(rec)))
+    if series:
+        _, rows = _read_csv(outdir / "series.csv")
+        assert rows == [[name, repr(float(x)), repr(float(y))]
+                        for name, points in series.items() for x, y in points]
+    else:
+        assert not (outdir / "series.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1115,7 @@ def test_a_counterexample_a_past_the_largest_mode_exits_2(tmp_path, capsys, monk
 
 def test_verify_identity_records_match_the_library(tmp_path):
     from conelab.cli import _battery_u_choices
-    from conelab.fields import GridSpec, materialize
+    from conelab.fields import GridSpec, ScalarField
     from conelab.geometry import AdmissibleRegion
     from conelab.verifier import (battery_fields, battery_weights, identity_residual,
                                   pointwise_inequality)
@@ -1076,7 +1127,7 @@ def test_verify_identity_records_match_the_library(tmp_path):
     region = AdmissibleRegion(rho=0.1, omega=10.0, sigma=0.1, tau=10.0)
     seen = 0
     for fname, src, ell in battery_fields():
-        fld = materialize(src, GridSpec(region=region, n_s=32, n_y=32, n=3), ell)
+        fld = ScalarField.from_analytic(GridSpec(region=region, n_s=32, n_y=32, n=3), src, ell)
         for wname, rep in battery_weights():
             for uname, U in _battery_u_choices():
                 tag = f"{fname}/{wname}/{uname}"
@@ -1086,8 +1137,8 @@ def test_verify_identity_records_match_the_library(tmp_path):
                 assert (rec["value"], rec["passed"]) == (ana.rel_residual, ana.rel_residual < 1e-9)
                 rec = records[f"pointwise-margin[{tag}]"]
                 assert (rec["value"], rec["passed"]) == (pw.margin_min, pw.passed)
-                assert rec["tolerance"] == 2.0 * pw.identity_residual
-                assert rec["details"] == {"identity_residual": pw.identity_residual}
+                assert rec["tolerance"] == 2.0 * pw.identity.residual
+                assert rec["details"] == {"identity_residual": pw.identity.residual}
                 seen += 1
     assert seen == 30
 
@@ -1317,11 +1368,12 @@ def test_main_runs_without_mallopt(tmp_path, monkeypatch, libc):
 def _forbid_work(monkeypatch):
     """Make every routine that samples a field or runs a check raise."""
     from conelab import cli, solver, verifier
+    from conelab.fields import ScalarField
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the configuration was checked")
 
-    for mod, name in ((cli, "materialize"), (cli, "_pipeline_field"), (solver, "solve"),
+    for mod, name in ((ScalarField, "from_analytic"), (cli, "_pipeline_field"), (solver, "solve"),
                       (verifier, "carleman_split_check"), (verifier, "carleman_nl_check"),
                       (verifier, "uniqueness_pipeline"),
                       (verifier, "boundary_limit_experiment"),
@@ -1333,13 +1385,12 @@ def _forbid_work(monkeypatch):
     ("verify-carleman", {}, "-1"),
     ("limits", {}, "-3"),
     ("verify-carleman", {}, "40"),
-    ("verify-carleman", {"grid": 600}, "1"),
     ("verify-carleman", {"nodes": 1024}, "2"),
     ("pipeline", {"case": "multipole"}, "40"),
     ("pipeline", {"nodes": 2000}, "1"),
     ("pipeline", {}, "9" * 400),
-], ids=["carleman-negative", "limits-negative", "carleman-40", "carleman-grid",
-        "carleman-nodes", "pipeline-40", "pipeline-nodes", "pipeline-400-digits"])
+], ids=["carleman-negative", "limits-negative", "carleman-40", "carleman-nodes",
+        "pipeline-40", "pipeline-nodes", "pipeline-400-digits"])
 def test_refine_out_of_range_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                      command, payload, refine):
     _forbid_work(monkeypatch)
@@ -1364,6 +1415,16 @@ def test_refine_is_rejected_where_nothing_refines(tmp_path, capsys, monkeypatch,
     assert err.startswith(f"usage: conelab {command} [-h]")
     assert f"conelab {command}: error: unrecognized arguments: --refine 3" in err
     assert not out.exists()
+
+
+def test_verify_carleman_refines_its_nodes_and_keeps_its_grid(tmp_path):
+    # the chains and the seam read closed forms at the quadrature nodes
+    # alone, so --refine doubles the nodes on the same grid: grid 1024, the
+    # top of its range, refines to the records of the default run
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "grid": 1024})
+    out = tmp_path / "report.json"
+    assert main(["verify-carleman", "--config", cfg, "--refine", "--out", str(out)]) == 0
+    assert _load_report(out)["stability_hash"] == DEFAULT_HASHES[("verify-carleman", "--refine")]
 
 
 def test_refine_at_the_bound_still_runs(tmp_path):

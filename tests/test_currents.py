@@ -43,6 +43,7 @@ from _oracles import (
     bracket_components,
     bracket_divergence,
     csv_writer_file,
+    grid_components,
     special_values,
 )
 
@@ -94,10 +95,10 @@ def test_general_current_quadratic_homogeneity():
     fld1 = mkfield()
     fld3 = mkfield("3*(sin(u)*cos(v/3))")
     rep = PowerLog(1.0)
-    c1 = current_general(fld1, rep)
-    c3 = current_general(fld3, rep)
-    assert np.allclose(c3.P_u, 9.0 * c1.P_u, rtol=1e-12, atol=1e-13)
-    assert np.allclose(c3.P_v, 9.0 * c1.P_v, rtol=1e-12, atol=1e-13)
+    c1 = grid_components(current_general(fld1, rep))
+    c3 = grid_components(current_general(fld3, rep))
+    assert np.allclose(c3[0], 9.0 * c1[0], rtol=1e-12, atol=1e-13)
+    assert np.allclose(c3[1], 9.0 * c1[1], rtol=1e-12, atol=1e-13)
 
 
 def test_nonlinear_current_adds_potential_flux():
@@ -106,13 +107,13 @@ def test_nonlinear_current_adds_potential_flux():
     fld = mkfield("(-u*v)**(4/5)")
     a, p = 0.6, 2.0
     U = PowerU(1, p, Potential.constant(1.0))
-    base = current_general(fld, PowerLog(a))
-    nl = current_general(fld, PowerLog(a), U)
+    base = grid_components(current_general(fld, PowerLog(a)))
+    nl = grid_components(current_general(fld, PowerLog(a), U))
     g = fld.grid
     W = g.F ** (2 * a)  # e^{-2F} for the pure power weight
     Uval = (1.0 / (p + 1.0)) * np.abs(fld.values) ** (p + 1.0)
-    assert np.allclose(nl.P_u - base.P_u, -W * g.V * Uval, rtol=1e-12)
-    assert np.allclose(nl.P_v - base.P_v, -W * g.U * Uval, rtol=1e-12)
+    assert np.allclose(nl[0] - base[0], -W * g.V * Uval, rtol=1e-12)
+    assert np.allclose(nl[1] - base[1], -W * g.U * Uval, rtol=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.25, 0.5, 1.0, 3.0])
@@ -156,29 +157,24 @@ def test_building_a_current_samples_nothing_on_the_grid(monkeypatch):
     current_general(mkfield("(-u*v)**(4/5)"), PowerLog(0.6), U)
 
 
-@pytest.mark.parametrize("sampled", [False, True], ids=["closed-form", "sampled"])
-def test_grid_components_are_sampled_once_on_first_read(monkeypatch, sampled):
-    from conelab.currents import CurrentAssembler
+@pytest.mark.parametrize("takes_u", ["current_general", "bulk_b", "identity_residual",
+                                     "pointwise_inequality", "solve"])
+def test_the_linear_case_is_spelled_zero_u_alone(takes_u):
+    # ZeroU() is the default wherever a U is taken; None is no nonlinearity
+    from conelab import verifier
+    from conelab.solver import solve, spherical_wave_data
 
-    fld = mkfield(m=24)
-    if sampled:  # no closed form: the grid derivatives come from FD stencils
-        fld = ScalarField(grid=fld.grid, values=fld.values)
-    cur = current_general(fld, PowerLog(0.8))
-    g = fld.grid
-    want = cur.assembler.components(g.U, g.V, -g.U * g.V, *fld.derivs1())
-    calls = []
-    real = CurrentAssembler.components
-
-    def spy(self, *args):
-        calls.append(np.shape(args[0]))
-        return real(self, *args)
-
-    monkeypatch.setattr(CurrentAssembler, "components", spy)
-    P_u, P_v = cur.P_u, cur.P_v
-    assert P_u.tobytes() == want[0].tobytes()
-    assert P_v.tobytes() == want[1].tobytes()
-    assert cur.P_u is P_u and cur.P_v is P_v
-    assert calls == [g.U.shape]
+    fld = mkfield(m=16)
+    call = {"current_general": lambda U: current_general(fld, PowerLog(1.0), U),
+            "bulk_b": lambda U: bulk_b(fld, PowerLog(1.0), U),
+            "identity_residual": lambda U: verifier.identity_residual(fld, PowerLog(1.0), U),
+            "pointwise_inequality":
+                lambda U: verifier.pointwise_inequality(fld, PowerLog(1.0), U),
+            "solve": lambda U: solve(spherical_wave_data(), T=0.1, R=4.0, dr=0.05, n=3, U=U),
+            }[takes_u]
+    call(ZeroU())
+    with pytest.raises(InvalidInput, match=r"U must be ZeroU\(\) or a PowerU, got NoneType"):
+        call(None)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +231,11 @@ def test_flux_at_grid_points_is_the_contraction_of_the_sampled_components(face):
     fld = mkfield("sin(u)*cos(v/3)", REG_LO, ell=1)
     cur = current_split(fld, PARAMS, "low")
     g = cur.grid
+    P_u, P_v = grid_components(cur)
     if face == "f":
-        want = 0.5 * (g.U * cur.P_u + g.V * cur.P_v)
+        want = 0.5 * (g.U * P_u + g.V * P_v)
     else:
-        want = 0.5 * (g.U * cur.P_u - g.V * cur.P_v)
+        want = 0.5 * (g.U * P_u - g.V * P_v)
     assert cur.flux(g.U, g.V, face).tobytes() == want.tobytes()
 
 
@@ -259,7 +256,7 @@ def test_divergence_analytic_vs_fd():
         fld = mkfield("sin(u) * exp(-v/4)", m=m)
         cur = current_general(fld, PowerLog(0.8))
         da = grid_divergence(cur)
-        df = divergence_fd(fld.grid, cur.P_u, cur.P_v).values
+        df = divergence_fd(fld.grid, *grid_components(cur)).values
         ii, jj = fld.grid.interior(2)
         scale = np.max(np.abs(da))
         errs.append(np.max(np.abs((da - df)[ii, jj])) / scale)
@@ -274,15 +271,15 @@ def test_divergence_fd_is_bitwise_the_formula_of_all_four_derivatives(ell):
         fld = mkfield("sin(u) * exp(-v/4)", m=m, ell=ell)
         g = fld.grid
         for U in (ZeroU(), PowerU(1, 1, Potential.constant(1.0))):
-            cur = current_general(fld, PowerLog(0.8), U)
-            _, _, dPu_v = ScalarField(grid=g, values=cur.P_u).fd_derivs1()
-            _, dPv_u, _ = ScalarField(grid=g, values=cur.P_v).fd_derivs1()
-            want = -0.5 * (dPv_u + dPu_v) - ((g.n - 1) / (2.0 * g.R)) * (cur.P_u - cur.P_v)
-            assert divergence_fd(g, cur.P_u, cur.P_v).values.tobytes() == want.tobytes()
-    bad = cur.P_u.copy()
+            P_u, P_v = grid_components(current_general(fld, PowerLog(0.8), U))
+            _, _, dPu_v = ScalarField(grid=g, values=P_u).fd_derivs1()
+            _, dPv_u, _ = ScalarField(grid=g, values=P_v).fd_derivs1()
+            want = -0.5 * (dPv_u + dPu_v) - ((g.n - 1) / (2.0 * g.R)) * (P_u - P_v)
+            assert divergence_fd(g, P_u, P_v).values.tobytes() == want.tobytes()
+    bad = P_u.copy()
     bad[3, 4] = np.nan
     with pytest.raises(InvalidInput, match="finite"):
-        divergence_fd(g, bad, cur.P_v)
+        divergence_fd(g, bad, P_v)
 
 
 def test_divergence_analytic_vs_fd_nonlinear():
@@ -290,7 +287,7 @@ def test_divergence_analytic_vs_fd_nonlinear():
     U = PowerU(-1, 2.0, Potential.power_of_f(-0.5))
     cur = current_general(fld, PowerLog(0.4), U)
     da = grid_divergence(cur)
-    df = divergence_fd(fld.grid, cur.P_u, cur.P_v).values
+    df = divergence_fd(fld.grid, *grid_components(cur)).values
     ii, jj = fld.grid.interior(2)
     scale = np.max(np.abs(da))
     assert np.max(np.abs((da - df)[ii, jj])) < 1e-5 * scale
@@ -458,7 +455,7 @@ def test_mode_restriction_for_nonlinear_powers():
     # p = 1 stays linear in the mode and is allowed on any single mode
     U1 = PowerU(1, 1.0, Potential.constant(1.0))
     cur = current_general(fld2, PowerLog(0.5), U1)
-    assert np.all(np.isfinite(cur.P_u))
+    assert np.all(np.isfinite(grid_components(cur)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -482,26 +479,27 @@ def test_current_to_csv_matches_a_csv_writer_loop(tmp_path):
     fld = mkfield(m=10)
     cur = current_general(fld, PowerLog(1.0))
     g = cur.grid
+    P_u, P_v = grid_components(cur)
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["u", "v", "P_u", "P_v"])
         for i in range(g.n_s):
             for j in range(g.n_y):
-                w.writerow([repr(float(x[i, j])) for x in (g.U, g.V, cur.P_u, cur.P_v)])
+                w.writerow([repr(float(x[i, j])) for x in (g.U, g.V, P_u, P_v)])
     current_to_csv(cur, tmp_path / "current.csv")
     assert (tmp_path / "current.csv").read_bytes() == ref.read_bytes()
 
 
-def test_current_to_csv_keeps_the_text_of_repeated_bit_patterns(tmp_path):
+def test_current_to_csv_keeps_the_text_of_repeated_bit_patterns(tmp_path, monkeypatch):
     cur = current_general(mkfield(m=16), PowerLog(1.0))
     g = cur.grid
-    cur.P_u[...] = special_values(g)
-    cur.P_v[...] = special_values(g, shift=3)
-    for a in (g.U, g.V, cur.P_u, cur.P_v):
+    P = special_values(g), special_values(g, shift=3)
+    monkeypatch.setattr(CurrentAssembler, "components", lambda self, *args: P)
+    for a in (g.U, g.V, *P):
         assert 2 * np.unique(a.view(np.int64)).size <= a.size
     ref = tmp_path / "ref.csv"
-    csv_writer_file(ref, ["u", "v", "P_u", "P_v"], (g.U, g.V, cur.P_u, cur.P_v))
+    csv_writer_file(ref, ["u", "v", "P_u", "P_v"], (g.U, g.V, *P))
     current_to_csv(cur, tmp_path / "current.csv")
     assert (tmp_path / "current.csv").read_bytes() == ref.read_bytes()
 

@@ -18,7 +18,6 @@ from conelab.fields import (
     exact_spherical_wave,
     field_to_csv,
     from_expr,
-    materialize,
     static_multipole,
     wave_op,
 )
@@ -328,26 +327,27 @@ def test_derivs_auto_prefers_closed_form():
     assert np.allclose(pv, g.U**2, atol=1e-13)
 
 
-def test_materialize_accepts_analytic_field_and_factory():
+def test_from_analytic_accepts_only_an_analytic_field():
     g = mkgrid(16)
-    a = materialize(from_expr("u + v"), g)
+    a = ScalarField.from_analytic(g, from_expr("u + v"))
     b = ScalarField.from_function(g, lambda u, v: u + v)
     assert np.allclose(a.values, b.values)
     assert a.closed_form is not None and a.grid is g
-    with pytest.raises(InvalidInput):
-        materialize("u + v", g)
-    with pytest.raises(InvalidInput):                # a grid -> field factory is no source
-        materialize(lambda grid: ScalarField.from_function(grid, lambda u, v: u + v), g)
+    with pytest.raises(InvalidInput, match="cannot sample"):
+        ScalarField.from_analytic(g, "u + v")
+    with pytest.raises(InvalidInput, match="cannot sample"):  # a grid -> field factory
+        ScalarField.from_analytic(g, lambda grid: ScalarField.from_function(
+            grid, lambda u, v: u + v))
 
 
-def test_materialize_raises_on_a_scalar_field():
+def test_from_analytic_raises_on_a_scalar_field():
     # a sampled field is no source: it is neither passed through, re-gridded
     # nor resampled, whatever grid it is asked onto
     g = mkgrid(16)
-    fld = materialize(from_expr("u + v"), g)
+    fld = ScalarField.from_analytic(g, from_expr("u + v"))
     for grid in (g, replace(g), replace(g, order=6), replace(g, n_s=31, n_y=31)):
-        with pytest.raises(InvalidInput, match="cannot materialize"):
-            materialize(fld, grid)
+        with pytest.raises(InvalidInput, match="cannot sample"):
+            ScalarField.from_analytic(grid, fld)
 
 
 # ---------------------------------------------------------------------------

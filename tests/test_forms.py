@@ -30,7 +30,7 @@ from conelab.fields import (
 )
 from conelab.geometry import AdmissibleRegion
 
-from _oracles import PRETENDER_EXPRS, traced_peak
+from _oracles import PRETENDER_EXPRS, pretender_joint, traced_peak
 
 REGIONS = [AdmissibleRegion(0.1, 10.0, 0.1, 10.0), AdmissibleRegion(0.01, 0.3, 0.5, 2.0)]
 
@@ -110,7 +110,7 @@ def test_table_slots_are_bitwise_the_sympy_route(expr):
     # the sympy route: `lambdify` of each slot on its own.  The decay
     # pretenders, which only tests build, are not in the table: their joint
     # function is the one `from_expr` builds at run time
-    joint = _forms.FORMS[expr] if expr in _forms.FORMS else joint_function(expr)
+    joint = _forms.FORMS[expr] if expr in _forms.FORMS else pretender_joint(expr)
     _assert_joint_is_the_oracle(joint, expr)
 
 

@@ -17,7 +17,7 @@ import pytest
 from conelab import cli
 from conelab import verifier as V
 from conelab.currents import UTerms, WeightTerms
-from conelab.fields import GridSpec, ScalarField, materialize
+from conelab.fields import GridSpec, ScalarField
 from conelab.geometry import AdmissibleRegion
 from conelab.verifier import _identity_arrays, identity_checks
 
@@ -49,10 +49,11 @@ def test_shared_stages_give_the_bits_of_one_check_evaluations(name, mode):
     def check(fld, rep, U, stages):
         # a fresh field, whose derivatives and stages serve this check alone
         _same_bits(_identity_arrays(fld, rep, U, mode, stages),
-                   _identity_arrays(materialize(src, grid, ell), rep, U, mode))
+                   _identity_arrays(ScalarField.from_analytic(grid, src, ell), rep, U, mode))
         return rep, U
 
-    assert identity_checks(materialize(src, grid, ell), mode, CHECKS, check) == CHECKS
+    assert identity_checks(ScalarField.from_analytic(grid, src, ell), mode, CHECKS,
+                           check) == CHECKS
 
 
 def _stage_refs(stage):
@@ -92,7 +93,7 @@ def test_no_stage_outlives_its_last_reader_or_is_reachable_from_a_field(monkeypa
 
     monkeypatch.setattr(V, "_weight_stage", weight_stage)
     src, ell = FIELDS["spherical-wave"]
-    sampled = [materialize(src, GridSpec(region=REGION, n_s=m, n_y=m, n=3), ell)
+    sampled = [ScalarField.from_analytic(GridSpec(region=REGION, n_s=m, n_y=m, n=3), src, ell)
                for m in (16, 32)]
     finest = replace(sampled[-1])
     rels = [identity_checks(fld, "fd", CHECKS, fd) for fld in sampled]
@@ -112,7 +113,7 @@ def test_a_check_outside_the_plan_builds_its_own_stages(monkeypatch):
     # a lone check (no stages=) runs identity_checks on its one pair, to the
     # bits it has among the job's pairs
     src, ell = FIELDS["oscillatory"]
-    fld = materialize(src, GridSpec(region=REGION, n_s=20, n_y=20, n=3), ell)
+    fld = ScalarField.from_analytic(GridSpec(region=REGION, n_s=20, n_y=20, n=3), src, ell)
     other = CHECKS[2][0]  # the low split weight
     shared = identity_checks(fld, "analytic", CHECKS, lambda fld, rep, U, stages: (
         _identity_arrays(fld, rep, U, "analytic", stages) if rep is other else None))
@@ -134,7 +135,7 @@ def test_a_weight_stage_serves_one_run_of_pairs(monkeypatch):
     # a weight that comes back after another gets a stage of its own again,
     # with the same bits
     src, ell = FIELDS["multipole"]
-    fld = materialize(src, GridSpec(region=REGION, n_s=20, n_y=20, n=3), ell)
+    fld = ScalarField.from_analytic(GridSpec(region=REGION, n_s=20, n_y=20, n=3), src, ell)
     w1, w2 = CHECKS[0][0], CHECKS[2][0]
     pairs = [(w1, U_CHOICES[0]), (w2, U_CHOICES[0]), (w1, U_CHOICES[1])]
     wants = [_identity_arrays(fld, rep, U, "fd") for rep, U in pairs]
@@ -286,13 +287,13 @@ def test_the_fields_of_a_level_share_one_grid(tmp_path, monkeypatch):
     # the ell = 0 and ell = 1 fields of a level are sampled on one grid, and
     # nothing keeps its node arrays once the run's grids are gone
     sampled = []
-    real = cli.materialize
+    real = ScalarField.from_analytic
 
-    def materialize(src, grid, ell):
+    def from_analytic(grid, src, ell=0):
         sampled.append((grid, ell))
-        return real(src, grid, ell)
+        return real(grid, src, ell)
 
-    monkeypatch.setattr(cli, "materialize", materialize)
+    monkeypatch.setattr(ScalarField, "from_analytic", from_analytic)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema": 1, "levels": [16, 32]}))
     cli.main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "r.json")])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.currents import PowerU
+from conelab.currents import PowerU, ZeroU
 from conelab.errors import (
     DomainTooSmall,
     InvalidInput,
@@ -341,7 +341,7 @@ def test_field_on_holds_two_copies_of_the_window():
 # the causal band against the full-width leapfrog
 # ---------------------------------------------------------------------------
 
-def assert_matches_full_width(data, U=None, support_radius=None, **kw):
+def assert_matches_full_width(data, U=ZeroU(), support_radius=None, **kw):
     """solve(data) equals the oracle that steps every cell, bit for bit."""
     res = solve(data, U=U, support_radius=support_radius, **kw)
     times, slices, drift = leapfrog_full_width(data, U=U, **kw)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conelab.currents import PowerU
+from conelab.currents import PowerU, ZeroU
 from conelab.errors import (
     InsufficientSequence,
     InvalidInput,
@@ -20,7 +20,6 @@ from conelab.fields import (
     ScalarField,
     exact_spherical_wave,
     from_expr,
-    materialize,
     static_multipole,
 )
 from conelab.geometry import AdmissibleRegion
@@ -55,7 +54,7 @@ def mkfield(expr="sin(u)*cos(v/3)", region=REGION, m=96, n=3, ell=0):
     return ScalarField.from_analytic(g, src, ell)
 
 
-def fd_order(fields, rep=PowerLog(1.0), U=None):
+def fd_order(fields, rep=PowerLog(1.0), U=ZeroU()):
     """The identity-order record of the FD residuals on `fields`."""
     return identity_convergence(
         fields, [identity_residual(fld, rep, U, derivative_mode="fd").rel_residual
@@ -135,15 +134,14 @@ def test_analytic_mode_demands_a_closed_form():
             check(fld, PowerLog(1.0), derivative_mode="analytic")
         out = check(fld, PowerLog(1.0), derivative_mode="auto")
         assert out.mode == "fd"
-    assert identity_residual(fld, PowerLog(1.0)).interior_depth == 2
 
 
 def test_identity_battery_all_combinations():
     U = PowerU(1, 1.0, Potential.constant(1.0))
     for name, expr, ell in battery_fields():
         for wname, rep in battery_weights():
-            for nl in (None, U):
-                if ell != 0 and nl is not None and nl.p != 1.0:
+            for nl in (ZeroU(), U):
+                if ell != 0 and not nl.is_zero and nl.p != 1.0:
                     continue
                 fld = mkfield(expr, m=96, ell=ell)
                 out = identity_residual(fld, rep, nl)
@@ -158,7 +156,7 @@ def test_pointwise_margin_dominated_by_residual():
     for expr in ("sin(u)*cos(v/3)", "(-u*v)**(4/5)"):
         rep = pointwise_inequality(mkfield(expr), PowerLog(1.0))
         assert rep.passed
-        assert rep.margin_min >= -2.0 * max(rep.identity_residual, 1e-300)
+        assert rep.margin_min >= -2.0 * max(rep.identity.residual, 1e-300)
 
 
 def test_pointwise_rejects_outward_weight():
@@ -202,7 +200,7 @@ POINTWISE_PINS = [
     ("fd", "multipole", "split-low", "free", "0x1.dd0397a8b1333p-9", "0x1.5b22f43f69efap-18", "0x1.b74506032dd79p-17"),
     ("fd", "multipole", "split-low", "power-u", "0x1.4f2114297c196p-6", "0x1.57b9f26e48000p-18", "0x1.6b1c4f74fd015p-17"),
 ]
-U_CHOICES = {"free": None, "power-u": PowerU(sign=1, p=1, V=Potential.constant(1.0))}
+U_CHOICES = {"free": ZeroU(), "power-u": PowerU(sign=1, p=1, V=Potential.constant(1.0))}
 
 
 @pytest.mark.parametrize("mode, fname, wname, uname, margin, residual, rel", POINTWISE_PINS,
@@ -210,11 +208,11 @@ U_CHOICES = {"free": None, "power-u": PowerU(sign=1, p=1, V=Potential.constant(1
 def test_pointwise_and_identity_are_bitwise_pinned(mode, fname, wname, uname,
                                                    margin, residual, rel):
     src, ell = {name: (s, e) for name, s, e in battery_fields()}[fname]
-    fld = materialize(src, GridSpec(region=REGION, n_s=48, n_y=48, n=3), ell)
+    fld = ScalarField.from_analytic(GridSpec(region=REGION, n_s=48, n_y=48, n=3), src, ell)
     rep, U = dict(battery_weights())[wname], U_CHOICES[uname]
     pw = pointwise_inequality(fld, rep, U, derivative_mode=mode)
     idr = identity_residual(fld, rep, U, derivative_mode=mode)
-    assert (pw.margin_min.hex(), pw.identity_residual.hex()) == (margin, residual)
+    assert (pw.margin_min.hex(), pw.identity.residual.hex()) == (margin, residual)
     assert idr.rel_residual.hex() == rel
     assert pw.passed and pw.mode == mode
     # the report carries the identity evaluation it used, without its arrays
@@ -538,10 +536,10 @@ def test_falsifiability_no_false_positive_on_zero_potential_solution():
     # an exact wave solution induces V = 0: the pipeline's potential step
     # must need no B for it, and pass it on to the flux terms
     fld = mkfield(exact_spherical_wave(width=4.0, power=8), m=128)
-    rep = uniqueness_pipeline(fld, beta=1.0, p=0.5, potential=lambda u, v: np.zeros_like(u))
-    assert rep.b_required == 0.0
-    assert not rep.verdict.startswith("potential-bound violation")
-    assert rep.terms
+    rec, _ = uniqueness_pipeline(fld, beta=1.0, p=0.5, potential=lambda u, v: np.zeros_like(u))
+    assert rec.value == 0.0
+    assert not rec.details["verdict"].startswith("potential-bound violation")
+    assert rec.details["terms"]
 
 
 # The largest B the split estimate absorbs pointwise, at the weight the
@@ -563,7 +561,7 @@ def test_pointwise_potential_bound_is_pinned(beta, p):
     for bp in sorted(POINTWISE_B)])
 def test_pipeline_admits_no_potential_its_estimate_cannot_absorb(beta, p):
     g = GridSpec.from_region(REGION, 16, 16, 3)
-    b_adm = uniqueness_pipeline(ScalarField.zeros(g), beta=beta, p=p).b_admissible
+    b_adm = uniqueness_pipeline(ScalarField.zeros(g), beta=beta, p=p)[0].tolerance
     assert b_adm <= pointwise_potential_bound(beta, p)
 
 
@@ -573,19 +571,20 @@ def test_pipeline_admits_no_potential_its_estimate_cannot_absorb(beta, p):
 
 def test_pipeline_zero_field():
     g = GridSpec.from_region(REGION, 64, 64, 3)
-    rep = uniqueness_pipeline(ScalarField.zeros(g), beta=2.0, p=1.0)
-    assert rep.verdict.startswith("zero bulk")
+    rec, series = uniqueness_pipeline(ScalarField.zeros(g), beta=2.0, p=1.0)
+    assert rec.details["verdict"].startswith("zero bulk")
+    assert rec.details["terms"] == [] and series == {}
 
 
 def test_pipeline_multipole_obstructed_by_inner_flux():
     fld = mkfield(static_multipole(1, 3), m=96, ell=1)
-    rep = uniqueness_pipeline(fld, beta=2.0, p=1.0)
-    assert rep.verdict.startswith("obstructed by I1")
-    terms = {t.name: t for t in rep.terms}
-    assert terms["I1"].classification == "growing"
+    rec, _ = uniqueness_pipeline(fld, beta=2.0, p=1.0)
+    assert rec.details["verdict"].startswith("obstructed by I1")
+    terms = {t["name"]: t for t in rec.details["terms"]}
+    assert terms["I1"]["classification"] == "growing"
     # r^{-2} on the high current grows like 2(a+b) - 1 along F_omega
-    expect = 2 * (rep.a + rep.b) - 1.0
-    assert abs(terms["I1"].slope - expect) < 0.07
+    expect = 2 * (rec.details["a"] + rec.details["b"]) - 1.0
+    assert abs(terms["I1"]["slope"] - expect) < 0.07
 
 
 def test_pipeline_counterexample_needs_unbounded_potential():
@@ -601,9 +600,10 @@ def test_pipeline_counterexample_needs_unbounded_potential():
     def vfun(u, v):
         return bun.potential(v - u)
 
-    rep = uniqueness_pipeline(fld, beta=2.0, p=1.0, potential=vfun)
-    assert rep.verdict.startswith("potential-bound violation")
-    assert rep.b_required > rep.b_admissible
+    rec, series = uniqueness_pipeline(fld, beta=2.0, p=1.0, potential=vfun)
+    assert rec.details["verdict"].startswith("potential-bound violation")
+    assert rec.value > rec.tolerance
+    assert rec.details["terms"] == [] and series == {}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -624,14 +624,16 @@ def test_pipeline_needs_a_closed_form_to_track_flux_terms():
 
 def test_pipeline_wave_beta_claim_obstructed():
     fld = mkfield(exact_spherical_wave(width=4.0, power=8), m=96)
-    rep = uniqueness_pipeline(fld, beta=2.0, p=1.0)
-    assert rep.verdict.startswith("obstructed by")
+    rec, _ = uniqueness_pipeline(fld, beta=2.0, p=1.0)
+    assert rec.details["verdict"].startswith("obstructed by")
 
 
 def test_pipeline_term_count_and_invalid_input():
     fld = mkfield(m=48)
-    rep = uniqueness_pipeline(fld, beta=2.0, p=1.0)
-    assert {t.name for t in rep.terms} == {"I1", "I2", "J1", "J2", "J3", "J4"}
+    rec, series = uniqueness_pipeline(fld, beta=2.0, p=1.0)
+    names = {"I1", "I2", "J1", "J2", "J3", "J4"}
+    assert {t["name"] for t in rec.details["terms"]} == names
+    assert series.keys() == {f"term-{name}" for name in names}
     with pytest.raises(InvalidInput):
         uniqueness_pipeline(fld, beta=0.5, p=1.0)  # needs p < beta
 
