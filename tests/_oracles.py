@@ -27,7 +27,7 @@ node mesh; the package's row-blocked rule must return its bits.
 `box` is the wave operator on a field's grid, by the field's derivative
 route.  The decay pretenders are closed forms no admissible potential
 carries, and `pretender_joint` builds each one's joint function once per
-session; `pointwise_potential_bound` is the largest B the split estimate
+pytest run; `pointwise_potential_bound` is the largest B the split estimate
 absorbs pointwise, from the package's own weight functions.
 
 `grid_components` samples a current's components on its field's grid.
@@ -69,7 +69,7 @@ PRETENDER_EXPRS = ("((1-u)*(1+v))**(-3/2)",
 def pretender_joint(expr):
     """The joint function `from_expr` builds at run time for a decay
     pretender, which the generated table does not hold, built once per
-    session: criterion 09 and tests/test_forms.py read the same one."""
+    pytest run: criterion 09 and tests/test_forms.py read the same one."""
     from conelab._gen_forms import joint_function
 
     return joint_function(expr)
