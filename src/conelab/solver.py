@@ -13,8 +13,9 @@ initial velocity and the potential sampled at negative times), so the result
 spans a symmetric time strip around the data surface.  The three-point
 stencil moves data by at most one cell per step and dU/dphi is 0 at phi = 0,
 so data that vanish past cell b0 evolve to exactly zero past b0 + m at step
-m: each step is computed only on that band, and the result keeps only the
-columns the band reaches by the last step (its `slices` pads them with zeros).
+m: each step is computed only on that band, and the result stores each kept
+step only on the cells the band reaches by then (its `slices` pads them with
+zeros).
 
 Also here: the Cauchy data of `fields.exact_spherical_wave`, the convergence
 and finite-speed reference, and the construction of a compactly supported
@@ -83,13 +84,15 @@ class CauchyData:
 class EvolutionResult:
     """Sampled evolution phi(t_i, r_j) over a symmetric time strip.
 
-    Only the columns the leapfrog's domain of influence reaches are kept:
-    `band` holds phi on r[:nb], and phi is exactly +0.0 on every later
-    column at every stored time."""
+    Each time slice keeps only the cells the leapfrog's domain of influence
+    reaches by its time: row i of phi is band[starts[i]:starts[i + 1]], on
+    the leading radii r[:starts[i + 1] - starts[i]], and phi is exactly
+    +0.0 on every later cell."""
 
     times: np.ndarray
     r: np.ndarray
-    band: np.ndarray  # (len(times), nb), nb <= len(r)
+    band: np.ndarray  # the rows' stored cells back to back, flat
+    starts: np.ndarray  # (len(times) + 1,) row offsets into band
     n: int
     ell: int
     dr: float
@@ -105,16 +108,19 @@ class EvolutionResult:
         return self._padded(0, len(self.times), 0, len(self.r))
 
     def _padded(self, i0, i1, j0, j1) -> np.ndarray:
-        """A new array of slices[i0:i1, j0:j1]."""
+        """A new array of slices[i0:i1, j0:j1]: zeros, and each row's
+        stored cells where they overlap the columns."""
         out = np.zeros((i1 - i0, j1 - j0))
-        part = self.band[i0:i1, j0:j1]
-        out[:, :part.shape[1]] = part
+        starts = self.starts[i0:i1 + 1].tolist()
+        for row, a, b in zip(out, starts, starts[1:]):
+            part = self.band[min(a + j0, b):min(a + j1, b)]
+            row[:len(part)] = part
         return out
 
     def spline(self, window: tuple) -> TensorSpline:
         """A new quintic spline over (times, r) fitted on the samples
         slices[i0:i1, j0:j1] of the index bounds window = (i0, i1, j0, j1),
-        the stored columns followed by zeros.  `field_on` builds one per
+        each row's stored cells followed by zeros.  `field_on` builds one per
         window."""
         i0, i1, j0, j1 = window
         return TensorSpline(self.times[i0:i1], self.r[j0:j1], self._padded(*window))
@@ -236,16 +242,17 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     # its blow-up check and the energy's elementwise work run on that band only.
     live = np.flatnonzero((phi0 != 0) | np.signbit(phi0) | (phi1 != 0))
     b0 = int(live[-1]) + 1 if live.size else 0
-    nb = min(nr, b0 + nsteps)
 
     store_idx = _stored_steps(nsteps)
     stored = store_idx.tolist()  # from 0, the data, to nsteps, the last step
     n_store = len(stored)
     # rows n_store - 1 + k and n_store - 1 - k hold the forward and backward
-    # step stored[k] on the columns [:nb]; each run writes its stored steps
-    # straight into them
-    band = np.empty((2 * n_store - 1, nb))
-    band[n_store - 1] = phi0[:nb]
+    # step stored[k] on its band, the cells [:min(nr, b0 + stored[k])]; each
+    # run writes its stored steps straight into them
+    widths = np.minimum(nr, b0 + np.concatenate((store_idx[::-1], store_idx[1:])))
+    starts = np.concatenate(([0], np.cumsum(widths)))
+    band = np.empty(starts[-1])
+    band[starts[n_store - 1]:starts[n_store]] = phi0[:b0]
     pos = store_idx[1:] * dt
     times = np.concatenate((-pos[::-1], [0.0], pos))
 
@@ -299,9 +306,9 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
         np.multiply(dm, dr, out=dm)
         return float(np.add.reduce(tmp)) + float(np.add.reduce(dmid))
 
-    def run(direction: int, rows: np.ndarray):
+    def run(direction: int):
         """direction +1: forward; -1: backward (velocity negated, t -> -t).
-        Writes step stored[k] into rows[k] for k >= 1."""
+        Writes step stored[k] into row n_store - 1 + direction k for k >= 1."""
         # the energy sums read tmp and dmid whole: clear what the last run
         # left past the band
         tmp.fill(0.0)
@@ -332,14 +339,15 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
                     mx = float(np.max(np.abs(phi_cur[:w], out=tmp[:w])))
                     if not np.isfinite(mx) or mx > 1e12 * scale0:
                         raise UnstableStep(f"field blew up at step {m} (max {mx:.3e})")
-                    rows[k] = phi_cur[:nb]
+                    i = n_store - 1 + direction * k
+                    band[starts[i]:starts[i + 1]] = phi_cur[:w]
                     k += 1
                     if U.is_zero:
                         energies.append(half_step_energy(phi_prev, phi_cur, min(nr, w + 2)))
         return energies
 
-    fwd_e = run(+1, band[n_store - 1:])
-    bwd_e = run(-1, band[n_store - 1::-1])
+    fwd_e = run(+1)
+    bwd_e = run(-1)
 
     energies = np.asarray(fwd_e + bwd_e)
     if energies.size and np.mean(energies) > 0:
@@ -347,7 +355,7 @@ def solve(data: CauchyData, *, T: float, R: float, dr: float, n: int,
     else:
         drift = math.nan
 
-    return EvolutionResult(times=times, r=r, band=band, n=n, ell=data.ell,
+    return EvolutionResult(times=times, r=r, band=band, starts=starts, n=n, ell=data.ell,
                            dr=dr, dt=dt, energy_drift=drift,
                            meta={"label": data.label, "support_radius": support_radius,
                                  "nsteps": nsteps, "cfl": _CFL_LIMIT,

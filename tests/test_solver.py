@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conelab.currents import PowerU, ZeroU
@@ -313,12 +313,15 @@ def test_nonlinear_leapfrog_is_pinned_bitwise():
 
 
 def test_solve_holds_one_copy_of_the_slices():
-    # the stored steps go straight into the result's array, on the columns
-    # the data reach by T (1000 cells of support plus one per step, 1112
-    # steps: 2112 of 6000): no per-step copies kept beside it, no second
-    # array built from them, and no columns that stay zero
+    # the stored steps go straight into the result's array, each on the
+    # cells the data reach by its time (1000 cells of support plus one per
+    # step, up to 2112 of 6000 at the last of 1112 steps): no per-step
+    # copies kept beside it, no second array built from them, and no cells
+    # that are still zero
     res, peak = traced_peak(lambda: solve(spherical_wave_data(), T=1.0, R=6.0, dr=0.001, n=3))
-    assert res.band.shape == (1023, 2112)
+    widths = np.diff(res.starts)
+    assert len(widths) == 1023 and widths.max() == 2112
+    assert res.band.size == widths.sum() == 1592344
     assert peak <= 1.25 * res.band.nbytes
     assert res.slices.shape == (1023, 6000)
 
@@ -366,7 +369,7 @@ TAILS = (-0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e-300)
 def test_band_matches_full_width_on_compact_data(w0, w1, power, n, dr, T):
     data = CauchyData(profile=bump(w0, power), velocity=lambda r: -0.5 * bump(w1, power + 1)(r))
     res = assert_matches_full_width(data, T=T, R=max(w0, w1) + T + 1.5, dr=dr, n=n)
-    assert res.band.shape[1] < len(res.r)
+    assert np.diff(res.starts).max() < len(res.r)
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -414,7 +417,7 @@ def test_band_matches_full_width_on_gaussian_data(width, T):
     data = CauchyData(profile=lambda r: np.exp(-(r / width) ** 2),
                       velocity=lambda r: np.zeros_like(r))
     res = assert_matches_full_width(data, support_radius=2.0, T=T, R=4.0, dr=0.02, n=3)
-    assert res.band.shape == res.slices.shape
+    assert np.array_equal(np.diff(res.starts), np.full(len(res.times), len(res.r)))
 
 
 @settings(max_examples=8, derandomize=True, deadline=None)
@@ -426,18 +429,64 @@ def test_band_matches_full_width_on_nonlinear_data(sign, p, kind, T):
     data = CauchyData(profile=lambda r: 0.5 * bump(1.0, 4)(r), velocity=bump(0.5, 3))
     res = assert_matches_full_width(data, U=PowerU(sign, p, pot), T=T, R=3.0, dr=0.02, n=3)
     # the nonlinear term vanishes with phi, so the band stops short of R too
-    assert res.band.shape[1] < res.slices.shape[1]
+    assert np.diff(res.starts).max() < res.slices.shape[1]
 
 
 def test_slices_are_a_new_array_on_each_read():
     res = solve(spherical_wave_data(), T=0.5, R=4.0, dr=0.02, n=3)
-    nb = res.band.shape[1]
-    assert nb < len(res.r)
+    assert np.diff(res.starts).max() < len(res.r)
     first = res.slices
     assert first is not res.slices
     first[:] = 1.0
-    assert np.array_equal(res.slices[:, :nb], res.band)
-    assert not np.any(res.slices[:, nb:])
+    slices = res.slices
+    assert len(slices) == len(res.starts) - 1
+    for row, a, b in zip(slices, res.starts, res.starts[1:]):
+        assert np.array_equal(row[:b - a], res.band[a:b])
+        assert not np.any(row[b - a:])
+
+
+LAYOUT_DATA = {
+    "spherical-wave": (spherical_wave_data(), ZeroU(), {}),
+    "dipole-bump": (CauchyData(profile=bump(0.5, 4, 1.5), velocity=bump(0.3, 2, 1.5), ell=1),
+                    ZeroU(), {}),
+    "gaussian": (CauchyData(profile=lambda r: np.exp(-(r / 0.5) ** 2),
+                            velocity=lambda r: np.zeros_like(r)), ZeroU(), {"support_radius": 2.0}),
+    "zero": (CauchyData(profile=np.zeros_like, velocity=np.zeros_like), ZeroU(), {}),
+    "nonlinear": (CauchyData(profile=lambda r: 0.5 * bump(1.0, 4)(r), velocity=bump(0.5, 3)),
+                  PowerU(-1, 3.0, Potential.constant(1.0)), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_DATA))
+def test_band_stores_each_step_on_the_cells_it_reaches(case):
+    # the row of the step m of either leg holds the cells [:min(nr, b0 + m)],
+    # b0 one past the last cell where phi0 has nonzero bits or phi1 != 0
+    data, U, kw = LAYOUT_DATA[case]
+    res = solve(data, T=0.3, R=4.0, dr=0.02, n=3, U=U, **kw)
+    phi0, phi1 = data.profile(res.r), data.velocity(res.r)
+    live = np.flatnonzero((phi0 != 0) | np.signbit(phi0) | (phi1 != 0))
+    b0 = live[-1] + 1 if live.size else 0
+    steps = np.round(np.abs(res.times) / res.dt).astype(int)
+    assert res.starts[0] == 0 and res.starts[-1] == res.band.size
+    assert np.array_equal(np.diff(res.starts), np.minimum(len(res.r), b0 + steps))
+
+
+# a bump of 50 cells evolved 28 steps each way: rows of 50 to 78 of 200 cells
+LAYOUT = solve(spherical_wave_data(), T=0.5, R=4.0, dr=0.02, n=3)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(i=st.lists(st.integers(0, len(LAYOUT.times)), min_size=2, max_size=2, unique=True),
+       j=st.lists(st.integers(0, len(LAYOUT.r)), min_size=2, max_size=2, unique=True))
+@example(i=[0, 57], j=[60, 200])  # j0 past the short rows, j1 past the widest
+@example(i=[20, 37], j=[78, 90])  # every row ends at or before j0
+@example(i=[3, 50], j=[0, 64])
+def test_a_window_of_the_band_fits_the_spline_of_its_slices(i, j):
+    (i0, i1), (j0, j1) = sorted(i), sorted(j)
+    window = (i0, i1, j0, j1)
+    got = LAYOUT.spline(window)
+    want = TensorSpline(LAYOUT.times[i0:i1], LAYOUT.r[j0:j1], LAYOUT.slices[i0:i1, j0:j1])
+    assert got.c.tobytes() == want.c.tobytes()
 
 
 def test_stored_steps_are_those_np_unique_keeps():
