@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import hashlib
 import json
 import math
 import os
@@ -26,6 +25,14 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+
+try:  # CPython's own SHA-256, which hashlib wraps without OpenSSL: no libcrypto loads
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built with neither
+        from hashlib import sha256
 
 from . import __version__
 from . import verifier as V
@@ -73,6 +80,10 @@ SIZE_RANGES = {"n": (2, 10), "grid": (8, 1024), "nodes": (2, 2048), "count": (V.
                "ell": (0, 10), "power": (1, 20)}
 LEVEL_COUNT = (2, 8)
 COMBO_POWER = (1, 10)
+# verify-nl's weight f^{2a} takes a in (0, NL_A_MAX]: its chains carry f^{2a+1}, which at
+# the default region's omega = 10 is 10^{2a+1} and overflows past a = 153 (every chain
+# then reads NaN); 100 keeps it under 1e201.  counterexample's a is another quantity.
+NL_A_MAX = 100.0
 # the keys of a potential: a solve potential may set any, a verify-nl combo only its kind
 POTENTIAL_KEYS = ("kind", "c", "amplitude", "B", "beta", "p", "floor")
 # solve keeps up to 1023 time slices of up to R/dr cells (of all R/dr for
@@ -238,7 +249,7 @@ def build_report(command: str, records) -> dict:
         "records": [_record_dict(r) for r in records],
     }
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    body["stability_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
+    body["stability_hash"] = sha256(canonical.encode()).hexdigest()
     body["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return body
 
@@ -408,7 +419,8 @@ def _nl_combos(cfg: RunConfig):
 
 def run_verify_nl(cfg: RunConfig):
     n = cfg.get_int("n", 3)
-    a = cfg.get_float("a", 0.1)
+    a = cfg.check("a", cfg.get_float("a", 0.1), lambda x: 0 < x <= NL_A_MAX,
+                  f"a number in (0, {NL_A_MAX:g}]")
     nodes = cfg.get_int("nodes", 160)
     m = cfg.get_int("grid", 96)
     reg = cfg.region()

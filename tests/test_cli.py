@@ -26,6 +26,7 @@ import pytest
 
 from conelab.cli import (
     COMMANDS,
+    NL_A_MAX,
     SIZE_RANGES,
     SOLVE_CELLS,
     RunConfig,
@@ -130,6 +131,7 @@ def test_benchmark_solve_export_loads_no_scipy(tmp_path):
         f" '--out', {str(out)!r}]) == 0\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"
+        "assert '_hashlib' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
                           capture_output=True, text=True, timeout=300)
@@ -171,6 +173,7 @@ def test_runs_on_the_fixed_fields_load_no_sympy(tmp_path):
         f"for argv, codes in {runs!r}:\n"
         f"    assert main([*argv, '--out', {str(tmp_path / 'r.json')!r}]) in codes, argv\n"
         "assert 'sympy' not in sys.modules\n"
+        "assert '_hashlib' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
                           capture_output=True, text=True, timeout=300)
@@ -191,8 +194,9 @@ def test_solve_loads_no_numpy_ma(tmp_path):
 
 # Modules that no quadrature command runs: the leapfrog, the thread pool of
 # verify-identity (concurrent.futures also loads logging) and the writer of a
-# series CSV.  A subcommand imports them where it uses them.
-UNLOADED_ON_IMPORT = ("conelab.solver", "concurrent.futures", "logging", "csv")
+# series CSV.  A subcommand imports them where it uses them.  OpenSSL's
+# _hashlib loads with no command: the report hash is CPython's own SHA-256.
+UNLOADED_ON_IMPORT = ("conelab.solver", "concurrent.futures", "logging", "csv", "_hashlib")
 
 
 def test_importing_the_package_and_cli_loads_no_solver_pool_or_csv():
@@ -209,6 +213,23 @@ def test_importing_the_package_and_cli_loads_no_solver_pool_or_csv():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_report_hash_falls_back_to_hashlib(tmp_path):
+    # an interpreter without CPython's own SHA-256 module hashes through
+    # hashlib, to the same digest
+    out = tmp_path / "r.json"
+    script = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from conelab.cli import main\n"
+        f"assert main(['counterexample', '--out', {str(out)!r}]) == 0\n"
+        "assert 'hashlib' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert _load_report(out)["stability_hash"] == DEFAULT_HASHES[("counterexample",)]
+
+
 def test_the_quadrature_commands_load_no_solver(tmp_path):
     small = {"schema": 1, "nodes": 16}
     runs = [("limits", small), ("verify-nl", {**small, "grid": 16}),
@@ -222,6 +243,7 @@ def test_the_quadrature_commands_load_no_solver(tmp_path):
         f"for argv in {argvs!r}:\n"
         f"    assert main([*argv, '--out', {str(tmp_path / 'r.json')!r}]) == 0, argv\n"
         "    assert 'conelab.solver' not in sys.modules, argv\n"
+        "assert '_hashlib' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
                           capture_output=True, text=True, timeout=300)
@@ -620,6 +642,26 @@ def test_solve_passes_at_every_dimension(tmp_path, n):
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "n": n, "grid": 16})
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     assert all(rec["passed"] for rec in _load_report(out)["records"])
+
+
+GAMMA_SIGN_RULE = pytest.mark.xfail(
+    strict=True, reason="one nl-chain combo (n = 2: defocusing/p=3/constant; n >= 6: "
+    "focusing/p=2/power) has a positive margin and fails only on Gamma_V's sign rule, a "
+    "hypothesis of the estimate (ROADMAP items 3 and 21)")
+SLOW_TAIL = pytest.mark.xfail(
+    strict=True, reason="limit-slope[cone_sigma] and [cone_tau] read +/-0.395 at n = 10 "
+    "against +/-0.5: the cone slopes' slow tail grows with n (ROADMAP items 3, 6 and 16)")
+
+
+@pytest.mark.parametrize("command, n", [
+    *(pytest.param("verify-nl", n, marks=[GAMMA_SIGN_RULE] if n == 2 or n >= 6 else [])
+      for n in range(2, 11)),
+    *(pytest.param("limits", n, marks=[SLOW_TAIL] if n >= 5 else []) for n in range(2, 11)),
+])
+def test_verify_nl_and_limits_pass_at_every_dimension(tmp_path, command, n):
+    # item 3's dimension sweep: each command at its defaults with only n set
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "n": n})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
 
 
 # Defects that reproduce today, each pinned by the outcome it should have.
@@ -1070,6 +1112,18 @@ def test_verify_nl_combos_are_checked_before_any_work(tmp_path, capsys, monkeypa
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "combos": combos})
     assert main(["verify-nl", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"error: {named}")
+
+
+@pytest.mark.parametrize("a", [1e300, 0, -1], ids=["1e300", "zero", "negative"])
+def test_verify_nl_weight_exponent_out_of_range_exits_2_before_any_work(tmp_path, capsys,
+                                                                       monkeypatch, a):
+    # 1e300 overflowed the weight into three NaN chains (exit 1), and a <= 0
+    # was refused by the chain itself with a message that named no key
+    _forbid_work(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "a": a})
+    assert main(["verify-nl", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config.a must be a number in (0, {NL_A_MAX:g}]")
 
 
 def test_a_report_without_records_fails():
