@@ -52,6 +52,7 @@ from .weights import (
 from .fields import (
     AnalyticField,
     GridSpec,
+    NodeRows,
     ScalarField,
     exact_spherical_wave,
     field_to_csv,

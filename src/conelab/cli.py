@@ -116,6 +116,13 @@ def _check_refined(refine: int, key: str, size) -> None:
                 f"at level {level}, outside [{lo}, {hi}]")
 
 
+def _finite_power(x: float, p: float) -> bool:
+    try:
+        return math.isfinite(x ** p)
+    except OverflowError:  # a float power past the largest float raises
+        return False
+
+
 def _ranged(key: str, ok, what: str):
     """`ok` and `what` narrowed to SIZE_RANGES[key] when `key` is a size key."""
     if key not in SIZE_RANGES:
@@ -304,8 +311,8 @@ def run_verify_identity(cfg: RunConfig):
     fields = V.battery_fields()
     grids = {m: GridSpec(region=reg, n_s=m, n_y=m, n=n) for m in levels}
 
-    def fd_rel(fld, rep, U, stages):
-        return V.identity_residual(fld, rep, U, derivative_mode="fd", stages=stages).rel_residual
+    def fd(fld, rep, U, stages):
+        return V.identity_residual(fld, rep, U, derivative_mode="fd", stages=stages)
 
     def analytic(fld, rep, U, stages):
         return V.pointwise_inequality(fld, rep, U, derivative_mode="analytic", stages=stages)
@@ -316,7 +323,8 @@ def run_verify_identity(cfg: RunConfig):
         # once and drops it before it moves on, leaving nothing on the field;
         # the analytic checks then read the finest field alone
         sampled = [ScalarField.from_analytic(grids[m], src, ell) for m in levels]
-        rels = [V.identity_checks(fld, "fd", pairs, fd_rel) for fld in sampled]
+        rels = [[r.rel_residual for r in V.identity_checks(fld, "fd", pairs, fd)]
+                for fld in sampled]
         recs = [replace(V.identity_convergence(sampled, level_rels),
                         name=f"identity-order[{fname}/{check}]")
                 for (check, _, _), level_rels in zip(checks, zip(*rels))]
@@ -424,6 +432,10 @@ def run_verify_nl(cfg: RunConfig):
     nodes = cfg.get_int("nodes", 160)
     m = cfg.get_int("grid", 96)
     reg = cfg.region()
+    # NL_A_MAX holds only near the default omega: f^{2a+1} is largest at the
+    # region's omega, and where it overflows there every chain reads NaN
+    cfg.check("a", a, lambda x: _finite_power(reg.omega, 2 * x + 1),
+              f"a number whose omega^(2a+1) is finite at region.omega = {reg.omega:g}")
     grid = GridSpec(region=reg, n_s=m, n_y=m, n=n)
     combos = _nl_combos(cfg)
     fld = ScalarField.from_analytic(grid, exact_spherical_wave(width=1.0, power=8))

@@ -28,10 +28,11 @@ term, does not reduce to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
+from . import stencils
 from .errors import (
     InvalidInput,
     MissingDerivative,
@@ -40,7 +41,7 @@ from .errors import (
     RangeMismatch,
     is_finite,
 )
-from .fields import GridSpec, ScalarField, _columns_to_csv
+from .fields import GridSpec, NodeRows, ScalarField, _columns_to_csv
 from .weights import Potential, Reparametrization, SplitWeight, SplitWeightParams
 
 __all__ = [
@@ -374,17 +375,20 @@ def bulk_b(fld: ScalarField, rep: Reparametrization,
     return ScalarField(grid=g, values=vals, name=f"B[{fld.name}]")
 
 
-def divergence_fd(grid: GridSpec, P_u: np.ndarray, P_v: np.ndarray) -> ScalarField:
-    """Divergence by finite differences of components sampled on `grid`.
+def divergence_fd(nodes: NodeRows, P_u: np.ndarray, P_v: np.ndarray) -> np.ndarray:
+    """Divergence by finite differences of components sampled on a run of a
+    grid's rows, `nodes` (all of them: `NodeRows(grid)`).
 
     Only the cross derivatives d_u P_v and d_v P_u enter: by the chain rule
-    (fields' module docstring) d_u = (d_s - d_y)/u and d_v = (d_s + d_y)/v."""
-    Pu = ScalarField(grid=grid, values=P_u, name="P_u")
-    Pv = ScalarField(grid=grid, values=P_v, name="P_v")
-    dPu_v = (Pu.d_s() + Pu.d_y()) / grid.V
-    dPv_u = (Pv.d_s() - Pv.d_y()) / grid.U
-    vals = -0.5 * (dPv_u + dPu_v) - grid.radial_coef * (P_u - P_v)
-    return ScalarField(grid=grid, values=vals, name="div P (fd)")
+    (fields' module docstring) d_u = (d_s - d_y)/u and d_v = (d_s + d_y)/v.
+    A row at least `order // 2` rows inside the run, or on the grid's edge,
+    gets the bits it has on the whole grid."""
+    if not (np.all(np.isfinite(P_u)) and np.all(np.isfinite(P_v))):
+        raise InvalidInput("current components must be finite")
+    d1 = partial(stencils.d1, order=nodes.order)
+    dPu_v = (d1(P_u, nodes.ds, axis=0) + d1(P_u, nodes.dy, axis=1)) / nodes.V
+    dPv_u = (d1(P_v, nodes.ds, axis=0) - d1(P_v, nodes.dy, axis=1)) / nodes.U
+    return -0.5 * (dPv_u + dPu_v) - nodes.radial_coef * (P_u - P_v)
 
 
 def current_to_csv(cur: CurrentField, path) -> None:

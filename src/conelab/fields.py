@@ -29,6 +29,7 @@ from .geometry import AdmissibleRegion
 
 __all__ = [
     "GridSpec",
+    "NodeRows",
     "AnalyticField",
     "ScalarField",
     "TensorSpline",
@@ -143,6 +144,23 @@ class GridSpec:
         if 2 * m >= min(self.n_s, self.n_y):
             raise InvalidInput("grid too small for the requested interior margin")
         return (slice(m, self.n_s - m), slice(m, self.n_y - m))
+
+
+def _row_view(name: str):
+    """The rows of the grid's node array `name`, sliced on first read."""
+    return cached_property(lambda nodes: getattr(nodes.grid, name)[nodes.rows])
+
+
+class NodeRows:
+    """The nodes of a run of a grid's rows (`rows`, a slice of s indices):
+    views of those rows of its node arrays `U`, `V`, `R`, `F_col` and
+    `radial_coef`, with the grid's n, spacings and stencil order."""
+
+    def __init__(self, grid: GridSpec, rows: slice = slice(None)):
+        self.grid, self.rows = grid, rows
+        self.n, self.order, self.ds, self.dy = grid.n, grid.order, grid.ds, grid.dy
+
+    U, V, R, F_col, radial_coef = map(_row_view, ("U", "V", "R", "F_col", "radial_coef"))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,8 @@ from .errors import (
     RangeMismatch,
 )
 from .fields import (
+    GridSpec,
+    NodeRows,
     ScalarField,
     exact_spherical_wave,
     from_expr,
@@ -101,6 +103,10 @@ FLAT_TOL = 0.05          # pipeline: a log-log slope within this of 0 is "bounde
 ZERO_FLOOR = 1e-13       # pipeline: a flux sequence below this is "zero"
 SURFACES = 6             # pipeline: surfaces per tracked flux term
 TAIL = 4                 # limit and pipeline slopes: points fitted at the end of a sequence
+# identity checks: most nodes a row block owns.  Smaller blocks hold less,
+# but their many short array operations hand the GIL between verify-identity's
+# threads often enough to cost it CPU time (16384 took 12 % more)
+BLOCK_POINTS = 32768
 
 
 @dataclass(frozen=True)
@@ -126,107 +132,149 @@ class CheckRecord:
 # ---------------------------------------------------------------------------
 
 def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, check) -> list:
-    """The results of `check(fld, rep, U, stages)` for each (weight, U) pair
-    of `pairs` in turn, on the route `fld.route(derivative_mode)`.
+    """One report per (weight, U) pair of `pairs`, in turn, on the route
+    `fld.route(derivative_mode)`: `check(fld, rep, U, stages)` run on each
+    row block of the grid (`_row_blocks`), its `IdentityReport` or
+    `PointwiseReport` joined with those of the blocks before (`_joined`).
 
-    The identity's terms that the pairs share are built once, one stage per
-    dependency level; `stages` is the pair's (field, field x U, field x
-    weight) stages, which `identity_residual` and `pointwise_inequality`
-    take:
+    The blocks are the outer loop and the pairs the inner one.  A block
+    holds at most BLOCK_POINTS nodes' worth of its own rows (and, on the FD
+    route, a halo of `order // 2` rows on each side, clipped at the grid's
+    edges, so that the divergence stencils reach its own rows as they do
+    on the whole grid).  In a block, the identity's terms that the pairs
+    share are built once, one stage per dependency level; `stages` is the
+    pair's (block, field, field x U, field x weight) stages, which
+    `identity_residual` and `pointwise_inequality` take:
 
     - field: (phi, phi_u, phi_v), which live through the loop over the
       pairs, and box phi and the field half of the current (`field_half`).
-      They come from `derivs_wave` on the FD route and `derivs2` on the
-      analytic one, evaluated for this call.  The second derivatives
-      (phi_uv on the FD route, phi_uu, phi_uv and phi_vv on the analytic
-      one) go once box phi and the half are built;
+      On the FD route they are the block's rows of `derivs_wave`, whose
+      stencils run once on the whole grid; on the analytic one the closed
+      form's `derivs2` at the block's nodes.  The second derivatives go
+      once box phi and the half are built;
     - field x U, one per distinct U object, all built first: `UTerms` and
       box phi + Udot.  Box phi and the half's openings go after them;
     - field x weight, one per run of consecutive pairs that share a weight
       object, each dropped before the next is built: see `_weight_stage`.
 
-    Nothing is kept on the field, and no stage outlives the call unless a
-    result holds it."""
+    Nothing is kept on the field, and no stage outlives its block."""
     mode = fld.route(derivative_mode)
-    g = fld.grid
-    derivs = fld.derivs_wave(mode) if mode == "fd" else fld.derivs2(mode)
-    first = phi, phi_u, phi_v = derivs[:3]
-    phi_uv, second = (derivs[3], ()) if mode == "fd" else (derivs[4], derivs[3:])
-    half = field_half(g.U, g.V, fld.lam, phi, phi_u, phi_v, *second)
-    boxphi = wave_op(g.n, fld.lam, g.R, phi, phi_u, phi_v, phi_uv)
-    del derivs, phi_uv, second
-    u_stages = {}  # by id: `pairs` holds each U while this lives
-    for _, U in pairs:
-        if id(U) not in u_stages:
-            _check_mode(U, fld.ell)
-            ut = UTerms(U, g.U, g.V, phi, phi_u, phi_v, half)
-            u_stages[id(U)] = ut, boxphi + ut.udot
-    del boxphi
-    # the weight stages read the half's phi^2 and the factor c multiplies
-    half = (half[0], None, None, None, None, *half[5:])
-    results, w_rep, w_stage = [], None, None
-    for rep, U in pairs:
-        if rep is not w_rep:
-            w_stage = None  # the last weight's stage goes before the next is built
-            w_rep, w_stage = rep, _weight_stage(g, rep, phi, phi_u, phi_v, half)
-        results.append(check(fld, rep, U, (first, u_stages[id(U)], w_stage)))
-    return results
+    whole = fld.derivs_wave(mode) if mode == "fd" else None
+    reports = [None] * len(pairs)
+    for block in _row_blocks(fld.grid, mode):
+        nodes = block.nodes
+        if whole is None:
+            derivs = fld.closed_form.derivs2(nodes.U, nodes.V)
+        else:
+            derivs = [a[nodes.rows] for a in whole]
+        first = phi, phi_u, phi_v = derivs[:3]
+        phi_uv, second = (derivs[3], ()) if mode == "fd" else (derivs[4], derivs[3:])
+        half = field_half(nodes.U, nodes.V, fld.lam, phi, phi_u, phi_v, *second)
+        boxphi = wave_op(nodes.n, fld.lam, nodes.R, phi, phi_u, phi_v, phi_uv)
+        del derivs, phi_uv, second
+        u_stages = {}  # by id: `pairs` holds each U while this lives
+        for _, U in pairs:
+            if id(U) not in u_stages:
+                _check_mode(U, fld.ell)
+                ut = UTerms(U, nodes.U, nodes.V, phi, phi_u, phi_v, half)
+                u_stages[id(U)] = ut, boxphi + ut.udot
+        del boxphi
+        # the weight stages read the half's phi^2 and the factor c multiplies
+        half = (half[0], None, None, None, None, *half[5:])
+        w_rep, w_stage = None, None
+        for i, (rep, U) in enumerate(pairs):
+            if rep is not w_rep:
+                w_stage = None  # the last weight's stage goes before the next is built
+                w_rep, w_stage = rep, _weight_stage(block, rep, phi, phi_u, phi_v, half)
+            reports[i] = _joined(reports[i],
+                                 check(fld, rep, U, (block, first, u_stages[id(U)], w_stage)))
+        # the next block's stages are built without these
+        del first, phi, phi_u, phi_v, half, u_stages, w_stage
+    return reports
 
 
-def _weight_stage(g, rep: Reparametrization, phi, phi_u, phi_v, half):
-    """The field x weight stage: the `WeightTerms` (the bracket's products
-    among them), e^{-F}, S* psi (psi = e^{-F} phi), the bulk coefficient
-    f|F'|G - H, 2 F' |S* psi|^2 - (f|F'|G - H) psi^2 and the largest
-    |2 F' |S* psi|^2|."""
-    wt = WeightTerms(rep, g.n, g.F_col, g.U, g.V, phi, phi_u, phi_v, half)
+@dataclass(frozen=True)
+class _Block:
+    nodes: NodeRows  # the block's rows, its halo included
+    own: slice       # its own rows, among them
+    checked: tuple   # the slice pair of its own nodes where residual and margin are read
+
+
+def _row_blocks(g: GridSpec, mode: str) -> list:
+    """The row blocks of `identity_checks` on the grid, in order: k runs of
+    as even a length as k allows, the fewest that hold at most BLOCK_POINTS
+    nodes each, but none shorter than `order + 1` rows, so that a stencil
+    takes every block.  On the FD route each block's nodes extend
+    `order // 2` rows past its own on each side, clipped at the grid's
+    edges, and its residual and margin are read on its own nodes inside
+    `grid.interior(2)`."""
+    rows = max(BLOCK_POINTS // g.n_y, 1)
+    k = max(1, min(-(-g.n_s // rows), g.n_s // (g.order + 1)))
+    halo = g.order // 2 if mode == "fd" else 0
+    keep_rows, keep_cols = g.interior(2) if mode == "fd" else (slice(0, g.n_s), slice(None))
+    blocks = []
+    for lo, hi in ((g.n_s * i // k, g.n_s * (i + 1) // k) for i in range(k)):
+        start = max(lo - halo, 0)
+        checked = slice(max(lo, keep_rows.start) - lo, min(hi, keep_rows.stop) - lo)
+        blocks.append(_Block(NodeRows(g, slice(start, min(hi + halo, g.n_s))),
+                             slice(lo - start, hi - start), (checked, keep_cols)))
+    return blocks
+
+
+def _weight_stage(block: _Block, rep: Reparametrization, phi, phi_u, phi_v, half):
+    """The field x weight stage on the block's nodes: the `WeightTerms` (the
+    bracket's products among them), e^{-F}, S* psi (psi = e^{-F} phi), the
+    bulk coefficient f|F'|G - H, 2 F' |S* psi|^2 - (f|F'|G - H) psi^2 and
+    the largest |2 F' |S* psi|^2| on its own rows."""
+    nodes = block.nodes
+    wt = WeightTerms(rep, nodes.n, nodes.F_col, nodes.U, nodes.V, phi, phi_u, phi_v, half)
     dF = wt.dF
     E = np.exp(-wt.F)
     psi = E * phi
-    psi_u = E * (phi_u + g.V * dF * phi)
-    psi_v = E * (phi_v + g.U * dF * phi)
-    sstar = 0.5 * (g.U * psi_u + g.V * psi_v) + (g.n - 1) / 4.0 * psi
+    psi_u = E * (phi_u + nodes.V * dF * phi)
+    psi_v = E * (phi_v + nodes.U * dF * phi)
+    sstar = 0.5 * (nodes.U * psi_u + nodes.V * psi_v) + (nodes.n - 1) / 4.0 * psi
     square = 2.0 * dF * sstar**2
     # F' < 0 (current_general checks it), so f F' G + H is minus the bulk
     # coefficient, and negating it is exact
-    bulk = rep.bulk_coefficient(g.F_col)
-    return wt, E, sstar, bulk, square - bulk * psi**2, float(np.max(np.abs(square)))
+    bulk = rep.bulk_coefficient(nodes.F_col)
+    return (wt, E, sstar, bulk, square - bulk * psi**2,
+            float(np.max(np.abs(square[block.own]))))
 
 
-def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str, stages=None):
-    """LHS and RHS arrays of the divergence identity on the field's grid, the
-    residual's scale, and the terms the pointwise margin reads: F' and the
-    bulk coefficient f |F'| G - H (on the grid's f column, where the weight
-    profiles, those of the current's weight half included, are evaluated and
-    broadcast), e^{-F}, phi, L = e^{-F}(box phi + Udot), B and div P.
-    The shared terms come from `stages` (see identity_checks), or from
-    stages built for this one check; only the sums that mix U and weight
-    terms are formed here."""
-    if stages is None:
-        return identity_checks(fld, mode, [(rep, U)], lambda fld, rep, U, stages:
-                               _identity_arrays(fld, rep, U, mode, stages))[0]
-    (phi, phi_u, phi_v), (ut, boxU), (wt, E, sstar, bulk, square_bulk, square_max) = stages
-    g = fld.grid
-    f = g.F_col
+def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str, stages):
+    """On the own rows of the block of `stages` (see identity_checks): the
+    LHS and RHS arrays of the divergence identity, the largest |LHS|,
+    |2 F' |S* psi|^2| and |div P| that the residual's scale is taken from,
+    and the terms the pointwise margin reads: F' and the bulk coefficient
+    f |F'| G - H (on the f column, where the weight profiles, those of the
+    current's weight half included, are evaluated and broadcast), e^{-F},
+    phi, L = e^{-F}(box phi + Udot), B and div P.  Only the sums that mix U
+    and weight terms are formed here."""
+    block, (phi, phi_u, phi_v), (ut, boxU), (wt, E, sstar, bulk, square_bulk, square_max) = stages
+    nodes, own = block.nodes, block.own
+    f = nodes.F_col
 
     # the divergence first: its temporaries peak above all the rest
     asm = current_general(fld, rep, U).assembler
     shared = (ut, wt)
     if mode == "fd":
-        div = divergence_fd(g, *asm.components(g.U, g.V, f, phi, phi_u, phi_v,
-                                               terms=shared)).values
+        div = divergence_fd(nodes, *asm.components(nodes.U, nodes.V, f, phi, phi_u, phi_v,
+                                                   terms=shared))
     else:
         # the half in `shared` carries what the divergence reads of the
         # second derivatives
-        div = asm.divergence(g.U, g.V, f, phi, phi_u, phi_v, None, None, None, terms=shared)
-
-    div_max = float(np.max(np.abs(div)))
-    Bv = bulk_term(rep, U, g.n, f, g.U, g.V, phi, terms=shared)
-    rhs = square_bulk + Bv + div
-    L = E * boxU
-    lhs = L * sstar
-    scale = max(float(np.max(np.abs(lhs))), square_max, div_max, 1e-300)
-    terms = {"dF": wt.dF, "bulk": bulk, "E": E, "phi": phi, "L": L, "B": Bv, "div": div}
-    return lhs, rhs, scale, terms
+        div = asm.divergence(nodes.U, nodes.V, f, phi, phi_u, phi_v, None, None, None,
+                             terms=shared)
+    div = div[own]
+    Bv = bulk_term(rep, U, nodes.n, f, nodes.U, nodes.V, phi, terms=shared)[own]
+    rhs = square_bulk[own] + Bv + div
+    L = E[own] * boxU[own]
+    lhs = L * sstar[own]
+    maxima = (float(np.max(np.abs(lhs))), square_max, float(np.max(np.abs(div))))
+    terms = {"dF": wt.dF[own], "bulk": bulk[own], "E": E[own], "phi": phi[own], "L": L,
+             "B": Bv, "div": div}
+    return lhs, rhs, maxima, terms
 
 
 @dataclass(frozen=True)
@@ -234,9 +282,30 @@ class IdentityReport:
     residual: float
     rel_residual: float
     mode: str
-    # the identity's term arrays (see _identity_arrays), which
-    # pointwise_inequality builds its margin from
+    # the largest |LHS|, |2 F' |S* psi|^2| and |div P| on the nodes checked:
+    # the residual's scale is the largest of them and 1e-300
+    maxima: tuple = dc_field(repr=False)
+    # one block's term arrays (see _identity_arrays), which
+    # pointwise_inequality builds its margin from; a joined report has none
     terms: Optional[dict] = dc_field(default=None, compare=False, repr=False)
+
+
+def _identity_report(residual: float, maxima: tuple, mode: str, terms=None) -> IdentityReport:
+    return IdentityReport(residual=residual, rel_residual=residual / max(*maxima, 1e-300),
+                          mode=mode, maxima=maxima, terms=terms)
+
+
+def _joined(acc, rep):
+    """The block report `rep` joined with `acc`, the join of the blocks
+    before it (None at the first): the residual and each of the scale's
+    maxima by the larger, the margin by the smaller, each a NaN where either
+    is, as one max or min over their nodes would be; no arrays are kept."""
+    acc = rep if acc is None else acc
+    if isinstance(rep, PointwiseReport):
+        return _pointwise_report(float(np.minimum(acc.margin_min, rep.margin_min)),
+                                 _joined(acc.identity, rep.identity))
+    return _identity_report(float(np.maximum(acc.residual, rep.residual)),
+                            tuple(map(float, np.maximum(acc.maxima, rep.maxima))), rep.mode)
 
 
 def identity_residual(fld: ScalarField, rep: Reparametrization,
@@ -247,15 +316,19 @@ def identity_residual(fld: ScalarField, rep: Reparametrization,
     `fld.route(derivative_mode)` picks the route: 'analytic' uses closed-form
     derivatives everywhere (machine-level); 'fd' uses centered stencils for
     both the field and the current divergence, so the residual shrinks at
-    the stencil order under refinement.  `stages` is this check's stages,
-    from `identity_checks` on the same field and route.
+    the stencil order under refinement.  `stages` is one block's stages of
+    this check, from `identity_checks` on the same field and route, and the
+    report is then that block's.
     """
     mode = fld.route(derivative_mode)
-    lhs, rhs, scale, terms = _identity_arrays(fld, rep, U, mode, stages)
-    sl = fld.grid.interior(2) if mode == "fd" else (slice(None), slice(None))
+    if stages is None:
+        return identity_checks(fld, mode, [(rep, U)], lambda fld, rep, U, stages:
+                               identity_residual(fld, rep, U, derivative_mode=mode,
+                                                 stages=stages))[0]
+    lhs, rhs, maxima, terms = _identity_arrays(fld, rep, U, mode, stages)
     # lhs is this call's own, so the difference and its size overwrite it
-    res = float(np.max(np.abs(np.subtract(lhs, rhs, out=lhs), out=lhs)[sl]))
-    return IdentityReport(residual=res, rel_residual=res / scale, mode=mode, terms=terms)
+    res = float(np.max(np.abs(np.subtract(lhs, rhs, out=lhs), out=lhs)[stages[0].checked]))
+    return _identity_report(res, maxima, mode, terms)
 
 
 def identity_convergence(fields: Sequence[ScalarField], rels: Sequence[float]) -> CheckRecord:
@@ -308,6 +381,16 @@ class PointwiseReport:
     identity: IdentityReport  # the identity evaluation the margin was built from
 
 
+def _pointwise_report(mmin: float, idrep: IdentityReport) -> PointwiseReport:
+    """The margin's report: it passes when its minimum dips below 0 by at
+    most POINTWISE_SLACK identity residuals, and neither is a NaN or
+    infinite."""
+    tol = POINTWISE_SLACK * idrep.residual
+    passed = math.isfinite(mmin) and math.isfinite(tol) and mmin >= -tol
+    return PointwiseReport(margin_min=mmin, passed=passed, mode=idrep.mode,
+                           identity=replace(idrep, terms=None))
+
+
 def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
                          U: PowerU | ZeroU = ZeroU(), *,
                          derivative_mode: str = "auto", stages=None) -> PointwiseReport:
@@ -320,7 +403,12 @@ def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
     times that residual is tolerated.  A non-finite margin or tolerance fails.
     `stages` is as in `identity_residual`.
     """
-    idrep = identity_residual(fld, rep, U, derivative_mode=derivative_mode, stages=stages)
+    mode = fld.route(derivative_mode)
+    if stages is None:
+        return identity_checks(fld, mode, [(rep, U)], lambda fld, rep, U, stages:
+                               pointwise_inequality(fld, rep, U, derivative_mode=mode,
+                                                    stages=stages))[0]
+    idrep = identity_residual(fld, rep, U, derivative_mode=mode, stages=stages)
     t = idrep.terms
     # L and psi are this call's own, so their squares overwrite them
     margin = np.square(t["L"], out=t["L"])
@@ -331,12 +419,7 @@ def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
     bulk_psi2 = np.square(psi, out=psi)
     bulk_psi2 *= t["bulk"]
     margin -= bulk_psi2
-    sl = fld.grid.interior(2) if idrep.mode == "fd" else (slice(None), slice(None))
-    mmin = float(np.min(margin[sl]))
-    tol = POINTWISE_SLACK * idrep.residual
-    passed = math.isfinite(mmin) and math.isfinite(tol) and mmin >= -tol
-    return PointwiseReport(margin_min=mmin, passed=passed, mode=idrep.mode,
-                           identity=replace(idrep, terms=None))
+    return _pointwise_report(float(np.min(margin[stages[0].checked])), idrep)
 
 
 # ---------------------------------------------------------------------------

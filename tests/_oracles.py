@@ -30,11 +30,14 @@ carries, and `pretender_joint` builds each one's joint function once per
 pytest run; `pointwise_potential_bound` is the largest B the split estimate
 absorbs pointwise, from the package's own weight functions.
 
-`grid_components` samples a current's components on its field's grid.
+`grid_components` samples a current's components on its field's grid, and
+`block_arrays` gives the identity's arrays on each row block of a run of
+`identity_checks`, and `assert_same_block_bits` compares two such lists.
 """
 
 import csv
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -43,7 +46,8 @@ from scipy.integrate import simpson
 
 from conelab.currents import ZeroU, divergence_fd
 from conelab.errors import InvalidInput, MissingDerivative, check_dimension
-from conelab.fields import AnalyticField, ScalarField, wave_op
+from conelab import verifier
+from conelab.fields import AnalyticField, NodeRows, ScalarField, wave_op
 from conelab.quadrature import boundary_sum, bulk_integral, gl_nodes
 from conelab.weights import SplitWeight, SplitWeightParams, decay_envelope
 
@@ -194,7 +198,8 @@ def divergence_residual(cur, region=None, *, nodes=128, route="auto"):
         def div(u, v):
             return cur.assembler.divergence(u, v, -u * v, *cur.field.evaluator().derivs2(u, v))
     elif route == "fd":
-        div = divergence_fd(g, *grid_components(cur)).evaluator().value
+        div = ScalarField(grid=g, values=divergence_fd(NodeRows(g), *grid_components(cur)))
+        div = div.evaluator().value
     else:
         raise InvalidInput(f"route must be 'auto', 'analytic' or 'fd', got {route!r}")
     bulk = bulk_integral(div, region, n=g.n, nodes=nodes)
@@ -468,3 +473,32 @@ def traced_peak(call):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+def block_arrays(fld, mode, pairs):
+    """Per pair of `pairs`, the list of `verifier._identity_arrays` (LHS,
+    RHS, the scale's maxima and the margin's terms) on each row block of
+    `identity_checks(fld, mode, pairs, ...)`, in block order."""
+    out = [[] for _ in pairs]
+    calls = itertools.count()
+
+    def check(fld, rep, U, stages):
+        # each block runs the pairs in their order
+        out[next(calls) % len(pairs)].append(
+            verifier._identity_arrays(fld, rep, U, mode, stages))
+        return verifier.identity_residual(fld, rep, U, derivative_mode=mode, stages=stages)
+
+    verifier.identity_checks(fld, mode, pairs, check)
+    return out
+
+
+def assert_same_block_bits(got, want):
+    """Two lists of one pair's block arrays (`block_arrays`) are the same bits."""
+    assert len(got) == len(want)
+    for (lhs, rhs, maxima, terms), (lhs0, rhs0, maxima0, terms0) in zip(got, want):
+        assert lhs.tobytes() == lhs0.tobytes()
+        assert rhs.tobytes() == rhs0.tobytes()
+        assert maxima == maxima0
+        assert terms.keys() == terms0.keys()
+        for key in terms0:
+            assert terms[key].tobytes() == terms0[key].tobytes(), key

@@ -1126,6 +1126,31 @@ def test_verify_nl_weight_exponent_out_of_range_exits_2_before_any_work(tmp_path
         f"error: config.a must be a number in (0, {NL_A_MAX:g}]")
 
 
+NL_OVERFLOW_REGION = {"rho": 0.1, "omega": 10000.0, "sigma": 0.1, "tau": 10.0}
+
+
+def test_verify_nl_weight_that_overflows_on_its_region_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    # a = 50 is inside NL_A_MAX, but omega = 1e4 takes f^{2a+1} to 1e404:
+    # this config exited 1 with three NaN nl-chain records and overflow
+    # warnings from the weight, the current and the chain
+    _forbid_work(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json",
+                        {"schema": 1, "a": 50, "region": NL_OVERFLOW_REGION})
+    assert main(["verify-nl", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config.a must be a number whose omega^(2a+1) is finite at "
+        "region.omega = 10000, got 50")
+
+
+@pytest.mark.parametrize("a", [3, NL_A_MAX])
+def test_verify_nl_runs_every_a_up_to_its_bound_at_the_default_region(tmp_path, a):
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "a": a, "nodes": 16, "grid": 16})
+    out = tmp_path / "r.json"
+    assert main(["verify-nl", "--config", cfg, "--out", str(out)]) in (0, 1)
+    assert [r["name"].startswith("nl-chain[") for r in _load_report(out)["records"]] == [True] * 3
+
+
 def test_a_report_without_records_fails():
     assert build_report("verify-nl", [])["passed"] is False
     rec = CheckRecord(name="x", passed=True, value=0.0, tolerance=0.0)

@@ -26,7 +26,7 @@ from conelab.errors import (
     RangeMismatch,
 )
 from conelab import _floatrepr
-from conelab.fields import GridSpec, ScalarField, field_to_csv, from_expr
+from conelab.fields import GridSpec, NodeRows, ScalarField, field_to_csv, from_expr
 from conelab.geometry import AdmissibleRegion
 from conelab.verifier import battery_weights
 from conelab.weights import (
@@ -38,6 +38,8 @@ from conelab.weights import (
 )
 
 from _oracles import (
+    assert_same_block_bits,
+    block_arrays,
     boundary_expansion_f,
     boundary_expansion_h,
     bracket_components,
@@ -256,7 +258,7 @@ def test_divergence_analytic_vs_fd():
         fld = mkfield("sin(u) * exp(-v/4)", m=m)
         cur = current_general(fld, PowerLog(0.8))
         da = grid_divergence(cur)
-        df = divergence_fd(fld.grid, *grid_components(cur)).values
+        df = divergence_fd(NodeRows(fld.grid), *grid_components(cur))
         ii, jj = fld.grid.interior(2)
         scale = np.max(np.abs(da))
         errs.append(np.max(np.abs((da - df)[ii, jj])) / scale)
@@ -275,11 +277,11 @@ def test_divergence_fd_is_bitwise_the_formula_of_all_four_derivatives(ell):
             _, _, dPu_v = ScalarField(grid=g, values=P_u).fd_derivs1()
             _, dPv_u, _ = ScalarField(grid=g, values=P_v).fd_derivs1()
             want = -0.5 * (dPv_u + dPu_v) - ((g.n - 1) / (2.0 * g.R)) * (P_u - P_v)
-            assert divergence_fd(g, P_u, P_v).values.tobytes() == want.tobytes()
+            assert divergence_fd(NodeRows(g), P_u, P_v).tobytes() == want.tobytes()
     bad = P_u.copy()
     bad[3, 4] = np.nan
     with pytest.raises(InvalidInput, match="finite"):
-        divergence_fd(g, bad, P_v)
+        divergence_fd(NodeRows(g), bad, P_v)
 
 
 def test_divergence_analytic_vs_fd_nonlinear():
@@ -287,7 +289,7 @@ def test_divergence_analytic_vs_fd_nonlinear():
     U = PowerU(-1, 2.0, Potential.power_of_f(-0.5))
     cur = current_general(fld, PowerLog(0.4), U)
     da = grid_divergence(cur)
-    df = divergence_fd(fld.grid, *grid_components(cur)).values
+    df = divergence_fd(NodeRows(fld.grid), *grid_components(cur))
     ii, jj = fld.grid.interior(2)
     scale = np.max(np.abs(da))
     assert np.max(np.abs((da - df)[ii, jj])) < 1e-5 * scale
@@ -356,19 +358,14 @@ class _ZeroArraysU(ZeroU):
 
 @pytest.mark.parametrize("mode", ["fd", "analytic"])
 def test_zero_u_scalar_zeros_give_the_bits_of_zero_arrays(mode):
-    from conelab.verifier import _identity_arrays
-
     fld = mkfield("(-u*v)**(4/5) * exp(-(v-1)**2 / 8)")
     for rep in (PowerLog(1.0), SplitWeight(PARAMS, "low")):
         got = bulk_b(fld, rep, ZeroU()).values
         assert got.tobytes() == bulk_b(fld, rep, _ZeroArraysU()).values.tobytes()
-        lhs, rhs, scale, terms = _identity_arrays(fld, rep, ZeroU(), mode)
-        lhs0, rhs0, scale0, terms0 = _identity_arrays(fld, rep, _ZeroArraysU(), mode)
-        assert lhs.tobytes() == lhs0.tobytes() and rhs.tobytes() == rhs0.tobytes()
-        assert scale == scale0
-        assert terms.keys() == terms0.keys()
-        for key in terms:
-            assert terms[key].tobytes() == terms0[key].tobytes(), key
+        (blocks,), (blocks0,) = (block_arrays(fld, mode, [(rep, U)])
+                                 for U in (ZeroU(), _ZeroArraysU()))
+        assert len(blocks) == 1
+        assert_same_block_bits(blocks, blocks0)
 
 
 @pytest.mark.parametrize("ell", [0, 1])

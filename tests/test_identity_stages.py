@@ -1,12 +1,13 @@
-"""The identity's shared stages (verifier.identity_checks): the checks on one
-field read each term built once, to the bits of a check that builds its own,
-each weight's stage goes before the next is built, and no stage outlives the
-call.  A verify-identity job's memory: its peaks, and one set of node arrays
-for the grids of a level."""
+"""The identity's shared stages (verifier.identity_checks): on each row
+block, the checks on one field read each term built once, to the bits of a
+check that builds its own, each weight's stage goes before the next is
+built, and no stage outlives its block.  A verify-identity job's memory:
+its peaks, and one set of node arrays for the grids of a level.  The
+blocks' own oracles, a lone check's stages, a weight's run of pairs and the
+U objects of a job are in tests/test_identity_checks.py."""
 
 import gc
 import json
-import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -17,11 +18,11 @@ import pytest
 from conelab import cli
 from conelab import verifier as V
 from conelab.currents import UTerms, WeightTerms
-from conelab.fields import GridSpec, ScalarField
+from conelab.fields import AnalyticField, GridSpec, ScalarField
 from conelab.geometry import AdmissibleRegion
-from conelab.verifier import _identity_arrays, identity_checks
+from conelab.verifier import identity_checks
 
-from _oracles import traced_peak
+from _oracles import assert_same_block_bits, block_arrays, traced_peak
 
 REGION = AdmissibleRegion(0.1, 10.0, 0.1, 10.0)
 FIELDS = {name: (src, ell) for name, src, ell in V.battery_fields()}
@@ -31,29 +32,19 @@ CHECKS = [(rep, U) for _, rep in V.battery_weights() for U in U_CHOICES]
 ARRAY_256 = 256 * 256 * 8  # bytes of one 256 x 256 float64 array
 
 
-def _same_bits(got, want):
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
-    assert got[2] == want[2]
-    assert got[3].keys() == want[3].keys()
-    for key in want[3]:
-        assert got[3][key].tobytes() == want[3][key].tobytes(), key
-
-
 @pytest.mark.parametrize("mode", ["fd", "analytic"])
 @pytest.mark.parametrize("name", sorted(FIELDS))
-def test_shared_stages_give_the_bits_of_one_check_evaluations(name, mode):
+def test_shared_stages_give_the_bits_of_one_check_evaluations(name, mode, monkeypatch):
+    # on three row blocks of 8 rows, each check's arrays equal those of a
+    # fresh field, whose derivatives and stages serve this check alone
     src, ell = FIELDS[name]
     grid = GridSpec(region=REGION, n_s=24, n_y=24, n=3)
-
-    def check(fld, rep, U, stages):
-        # a fresh field, whose derivatives and stages serve this check alone
-        _same_bits(_identity_arrays(fld, rep, U, mode, stages),
-                   _identity_arrays(ScalarField.from_analytic(grid, src, ell), rep, U, mode))
-        return rep, U
-
-    assert identity_checks(ScalarField.from_analytic(grid, src, ell), mode, CHECKS,
-                           check) == CHECKS
+    monkeypatch.setattr(V, "BLOCK_POINTS", 8 * 24)
+    shared = block_arrays(ScalarField.from_analytic(grid, src, ell), mode, CHECKS)
+    assert [len(blocks) for blocks in shared] == [3] * len(CHECKS)
+    for pair, got in zip(CHECKS, shared):
+        (want,) = block_arrays(ScalarField.from_analytic(grid, src, ell), mode, [pair])
+        assert_same_block_bits(got, want)
 
 
 def _stage_refs(stage):
@@ -74,7 +65,8 @@ def test_no_stage_outlives_its_last_reader_or_is_reachable_from_a_field(monkeypa
     real_weight = V._weight_stage
 
     def weight_stage(*args):
-        # the last weight's stage is gone before the next is built
+        # the last weight's stage, of this block or the one before, is gone
+        # before the next is built
         assert not [r for r in weight_stages if r() is not None]
         stage = real_weight(*args)
         weight_stages.extend(_stage_refs(stage))
@@ -85,7 +77,7 @@ def test_no_stage_outlives_its_last_reader_or_is_reachable_from_a_field(monkeypa
 
     def fd(fld, rep, U, stages):
         record(stages)
-        return V.identity_residual(fld, rep, U, derivative_mode="fd", stages=stages).rel_residual
+        return V.identity_residual(fld, rep, U, derivative_mode="fd", stages=stages)
 
     def analytic(fld, rep, U, stages):
         record(stages)
@@ -96,11 +88,12 @@ def test_no_stage_outlives_its_last_reader_or_is_reachable_from_a_field(monkeypa
     sampled = [ScalarField.from_analytic(GridSpec(region=REGION, n_s=m, n_y=m, n=3), src, ell)
                for m in (16, 32)]
     finest = replace(sampled[-1])
-    rels = [identity_checks(fld, "fd", CHECKS, fd) for fld in sampled]
+    rels = [[r.rel_residual for r in identity_checks(fld, "fd", CHECKS, fd)] for fld in sampled]
     recs = [V.identity_convergence(sampled, level_rels) for level_rels in zip(*rels)]
     assert len(recs) == len(CHECKS)
     assert len(identity_checks(finest, "analytic", CHECKS, analytic)) == len(CHECKS)
-    # per field (2 FD levels, 1 analytic copy): 2 U stages and 3 weight stages
+    # per field (2 FD levels, 1 analytic copy) and block (one per grid here):
+    # 2 U stages and 3 weight stages
     kinds = list({id(r): kind for r, kind in built}.values())
     assert kinds.count("UTerms") == 3 * 2 and kinds.count("WeightTerms") == 3 * 3
     gc.collect()
@@ -109,95 +102,16 @@ def test_no_stage_outlives_its_last_reader_or_is_reachable_from_a_field(monkeypa
         assert set(vars(fld)) <= {"grid", "values", "closed_form", "name", "ell"}
 
 
-def test_a_check_outside_the_plan_builds_its_own_stages(monkeypatch):
-    # a lone check (no stages=) runs identity_checks on its one pair, to the
-    # bits it has among the job's pairs
-    src, ell = FIELDS["oscillatory"]
-    fld = ScalarField.from_analytic(GridSpec(region=REGION, n_s=20, n_y=20, n=3), src, ell)
-    other = CHECKS[2][0]  # the low split weight
-    shared = identity_checks(fld, "analytic", CHECKS, lambda fld, rep, U, stages: (
-        _identity_arrays(fld, rep, U, "analytic", stages) if rep is other else None))
-    calls = []
-    real = V.identity_checks
-
-    def spy(fld, mode, pairs, check):
-        calls.append(list(pairs))
-        return real(fld, mode, pairs, check)
-
-    monkeypatch.setattr(V, "identity_checks", spy)
-    for (rep, U), want in zip(CHECKS, shared):
-        if rep is other:
-            _same_bits(_identity_arrays(fld, rep, U, "analytic"), want)
-    assert calls == [[(other, U)] for U in U_CHOICES]
-
-
-def test_a_weight_stage_serves_one_run_of_pairs(monkeypatch):
-    # a weight that comes back after another gets a stage of its own again,
-    # with the same bits
-    src, ell = FIELDS["multipole"]
-    fld = ScalarField.from_analytic(GridSpec(region=REGION, n_s=20, n_y=20, n=3), src, ell)
-    w1, w2 = CHECKS[0][0], CHECKS[2][0]
-    pairs = [(w1, U_CHOICES[0]), (w2, U_CHOICES[0]), (w1, U_CHOICES[1])]
-    wants = [_identity_arrays(fld, rep, U, "fd") for rep, U in pairs]
-    built = []
-    real = V._weight_stage
-
-    def weight_stage(g, rep, *args):
-        built.append(rep)
-        return real(g, rep, *args)
-
-    monkeypatch.setattr(V, "_weight_stage", weight_stage)
-    gots = identity_checks(fld, "fd", pairs, lambda fld, rep, U, stages:
-                           _identity_arrays(fld, rep, U, "fd", stages))
-    for got, want in zip(gots, wants):
-        _same_bits(got, want)
-    assert [rep is w for rep, w in zip(built, (w1, w2, w1))] == [True] * 3
-    built.clear()
-    identity_checks(fld, "fd", CHECKS, lambda *args: None)
-    assert len(built) == 3
-
-
-def test_verify_identity_checks_that_share_a_u_share_the_object(tmp_path, monkeypatch):
-    # a U stage is built per U object, so a U rebuilt per weight (whose
-    # potential's lambdas make equal-looking copies compare unequal) would
-    # build its stage once per weight
-    seen, fits = [], []
-    lock = threading.Lock()
-    real_checks = V.identity_checks
-    real_conv = V.identity_convergence
-
-    def checks(fld, mode, pairs, check):
-        with lock:
-            seen.append((mode, list(pairs)))
-        return real_checks(fld, mode, pairs, check)
-
-    def conv(fields, rels):
-        with lock:
-            fits.append(len(rels))
-        return real_conv(fields, rels)
-
-    monkeypatch.setattr(V, "identity_checks", checks)
-    monkeypatch.setattr(V, "identity_convergence", conv)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema": 1, "levels": [16, 32]}))
-    cli.main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
-    assert fits == [2] * 30
-    # per field, 2 FD levels and 1 analytic copy, each over the six checks
-    assert sorted(mode for mode, _ in seen) == ["analytic"] * 5 + ["fd"] * 10
-    pairs = [pair for _, ps in seen for pair in ps]
-    assert len(pairs) == 15 * 6
-    assert len({id(U) for _, U in pairs}) == 2 and len({id(rep) for rep, _ in pairs}) == 3
-
-
 # tracemalloc peak of one default-level job (levels 64, 128, 256), with the
 # node arrays of the grids it is the first to read built inside it: 43.01
 # arrays of 256^2 when every check built every term, 41.38 when the checks
 # shared them, and 36.50 when the analytic route's second derivatives also
 # went after the field half, no level's derivatives stayed on its field and
 # the grids of one level shared their node arrays (the multipole job, which
-# reads the nodes the first job built, then peaks at 31.2); pinned with 1.5
-# arrays of margin.
-JOB_PEAK_ARRAYS = 38.0
+# reads the nodes the first job built, then peaks at 31.2), and 21.51 when
+# the checks ran on row blocks of BLOCK_POINTS nodes, two blocks of 128 rows
+# at 256^2 (the multipole job 16.22); pinned with 1.5 arrays of margin.
+JOB_PEAK_ARRAYS = 23.0
 
 
 def test_one_verify_identity_job_peaks_at_most_its_pin(tmp_path, monkeypatch):
@@ -229,13 +143,14 @@ def multipole_phase_peaks(tmp_path_factory):
     (a list, empty if the hook there never fired), and the rest of the job,
     its analytic stage."""
     fd_peak = []
-    real = ScalarField.derivs2
+    real = AnalyticField.derivs2
 
-    def derivs2(self, mode="auto"):
-        if not fd_peak and self.route(mode) == "analytic":
+    def derivs2(self, u, v):
+        # the FD phase evaluates no closed-form derivatives
+        if not fd_peak:
             fd_peak.append(tracemalloc.get_traced_memory()[1] / ARRAY_256)
             tracemalloc.reset_peak()
-        return real(self, mode)
+        return real(self, u, v)
 
     analytic_peak = []
 
@@ -248,7 +163,7 @@ def multipole_phase_peaks(tmp_path_factory):
     cfg = tmp / "cfg.json"
     cfg.write_text(json.dumps({"schema": 1}))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ScalarField, "derivs2", derivs2)
+        mp.setattr(AnalyticField, "derivs2", derivs2)
         mp.setattr(cli, "_fan_out", fan_out)
         cli.main(["verify-identity", "--config", str(cfg), "--out", str(tmp / "r.json")])
     return fd_peak, analytic_peak
@@ -259,9 +174,10 @@ def multipole_phase_peaks(tmp_path_factory):
 # grids' node arrays built inside it): 34.68 arrays of 256^2 when each
 # level's stages went before the next level's were built, 39.71 when every
 # level's stages of a weight or U lived until that weight's or U's last
-# check, and 30.88 when no level's derivatives stay on its field; pinned
-# with 1.5 arrays of margin.
-FD_PHASE_PEAK = 32.4
+# check, 30.88 when no level's derivatives stay on its field, and 21.09
+# when the checks ran on row blocks, whose stages hold 128 rows and a halo
+# where they held the grid; pinned with 1.5 arrays of margin.
+FD_PHASE_PEAK = 22.6
 
 
 def test_the_fd_phase_holds_one_level_of_stages(multipole_phase_peaks):
@@ -272,9 +188,10 @@ def test_the_fd_phase_holds_one_level_of_stages(multipole_phase_peaks):
 # tracemalloc peak of the analytic stage of the same run, from its first
 # derivative evaluation to the end of the job, counted from the job's start:
 # 41.37 arrays of 256^2 when the field's memo kept phi_uu, phi_uv and phi_vv
-# through the six checks, and 36.47 when only phi, phi_u and phi_v live
-# through them; pinned with 1.5 arrays of margin.
-ANALYTIC_STAGE_PEAK = 38.0
+# through the six checks, 36.47 when only phi, phi_u and phi_v live
+# through them, and 21.50 when they and every stage hold one row block of
+# 128 rows; pinned with 1.5 arrays of margin.
+ANALYTIC_STAGE_PEAK = 23.0
 
 
 def test_the_analytic_stage_keeps_no_second_derivative(multipole_phase_peaks):

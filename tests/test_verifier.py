@@ -215,9 +215,10 @@ def test_pointwise_and_identity_are_bitwise_pinned(mode, fname, wname, uname,
     assert (pw.margin_min.hex(), pw.identity.residual.hex()) == (margin, residual)
     assert idr.rel_residual.hex() == rel
     assert pw.passed and pw.mode == mode
-    # the report carries the identity evaluation it used, without its arrays
+    # the report carries the identity evaluation it used; neither keeps a
+    # block's arrays once the blocks are joined
     assert pw.identity == idr and pw.identity.terms is None
-    assert idr.terms is not None and "terms" not in repr(idr)
+    assert idr.terms is None and "terms" not in repr(idr)
 
 
 def test_pointwise_evaluates_the_identity_once(monkeypatch):
@@ -254,21 +255,34 @@ def test_pointwise_never_passes_on_a_non_finite_residual(monkeypatch):
 
 
 def test_pointwise_never_passes_on_a_non_finite_margin(monkeypatch):
+    # an infinity or a NaN in B on one of four row blocks reaches both the
+    # margin and the identity's residual, and both records fail: +inf as the
+    # margin's tolerance (the margin's min is the other blocks'), -inf and
+    # NaN as the margin itself
     import conelab.verifier as verifier
 
-    real = verifier.identity_residual
-
-    def with_bulk(bad):
-        def patched(*args, **kwargs):
-            rep = real(*args, **kwargs)
-            return replace(rep, terms={**rep.terms, "B": np.full_like(rep.terms["B"], bad)})
-        return patched
-
+    real = verifier.bulk_term
+    monkeypatch.setattr(verifier, "BLOCK_POINTS", 8 * 32)
     for bad in (math.inf, -math.inf, math.nan):
-        monkeypatch.setattr(verifier, "identity_residual", with_bulk(bad))
+        calls = []
+
+        def one_block(*args, _bad=bad, **kwargs):
+            B = real(*args, **kwargs)
+            calls.append(B.shape)
+            return np.full_like(B, _bad) if len(calls) == 2 else B
+
+        monkeypatch.setattr(verifier, "bulk_term", one_block)
         out = pointwise_inequality(mkfield(m=32), PowerLog(1.0))
-        assert not math.isfinite(out.margin_min)
-        assert out.passed is False
+        assert calls == [(8, 32)] * 4
+        assert math.isfinite(out.margin_min) == (bad == math.inf)
+        assert not math.isfinite(out.identity.residual)
+        # the two records verify-identity builds from one analytic evaluation
+        identity = CheckRecord(name="identity-analytic", value=out.identity.rel_residual,
+                               passed=out.identity.rel_residual < verifier.ANALYTIC_TOL,
+                               tolerance=verifier.ANALYTIC_TOL)
+        margin = CheckRecord(name="pointwise-margin", passed=out.passed, value=out.margin_min,
+                             tolerance=verifier.POINTWISE_SLACK * out.identity.residual)
+        assert out.passed is False and identity.passed is False and margin.passed is False
 
 
 def test_identity_margin_and_split_chain_read_the_weights_bulk_coefficient(monkeypatch):
