@@ -103,9 +103,9 @@ FLAT_TOL = 0.05          # pipeline: a log-log slope within this of 0 is "bounde
 ZERO_FLOOR = 1e-13       # pipeline: a flux sequence below this is "zero"
 SURFACES = 6             # pipeline: surfaces per tracked flux term
 TAIL = 4                 # limit and pipeline slopes: points fitted at the end of a sequence
-# identity checks: most nodes a row block owns.  Smaller blocks hold less,
-# but their many short array operations hand the GIL between verify-identity's
-# threads often enough to cost it CPU time (16384 took 12 % more)
+# identity checks: most nodes a row block owns.  Smaller blocks hold less
+# but run more short array operations: at 16384 and 8192 a default
+# verify-identity took 3.5 % and 17 % more CPU time (BENCH_51.json)
 BLOCK_POINTS = 32768
 
 

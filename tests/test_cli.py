@@ -192,10 +192,11 @@ def test_solve_loads_no_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# Modules that no quadrature command runs: the leapfrog, the thread pool of
-# verify-identity (concurrent.futures also loads logging) and the writer of a
-# series CSV.  A subcommand imports them where it uses them.  OpenSSL's
-# _hashlib loads with no command: the report hash is CPython's own SHA-256.
+# Modules that no quadrature command runs: the leapfrog and the writer of a
+# series CSV.  A subcommand imports them where it uses them.  A thread pool
+# (concurrent.futures, which loads logging too) loads with no command:
+# verify-identity runs its jobs on the calling thread.  OpenSSL's _hashlib
+# loads with no command: the report hash is CPython's own SHA-256.
 UNLOADED_ON_IMPORT = ("conelab.solver", "concurrent.futures", "logging", "csv", "_hashlib")
 
 
@@ -662,6 +663,26 @@ def test_verify_nl_and_limits_pass_at_every_dimension(tmp_path, command, n):
     # item 3's dimension sweep: each command at its defaults with only n set
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "n": n})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+
+
+# The rest of item 3's sweep, at sizes that keep it near a second in all.
+# Levels [32, 64] fail identity-order[oscillatory/...] at every n, so the
+# identity runs on [48, 96].
+SMALL_SWEEP = {"verify-identity": {"levels": [48, 96]}, "verify-carleman": {"nodes": 48},
+               "counterexample": {}, "pipeline": {}}
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("command", sorted(SMALL_SWEEP))
+def test_identity_carleman_counterexample_and_pipeline_run_at_every_dimension(
+        tmp_path, capsys, command, n):
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "n": n, **SMALL_SWEEP[command]})
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    if command == "counterexample" and n == 2:  # no decaying branch in two dimensions
+        assert code == 2
+        assert "need an integer n >= 3 for a decaying branch, got 2" in capsys.readouterr().err
+    else:
+        assert code == 0
 
 
 # Defects that reproduce today, each pinned by the outcome it should have.
@@ -1294,14 +1315,7 @@ def test_verify_identity_differentiates_each_field_once_per_level(tmp_path, monk
     spy("derivs2")
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "levels": [16, 32]})
     out = tmp_path / "report.json"
-    # the five jobs share their grids, whose arrays are built on first use;
-    # switch threads often so that a race there gets its chance to move the hash
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        main(["verify-identity", "--config", cfg, "--out", str(out)])
-    finally:
-        sys.setswitchinterval(interval)
+    main(["verify-identity", "--config", cfg, "--out", str(out)])
     assert _load_report(out)["stability_hash"] == LEVELS_16_32_HASH
     labels = {"unit", "oscillatory", "separable-power", "spherical-wave", "multipole(ell=1)"}
     # one second-order bundle per field, on the top level only
@@ -1311,39 +1325,43 @@ def test_verify_identity_differentiates_each_field_once_per_level(tmp_path, monk
     assert {name for name, _ in calls["derivs1"]} <= labels
 
 
-def test_verify_identity_pool_follows_the_cpu_affinity(tmp_path, monkeypatch):
-    # records are name-sorted before hashing, so a pool of one worker gives
-    # the same report as a pool of one worker per CPU
+def test_verify_identity_runs_every_job_on_the_calling_thread(tmp_path, monkeypatch):
+    # records are name-sorted before hashing, so the order the jobs run in
+    # cannot move the hash
     import threading
 
     from conelab import verifier
 
-    threads = set()
+    threads = []
     real = verifier.identity_convergence
 
     def spy(*args, **kwargs):
-        threads.add(threading.get_ident())
+        threads.append(threading.get_ident())
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(verifier, "identity_convergence", spy)
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "levels": [16, 32]})
     out = tmp_path / "report.json"
     main(["verify-identity", "--config", cfg, "--out", str(out)])
     assert _load_report(out)["stability_hash"] == LEVELS_16_32_HASH
-    assert len(threads) == 1 and threading.get_ident() not in threads
+    assert threads == [threading.get_ident()] * 30
 
 
-def test_verify_identity_pool_without_cpu_affinity(tmp_path, monkeypatch):
-    # macOS and Windows have no os.sched_getaffinity: the pool falls back to
-    # os.cpu_count() instead of exiting 3.  At levels [16, 32] the FD orders
-    # of the oscillatory and separable-power fields fall outside [1.5, 4.5],
-    # so the run exits 1 with or without the affinity call.
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+def test_verify_identity_loads_no_thread_pool(tmp_path):
+    # at levels [16, 32] the FD orders of the oscillatory and separable-power
+    # fields fall outside [1.5, 4.5], so the run exits 1
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "levels": [16, 32]})
-    out = tmp_path / "report.json"
-    assert main(["verify-identity", "--config", cfg, "--out", str(out)]) == 1
-    assert _load_report(out)["stability_hash"] == LEVELS_16_32_HASH
+    script = (
+        "import sys\n"
+        "from conelab.cli import main\n"
+        f"assert main(['verify-identity', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'r.json')!r}]) == 1\n"
+        "loaded = [m for m in ('concurrent.futures', 'logging') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_identity_runs_fd_stencils_once_per_field_and_level(tmp_path, monkeypatch):

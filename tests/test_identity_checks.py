@@ -3,11 +3,14 @@ cover the grid once, each block's arrays are the rows of the whole grid's,
 the joined reports are the bits of one block, and a check's memory follows
 its block, not its grid.  A lone check runs the same code on its one pair,
 a weight's stage serves one run of pairs, and a verify-identity job hands
-every check one object per U."""
+every check one object per U.  A verify-identity job's memory peaks, by
+phase, and the whole run's: its jobs run one after another, so the run
+peaks with one job."""
 
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from conelab import cli
 from conelab import verifier as V
 from conelab.currents import divergence_fd
-from conelab.fields import GridSpec, NodeRows, ScalarField
+from conelab.fields import AnalyticField, GridSpec, NodeRows, ScalarField
 from conelab.geometry import AdmissibleRegion
 from conelab.stencils import SUPPORTED_ORDERS
 
@@ -28,6 +31,7 @@ FIELDS = {name: (src, ell) for name, src, ell in V.battery_fields()}
 U_CHOICES = [U for _, U in cli._battery_u_choices()]
 CHECKS = [(rep, U) for _, rep in V.battery_weights() for U in U_CHOICES]
 WHOLE = 10**9  # a BLOCK_POINTS that makes every grid one block
+ARRAY_256 = 256 * 256 * 8  # bytes of one 256 x 256 float64 array
 
 
 def _pointwise(mode):
@@ -260,3 +264,117 @@ def test_a_lone_check_at_512_peaks_with_its_block_not_its_grid(mode):
     reports, peak = traced_peak(lambda: V.identity_checks(fld, mode, CHECKS, CLI_CHECKS[mode]))
     assert len(reports) == len(CHECKS)
     assert peak / (512 * 512 * 8) <= BLOCK_PEAK_512[mode], peak / (512 * 512 * 8)
+
+
+# tracemalloc peak of one default-level job (levels 64, 128, 256), with the
+# node arrays of the grids it is the first to read built inside it: 43.01
+# arrays of 256^2 when every check built every term, 41.38 when the checks
+# shared them, and 36.50 when the analytic route's second derivatives also
+# went after the field half, no level's derivatives stayed on its field and
+# the grids of one level shared their node arrays (the multipole job, which
+# reads the nodes the first job built, then peaks at 31.2), and 21.51 when
+# the checks ran on row blocks of BLOCK_POINTS nodes, two blocks of 128 rows
+# at 256^2 (the multipole job 16.22); pinned with 1.5 arrays of margin.
+JOB_PEAK_ARRAYS = 23.0
+
+
+def test_one_verify_identity_job_peaks_at_most_its_pin(tmp_path, monkeypatch):
+    peaks = {}
+
+    def fan_out(jobs):
+        out = []
+        for name, fn in jobs:
+            if name not in ("spherical-wave", "multipole"):
+                continue
+            res, peak = traced_peak(fn)
+            out.extend(res)
+            peaks[name] = peak / ARRAY_256
+        return out
+
+    monkeypatch.setattr(cli, "_fan_out", fan_out)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1}))
+    cli.main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    assert set(peaks) == {"spherical-wave", "multipole"}
+    for name, peak in peaks.items():
+        assert peak <= JOB_PEAK_ARRAYS, (name, peak)
+
+
+# tracemalloc peak of a whole default verify-identity (levels 64, 128, 256;
+# five jobs, grids and report included), in arrays of 256^2: 21.80 when the
+# jobs ran one after another, against 37.3-38.0 when they ran on a pool of
+# two threads, whose jobs overlapped; pinned with 1.5 arrays of margin.
+RUN_PEAK_ARRAYS = 23.3
+
+
+def test_a_whole_verify_identity_run_peaks_with_one_job(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1}))
+    code, peak = traced_peak(lambda: cli.main(
+        ["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "r.json")]))
+    assert code == 0
+    assert peak / ARRAY_256 <= RUN_PEAK_ARRAYS, peak / ARRAY_256
+
+
+@pytest.fixture(scope="module")
+def multipole_phase_peaks(tmp_path_factory):
+    """tracemalloc peaks, in arrays of 256^2, of the default multipole job run
+    alone: its FD phase, up to its first analytic derivative evaluation
+    (a list, empty if the hook there never fired), and the rest of the job,
+    its analytic stage."""
+    fd_peak = []
+    real = AnalyticField.derivs2
+
+    def derivs2(self, u, v):
+        # the FD phase evaluates no closed-form derivatives
+        if not fd_peak:
+            fd_peak.append(tracemalloc.get_traced_memory()[1] / ARRAY_256)
+            tracemalloc.reset_peak()
+        return real(self, u, v)
+
+    analytic_peak = []
+
+    def fan_out(jobs):
+        res, peak = traced_peak(dict(jobs)["multipole"])
+        analytic_peak.append(peak / ARRAY_256)
+        return res
+
+    tmp = tmp_path_factory.mktemp("phases")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1}))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AnalyticField, "derivs2", derivs2)
+        mp.setattr(cli, "_fan_out", fan_out)
+        cli.main(["verify-identity", "--config", str(cfg), "--out", str(tmp / "r.json")])
+    return fd_peak, analytic_peak
+
+
+# tracemalloc peak of the FD phase of the default multipole job, run alone
+# (levels 64, 128, 256, up to its first analytic derivative evaluation, the
+# grids' node arrays built inside it): 34.68 arrays of 256^2 when each
+# level's stages went before the next level's were built, 39.71 when every
+# level's stages of a weight or U lived until that weight's or U's last
+# check, 30.88 when no level's derivatives stay on its field, and 21.09
+# when the checks ran on row blocks, whose stages hold 128 rows and a halo
+# where they held the grid; pinned with 1.5 arrays of margin.
+FD_PHASE_PEAK = 22.6
+
+
+def test_the_fd_phase_holds_one_level_of_stages(multipole_phase_peaks):
+    fd_peak, _ = multipole_phase_peaks
+    assert len(fd_peak) == 1 and fd_peak[0] <= FD_PHASE_PEAK, fd_peak
+
+
+# tracemalloc peak of the analytic stage of the same run, from its first
+# derivative evaluation to the end of the job, counted from the job's start:
+# 41.37 arrays of 256^2 when the field's memo kept phi_uu, phi_uv and phi_vv
+# through the six checks, 36.47 when only phi, phi_u and phi_v live
+# through them, and 21.50 when they and every stage hold one row block of
+# 128 rows; pinned with 1.5 arrays of margin.
+ANALYTIC_STAGE_PEAK = 23.0
+
+
+def test_the_analytic_stage_keeps_no_second_derivative(multipole_phase_peaks):
+    fd_peak, analytic_peak = multipole_phase_peaks
+    assert len(fd_peak) == 1, "the analytic stage never started"
+    assert analytic_peak[0] <= ANALYTIC_STAGE_PEAK, analytic_peak
