@@ -42,9 +42,18 @@ __all__ = [
 
 
 def _node_array(build):
-    """A grid's node array, built on first read and kept: read-only, since
-    every field on the grid reads the same object."""
-    return cached_property(lambda grid: _read_only(build(grid)))
+    """A node array, built on first read and kept: read-only, since every
+    field on the nodes reads the same object."""
+    return cached_property(lambda nodes: _read_only(build(nodes)))
+
+
+# most nodes in a row run (`GridSpec.row_runs`): the identity checks and
+# `ScalarField.from_analytic` take a grid one run at a time, so that their
+# arrays hold a run's nodes, not the grid's.  Smaller runs hold less but run
+# more short array operations: against 32768, a default verify-identity
+# held 4.9 MB less at 16384 for 0.035 s more CPU time in process, and
+# 6.9 MB less at 8192 for 0.08 s more (BENCH_52.json)
+BLOCK_POINTS = 16384
 
 
 @dataclass(eq=False)
@@ -53,9 +62,10 @@ class GridSpec:
 
     A grid is its nodes, fixed by the region, the sizes and n; `order` picks
     the stencils.  The fields of every mode read one grid (only a field's
-    `lam` depends on its mode) and share its arrays `s`, `y`, `F_col`, `F`,
-    `H`, `U`, `V`, `R`, `T`, `radial_coef` and `uv_text`, each read-only and
-    built on first read."""
+    `lam` depends on its mode) and share its arrays `s`, `y`, `F`, `H`, `T`
+    and `uv_text`, and those of `nodes`, its rows all in one run: `U`, `V`,
+    `R`, `F_col` and `radial_coef`.  Each is read-only and built on first
+    read."""
 
     region: AdmissibleRegion
     n_s: int
@@ -84,12 +94,12 @@ class GridSpec:
     def y(self) -> np.ndarray:
         return np.linspace(math.log(self.region.sigma), math.log(self.region.tau), self.n_y)
 
-    # f = e^s as an (n_s, 1) column.  f is constant along each row, so a
-    # weight profile evaluated here broadcasts to the same bits as on `F` at
-    # n_s points instead of n_s * n_y
-    @_node_array
-    def F_col(self) -> np.ndarray:
-        return np.exp(self.s)[:, None]
+    @cached_property
+    def nodes(self) -> "NodeRows":
+        return NodeRows(self)
+
+    U, V, R, F_col, radial_coef = (property(lambda grid, name=name: getattr(grid.nodes, name))
+                                   for name in ("U", "V", "R", "F_col", "radial_coef"))
 
     @_node_array
     def F(self) -> np.ndarray:
@@ -100,26 +110,8 @@ class GridSpec:
         return np.exp(np.broadcast_to(self.y[None, :], (self.n_s, self.n_y)))
 
     @_node_array
-    def U(self) -> np.ndarray:
-        return -np.exp((self.s[:, None] - self.y[None, :]) / 2.0)
-
-    @_node_array
-    def V(self) -> np.ndarray:
-        return np.exp((self.s[:, None] + self.y[None, :]) / 2.0)
-
-    @_node_array
-    def R(self) -> np.ndarray:
-        return self.V - self.U
-
-    @_node_array
     def T(self) -> np.ndarray:
         return self.V + self.U
-
-    # (n-1)/(2r) at the nodes: the factor of the first-order terms of the
-    # reduced wave operator and of P_u - P_v in a current's divergence
-    @_node_array
-    def radial_coef(self) -> np.ndarray:
-        return (self.n - 1) / (2.0 * self.R)
 
     # each node's "u,v" CSV text in C order, the numbers as their `repr`: one
     # row of bytes per node whose nonzero bytes are the text, formatted once
@@ -145,22 +137,50 @@ class GridSpec:
             raise InvalidInput("grid too small for the requested interior margin")
         return (slice(m, self.n_s - m), slice(m, self.n_y - m))
 
-
-def _row_view(name: str):
-    """The rows of the grid's node array `name`, sliced on first read."""
-    return cached_property(lambda nodes: getattr(nodes.grid, name)[nodes.rows])
+    def row_runs(self):
+        """The grid's rows as k consecutive runs (slices of s indices) of as
+        even a length as k allows: the fewest that hold at most BLOCK_POINTS
+        nodes each, but none shorter than `order + 1` rows, so that a
+        stencil takes every run."""
+        rows = max(BLOCK_POINTS // self.n_y, 1)
+        k = max(1, min(-(-self.n_s // rows), self.n_s // (self.order + 1)))
+        return [slice(self.n_s * i // k, self.n_s * (i + 1) // k) for i in range(k)]
 
 
 class NodeRows:
-    """The nodes of a run of a grid's rows (`rows`, a slice of s indices):
-    views of those rows of its node arrays `U`, `V`, `R`, `F_col` and
-    `radial_coef`, with the grid's n, spacings and stencil order."""
+    """The nodes of a run of a grid's rows (`rows`, a slice of s indices; all
+    of them by default), with the grid's n, spacings and stencil order, and
+    their arrays `U`, `V`, `R`, `F_col` and `radial_coef`, formed on first
+    read from those rows of `s` and the grid's `y`: a node's entries are the
+    same bits in every run that holds it.  `F_col` is f = e^s as a column,
+    on which a weight profile is evaluated once per row and broadcast, and
+    `radial_coef` is (n-1)/(2r), the factor of the first-order terms of the
+    reduced wave operator and of P_u - P_v in a current's divergence."""
 
     def __init__(self, grid: GridSpec, rows: slice = slice(None)):
-        self.grid, self.rows = grid, rows
+        self.rows = slice(*rows.indices(grid.n_s)[:2])
+        self.s, self.y = grid.s[self.rows], grid.y
         self.n, self.order, self.ds, self.dy = grid.n, grid.order, grid.ds, grid.dy
 
-    U, V, R, F_col, radial_coef = map(_row_view, ("U", "V", "R", "F_col", "radial_coef"))
+    @_node_array
+    def F_col(self) -> np.ndarray:
+        return np.exp(self.s)[:, None]
+
+    @_node_array
+    def U(self) -> np.ndarray:
+        return -np.exp((self.s[:, None] - self.y[None, :]) / 2.0)
+
+    @_node_array
+    def V(self) -> np.ndarray:
+        return np.exp((self.s[:, None] + self.y[None, :]) / 2.0)
+
+    @_node_array
+    def R(self) -> np.ndarray:
+        return self.V - self.U
+
+    @_node_array
+    def radial_coef(self) -> np.ndarray:
+        return (self.n - 1) / (2.0 * self.R)
 
 
 @dataclass(frozen=True)
@@ -351,9 +371,14 @@ class ScalarField:
 
     @classmethod
     def from_analytic(cls, grid: GridSpec, af: AnalyticField, ell: int = 0) -> "ScalarField":
+        """The closed form `af` sampled on the grid, one row run
+        (`GridSpec.row_runs`) at a time."""
         if not isinstance(af, AnalyticField):
             raise InvalidInput(f"cannot sample a field source of type {type(af)!r}")
-        vals = np.asarray(af.value(grid.U, grid.V), dtype=float)
+        vals = np.empty((grid.n_s, grid.n_y))
+        for rows in grid.row_runs():
+            nodes = NodeRows(grid, rows)
+            vals[rows] = af.value(nodes.U, nodes.V)
         return cls(grid=grid, values=vals, closed_form=af, name=af.label, ell=ell)
 
     @classmethod
@@ -361,34 +386,36 @@ class ScalarField:
         return cls(grid=grid, values=np.zeros((grid.n_s, grid.n_y)), name="zero")
 
     # -- finite differences on the (s, y) grid ---------------------------
-    def d_s(self):
-        return stencils.d1(self.values, self.grid.ds, axis=0, order=self.grid.order)
-
-    def d_y(self):
-        return stencils.d1(self.values, self.grid.dy, axis=1, order=self.grid.order)
-
-    def d_ss(self):
-        return stencils.d2(self.values, self.grid.ds, axis=0, order=self.grid.order)
-
-    def d_yy(self):
-        return stencils.d2(self.values, self.grid.dy, axis=1, order=self.grid.order)
+    def fd_derivs(self, order, nodes: Optional[NodeRows] = None) -> tuple:
+        """The FD derivatives of `order` at `nodes`, a run of the grid's rows
+        (all of them by default): (phi, phi_u, phi_v), then phi_uv for
+        "wave" (without the mixed (s, y) stencil), or (phi_uu, phi_uv,
+        phi_vv) for 2.  The s stencils run on the run's rows of the values
+        and order // 2 more on each side, clipped at the grid's edges, so
+        each row gets the bits it has on the whole grid."""
+        g = self.grid
+        nodes = nodes or g.nodes
+        rows, hw = nodes.rows, g.order // 2
+        lo, hi = max(rows.start - hw, 0), min(rows.stop + hw, g.n_s)
+        own = slice(rows.start - lo, rows.stop - lo)
+        padded, phi = self.values[lo:hi], self.values[rows]
+        ps = stencils.d1(padded, g.ds, axis=0, order=g.order)[own]
+        py = stencils.d1(phi, g.dy, axis=1, order=g.order)
+        if order == 1:
+            return (phi, *_chain_rule(nodes.U, nodes.V, ps, py))
+        pss = stencils.d2(padded, g.ds, axis=0, order=g.order)[own]
+        pyy = stencils.d2(phi, g.dy, axis=1, order=g.order)
+        if order == "wave":
+            return (phi, *_chain_rule(nodes.U, nodes.V, ps, py),
+                    _mixed(nodes.U, nodes.V, pss, pyy))
+        psy = stencils.d1(ps, g.dy, axis=1, order=g.order)
+        return (phi, *_chain_rule(nodes.U, nodes.V, ps, py, pss, psy, pyy))
 
     def fd_derivs1(self):
-        g = self.grid
-        return (self.values, *_chain_rule(g.U, g.V, self.d_s(), self.d_y()))
-
-    def fd_derivs_wave(self):
-        """(phi, phi_u, phi_v, phi_uv), without the mixed (s, y) stencil."""
-        g = self.grid
-        phi_u, phi_v = _chain_rule(g.U, g.V, self.d_s(), self.d_y())
-        return self.values, phi_u, phi_v, _mixed(g.U, g.V, self.d_ss(), self.d_yy())
+        return self.fd_derivs(1)
 
     def fd_derivs2(self):
-        g = self.grid
-        ps, py = self.d_s(), self.d_y()
-        pss, pyy = self.d_ss(), self.d_yy()
-        psy = stencils.d1(ps, g.dy, axis=1, order=g.order)
-        return (self.values, *_chain_rule(g.U, g.V, ps, py, pss, psy, pyy))
+        return self.fd_derivs(2)
 
     def route(self, mode: str = "auto") -> str:
         """The derivative route `mode` selects on this field, "analytic" (the
@@ -418,8 +445,9 @@ class ScalarField:
         """The arrays of `order` (1, "wave" or 2) by `route`, evaluated now,
         each a read-only view: phi on the FD route is the field's values."""
         g = self.grid
-        if route == "fd":
-            arrays = {1: self.fd_derivs1, "wave": self.fd_derivs_wave, 2: self.fd_derivs2}[order]()
+        if route == "fd":  # orders 1 and 2 by the names the benchmark's tracer wraps
+            arrays = {1: self.fd_derivs1, 2: self.fd_derivs2}.get(
+                order, lambda: self.fd_derivs(order))()
         else:
             cf = self.closed_form
             arrays = {1: cf.derivs1, "wave": cf.derivs_wave, 2: cf.derivs2}[order](g.U, g.V)

@@ -103,10 +103,6 @@ FLAT_TOL = 0.05          # pipeline: a log-log slope within this of 0 is "bounde
 ZERO_FLOOR = 1e-13       # pipeline: a flux sequence below this is "zero"
 SURFACES = 6             # pipeline: surfaces per tracked flux term
 TAIL = 4                 # limit and pipeline slopes: points fitted at the end of a sequence
-# identity checks: most nodes a row block owns.  Smaller blocks hold less
-# but run more short array operations: at 16384 and 8192 a default
-# verify-identity took 3.5 % and 17 % more CPU time (BENCH_51.json)
-BLOCK_POINTS = 32768
 
 
 @dataclass(frozen=True)
@@ -138,35 +134,38 @@ def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, che
     `PointwiseReport` joined with those of the blocks before (`_joined`).
 
     The blocks are the outer loop and the pairs the inner one.  A block
-    holds at most BLOCK_POINTS nodes' worth of its own rows (and, on the FD
-    route, a halo of `order // 2` rows on each side, clipped at the grid's
-    edges, so that the divergence stencils reach its own rows as they do
-    on the whole grid).  In a block, the identity's terms that the pairs
+    holds one of the grid's row runs (`GridSpec.row_runs`, at most
+    BLOCK_POINTS nodes) and, on the FD route, a halo of `order // 2` rows on
+    each side, clipped at the grid's edges, so that the divergence stencils
+    reach its own rows as they do on the whole grid.  Every array of a
+    check is the size of a block: its node arrays are its own
+    (`NodeRows`), and the field's values are the only array of the grid's
+    size that it reads.  In a block, the identity's terms that the pairs
     share are built once, one stage per dependency level; `stages` is the
     pair's (block, field, field x U, field x weight) stages, which
     `identity_residual` and `pointwise_inequality` take:
 
     - field: (phi, phi_u, phi_v), which live through the loop over the
       pairs, and box phi and the field half of the current (`field_half`).
-      On the FD route they are the block's rows of `derivs_wave`, whose
-      stencils run once on the whole grid; on the analytic one the closed
-      form's `derivs2` at the block's nodes.  The second derivatives go
-      once box phi and the half are built;
+      On the FD route they are `fd_derivs("wave", nodes)`, whose s stencils
+      read a further `order // 2` rows of values on each side; on the
+      analytic one the closed form's `derivs2` at the block's nodes.  The
+      second derivatives go once box phi and the half are built;
     - field x U, one per distinct U object, all built first: `UTerms` and
       box phi + Udot.  Box phi and the half's openings go after them;
     - field x weight, one per run of consecutive pairs that share a weight
       object, each dropped before the next is built: see `_weight_stage`.
 
-    Nothing is kept on the field, and no stage outlives its block."""
+    Nothing is kept on the field, and a block's nodes and stages go before
+    the next block's are built."""
     mode = fld.route(derivative_mode)
-    whole = fld.derivs_wave(mode) if mode == "fd" else None
     reports = [None] * len(pairs)
     for block in _row_blocks(fld.grid, mode):
         nodes = block.nodes
-        if whole is None:
-            derivs = fld.closed_form.derivs2(nodes.U, nodes.V)
+        if mode == "fd":
+            derivs = fld.fd_derivs("wave", nodes)
         else:
-            derivs = [a[nodes.rows] for a in whole]
+            derivs = fld.closed_form.derivs2(nodes.U, nodes.V)
         first = phi, phi_u, phi_v = derivs[:3]
         phi_uv, second = (derivs[3], ()) if mode == "fd" else (derivs[4], derivs[3:])
         half = field_half(nodes.U, nodes.V, fld.lam, phi, phi_u, phi_v, *second)
@@ -176,8 +175,8 @@ def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, che
         for _, U in pairs:
             if id(U) not in u_stages:
                 _check_mode(U, fld.ell)
-                ut = UTerms(U, nodes.U, nodes.V, phi, phi_u, phi_v, half)
-                u_stages[id(U)] = ut, boxphi + ut.udot
+                u_stages[id(U)] = UTerms(U, nodes.U, nodes.V, phi, phi_u, phi_v, half)
+        u_stages = {key: (ut, boxphi + ut.udot) for key, ut in u_stages.items()}
         del boxphi
         # the weight stages read the half's phi^2 and the factor c multiplies
         half = (half[0], None, None, None, None, *half[5:])
@@ -188,8 +187,8 @@ def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, che
                 w_rep, w_stage = rep, _weight_stage(block, rep, phi, phi_u, phi_v, half)
             reports[i] = _joined(reports[i],
                                  check(fld, rep, U, (block, first, u_stages[id(U)], w_stage)))
-        # the next block's stages are built without these
-        del first, phi, phi_u, phi_v, half, u_stages, w_stage
+        # the next block's nodes and stages are built without these
+        del block, nodes, first, phi, phi_u, phi_v, half, u_stages, w_stage
     return reports
 
 
@@ -200,25 +199,20 @@ class _Block:
     checked: tuple   # the slice pair of its own nodes where residual and margin are read
 
 
-def _row_blocks(g: GridSpec, mode: str) -> list:
-    """The row blocks of `identity_checks` on the grid, in order: k runs of
-    as even a length as k allows, the fewest that hold at most BLOCK_POINTS
-    nodes each, but none shorter than `order + 1` rows, so that a stencil
-    takes every block.  On the FD route each block's nodes extend
-    `order // 2` rows past its own on each side, clipped at the grid's
-    edges, and its residual and margin are read on its own nodes inside
-    `grid.interior(2)`."""
-    rows = max(BLOCK_POINTS // g.n_y, 1)
-    k = max(1, min(-(-g.n_s // rows), g.n_s // (g.order + 1)))
+def _row_blocks(g: GridSpec, mode: str):
+    """The row blocks of `identity_checks` on the grid, in order, each made
+    when the loop reaches it: one per row run (`GridSpec.row_runs`).  On the
+    FD route each block's nodes extend `order // 2` rows past its own on
+    each side, clipped at the grid's edges, and its residual and margin are
+    read on its own nodes inside `grid.interior(2)`."""
     halo = g.order // 2 if mode == "fd" else 0
     keep_rows, keep_cols = g.interior(2) if mode == "fd" else (slice(0, g.n_s), slice(None))
-    blocks = []
-    for lo, hi in ((g.n_s * i // k, g.n_s * (i + 1) // k) for i in range(k)):
+    for own in g.row_runs():
+        lo, hi = own.start, own.stop
         start = max(lo - halo, 0)
         checked = slice(max(lo, keep_rows.start) - lo, min(hi, keep_rows.stop) - lo)
-        blocks.append(_Block(NodeRows(g, slice(start, min(hi + halo, g.n_s))),
-                             slice(lo - start, hi - start), (checked, keep_cols)))
-    return blocks
+        yield _Block(NodeRows(g, slice(start, min(hi + halo, g.n_s))),
+                     slice(lo - start, hi - start), (checked, keep_cols))
 
 
 def _weight_stage(block: _Block, rep: Reparametrization, phi, phi_u, phi_v, half):

@@ -20,7 +20,10 @@ The CSV oracle writes a grid's columns node by node through `csv.writer`,
 with special values laid out so that every column repeats bit patterns.
 
 `bulk_integral_whole` is the bulk rule with one integrand call on the whole
-node mesh; the package's row-blocked rule must return its bits.
+node mesh; the package's row-blocked rule must return its bits.  Likewise
+`whole_grid_fd` runs the FD stencils once over a whole grid and composes
+them by the chain rule on node arrays formed here; the package's FD
+derivatives on a run of rows must be its rows, bit for bit.
 
 `traced_peak` is the memory probe of the tests that bound a peak.
 
@@ -46,7 +49,7 @@ from scipy.integrate import simpson
 
 from conelab.currents import ZeroU, divergence_fd
 from conelab.errors import InvalidInput, MissingDerivative, check_dimension
-from conelab import verifier
+from conelab import stencils, verifier
 from conelab.fields import AnalyticField, NodeRows, ScalarField, wave_op
 from conelab.quadrature import boundary_sum, bulk_integral, gl_nodes
 from conelab.weights import SplitWeight, SplitWeightParams, decay_envelope
@@ -502,3 +505,25 @@ def assert_same_block_bits(got, want):
         assert terms.keys() == terms0.keys()
         for key in terms0:
             assert terms[key].tobytes() == terms0[key].tobytes(), key
+
+
+def whole_grid_fd(fld, order):
+    """The FD derivatives of `order` (1, "wave" or 2, in the order of
+    `ScalarField.fd_derivs`), each stencil run once on the field's whole
+    grid, and the node arrays u and v formed from the grid's s and y."""
+    g = fld.grid
+    d1 = functools.partial(stencils.d1, order=g.order)
+    d2 = functools.partial(stencils.d2, order=g.order)
+    u = -np.exp((g.s[:, None] - g.y[None, :]) / 2.0)
+    v = np.exp((g.s[:, None] + g.y[None, :]) / 2.0)
+    phi = fld.values
+    ps, py = d1(phi, g.ds, axis=0), d1(phi, g.dy, axis=1)
+    first = (phi, (ps - py) / u, (ps + py) / v)
+    if order == 1:
+        return first
+    pss, pyy = d2(phi, g.ds, axis=0), d2(phi, g.dy, axis=1)
+    if order == "wave":
+        return (*first, (pss - pyy) / (u * v))
+    psy = d1(ps, g.dy, axis=1)
+    return (*first, (pss - 2 * psy + pyy - (ps - py)) / u**2, (pss - pyy) / (u * v),
+            (pss + 2 * psy + pyy - (ps + py)) / v**2)

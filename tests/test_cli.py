@@ -1366,28 +1366,64 @@ def test_verify_identity_loads_no_thread_pool(tmp_path):
 
 def test_verify_identity_runs_fd_stencils_once_per_field_and_level(tmp_path, monkeypatch):
     # one sampled field per level serves all six (weight x nonlinearity)
-    # checks, and its FD derivatives are kept: five fields x two levels; the
-    # FD identity reads the wave operator's arrays (`fd_derivs_wave`) only
-    import threading
+    # checks: on each row block the FD identity runs the wave operator's
+    # stencils (`fd_derivs("wave", nodes)`) once, five fields x two levels
+    # x the level's blocks, and the stencils read the grid's cells, four
+    # arrays' worth, plus only the halo rows of each block: order // 2 past
+    # its nodes for the s stencils, whose nodes reach order // 2 past its own
+    from conelab import fields, stencils
+    from conelab.cli import DEFAULT_REGION
+    from conelab.fields import GridSpec, ScalarField
+    from conelab.geometry import AdmissibleRegion
 
-    from conelab.fields import ScalarField
+    monkeypatch.setattr(fields, "BLOCK_POINTS", 6 * 16)  # 3 blocks at 16, 6 at 32
+    calls, cells, inside = [], {}, []
+    real = ScalarField.fd_derivs
 
-    calls = []
-    lock = threading.Lock()
-    real = ScalarField.fd_derivs_wave
+    def fd_derivs(self, order, nodes=None):
+        key = (self.name, self.grid.n_s)
+        calls.append((*key, order, nodes.rows))
+        inside.append(key)
+        try:
+            return real(self, order, nodes)
+        finally:
+            inside.pop()
 
-    def counted(self):
-        with lock:
-            calls.append((self.name, self.grid.n_s))
-        return real(self)
+    def spy(name):
+        stencil = getattr(stencils, name)
 
-    monkeypatch.setattr(ScalarField, "fd_derivs_wave", counted)
+        def counted(values, *args, **kwargs):
+            if inside:
+                cells[inside[-1]] = cells.get(inside[-1], 0) + np.size(values)
+            return stencil(values, *args, **kwargs)
+        monkeypatch.setattr(stencils, name, counted)
+
+    spy("d1")
+    spy("d2")
+    monkeypatch.setattr(ScalarField, "fd_derivs", fd_derivs)
     cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "levels": [16, 32]})
     out = tmp_path / "report.json"
     main(["verify-identity", "--config", cfg, "--out", str(out)])
     assert _load_report(out)["stability_hash"] == LEVELS_16_32_HASH
     labels = {"unit", "oscillatory", "separable-power", "spherical-wave", "multipole(ell=1)"}
-    assert sorted(calls) == sorted((name, m) for name in labels for m in (16, 32))
+    want, want_cells = [], {}
+    for m in (16, 32):
+        grid = GridSpec(region=AdmissibleRegion(**DEFAULT_REGION), n_s=m, n_y=m, n=3)
+        hw = grid.order // 2
+        runs = grid.row_runs()
+        assert len(runs) == {16: 3, 32: 6}[m]
+        halo_rows = 0
+        for run in runs:
+            nodes = slice(max(run.start - hw, 0), min(run.stop + hw, m))
+            padded = slice(max(run.start - 2 * hw, 0), min(run.stop + 2 * hw, m))
+            # d1 and d2 along s on the padded rows, along y on the nodes'
+            halo_rows += 2 * (padded.stop - padded.start) + 2 * (nodes.stop - nodes.start) \
+                - 4 * (run.stop - run.start)
+            assert halo_rows <= 12 * hw * len(runs)
+            want += [(name, m, "wave", nodes) for name in labels]
+        want_cells.update({(name, m): (4 * m + halo_rows) * m for name in labels})
+    assert sorted(calls, key=repr) == sorted(want, key=repr)
+    assert cells == want_cells
 
 
 def test_verify_identity_builds_each_field_half_once_per_field_route_and_level(

@@ -5,6 +5,7 @@ import csv
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ def test_scaling_finite_difference_route():
     g = mkgrid(128)
     fld = ScalarField.from_function(g, lambda u, v: np.sin(u) * np.cos(v / 3))
     sa = scaling(ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)")))
-    sf = fld.d_s()
+    sf = stencils.d1(fld.values, g.ds, axis=0, order=g.order)
     ii, jj = g.interior(1)
     assert np.max(np.abs((sa - sf)[ii, jj])) < 5e-4
 
@@ -239,7 +240,9 @@ def test_fd_box_convergence():
 def test_fd_derivs2_bitwise_equal_to_composed_d_sy():
     fld = ScalarField.from_function(mkgrid(40), lambda u, v: np.sin(u) * np.cos(v / 3))
     g = fld.grid
-    ps, py, pss, pyy = fld.d_s(), fld.d_y(), fld.d_ss(), fld.d_yy()
+    d1, d2 = (partial(fn, order=g.order) for fn in (stencils.d1, stencils.d2))
+    ps, py = d1(fld.values, g.ds, axis=0), d1(fld.values, g.dy, axis=1)
+    pss, pyy = d2(fld.values, g.ds, axis=0), d2(fld.values, g.dy, axis=1)
     psy = stencils.d1(ps, g.dy, axis=1, order=g.order)
     want = (fld.values, (ps - py) / g.U, (ps + py) / g.V,
             (pss - 2 * psy + pyy - (ps - py)) / g.U**2,
@@ -255,9 +258,9 @@ def test_fd_derivs_wave_are_bitwise_fd_derivs2_entries(monkeypatch):
     phi, phi_u, phi_v, _, phi_uv, _ = fld.fd_derivs2()
     shapes = []
     real = stencils.d1
-    monkeypatch.setattr(stencils, "d1", lambda a, *args, **kw: shapes.append(a is fld.values)
-                        or real(a, *args, **kw))
-    got = fld.fd_derivs_wave()
+    monkeypatch.setattr(stencils, "d1", lambda a, *args, **kw: shapes.append(
+        a.base is fld.values and a.shape == fld.values.shape) or real(a, *args, **kw))
+    got = fld.fd_derivs("wave")
     assert shapes == [True, True]  # d_s and d_y of the values, no d_y of d_s
     _bitwise_equal(got, (phi, phi_u, phi_v, phi_uv))
 
@@ -549,7 +552,7 @@ def test_unkept_derivatives_are_the_routes_bits_and_stay_off_the_field(mode, ord
     g = mkgrid(16)
     fld = ScalarField.from_analytic(g, static_multipole(1, 3), 1)
     if mode == "fd":
-        want = {1: fld.fd_derivs1, "wave": fld.fd_derivs_wave, 2: fld.fd_derivs2}[order]()
+        want = fld.fd_derivs(order)
     else:
         want = fld.closed_form.derivs2(g.U, g.V)
     _fresh_on_each_call(fld, name, mode, want)
@@ -601,14 +604,13 @@ def test_fd_route_evaluates_once_and_is_read_only(monkeypatch):
     g = mkgrid(16)
     fld = ScalarField.from_function(g, lambda u, v: u**2 * v)
     calls = []
-    for name in ("derivs1", "derivs_wave", "derivs2"):
-        source = f"fd_{name}"
-        want = getattr(fld, source)()
-        real = getattr(ScalarField, source)
-        monkeypatch.setattr(ScalarField, source,
-                            lambda self, _n=source, _r=real: calls.append(_n) or _r(self))
+    real = ScalarField.fd_derivs
+    monkeypatch.setattr(ScalarField, "fd_derivs", lambda self, order, nodes=None: (
+        calls.append(order) or real(self, order, nodes)))
+    for name, order in (("derivs1", 1), ("derivs_wave", "wave"), ("derivs2", 2)):
+        want = real(fld, order)
         _fresh_on_each_call(fld, name, "fd", want)
-        assert calls == [source, source]
+        assert calls == [order, order]
         calls.clear()
     # phi is a read-only view of the values: the field's own stay writeable
     assert fld.values.flags.writeable

@@ -1,30 +1,37 @@
 """Row blocks of the identity checks (verifier.identity_checks): the blocks
 cover the grid once, each block's arrays are the rows of the whole grid's,
-the joined reports are the bits of one block, and a check's memory follows
-its block, not its grid.  A lone check runs the same code on its one pair,
-a weight's stage serves one run of pairs, and a verify-identity job hands
-every check one object per U.  A verify-identity job's memory peaks, by
-phase, and the whole run's: its jobs run one after another, so the run
-peaks with one job."""
+its FD derivatives are the whole grid's stencils' rows, the joined reports
+are the bits of one block, and a check's memory follows its block, not its
+grid.  On each block the checks on one field read each shared term built
+once, to the bits of a check that builds its own; a lone check runs the
+same code on its one pair, a weight's stage serves one run of pairs, and
+no stage or node array outlives its block.  A verify-identity job hands
+every check one object per U, and the grids of a level share one grid.  A
+verify-identity job's memory peaks, by phase, and the whole run's: its jobs
+run one after another, so the run peaks with one job, and at a finer top
+level it grows by that level's samples alone."""
 
+import gc
 import json
 import math
 import threading
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab import cli
+from conelab import cli, fields
 from conelab import verifier as V
-from conelab.currents import divergence_fd
+from conelab.currents import UTerms, WeightTerms, divergence_fd
 from conelab.fields import AnalyticField, GridSpec, NodeRows, ScalarField
 from conelab.geometry import AdmissibleRegion
 from conelab.stencils import SUPPORTED_ORDERS
 
-from _oracles import assert_same_block_bits, block_arrays, traced_peak
+from _oracles import assert_same_block_bits, block_arrays, traced_peak, whole_grid_fd
 
 REGION = AdmissibleRegion(0.1, 10.0, 0.1, 10.0)
 FIELDS = {name: (src, ell) for name, src, ell in V.battery_fields()}
@@ -55,11 +62,11 @@ def _bits(report):
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
 def test_row_blocks_split_the_grid_into_runs_a_stencil_takes(order, monkeypatch):
-    monkeypatch.setattr(V, "BLOCK_POINTS", 12 * 20)
+    monkeypatch.setattr(fields, "BLOCK_POINTS", 12 * 20)
     for n_s in range(max(8, 2 * order + 1), 64, 5):
         g = GridSpec(region=REGION, n_s=n_s, n_y=20, n=3, order=order)
         for mode in ("fd", "analytic"):
-            blocks = V._row_blocks(g, mode)
+            blocks = list(V._row_blocks(g, mode))
             owned = [(b.nodes.rows.start + b.own.start, b.nodes.rows.start + b.own.stop)
                      for b in blocks]
             # consecutive runs from the first row to the last
@@ -95,15 +102,69 @@ def test_divergence_on_node_rows_with_a_halo_is_the_whole_grids_rows(order):
         assert own.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(order=st.sampled_from(SUPPORTED_ORDERS), data=st.data())
+def test_fd_derivatives_on_a_run_of_rows_are_the_whole_grids_stencils_rows(order, data):
+    # a run of rows at every offset, its edges on the grid's or not: the s
+    # stencils read order // 2 rows of values past the run, which gives each
+    # of its rows the stencil it has on the whole grid, and its node arrays
+    # are the grid's rows
+    n_s = 2 * data.draw(st.integers(max(4, order // 2), 20), label="half") + 1
+    n_y = data.draw(st.integers(max(8, order + 1), 16), label="n_y")
+    length = data.draw(st.integers(order + 1, n_s), label="length")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = GridSpec(region=REGION, n_s=n_s, n_y=n_y, n=3, order=order)
+    fld = ScalarField(grid=g, values=rng.standard_normal((n_s, n_y)))
+    wants = {k: whole_grid_fd(fld, k) for k in (1, "wave", 2)}
+    for k, want in wants.items():
+        assert [a.tobytes() for a in fld.fd_derivs(k)] == [a.tobytes() for a in want], k
+    for lo in range(n_s - length + 1):
+        rows = slice(lo, lo + length)
+        nodes = NodeRows(g, rows)
+        for name in ("U", "V", "R", "F_col", "radial_coef"):
+            assert getattr(nodes, name).tobytes() == getattr(g, name)[rows].tobytes(), name
+        for k, want in wants.items():
+            got = fld.fd_derivs(k, nodes)
+            assert [a.tobytes() for a in got] == [a[rows].tobytes() for a in want], (k, lo)
+
+
+def test_sampling_by_row_runs_is_the_whole_grids_bits():
+    # from_analytic evaluates the closed form one row run at a time, to the
+    # bits of one call on the whole grid
+    g = GridSpec(region=REGION, n_s=53, n_y=21, n=3)
+    for name, (src, ell) in FIELDS.items():
+        want = src.value(g.U, g.V)
+        for points in (WHOLE, 9 * 21, 21):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fields, "BLOCK_POINTS", points)
+                fld = ScalarField.from_analytic(g, src, ell)
+            assert fld.values.tobytes() == want.tobytes(), (name, points)
+
+
+# tracemalloc peak of sampling the spherical wave at 512^2, in arrays of
+# 512^2: 1.75, its values and one row run's node arrays and temporaries,
+# against 11.26 when one value call read the grid's node arrays, built
+# inside it, and held the closed form's temporaries for every node; pinned
+# with 1.5 arrays of 256^2 (0.375 of 512^2) of margin.
+SAMPLE_PEAK_512 = 2.2
+
+
+def test_sampling_at_512_peaks_with_its_values_and_one_run():
+    g = GridSpec(region=REGION, n_s=512, n_y=512, n=3)
+    fld, peak = traced_peak(lambda: ScalarField.from_analytic(g, *FIELDS["spherical-wave"]))
+    assert fld.values.shape == (512, 512)
+    assert peak / (512 * 512 * 8) <= SAMPLE_PEAK_512, peak / (512 * 512 * 8)
+
+
 @pytest.mark.parametrize("mode", ["fd", "analytic"])
 @pytest.mark.parametrize("name", ["spherical-wave", "multipole"])
 def test_block_arrays_are_the_rows_of_the_whole_grids(name, mode, monkeypatch):
     src, ell = FIELDS[name]
     fld = ScalarField.from_analytic(GridSpec(region=REGION, n_s=37, n_y=21, n=3), src, ell)
-    monkeypatch.setattr(V, "BLOCK_POINTS", WHOLE)
+    monkeypatch.setattr(fields, "BLOCK_POINTS", WHOLE)
     whole = block_arrays(fld, mode, CHECKS)
-    monkeypatch.setattr(V, "BLOCK_POINTS", 9 * 21)
-    blocks = V._row_blocks(fld.grid, mode)
+    monkeypatch.setattr(fields, "BLOCK_POINTS", 9 * 21)
+    blocks = list(V._row_blocks(fld.grid, mode))
     assert [b.own.stop - b.own.start for b in blocks] == [7, 7, 8, 7, 8]
     for (one,), blocked in zip(whole, block_arrays(fld, mode, CHECKS)):
         lhs, rhs, _, terms = one
@@ -130,9 +191,9 @@ def test_joined_block_reports_are_the_bits_of_one_block(name, mode, order, data)
     fld = ScalarField.from_analytic(GridSpec(region=REGION, n_s=n_s, n_y=n_y, n=3,
                                              order=order), src, ell)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(V, "BLOCK_POINTS", WHOLE)
+        mp.setattr(fields, "BLOCK_POINTS", WHOLE)
         whole = V.identity_checks(fld, mode, CHECKS, _pointwise(mode))
-        mp.setattr(V, "BLOCK_POINTS", rows * n_y)
+        mp.setattr(fields, "BLOCK_POINTS", rows * n_y)
         blocked = V.identity_checks(fld, mode, CHECKS, _pointwise(mode))
     assert [_bits(r) for r in blocked] == [_bits(r) for r in whole]
 
@@ -144,7 +205,7 @@ def test_a_non_finite_residual_in_one_block_fails_the_joined_reports(mode, monke
     # over the whole grid would
     src, ell = FIELDS["oscillatory"]
     fld = ScalarField.from_analytic(GridSpec(region=REGION, n_s=40, n_y=16, n=3), src, ell)
-    monkeypatch.setattr(V, "BLOCK_POINTS", 10 * 16)
+    monkeypatch.setattr(fields, "BLOCK_POINTS", 10 * 16)
     real = V.identity_residual
     for bad in (math.inf, math.nan):
         seen = []
@@ -215,6 +276,133 @@ def test_a_weight_stage_serves_one_run_of_pairs(monkeypatch):
     assert len(built) == 3
 
 
+@pytest.mark.parametrize("mode", ["fd", "analytic"])
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_shared_stages_give_the_bits_of_one_check_evaluations(name, mode, monkeypatch):
+    # on three row blocks of 8 rows, each check's arrays equal those of a
+    # fresh field, whose derivatives and stages serve this check alone
+    src, ell = FIELDS[name]
+    grid = GridSpec(region=REGION, n_s=24, n_y=24, n=3)
+    monkeypatch.setattr(fields, "BLOCK_POINTS", 8 * 24)
+    shared = block_arrays(ScalarField.from_analytic(grid, src, ell), mode, CHECKS)
+    assert [len(blocks) for blocks in shared] == [3] * len(CHECKS)
+    for pair, got in zip(CHECKS, shared):
+        (want,) = block_arrays(ScalarField.from_analytic(grid, src, ell), mode, [pair])
+        assert_same_block_bits(got, want)
+
+
+def _stage_refs(stage):
+    """Weak references to what a stage holds: its arrays and term objects.
+    A live object's plain weak reference is one object, so the references
+    tell the objects apart."""
+    if isinstance(stage, tuple):
+        return [r for part in stage for r in _stage_refs(part)]
+    if isinstance(stage, (np.ndarray, UTerms, WeightTerms)):
+        return [weakref.ref(stage)]
+    return []
+
+
+def test_no_stage_outlives_its_last_reader_or_is_reachable_from_a_field(monkeypatch):
+    # the job's flow on two levels: FD residuals level by level, then the
+    # analytic checks on a fresh copy of the finest field
+    built, weight_stages = [], []
+    real_weight = V._weight_stage
+
+    def weight_stage(*args):
+        # the last weight's stage, of this block or the one before, is gone
+        # before the next is built
+        assert not [r for r in weight_stages if r() is not None]
+        stage = real_weight(*args)
+        weight_stages.extend(_stage_refs(stage))
+        return stage
+
+    def record(stages):
+        built.extend((r, type(r()).__name__) for r in _stage_refs(stages))
+
+    def fd(fld, rep, U, stages):
+        record(stages)
+        return V.identity_residual(fld, rep, U, derivative_mode="fd", stages=stages)
+
+    def analytic(fld, rep, U, stages):
+        record(stages)
+        return V.pointwise_inequality(fld, rep, U, derivative_mode="analytic", stages=stages)
+
+    monkeypatch.setattr(V, "_weight_stage", weight_stage)
+    src, ell = FIELDS["spherical-wave"]
+    sampled = [ScalarField.from_analytic(GridSpec(region=REGION, n_s=m, n_y=m, n=3), src, ell)
+               for m in (16, 32)]
+    finest = replace(sampled[-1])
+    rels = [[r.rel_residual for r in V.identity_checks(fld, "fd", CHECKS, fd)] for fld in sampled]
+    recs = [V.identity_convergence(sampled, level_rels) for level_rels in zip(*rels)]
+    assert len(recs) == len(CHECKS)
+    assert len(V.identity_checks(finest, "analytic", CHECKS, analytic)) == len(CHECKS)
+    # per field (2 FD levels, 1 analytic copy) and block (one per grid here):
+    # 2 U stages and 3 weight stages
+    kinds = list({id(r): kind for r, kind in built}.values())
+    assert kinds.count("UTerms") == 3 * 2 and kinds.count("WeightTerms") == 3 * 3
+    gc.collect()
+    assert built and not [r for r, _ in built if r() is not None]
+    for fld in (*sampled, finest):
+        assert set(vars(fld)) <= {"grid", "values", "closed_form", "name", "ell"}
+
+
+@pytest.mark.parametrize("mode", ["fd", "analytic"])
+def test_a_blocks_nodes_and_stages_go_before_the_next_blocks_are_made(mode, monkeypatch):
+    # when the next block's nodes are made, nothing of the blocks before is
+    # alive: not their nodes, not their node arrays, not a stage a check read
+    monkeypatch.setattr(fields, "BLOCK_POINTS", 8 * 24)
+    src, ell = FIELDS["spherical-wave"]
+    fld = ScalarField.from_analytic(GridSpec(region=REGION, n_s=24, n_y=24, n=3), src, ell)
+    refs, made, blocks = [], [], []
+
+    class Nodes(NodeRows):
+        def __init__(self, *args):
+            assert not [r for r in refs if r() is not None], len(made)
+            super().__init__(*args)
+            made.append(self.rows)
+
+    def check(fld, rep, U, stages):
+        block = stages[0]
+        if not blocks or blocks[-1]() is not block:  # a block's first check
+            assert not [r for r in refs if r() is not None], len(blocks)
+            blocks.append(weakref.ref(block))
+        nodes = block.nodes
+        refs.extend(_stage_refs(stages[1:]) + [weakref.ref(block), weakref.ref(nodes)])
+        refs.extend(weakref.ref(getattr(nodes, name))
+                    for name in ("U", "V", "R", "F_col", "radial_coef"))
+        return CLI_CHECKS[mode](fld, rep, U, stages)
+
+    monkeypatch.setattr(V, "NodeRows", Nodes)
+    assert len(V.identity_checks(fld, mode, CHECKS, check)) == len(CHECKS)
+    assert len(made) == len(blocks) == 3
+
+
+def test_the_fields_of_a_level_share_one_grid(tmp_path, monkeypatch):
+    # the ell = 0 and ell = 1 fields of a level are sampled on one grid, and
+    # nothing keeps its node arrays once the run's grids are gone
+    sampled = []
+    real = ScalarField.from_analytic
+
+    def from_analytic(grid, src, ell=0):
+        sampled.append((grid, ell))
+        return real(grid, src, ell)
+
+    monkeypatch.setattr(ScalarField, "from_analytic", from_analytic)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "levels": [16, 32]}))
+    cli.main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    refs = []
+    for m in (16, 32):
+        level = [(grid, ell) for grid, ell in sampled if grid.n_s == m]
+        assert {ell for _, ell in level} == {0, 1}
+        assert len({id(grid) for grid, _ in level}) == 1, m
+        grid = level[0][0]
+        refs += [weakref.ref(getattr(grid, name)) for name in ("U", "V", "R", "F_col")]
+    del sampled[:], level, grid
+    gc.collect()
+    assert not [r for r in refs if r() is not None]
+
+
 def test_verify_identity_checks_that_share_a_u_share_the_object(tmp_path, monkeypatch):
     # a U stage is built per U object, so a U rebuilt per weight (whose
     # potential's lambdas make equal-looking copies compare unequal) would
@@ -248,19 +436,18 @@ def test_verify_identity_checks_that_share_a_u_share_the_object(tmp_path, monkey
 
 
 # tracemalloc peak of a lone identity_checks of verify-identity's six
-# checks on the spherical wave at 512^2, its grid's node arrays built
-# before, in arrays of 512^2: on the FD route 8.29, on the analytic route
-# 7.01 (eight blocks of 64 rows), against 42.07 and 56.02 when every stage
-# spanned the grid; pinned with 1.5 arrays of margin.
-BLOCK_PEAK_512 = {"fd": 9.8, "analytic": 8.5}
+# checks on the spherical wave at 512^2, in arrays of 512^2: on the FD
+# route 2.05, on the analytic route 2.11 (sixteen blocks of 32 rows, each
+# with node arrays of its own), against 8.29 and 7.01 when eight blocks of
+# 64 rows viewed the grid's node arrays, built before, and 42.07 and 56.02
+# when every stage spanned the grid; pinned with 1.5 arrays of margin.
+BLOCK_PEAK_512 = {"fd": 3.6, "analytic": 3.7}
 
 
 @pytest.mark.parametrize("mode", ["fd", "analytic"])
 def test_a_lone_check_at_512_peaks_with_its_block_not_its_grid(mode):
     g = GridSpec(region=REGION, n_s=512, n_y=512, n=3)
     fld = ScalarField.from_analytic(g, *FIELDS["spherical-wave"])
-    for name in ("U", "V", "R", "F_col", "radial_coef"):
-        getattr(g, name)
     reports, peak = traced_peak(lambda: V.identity_checks(fld, mode, CHECKS, CLI_CHECKS[mode]))
     assert len(reports) == len(CHECKS)
     assert peak / (512 * 512 * 8) <= BLOCK_PEAK_512[mode], peak / (512 * 512 * 8)
@@ -274,8 +461,11 @@ def test_a_lone_check_at_512_peaks_with_its_block_not_its_grid(mode):
 # the grids of one level shared their node arrays (the multipole job, which
 # reads the nodes the first job built, then peaks at 31.2), and 21.51 when
 # the checks ran on row blocks of BLOCK_POINTS nodes, two blocks of 128 rows
-# at 256^2 (the multipole job 16.22); pinned with 1.5 arrays of margin.
-JOB_PEAK_ARRAYS = 23.0
+# at 256^2 (the multipole job 16.22), and 9.43 when the blocks held 64 rows
+# and node arrays of their own, the FD stencils ran per block and the
+# samples were taken one row run at a time (the multipole job the same);
+# pinned with 1.5 arrays of margin.
+JOB_PEAK_ARRAYS = 11.0
 
 
 def test_one_verify_identity_job_peaks_at_most_its_pin(tmp_path, monkeypatch):
@@ -303,8 +493,9 @@ def test_one_verify_identity_job_peaks_at_most_its_pin(tmp_path, monkeypatch):
 # tracemalloc peak of a whole default verify-identity (levels 64, 128, 256;
 # five jobs, grids and report included), in arrays of 256^2: 21.80 when the
 # jobs ran one after another, against 37.3-38.0 when they ran on a pool of
-# two threads, whose jobs overlapped; pinned with 1.5 arrays of margin.
-RUN_PEAK_ARRAYS = 23.3
+# two threads, whose jobs overlapped, and 9.84 when every array of a check
+# held one row block of 64 rows; pinned with 1.5 arrays of margin.
+RUN_PEAK_ARRAYS = 11.4
 
 
 def test_a_whole_verify_identity_run_peaks_with_one_job(tmp_path):
@@ -314,6 +505,22 @@ def test_a_whole_verify_identity_run_peaks_with_one_job(tmp_path):
         ["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "r.json")]))
     assert code == 0
     assert peak / ARRAY_256 <= RUN_PEAK_ARRAYS, peak / ARRAY_256
+
+
+def test_a_runs_peak_grows_with_its_finest_samples_alone(tmp_path):
+    # every array of a check is the size of a row block, and a block holds
+    # at most BLOCK_POINTS nodes at any level, so a run whose finest level
+    # is 512 in place of 256 holds only its larger samples more: the 512^2
+    # field's (4 arrays of 256^2), plus 1.5 arrays of margin
+    peaks = {}
+    for top in (256, 512):
+        cfg = tmp_path / f"cfg{top}.json"
+        cfg.write_text(json.dumps({"schema": 1, "levels": [64, 128, top]}))
+        code, peak = traced_peak(lambda: cli.main(
+            ["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "r.json")]))
+        assert code in (0, 1), code
+        peaks[top] = peak / ARRAY_256
+    assert peaks[512] <= peaks[256] + 4.0 + 1.5, peaks
 
 
 @pytest.fixture(scope="module")
@@ -356,8 +563,10 @@ def multipole_phase_peaks(tmp_path_factory):
 # level's stages of a weight or U lived until that weight's or U's last
 # check, 30.88 when no level's derivatives stay on its field, and 21.09
 # when the checks ran on row blocks, whose stages hold 128 rows and a halo
-# where they held the grid; pinned with 1.5 arrays of margin.
-FD_PHASE_PEAK = 22.6
+# where they held the grid, and 9.18 when the blocks held 64 rows, their
+# FD stencils ran per block and no array of the grid's size but the
+# samples was built; pinned with 1.5 arrays of margin.
+FD_PHASE_PEAK = 10.7
 
 
 def test_the_fd_phase_holds_one_level_of_stages(multipole_phase_peaks):
@@ -370,8 +579,9 @@ def test_the_fd_phase_holds_one_level_of_stages(multipole_phase_peaks):
 # 41.37 arrays of 256^2 when the field's memo kept phi_uu, phi_uv and phi_vv
 # through the six checks, 36.47 when only phi, phi_u and phi_v live
 # through them, and 21.50 when they and every stage hold one row block of
-# 128 rows; pinned with 1.5 arrays of margin.
-ANALYTIC_STAGE_PEAK = 23.0
+# 128 rows, and 9.45 when they hold 64 rows and node arrays of their own;
+# pinned with 1.5 arrays of margin.
+ANALYTIC_STAGE_PEAK = 11.0
 
 
 def test_the_analytic_stage_keeps_no_second_derivative(multipole_phase_peaks):

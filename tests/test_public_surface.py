@@ -175,7 +175,7 @@ def test_quadrature_imports_only_errors_and_geometry():
 # Lines of hand-written source: every module of the package but the
 # generated `_forms.py`.  A change that adds lines raises the ceiling with a
 # CHANGES.md line that says why, so each change shows its line delta.
-SOURCE_LINE_CEILING = 4423
+SOURCE_LINE_CEILING = 4445
 
 
 def test_every_rate_is_one_log_log_fit():

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conelab import fields
 from conelab.currents import PowerU, ZeroU
 from conelab.errors import (
     InsufficientSequence,
@@ -262,7 +263,7 @@ def test_pointwise_never_passes_on_a_non_finite_margin(monkeypatch):
     import conelab.verifier as verifier
 
     real = verifier.bulk_term
-    monkeypatch.setattr(verifier, "BLOCK_POINTS", 8 * 32)
+    monkeypatch.setattr(fields, "BLOCK_POINTS", 8 * 32)
     for bad in (math.inf, -math.inf, math.nan):
         calls = []
 
