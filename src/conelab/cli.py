@@ -309,20 +309,19 @@ def run_verify_identity(cfg: RunConfig):
         return V.pointwise_inequality(fld, rep, U, derivative_mode="analytic", stages=stages)
 
     def job(fname, src, ell):
-        # level first, check second: each level's field serves all six
+        # level first, check second: each level's field serves all six FD
         # checks, and V.identity_checks builds each identity term they share
-        # once and drops it before it moves on, leaving nothing on the field;
-        # the analytic checks then read the finest field alone
-        sampled = [ScalarField.from_analytic(grids[m], src, ell) for m in levels]
-        rels = [[r.rel_residual for r in V.identity_checks(fld, "fd", pairs, fd)]
-                for fld in sampled]
-        recs = [replace(V.identity_convergence(sampled, level_rels),
+        # once and drops it before it moves on; the field's samples go with
+        # them.  The fit and the analytic checks read fields never sampled
+        rels = [[r.rel_residual for r in V.identity_checks(
+                    ScalarField.from_analytic(grids[m], src, ell), "fd", pairs, fd)]
+                for m in levels]
+        flds = [ScalarField.from_analytic(grids[m], src, ell) for m in levels]
+        recs = [replace(V.identity_convergence(flds, level_rels),
                         name=f"identity-order[{fname}/{check}]")
                 for (check, _, _), level_rels in zip(checks, zip(*rels))]
-        finest = sampled.pop()
-        del sampled
         # one analytic identity evaluation feeds both records of a check
-        for (check, _, _), pw in zip(checks, V.identity_checks(finest, "analytic", pairs,
+        for (check, _, _), pw in zip(checks, V.identity_checks(flds[-1], "analytic", pairs,
                                                                 analytic)):
             tag = f"{fname}/{check}"
             ana = pw.identity
@@ -348,6 +347,9 @@ def run_verify_carleman(cfg: RunConfig, refine: int):
     params = SplitWeightParams(a=weight.get_float("a", 1.0), b=weight.get_float("b", 0.1),
                                p=weight.get_float("p", 0.5))
     base = cfg.region()
+    if not base.rho < 1.0 < base.omega:  # the branches meet at f = 1
+        raise InvalidInput(f"{cfg.where}.region must have rho < 1 < omega, where the split "
+                           f"branches meet, got rho={base.rho:g}, omega={base.omega:g}")
     reg_lo = AdmissibleRegion(rho=base.rho, omega=1.0, sigma=base.sigma, tau=base.tau)
     reg_hi = AdmissibleRegion(rho=1.0, omega=base.omega, sigma=base.sigma, tau=base.tau)
     m = cfg.get_int("grid", 96)
@@ -355,25 +357,24 @@ def run_verify_carleman(cfg: RunConfig, refine: int):
     grids = [GridSpec(region=reg, n_s=m, n_y=m, n=n) for reg in (reg_lo, reg_hi)]
 
     def chain_records(nodes_):
-        """The split-chain record of every battery field on both branches, the
-        spherical wave's (low, high) fields, which the seam check reads, and
-        the smallest calibrated C and largest calibrated K (None if none);
-        the checks read closed forms at the nodes, so every level shares grids."""
-        recs, seam = [], None
+        """The split-chain record of every battery field on both branches and
+        the smallest calibrated C and largest calibrated K (None if none); the
+        checks read closed forms at the nodes, so no field is sampled."""
+        recs = []
         for fname, src, ell in V.battery_fields():
-            flds = [ScalarField.from_analytic(grid, src, ell) for grid in grids]
-            if fname == "spherical-wave":
-                seam = flds
-            recs += [replace(V.carleman_split_check(fld, params, br, nodes=nodes_),
+            recs += [replace(V.carleman_split_check(ScalarField.from_analytic(grid, src, ell),
+                                                    params, br, nodes=nodes_),
                              name=f"split-chain[{fname}/{br}]")
-                     for fld, br in zip(flds, ("low", "high"))]
+                     for grid, br in zip(grids, ("low", "high"))]
         cs = [r.details["c_cal"] for r in recs if r.details["c_cal"] is not None]
         ks = [r.details["k_cal"] for r in recs if r.details["k_cal"] is not None]
-        return recs, seam, (min(cs) if cs else None), (max(ks) if ks else None)
+        return recs, (min(cs) if cs else None), (max(ks) if ks else None)
 
     uncalibrated = "no battery field calibrated both C and K"
-    records, seam, cmin, kmax = chain_records(nodes)
-    records.append(V.split_cancellation(*seam, params, nodes=nodes))
+    records, cmin, kmax = chain_records(nodes)
+    wave = exact_spherical_wave(width=1.0, power=8)  # the battery's
+    records.append(V.split_cancellation(*(ScalarField.from_analytic(grid, wave) for grid in grids),
+                                        params, nodes=nodes))
     calibrated = cmin is not None and kmax is not None
     details = {"c_min": cmin, "k_max": kmax, "k_bound": V.E2_OVER_4}
     if not calibrated:
@@ -385,7 +386,7 @@ def run_verify_carleman(cfg: RunConfig, refine: int):
         return records, {}
     for level in range(1, refine + 1):
         scale = 2**level
-        _, _, cmin2, kmax2 = chain_records(scale * nodes)
+        _, cmin2, kmax2 = chain_records(scale * nodes)
         details = {"c_min": [cmin, cmin2], "k_max": [kmax, kmax2]}
         if cmin2 is None or kmax2 is None:
             drift = math.nan

@@ -16,7 +16,7 @@ Chain rule used throughout (u < 0 < v):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -48,11 +48,11 @@ def _node_array(build):
 
 
 # most nodes in a row run (`GridSpec.row_runs`): the identity checks and
-# `ScalarField.from_analytic` take a grid one run at a time, so that their
-# arrays hold a run's nodes, not the grid's.  Smaller runs hold less but run
-# more short array operations: against 32768, a default verify-identity
-# held 4.9 MB less at 16384 for 0.035 s more CPU time in process, and
-# 6.9 MB less at 8192 for 0.08 s more (BENCH_52.json)
+# `ScalarField.values` take a grid one run at a time, so that their arrays
+# hold a run's nodes, not the grid's.  Smaller runs hold less but run more
+# short array operations: against 32768, a default verify-identity held
+# 4.9 MB less at 16384 for 0.035 s more CPU time in process, and 6.9 MB
+# less at 8192 for 0.08 s more (BENCH_52.json)
 BLOCK_POINTS = 16384
 
 
@@ -334,31 +334,43 @@ def _multipole_expr(k: int) -> str:
     return f"(v - u)**(-{k})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """Profile of the angular mode `ell` (eigenvalue `lam`) sampled on a grid,
     which fields of every mode share, optionally backed by a closed form.
 
-    Frozen, because its spline (`_spline`) is kept once built: a changed
-    field is a new field.  Its derivative arrays are evaluated on each call
-    and kept by no one."""
+    Frozen, because its samples and its spline (`_spline`) are kept once
+    formed: a changed field is a new field.  Its derivative arrays are
+    evaluated on each call and kept by no one."""
 
     grid: GridSpec
-    values: np.ndarray
+    values: InitVar[Optional[np.ndarray]]  # None: the closed form's, on first read
     closed_form: Optional[AnalyticField] = None
     name: str = "field"
     ell: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.shape != (self.grid.n_s, self.grid.n_y):
-            raise InvalidInput(
-                f"values shape {self.values.shape} != grid {(self.grid.n_s, self.grid.n_y)}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidInput("field values must be finite")
+    def __post_init__(self, values):
+        if values is not None or self.closed_form is None:
+            object.__setattr__(self, "values", self._checked(values))
         if not is_int(self.ell) or self.ell < 0:
             raise InvalidInput(f"mode index ell must be an integer >= 0, got {self.ell}")
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The closed form's samples on the grid, formed on first read one row
+        run (`GridSpec.row_runs`) at a time; given samples are stored over it."""
+        vals = np.empty((self.grid.n_s, self.grid.n_y))
+        for nodes in (NodeRows(self.grid, rows) for rows in self.grid.row_runs()):
+            vals[nodes.rows] = self.closed_form.value(nodes.U, nodes.V)
+        return self._checked(vals)
+
+    def _checked(self, values) -> np.ndarray:
+        """`values` as floats; InvalidInput unless finite, of the grid's shape."""
+        values, shape = np.asarray(values, dtype=float), (self.grid.n_s, self.grid.n_y)
+        if values.shape != shape or not np.all(np.isfinite(values)):
+            raise InvalidInput(f"field values must be finite, of the grid's shape {shape}; "
+                               f"got shape {values.shape}")
+        return values
 
     @property
     def lam(self) -> float:  # lambda_ell = ell (ell + n - 2)
@@ -371,15 +383,10 @@ class ScalarField:
 
     @classmethod
     def from_analytic(cls, grid: GridSpec, af: AnalyticField, ell: int = 0) -> "ScalarField":
-        """The closed form `af` sampled on the grid, one row run
-        (`GridSpec.row_runs`) at a time."""
+        """The closed form `af` on the grid, sampled on first read (`values`)."""
         if not isinstance(af, AnalyticField):
             raise InvalidInput(f"cannot sample a field source of type {type(af)!r}")
-        vals = np.empty((grid.n_s, grid.n_y))
-        for rows in grid.row_runs():
-            nodes = NodeRows(grid, rows)
-            vals[rows] = af.value(nodes.U, nodes.V)
-        return cls(grid=grid, values=vals, closed_form=af, name=af.label, ell=ell)
+        return cls(grid, None, af, af.label, ell)
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "ScalarField":

@@ -156,7 +156,7 @@ def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, che
     - field x weight, one per run of consecutive pairs that share a weight
       object, each dropped before the next is built: see `_weight_stage`.
 
-    Nothing is kept on the field, and a block's nodes and stages go before
+    No stage is kept on the field, and a block's nodes and stages go before
     the next block's are built."""
     mode = fld.route(derivative_mode)
     reports = [None] * len(pairs)
@@ -442,9 +442,11 @@ def carleman_split_check(fld: ScalarField, params: SplitWeightParams, branch: st
           <= (1/8) int e^{-2F} |F'|^{-1} |box phi|^2 + boundary flux total.
 
     Also calibrates C = A / (b^2 p int f^{2(a-+b)} f^{+-p-1} phi^2) >= 1 and
-    K = (a/8) int e^{-2F}|F'|^{-1}|box phi|^2 / int f^{2(a-+b)} f |box phi|^2
-    <= e^2/4 (None where its reference integral vanishes, and C at b = 0,
-    where the bound b^2 p f^{+-p-1} it calibrates is 0).  The record's value
+    K = (a/8) rhs_bulk / int f^{2(a-+b)} f |box phi|^2 <= e^2/4; rhs_bulk
+    carries the chain's 1/8, so K = (a/64) int e^{-2F}|F'|^{-1}|box phi|^2 /
+    int f^{2(a-+b)} f |box phi|^2 (which K the estimate needs: ROADMAP item
+    24).  Each is None where its reference integral vanishes, and C at b = 0,
+    where the bound b^2 p f^{+-p-1} it calibrates is 0.  The record's value
     is the margin; its details hold both bulk sides, the boundary terms, C and K.
     """
     g = fld.grid
@@ -530,29 +532,29 @@ def carleman_nl_check(fld: ScalarField, a: float, U: PowerU, *,
     nodes by `bulk_term`, whose arithmetic tests/test_certificate.py reduces
     to the closed form -sign/(p+1) f^{2a} V Gamma_V |phi|^{p+1} exactly; a
     NaN at a node makes the margin NaN and fails the chain.  Gamma_V's range
-    over the region is reported: the monotonicity reading of the estimate
-    needs it > 0 when focusing and < 0 when defocusing, and `passed` requires
-    that (a NaN Gamma_V fails both comparisons).
+    at the chain's quadrature nodes is reported: the monotonicity reading of
+    the estimate needs it > 0 when focusing and < 0 when defocusing, and
+    `passed` requires that (a NaN Gamma_V fails both comparisons).
     """
     if a <= 0:
         raise InvalidInput(f"need a > 0, got {a}")
     g = fld.grid
     rep = PowerLog(a)
     ev = fld.evaluator()
-
-    gam = gamma_v(U.V, a, U.p, g.U, g.V, g.n)
-    gmin, gmax = float(np.min(gam)), float(np.max(gam))
-
     cur = current_general(fld, rep, U)
+    ranges = []  # Gamma_V's least and largest value on each block of nodes
 
     def integrand(u, v):
         f = -u * v
+        gam = gamma_v(U.V, a, U.p, u, v, g.n)
+        ranges.extend((np.min(gam), np.max(gam)))
         ph, pu, pv, puv = ev.derivs_wave(u, v)
         B = bulk_term(rep, U, g.n, f, u, v, ph)
         L = wave_op(g.n, fld.lam, v - u, ph, pu, pv, puv) + U.udot(u, v, ph)
         return -B, (1.0 / (8.0 * a)) * f ** (2 * a) * f * L**2
 
     (lhs, rhs), bnd, margin, scale = _chain(cur, integrand, nodes)
+    gmin, gmax = float(np.min(ranges)), float(np.max(ranges))  # a NaN stays, unlike min()
     sign_ok = gmin > 0 if U.sign > 0 else gmax < 0
     return NlChainReport(lhs_bulk=lhs, rhs_bulk=rhs, boundary=bnd, margin=margin,
                          gamma_min=gmin, gamma_max=gmax,

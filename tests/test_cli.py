@@ -496,6 +496,71 @@ def test_default_runs_keep_their_pinned_hash(tmp_path, argv):
     assert _load_report(out)["stability_hash"] == DEFAULT_HASHES[argv]
 
 
+def _watch_samples(monkeypatch):
+    """The list of every field made, and the list of every read of a node
+    array U or V of a grid or a run of its rows, each filled as it happens."""
+    from conelab.fields import NodeRows, ScalarField
+
+    made, reads = [], []
+    real_post_init = ScalarField.__post_init__
+
+    def post_init(fld, *args):
+        made.append(fld)
+        real_post_init(fld, *args)
+
+    monkeypatch.setattr(ScalarField, "__post_init__", post_init)
+    for name in ("U", "V"):
+        build = vars(NodeRows)[name].func
+        monkeypatch.setattr(NodeRows, name, property(
+            lambda nodes, _build=build, _name=name: reads.append(_name) or _build(nodes)))
+    return made, reads
+
+
+@pytest.mark.parametrize("grid", [None, 8, 1024], ids=["default", "8", "1024"])
+@pytest.mark.parametrize("command", ["verify-carleman", "verify-nl"])
+def test_the_chains_sample_no_field_and_build_no_grid_arrays(tmp_path, monkeypatch, command,
+                                                             grid):
+    # the chains read closed forms at their quadrature nodes: their fields
+    # never form samples, no grid U or V array is built, and `grid`, which
+    # both commands still accept, sets no record
+    made, reads = _watch_samples(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json",
+                        {"schema": 1} if grid is None else {"schema": 1, "grid": grid})
+    out = tmp_path / "r.json"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert made
+    assert not [fld.name for fld in made if "values" in vars(fld)]
+    assert reads == []
+    assert _load_report(out)["stability_hash"] == DEFAULT_HASHES[(command,)]
+
+
+def test_verify_identity_samples_only_the_fields_of_its_fd_checks(tmp_path, monkeypatch):
+    # each level's FD checks read samples of their own field; the order fit
+    # and the analytic checks read fields that are never sampled
+    from conelab import verifier as V
+
+    _watch_samples(monkeypatch)
+    seen = []  # (route or "fit", field)
+    real_checks, real_fit = V.identity_checks, V.identity_convergence
+
+    def identity_checks(fld, mode, *args):
+        seen.append((mode, fld))
+        return real_checks(fld, mode, *args)
+
+    def identity_convergence(fields, rels):
+        seen.extend(("fit", fld) for fld in fields)
+        return real_fit(fields, rels)
+
+    monkeypatch.setattr(V, "identity_checks", identity_checks)
+    monkeypatch.setattr(V, "identity_convergence", identity_convergence)
+    out = tmp_path / "r.json"
+    assert main(["verify-identity", "--out", str(out)]) == 0
+    assert _load_report(out)["stability_hash"] == DEFAULT_HASHES[("verify-identity",)]
+    assert {mode for mode, _ in seen} == {"fd", "analytic", "fit"}
+    for mode, fld in seen:
+        assert ("values" in vars(fld)) == (mode == "fd"), mode
+
+
 # verify-nl and limits run gl_nodes' eigenvalues, the quadrature's
 # matrix-vector sums and polyfit, all through BLAS: two threads or the
 # default one give the same bits
@@ -1147,6 +1212,22 @@ def test_verify_nl_weight_exponent_out_of_range_exits_2_before_any_work(tmp_path
         f"error: config.a must be a number in (0, {NL_A_MAX:g}]")
 
 
+@pytest.mark.parametrize("region", [{"rho": 0.1, "omega": 0.9}, {"rho": 0.1, "omega": 1.0},
+                                    {"rho": 1.0, "omega": 10.0}, {"rho": 2.0, "omega": 10.0}],
+                         ids=["omega<1", "omega=1", "rho=1", "rho>1"])
+def test_verify_carleman_region_off_f_1_exits_2_naming_the_region(tmp_path, capsys,
+                                                                   monkeypatch, region):
+    # the split branches meet at f = 1; a region on one side of it exited 2
+    # with a message about the branch region, naming a rho or omega of 1.0
+    # that the config never set
+    _forbid_work(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "region": region})
+    assert main(["verify-carleman", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: config.region must have rho < 1 < omega, where the split branches meet, "
+        f"got rho={region['rho']:g}, omega={region['omega']:g}\n")
+
+
 NL_OVERFLOW_REGION = {"rho": 0.1, "omega": 10000.0, "sigma": 0.1, "tau": 10.0}
 
 
@@ -1543,7 +1624,7 @@ def test_main_runs_without_mallopt(tmp_path, monkeypatch, libc):
 # ---------------------------------------------------------------------------
 
 def _forbid_work(monkeypatch):
-    """Make every routine that samples a field or runs a check raise."""
+    """Make every routine that makes a field or runs a check raise."""
     from conelab import cli, solver, verifier
     from conelab.fields import ScalarField
 

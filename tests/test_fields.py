@@ -127,6 +127,54 @@ def test_grid_refine_keeps_the_existing_nodes():
 
 
 # ---------------------------------------------------------------------------
+# samples: given ones are checked when the field is made, a closed form's
+# when they are first read
+# ---------------------------------------------------------------------------
+
+def test_given_samples_of_the_wrong_shape_or_not_finite_raise_at_construction():
+    g = mkgrid(16)
+    nan_diagonal = np.where(np.eye(16) > 0, np.nan, 0.0)
+    for bad in (np.zeros((15, 16)), np.zeros(16), [[0.0] * 16] * 17, nan_diagonal,
+                np.full((16, 16), np.inf), None):
+        with pytest.raises(InvalidInput):
+            ScalarField(g, bad)
+        with pytest.raises(InvalidInput):
+            ScalarField.from_function(g, lambda u, v, _bad=bad: _bad)
+    # sqrt(v - 2) is NaN wherever v < 2 on the region
+    with np.errstate(invalid="ignore"), pytest.raises(InvalidInput, match="finite"):
+        ScalarField.from_function(g, lambda u, v: np.sqrt(v - 2.0))
+
+
+def test_a_closed_form_not_finite_on_the_grid_raises_when_its_samples_are_first_read():
+    # the field is made without sampling; each read of its samples raises,
+    # and so does the FD route, which reads them
+    from conelab.verifier import identity_residual
+
+    g = mkgrid(16)
+    fld = ScalarField.from_analytic(g, from_expr("sqrt(v - 2)"))
+    assert "values" not in vars(fld)
+    with np.errstate(invalid="ignore"):
+        for _ in range(2):
+            with pytest.raises(InvalidInput, match="finite"):
+                fld.values
+            assert "values" not in vars(fld)
+        with pytest.raises(InvalidInput, match="finite"):
+            fld.derivs1("fd")
+        with pytest.raises(InvalidInput, match="finite"):
+            identity_residual(fld, PowerLog(1.0), derivative_mode="fd")
+
+
+def test_a_closed_form_fields_samples_are_formed_on_first_read_and_kept():
+    g = mkgrid(16)
+    af = from_expr("sin(u)*cos(v/3)")
+    fld = ScalarField.from_analytic(g, af)
+    assert set(vars(fld)) == {"grid", "closed_form", "name", "ell"}
+    vals = fld.values
+    assert vals.tobytes() == af.value(g.U, g.V).tobytes()
+    assert fld.values is vals and "values" in vars(fld)
+
+
+# ---------------------------------------------------------------------------
 # wave operator against closed forms
 # ---------------------------------------------------------------------------
 
@@ -486,7 +534,8 @@ def _bitwise_equal(got, want):
 
 def _fresh_on_each_call(fld, name, mode, want):
     """Two calls of `fld.<name>(mode)`: distinct read-only arrays, each with
-    the bits of `want`, and nothing left on the field."""
+    the bits of `want`, and nothing left on the field: not even samples,
+    which the analytic route of a closed-form field does not read."""
     first, second = getattr(fld, name)(mode), getattr(fld, name)(mode)
     _bitwise_equal(first, want)
     _bitwise_equal(second, want)
@@ -495,7 +544,7 @@ def _fresh_on_each_call(fld, name, mode, want):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
-    assert set(vars(fld)) == FIELD_VARS
+    assert set(vars(fld)) == FIELD_VARS - ({"values"} if fld.route(mode) == "analytic" else set())
 
 
 @pytest.mark.parametrize("first", ["derivs1", "derivs2"])
@@ -649,19 +698,22 @@ def test_closed_form_route_under_concurrent_first_use():
 
     g = mkgrid(64)
     af = from_expr("sin(u)*cos(v/3)")
-    # the FD route of a field without a closed form, too
+    # the FD route of a field without a closed form, too, and that of a
+    # closed-form field, whose first readers form its samples
     vals = af.value(g.U, g.V)
-    cases = ((lambda: ScalarField.from_analytic(g, af), af.derivs2(g.U, g.V)),
-             (lambda: ScalarField(grid=g, values=vals), ScalarField(g, vals).fd_derivs2()))
+    fd_want = ScalarField(g, vals).fd_derivs2()
+    cases = ((lambda: ScalarField.from_analytic(g, af), "auto", af.derivs2(g.U, g.V)),
+             (lambda: ScalarField.from_analytic(g, af), "fd", fd_want),
+             (lambda: ScalarField(grid=g, values=vals), "auto", fd_want))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for make, want in cases:
+        for make, mode, want in cases:
             for _ in range(5):
                 fld = make()
                 got = []
                 workers = [threading.Thread(target=lambda k=k: got.append(
-                    fld.derivs1() if k % 2 else fld.derivs2())) for k in range(8)]
+                    fld.derivs1(mode) if k % 2 else fld.derivs2(mode))) for k in range(8)]
                 for w in workers:
                     w.start()
                 for w in workers:

@@ -17,7 +17,6 @@ import math
 import threading
 import tracemalloc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,16 +128,17 @@ def test_fd_derivatives_on_a_run_of_rows_are_the_whole_grids_stencils_rows(order
 
 
 def test_sampling_by_row_runs_is_the_whole_grids_bits():
-    # from_analytic evaluates the closed form one row run at a time, to the
-    # bits of one call on the whole grid
+    # a closed-form field's first read of its values evaluates the closed
+    # form one row run at a time, to the bits of one call on the whole grid;
+    # the read is inside the patch, where the samples are formed
     g = GridSpec(region=REGION, n_s=53, n_y=21, n=3)
     for name, (src, ell) in FIELDS.items():
         want = src.value(g.U, g.V)
         for points in (WHOLE, 9 * 21, 21):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(fields, "BLOCK_POINTS", points)
-                fld = ScalarField.from_analytic(g, src, ell)
-            assert fld.values.tobytes() == want.tobytes(), (name, points)
+                got = ScalarField.from_analytic(g, src, ell).values
+            assert got.tobytes() == want.tobytes(), (name, points)
 
 
 # tracemalloc peak of sampling the spherical wave at 512^2, in arrays of
@@ -150,9 +150,11 @@ SAMPLE_PEAK_512 = 2.2
 
 
 def test_sampling_at_512_peaks_with_its_values_and_one_run():
+    # the samples are formed on the first read of values, inside the trace
     g = GridSpec(region=REGION, n_s=512, n_y=512, n=3)
-    fld, peak = traced_peak(lambda: ScalarField.from_analytic(g, *FIELDS["spherical-wave"]))
-    assert fld.values.shape == (512, 512)
+    vals, peak = traced_peak(lambda: ScalarField.from_analytic(
+        g, *FIELDS["spherical-wave"]).values)
+    assert vals.shape == (512, 512)
     assert peak / (512 * 512 * 8) <= SAMPLE_PEAK_512, peak / (512 * 512 * 8)
 
 
@@ -304,7 +306,7 @@ def _stage_refs(stage):
 
 def test_no_stage_outlives_its_last_reader_or_is_reachable_from_a_field(monkeypatch):
     # the job's flow on two levels: FD residuals level by level, then the
-    # analytic checks on a fresh copy of the finest field
+    # order fit and the analytic checks on fields never sampled
     built, weight_stages = [], []
     real_weight = V._weight_stage
 
@@ -329,21 +331,26 @@ def test_no_stage_outlives_its_last_reader_or_is_reachable_from_a_field(monkeypa
 
     monkeypatch.setattr(V, "_weight_stage", weight_stage)
     src, ell = FIELDS["spherical-wave"]
-    sampled = [ScalarField.from_analytic(GridSpec(region=REGION, n_s=m, n_y=m, n=3), src, ell)
-               for m in (16, 32)]
-    finest = replace(sampled[-1])
+    grids = [GridSpec(region=REGION, n_s=m, n_y=m, n=3) for m in (16, 32)]
+    sampled = [ScalarField.from_analytic(g, src, ell) for g in grids]
+    unsampled = [ScalarField.from_analytic(g, src, ell) for g in grids]
     rels = [[r.rel_residual for r in V.identity_checks(fld, "fd", CHECKS, fd)] for fld in sampled]
-    recs = [V.identity_convergence(sampled, level_rels) for level_rels in zip(*rels)]
+    recs = [V.identity_convergence(unsampled, level_rels) for level_rels in zip(*rels)]
     assert len(recs) == len(CHECKS)
-    assert len(V.identity_checks(finest, "analytic", CHECKS, analytic)) == len(CHECKS)
-    # per field (2 FD levels, 1 analytic copy) and block (one per grid here):
-    # 2 U stages and 3 weight stages
+    assert len(V.identity_checks(unsampled[-1], "analytic", CHECKS, analytic)) == len(CHECKS)
+    # per field (2 FD levels, the analytic finest) and block (one per grid
+    # here): 2 U stages and 3 weight stages
     kinds = list({id(r): kind for r, kind in built}.values())
     assert kinds.count("UTerms") == 3 * 2 and kinds.count("WeightTerms") == 3 * 3
     gc.collect()
     assert built and not [r for r, _ in built if r() is not None]
-    for fld in (*sampled, finest):
-        assert set(vars(fld)) <= {"grid", "values", "closed_form", "name", "ell"}
+    # a field holds what it was built with, and its samples once the FD
+    # stencils have read them: no stage and no derivative array
+    held = {"grid", "closed_form", "name", "ell"}
+    for fld in sampled:
+        assert set(vars(fld)) == held | {"values"}
+    for fld in unsampled:
+        assert set(vars(fld)) == held
 
 
 @pytest.mark.parametrize("mode", ["fd", "analytic"])

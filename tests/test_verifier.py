@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conelab import fields
+from conelab import quadrature as qd
 from conelab.currents import PowerU, ZeroU
 from conelab.errors import (
     InsufficientSequence,
@@ -424,6 +425,30 @@ def test_nl_chain_indefinite_gamma_flagged():
     fld = mkfield("(-u*v)**(4/5) * exp(-(v-1)**2 / 8)")
     rep = carleman_nl_check(fld, 0.1, U, nodes=96)
     assert rep.gamma_min < 0.0 < rep.gamma_max
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("backing", ["closed-form", "spline"])
+@pytest.mark.parametrize("nan_side", ["f < 1", "f > 1"])
+def test_nl_chain_fails_on_a_gamma_that_is_nan_on_part_of_the_region(monkeypatch, backing,
+                                                                     nan_side):
+    # Gamma_V is read block by block at the chain's nodes: a NaN in the first
+    # blocks or only in the last ones reaches the reported range (Python's
+    # min and max would drop the latter) and fails the chain
+    monkeypatch.setattr(qd, "BULK_POINTS", 4 * 24)  # six blocks of four rows
+
+    def slog(u, v):
+        f = -np.asarray(u, float) * np.asarray(v, float)
+        return np.where(f < 1.0 if nan_side == "f < 1" else f > 1.0, np.nan, 0.0)
+
+    pot = Potential(value=lambda u, v: np.ones_like(np.asarray(u, float)),
+                    scaling_log_derivative=slog)
+    fld = mkfield("(-u*v)**(4/5) * exp(-(v-1)**2 / 8)", m=32)
+    if backing == "spline":
+        fld = ScalarField(fld.grid, fld.values)
+        assert fld.closed_form is None
+    rep = carleman_nl_check(fld, 0.1, PowerU(1, 1.0, pot), nodes=24)
+    assert math.isnan(rep.gamma_min) and math.isnan(rep.gamma_max)
     assert not rep.passed
 
 
