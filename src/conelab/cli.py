@@ -302,19 +302,14 @@ def run_verify_identity(cfg: RunConfig):
     fields = V.battery_fields()
     grids = {m: GridSpec(region=reg, n_s=m, n_y=m, n=n) for m in levels}
 
-    def fd(fld, rep, U, stages):
-        return V.identity_residual(fld, rep, U, derivative_mode="fd", stages=stages)
-
-    def analytic(fld, rep, U, stages):
-        return V.pointwise_inequality(fld, rep, U, derivative_mode="analytic", stages=stages)
-
     def job(fname, src, ell):
         # level first, check second: each level's field serves all six FD
         # checks, and V.identity_checks builds each identity term they share
         # once and drops it before it moves on; the field's samples go with
         # them.  The fit and the analytic checks read fields never sampled
         rels = [[r.rel_residual for r in V.identity_checks(
-                    ScalarField.from_analytic(grids[m], src, ell), "fd", pairs, fd)]
+                    ScalarField.from_analytic(grids[m], src, ell), "fd", pairs,
+                    V.identity_residual)]
                 for m in levels]
         flds = [ScalarField.from_analytic(grids[m], src, ell) for m in levels]
         recs = [replace(V.identity_convergence(flds, level_rels),
@@ -322,7 +317,7 @@ def run_verify_identity(cfg: RunConfig):
                 for (check, _, _), level_rels in zip(checks, zip(*rels))]
         # one analytic identity evaluation feeds both records of a check
         for (check, _, _), pw in zip(checks, V.identity_checks(flds[-1], "analytic", pairs,
-                                                                analytic)):
+                                                                V.pointwise_inequality)):
             tag = f"{fname}/{check}"
             ana = pw.identity
             recs.append(CheckRecord(

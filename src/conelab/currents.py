@@ -396,5 +396,5 @@ def current_to_csv(cur: CurrentField, path) -> None:
     g = cur.grid
     # f = -u v at every node, as at the point evaluator's, so that the
     # samples are its values bit for bit
-    P = cur.assembler.components(g.U, g.V, -g.U * g.V, *cur.field.derivs1())
+    P = cur.assembler.components(g.U, g.V, -g.U * g.V, *cur.field.derivs(1))
     _columns_to_csv(path, g, ("P_u", "P_v"), P)

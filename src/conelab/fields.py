@@ -365,11 +365,15 @@ class ScalarField:
         return self._checked(vals)
 
     def _checked(self, values) -> np.ndarray:
-        """`values` as floats; InvalidInput unless finite, of the grid's shape."""
+        """`values` as floats; InvalidInput unless of the grid's shape and finite."""
         values, shape = np.asarray(values, dtype=float), (self.grid.n_s, self.grid.n_y)
-        if values.shape != shape or not np.all(np.isfinite(values)):
-            raise InvalidInput(f"field values must be finite, of the grid's shape {shape}; "
+        if values.shape != shape:
+            raise InvalidInput(f"field values must have the grid's shape {shape}, "
                                f"got shape {values.shape}")
+        bad = values.size - np.count_nonzero(np.isfinite(values))
+        if bad:
+            raise InvalidInput(f"field values must be finite, got {bad} of {values.size} "
+                               f"samples not finite")
         return values
 
     @property
@@ -418,6 +422,7 @@ class ScalarField:
         psy = stencils.d1(ps, g.dy, axis=1, order=g.order)
         return (phi, *_chain_rule(nodes.U, nodes.V, ps, py, pss, psy, pyy))
 
+    # no route of the package calls these two: the benchmark's tracer wraps them
     def fd_derivs1(self):
         return self.fd_derivs(1)
 
@@ -436,28 +441,17 @@ class ScalarField:
             raise MissingDerivative(f"{self.name}: no closed-form derivatives")
         return mode
 
-    def derivs1(self, mode: str = "auto"):
-        """(phi, phi_u, phi_v) on the grid by the route `route(mode)`."""
-        return self._evaluated(self.route(mode), 1)
-
-    def derivs_wave(self, mode: str = "auto"):
-        """(phi, phi_u, phi_v, phi_uv): what the wave operator reads."""
-        return self._evaluated(self.route(mode), "wave")
-
-    def derivs2(self, mode: str = "auto"):
-        """`derivs1` and (phi_uu, phi_uv, phi_vv)."""
-        return self._evaluated(self.route(mode), 2)
-
-    def _evaluated(self, route: str, order) -> tuple:
-        """The arrays of `order` (1, "wave" or 2) by `route`, evaluated now,
-        each a read-only view: phi on the FD route is the field's values."""
-        g = self.grid
-        if route == "fd":  # orders 1 and 2 by the names the benchmark's tracer wraps
-            arrays = {1: self.fd_derivs1, 2: self.fd_derivs2}.get(
-                order, lambda: self.fd_derivs(order))()
+    def derivs(self, order, nodes: Optional[NodeRows] = None, mode: str = "auto") -> tuple:
+        """The derivatives of `order` (1, "wave" or 2, as in `fd_derivs`) at
+        `nodes` (all rows by default) by the route `route(mode)`, evaluated
+        now, each a read-only view: phi on the FD route views the values."""
+        nodes = nodes or self.grid.nodes
+        if self.route(mode) == "fd":
+            arrays = self.fd_derivs(order, nodes)
         else:
             cf = self.closed_form
-            arrays = {1: cf.derivs1, "wave": cf.derivs_wave, 2: cf.derivs2}[order](g.U, g.V)
+            evaluate = {1: cf.derivs1, "wave": cf.derivs_wave, 2: cf.derivs2}[order]
+            arrays = evaluate(nodes.U, nodes.V)
         return tuple(_read_only(a.view()) for a in arrays)
 
     @cached_property

@@ -129,8 +129,8 @@ class CheckRecord:
 
 def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, check) -> list:
     """One report per (weight, U) pair of `pairs`, in turn, on the route
-    `fld.route(derivative_mode)`: `check(fld, rep, U, stages)` run on each
-    row block of the grid (`_row_blocks`), its `IdentityReport` or
+    `fld.route(derivative_mode)`: `check(fld, rep, U, stages=...)` run on
+    each row block of the grid (`_row_blocks`), its `IdentityReport` or
     `PointwiseReport` joined with those of the blocks before (`_joined`).
 
     The blocks are the outer loop and the pairs the inner one.  A block
@@ -143,14 +143,15 @@ def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, che
     size that it reads.  In a block, the identity's terms that the pairs
     share are built once, one stage per dependency level; `stages` is the
     pair's (block, field, field x U, field x weight) stages, which
-    `identity_residual` and `pointwise_inequality` take:
+    `identity_residual` and `pointwise_inequality` take (the block carries
+    the route):
 
     - field: (phi, phi_u, phi_v), which live through the loop over the
-      pairs, and box phi and the field half of the current (`field_half`).
-      On the FD route they are `fd_derivs("wave", nodes)`, whose s stencils
-      read a further `order // 2` rows of values on each side; on the
-      analytic one the closed form's `derivs2` at the block's nodes.  The
-      second derivatives go once box phi and the half are built;
+      pairs, and box phi and the field half of the current (`field_half`),
+      from `fld.derivs` at the block's nodes: "wave" on the FD route, whose
+      s stencils read a further `order // 2` rows of values on each side,
+      and 2 on the analytic one.  The second derivatives go once box phi
+      and the half are built;
     - field x U, one per distinct U object, all built first: `UTerms` and
       box phi + Udot.  Box phi and the half's openings go after them;
     - field x weight, one per run of consecutive pairs that share a weight
@@ -162,10 +163,8 @@ def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, che
     reports = [None] * len(pairs)
     for block in _row_blocks(fld.grid, mode):
         nodes = block.nodes
-        if mode == "fd":
-            derivs = fld.fd_derivs("wave", nodes)
-        else:
-            derivs = fld.closed_form.derivs2(nodes.U, nodes.V)
+        order = "wave" if mode == "fd" else 2
+        derivs = fld.derivs(order, nodes, mode)
         first = phi, phi_u, phi_v = derivs[:3]
         phi_uv, second = (derivs[3], ()) if mode == "fd" else (derivs[4], derivs[3:])
         half = field_half(nodes.U, nodes.V, fld.lam, phi, phi_u, phi_v, *second)
@@ -185,8 +184,8 @@ def identity_checks(fld: ScalarField, derivative_mode: str, pairs: Sequence, che
             if rep is not w_rep:
                 w_stage = None  # the last weight's stage goes before the next is built
                 w_rep, w_stage = rep, _weight_stage(block, rep, phi, phi_u, phi_v, half)
-            reports[i] = _joined(reports[i],
-                                 check(fld, rep, U, (block, first, u_stages[id(U)], w_stage)))
+            reports[i] = _joined(reports[i], check(
+                fld, rep, U, stages=(block, first, u_stages[id(U)], w_stage)))
         # the next block's nodes and stages are built without these
         del block, nodes, first, phi, phi_u, phi_v, half, u_stages, w_stage
     return reports
@@ -197,6 +196,7 @@ class _Block:
     nodes: NodeRows  # the block's rows, its halo included
     own: slice       # its own rows, among them
     checked: tuple   # the slice pair of its own nodes where residual and margin are read
+    route: str       # the derivative route, "fd" or "analytic"
 
 
 def _row_blocks(g: GridSpec, mode: str):
@@ -212,7 +212,7 @@ def _row_blocks(g: GridSpec, mode: str):
         start = max(lo - halo, 0)
         checked = slice(max(lo, keep_rows.start) - lo, min(hi, keep_rows.stop) - lo)
         yield _Block(NodeRows(g, slice(start, min(hi + halo, g.n_s))),
-                     slice(lo - start, hi - start), (checked, keep_cols))
+                     slice(lo - start, hi - start), (checked, keep_cols), mode)
 
 
 def _weight_stage(block: _Block, rep: Reparametrization, phi, phi_u, phi_v, half):
@@ -236,7 +236,7 @@ def _weight_stage(block: _Block, rep: Reparametrization, phi, phi_u, phi_v, half
             float(np.max(np.abs(square[block.own]))))
 
 
-def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str, stages):
+def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, stages):
     """On the own rows of the block of `stages` (see identity_checks): the
     LHS and RHS arrays of the divergence identity, the largest |LHS|,
     |2 F' |S* psi|^2| and |div P| that the residual's scale is taken from,
@@ -252,7 +252,7 @@ def _identity_arrays(fld: ScalarField, rep: Reparametrization, U, mode: str, sta
     # the divergence first: its temporaries peak above all the rest
     asm = current_general(fld, rep, U).assembler
     shared = (ut, wt)
-    if mode == "fd":
+    if block.route == "fd":
         div = divergence_fd(nodes, *asm.components(nodes.U, nodes.V, f, phi, phi_u, phi_v,
                                                    terms=shared))
     else:
@@ -311,18 +311,15 @@ def identity_residual(fld: ScalarField, rep: Reparametrization,
     derivatives everywhere (machine-level); 'fd' uses centered stencils for
     both the field and the current divergence, so the residual shrinks at
     the stencil order under refinement.  `stages` is one block's stages of
-    this check, from `identity_checks` on the same field and route, and the
-    report is then that block's.
+    this check, from `identity_checks` on the same field, and the report is
+    then that block's, on the block's route.
     """
-    mode = fld.route(derivative_mode)
     if stages is None:
-        return identity_checks(fld, mode, [(rep, U)], lambda fld, rep, U, stages:
-                               identity_residual(fld, rep, U, derivative_mode=mode,
-                                                 stages=stages))[0]
-    lhs, rhs, maxima, terms = _identity_arrays(fld, rep, U, mode, stages)
+        return identity_checks(fld, derivative_mode, [(rep, U)], identity_residual)[0]
+    lhs, rhs, maxima, terms = _identity_arrays(fld, rep, U, stages)
     # lhs is this call's own, so the difference and its size overwrite it
     res = float(np.max(np.abs(np.subtract(lhs, rhs, out=lhs), out=lhs)[stages[0].checked]))
-    return _identity_report(res, maxima, mode, terms)
+    return _identity_report(res, maxima, stages[0].route, terms)
 
 
 def identity_convergence(fields: Sequence[ScalarField], rels: Sequence[float]) -> CheckRecord:
@@ -397,12 +394,9 @@ def pointwise_inequality(fld: ScalarField, rep: Reparametrization,
     times that residual is tolerated.  A non-finite margin or tolerance fails.
     `stages` is as in `identity_residual`.
     """
-    mode = fld.route(derivative_mode)
     if stages is None:
-        return identity_checks(fld, mode, [(rep, U)], lambda fld, rep, U, stages:
-                               pointwise_inequality(fld, rep, U, derivative_mode=mode,
-                                                    stages=stages))[0]
-    idrep = identity_residual(fld, rep, U, derivative_mode=mode, stages=stages)
+        return identity_checks(fld, derivative_mode, [(rep, U)], pointwise_inequality)[0]
+    idrep = identity_residual(fld, rep, U, stages=stages)
     t = idrep.terms
     # L and psi are this call's own, so their squares overwrite them
     margin = np.square(t["L"], out=t["L"])

@@ -59,7 +59,7 @@ def box(fld, mode="auto"):
     """Wave operator (`wave_op`) on the mode profile, by the derivative route
     `fld.route(mode)`."""
     g = fld.grid
-    vals = wave_op(g.n, fld.lam, g.R, *fld.derivs_wave(mode))
+    vals = wave_op(g.n, fld.lam, g.R, *fld.derivs("wave", mode=mode))
     return ScalarField(grid=g, values=vals, name=f"box {fld.name}", ell=fld.ell)
 
 
@@ -175,7 +175,7 @@ def grid_components(cur):
     """(P_u, P_v) of a current on its field's grid, as `current_to_csv`
     writes them: f = -u v at every node, derivatives by the field's route."""
     g = cur.grid
-    return cur.assembler.components(g.U, g.V, -g.U * g.V, *cur.field.derivs1())
+    return cur.assembler.components(g.U, g.V, -g.U * g.V, *cur.field.derivs(1))
 
 
 def divergence_residual(cur, region=None, *, nodes=128, route="auto"):
@@ -247,7 +247,7 @@ def conjugated_wave_residual(psi, rep):
     phi = ScalarField.from_analytic(g, conjugate_analytic(psi.closed_form, rep, sign=+1))
     f = g.F_col
     dF = rep.dF(f)
-    _, psi_u, psi_v = psi.derivs1()
+    _, psi_u, psi_v = psi.derivs(1)
     sstar = 0.5 * (g.U * psi_u + g.V * psi_v) + (g.n - 1) / 4.0 * psi.values
     direct = np.exp(-rep.F(f)) * box(phi).values
     expanded = box(psi).values + 2.0 * dF * sstar + (f * dF**2 - rep.G(f)) * psi.values
@@ -271,7 +271,7 @@ def boundary_expansion_f(fld, rep, variant="consistent"):
     G = rep.G(f)
     W = np.exp(-2.0 * rep.F(f))
     c = (g.n - 1) / 4.0 - f * dF
-    phi, phi_u, phi_v = fld.derivs1()
+    phi, phi_u, phi_v = fld.derivs(1)
     up = g.U * phi_u
     vp = g.V * phi_v
     ang = fld.lam * phi**2 / g.R**2
@@ -289,7 +289,7 @@ def boundary_expansion_h(fld, rep):
     dF = rep.dF(f)
     W = np.exp(-2.0 * rep.F(f))
     c = (g.n - 1) / 4.0 - f * dF
-    phi, phi_u, phi_v = fld.derivs1()
+    phi, phi_u, phi_v = fld.derivs(1)
     up = g.U * phi_u
     vp = g.V * phi_v
     return W * (0.25 * (up**2 - vp**2) + 0.5 * c * phi * (up - vp))
@@ -488,8 +488,8 @@ def block_arrays(fld, mode, pairs):
     def check(fld, rep, U, stages):
         # each block runs the pairs in their order
         out[next(calls) % len(pairs)].append(
-            verifier._identity_arrays(fld, rep, U, mode, stages))
-        return verifier.identity_residual(fld, rep, U, derivative_mode=mode, stages=stages)
+            verifier._identity_arrays(fld, rep, U, stages))
+        return verifier.identity_residual(fld, rep, U, stages=stages)
 
     verifier.identity_checks(fld, mode, pairs, check)
     return out

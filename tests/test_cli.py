@@ -369,6 +369,16 @@ def test_pipeline_with_a_non_finite_flux_term_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pipeline_on_a_closed_form_not_finite_on_the_grid_exits_2_counting_the_samples(
+        tmp_path, capsys):
+    # 1/(u+1) is infinite on the grid's one row of nodes at u = -1
+    cfg = _write_config(tmp_path / "cfg.json", {"schema": 1, "case": "expr", "expr": "1/(u+1)"})
+    with np.errstate(divide="ignore"):
+        assert main(["pipeline", "--config", cfg]) == 2
+    assert ("field values must be finite, got 64 of 4096 samples not finite"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("expr, named", [
     ("u*w", "symbols other than u and v: w"),
     ("u > 0", "not a number-valued expression"),

@@ -151,7 +151,7 @@ def test_building_a_current_samples_nothing_on_the_grid(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a current was sampled while it was built")
 
-    monkeypatch.setattr(ScalarField, "derivs1", refuse)
+    monkeypatch.setattr(ScalarField, "derivs", refuse)
     monkeypatch.setattr(CurrentAssembler, "components", refuse)
     U = PowerU(1, 2.0, Potential.constant(1.0))
     current_general(mkfield(), PowerLog(1.0))
@@ -274,8 +274,8 @@ def test_divergence_fd_is_bitwise_the_formula_of_all_four_derivatives(ell):
         g = fld.grid
         for U in (ZeroU(), PowerU(1, 1, Potential.constant(1.0))):
             P_u, P_v = grid_components(current_general(fld, PowerLog(0.8), U))
-            _, _, dPu_v = ScalarField(grid=g, values=P_u).fd_derivs1()
-            _, dPv_u, _ = ScalarField(grid=g, values=P_v).fd_derivs1()
+            _, _, dPu_v = ScalarField(grid=g, values=P_u).fd_derivs(1)
+            _, dPv_u, _ = ScalarField(grid=g, values=P_v).fd_derivs(1)
             want = -0.5 * (dPv_u + dPu_v) - ((g.n - 1) / (2.0 * g.R)) * (P_u - P_v)
             assert divergence_fd(NodeRows(g), P_u, P_v).tobytes() == want.tobytes()
     bad = P_u.copy()
@@ -379,7 +379,7 @@ def test_field_half_keeps_the_bits_of_the_bracket_in_one_piece(ell, U):
     g = fld.grid
     f, h = np.meshgrid(np.linspace(0.15, 9.0, 7), np.linspace(0.2, 8.0, 5))
     u, v = -np.sqrt(np.ravel(f / h)), np.sqrt(np.ravel(f * h))
-    points = [(g.U, g.V, f_, fld.derivs2(mode))
+    points = [(g.U, g.V, f_, fld.derivs(2, mode=mode))
               for f_ in (g.F_col, -g.U * g.V) for mode in ("analytic", "fd")]
     points.append((u, v, -u * v, fld.evaluator().derivs2(u, v)))
     for _, rep in battery_weights():
@@ -413,7 +413,7 @@ def test_weight_half_on_the_f_column_agrees_with_f_at_every_node(ell, U):
     for _, rep in battery_weights():
         asm = CurrentAssembler(rep=rep, U=U, n=g.n, lam=fld.lam)
         for mode in ("analytic", "fd"):
-            d = fld.derivs2(mode)
+            d = fld.derivs(2, mode=mode)
             col = [*asm.components(g.U, g.V, g.F_col, *d[:3]),
                    asm.divergence(g.U, g.V, g.F_col, *d)]
             node = [*asm.components(g.U, g.V, -g.U * g.V, *d[:3]),

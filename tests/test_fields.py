@@ -3,6 +3,7 @@ serialization."""
 
 import csv
 import math
+import re
 import sys
 from dataclasses import replace
 from functools import partial
@@ -132,13 +133,23 @@ def test_grid_refine_keeps_the_existing_nodes():
 # ---------------------------------------------------------------------------
 
 def test_given_samples_of_the_wrong_shape_or_not_finite_raise_at_construction():
+    # the message names the condition that fails: the shape first, then how
+    # many samples are not finite
     g = mkgrid(16)
     nan_diagonal = np.where(np.eye(16) > 0, np.nan, 0.0)
-    for bad in (np.zeros((15, 16)), np.zeros(16), [[0.0] * 16] * 17, nan_diagonal,
-                np.full((16, 16), np.inf), None):
-        with pytest.raises(InvalidInput):
+    nan_diagonal[0, 1:3] = (np.inf, -np.inf)
+    shape = "field values must have the grid's shape (16, 16), got shape "
+    finite = "field values must be finite, got {} of 256 samples not finite"
+    for bad, message in ((np.zeros((15, 16)), shape + "(15, 16)"),
+                         (np.full((15, 16), np.nan), shape + "(15, 16)"),
+                         (np.zeros(16), shape + "(16,)"),
+                         ([[0.0] * 16] * 17, shape + "(17, 16)"),
+                         (nan_diagonal, finite.format(18)),
+                         (np.full((16, 16), np.inf), finite.format(256)),
+                         (None, shape + "()")):
+        with pytest.raises(InvalidInput, match=re.escape(message)):
             ScalarField(g, bad)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=re.escape(message)):
             ScalarField.from_function(g, lambda u, v, _bad=bad: _bad)
     # sqrt(v - 2) is NaN wherever v < 2 on the region
     with np.errstate(invalid="ignore"), pytest.raises(InvalidInput, match="finite"):
@@ -159,7 +170,7 @@ def test_a_closed_form_not_finite_on_the_grid_raises_when_its_samples_are_first_
                 fld.values
             assert "values" not in vars(fld)
         with pytest.raises(InvalidInput, match="finite"):
-            fld.derivs1("fd")
+            fld.derivs(1, mode="fd")
         with pytest.raises(InvalidInput, match="finite"):
             identity_residual(fld, PowerLog(1.0), derivative_mode="fd")
 
@@ -224,7 +235,7 @@ def test_mode_coupling_term_sign():
 def scaling(fld):
     """S phi = (u d_u + v d_v) phi / 2 from the field's first derivatives."""
     g = fld.grid
-    _, phi_u, phi_v = fld.derivs1()
+    _, phi_u, phi_v = fld.derivs(1)
     return 0.5 * (g.U * phi_u + g.V * phi_v)
 
 
@@ -270,8 +281,8 @@ def fd_order(source, deriv_fn, levels=(48, 96, 192)):
 
 def test_fd_first_derivative_order():
     src = from_expr("sin(u) * cos(v/3)")
-    rates_u, errs_u = fd_order(src, lambda fld, mode: fld.derivs1(mode)[1])
-    rates_v, errs_v = fd_order(src, lambda fld, mode: fld.derivs1(mode)[2])
+    rates_u, errs_u = fd_order(src, lambda fld, mode: fld.derivs(1, mode=mode)[1])
+    rates_v, errs_v = fd_order(src, lambda fld, mode: fld.derivs(1, mode=mode)[2])
     # order-4 stencils composed through the chain rule; the coarsest
     # segment is pre-asymptotic so judge the fine one
     assert rates_u[-1] > 3.2 and errs_u[-1] < 1e-5
@@ -296,14 +307,14 @@ def test_fd_derivs2_bitwise_equal_to_composed_d_sy():
             (pss - 2 * psy + pyy - (ps - py)) / g.U**2,
             (pss - pyy) / (g.U * g.V),
             (pss + 2 * psy + pyy - (ps + py)) / g.V**2)
-    for got, ref in zip(fld.fd_derivs2(), want, strict=True):
+    for got, ref in zip(fld.fd_derivs(2), want, strict=True):
         assert got.tobytes() == ref.tobytes()
 
 
 def test_fd_derivs_wave_are_bitwise_fd_derivs2_entries(monkeypatch):
     # the wave operator's four arrays, without the mixed (s, y) stencil
     fld = ScalarField.from_function(mkgrid(40), lambda u, v: np.sin(u) * np.cos(v / 3))
-    phi, phi_u, phi_v, _, phi_uv, _ = fld.fd_derivs2()
+    phi, phi_u, phi_v, _, phi_uv, _ = fld.fd_derivs(2)
     shapes = []
     real = stencils.d1
     monkeypatch.setattr(stencils, "d1", lambda a, *args, **kw: shapes.append(
@@ -364,7 +375,7 @@ def test_wave_op_at_grid_points_is_box(ell):
     src = from_expr("sin(u)*cos(v/3) + u*v**2")
     analytic = ScalarField.from_analytic(g, src, ell)
     sampled = ScalarField(grid=g, values=analytic.values.copy(), ell=ell)
-    for fld, derivs in ((analytic, src.derivs2(g.U, g.V)), (sampled, sampled.fd_derivs2())):
+    for fld, derivs in ((analytic, src.derivs2(g.U, g.V)), (sampled, sampled.fd_derivs(2))):
         phi, phi_u, phi_v, _, phi_uv, _ = derivs
         got = wave_op(g.n, fld.lam, g.V - g.U, phi, phi_u, phi_v, phi_uv)
         assert got.tobytes() == box(fld).values.tobytes()
@@ -373,7 +384,7 @@ def test_wave_op_at_grid_points_is_box(ell):
 def test_derivs_auto_prefers_closed_form():
     g = mkgrid(24)
     fld = ScalarField.from_analytic(g, from_expr("u**2 * v"))
-    phi, pu, pv = fld.derivs1()
+    phi, pu, pv = fld.derivs(1)
     assert np.allclose(pu, 2 * g.U * g.V, atol=1e-13)
     assert np.allclose(pv, g.U**2, atol=1e-13)
 
@@ -415,7 +426,7 @@ def test_conjugate_power_weight_is_f_power():
     back = conjugate_analytic(psi.closed_form, rep, sign=+1)
     assert np.allclose(back.value(g.U, g.V), 1.0, atol=1e-13)
     want = (g.F, -g.V, -g.U, 0.0, -1.0, 0.0)
-    for got, ref in zip(psi.derivs2(), want, strict=True):
+    for got, ref in zip(psi.derivs(2), want, strict=True):
         assert np.allclose(got, ref, atol=1e-12)
 
 
@@ -532,11 +543,12 @@ def _bitwise_equal(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _fresh_on_each_call(fld, name, mode, want):
-    """Two calls of `fld.<name>(mode)`: distinct read-only arrays, each with
-    the bits of `want`, and nothing left on the field: not even samples,
-    which the analytic route of a closed-form field does not read."""
-    first, second = getattr(fld, name)(mode), getattr(fld, name)(mode)
+def _fresh_on_each_call(fld, order, mode, want):
+    """Two calls of `fld.derivs(order, mode=mode)`: distinct read-only
+    arrays, each with the bits of `want`, and nothing left on the field: not
+    even samples, which the analytic route of a closed-form field does not
+    read."""
+    first, second = fld.derivs(order, mode=mode), fld.derivs(order, mode=mode)
     _bitwise_equal(first, want)
     _bitwise_equal(second, want)
     assert not {id(a) for a in first} & {id(a) for a in second}
@@ -547,15 +559,14 @@ def _fresh_on_each_call(fld, name, mode, want):
     assert set(vars(fld)) == FIELD_VARS - ({"values"} if fld.route(mode) == "analytic" else set())
 
 
-@pytest.mark.parametrize("first", ["derivs1", "derivs2"])
+@pytest.mark.parametrize("first", [1, 2])
 def test_closed_form_route_is_bitwise_direct_evaluation(first):
     g = mkgrid(24)
     af = static_multipole(1, 3)
-    want1 = af.derivs1(g.U, g.V)
-    want2 = af.derivs2(g.U, g.V)
+    want = {1: af.derivs1(g.U, g.V), 2: af.derivs2(g.U, g.V)}
     fld = ScalarField.from_analytic(g, af, 1)
-    for name in (first, "derivs1" if first == "derivs2" else "derivs2") * 2:
-        _bitwise_equal(getattr(fld, name)(), want1 if name == "derivs1" else want2)
+    for order in (first, 3 - first) * 2:
+        _bitwise_equal(fld.derivs(order), want[order])
 
 
 def test_closed_form_route_evaluates_once_and_is_read_only(monkeypatch):
@@ -564,12 +575,12 @@ def test_closed_form_route_evaluates_once_and_is_read_only(monkeypatch):
     fld = ScalarField.from_analytic(g, from_expr("u**2 * v"))
     cf = fld.closed_form
     calls = []
-    for name in ("derivs1", "derivs_wave", "derivs2"):
+    for name, order in (("derivs1", 1), ("derivs_wave", "wave"), ("derivs2", 2)):
         want = getattr(AnalyticField, name)(cf, g.U, g.V)
         real = getattr(AnalyticField, name)
         monkeypatch.setattr(AnalyticField, name, lambda self, u, v, _n=name, _r=real:
                             calls.append(_n) or _r(self, u, v))
-        _fresh_on_each_call(fld, name, "auto", want)
+        _fresh_on_each_call(fld, order, "auto", want)
         assert calls == [name, name]
         calls.clear()
 
@@ -582,8 +593,8 @@ def test_the_derivatives_of_u_stay_read_only():
     for fld in (ScalarField.from_analytic(g, from_expr("u")),
                 ScalarField.from_function(g, lambda u, v: u)):
         for mode in ("auto", "fd"):
-            for name in ("derivs1", "derivs_wave", "derivs2"):
-                arrays = getattr(fld, name)(mode)
+            for order in (1, "wave", 2):
+                arrays = fld.derivs(order, mode=mode)
                 assert arrays[0].tobytes() == g.U.tobytes()
                 for arr in arrays:
                     assert not arr.flags.writeable
@@ -592,10 +603,8 @@ def test_the_derivatives_of_u_stay_read_only():
     assert not g.U.flags.writeable and g.U.tobytes() == before
 
 
-@pytest.mark.parametrize("mode, order, name", [("analytic", 2, "derivs2"),
-                                               ("fd", "wave", "derivs_wave"),
-                                               ("fd", 1, "derivs1")])
-def test_unkept_derivatives_are_the_routes_bits_and_stay_off_the_field(mode, order, name):
+@pytest.mark.parametrize("mode, order", [("analytic", 2), ("fd", "wave"), ("fd", 1)])
+def test_unkept_derivatives_are_the_routes_bits_and_stay_off_the_field(mode, order):
     # every call evaluates afresh, to the bits of the route's source, and
     # leaves nothing on the field
     g = mkgrid(16)
@@ -604,14 +613,14 @@ def test_unkept_derivatives_are_the_routes_bits_and_stay_off_the_field(mode, ord
         want = fld.fd_derivs(order)
     else:
         want = fld.closed_form.derivs2(g.U, g.V)
-    _fresh_on_each_call(fld, name, mode, want)
+    _fresh_on_each_call(fld, order, mode, want)
 
 
 def test_analytic_derivatives_without_a_closed_form_raise():
     g = mkgrid(32)
     bare = ScalarField.from_function(g, lambda u, v: np.sin(u) * np.cos(v / 3))
-    for call in (lambda: bare.derivs1("analytic"), lambda: bare.derivs2("analytic"),
-                 lambda: box(bare, "analytic")):
+    for call in (lambda: bare.derivs(1, mode="analytic"),
+                 lambda: bare.derivs(2, mode="analytic"), lambda: box(bare, "analytic")):
         with pytest.raises(MissingDerivative):
             call()
 
@@ -619,9 +628,9 @@ def test_analytic_derivatives_without_a_closed_form_raise():
 def test_fd_mode_on_a_closed_form_field_gives_the_fd_arrays():
     g = mkgrid(32)
     fld = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)"))
-    _bitwise_equal(fld.derivs1("fd"), fld.fd_derivs1())
-    _bitwise_equal(fld.derivs2("fd"), fld.fd_derivs2())
-    phi, phi_u, phi_v, _, phi_uv, _ = fld.fd_derivs2()
+    _bitwise_equal(fld.derivs(1, mode="fd"), fld.fd_derivs(1))
+    _bitwise_equal(fld.derivs(2, mode="fd"), fld.fd_derivs(2))
+    phi, phi_u, phi_v, _, phi_uv, _ = fld.fd_derivs(2)
     want = wave_op(g.n, fld.lam, g.R, phi, phi_u, phi_v, phi_uv)
     assert box(fld, "fd").values.tobytes() == want.tobytes()
     assert box(fld, "fd").values.tobytes() != box(fld).values.tobytes()
@@ -634,7 +643,8 @@ def test_unknown_derivative_modes_are_rejected(mode):
     g = mkgrid(16)
     for fld in (ScalarField.from_analytic(g, from_expr("u*v**2")),
                 ScalarField.from_function(g, lambda u, v: u * v**2)):
-        for call in (fld.derivs1, fld.derivs2, lambda m: box(fld, m), lambda m: fld.route(m)):
+        for call in (lambda m: fld.derivs(1, mode=m), lambda m: fld.derivs(2, mode=m),
+                     lambda m: box(fld, m), lambda m: fld.route(m)):
             with pytest.raises(InvalidInput, match="derivative mode"):
                 call(mode)
 
@@ -642,10 +652,10 @@ def test_unknown_derivative_modes_are_rejected(mode):
 def test_field_without_closed_form_takes_the_fd_route():
     g = mkgrid(32)
     fld = ScalarField.from_function(g, lambda u, v: u * v**2)
-    _bitwise_equal(fld.derivs1(), fld.fd_derivs1())
-    _bitwise_equal(fld.derivs2(), fld.fd_derivs2())
+    _bitwise_equal(fld.derivs(1), fld.fd_derivs(1))
+    _bitwise_equal(fld.derivs(2), fld.fd_derivs(2))
     assert fld.route() == "fd"
-    assert not any(a.flags.writeable for a in fld.derivs1())
+    assert not any(a.flags.writeable for a in fld.derivs(1))
 
 
 def test_fd_route_evaluates_once_and_is_read_only(monkeypatch):
@@ -656,9 +666,9 @@ def test_fd_route_evaluates_once_and_is_read_only(monkeypatch):
     real = ScalarField.fd_derivs
     monkeypatch.setattr(ScalarField, "fd_derivs", lambda self, order, nodes=None: (
         calls.append(order) or real(self, order, nodes)))
-    for name, order in (("derivs1", 1), ("derivs_wave", "wave"), ("derivs2", 2)):
+    for order in (1, "wave", 2):
         want = real(fld, order)
-        _fresh_on_each_call(fld, name, "fd", want)
+        _fresh_on_each_call(fld, order, "fd", want)
         assert calls == [order, order]
         calls.clear()
     # phi is a read-only view of the values: the field's own stay writeable
@@ -672,22 +682,22 @@ def test_a_field_with_kept_derivatives_cannot_be_reassigned():
 
     g = mkgrid(16)
     fld = ScalarField.from_function(g, lambda u, v: u * v)
-    kept = fld.derivs2()
+    kept = fld.derivs(2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         fld.values = 2.0 * fld.values
-    _bitwise_equal(fld.derivs2(), kept)
+    _bitwise_equal(fld.derivs(2), kept)
 
 
 def test_closed_form_and_fd_routes_are_kept_apart():
     # the routes of one field give each its own source's arrays, in any order
     g = mkgrid(24)
     fld = ScalarField.from_analytic(g, from_expr("sin(u)*cos(v/3)"))
-    analytic = fld.derivs2()
-    fd = fld.derivs2("fd")
+    analytic = fld.derivs(2)
+    fd = fld.derivs(2, mode="fd")
     _bitwise_equal(analytic, fld.closed_form.derivs2(g.U, g.V))
-    _bitwise_equal(fd, fld.fd_derivs2())
-    _bitwise_equal(fld.derivs2("analytic"), analytic)
-    _bitwise_equal(fld.derivs1("fd"), fld.fd_derivs1())
+    _bitwise_equal(fd, fld.fd_derivs(2))
+    _bitwise_equal(fld.derivs(2, mode="analytic"), analytic)
+    _bitwise_equal(fld.derivs(1, mode="fd"), fld.fd_derivs(1))
 
 
 def test_closed_form_route_under_concurrent_first_use():
@@ -701,7 +711,7 @@ def test_closed_form_route_under_concurrent_first_use():
     # the FD route of a field without a closed form, too, and that of a
     # closed-form field, whose first readers form its samples
     vals = af.value(g.U, g.V)
-    fd_want = ScalarField(g, vals).fd_derivs2()
+    fd_want = ScalarField(g, vals).fd_derivs(2)
     cases = ((lambda: ScalarField.from_analytic(g, af), "auto", af.derivs2(g.U, g.V)),
              (lambda: ScalarField.from_analytic(g, af), "fd", fd_want),
              (lambda: ScalarField(grid=g, values=vals), "auto", fd_want))
@@ -713,7 +723,7 @@ def test_closed_form_route_under_concurrent_first_use():
                 fld = make()
                 got = []
                 workers = [threading.Thread(target=lambda k=k: got.append(
-                    fld.derivs1(mode) if k % 2 else fld.derivs2(mode))) for k in range(8)]
+                    fld.derivs(1 if k % 2 else 2, mode=mode))) for k in range(8)]
                 for w in workers:
                     w.start()
                 for w in workers:

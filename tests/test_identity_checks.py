@@ -102,29 +102,57 @@ def test_divergence_on_node_rows_with_a_halo_is_the_whole_grids_rows(order):
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(order=st.sampled_from(SUPPORTED_ORDERS), data=st.data())
-def test_fd_derivatives_on_a_run_of_rows_are_the_whole_grids_stencils_rows(order, data):
+@given(order=st.sampled_from(SUPPORTED_ORDERS), route=st.sampled_from(["fd", "analytic"]),
+       data=st.data())
+def test_fd_derivatives_on_a_run_of_rows_are_the_whole_grids_stencils_rows(order, route, data):
     # a run of rows at every offset, its edges on the grid's or not: the s
     # stencils read order // 2 rows of values past the run, which gives each
     # of its rows the stencil it has on the whole grid, and its node arrays
-    # are the grid's rows
+    # are the grid's rows, at which the closed form gives the grid's bits
     n_s = 2 * data.draw(st.integers(max(4, order // 2), 20), label="half") + 1
     n_y = data.draw(st.integers(max(8, order + 1), 16), label="n_y")
     length = data.draw(st.integers(order + 1, n_s), label="length")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     g = GridSpec(region=REGION, n_s=n_s, n_y=n_y, n=3, order=order)
-    fld = ScalarField(grid=g, values=rng.standard_normal((n_s, n_y)))
-    wants = {k: whole_grid_fd(fld, k) for k in (1, "wave", 2)}
+    if route == "fd":
+        fld = ScalarField(grid=g, values=rng.standard_normal((n_s, n_y)))
+        wants = {k: whole_grid_fd(fld, k) for k in (1, "wave", 2)}
+    else:
+        fld = ScalarField.from_analytic(g, *FIELDS["spherical-wave"])
+        wants = {2: fld.closed_form.derivs2(g.U, g.V)}
     for k, want in wants.items():
-        assert [a.tobytes() for a in fld.fd_derivs(k)] == [a.tobytes() for a in want], k
+        got = fld.derivs(k, mode=route)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], k
     for lo in range(n_s - length + 1):
         rows = slice(lo, lo + length)
         nodes = NodeRows(g, rows)
         for name in ("U", "V", "R", "F_col", "radial_coef"):
             assert getattr(nodes, name).tobytes() == getattr(g, name)[rows].tobytes(), name
         for k, want in wants.items():
-            got = fld.fd_derivs(k, nodes)
+            got = fld.derivs(k, nodes, route)
             assert [a.tobytes() for a in got] == [a[rows].tobytes() for a in want], (k, lo)
+
+
+@pytest.mark.parametrize("mode", ["fd", "analytic"])
+def test_a_blocks_derivatives_are_read_only_and_the_values_stay_writeable(mode, monkeypatch):
+    # on the FD route a block's phi views the field's values: a check that
+    # wrote into it would change them under the blocks still to come
+    src, ell = FIELDS["spherical-wave"]
+    fld = ScalarField.from_analytic(GridSpec(region=REGION, n_s=24, n_y=16, n=3), src, ell)
+    monkeypatch.setattr(fields, "BLOCK_POINTS", 8 * 16)
+    firsts = []
+
+    def check(fld, rep, U, stages):
+        firsts.append(stages[1])
+        return V.identity_residual(fld, rep, U, derivative_mode=mode, stages=stages)
+
+    V.identity_checks(fld, mode, CHECKS[:1], check)
+    assert len(firsts) == 3
+    for first in firsts:
+        for arr in first:  # phi, phi_u, phi_v
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+    assert fld.values.flags.writeable
 
 
 def test_sampling_by_row_runs_is_the_whole_grids_bits():
